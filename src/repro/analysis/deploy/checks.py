@@ -45,16 +45,11 @@ from repro.diag import DiagnosticSink, Span
 from repro.errors import SourceLocation
 from repro.nir.ir import GlobalRef, Module
 from repro.ncp.fragment import FRAG_KERNEL_BIT
-from repro.ncp.wire import ETH_FIELDS, IPV4_FIELDS, NCP_FIELDS, UDP_FIELDS
+from repro.ncp.wire import HEADERS_LEN
 from repro.obs.int import HOP_BYTES, TAIL_BYTES, IntConfig
 
 #: fixed eth+ipv4+udp+NCP framing every window pays before its payload
-HEADER_BYTES: int = (
-    sum(b for _, b in ETH_FIELDS)
-    + sum(b for _, b in IPV4_FIELDS)
-    + sum(b for _, b in UDP_FIELDS)
-    + sum(b for _, b in NCP_FIELDS)
-) // 8
+HEADER_BYTES: int = HEADERS_LEN
 
 
 class _EdgePath:

@@ -25,15 +25,16 @@ from typing import List, Sequence, Tuple
 from repro.errors import SimulationError
 from repro.ncp.wire import (
     ChunkLayout,
-    ETH_FIELDS,
-    IPV4_FIELDS,
+    HEADERS,
     KernelLayout,
     decode_frame,
     encode_frame,
 )
 from repro.net.network import Network
 from repro.net.node import HostNode, PythonSwitchNode
-from repro.util.bits import unpack_fields
+
+#: reads ipv4.dst; its size is where the L3 headers end
+_IPV4_DST = HEADERS.reader("ipv4.dst")
 
 #: pseudo kernel id for plain (non-INC) transfers
 XFER_KERNEL_ID = 0x7F00
@@ -41,12 +42,9 @@ XFER_KERNEL_ID = 0x7F00
 
 def l3_forwarding_program(data: bytes, in_port: int, node: PythonSwitchNode):
     """A plain L3 switch: parse Ethernet+IPv4, next-hop by routes table."""
-    try:
-        eth, rest = unpack_fields(ETH_FIELDS, data)
-        ipv4, _ = unpack_fields(IPV4_FIELDS, rest)
-    except Exception:
+    if len(data) < _IPV4_DST.size:
         return []
-    dst_node = ipv4["dst"] & 0xFFFF
+    dst_node = _IPV4_DST.unpack_from(data)[0] & 0xFFFF
     port = node.routes.get(dst_node)
     if port is None:
         return []

@@ -28,8 +28,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import NcpError
-from repro.ncp.wire import ETH_FIELDS, IPV4_FIELDS, NCP_FIELDS, UDP_FIELDS
-from repro.util.bits import pack_fields, unpack_fields
+from repro.ncp.wire import FLAGS_OFF, HEADERS, HEADERS_LEN, pack_headers
+from repro.util.bits import FieldLayout
 
 #: set on the wire kernel_id of every fragment; outside the id range the
 #: compiler assigns (1..N), so switch parsers never dispatch on it.
@@ -37,19 +37,10 @@ FRAG_KERNEL_BIT = 0x8000
 #: NCP header flag marking a fragment.
 FLAG_FRAG = 0x02
 
-FRAG_FIELDS: List[Tuple[str, int]] = [
-    ("index", 8),
-    ("count", 8),
-    ("payload_len", 16),
-]
-
-_HEADERS_LEN = (
-    sum(b for _, b in ETH_FIELDS)
-    + sum(b for _, b in IPV4_FIELDS)
-    + sum(b for _, b in UDP_FIELDS)
-    + sum(b for _, b in NCP_FIELDS)
-) // 8
-_FRAG_HDR_LEN = sum(b for _, b in FRAG_FIELDS) // 8
+#: the subheader between the NCP header and a fragment's piece
+FRAG = FieldLayout([("index", 8), ("count", 8), ("payload_len", 16)])
+#: where a fragment's slice of the window payload starts
+_PIECE_OFF = HEADERS_LEN + FRAG.nbytes
 
 MAX_FRAGMENTS = 255
 
@@ -63,52 +54,33 @@ def fragment_frame(frame: bytes, mtu: int) -> List[bytes]:
     """
     if len(frame) <= mtu:
         return [frame]
-    eth, rest = unpack_fields(ETH_FIELDS, frame)
-    ipv4, rest = unpack_fields(IPV4_FIELDS, rest)
-    udp, rest = unpack_fields(UDP_FIELDS, rest)
-    ncp, payload = unpack_fields(NCP_FIELDS, rest)
-    if ncp["flags"] & FLAG_FRAG:
-        raise NcpError("refusing to fragment a fragment")
-
-    budget = mtu - _HEADERS_LEN - _FRAG_HDR_LEN
+    budget = mtu - _PIECE_OFF
     if budget <= 0:
         raise NcpError(f"mtu {mtu} too small for NCP headers")
-    pieces = [payload[i : i + budget] for i in range(0, len(payload), budget)]
+    headers = HEADERS.unpack(frame)
+    if headers["ncp.flags"] & FLAG_FRAG:
+        raise NcpError("refusing to fragment a fragment")
+    pieces = [frame[i : i + budget] for i in range(HEADERS_LEN, len(frame), budget)]
     if len(pieces) > MAX_FRAGMENTS:
         raise NcpError(f"window needs {len(pieces)} fragments (max {MAX_FRAGMENTS})")
 
-    frames = []
-    for index, piece in enumerate(pieces):
-        ncp_frag = dict(ncp)
-        ncp_frag["kernel_id"] = ncp["kernel_id"] | FRAG_KERNEL_BIT
-        ncp_frag["flags"] = ncp["flags"] | FLAG_FRAG
-        udp_frag = dict(udp)
-        udp_frag["length"] = 8 + len(pack_fields(NCP_FIELDS, ncp_frag)) + _FRAG_HDR_LEN + len(piece)
-        ipv4_frag = dict(ipv4)
-        ipv4_frag["total_len"] = 20 + udp_frag["length"]
-        frames.append(
-            pack_fields(ETH_FIELDS, eth)
-            + pack_fields(IPV4_FIELDS, ipv4_frag)
-            + pack_fields(UDP_FIELDS, udp_frag)
-            + pack_fields(NCP_FIELDS, ncp_frag)
-            + pack_fields(
-                FRAG_FIELDS,
-                {"index": index, "count": len(pieces), "payload_len": len(piece)},
-            )
-            + piece
-        )
-    return frames
+    headers["ncp.kernel_id"] |= FRAG_KERNEL_BIT
+    headers["ncp.flags"] |= FLAG_FRAG
+    return [
+        pack_headers(headers, FRAG.nbytes + len(piece))
+        + FRAG.pack_seq((index, len(pieces), len(piece)))
+        + piece
+        for index, piece in enumerate(pieces)
+    ]
 
 
 def is_fragment(data: bytes) -> bool:
-    try:
-        _, rest = unpack_fields(ETH_FIELDS, data)
-        _, rest = unpack_fields(IPV4_FIELDS, rest)
-        _, rest = unpack_fields(UDP_FIELDS, rest)
-        ncp, _ = unpack_fields(NCP_FIELDS, rest)
-        return bool(ncp["flags"] & FLAG_FRAG)
-    except Exception:
-        return False
+    return len(data) >= HEADERS_LEN and bool(data[FLAGS_OFF] & FLAG_FRAG)
+
+
+def fragment_index(data: bytes) -> int:
+    """Position of a fragment within its window."""
+    return FRAG.unpack(data, HEADERS_LEN)["index"]
 
 
 class Reassembler:
@@ -119,56 +91,52 @@ class Reassembler:
     """
 
     def __init__(self, max_pending: int = 1024):
-        self._pending: Dict[Tuple[int, int, int], Dict[int, bytes]] = {}
-        self._meta: Dict[Tuple[int, int, int], Tuple[dict, dict, dict, dict, int]] = {}
+        #: key -> (fragment count, first fragment's headers, index -> piece)
+        self._pending: Dict[
+            Tuple[int, int, int], Tuple[int, Dict[str, int], Dict[int, bytes]]
+        ] = {}
         self.max_pending = max_pending
         self.reassembled = 0
         self.fragments_seen = 0
 
     def feed(self, data: bytes) -> Optional[bytes]:
         """Add one fragment; returns the rebuilt original frame when this
-        fragment completes its window, else None."""
-        eth, rest = unpack_fields(ETH_FIELDS, data)
-        ipv4, rest = unpack_fields(IPV4_FIELDS, rest)
-        udp, rest = unpack_fields(UDP_FIELDS, rest)
-        ncp, rest = unpack_fields(NCP_FIELDS, rest)
-        if not ncp["flags"] & FLAG_FRAG:
+        fragment completes its window, else None.  A malformed fragment
+        raises NcpError and leaves the pending windows as they were."""
+        if len(data) < _PIECE_OFF:
+            raise NcpError(
+                f"truncated fragment: headers need {_PIECE_OFF} bytes, "
+                f"have {len(data)}"
+            )
+        headers = HEADERS.unpack(data)
+        if not headers["ncp.flags"] & FLAG_FRAG:
             raise NcpError("not a fragment")
-        frag, payload = unpack_fields(FRAG_FIELDS, rest)
-        payload = payload[: frag["payload_len"]]
+        index, count, piece_len = FRAG.unpack_seq(data, HEADERS_LEN)
         self.fragments_seen += 1
+        if index >= count:
+            raise NcpError(f"fragment index {index} outside its count {count}")
 
-        original_kernel = ncp["kernel_id"] & ~FRAG_KERNEL_BIT
-        key = (ipv4["src"], original_kernel, ncp["seq"])
-        if key not in self._pending:
+        original_kernel = headers["ncp.kernel_id"] & ~FRAG_KERNEL_BIT
+        key = (headers["ipv4.src"], original_kernel, headers["ncp.seq"])
+        entry = self._pending.get(key)
+        if entry is None:
             if len(self._pending) >= self.max_pending:
                 raise NcpError("reassembly table full")
-            self._pending[key] = {}
-            self._meta[key] = (eth, ipv4, udp, ncp, frag["count"])
-        slots = self._pending[key]
-        slots[frag["index"]] = payload
-
-        count = self._meta[key][4]
+            entry = self._pending[key] = (count, headers, {})
+        elif count != entry[0]:
+            raise NcpError(
+                f"fragment claims {count} fragments, its window has {entry[0]}"
+            )
+        count, headers, slots = entry
+        slots[index] = data[_PIECE_OFF : _PIECE_OFF + piece_len]
         if len(slots) < count:
             return None
-        eth, ipv4, udp, ncp, _ = self._meta.pop(key)
         del self._pending[key]
-        full_payload = b"".join(slots[i] for i in range(count))
-        ncp_orig = dict(ncp)
-        ncp_orig["kernel_id"] = original_kernel
-        ncp_orig["flags"] = ncp["flags"] & ~FLAG_FRAG
-        udp_orig = dict(udp)
-        udp_orig["length"] = 8 + len(pack_fields(NCP_FIELDS, ncp_orig)) + len(full_payload)
-        ipv4_orig = dict(ipv4)
-        ipv4_orig["total_len"] = 20 + udp_orig["length"]
+        payload = b"".join(slots[i] for i in range(count))
+        headers["ncp.kernel_id"] = original_kernel
+        headers["ncp.flags"] &= ~FLAG_FRAG
         self.reassembled += 1
-        return (
-            pack_fields(ETH_FIELDS, eth)
-            + pack_fields(IPV4_FIELDS, ipv4_orig)
-            + pack_fields(UDP_FIELDS, udp_orig)
-            + pack_fields(NCP_FIELDS, ncp_orig)
-            + full_payload
-        )
+        return pack_headers(headers, len(payload)) + payload
 
     @property
     def pending_windows(self) -> int:

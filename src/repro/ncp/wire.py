@@ -9,23 +9,26 @@ Frame layout (prototype scope: one window per packet, over UDP)::
 
     Ethernet | IPv4 | UDP(dport=NCP_PORT) | NCP fixed | ext fields | data
 
-The same (name, bits) layouts drive three consumers:
+The same (name, bits) layouts drive every consumer:
 
 * the host-side codec in this module (:func:`encode_frame` /
-  :func:`decode_frame`);
-* nclc's generated parser spec (:func:`ncp_parse_states`), so the switch
-  parses exactly what hosts emit;
-* the KernelLayout registry the runtime uses to frame windows.
+  :func:`decode_frame` / :func:`peek_frame`), which runs on
+  :data:`HEADERS` -- the four fixed headers stacked into one compiled
+  54-byte layout -- and on each :class:`KernelLayout`'s compiled
+  ``payload`` plan;
+* fragments (:mod:`repro.ncp.fragment`), INT (:mod:`repro.obs.int`) and
+  the deployment checker, which take every header offset and length
+  from :data:`HEADERS` (the constants below exist in this module only);
+* nclc's generated parser, so the switch parses exactly what hosts emit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import NcpError
 from repro.ncl.types import PointerType, Type, is_signed, scalar_bits
-from repro.util import intops
-from repro.util.bits import BitReader, BitWriter, pack_fields, unpack_fields
+from repro.util.bits import FieldLayout
 
 # -- constants -----------------------------------------------------------------
 
@@ -70,6 +73,32 @@ NCP_FIELDS: List[Tuple[str, int]] = [
 
 IPV4_VERSION_IHL = 0x45
 DEFAULT_TTL = 64
+
+#: ETH | IPv4 | UDP | NCP as one layout; fields are named
+#: ``<instance>.<field>`` like the switch program's PHV references.
+HEADERS = FieldLayout(
+    [
+        (f"{instance}.{name}", bits)
+        for instance, fields in (
+            ("eth", ETH_FIELDS), ("ipv4", IPV4_FIELDS),
+            ("udp", UDP_FIELDS), ("ncp", NCP_FIELDS),
+        )
+        for name, bits in fields
+    ]
+)
+#: bytes before the window payload (also the shortest NCP frame)
+HEADERS_LEN = HEADERS.nbytes
+IPV4_OFF = HEADERS.offset("ipv4.version_ihl")
+UDP_OFF = HEADERS.offset("udp.sport")
+NCP_OFF = HEADERS.offset("ncp.magic")
+FLAGS_OFF = HEADERS.offset("ncp.flags")
+
+#: the fields routing, tracing and decoding need, read in one call
+_KEY_FIELDS = HEADERS.reader(
+    "eth.ethertype", "ipv4.proto", "ipv4.src", "ipv4.dst", "udp.dport",
+    "ncp.magic", "ncp.version", "ncp.flags", "ncp.kernel_id",
+    "ncp.from_node", "ncp.seq",
+).unpack_from
 
 
 def node_ip(node_id: int) -> int:
@@ -129,6 +158,16 @@ class KernelLayout:
         self.kernel_name = kernel_name
         self.chunks = list(chunks)
         self.ext_fields = [(n, b, s) for n, b, s in ext_fields]
+        #: compiled ext+chunks plan: packs with to_unsigned semantics,
+        #: unpacks each element wrapped to its width and signedness
+        self.payload = FieldLayout(
+            [(f"x_{name}", bits, signed) for name, bits, signed in self.ext_fields]
+            + [
+                (f"d{ci}_{ei}", chunk.bits, chunk.signed)
+                for ci, chunk in enumerate(self.chunks)
+                for ei in range(chunk.count)
+            ]
+        )
 
     @property
     def data_bytes(self) -> int:
@@ -141,14 +180,7 @@ class KernelLayout:
     def payload_field_layout(self) -> List[Tuple[str, int]]:
         """(name, bits) list for ext fields + data elements; also the
         field layout of the generated per-kernel P4 header."""
-        fields: List[Tuple[str, int]] = [
-            (f"x_{name}", bits) for name, bits, _ in self.ext_fields
-        ]
-        for ci, chunk in enumerate(self.chunks):
-            fields.extend(
-                (f"d{ci}_{ei}", chunk.bits) for ei in range(chunk.count)
-            )
-        return fields
+        return list(self.payload.fields)
 
     def __repr__(self) -> str:
         return f"KernelLayout(#{self.kernel_id} {self.kernel_name}, {self.chunks})"
@@ -185,6 +217,14 @@ def layout_for_kernel(
 # -- frame codec --------------------------------------------------------------------
 
 
+def pack_headers(fields: Dict[str, int], body_len: int) -> bytes:
+    """The 54 header bytes of a frame whose NCP header is followed by
+    ``body_len`` bytes; fills in the UDP and IPv4 length fields."""
+    fields["udp.length"] = HEADERS_LEN - UDP_OFF + body_len
+    fields["ipv4.total_len"] = HEADERS_LEN - IPV4_OFF + body_len
+    return HEADERS.pack(fields)
+
+
 def encode_frame(
     layout: KernelLayout,
     src_node: int,
@@ -200,101 +240,56 @@ def encode_frame(
         raise NcpError(
             f"expected {len(layout.chunks)} chunks, got {len(chunks)}"
         )
-    ext_values = dict(ext_values or {})
-
-    payload = BitWriter()
-    for name, bits, _signed in layout.ext_fields:
+    ext_values = ext_values or {}
+    values: List[int] = []
+    for name, _bits, _signed in layout.ext_fields:
         if name not in ext_values:
             raise NcpError(f"missing window extension field {name!r}")
-        payload.write(intops.to_unsigned(int(ext_values[name]), bits), bits)
-    for chunk_layout, values in zip(layout.chunks, chunks):
-        if len(values) != chunk_layout.count:
+        values.append(ext_values[name])
+    for chunk_layout, chunk in zip(layout.chunks, chunks):
+        if len(chunk) != chunk_layout.count:
             raise NcpError(
                 f"chunk {chunk_layout.name!r}: expected {chunk_layout.count} "
-                f"elements, got {len(values)}"
+                f"elements, got {len(chunk)}"
             )
-        for v in values:
-            payload.write(intops.to_unsigned(int(v), chunk_layout.bits), chunk_layout.bits)
-    payload_bytes = payload.to_bytes()
-
-    ncp_bytes = pack_fields(
-        NCP_FIELDS,
+        values.extend(chunk)
+    payload = layout.payload.pack_seq(values)
+    headers = pack_headers(
         {
-            "magic": NCP_MAGIC,
-            "version": NCP_VERSION,
-            "flags": FLAG_LAST if last else 0,
-            "kernel_id": layout.kernel_id,
-            "from_node": src_node if from_node is None else from_node,
-            "seq": seq,
+            "eth.dst": node_mac(dst_node),
+            "eth.src": node_mac(src_node),
+            "eth.ethertype": ETHERTYPE_IPV4,
+            "ipv4.version_ihl": IPV4_VERSION_IHL,
+            "ipv4.ident": seq & 0xFFFF,
+            "ipv4.ttl": DEFAULT_TTL,
+            "ipv4.proto": IP_PROTO_UDP,
+            "ipv4.src": node_ip(src_node),
+            "ipv4.dst": node_ip(dst_node),
+            "udp.sport": NCP_PORT,
+            "udp.dport": NCP_PORT,
+            "ncp.magic": NCP_MAGIC,
+            "ncp.version": NCP_VERSION,
+            "ncp.flags": FLAG_LAST if last else 0,
+            "ncp.kernel_id": layout.kernel_id,
+            "ncp.from_node": src_node if from_node is None else from_node,
+            "ncp.seq": seq,
         },
+        len(payload),
     )
-    udp_len = 8 + len(ncp_bytes) + len(payload_bytes)
-    udp_bytes = pack_fields(
-        UDP_FIELDS,
-        {"sport": NCP_PORT, "dport": NCP_PORT, "length": udp_len, "checksum": 0},
-    )
-    ip_bytes = pack_fields(
-        IPV4_FIELDS,
-        {
-            "version_ihl": IPV4_VERSION_IHL,
-            "tos": 0,
-            "total_len": 20 + udp_len,
-            "ident": seq & 0xFFFF,
-            "flags_frag": 0,
-            "ttl": DEFAULT_TTL,
-            "proto": IP_PROTO_UDP,
-            "checksum": 0,
-            "src": node_ip(src_node),
-            "dst": node_ip(dst_node),
-        },
-    )
-    eth_bytes = pack_fields(
-        ETH_FIELDS,
-        {
-            "dst": node_mac(dst_node),
-            "src": node_mac(src_node),
-            "ethertype": ETHERTYPE_IPV4,
-        },
-    )
-    return eth_bytes + ip_bytes + udp_bytes + ncp_bytes + payload_bytes
+    return headers + payload
 
 
-class DecodedFrame:
+class DecodedFrame(NamedTuple):
     """A parsed NCP frame."""
 
-    def __init__(
-        self,
-        src_node: int,
-        dst_node: int,
-        kernel_id: int,
-        from_node: int,
-        seq: int,
-        last: bool,
-        ext: Dict[str, int],
-        chunks: List[List[int]],
-    ):
-        self.src_node = src_node
-        self.dst_node = dst_node
-        self.kernel_id = kernel_id
-        self.from_node = from_node
-        self.seq = seq
-        self.last = last
-        self.ext = ext
-        self.chunks = chunks
-
-    def __repr__(self) -> str:
-        return (
-            f"DecodedFrame(k{self.kernel_id} seq={self.seq} from={self.from_node} "
-            f"last={self.last})"
-        )
-
-
-#: Every header layout above is byte-aligned with fixed widths, so the
-#: stacked prefix has fixed byte offsets: ETH 0..14, IPv4 14..34, UDP
-#: 34..42, NCP 42..54.  The hot-path peek below reads those offsets
-#: directly instead of walking the layouts bit by bit -- it runs once
-#: per packet on the simulator fast path (cached on repro.net.Frame).
-_PEEK_MIN_LEN = 54
+    src_node: int
+    dst_node: int
+    kernel_id: int
+    from_node: int
+    seq: int
+    last: bool
+    ext: Dict[str, int]
+    chunks: List[List[int]]
 
 
 def is_ncp_frame(data: bytes) -> bool:
@@ -305,22 +300,26 @@ def is_ncp_frame(data: bytes) -> bool:
 def peek_frame(data: bytes) -> Optional[Dict[str, int]]:
     """Header-only decode (no layout needed) for tracing and routing:
     which window is this frame carrying? Returns None for non-NCP
-    frames."""
+    frames. One fixed-offset read -- it runs once per packet on the
+    simulator fast path (cached on repro.net.Frame)."""
+    if len(data) < HEADERS_LEN:
+        return None
+    (ethertype, proto, src, dst, dport, magic, _version, flags, kernel,
+     from_node, seq) = _KEY_FIELDS(data)
     if (
-        len(data) < _PEEK_MIN_LEN
-        or data[12] != 0x08 or data[13] != 0x00   # ethertype IPv4
-        or data[23] != IP_PROTO_UDP
-        or (data[36] << 8) | data[37] != NCP_PORT
-        or (data[42] << 8) | data[43] != NCP_MAGIC
+        ethertype != ETHERTYPE_IPV4
+        or proto != IP_PROTO_UDP
+        or dport != NCP_PORT
+        or magic != NCP_MAGIC
     ):
         return None
     return {
-        "kernel": (data[46] << 8) | data[47],
-        "seq": int.from_bytes(data[50:54], "big"),
-        "from": (data[48] << 8) | data[49],
-        "last": 1 if data[45] & FLAG_LAST else 0,
-        "src": (data[28] << 8) | data[29],   # ip.src & 0xFFFF
-        "dst": (data[32] << 8) | data[33],   # ip.dst & 0xFFFF
+        "kernel": kernel,
+        "seq": seq,
+        "from": from_node,
+        "last": 1 if flags & FLAG_LAST else 0,
+        "src": src & 0xFFFF,
+        "dst": dst & 0xFFFF,
     }
 
 
@@ -328,45 +327,46 @@ def decode_frame(
     data: bytes, layouts: Dict[int, KernelLayout]
 ) -> DecodedFrame:
     """Parse a full frame; dispatches the payload layout on kernel_id."""
-    eth, rest = unpack_fields(ETH_FIELDS, data)
-    if eth["ethertype"] != ETHERTYPE_IPV4:
-        raise NcpError(f"not IPv4 (ethertype {eth['ethertype']:#x})")
-    ip, rest = unpack_fields(IPV4_FIELDS, rest)
-    if ip["proto"] != IP_PROTO_UDP:
-        raise NcpError(f"not UDP (proto {ip['proto']})")
-    udp, rest = unpack_fields(UDP_FIELDS, rest)
-    if udp["dport"] != NCP_PORT:
-        raise NcpError(f"not an NCP port ({udp['dport']})")
-    ncp, rest = unpack_fields(NCP_FIELDS, rest)
-    if ncp["magic"] != NCP_MAGIC:
-        raise NcpError(f"bad NCP magic {ncp['magic']:#x}")
-    if ncp["version"] != NCP_VERSION:
-        raise NcpError(f"unsupported NCP version {ncp['version']}")
-    kernel_id = ncp["kernel_id"]
+    if len(data) < HEADERS_LEN:
+        raise NcpError(
+            f"truncated frame: the NCP headers need {HEADERS_LEN} bytes, "
+            f"have {len(data)}"
+        )
+    (ethertype, proto, src, dst, dport, magic, version, flags, kernel_id,
+     from_node, seq) = _KEY_FIELDS(data)
+    if ethertype != ETHERTYPE_IPV4:
+        raise NcpError(f"not IPv4 (ethertype {ethertype:#x})")
+    if proto != IP_PROTO_UDP:
+        raise NcpError(f"not UDP (proto {proto})")
+    if dport != NCP_PORT:
+        raise NcpError(f"not an NCP port ({dport})")
+    if magic != NCP_MAGIC:
+        raise NcpError(f"bad NCP magic {magic:#x}")
+    if version != NCP_VERSION:
+        raise NcpError(f"unsupported NCP version {version}")
     layout = layouts.get(kernel_id)
     if layout is None:
         raise NcpError(f"unknown kernel id {kernel_id}")
-
-    reader = BitReader(rest)
-    ext: Dict[str, int] = {}
-    for name, bits, signed in layout.ext_fields:
-        raw = reader.read(bits)
-        ext[name] = intops.wrap(raw, bits, signed)
+    payload = layout.payload
+    if len(data) < HEADERS_LEN + payload.nbytes:
+        raise NcpError(
+            f"truncated frame: a {layout.kernel_name} window payload needs "
+            f"{payload.nbytes} bytes, have {len(data) - HEADERS_LEN}"
+        )
+    values = payload.unpack_seq(data, HEADERS_LEN)
+    pos = len(layout.ext_fields)
+    ext = {name: v for (name, _, _), v in zip(layout.ext_fields, values)}
     chunks: List[List[int]] = []
     for chunk_layout in layout.chunks:
-        values = [
-            intops.wrap(reader.read(chunk_layout.bits), chunk_layout.bits, chunk_layout.signed)
-            for _ in range(chunk_layout.count)
-        ]
-        chunks.append(values)
-
+        chunks.append(list(values[pos : pos + chunk_layout.count]))
+        pos += chunk_layout.count
     return DecodedFrame(
-        src_node=ip["src"] & 0xFFFF,
-        dst_node=ip["dst"] & 0xFFFF,
+        src_node=src & 0xFFFF,
+        dst_node=dst & 0xFFFF,
         kernel_id=kernel_id,
-        from_node=ncp["from_node"],
-        seq=ncp["seq"],
-        last=bool(ncp["flags"] & FLAG_LAST),
+        from_node=from_node,
+        seq=seq,
+        last=bool(flags & FLAG_LAST),
         ext=ext,
         chunks=chunks,
     )

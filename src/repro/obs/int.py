@@ -43,39 +43,32 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.ncp.wire import FLAG_INT, NCP_MAGIC
-from repro.util.bits import pack_fields, unpack_fields
+from repro.ncp.wire import FLAG_INT, FLAGS_OFF, HEADERS_LEN, NCP_MAGIC, NCP_OFF
+from repro.util.bits import FieldLayout
 
 #: trailer magic ("telemetry" tail marker, distinct from NCP_MAGIC)
 INT_MAGIC = 0x17E1
 
-INT_TAIL_FIELDS: List[Tuple[str, int]] = [
-    ("hop_count", 8),
-    ("attempt", 8),
-    ("flags", 8),
-    ("magic", 16),
-]
-INT_HOP_FIELDS: List[Tuple[str, int]] = [
-    ("hop", 16),
-    ("ingress_ns", 48),
-    ("egress_ns", 48),
-    ("qdepth", 32),
-    ("tables", 8),
-    ("flags", 8),
-]
-
-TAIL_BYTES = sum(b for _, b in INT_TAIL_FIELDS) // 8  # 5
-HOP_BYTES = sum(b for _, b in INT_HOP_FIELDS) // 8  # 20
+_TAIL = FieldLayout(
+    [("hop_count", 8), ("attempt", 8), ("flags", 8), ("magic", 16)]
+)
+_HOP = FieldLayout(
+    [
+        ("hop", 16),
+        ("ingress_ns", 48),
+        ("egress_ns", 48),
+        ("qdepth", 32),
+        ("tables", 8),
+        ("flags", 8),
+    ]
+)
+TAIL_BYTES = _TAIL.nbytes  # 5
+HOP_BYTES = _HOP.nbytes  # 20
 
 #: tail flag: a switch hit the hop cap or byte budget and appended nothing
 TAIL_TRUNCATED = 0x01
 #: hop-record flag: the packet was dropped at this hop
 HOP_DROPPED = 0x01
-
-#: fixed offsets into an Ethernet/IPv4/UDP/NCP frame
-_NCP_OFF = (14 + 20 + 8)  # eth + ipv4 + udp
-_FLAGS_OFF = _NCP_OFF + 3  # magic:16 version:8 | flags
-_MIN_NCP_LEN = _NCP_OFF + 12  # + fixed NCP header
 
 _NS = 1e9
 
@@ -142,26 +135,26 @@ def carries_int(data: bytes) -> bool:
     """Does this frame carry an INT trailer? One length check plus three
     fixed-offset byte tests -- the per-frame cost on the disabled path."""
     return (
-        len(data) >= _MIN_NCP_LEN + TAIL_BYTES
-        and data[_NCP_OFF] == (NCP_MAGIC >> 8)
-        and data[_NCP_OFF + 1] == (NCP_MAGIC & 0xFF)
-        and bool(data[_FLAGS_OFF] & FLAG_INT)
+        len(data) >= HEADERS_LEN + TAIL_BYTES
+        and data[NCP_OFF] == (NCP_MAGIC >> 8)
+        and data[NCP_OFF + 1] == (NCP_MAGIC & 0xFF)
+        and bool(data[FLAGS_OFF] & FLAG_INT)
     )
 
 
-def _split(frame: bytes) -> Tuple[bytes, bytes, Dict[str, int]]:
-    """(base frame, record bytes, tail fields) of an INT frame."""
-    tail, _ = unpack_fields(INT_TAIL_FIELDS, frame[-TAIL_BYTES:])
+def _split(frame: bytes) -> Tuple[int, Dict[str, int]]:
+    """(length of the base frame, tail fields) of an INT frame; the hop
+    records lie between the base frame and the tail."""
+    tail = _TAIL.unpack(frame, len(frame) - TAIL_BYTES)
     if tail["magic"] != INT_MAGIC:
         raise IntError(f"bad INT tail magic {tail['magic']:#x}")
-    rec_len = tail["hop_count"] * HOP_BYTES
-    cut = len(frame) - TAIL_BYTES - rec_len
-    if cut < _MIN_NCP_LEN:
+    cut = len(frame) - TAIL_BYTES - tail["hop_count"] * HOP_BYTES
+    if cut < HEADERS_LEN:
         raise IntError(
             f"INT tail claims {tail['hop_count']} records but the frame "
             f"has only {len(frame)} bytes"
         )
-    return frame[:cut], frame[cut : len(frame) - TAIL_BYTES], tail
+    return cut, tail
 
 
 # -- host side ----------------------------------------------------------------
@@ -174,12 +167,8 @@ def attach_tail(frame: bytes, attempt: int = 0) -> bytes:
     if carries_int(frame):
         raise IntError("frame already carries an INT trailer")
     armed = bytearray(frame)
-    armed[_FLAGS_OFF] |= FLAG_INT
-    tail = pack_fields(
-        INT_TAIL_FIELDS,
-        {"hop_count": 0, "attempt": attempt & 0xFF, "flags": 0, "magic": INT_MAGIC},
-    )
-    return bytes(armed) + tail
+    armed[FLAGS_OFF] |= FLAG_INT
+    return bytes(armed) + _TAIL.pack({"attempt": attempt, "magic": INT_MAGIC})
 
 
 def peek_stack(frame: bytes) -> Optional[IntStack]:
@@ -187,11 +176,11 @@ def peek_stack(frame: bytes) -> Optional[IntStack]:
     frame carries no trailer)."""
     if not carries_int(frame):
         return None
-    _, recs, tail = _split(frame)
-    hops = []
-    for i in range(tail["hop_count"]):
-        rec, _ = unpack_fields(INT_HOP_FIELDS, recs[i * HOP_BYTES : (i + 1) * HOP_BYTES])
-        hops.append(rec)
+    cut, tail = _split(frame)
+    hops = [
+        _HOP.unpack(frame, off)
+        for off in range(cut, len(frame) - TAIL_BYTES, HOP_BYTES)
+    ]
     return IntStack(hops, tail["attempt"], bool(tail["flags"] & TAIL_TRUNCATED))
 
 
@@ -202,9 +191,8 @@ def strip_stack(frame: bytes) -> Tuple[bytes, Optional[IntStack]]:
     stack = peek_stack(frame)
     if stack is None:
         return frame, None
-    base, _, _ = _split(frame)
-    bare = bytearray(base)
-    bare[_FLAGS_OFF] &= ~FLAG_INT & 0xFF
+    bare = bytearray(frame[: -TAIL_BYTES - len(stack) * HOP_BYTES])
+    bare[FLAGS_OFF] &= ~FLAG_INT & 0xFF
     return bytes(bare), stack
 
 
@@ -227,12 +215,12 @@ def stamp_hop(
     ``(frame, stamped)``; when the :class:`IntConfig` caps bite, the
     record is not appended and the tail's TRUNCATED flag is set instead.
     """
-    base, recs, tail = _split(frame)
+    _, tail = _split(frame)
+    body = frame[:-TAIL_BYTES]
     if not cfg.allows(tail["hop_count"]):
-        tail = dict(tail, flags=tail["flags"] | TAIL_TRUNCATED)
-        return base + recs + pack_fields(INT_TAIL_FIELDS, tail), False
-    record = pack_fields(
-        INT_HOP_FIELDS,
+        tail["flags"] |= TAIL_TRUNCATED
+        return body + _TAIL.pack(tail), False
+    record = _HOP.pack(
         {
             "hop": hop_id,
             "ingress_ns": int(round(ingress_ts * _NS)),
@@ -240,10 +228,10 @@ def stamp_hop(
             "qdepth": int(qdepth_bytes),
             "tables": min(tables_matched, 255),
             "flags": HOP_DROPPED if dropped else 0,
-        },
+        }
     )
-    tail = dict(tail, hop_count=tail["hop_count"] + 1)
-    return base + recs + record + pack_fields(INT_TAIL_FIELDS, tail), True
+    tail["hop_count"] += 1
+    return body + record + _TAIL.pack(tail), True
 
 
 # -- trace/metrics emission ---------------------------------------------------

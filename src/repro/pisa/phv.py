@@ -54,7 +54,8 @@ class Phv:
         self.fields[ref] = intops.wrap_unsigned(int(value), bits)
 
     def clone(self) -> "Phv":
-        new = Phv(self.program)
+        new = Phv.__new__(Phv)
+        new.program = self.program
         new.fields = dict(self.fields)
         new.valid = dict(self.valid)
         new.payload_rest = self.payload_rest

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
-from repro.errors import RuntimeApiError
+from repro.errors import ReproError, RuntimeApiError
 from repro.ncl.types import PointerType
 from repro.nclc.driver import CompiledProgram
 from repro.ncp.window import Window, Windower
@@ -370,7 +370,7 @@ class NclHost:
         if is_fragment(data):
             try:
                 complete = self._reassembler.feed(data)
-            except Exception:
+            except ReproError:
                 self.node.stats.drops += 1
                 self._trace_decode_drop(obs, "reassembly", len(data))
                 return
@@ -384,7 +384,7 @@ class NclHost:
             data = complete
         try:
             frame = decode_frame(data, self.layout_by_id)
-        except Exception:
+        except ReproError:
             self.node.stats.drops += 1
             self._trace_decode_drop(obs, "decode", len(data))
             return
@@ -433,14 +433,11 @@ class NclHost:
         """Strip the INT trailer at delivery: emit the per-hop stack as
         an ``int:stack`` trace event (the lineage index's raw material)
         and fold it into the registry."""
-        from repro.ncp.fragment import FRAG_FIELDS, FRAG_KERNEL_BIT
-        from repro.ncp.wire import (
-            ETH_FIELDS, IPV4_FIELDS, NCP_FIELDS, UDP_FIELDS, peek_frame,
-        )
+        from repro.ncp.fragment import FRAG_KERNEL_BIT, fragment_index
+        from repro.ncp.wire import peek_frame
         from repro.obs.int import (
             record_stack_metrics, stack_event_args, strip_stack,
         )
-        from repro.util.bits import unpack_fields
 
         bare, stack = strip_stack(data)
         if stack is None or not obs.enabled:
@@ -455,11 +452,7 @@ class NclHost:
         kernel_id = meta["kernel"]
         if kernel_id & FRAG_KERNEL_BIT:
             kernel_id &= ~FRAG_KERNEL_BIT
-            rest = bare
-            for layout in (ETH_FIELDS, IPV4_FIELDS, UDP_FIELDS, NCP_FIELDS):
-                _, rest = unpack_fields(layout, rest)
-            fragh, _ = unpack_fields(FRAG_FIELDS, rest)
-            frag = fragh["index"]
+            frag = fragment_index(bare)
         now = self.node.sim.now()
         obs.tracer.instant(
             "int:stack", now, track=self._track, cat="int",

@@ -1,37 +1,140 @@
-"""Bit-level packing/unpacking (network order, MSB first).
+"""Compiled field layouts: bit-level packing (network order, MSB first).
 
-Shared by the PISA packet parser/deparser and the NCP wire codec so the
-two sides agree on layout by construction.
+A ``(name, bits)`` list is compiled once into a :class:`FieldLayout`:
+one wide read plus a shift and mask per field, or one ``struct`` call
+where every field is 8/16/32/64 bits wide.  The NCP wire codec,
+fragments, INT trailers and the PISA parser/deparser all run on it, so
+every side agrees on layout by construction.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+import struct
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.errors import ReproError
 
+#: widths ``struct`` moves; a layout of only these costs one C call,
+#: linear in its size (the big-int path shifts the whole word per field)
+_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+class FieldLayout:
+    """A fixed, byte-aligned run of ``(name, bits[, signed])`` fields.
+
+    Packing reduces each value modulo ``2**bits`` (``intops.to_unsigned``);
+    unpacking yields unsigned values, and a ``signed`` field's
+    two's-complement value (``intops.wrap``).
+    """
+
+    def __init__(self, fields: Sequence[Sequence]):
+        self.fields: List[Tuple[str, int]] = [(f[0], f[1]) for f in fields]
+        self.names = tuple(name for name, _ in self.fields)
+        total = sum(bits for _, bits in self.fields)
+        if total % 8 != 0 or any(bits <= 0 for _, bits in self.fields):
+            raise ReproError(
+                f"layout of {total} bits: widths must be positive and the "
+                f"total byte-aligned"
+            )
+        self.nbytes = total // 8
+        #: per field: (shift, mask, sign bit or 0)
+        self._plan: List[Tuple[int, int, int]] = []
+        shift = total
+        for f in fields:
+            shift -= f[1]
+            sign = 1 << (f[1] - 1) if len(f) > 2 and f[2] else 0
+            self._plan.append((shift, (1 << f[1]) - 1, sign))
+        self._struct = self._unsigned = None
+        if all(bits in _CODES for _, bits in self.fields):
+            codes = [_CODES[bits] for _, bits in self.fields]
+            self._unsigned = struct.Struct(">" + "".join(codes))
+            self._struct = struct.Struct(
+                ">" + "".join(c.lower() if p[2] else c for c, p in zip(codes, self._plan))
+            )
+
+    def offset(self, name: str) -> int:
+        """Byte offset of a (byte-aligned) field from the layout start."""
+        bit = 0
+        for field, bits in self.fields:
+            if field == name:
+                if bit % 8 != 0:
+                    raise ReproError(f"field {name!r} is not byte-aligned")
+                return bit // 8
+            bit += bits
+        raise ReproError(f"layout has no field {name!r}")
+
+    def reader(self, *names: str) -> struct.Struct:
+        """A ``struct.Struct`` reading just the named fields (given in
+        layout order, each byte-aligned and 8/16/32/64 bits wide) from
+        the front of a buffer; its ``size`` ends at the last of them."""
+        widths = dict(self.fields)
+        fmt, pos = ">", 0
+        for name in names:
+            start, bits = self.offset(name), widths[name]
+            if start < pos or bits not in _CODES:
+                raise ReproError(f"field {name!r}: no fixed-offset read ({bits} bits)")
+            fmt += f"{start - pos}x{_CODES[bits]}"
+            pos = start + bits // 8
+        return struct.Struct(fmt)
+
+    def unpack_seq(self, data: bytes, offset: int = 0) -> Sequence[int]:
+        """Field values, in layout order, read at ``data[offset:]``."""
+        end = offset + self.nbytes
+        if len(data) < end:
+            raise ReproError(
+                f"buffer too short: need {self.nbytes} bytes at offset "
+                f"{offset}, have {max(len(data) - offset, 0)}"
+            )
+        if self._struct is not None:
+            return self._struct.unpack_from(data, offset)
+        word = int.from_bytes(data[offset:end], "big")
+        return [
+            v - (sign << 1) if (v := (word >> shift) & mask) & sign else v
+            for shift, mask, sign in self._plan
+        ]
+
+    def unpack(self, data: bytes, offset: int = 0) -> Dict[str, int]:
+        return dict(zip(self.names, self.unpack_seq(data, offset)))
+
+    def pack_seq(self, values: Sequence[int]) -> bytes:
+        """Serialize one value per field, in layout order."""
+        if len(values) != len(self._plan):
+            raise ReproError(f"{len(values)} values for {len(self._plan)} fields")
+        if self._struct is not None:
+            try:
+                return self._struct.pack(*values)
+            except struct.error:  # a value outside its field's range: wrap
+                return self._unsigned.pack(
+                    *[int(v) & p[1] for v, p in zip(values, self._plan)]
+                )
+        word = 0
+        for v, (shift, mask, _) in zip(values, self._plan):
+            word |= (int(v) & mask) << shift
+        return word.to_bytes(self.nbytes, "big")
+
+    def pack(self, values: Mapping[str, int]) -> bytes:
+        """Serialize ``values`` by field name; a missing field packs 0."""
+        return self.pack_seq([values.get(name, 0) for name in self.names])
+
 
 class BitReader:
+    """A read cursor over bytes, for formats without a fixed layout."""
+
     def __init__(self, data: bytes):
         self.data = data
         self.bitpos = 0
 
-    @property
-    def bits_left(self) -> int:
-        return len(self.data) * 8 - self.bitpos
-
     def read(self, nbits: int) -> int:
-        if nbits > self.bits_left:
+        end = self.bitpos + nbits
+        if end > len(self.data) * 8:
             raise ReproError(
-                f"buffer too short: need {nbits} bits, have {self.bits_left}"
+                f"buffer too short: need {nbits} bits, have "
+                f"{len(self.data) * 8 - self.bitpos}"
             )
-        value = 0
-        for _ in range(nbits):
-            byte = self.data[self.bitpos // 8]
-            bit = (byte >> (7 - (self.bitpos % 8))) & 1
-            value = (value << 1) | bit
-            self.bitpos += 1
-        return value
+        last = (end + 7) // 8
+        word = int.from_bytes(self.data[self.bitpos // 8 : last], "big")
+        self.bitpos = end
+        return (word >> (last * 8 - end)) & ((1 << nbits) - 1)
 
     def rest(self) -> bytes:
         if self.bitpos % 8 != 0:
@@ -40,38 +143,29 @@ class BitReader:
 
 
 class BitWriter:
+    """A write cursor accumulating fields MSB first."""
+
     def __init__(self) -> None:
-        self._bits: List[int] = []
+        self._word = 0
+        self._nbits = 0
 
     def write(self, value: int, nbits: int) -> None:
-        for shift in range(nbits - 1, -1, -1):
-            self._bits.append((value >> shift) & 1)
+        self._word = (self._word << nbits) | (value & ((1 << nbits) - 1))
+        self._nbits += nbits
 
     def to_bytes(self) -> bytes:
-        if len(self._bits) % 8 != 0:
+        if self._nbits % 8 != 0:
             raise ReproError("non-byte-aligned bit stream")
-        out = bytearray()
-        for i in range(0, len(self._bits), 8):
-            byte = 0
-            for bit in self._bits[i : i + 8]:
-                byte = (byte << 1) | bit
-            out.append(byte)
-        return bytes(out)
+        return self._word.to_bytes(self._nbits // 8, "big")
 
 
-def pack_fields(fields: Sequence[Tuple[str, int]], values: dict) -> bytes:
+def pack_fields(fields: Sequence[Tuple[str, int]], values: Mapping[str, int]) -> bytes:
     """Pack ``values`` (by field name) per a (name, bits) layout."""
-    writer = BitWriter()
-    for name, bits in fields:
-        writer.write(int(values.get(name, 0)) & ((1 << bits) - 1), bits)
-    return writer.to_bytes()
+    return FieldLayout(fields).pack(values)
 
 
 def unpack_fields(fields: Sequence[Tuple[str, int]], data: bytes) -> Tuple[dict, bytes]:
-    """Unpack a (name, bits) layout from the front of ``data``.
-
-    Returns (values, remaining_bytes).
-    """
-    reader = BitReader(data)
-    values = {name: reader.read(bits) for name, bits in fields}
-    return values, reader.rest()
+    """Unpack a (name, bits) layout from the front of ``data``;
+    returns (values, remaining_bytes)."""
+    layout = FieldLayout(fields)
+    return layout.unpack(data), data[layout.nbytes :]

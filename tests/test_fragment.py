@@ -113,6 +113,78 @@ class TestReassembly:
         with pytest.raises(NcpError, match="not a fragment"):
             Reassembler().feed(frame)
 
+    @staticmethod
+    def rewrite(piece, **frag_fields):
+        """*piece* with fields of its fragment subheader replaced."""
+        from repro.ncp.fragment import FRAG
+        from repro.ncp.wire import HEADERS_LEN
+
+        sub = FRAG.unpack(piece, HEADERS_LEN)
+        sub.update(frag_fields)
+        end = HEADERS_LEN + FRAG.nbytes
+        return piece[:HEADERS_LEN] + FRAG.pack(sub) + piece[end:]
+
+    def test_index_outside_count_rejected(self):
+        """A 3-fragment window with one index rewritten to 9 used to be
+        counted toward completion and die in KeyError(1)."""
+        layout, frame = big_frame(64)
+        pieces = fragment_frame(frame, 160)
+        assert len(pieces) == 3
+        r = Reassembler()
+        assert r.feed(pieces[0]) is None
+        with pytest.raises(NcpError, match="index 9 outside its count 3"):
+            r.feed(self.rewrite(pieces[1], index=9))
+        assert r.pending_windows == 1
+        assert r.feed(pieces[2]) is None
+        # the table was left consistent: the real fragment still completes
+        assert r.feed(pieces[1]) == frame
+        assert r.pending_windows == 0
+
+    def test_bad_first_fragment_leaves_no_entry(self):
+        layout, frame = big_frame(64)
+        pieces = fragment_frame(frame, 160)
+        r = Reassembler()
+        with pytest.raises(NcpError, match="outside its count"):
+            r.feed(self.rewrite(pieces[0], index=3))
+        assert r.pending_windows == 0
+
+    def test_count_mismatch_rejected(self):
+        layout, frame = big_frame(64)
+        pieces = fragment_frame(frame, 160)
+        r = Reassembler()
+        assert r.feed(pieces[0]) is None
+        with pytest.raises(NcpError, match="claims 2 fragments, its window has 3"):
+            r.feed(self.rewrite(pieces[1], count=2))
+        assert r.feed(pieces[1]) is None
+        assert r.feed(pieces[2]) == frame
+
+    def test_truncated_fragment_rejected(self):
+        layout, frame = big_frame(64)
+        piece = fragment_frame(frame, 160)[0]
+        assert not is_fragment(piece[:53]) and is_fragment(piece[:54])
+        for n in (0, 20, 54, 57):
+            with pytest.raises(NcpError, match="truncated fragment"):
+                Reassembler().feed(piece[:n])
+
+    def test_host_counts_malformed_fragment_as_reassembly_drop(self):
+        from repro.nclc import Compiler, WindowConfig
+        from repro.runtime import Cluster
+
+        program = Compiler().compile(
+            "_net_ _out_ void ship(int *d) { }",
+            and_text="host a\nhost b\nswitch s1\nlink a s1\nlink s1 b",
+            windows={"ship": WindowConfig(mask=(64,))},
+        )
+        host = Cluster.from_program(program).hosts["b"]
+        frame = encode_frame(
+            program.layouts["ship"], 1, 2, seq=0, chunks=[list(range(64))]
+        )
+        pieces = fragment_frame(frame, 160)
+        host._on_frame(pieces[0])
+        host._on_frame(self.rewrite(pieces[1], index=9))
+        assert host.node.stats.drops == 1
+        assert host.windows_received == 0
+
     @given(st.integers(90, 400), st.integers(8, 96))
     @settings(max_examples=20, deadline=None)
     def test_roundtrip_property(self, mtu, n_elems):
