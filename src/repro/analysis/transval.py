@@ -212,12 +212,14 @@ class PassValidator:
                     map_state.insert(key, slot)
         return state
 
-    def _run(self, fn: ir.Function, meta, args):
+    def _run(self, fn: ir.Function, meta, args, lowered):
         state = self._fresh_state()
         call_args = copy.deepcopy(args)
         ctx = WindowContext(meta, call_args, self.location_id, self.label_ids)
+        interp = Interpreter(self.module, state)
+        interp.lowered = lowered
         try:
-            result = Interpreter(self.module, state).run(fn, ctx)
+            result = interp.run(fn, ctx)
         except (ReproError, ZeroDivisionError, KeyError):
             return _TRAP
         return (
@@ -241,12 +243,15 @@ class PassValidator:
                 pass_name, self.fn_name, f"broken IR after pass: {exc}"
             ) from exc
 
+        # The function is mid-pipeline: lower this snapshot and this output
+        # once each, for all the vectors, and keep neither (nor any callee).
+        lowered: dict = {}
         clean = 0
         for vec_no, (meta, args) in enumerate(self.vectors):
-            expected = self._run(before, meta, args)
+            expected = self._run(before, meta, args, lowered)
             if expected is _TRAP:
                 continue  # the pass may legally have removed the trap
-            actual = self._run(fn, meta, args)
+            actual = self._run(fn, meta, args, lowered)
             if actual is _TRAP:
                 raise TranslationValidationError(
                     pass_name,

@@ -77,25 +77,36 @@ class Gauge:
 class Histogram:
     """A distribution series.
 
-    Keeps exact observations (simulation scale makes that affordable)
-    so percentiles are computed by linear interpolation over the sorted
-    sample, plus cumulative bucket counts for the snapshot.
+    Keeps exact observations as value -> count (virtual-clock latencies
+    take a handful of distinct values, so memory follows the number of
+    distinct values, not of observations), so percentiles are computed
+    by linear interpolation over the sorted sample, plus cumulative
+    bucket counts for the snapshot.
     """
 
-    __slots__ = ("values", "total", "buckets")
+    __slots__ = ("counts", "count", "total", "buckets")
 
     def __init__(self, buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        self.values: List[float] = []
+        self.counts: Dict[float, int] = {}
+        self.count = 0
         self.total = 0.0
         self.buckets = tuple(buckets)
 
     def observe(self, value) -> None:
-        self.values.append(value)
+        self.counts[value] = self.counts.get(value, 0) + 1
+        self.count += 1
         self.total += value
 
-    @property
-    def count(self) -> int:
-        return len(self.values)
+    def _ranked(self, *ranks: int) -> List[float]:
+        """The observations at the given ascending 0-based ranks of the
+        sorted sample."""
+        out: List[float] = []
+        seen = 0
+        for value, n in sorted(self.counts.items()):
+            seen += n
+            while len(out) < len(ranks) and ranks[len(out)] < seen:
+                out.append(value)
+        return out
 
     def percentile(self, p: float) -> float:
         """Exact percentile (0 <= p <= 100) with linear interpolation.
@@ -105,42 +116,43 @@ class Histogram:
         index past the sample or interpolate the endpoints)."""
         if not 0 <= p <= 100:
             raise ObservabilityError(f"percentile {p} outside [0, 100]")
-        if not self.values:
+        if not self.count:
             raise ObservabilityError("percentile of an empty histogram")
-        ordered = sorted(self.values)
         if p == 0:
-            return float(ordered[0])
-        if p == 100 or len(ordered) == 1:
-            return float(ordered[-1])
-        rank = (p / 100.0) * (len(ordered) - 1)
+            return float(min(self.counts))
+        if p == 100 or self.count == 1:
+            return float(max(self.counts))
+        rank = (p / 100.0) * (self.count - 1)
         lo = math.floor(rank)
-        hi = min(math.ceil(rank), len(ordered) - 1)
+        hi = min(math.ceil(rank), self.count - 1)
+        at_lo, at_hi = self._ranked(lo, hi)
         if lo == hi:
-            return float(ordered[lo])
+            return float(at_lo)
         frac = rank - lo
-        return float(ordered[lo] * (1 - frac) + ordered[hi] * frac)
+        return float(at_lo * (1 - frac) + at_hi * frac)
 
     def bucket_counts(self) -> Dict[str, int]:
         """Cumulative counts per upper bound, Prometheus-style, with a
         trailing ``+Inf`` bucket."""
-        ordered = sorted(self.values)
+        ordered = sorted(self.counts.items())
         out: Dict[str, int] = {}
-        i = 0
+        i = below = 0
         for bound in self.buckets:
-            while i < len(ordered) and ordered[i] <= bound:
+            while i < len(ordered) and ordered[i][0] <= bound:
+                below += ordered[i][1]
                 i += 1
-            out[repr(bound)] = i
-        out["+Inf"] = len(ordered)
+            out[repr(bound)] = below
+        out["+Inf"] = self.count
         return out
 
     def summary(self) -> Dict[str, object]:
-        if not self.values:
+        if not self.count:
             return {"count": 0, "sum": 0}
         return {
             "count": self.count,
             "sum": self.total,
-            "min": float(min(self.values)),
-            "max": float(max(self.values)),
+            "min": float(min(self.counts)),
+            "max": float(max(self.counts)),
             "p50": self.percentile(50),
             "p90": self.percentile(90),
             "p99": self.percentile(99),

@@ -1,10 +1,16 @@
-"""The match-action pipeline interpreter.
+"""The match-action pipeline executor.
 
 Executes a :class:`P4Program`'s control block over a PHV, bmv2-style:
 expressions are evaluated by the ALU model with fixed-width wrapping,
 tables match exact/ternary keys, actions run primitives in order, and
 register arrays provide stateful memory. Collects per-table/per-action
 statistics for the benchmarks.
+
+Actions and control are not walked per packet: :mod:`repro.pisa.pygen`
+lowers them to Python functions once, when the :class:`Pipeline` is
+built (table *entries* stay data and may change at any time). The
+reference semantics is the tree-walking pipeline this module used to
+hold, now the test oracle ``tests/pisa_oracle.py``.
 """
 
 from __future__ import annotations
@@ -12,26 +18,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import PisaError
-from repro.p4.model import (
-    Apply,
-    ControlNode,
-    Do,
-    IfNode,
-    P4Program,
-    PAssign,
-    PBin,
-    PConst,
-    PExpr,
-    PField,
-    PMux,
-    PParam,
-    PRegRead,
-    PRegWrite,
-    PUn,
-    Table,
-    TableEntry,
-)
+from repro.p4.model import P4Program, Table, TableEntry
 from repro.pisa.phv import Phv
+from repro.pisa.pygen import lower_program
 from repro.util import intops
 
 
@@ -100,108 +89,18 @@ class Pipeline:
         #: tables matched (hit) by the most recent run() -- the per-hop
         #: "tables" field of an INT record (repro.obs.int)
         self.last_tables_matched = 0
-
-    # -- expression evaluation ------------------------------------------------
-
-    def eval_expr(self, expr: PExpr, phv: Phv, args: Dict[str, int]) -> int:
-        if isinstance(expr, PConst):
-            return intops.wrap_unsigned(expr.value, expr.bits)
-        if isinstance(expr, PField):
-            return phv.read(expr.ref)
-        if isinstance(expr, PParam):
-            if expr.name not in args:
-                raise PisaError(f"unbound action parameter {expr.name!r}")
-            return intops.wrap_unsigned(args[expr.name], expr.bits)
-        if isinstance(expr, PBin):
-            return self._eval_bin(expr, phv, args)
-        if isinstance(expr, PMux):
-            if self.eval_expr(expr.cond, phv, args):
-                return intops.wrap_unsigned(self.eval_expr(expr.a, phv, args), expr.bits)
-            return intops.wrap_unsigned(self.eval_expr(expr.b, phv, args), expr.bits)
-        if isinstance(expr, PUn):
-            operand = self.eval_expr(expr.operand, phv, args)
-            if expr.op == "neg":
-                return intops.wrap_unsigned(-operand, expr.bits)
-            if expr.op == "not":
-                return intops.wrap_unsigned(~operand, expr.bits)
-            if expr.op == "lnot":
-                return int(operand == 0)
-            raise PisaError(f"unknown unary ALU op {expr.op!r}")
-        raise PisaError(f"cannot evaluate {expr!r}")
-
-    def _eval_bin(self, expr: PBin, phv: Phv, args: Dict[str, int]) -> int:
-        a = self.eval_expr(expr.lhs, phv, args)
-        b = self.eval_expr(expr.rhs, phv, args)
-        bits = expr.bits
-        op = expr.op
-        if op in ("eq", "ne", "ult", "ule", "ugt", "uge", "slt", "sle", "sgt", "sge"):
-            if op[0] == "s":
-                sa, sb = intops.wrap_signed(a, bits), intops.wrap_signed(b, bits)
-            else:
-                sa, sb = a, b
-            return int(
-                {
-                    "eq": sa == sb,
-                    "ne": sa != sb,
-                    "ult": sa < sb,
-                    "ule": sa <= sb,
-                    "ugt": sa > sb,
-                    "uge": sa >= sb,
-                    "slt": sa < sb,
-                    "sle": sa <= sb,
-                    "sgt": sa > sb,
-                    "sge": sa >= sb,
-                }[op]
-            )
-        if op == "add":
-            raw = a + b
-        elif op == "sub":
-            raw = a - b
-        elif op == "mul":
-            raw = a * b
-        elif op == "and":
-            raw = a & b
-        elif op == "or":
-            raw = a | b
-        elif op == "xor":
-            raw = a ^ b
-        elif op == "shl":
-            raw = a << intops.shift_amount(b, bits)
-        elif op == "lshr":
-            raw = a >> intops.shift_amount(b, bits)
-        elif op == "ashr":
-            raw = intops.wrap_signed(a, bits) >> intops.shift_amount(b, bits)
-        else:
-            raise PisaError(f"unknown ALU op {op!r}")
-        return intops.wrap_unsigned(raw, bits)
+        #: the program lowered to Python: actions by name, control, source
+        self._actions, self._control, self.source = lower_program(
+            program, self.stats, self.registers.arrays
+        )
 
     # -- actions ---------------------------------------------------------------
 
     def run_action(self, name: str, phv: Phv, args: Sequence[int] = ()) -> None:
-        action = self.program.actions.get(name)
+        action = self._actions.get(name)
         if action is None:
             raise PisaError(f"unknown action {name!r}")
-        if len(args) != len(action.params):
-            raise PisaError(
-                f"action {name}: expected {len(action.params)} args, "
-                f"got {len(args)}"
-            )
-        bound = {pname: value for (pname, _), value in zip(action.params, args)}
-        self.stats.action_runs[name] = self.stats.action_runs.get(name, 0) + 1
-        for prim in action.primitives:
-            if isinstance(prim, PAssign):
-                phv.write(prim.dst, self.eval_expr(prim.expr, phv, bound))
-            elif isinstance(prim, PRegRead):
-                index = self.eval_expr(prim.index, phv, bound)
-                phv.write(prim.dst, self.registers.read(prim.reg, index))
-                self.stats.register_reads += 1
-            elif isinstance(prim, PRegWrite):
-                index = self.eval_expr(prim.index, phv, bound)
-                value = self.eval_expr(prim.expr, phv, bound)
-                self.registers.write(prim.reg, index, value)
-                self.stats.register_writes += 1
-            else:
-                raise PisaError(f"unknown primitive {prim!r}")
+        action(phv, args)
 
     # -- tables ------------------------------------------------------------------
 
@@ -252,20 +151,4 @@ class Pipeline:
     def run(self, phv: Phv) -> None:
         self.stats.packets += 1
         self.last_tables_matched = 0
-        self._run_nodes(self.program.control, phv)
-
-    def _run_nodes(self, nodes: Sequence[ControlNode], phv: Phv) -> None:
-        for node in nodes:
-            if isinstance(node, Apply):
-                self.apply_table(node.table, phv)
-            elif isinstance(node, Do):
-                if self.observer is not None:
-                    self.observer.action(node.action)
-                self.run_action(node.action, phv)
-            elif isinstance(node, IfNode):
-                if self.eval_expr(node.cond, phv, {}):
-                    self._run_nodes(node.then_nodes, phv)
-                else:
-                    self._run_nodes(node.else_nodes, phv)
-            else:
-                raise PisaError(f"unknown control node {node!r}")
+        self._control(self, phv)

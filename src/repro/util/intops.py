@@ -82,3 +82,73 @@ def bit_length_fits(value: int, bits: int, signed: bool) -> bool:
     else:
         lo, hi = 0, (1 << bits) - 1
     return lo <= value <= hi
+
+
+# -- source emitters ------------------------------------------------------
+#
+# The executors lower programs to Python source once, at load time
+# (``repro.nir.pygen``, ``repro.pisa.pygen``). Each function below returns
+# the source of an expression equal to the runtime function it names, with
+# the width baked in as a literal, so that a width rule is still spelled
+# in this file only. Arguments are the source of int-valued expressions
+# (parenthesised where precedence could bite); wrap_src and
+# shift_amount_src return a parenthesised expression.
+# ``tests/test_intops.py`` eval()s every emitter against its runtime twin.
+
+#: Python spelling of the comparison suffixes (``ult`` -> ``lt`` -> ``<``).
+COMPARE_SRC = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
+_INFIX_SRC = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|", "xor": "^"}
+
+
+def wrap_src(expr: str, bits: int, signed: bool) -> str:
+    """Source of ``wrap(expr, bits, signed)``."""
+    if not (expr.isidentifier() or expr.isdigit()):
+        expr = f"({expr})"
+    if signed:
+        half = 1 << (bits - 1)
+        return f"(({expr} + {half:#x} & {mask(bits):#x}) - {half:#x})"
+    return f"({expr} & {mask(bits):#x})"
+
+
+def shift_amount_src(expr: str, bits: int) -> str:
+    """Source of ``shift_amount(expr, bits)``. Uses the scratch name ``_s``
+    and calls the runtime function to raise on a negative amount."""
+    if expr.isdigit():
+        return str(shift_amount(int(expr), bits))
+    return f"(_s % {bits} if (_s := {expr}) >= 0 else shift_amount(_s, {bits}))"
+
+
+def arith_src(op: str, a: str, b: str, bits: int) -> str:
+    """Source of the *unwrapped* result of the NIR/P4 arithmetic op *op*
+    (add sub mul and or xor shl lshr ashr udiv sdiv urem srem) at width
+    *bits*: a bare expression, to be passed through :func:`wrap_src`.
+    ``lshr`` shifts *a* as given, so a caller whose values can be negative
+    passes its unsigned reinterpretation; the division ops evaluate their
+    operands more than once."""
+    if op in _INFIX_SRC:
+        return f"{a} {_INFIX_SRC[op]} {b}"
+    if op == "shl":
+        return f"{a} << {shift_amount_src(b, bits)}"
+    if op == "lshr":
+        return f"{a} >> {shift_amount_src(b, bits)}"
+    if op == "ashr":
+        return f"{wrap_src(a, bits, True)} >> {shift_amount_src(b, bits)}"
+    if op == "sdiv":
+        return f"checked_sdiv({a}, {b})"
+    if op == "srem":
+        return f"checked_srem({a}, {b})"
+    ua, ub = wrap_src(a, bits, False), wrap_src(b, bits, False)
+    if op == "udiv":
+        return f"checked_udiv({ua}, {ub})"
+    if op == "urem":
+        return f"{ua} - {ub} * checked_udiv({ua}, {ub})"
+    raise ReproError(f"unknown arithmetic op {op!r}")
+
+
+#: the names emitted source calls; generated modules start from a copy
+SRC_ENV = {
+    "shift_amount": shift_amount,
+    "checked_udiv": checked_udiv,
+    "checked_sdiv": checked_sdiv,
+    "checked_srem": checked_srem,
+}

@@ -1,0 +1,40 @@
+"""Writing and compiling generated Python source: the little that the
+two executors' lowerings (``repro.nir.pygen``, ``repro.pisa.pygen``)
+share."""
+
+from __future__ import annotations
+
+import linecache
+from contextlib import contextmanager
+from typing import Dict, Iterator, List
+
+
+class SourceWriter:
+    """Collects source lines at a current indentation depth."""
+
+    def __init__(self) -> None:
+        self.lines: List[str] = []
+        self.depth = 0
+
+    def __call__(self, text: str) -> None:
+        self.lines.append("    " * self.depth + text)
+
+    @contextmanager
+    def block(self, header: str) -> Iterator[None]:
+        """``header`` then everything written inside, one level deeper."""
+        self(header)
+        self.depth += 1
+        try:
+            yield
+        finally:
+            self.depth -= 1
+
+
+def compile_source(filename: str, source: str, env: Dict[str, object]) -> Dict[str, object]:
+    """Execute *source* in *env* under the pseudo-filename *filename*
+    (``<nir result>``, ``<p4 ncl_s1>``) and return *env*. The source is
+    registered with :mod:`linecache` (mtime None: not backed by a file, so
+    ``checkcache()`` leaves it) for tracebacks to show the generated line."""
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), env)
+    return env

@@ -1,18 +1,28 @@
 """Differential-testing helpers: run a kernel before/after a transform
 and require identical observable behaviour (window data, device state,
-forwarding decision)."""
+forwarding decision).
+
+Every run here is two runs: the lowered executor
+(``repro.nir.interp.Interpreter``) and the reference walker
+(``tests/nir_oracle.py``) on a copy of the state, which must agree on
+everything -- the executor's emitters are shared with the P4 lowering,
+so a bug there would cancel out of a compiled-P4-vs-NIR comparison and
+only an independent leg can see it."""
 
 from __future__ import annotations
 
 import copy
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.errors import ReproError
 from repro.ncl import frontend
 from repro.ncl.types import PointerType, is_signed, scalar_bits
 from repro.nir import ir
 from repro.nir.interp import DeviceState, Interpreter, WindowContext
 from repro.nir.lower import lower_unit
 from repro.nir.passes.clone import clone_function
+
+from tests.nir_oracle import OracleInterpreter
 
 
 def kernel_module(source: str, defines=None) -> ir.Module:
@@ -60,6 +70,41 @@ def random_args(fn: ir.Function, rng, chunk_len: int = 4) -> List:
     return args
 
 
+def outcome(interp, fn: ir.Function, ctx: WindowContext):
+    """Everything observable about one run, trap or not."""
+    seen = {}
+    try:
+        result = interp.run(fn, ctx)
+        seen.update(fwd=result.fwd, label=result.fwd_label, ret=result.ret)
+    except (ReproError, ZeroDivisionError) as exc:
+        seen["raised"] = (type(exc).__name__, str(exc))
+    seen.update(args=ctx.args, state=interp.state.snapshot())
+    return seen
+
+
+def run_both(
+    module: ir.Module,
+    fn: ir.Function,
+    state: DeviceState,
+    meta: Dict[str, int],
+    args: List,
+    location_id: int = 0,
+    location_labels: Optional[Dict[str, int]] = None,
+):
+    """Run *fn* on the lowered executor (against *state*) and on the
+    walker (against a copy); they must agree. Returns the outcome."""
+    shadow = clone_state(state)
+    runs = [
+        outcome(cls(module, st), fn, WindowContext(meta, copy.deepcopy(args), location_id, location_labels))
+        for cls, st in ((Interpreter, state), (OracleInterpreter, shadow))
+    ]
+    assert runs[0] == runs[1], (
+        f"executor and oracle disagree on {fn.name} (meta={meta}, args={args}):\n"
+        f"lowered: {runs[0]}\noracle:  {runs[1]}"
+    )
+    return runs[0]
+
+
 def observe(
     module: ir.Module,
     fn: ir.Function,
@@ -69,16 +114,16 @@ def observe(
     location_id: int = 0,
     location_labels: Optional[Dict[str, int]] = None,
 ):
-    """Run and return the full observable outcome."""
-    interp = Interpreter(module, state)
-    ctx = WindowContext(meta, copy.deepcopy(args), location_id, location_labels)
-    result = interp.run(fn, ctx)
+    """Run (three-way, see :func:`run_both`) and return the full
+    observable outcome of a run that must not trap."""
+    seen = run_both(module, fn, state, meta, args, location_id, location_labels)
+    assert "raised" not in seen, seen
     return {
-        "fwd": result.fwd,
-        "label": result.fwd_label,
-        "args": ctx.args,
-        "arrays": {k: list(v) for k, v in state.arrays.items()},
-        "maps": {k: dict(m.entries) for k, m in state.maps.items()},
+        "fwd": seen["fwd"],
+        "label": seen["label"],
+        "args": seen["args"],
+        "arrays": seen["state"]["arrays"],
+        "maps": seen["state"]["maps"],
     }
 
 

@@ -22,6 +22,7 @@ from tests.conftest import (
     KVS_SRC,
     STAR_AND,
 )
+from tests.nir_oracle import OracleInterpreter
 
 _FWD_NAME = {
     ir.FwdKind.PASS: "pass",
@@ -33,7 +34,10 @@ _FWD_NAME = {
 
 class DifferentialRig:
     """Runs the same window stream through (a) the compiled P4 program on
-    a PisaSwitch and (b) the NIR interpreter, comparing everything."""
+    a PisaSwitch, (b) the NIR executor and (c) the NIR reference walker,
+    comparing everything. (a) and (b) are both lowered through
+    ``repro.util.intops``' emitters, so a bug there could cancel out
+    between them; (c) shares no generated code with either."""
 
     def __init__(self, program, kernel: str, location: str = "s1"):
         self.program = program
@@ -42,6 +46,8 @@ class DifferentialRig:
         self.switch = PisaSwitch(program.switch_programs[location], location)
         self.state = DeviceState.from_module(program.ref_module, location=location)
         self.interp = Interpreter(program.ref_module, self.state)
+        self.oracle_state = DeviceState.from_module(program.ref_module, location=location)
+        self.oracle = OracleInterpreter(program.ref_module, self.oracle_state)
         self.fn = program.ref_module.functions[kernel]
         self.location_id = program.and_spec.node(location).node_id
         self.label_ids = program.label_ids
@@ -60,14 +66,16 @@ class DifferentialRig:
         # it cannot exist either, so no divergence is possible).
         if f"reg_{name}" in self.switch.registers.arrays:
             self.switch.ctrl_register_write(f"reg_{name}", value, index)
-        if isinstance(self.state.ctrl.get(name), list):
-            self.state.ctrl_write(name, value, index)
-        else:
-            self.state.ctrl_write(name, value)
+        for state in (self.state, self.oracle_state):
+            if isinstance(state.ctrl.get(name), list):
+                state.ctrl_write(name, value, index)
+            else:
+                state.ctrl_write(name, value)
 
     def map_insert(self, name: str, key: int, value: int) -> None:
         self.switch.table_insert(f"map_{name}", [key], f"map_{name}_hit", [value])
         self.state.maps[name].insert(key, value)
+        self.oracle_state.maps[name].insert(key, value)
 
     def run_window(self, meta, chunks, src=0, dst=1):
         # --- hardware path ---
@@ -98,6 +106,19 @@ class DifferentialRig:
                 args.append(chunk[0])
         ctx = WindowContext(dict(meta), args, self.location_id, self.label_ids)
         ref_result = self.interp.run(self.fn, ctx)
+
+        # --- oracle path: the walker must see what the executor saw ---
+        oracle_ctx = WindowContext(
+            dict(meta),
+            [list(c) if isinstance(p.ty, PointerType) else c[0] for p, c in zip(data_params, chunks)],
+            self.location_id,
+            self.label_ids,
+        )
+        oracle_result = self.oracle.run(self.fn, oracle_ctx)
+        assert (ref_result.fwd, ref_result.fwd_label, ref_result.ret, ctx.args) == (
+            oracle_result.fwd, oracle_result.fwd_label, oracle_result.ret, oracle_ctx.args
+        ), f"executor and oracle disagree for meta={meta}"
+        assert self.state.snapshot() == self.oracle_state.snapshot()
 
         assert result.verdict == _FWD_NAME[ref_result.fwd], (
             f"verdict mismatch for meta={meta}: hw={result.verdict} "

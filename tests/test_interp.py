@@ -164,6 +164,18 @@ class TestState:
                 args=[[10]],
             )
 
+    def test_ctrl_array_read_past_end_raises(self):
+        """Used to escape as a bare IndexError (and -1 read the last slot)."""
+        mod = kernel_module(
+            '_net_ _at_("s1") _ctrl_ unsigned t[4];\n'
+            "_net_ _out_ void k(unsigned *d) { d[1] = t[d[0]]; }"
+        )
+        state = DeviceState.from_module(mod)
+        with pytest.raises(
+            PisaError, match=r"index 9 out of range for control variable t \[4 elements\]"
+        ):
+            run_kernel(mod, "k", state, {}, [[9, 0]])
+
     def test_ctrl_read(self):
         mod = kernel_module(
             '_net_ _at_("s1") _ctrl_ unsigned n;\n'
@@ -289,6 +301,19 @@ class TestMemcpy:
         state = DeviceState.from_module(mod)
         with pytest.raises(PisaError):
             run_kernel(mod, "k", state, {}, [[1, 2, 3, 4]])
+
+
+    def test_source_overrun_raises(self):
+        """Used to escape as a bare IndexError: the source is the short side."""
+        mod = kernel_module(
+            "_net_ int a[8];\n_net_ _out_ void k(int *d) { memcpy(a, d, 16); }"
+        )
+        state = DeviceState.from_module(mod)
+        with pytest.raises(
+            PisaError, match=r"index 2 out of range for window data d \[2 elements\]"
+        ):
+            run_kernel(mod, "k", state, {}, [[1, 2]])
+        assert state.arrays["a"] == [0] * 8  # all reads precede any write
 
 
 class TestHelpers:

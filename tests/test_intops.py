@@ -124,3 +124,74 @@ class TestFits:
         assert intops.bit_length_fits(-128, 8, signed=True)
         assert intops.bit_length_fits(127, 8, signed=True)
         assert not intops.bit_length_fits(128, 8, signed=True)
+
+
+class TestSourceEmitters:
+    """The source the lowered executors inline must mean what the runtime
+    functions mean: eval() of each emitter against its twin, widths 1-64,
+    over boundary and far out-of-range inputs."""
+
+    _values = st.one_of(
+        st.integers(-(2**70), 2**70),
+        st.builds(
+            lambda bits, delta, sign: sign * (1 << bits) + delta,
+            st.integers(0, 66), st.integers(-2, 2), st.sampled_from([-1, 1]),
+        ),
+    )
+    _bits = st.integers(1, 64)
+
+    @given(_values, _bits, st.booleans())
+    def test_wrap_src(self, value, bits, signed):
+        src = intops.wrap_src("x", bits, signed)
+        assert eval(src, {"x": value}) == intops.wrap(value, bits, signed)
+        if signed:
+            assert eval(src, {"x": value}) == intops.wrap_signed(value, bits)
+        else:
+            assert eval(src, {"x": value}) == intops.to_unsigned(value, bits)
+
+    @given(_values, _values, _bits, st.booleans())
+    def test_wrap_src_of_a_compound_expression(self, a, b, bits, signed):
+        for expr in ("a + b", "a | b", "-a", "a if b else 7", "a < b"):
+            want = intops.wrap(eval(expr, {"a": a, "b": b}), bits, signed)
+            assert eval(intops.wrap_src(expr, bits, signed), {"a": a, "b": b}) == want
+
+    @given(st.integers(0, 2**70), _bits)
+    def test_shift_amount_src(self, amount, bits):
+        want = intops.shift_amount(amount, bits)
+        env = dict(intops.SRC_ENV, x=amount)
+        assert eval(intops.shift_amount_src("x", bits), env) == want
+        assert eval(intops.shift_amount_src(str(amount), bits), env) == want  # folded
+
+    @given(st.integers(-(2**70), -1), _bits)
+    def test_negative_shift_amount_raises_like_the_runtime(self, amount, bits):
+        with pytest.raises(ReproError, match="negative shift amount"):
+            eval(intops.shift_amount_src("x", bits), dict(intops.SRC_ENV, x=amount))
+
+    @given(_values, _values, _bits, st.booleans(), st.sampled_from(
+        "add sub mul and or xor shl lshr ashr udiv sdiv urem srem".split()))
+    def test_arith_src_wrapped_matches_the_runtime_composition(self, a, b, bits, signed, op):
+        """arith_src is held to the formulas the reference walkers spell
+        out with the runtime functions."""
+        a, b = intops.wrap(a, bits, signed), intops.wrap(b, bits, signed)
+        ua, ub = intops.to_unsigned(a, bits), intops.to_unsigned(b, bits)
+        try:
+            want = {
+                "add": lambda: a + b, "sub": lambda: a - b, "mul": lambda: a * b,
+                "and": lambda: a & b, "or": lambda: a | b, "xor": lambda: a ^ b,
+                "shl": lambda: a << intops.shift_amount(ub, bits),
+                "lshr": lambda: ua >> intops.shift_amount(ub, bits),
+                "ashr": lambda: intops.wrap_signed(a, bits) >> intops.shift_amount(ub, bits),
+                "udiv": lambda: intops.checked_udiv(ua, ub),
+                "urem": lambda: (intops.checked_udiv(ua, ub), ua % ub)[1],
+                "sdiv": lambda: intops.checked_sdiv(a, b),
+                "srem": lambda: intops.checked_srem(a, b),
+            }[op]()
+        except ZeroDivisionError:
+            want = ZeroDivisionError
+        env = dict(intops.SRC_ENV, a=ua if op == "lshr" else a, b=ub if "sh" in op else b)
+        src = intops.wrap_src(intops.arith_src(op, "a", "b", bits), bits, signed)
+        if want is ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError, match="data-plane"):
+                eval(src, env)
+        else:
+            assert eval(src, env) == intops.wrap(want, bits, signed)

@@ -221,6 +221,36 @@ class TestHistogram:
         buckets = h.labels().bucket_counts()
         assert buckets == {"10": 3, "100": 4, "+Inf": 5}
 
+    def test_memory_follows_distinct_values_not_observations(self):
+        """10^5 observations of 8 distinct values hold 8 entries, and every
+        statistic equals the one computed from the full sorted sample."""
+        import math
+
+        distinct = (2e-6, 1e-6, 5.5e-6, 3e-6, 1e-3, 7, 2.5e-6, 0.0)
+        reg = MetricsRegistry()
+        h = reg.histogram("h")
+        sample, total = [], 0.0
+        for n in range(100_000):
+            value = distinct[(n * n) % 8 if n % 3 else n % 8]
+            h.observe(value)
+            sample.append(value)
+            total += value
+        series = h.labels()
+        assert len(series.counts) == 8
+        assert series.count == len(sample) and series.total == total
+        ordered = sorted(sample)
+        for p in (0, 0.001, 12.5, 50, 90, 99, 99.999, 100):
+            rank = (p / 100.0) * (len(ordered) - 1)
+            lo, hi = math.floor(rank), min(math.ceil(rank), len(ordered) - 1)
+            want = ordered[lo] * (1 - (rank - lo)) + ordered[hi] * (rank - lo)
+            if p in (0, 100) or lo == hi:
+                want = ordered[hi] if p else ordered[0]
+            assert series.percentile(p) == float(want)
+        buckets = series.bucket_counts()
+        for bound in series.buckets:
+            assert buckets[repr(bound)] == sum(v <= bound for v in ordered)
+        assert buckets["+Inf"] == len(ordered)
+
     def test_summary_in_snapshot(self):
         reg = MetricsRegistry()
         reg.histogram("h", buckets=(1.0,)).observe(0.5)

@@ -29,6 +29,8 @@ from repro.pisa.phv import Phv
 from repro.pisa.pipeline import Pipeline, RegisterState
 from repro.pisa.switch_dev import PisaSwitch
 
+from tests.pisa_oracle import eval_both
+
 
 def tiny_program():
     p = P4Program("tiny")
@@ -100,9 +102,8 @@ class TestPipelineExpr:
         return p, Pipeline(p)
 
     def eval(self, expr):
-        p, pipe = self.make()
-        phv = Phv(p)
-        return pipe.eval_expr(expr, phv, {})
+        p, _ = self.make()
+        return eval_both(p, expr)
 
     def test_arith_wrapping(self):
         assert self.eval(PBin("add", PConst(255, 8), PConst(1, 8), 8)) == 0
