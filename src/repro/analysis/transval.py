@@ -216,10 +216,8 @@ class PassValidator:
         state = self._fresh_state()
         call_args = copy.deepcopy(args)
         ctx = WindowContext(meta, call_args, self.location_id, self.label_ids)
-        interp = Interpreter(self.module, state)
-        interp.lowered = lowered
         try:
-            result = interp.run(fn, ctx)
+            result = Interpreter(self.module, state, lowered).run(fn, ctx)
         except (ReproError, ZeroDivisionError, KeyError):
             return _TRAP
         return (

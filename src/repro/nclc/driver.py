@@ -104,6 +104,9 @@ class CompiledProgram:
         #: per-location optimized switch NIR (label -> Module); feeds
         #: differential testing and the serialized artifact
         self.switch_modules = dict(switch_modules or {})
+        #: ref_module's functions lowered to Python (repro.nir.pygen), shared
+        #: by every host; safe to keep because no pass runs on them any more
+        self.lowered: Dict[ir.Function, object] = {}
         self.kernel_ids = {name: lo.kernel_id for name, lo in layouts.items()}
         self.kernel_by_id = {lo.kernel_id: name for name, lo in layouts.items()}
 

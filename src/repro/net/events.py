@@ -472,10 +472,7 @@ class Simulator:
         (profiler) and virtual-clock boundary sampling (time-series
         sampler)."""
         processed = 0
-        # An event is charged from the end of the previous one, so the
-        # scheduler work that found it lands on its label and the
-        # attributed share does not shrink as handlers get faster.
-        loop_t0 = prev = perf_counter()
+        loop_t0 = perf_counter()
         try:
             while True:
                 when = self._peek_when()
@@ -498,11 +495,12 @@ class Simulator:
                     sampler.advance(when)
                 self._now = when
                 self._retire(rec)
-                callback()  # type: ignore[operator]
                 if profiler is not None:
-                    done = perf_counter()
-                    profiler.record(label, callback, when, done - prev)
-                    prev = done
+                    t0 = perf_counter()
+                    callback()  # type: ignore[operator]
+                    profiler.record(label, callback, when, perf_counter() - t0)
+                else:
+                    callback()  # type: ignore[operator]
                 processed += 1
                 self.events_processed += 1
                 if processed > max_events:

@@ -177,16 +177,16 @@ class InterpResult:
 
 
 class Interpreter:
-    """Runs a module's functions against one device's state. Lowered
-    code is kept in ``module.lowered``, so every interpreter over one
-    module (every host of a ``CompiledProgram``) shares one lowering;
-    point ``lowered`` at a private dict to run functions that are still
-    being transformed (``analysis.transval``)."""
+    """Runs a module's functions against one device's state. A function
+    is lowered on its first run into *lowered*, which whoever knows that
+    the functions will not be transformed again may share between
+    interpreters (a ``CompiledProgram`` does, for its hosts) and which
+    otherwise lives and dies with this interpreter."""
 
-    def __init__(self, module: ir.Module, state: DeviceState):
+    def __init__(self, module: ir.Module, state: DeviceState, lowered: Optional[dict] = None):
         self.module = module
         self.state = state
-        self.lowered = module.lowered
+        self.lowered = {} if lowered is None else lowered
 
     def run(self, fn: ir.Function, ctx: WindowContext) -> InterpResult:
         if len(ctx.args) != len(fn.params):

@@ -854,11 +854,6 @@ class Module:
         self.functions: Dict[str, Function] = {}
         self.globals: Dict[str, GlobalRef] = {}
         self.window_fields: List[Tuple[str, Type]] = []
-        #: Function -> the Python function it lowers to, filled on first
-        #: run by repro.nir.interp.Interpreter. Nothing invalidates an
-        #: entry: run functions of a module only once passes are done
-        #: with it (transval, which cannot, lowers into its own dict).
-        self.lowered: Dict[Function, object] = {}
 
     def add_function(self, fn: Function) -> Function:
         if fn.name in self.functions:

@@ -3,11 +3,10 @@
 :func:`lower_function` turns one :class:`ir.Function` into one Python
 function ``kernel(state, meta, args, loc, labels) -> (fwd, label, ret)``:
 SSA values and pre-mem2reg slots become locals, blocks become arms of a
-``pc`` dispatch loop (a block with one predecessor is emitted inline
-after it), phis become parallel assignments on the incoming edge, and
-wrap / sign-extend / shift-clamp become inline mask arithmetic whose
-source comes from :mod:`repro.util.intops`. Nothing about the program is
-re-discovered per run, and there is no fallback to a tree walk.
+``pc`` dispatch loop, phis become parallel assignments on the incoming
+edge, and wrap / sign-extend / shift-clamp become inline mask arithmetic
+whose source comes from :mod:`repro.util.intops`. Nothing about the
+program is re-discovered per run, and there is no fallback to a tree walk.
 
 The semantics are those of the reference walker ``tests/nir_oracle.py``,
 against which every shipped kernel is differentially tested. Two
@@ -18,18 +17,15 @@ at a block boundary; and IR the walker would only reject on reaching it
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.errors import PisaError
 from repro.ncl.types import PointerType, Type, is_signed, scalar_bits, sizeof
 from repro.nir import ir
-from repro.nir.cfg import reverse_postorder
 from repro.util import intops
 from repro.util.pysrc import SourceWriter, compile_source
 
 MAX_STEPS = 1_000_000
-#: generated ``if`` nesting stops well short of the parser's 100 levels
-_MAX_DEPTH = 40
 
 
 def lower_function(fn: ir.Function, cache: Dict[ir.Function, Callable]) -> Callable:
@@ -102,26 +98,20 @@ _ENV = {
 class _FunctionSource:
     """Generates ``source`` for one function. An instruction of class
     ``X`` is emitted by method ``_X``, which returns the source of the
-    instruction's value (or, for a terminator, the block to emit next)."""
+    instruction's value, if it has one that is not assigned yet."""
 
     def __init__(self, fn: ir.Function):
         self.fn = fn
         self.env: Dict[str, object] = {}  # per-function additions to _ENV
         self.callees: Dict[str, ir.Function] = {}  # env name -> callee
         self.arrays: Dict[str, str] = {}  # global name -> local holding its list
-        self.preds = fn.predecessors()
-        order = {block: n for n, block in enumerate(reverse_postorder(fn))}
-        #: only a CFG with a retreating edge can run away
-        self.budget = any(
-            order[succ] <= order[block] for block in order for succ in block.successors()
-        )
         self.arm_of: Dict[ir.Block, int] = {fn.entry: 0}
-        pending = self.pending = [fn.entry]  # _goto() appends the blocks that need an arm
+        self.arms = [fn.entry]  # edge() appends each block it first targets
         self.w = body = SourceWriter()
         body.depth = 2  # inside "def kernel" and "while True"
-        while pending:
-            with body.block(f"{'el' if body.lines else ''}if pc == {self.arm_of[pending[0]]}:"):
-                self._chain(pending.pop(0))
+        for arm, block in enumerate(self.arms):
+            with body.block(f"{'el' if arm else ''}if pc == {arm}:"):
+                self._block(block)
 
         head = SourceWriter()
         with head.block("def kernel(state, meta, args, loc, labels):"):
@@ -178,34 +168,27 @@ class _FunctionSource:
 
     # -- blocks and edges ---------------------------------------------------
 
-    def _chain(self, block: Optional[ir.Block]) -> None:
-        """Emit *block* and the blocks that follow it inline."""
-        while block is not None:
-            self.cur = block
-            body = block.non_phis()
-            steps = next((n for n, i in enumerate(body, 1) if i.is_terminator), 0)
-            if not steps:
-                raise PisaError(f"{self.fn.name}/{block.label}: fell off block end")
-            self.w(f"# {block.label}")
-            if self.budget:
-                message = f"{self.fn.name}: step budget exceeded"
-                self.w(f"steps += {steps}")
-                self.w(f"if steps > {MAX_STEPS}: raise PisaError({message!r})")
-            for instr in body[:steps]:
-                emit = getattr(self, "_" + type(instr).__name__, None)
-                if emit is None:
-                    raise PisaError(f"cannot interpret {instr.render()}")
-                out = emit(instr)
-                if instr.is_terminator:
-                    block = out
-                elif out is not None:
-                    self.w(f"v{instr.id} = {out}")
+    def _block(self, block: ir.Block) -> None:
+        """One arm: the budget, then the instructions up to the terminator."""
+        self.cur = block
+        body = block.non_phis()
+        steps = next((n for n, i in enumerate(body, 1) if i.is_terminator), 0)
+        if not steps:
+            raise PisaError(f"{self.fn.name}/{block.label}: fell off block end")
+        self.w(f"# {block.label}")
+        message = f"{self.fn.name}: step budget exceeded"
+        self.w(f"steps += {steps}")
+        self.w(f"if steps > {MAX_STEPS}: raise PisaError({message!r})")
+        for instr in body[:steps]:
+            emit = getattr(self, "_" + type(instr).__name__, None)
+            if emit is None:
+                raise PisaError(f"cannot interpret {instr.render()}")
+            out = emit(instr)
+            if out is not None:
+                self.w(f"v{instr.id} = {out}")
 
-    def _goto(self, target: ir.Block, nested: bool) -> Optional[ir.Block]:
-        """Take the edge from the current block: assign target's phis, then
-        return target for inline emission or set ``pc``. *nested* says the
-        caller is a conditional arm and cannot continue inline itself, so
-        an inlinable target is emitted here, one level down."""
+    def edge(self, target: ir.Block) -> None:
+        """Leave the current block for *target*: its phis, in parallel, then ``pc``."""
         phis = target.phis()
         if phis:
             values = []
@@ -215,27 +198,18 @@ class _FunctionSource:
                     raise PisaError(f"phi %{phi.id} has no incoming for {self.cur.label}")
                 values.append(self.v(value))
             self.w(f"{', '.join(f'v{phi.id}' for phi in phis)} = {', '.join(values)}")
-        inline = len(self.preds[target]) == 1 and target is not self.fn.entry
-        if inline and not nested:
-            return target
-        if inline and self.w.depth < _MAX_DEPTH:
-            self._chain(target)
-        else:
-            if target not in self.arm_of:
-                self.arm_of[target] = len(self.arm_of)
-                self.pending.append(target)
-            self.w(f"pc = {self.arm_of[target]}")
-        return None
+        if target not in self.arm_of:
+            self.arm_of[target] = len(self.arms)
+            self.arms.append(target)
+        self.w(f"pc = {self.arm_of[target]}")
 
     def _Br(self, i: ir.Br):
-        return self._goto(i.target, nested=False)
+        self.edge(i.target)
 
     def _CondBr(self, i: ir.CondBr):
-        src = self.cur
         for header, target in ((f"if {self.v(i.cond)}:", i.then), ("else:", i.other)):
-            self.cur = src
             with self.w.block(header):
-                self._goto(target, nested=True)
+                self.edge(target)
 
     def _Ret(self, i: ir.Ret):
         self.w(f"return fwd, lab, {self.v(i.value) if i.value is not None else None}")

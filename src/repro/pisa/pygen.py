@@ -66,63 +66,50 @@ class _ProgramSource:
             self._nodes(program.control)
         self.source = "\n".join(w.lines) + "\n"
 
-    def expr(self, e: p4.PExpr, params: Sequence[str]) -> Tuple[str, int]:
-        """``(source, bits)`` of *e*: an int-valued operand and a width its
-        value is known to fit. A PHV field or register element holds a
-        value of its declared width (parser, ``Phv.write`` and every store
-        here wrap), so reading one needs no mask."""
+    def expr(self, e: p4.PExpr, params: Sequence[str]) -> str:
+        """Source of *e*, an int-valued operand."""
         kind, wrap = type(e), intops.wrap_src
         if kind is p4.PConst:
-            value = intops.wrap_unsigned(e.value, e.bits)
-            return str(value), value.bit_length()
+            return str(intops.wrap_unsigned(e.value, e.bits))
         if kind is p4.PField:
             if e.ref.startswith("valid."):
-                return f"(+V.get({e.ref.split('.', 1)[1]!r}, False))", 1
-            return f"F[{e.ref!r}]", self.program.field_bits(e.ref)
+                return f"(+V.get({e.ref.split('.', 1)[1]!r}, False))"
+            return f"F[{e.ref!r}]"
         if kind is p4.PParam:
             if e.name not in params:
                 raise PisaError(f"unbound action parameter {e.name!r}")
-            return wrap(f"args[{params.index(e.name)}]", e.bits, False), e.bits
+            return wrap(f"args[{params.index(e.name)}]", e.bits, False)
         if kind is p4.PBin:
-            (a, _), (b, _), op = self.expr(e.lhs, params), self.expr(e.rhs, params), e.op
+            a, b, op = self.expr(e.lhs, params), self.expr(e.rhs, params), e.op
             if op in _COMPARES:
                 if op[0] == "s":
                     a, b = wrap(a, e.bits, True), wrap(b, e.bits, True)
-                return f"(+({a} {intops.COMPARE_SRC[op[-2:]]} {b}))", 1
+                return f"(+({a} {intops.COMPARE_SRC[op[-2:]]} {b}))"
             if op not in _ARITH:
                 raise PisaError(f"unknown ALU op {op!r}")
-            return wrap(intops.arith_src(op, a, b, e.bits), e.bits, False), e.bits
+            return wrap(intops.arith_src(op, a, b, e.bits), e.bits, False)
         if kind is p4.PMux:
-            a, b = (self.fit(self.expr(x, params), e.bits) for x in (e.a, e.b))
-            return f"({a} if {self.expr(e.cond, params)[0]} else {b})", e.bits
+            a, b = self.expr(e.a, params), self.expr(e.b, params)
+            return wrap(f"{a} if {self.expr(e.cond, params)} else {b}", e.bits, False)
         if kind is p4.PUn:
-            a, _ = self.expr(e.operand, params)
+            a = self.expr(e.operand, params)
             if e.op == "lnot":
-                return f"(+({a} == 0))", 1
+                return f"(+({a} == 0))"
             if e.op not in ("neg", "not"):
                 raise PisaError(f"unknown unary ALU op {e.op!r}")
-            return wrap(("-" if e.op == "neg" else "~") + a, e.bits, False), e.bits
+            return wrap(("-" if e.op == "neg" else "~") + a, e.bits, False)
         raise PisaError(f"cannot evaluate {e!r}")
 
-    @staticmethod
-    def fit(value: Tuple[str, int], bits: int) -> str:
-        """Source of *value* wrapped to *bits*; no mask when it fits already."""
-        return value[0] if value[1] <= bits else intops.wrap_src(value[0], bits, False)
-
     def element(self, name: str, index: p4.PExpr, params: Sequence[str], value: str = "") -> str:
-        """Source of ``name[index]``, after emitting the index, then *value*
-        (as ``x``), then the bounds check -- the walker's order."""
-        size, (idx, _) = self.program.registers[name].size, self.expr(index, params)
-        checked = idx.isdigit() and int(idx) < size  # a literal known in range
-        if not checked:
-            self.w(f"i = {idx}")
-            idx = "i"
+        """Source of ``name[i]``, after emitting the index (as ``i``), then
+        *value* (as ``x``), then the bounds check -- the walker's order."""
+        size = self.program.registers[name].size
+        self.w(f"i = {self.expr(index, params)}")
         if value:
             self.w(f"x = {value}")
-        if not checked:
-            message = f"register {name}: index %d out of range [0, {size})"
-            self.w(f"if not 0 <= i < {size}: fail({message!r} % i)")
-        return f"{self.registers[name]}[{idx}]"
+        message = f"register {name}: index %d out of range [0, {size})"
+        self.w(f"if not 0 <= i < {size}: fail({message!r} % i)")
+        return f"{self.registers[name]}[i]"
 
     def _action(self, action: p4.Action) -> None:
         name, w, program = action.name, self.w, self.program
@@ -147,18 +134,19 @@ class _ProgramSource:
         w("")
 
     def _primitive(self, prim, params: Sequence[str]) -> None:
-        kind, program = type(prim), self.program
+        """One primitive; every store masks to its destination's width."""
+        kind, program, wrap = type(prim), self.program, intops.wrap_src
         if kind in (p4.PRegRead, p4.PRegWrite) and prim.reg not in program.registers:
             raise PisaError(f"unknown register array {prim.reg!r}")
         if kind is p4.PRegWrite:
-            value = self.fit(self.expr(prim.expr, params), program.registers[prim.reg].bits)
+            value = wrap(self.expr(prim.expr, params), program.registers[prim.reg].bits, False)
             self.w(f"{self.element(prim.reg, prim.index, params, value)} = x")
-        elif kind is p4.PRegRead:
-            value = self.element(prim.reg, prim.index, params), program.registers[prim.reg].bits
-            self.w(f"F[{prim.dst!r}] = {self.fit(value, program.field_bits(prim.dst))}")
-        elif kind is p4.PAssign:
-            value = self.expr(prim.expr, params)
-            self.w(f"F[{prim.dst!r}] = {self.fit(value, program.field_bits(prim.dst))}")
+        elif kind in (p4.PRegRead, p4.PAssign):
+            value = (
+                self.expr(prim.expr, params) if kind is p4.PAssign
+                else self.element(prim.reg, prim.index, params)
+            )
+            self.w(f"F[{prim.dst!r}] = {wrap(value, program.field_bits(prim.dst), False)}")
         else:
             raise PisaError(f"unknown primitive {prim!r}")
 
@@ -174,7 +162,7 @@ class _ProgramSource:
                 w(f"if obs is not None: obs.action({node.action!r})")
                 w(f"{self.actions[node.action]}(phv)")
             elif kind is p4.IfNode:
-                cond, _ = self.expr(node.cond, ())
+                cond = self.expr(node.cond, ())
                 if "F[" in cond:  # a field read can miss; say why, as Phv.read does
                     w(f"try: c = {cond}")
                     w("except KeyError as exc: bad_read(phv, exc)")

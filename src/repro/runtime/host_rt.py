@@ -74,7 +74,7 @@ class NclHost:
                 if len(values) < ref.total_elements:
                     values.extend([0] * (ref.total_elements - len(values)))
                 self.state.arrays[ref.name] = values
-        self._interp = Interpreter(program.ref_module, self.state)
+        self._interp = Interpreter(program.ref_module, self.state, program.lowered)
         self._in_regs: Dict[str, _InRegistration] = {}
         self._raw_handlers: Dict[str, WindowHandler] = {}
         self.inbox: Dict[str, List[Window]] = {}

