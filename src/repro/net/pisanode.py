@@ -5,8 +5,11 @@ from __future__ import annotations
 from typing import Union, TYPE_CHECKING
 
 from repro.errors import SimulationError
+from repro.ncp.wire import node_ip, peek_frame
 from repro.net.frame import Frame
 from repro.net.node import Node
+from repro.obs.int import carries_int, peek_stack, stack_event_args, stamp_hop
+from repro.obs.netmetrics import SwitchPacketTrace
 from repro.pisa.switch_dev import PisaSwitch
 
 if TYPE_CHECKING:
@@ -33,11 +36,13 @@ class PisaSwitchNode(Node):
         super().__init__(name, node_id, sim)
         self.switch = switch
         self._prof_pipeline = f"switch;{name};pipeline"
+        #: where the routing table's verdict lands, if the program has one
+        self._egress = switch.layout.slots.get("meta.egress_port")
+        #: this node's ``switch.phv_fields`` series, and the registry it is in
+        self._phv_fields = self._phv_registry = None
 
     def install_route(self, dst_node_id: int, port: int) -> None:
         """Install both the simulator next-hop and the P4 table entry."""
-        from repro.ncp.wire import node_ip
-
         self.routes[dst_node_id] = port
         if "ipv4_route" in self.switch.program.tables:
             self.switch.table_insert(
@@ -54,8 +59,6 @@ class PisaSwitchNode(Node):
             self.stats.processed += 1
             obs = self.sim.obs
             if obs.enabled:
-                from repro.obs.netmetrics import SwitchPacketTrace
-
                 observer = SwitchPacketTrace()
                 result = self.switch.process(data, in_port, observer=observer)
                 meta = frame.meta
@@ -75,12 +78,15 @@ class PisaSwitchNode(Node):
                     verdict=result.verdict,
                     frame_args=frame_args,
                 )
-                obs.registry.histogram(
-                    "switch.phv_fields",
-                    "PHV occupancy (live field count) per packet",
-                    ("switch",),
-                    buckets=(8, 16, 32, 64, 128, 256),
-                ).labels(switch=self.name).observe(len(result.phv.fields))
+                if obs.registry is not self._phv_registry:
+                    self._phv_registry = obs.registry
+                    self._phv_fields = obs.registry.histogram(
+                        "switch.phv_fields",
+                        "PHV occupancy (live field count) per packet",
+                        ("switch",),
+                        buckets=(8, 16, 32, 64, 128, 256),
+                    ).labels(switch=self.name)
+                self._phv_fields.observe(result.phv.live_fields())
             else:
                 result = self.switch.process(data, in_port)
             int_cfg = obs.int_config  # None on NULL_OBS and untelemetered runs
@@ -109,7 +115,10 @@ class PisaSwitchNode(Node):
                     )
                 self._forward(result, (port,), int_cfg)
                 return
-            egress = result.phv.read("meta.egress_port")
+            if self._egress is None:
+                egress = result.phv.read("meta.egress_port")  # says what is missing
+            else:
+                egress = result.phv.slots[self._egress]
             if egress >= len(self.links):
                 # Route miss left the default egress; treat as drop.
                 self.stats.drops += 1
@@ -130,8 +139,6 @@ class PisaSwitchNode(Node):
             for port in ports:
                 self.send(result.data, port)
             return
-        from repro.obs.int import carries_int, stamp_hop
-
         now = self.sim.now()
         data = result.data
         stamped = carries_int(data)
@@ -153,11 +160,6 @@ class PisaSwitchNode(Node):
         """A packet consumed here (kernel ``_drop()`` or a route miss):
         stamp the final hop record with the DROPPED flag and emit the
         stack into the trace, since delivery will never surface it."""
-        from repro.ncp.wire import peek_frame
-        from repro.obs.int import (
-            carries_int, peek_stack, stack_event_args, stamp_hop,
-        )
-
         data = result.data
         if not carries_int(data):
             return

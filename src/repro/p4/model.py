@@ -274,19 +274,55 @@ class Table:
         self.actions = list(actions)
         self.default_action = default_action
         self.default_args = list(default_args)
-        self.entries = entries if entries is not None else []
         self.managed_by = managed_by
         self.size = size
+        #: installed entries, in install order. Mutate only through
+        #: :meth:`add_entry` / :meth:`remove_entries`, which keep
+        #: :attr:`index` in step.
+        self.entries: List[TableEntry] = []
+        #: exact key tuple -> the entry a lookup of it yields (the highest
+        #: priority, the earliest installed among equals), when every key
+        #: is ``exact``; None for a table with a ternary key, which is
+        #: matched by priority scan
+        self.index: Optional[Dict[tuple, TableEntry]] = (
+            {} if all(kind == "exact" for _, kind in self.keys) else None
+        )
+        for entry in entries or ():
+            self.add_entry(entry)
 
     def add_entry(self, entry: TableEntry) -> None:
+        if len(entry.match) != len(self.keys):
+            raise PisaError(
+                f"table {self.name}: malformed entry {entry!r}: "
+                f"{len(entry.match)} match fields for {len(self.keys)} keys"
+            )
+        for (ref, kind), pattern in zip(self.keys, entry.match):
+            pair = kind == "ternary" and isinstance(pattern, tuple) and len(pattern) == 2
+            if not all(isinstance(v, int) for v in (pattern if pair else (pattern,))):
+                raise PisaError(
+                    f"table {self.name}: malformed entry {entry!r}: "
+                    f"bad pattern for {kind} key {ref}"
+                )
         if len(self.entries) >= self.size:
             raise PisaError(f"table {self.name} full ({self.size} entries)")
         self.entries.append(entry)
+        self._index(entry)
 
     def remove_entries(self, predicate) -> int:
         before = len(self.entries)
         self.entries = [e for e in self.entries if not predicate(e)]
+        if self.index is not None and len(self.entries) != before:
+            self.index.clear()
+            for entry in self.entries:
+                self._index(entry)
         return before - len(self.entries)
+
+    def _index(self, entry: TableEntry) -> None:
+        if self.index is not None:
+            key = tuple(entry.match)
+            held = self.index.get(key)
+            if held is None or entry.priority > held.priority:
+                self.index[key] = entry
 
     def __repr__(self) -> str:
         return f"Table({self.name}, keys={self.keys}, {len(self.entries)} entries)"

@@ -7,10 +7,12 @@ register arrays provide stateful memory. Collects per-table/per-action
 statistics for the benchmarks.
 
 Actions and control are not walked per packet: :mod:`repro.pisa.pygen`
-lowers them to Python functions once, when the :class:`Pipeline` is
-built (table *entries* stay data and may change at any time). The
-reference semantics is the tree-walking pipeline this module used to
-hold, now the test oracle ``tests/pisa_oracle.py``.
+lowers them to Python functions over the PHV's slots once, when the
+:class:`Pipeline` is built. Table *entries* stay data and may change at
+any time: an all-exact table is looked up in the index its
+:class:`~repro.p4.model.Table` keeps, a table with a ternary key by
+priority scan. The reference semantics is the tree-walking pipeline this
+module used to hold, now the test oracle ``tests/pisa_oracle.py``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.errors import PisaError
 from repro.p4.model import P4Program, Table, TableEntry
-from repro.pisa.phv import Phv
+from repro.pisa.phv import Phv, PhvLayout
 from repro.pisa.pygen import lower_program
 from repro.util import intops
 
@@ -89,9 +91,12 @@ class Pipeline:
         #: tables matched (hit) by the most recent run() -- the per-hop
         #: "tables" field of an INT record (repro.obs.int)
         self.last_tables_matched = 0
-        #: the program lowered to Python: actions by name, control, source
-        self._actions, self._control, self.source = lower_program(
-            program, self.stats, self.registers.arrays
+        #: which PHV slot is which field, as the lowered code numbers them
+        self.layout = PhvLayout.of(program)
+        #: the program lowered to Python: actions by name, control, each
+        #: table with the function building its key, source
+        self._actions, self._control, self._tables, self.source = lower_program(
+            program, self.layout, self.stats, self.registers.arrays
         )
 
     # -- actions ---------------------------------------------------------------
@@ -100,55 +105,66 @@ class Pipeline:
         action = self._actions.get(name)
         if action is None:
             raise PisaError(f"unknown action {name!r}")
-        action(phv, args)
+        if phv.layout is not self.layout:
+            self.layout.require(phv.layout)
+        action(phv.slots, args)
 
     # -- tables ------------------------------------------------------------------
 
     def apply_table(self, name: str, phv: Phv) -> bool:
         """Apply a table; returns True on hit."""
-        table = self.program.tables.get(name)
-        if table is None:
+        lowered = self._tables.get(name)
+        if lowered is None:
             raise PisaError(f"unknown table {name!r}")
-        key = [phv.read(ref) for ref, _ in table.keys]
-        entry = self._match(table, key)
-        if entry is not None:
-            self.stats.table_hits[name] = self.stats.table_hits.get(name, 0) + 1
+        table, key_of = lowered
+        if phv.layout is not self.layout:
+            self.layout.require(phv.layout)
+        slots = phv.slots
+        key = key_of(slots)
+        index = table.index
+        entry = index.get(key) if index is not None else self._match(table, key)
+        stats = self.stats
+        hit = entry is not None
+        if hit:
+            stats.table_hits[name] = stats.table_hits.get(name, 0) + 1
             self.last_tables_matched += 1
-            if self.observer is not None:
-                self.observer.table(name, True, entry.action)
-            self.run_action(entry.action, phv, entry.args)
-            return True
-        self.stats.table_misses[name] = self.stats.table_misses.get(name, 0) + 1
+            action_name, args = entry.action, entry.args
+        else:
+            stats.table_misses[name] = stats.table_misses.get(name, 0) + 1
+            action_name, args = table.default_action, table.default_args
         if self.observer is not None:
-            self.observer.table(name, False, table.default_action)
-        self.run_action(table.default_action, phv, table.default_args)
-        return False
+            self.observer.table(name, hit, action_name)
+        action = self._actions.get(action_name)
+        if action is None:
+            raise PisaError(f"unknown action {action_name!r}")
+        action(slots, args)
+        return hit
 
     @staticmethod
-    def _match(table: Table, key: List[int]) -> Optional[TableEntry]:
+    def _match(table: Table, key: Sequence[int]) -> Optional[TableEntry]:
+        """The priority scan, for a table with a ternary key (an
+        all-exact table is looked up in ``Table.index``)."""
         best: Optional[TableEntry] = None
+        kinds = [kind for _, kind in table.keys]
         for entry in table.entries:
-            if len(entry.match) != len(key):
-                raise PisaError(f"table {table.name}: malformed entry {entry!r}")
-            hit = True
-            for (ref_kind, pattern, value) in zip(table.keys, entry.match, key):
-                kind = ref_kind[1]
+            for kind, pattern, value in zip(kinds, entry.match, key):
                 if kind == "exact":
                     if pattern != value:
-                        hit = False
                         break
-                else:  # ternary
+                else:
                     pvalue, pmask = pattern if isinstance(pattern, tuple) else (pattern, -1)
                     if (value & pmask) != (pvalue & pmask):
-                        hit = False
                         break
-            if hit and (best is None or entry.priority > best.priority):
-                best = entry
+            else:
+                if best is None or entry.priority > best.priority:
+                    best = entry
         return best
 
     # -- control -------------------------------------------------------------------
 
     def run(self, phv: Phv) -> None:
+        if phv.layout is not self.layout:
+            self.layout.require(phv.layout)
         self.stats.packets += 1
         self.last_tables_matched = 0
         self._control(self, phv)

@@ -1,17 +1,36 @@
-"""Load-time lowering of a P4 program's actions and control to Python.
+"""Load-time lowering of a P4 program to Python over the PHV's slots.
 
-:func:`lower_program` turns a :class:`P4Program` into one Python function
-per action -- primitives as straight-line statements over ``phv.fields``
-and the register lists, destination masks and register widths as
-literals from :mod:`repro.util.intops`' emitters -- plus one ``control``
-function (``IfNode`` -> ``if``, ``Do`` -> a direct call, ``Apply`` ->
-``pipe.apply_table``). Tables stay data, matched per packet.
+A packet's PHV is one flat list ``S`` (:class:`repro.pisa.phv.PhvLayout`
+says which slot is which field), and everything that touches it per
+packet is generated here, once, when the switch is built:
 
-The semantics are those of the reference walker ``tests/pisa_oracle.py``.
-Two liberties: an action's register-access counts are added once, when
-it starts; and what the walker would only reject on reaching it (an
-unbound parameter, an unknown op, field, register or action) is rejected
-here, when the program is loaded.
+* :func:`lower_parser` -- the parse graph expanded from ``start`` into
+  nested ``if`` statements: per state one unpack per extracted header (offsets are
+  literals: every path through the graph is static), the ``select`` as
+  literal comparisons, and at each ``accept`` the slot list built in one
+  display from what that path extracted;
+* :func:`lower_program` -- one function per action (primitives as
+  straight-line statements over ``S[17]`` and the register lists,
+  destination masks and register widths as literals from
+  :mod:`repro.util.intops`' emitters), one per table that builds its key
+  tuple, and one ``control`` function (``IfNode`` -> ``if``, ``Do`` -> a
+  direct call, ``Apply`` -> ``pipe.apply_table``);
+* :func:`lower_deparser` -- per valid header one pack straight out of its
+  slot range.
+
+Table *entries* stay data, looked up per packet. A header field is read
+as ``(+S[k])``, which is what raises when nothing was extracted into it
+(:class:`repro.pisa.phv.Absent`); metadata is always there and is read
+bare.
+
+The semantics are those of the reference ``tests/pisa_oracle.py`` (a
+dict PHV, a parse loop, a walker). Three liberties: an action's
+register-access counts are added once, when it starts; what the oracle
+would only reject on reaching it (an unbound parameter, an unknown op,
+field, register or action) is rejected here, when the program is loaded;
+and so is a parse graph with a cycle that has more than one way round,
+which the oracle would run (to ``MAX_STATES`` states per packet) and the
+expansion cannot hold.
 """
 
 from __future__ import annotations
@@ -20,49 +39,226 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.errors import PisaError
 from repro.p4 import model as p4
+from repro.pisa.phv import PhvLayout
 from repro.util import intops
+from repro.util.bits import FieldLayout
 from repro.util.pysrc import SourceWriter, compile_source
 
 _ARITH = ("add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "ashr")
 _COMPARES = ("eq", "ne", "ult", "ule", "ugt", "uge", "slt", "sle", "sgt", "sge")
 
-
-def lower_program(
-    program: p4.P4Program, stats, registers: Dict[str, List[int]]
-) -> Tuple[Dict[str, Callable], Callable, str]:
-    """``(actions by name, control, source)`` for *program*, bound to one
-    pipeline's *stats* and register lists. An action is called as
-    ``action(phv, args)``, the control block as ``control(pipe, phv)``."""
-    gen = _ProgramSource(program)
-    env = {**intops.SRC_ENV, "fail": _fail, "bad_read": _bad_read}
-    env.update(stats=stats, runs=stats.action_runs)
-    env.update((local, registers[name]) for name, local in gen.registers.items())
-    compile_source(f"<p4 {program.name}>", gen.source, env)
-    actions = {name: env[local] for name, local in gen.actions.items()}
-    return actions, env["control"], gen.source
+#: longest path through the parse graph, in states (guards against cycles)
+MAX_STATES = 64
+#: most states a parse graph may expand to: a cycle with one way round
+#: costs MAX_STATES of them, one with two ways round would not end
+MAX_EXPANSION = 1024
 
 
 def _fail(message: str):
     raise PisaError(message)
 
 
-def _bad_read(phv, exc: KeyError):
-    """A field read found nothing: ``Phv.read`` knows why."""
-    phv.read(exc.args[0])
-    raise exc
+def _short(instance: str, need_bytes: int, have_bytes: int):
+    raise PisaError(
+        f"packet too short for header {instance!r}: need "
+        f"{need_bytes * 8} bits, have {have_bytes * 8}"
+    )
+
+
+def _read_src(layout: PhvLayout, ref: str) -> str:
+    """Source of the value of field *ref*."""
+    if ref.startswith("valid."):
+        slot = layout.valid.get(ref.split(".", 1)[1])
+        return "0" if slot is None else f"S[{slot}]"
+    slot = layout.slots.get(ref)
+    if slot is None:
+        raise PisaError(f"read of unknown field {ref!r}")
+    return f"S[{slot}]" if slot < layout.n_meta else f"(+S[{slot}])"
+
+
+def _wire_layout(program: p4.P4Program, instance: str) -> FieldLayout:
+    """The wire layout of a header instance. One whose fields ``struct``
+    moves is (un)packed by ``layout.unsigned``'s bound methods; any other
+    by its shifts and masks, emitted inline."""
+    return FieldLayout([(f.name, f.bits) for f in program.instance_type(instance).fields])
+
+
+# -- parser --------------------------------------------------------------------
+
+
+def lower_parser(program: p4.P4Program, layout: PhvLayout) -> Tuple[Callable, str]:
+    """``(parse, source)``: ``parse(data) -> (slots, unparsed rest)``."""
+    gen = _ParserSource(program, layout)
+    env = {"fail": _fail, "short": _short, "from_bytes": int.from_bytes, **gen.env}
+    compile_source(f"<p4 {program.name} parser>", gen.source, env)
+    return env["parse"], gen.source
+
+
+class _ParserSource:
+    """The parse graph expanded from ``start``. Every path through it is
+    static -- which headers were extracted, at which byte offsets -- so a
+    state unpacks into locals (``h2`` is the third header instance), a
+    ``select`` compares one of them with literals, and each way to
+    ``accept`` builds its slot list in one display: metadata zeros, then
+    per header instance what was extracted or its run of ``Absent``."""
+
+    def __init__(self, program: p4.P4Program, layout: PhvLayout):
+        self.layout = layout
+        self.states = {s.name: s for s in program.parser}
+        if self.states and "start" not in self.states:
+            raise PisaError("parse graph has no 'start' state")
+        #: header instance -> its position in the slot layout
+        self.order = {inst: i for i, inst in enumerate(layout.headers)}
+        self.wire = {
+            inst: _wire_layout(program, inst) for s in program.parser for inst in s.extracts
+        }
+        blank = layout.blank
+        self.env = {"M": blank[: layout.n_meta]}
+        for instance, (start, end) in layout.headers.items():
+            self.env[f"A{self.order[instance]}"] = blank[start:end]
+        for instance, wire in self.wire.items():
+            if wire.unsigned is not None:
+                self.env[f"u{self.order[instance]}"] = wire.unsigned.unpack_from
+        self.expanded = 0
+        self.w = w = SourceWriter()
+        with w.block("def parse(data):"):
+            w(f"# {program.name}")
+            w("n = len(data)")
+            self._state("start" if self.states else "accept", 0, (), 0)
+        self.source = "\n".join(w.lines) + "\n"
+
+    def _state(self, name: str, pos: int, extracted: Tuple[str, ...], depth: int) -> None:
+        """State *name* entered *pos* bytes into the packet with the
+        headers *extracted*; every way out of the emitted block returns
+        or raises."""
+        w, order = self.w, self.order
+        if name == "accept":
+            parts = ["*M"]
+            parts += [f"*{'h' if inst in extracted else 'A'}{i}" for inst, i in order.items()]
+            parts += [str(int(inst in extracted)) for inst in order]
+            w(f"return [{', '.join(parts)}], {f'data[{pos}:]' if pos else 'data'}")
+            return
+        if name == "reject":
+            w("fail('parser rejected packet')")
+            return
+        state = self.states.get(name)
+        if state is None:
+            w(f"fail({f'parser: unknown state {name!r}'!r})")
+            return
+        if depth >= MAX_STATES:
+            w("fail('parse graph did not terminate')")
+            return
+        self.expanded += 1
+        if self.expanded > MAX_EXPANSION:
+            raise PisaError(
+                f"parse graph expands past {MAX_EXPANSION} states "
+                f"(a cycle through {name!r} with more than one way round?)"
+            )
+        w(f"# {name}")
+        for instance in state.extracts:
+            wire, i = self.wire[instance], order[instance]
+            end = pos + wire.nbytes
+            have = f"n - {pos}" if pos else "n"
+            w(f"if n < {end}: short({instance!r}, {wire.nbytes}, {have})")
+            if wire.unsigned is not None:
+                w(f"h{i} = u{i}(data, {pos})")
+            else:
+                word = f"from_bytes(data[{pos}:{end}], 'big')"
+                w(f"h{i} = {wire.unpack_src(word)}")
+            extracted += (instance,)
+            pos = end
+        if state.select_field is not None:
+            selector = self._select(state.select_field, extracted)
+            if selector is None:
+                return
+            seen = set()
+            for value, target in state.transitions:
+                if value not in seen:  # the first match wins
+                    seen.add(value)
+                    with w.block(f"if {selector} == {int(value)}:"):
+                        self._state(target, pos, extracted, depth + 1)
+        self._state(state.default_next, pos, extracted, depth + 1)
+
+    def _select(self, ref: str, extracted: Tuple[str, ...]):
+        """Source of a ``select`` field's value; None (after emitting the
+        raise) where the path has not extracted its header."""
+        container, _, field = ref.partition(".")
+        if container == "valid":
+            return str(int(field in extracted))
+        slot = self.layout.slots.get(ref)
+        if slot is None:
+            raise PisaError(f"read of unknown field {ref!r}")
+        if container == "meta":
+            return "0"  # nothing has written metadata yet
+        if container not in extracted:
+            self.w(f"fail({f'read of field {ref!r} in invalid header'!r})")
+            return None
+        return f"h{self.order[container]}[{slot - self.layout.headers[container][0]}]"
+
+
+# -- deparser ------------------------------------------------------------------
+
+
+def lower_deparser(program: p4.P4Program, layout: PhvLayout) -> Tuple[Callable, str]:
+    """``(deparse, source)``: ``deparse(slots, rest) -> bytes``."""
+    env: Dict[str, Callable] = {}
+    w = SourceWriter()
+    with w.block("def deparse(S, rest):"):
+        w(f"# {program.name}")
+        with w.block("return b''.join(("):
+            for instance in program.deparser:
+                wire, valid = _wire_layout(program, instance), layout.valid[instance]
+                start, end = layout.headers[instance]
+                if wire.unsigned is not None:  # named after its validity slot
+                    env[f"k{valid}"] = wire.unsigned.pack
+                    packed = f"k{valid}(*S[{start}:{end}])"
+                else:
+                    packed = wire.pack_src([f"S[{k}]" for k in range(start, end)])
+                w(f"{packed} if S[{valid}] else b'',  # {instance}")
+            w("rest,")
+        w("))")
+    source = "\n".join(w.lines) + "\n"
+    compile_source(f"<p4 {program.name} deparser>", source, env)
+    return env["deparse"], source
+
+
+# -- actions, table keys, control ------------------------------------------------
+
+
+def lower_program(
+    program: p4.P4Program, layout: PhvLayout, stats, registers: Dict[str, List[int]]
+) -> Tuple[Dict[str, Callable], Callable, Dict[str, Tuple[p4.Table, Callable]], str]:
+    """``(actions by name, control, tables by name, source)`` for *program*,
+    bound to one pipeline's *stats* and register lists. An action is
+    called as ``action(slots, args)``, the control block as
+    ``control(pipe, phv)``; a table comes with its key builder,
+    ``key(slots) -> tuple``."""
+    gen = _ProgramSource(program, layout)
+    env = {**intops.SRC_ENV, "fail": _fail}
+    env.update(stats=stats, runs=stats.action_runs)
+    env.update((local, registers[name]) for name, local in gen.registers.items())
+    compile_source(f"<p4 {program.name}>", gen.source, env)
+    actions = {name: env[local] for name, local in gen.actions.items()}
+    tables = {name: (program.tables[name], env[local]) for name, local in gen.keys.items()}
+    return actions, env["control"], tables, gen.source
 
 
 class _ProgramSource:
-    def __init__(self, program: p4.P4Program):
+    def __init__(self, program: p4.P4Program, layout: PhvLayout):
         self.program = program
+        self.layout = layout
         self.registers = {name: f"r{k}" for k, name in enumerate(program.registers)}
         self.actions = {name: f"a{k}" for k, name in enumerate(program.actions)}
+        self.keys = {name: f"key{k}" for k, name in enumerate(program.tables)}
         self.w = w = SourceWriter()
         for action in program.actions.values():
             self._action(action)
+        for table in program.tables.values():
+            key = "".join(f"{_read_src(layout, ref)}, " for ref, _ in table.keys)
+            w(f"def {self.keys[table.name]}(S): return ({key})  # table {table.name}")
         with w.block("def control(pipe, phv):"):
             w(f"# {program.name}")
-            w("F = phv.fields; V = phv.valid; obs = pipe.observer")
+            w("S = phv.slots; obs = pipe.observer")
             self._nodes(program.control)
         self.source = "\n".join(w.lines) + "\n"
 
@@ -72,9 +268,7 @@ class _ProgramSource:
         if kind is p4.PConst:
             return str(intops.wrap_unsigned(e.value, e.bits))
         if kind is p4.PField:
-            if e.ref.startswith("valid."):
-                return f"(+V.get({e.ref.split('.', 1)[1]!r}, False))"
-            return f"F[{e.ref!r}]"
+            return _read_src(self.layout, e.ref)
         if kind is p4.PParam:
             if e.name not in params:
                 raise PisaError(f"unbound action parameter {e.name!r}")
@@ -112,10 +306,10 @@ class _ProgramSource:
         return f"{self.registers[name]}[i]"
 
     def _action(self, action: p4.Action) -> None:
-        name, w, program = action.name, self.w, self.program
+        name, w = action.name, self.w
         params = [pname for pname, _ in action.params]
         arity = f"action {name}: expected {len(params)} args, got %d"
-        with w.block(f"def {self.actions[name]}(phv, args=()):"):
+        with w.block(f"def {self.actions[name]}(S, args=()):"):
             w(f"# action {name}({', '.join(params)})")
             w(f"if len(args) != {len(params)}: fail({arity!r} % len(args))")
             w(f"runs[{name!r}] = runs.get({name!r}, 0) + 1")
@@ -123,14 +317,8 @@ class _ProgramSource:
                 count = sum(type(prim) is kind for prim in action.primitives)
                 if count:
                     w(f"stats.register_{counter} += {count}")
-            w("F = phv.fields; V = phv.valid")
-            with w.block("try:"):
-                for prim in action.primitives:
-                    self._primitive(prim, params)
-                if not action.primitives:
-                    w("pass")
-            with w.block("except KeyError as exc:"):
-                w("bad_read(phv, exc)")
+            for prim in action.primitives:
+                self._primitive(prim, params)
         w("")
 
     def _primitive(self, prim, params: Sequence[str]) -> None:
@@ -140,13 +328,14 @@ class _ProgramSource:
             raise PisaError(f"unknown register array {prim.reg!r}")
         if kind is p4.PRegWrite:
             value = wrap(self.expr(prim.expr, params), program.registers[prim.reg].bits, False)
-            self.w(f"{self.element(prim.reg, prim.index, params, value)} = x")
+            self.w(f"{self.element(prim.reg, prim.index, params, value)} = x  # {prim!r}")
         elif kind in (p4.PRegRead, p4.PAssign):
+            bits = program.field_bits(prim.dst)
             value = (
                 self.expr(prim.expr, params) if kind is p4.PAssign
                 else self.element(prim.reg, prim.index, params)
             )
-            self.w(f"F[{prim.dst!r}] = {wrap(value, program.field_bits(prim.dst), False)}")
+            self.w(f"S[{self.layout.slots[prim.dst]}] = {wrap(value, bits, False)}  # {prim!r}")
         else:
             raise PisaError(f"unknown primitive {prim!r}")
 
@@ -160,14 +349,9 @@ class _ProgramSource:
                 if node.action not in self.actions:
                     raise PisaError(f"unknown action {node.action!r}")
                 w(f"if obs is not None: obs.action({node.action!r})")
-                w(f"{self.actions[node.action]}(phv)")
+                w(f"{self.actions[node.action]}(S)")
             elif kind is p4.IfNode:
-                cond = self.expr(node.cond, ())
-                if "F[" in cond:  # a field read can miss; say why, as Phv.read does
-                    w(f"try: c = {cond}")
-                    w("except KeyError as exc: bad_read(phv, exc)")
-                    cond = "c"
-                with w.block(f"if {cond}:"):
+                with w.block(f"if {self.expr(node.cond, ())}:  # {node.cond!r}"):
                     self._nodes(node.then_nodes)
                     if not node.then_nodes:
                         w("pass")

@@ -63,6 +63,10 @@ class PisaSwitch:
         self.pipeline = Pipeline(program, self.registers)
         self.parser = PacketParser(program)
         self.deparser = Deparser(program)
+        #: the slot map all three were lowered against
+        self.layout = self.pipeline.layout
+        self._fwd = self.layout.slots[META_FWD]
+        self._fwd_label = self.layout.slots[META_FWD_LABEL]
 
     # -- data plane -----------------------------------------------------------
 
@@ -73,24 +77,25 @@ class PisaSwitch:
             observer.parse(len(data))
         phv = self.parser.parse(data)
         phv.ingress_port = ingress_port
-        phv.write(META_FWD, FWD_PASS)
-        phv.write(META_FWD_LABEL, NO_LABEL)
-        self.pipeline.observer = observer
+        slots = phv.slots
+        slots[self._fwd] = FWD_PASS
+        slots[self._fwd_label] = NO_LABEL
+        pipeline = self.pipeline
+        pipeline.observer = observer
         try:
-            self.pipeline.run(phv)
+            pipeline.run(phv)
         finally:
-            self.pipeline.observer = None
-        verdict_code = phv.read(META_FWD)
+            pipeline.observer = None
+        verdict_code = slots[self._fwd]
         if verdict_code >= len(FWD_NAMES):
             raise PisaError(f"corrupt forwarding decision {verdict_code}")
-        label = phv.read(META_FWD_LABEL)
-        out = self.deparser.deparse(phv)
+        label = slots[self._fwd_label]
         return SwitchResult(
             FWD_NAMES[verdict_code],
             None if label == NO_LABEL else label,
-            out,
+            self.deparser.deparse(phv),
             phv,
-            tables_matched=self.pipeline.last_tables_matched,
+            pipeline.last_tables_matched,
         )
 
     # -- control plane -----------------------------------------------------------
@@ -117,6 +122,12 @@ class PisaSwitch:
             raise PisaError(f"unknown table {table!r}")
         if action not in tbl.actions:
             raise PisaError(f"table {table}: action {action!r} not allowed")
+        params = self.program.actions[action].params
+        if len(args) != len(params):
+            raise PisaError(
+                f"table {table}: action {action} takes {len(params)} "
+                f"args, entry gives {len(args)}"
+            )
         # Replace an existing exact-match entry with the same key.
         tbl.remove_entries(lambda e: list(e.match) == list(match))
         tbl.add_entry(TableEntry(list(match), action, list(args), priority))

@@ -44,10 +44,16 @@ class FieldLayout:
             shift -= f[1]
             sign = 1 << (f[1] - 1) if len(f) > 2 and f[2] else 0
             self._plan.append((shift, (1 << f[1]) - 1, sign))
-        self._struct = self._unsigned = None
+        #: ``struct`` codec of the fields read as unsigned, where there is
+        #: one. Public for callers that have already checked the buffer
+        #: length and hold only in-range unsigned values (the generated
+        #: PISA parser and deparser): ``unsigned.unpack_from(data, pos)``,
+        #: ``unsigned.pack(*values)``.
+        self.unsigned = None
+        self._struct = None
         if all(bits in _CODES for _, bits in self.fields):
             codes = [_CODES[bits] for _, bits in self.fields]
-            self._unsigned = struct.Struct(">" + "".join(codes))
+            self.unsigned = struct.Struct(">" + "".join(codes))
             self._struct = struct.Struct(
                 ">" + "".join(c.lower() if p[2] else c for c, p in zip(codes, self._plan))
             )
@@ -104,13 +110,45 @@ class FieldLayout:
             try:
                 return self._struct.pack(*values)
             except struct.error:  # a value outside its field's range: wrap
-                return self._unsigned.pack(
+                return self.unsigned.pack(
                     *[int(v) & p[1] for v, p in zip(values, self._plan)]
                 )
         word = 0
         for v, (shift, mask, _) in zip(values, self._plan):
             word |= (int(v) & mask) << shift
         return word.to_bytes(self.nbytes, "big")
+
+    # -- source emitters ----------------------------------------------------
+    #
+    # For code generated once per layout (the PISA parser and deparser):
+    # the shift-and-mask plan as literals, with no call, no length check
+    # and no wrapping in between. Unsigned fields only; the caller has
+    # checked the buffer and holds in-range values. ``tests/test_bits.py``
+    # eval()s both against ``unpack_seq`` / ``pack_seq``.
+
+    def unpack_src(self, word: str) -> str:
+        """Source of the tuple :meth:`unpack_seq` yields, given the
+        source of the layout's bytes as one big-endian int. Uses the
+        scratch name ``_w``."""
+        if any(sign for _, _, sign in self._plan):
+            raise ReproError("unpack_src: layout has a signed field")
+        top, rest = self._plan[0], self._plan[1:]
+        fields = [f"(_w := {word}) >> {top[0]}"] + [
+            f"_w >> {shift} & {mask:#x}" if shift else f"_w & {mask:#x}"
+            for shift, mask, _ in rest
+        ]
+        return f"({', '.join(fields)},)"
+
+    def pack_src(self, values: Sequence[str]) -> str:
+        """Source of the bytes :meth:`pack_seq` yields for *values*, the
+        sources of one in-range unsigned int per field."""
+        if len(values) != len(self._plan):
+            raise ReproError(f"{len(values)} values for {len(self._plan)} fields")
+        word = " | ".join(
+            f"{value} << {shift}" if shift else value
+            for value, (shift, _, _) in zip(values, self._plan)
+        )
+        return f"({word}).to_bytes({self.nbytes}, 'big')"
 
     def pack(self, values: Mapping[str, int]) -> bytes:
         """Serialize ``values`` by field name; a missing field packs 0."""

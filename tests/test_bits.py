@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ReproError
-from repro.util.bits import BitReader, BitWriter, pack_fields, unpack_fields
+from repro.util.bits import BitReader, BitWriter, FieldLayout, pack_fields, unpack_fields
 
 
 class TestBitWriter:
@@ -103,3 +103,26 @@ class TestFieldPacking:
         for byte in blob:
             w.write(byte, 8)
         assert w.to_bytes() == blob
+
+
+class TestSourceEmitters:
+    """``unpack_src`` / ``pack_src`` spell the layout's shifts and masks
+    as literals for generated code; eval()ed, they are ``unpack_seq`` /
+    ``pack_seq`` on in-range unsigned values."""
+
+    @given(
+        st.lists(st.integers(1, 70), min_size=1, max_size=7).filter(lambda w: sum(w) % 8 == 0),
+        st.data(),
+    )
+    def test_eval_equals_runtime(self, widths, data):
+        layout = FieldLayout([(f"f{i}", bits) for i, bits in enumerate(widths)])
+        values = [data.draw(st.integers(0, (1 << bits) - 1)) for bits in widths]
+        packed = layout.pack_seq(values)
+        names = [f"v{i}" for i in range(len(values))]
+        assert eval(layout.pack_src(names), dict(zip(names, values))) == packed
+        word = int.from_bytes(packed, "big")
+        assert eval(layout.unpack_src("word"), {"word": word}) == tuple(values)
+
+    def test_signed_layouts_are_refused(self):
+        with pytest.raises(ReproError, match="signed"):
+            FieldLayout([("a", 8, True)]).unpack_src("w")

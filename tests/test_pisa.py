@@ -95,6 +95,58 @@ class TestParserDeparser:
         assert Deparser(p).deparse(phv) == b"\xab"
 
 
+class TestPhvSlots:
+    def test_names_over_slots(self):
+        p = tiny_program()
+        p.add_metadata("t", 12)
+        phv = Phv(p)
+        phv.write("meta.t", 0x1FFF)
+        assert phv.read("meta.t") == 0xFFF  # masked to the field's width
+        assert phv.read("valid.h") == 0 and not phv.is_valid("h")
+        with pytest.raises(PisaError, match="read of field 'h.a' in invalid header"):
+            phv.read("h.a")
+        phv.write("h.a", 7)  # a written field reads back, header valid or not
+        assert phv.read("h.a") == 7
+        phv.set_valid("h")
+        assert phv.as_dict() == {
+            "meta.fwd": 0, "meta.fwd_label": 0, "meta.t": 0xFFF,
+            "h.a": 7, "h.b": 0, "h.c": 0,
+        }
+        for bad in (lambda: phv.read("meta.nope"), lambda: phv.write("h.nope", 1),
+                    lambda: phv.set_valid("nope")):
+            with pytest.raises(PisaError, match="unknown"):
+                bad()
+
+    def test_clone_is_independent(self):
+        p = tiny_program()
+        phv = PacketParser(p).parse(b"\x01\x02\x03\x04rest")
+        twin = phv.clone()
+        twin.write("h.a", 9)
+        assert (phv.read("h.a"), twin.read("h.a")) == (1, 9)
+        assert twin.payload_rest == b"rest" and twin.is_valid("h")
+
+    def test_live_fields_counts_metadata_and_valid_headers(self):
+        p = tiny_program()
+        assert Phv(p).live_fields() == 2
+        assert PacketParser(p).parse(b"\x01\x02\x03\x04").live_fields() == 5
+
+    def test_a_phv_from_before_the_program_changed_is_refused(self):
+        """Slot numbers are fixed when each piece is built; a PHV laid out
+        for other metadata must not be silently misread."""
+        p = tiny_program()
+        stale = Phv(p)
+        p.add_metadata("t", 8)
+        p.add_action(Action("set", [PAssign("meta.t", PConst(1, 8))]))
+        pipe = Pipeline(p)
+        for use in (lambda: pipe.run(stale), lambda: pipe.run_action("set", stale),
+                    lambda: Deparser(p).deparse(stale)):
+            with pytest.raises(PisaError, match="laid out for a different program"):
+                use()
+        fresh = Phv(p)
+        pipe.run_action("set", fresh)
+        assert fresh.read("meta.t") == 1
+
+
 class TestPipelineExpr:
     def make(self):
         p = tiny_program()
@@ -308,3 +360,55 @@ class TestSwitchDevice:
         sw = PisaSwitch(p)
         with pytest.raises(PisaError, match="not allowed"):
             sw.table_insert("t", [1], "a2")
+
+
+class TestMalformedEntriesAreRefusedAtInstall:
+    """An entry the data path could not match or run is a control-plane
+    error, raised where the control plane can see it -- not a PisaError
+    out of ``Simulator.run`` at the next packet."""
+
+    def make(self):
+        p = tiny_program()
+        p.add_metadata("out", 8)
+        p.add_action(
+            Action("set_out", [PAssign("meta.out", PParam("v", 8))], params=[("v", 8)])
+        )
+        p.add_action(Action("nop", []))
+        p.add_table(Table("t", [("h.a", "exact")], ["set_out"], "nop", managed_by="control-plane"))
+        p.add_table(Table("acl", [("h.a", "ternary")], ["set_out"], "nop"))
+        p.control = [Apply("t"), Apply("acl")]
+        return PisaSwitch(p)
+
+    def test_wrong_match_arity(self):
+        sw = self.make()
+        with pytest.raises(PisaError, match="table t: malformed entry .* 2 match fields for 1 keys"):
+            sw.table_insert("t", [1, 2], "set_out", [5])
+
+    def test_wrong_action_argument_count(self):
+        sw = self.make()
+        with pytest.raises(PisaError, match="table t: action set_out takes 1 args, entry gives 0"):
+            sw.table_insert("t", [1], "set_out", [])
+
+    def test_ternary_pattern_on_an_exact_key(self):
+        sw = self.make()
+        with pytest.raises(PisaError, match="bad pattern for exact key h.a"):
+            sw.table_insert("t", [(1, 0xFF)], "set_out", [5])
+        for bad in ((1, 2, 3), [1, 0xFF], "1"):
+            with pytest.raises(PisaError, match="bad pattern for ternary key h.a"):
+                sw.table_insert("acl", [bad], "set_out", [5])
+        sw.table_insert("acl", [(1, 0xFF)], "set_out", [5])
+        sw.table_insert("acl", [7], "set_out", [5])
+
+    def test_malformed_entries_at_construction(self):
+        with pytest.raises(PisaError, match="malformed entry"):
+            Table("t", [("h.a", "exact")], ["a"], "a", entries=[TableEntry([1, 2], "a")])
+
+    def test_a_refused_install_leaves_the_data_path_running(self):
+        sw = self.make()
+        sw.table_insert("t", [1], "set_out", [5])
+        for match, args in (([1, 2], [5]), ([1], [])):
+            with pytest.raises(PisaError):
+                sw.table_insert("t", match, "set_out", args)
+        assert [e.args for e in sw.table_entries("t")] == [[5]]
+        result = sw.process(b"\x01\x02\x03\x04")
+        assert result.phv.read("meta.out") == 5

@@ -1,10 +1,13 @@
 """The lowered executors against their independent oracles.
 
 ``repro.nir.pygen`` and ``repro.pisa.pygen`` generate the Python that
-runs kernels and match-action programs; ``tests/nir_oracle.py`` and
-``tests/pisa_oracle.py`` are the tree-walkers they replaced. Here every
-shipped and fuzzed kernel, and random P4 expressions and action bodies,
-run on both, and must agree on results, state, traps and trap messages.
+runs kernels and switch programs; ``tests/nir_oracle.py`` and
+``tests/pisa_oracle.py`` are the tree-walkers, the dict PHV, the parse
+loop and the table scan they replaced. Here every shipped and fuzzed
+kernel, random P4 expressions and action bodies, every shipped switch
+program on valid and mangled frames, and tables under random control-
+plane traffic run on both, and must agree on results, state, traps and
+trap messages.
 """
 
 import copy
@@ -13,9 +16,12 @@ import traceback
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import PisaError
+from repro.ncp.wire import HEADERS, encode_frame, node_ip
 from repro.nclc import Compiler, WindowConfig
+from repro.nclc.driver import CompiledProgram
 from repro.nir import ir, pygen
 from repro.nir.interp import DeviceState, Interpreter, WindowContext
 from repro.p4.model import (
@@ -34,14 +40,17 @@ from repro.p4.model import (
     PRegWrite,
     PUn,
     RegisterArray,
+    Table,
+    TableEntry,
 )
 from repro.pisa.phv import Phv
 from repro.pisa.pipeline import Pipeline
+from repro.pisa.switch_dev import PisaSwitch
 
 from tests import nir_oracle
 from tests.diffutil import kernel_module, random_args, run_both
 from tests.nir_oracle import OracleInterpreter
-from tests.pisa_oracle import OraclePipeline
+from tests.pisa_oracle import OraclePhv, OraclePipeline, OracleSwitch
 from tests.test_differential_opt import CASES, _compile, _make_schedule, _prepare_state
 from tests.test_fuzz_compiler import AND, WINDOW, KernelFuzzer
 from tests.test_pisa import tiny_program
@@ -130,6 +139,7 @@ _widths = st.integers(1, 64)
 def _program():
     p = P4Program("rand")
     p.add_header(HeaderType("h_t", [("x", 8), ("y", 24)]), "h")
+    p.add_header(HeaderType("g_t", [("z", 16)]), "g")
     for name, bits in _FIELDS.items():
         p.add_metadata(name, bits)
     p.add_register(RegisterArray("r", 32, 4))
@@ -139,7 +149,9 @@ def _program():
 
 _leaves = st.one_of(
     st.builds(PConst, st.integers(-(2**65), 2**65), _widths),
-    st.builds(PField, st.sampled_from([f"meta.{n}" for n in _FIELDS] + ["valid.h", "h.x"])),
+    st.builds(PField, st.sampled_from(
+        [f"meta.{n}" for n in _FIELDS] + ["valid.h", "valid.g", "h.x", "h.y", "g.z"]
+    )),
     st.builds(PParam, st.just("p"), _widths),
 )
 _exprs = st.recursive(
@@ -151,7 +163,7 @@ _exprs = st.recursive(
     ),
     max_leaves=12,
 )
-_dsts = st.sampled_from([f"meta.{n}" for n in _FIELDS] + ["h.x", "h.y"])
+_dsts = st.sampled_from([f"meta.{n}" for n in _FIELDS] + ["h.x", "h.y", "g.z"])
 _regs = st.sampled_from(["r", "wide"])
 _prims = st.one_of(
     st.builds(PAssign, _dsts, _exprs),
@@ -170,18 +182,32 @@ def _mentions_param(e) -> bool:
     )
 
 
-def _run_action(cls, prims, control, fields, header_valid, arg, register_seed):
+#: each executor with the PHV it runs on
+SIDES = [(Pipeline, Phv), (OraclePipeline, OraclePhv)]
+
+
+def _fields(phv):
+    """Every field that holds a value and every header's validity, from
+    either kind of PHV."""
+    if isinstance(phv, OraclePhv):
+        return dict(phv.fields), dict(phv.valid)
+    return phv.as_dict(), {inst: phv.is_valid(inst) for inst in phv.layout.valid}
+
+
+def _run_action(side, prims, control, fields, valid, arg, register_seed):
     """One pipeline, one PHV, one packet; everything observable after it."""
+    pipeline_cls, phv_cls = side
     p = _program()
     p.add_action(Action("act", prims, params=[("p", 64)]))
     p.add_action(Action("alt", [PAssign("meta.c", PConst(0xA5, 8))]))
     p.control = control
-    pipe = cls(p)
+    pipe = pipeline_cls(p)
     rng = random.Random(register_seed)
     for array in pipe.registers.arrays.values():
         array[:] = [rng.randrange(2**32) for _ in array]
-    phv = Phv(p)
-    phv.set_valid("h", header_valid)
+    phv = phv_cls(p)
+    for instance in valid:
+        phv.set_valid(instance)
     for name, value in fields.items():
         phv.write(f"meta.{name}", value)
     seen = {}
@@ -191,49 +217,298 @@ def _run_action(cls, prims, control, fields, header_valid, arg, register_seed):
         seen["stats"] = pipe.stats.as_dict()
     except PisaError as exc:
         seen["raised"] = str(exc)
-    seen.update(fields=dict(phv.fields), valid=dict(phv.valid),
-                registers=copy.deepcopy(pipe.registers.arrays),
+    seen["fields"], seen["valid"] = _fields(phv)
+    seen.update(registers=copy.deepcopy(pipe.registers.arrays),
                 runs=dict(pipe.stats.action_runs))
     return seen
+
+
+_valid_sets = st.sets(st.sampled_from(["h", "g"]))
 
 
 @given(
     prims=st.lists(_prims, max_size=5),
     cond=_exprs.filter(lambda e: not _mentions_param(e)),
     fields=st.fixed_dictionaries({n: st.integers(0, 2**64) for n in _FIELDS}),
-    header_valid=st.booleans(),
+    valid=_valid_sets,
     arg=st.integers(-(2**64), 2**65),
     register_seed=st.integers(0, 7),
 )
-@settings(max_examples=150, deadline=None)
-def test_random_actions_agree_with_oracle(prims, cond, fields, header_valid, arg, register_seed):
+@settings(max_examples=250, deadline=None)
+def test_random_actions_agree_with_oracle(prims, cond, fields, valid, arg, register_seed):
+    """A read of a field nothing was extracted into raises the same error
+    at the same point -- mid-action, with the same state behind it --
+    wherever it sits: an operand, a mux arm or condition, a register
+    index, or a compare such as ``h.x != 2`` that no sentinel value would
+    trip on its own. A field written first reads back, header valid or
+    not."""
     control = [IfNode(cond, [Do("alt")])]
     runs = [
-        _run_action(cls, prims, control, fields, header_valid, arg, register_seed)
-        for cls in (Pipeline, OraclePipeline)
+        _run_action(side, prims, control, fields, valid, arg, register_seed)
+        for side in SIDES
     ]
     assert runs[0] == runs[1]
 
 
 @given(expr=_exprs.filter(lambda e: not _mentions_param(e)),
-       fields=st.fixed_dictionaries({n: st.integers(0, 2**64) for n in _FIELDS}))
+       fields=st.fixed_dictionaries({n: st.integers(0, 2**64) for n in _FIELDS}),
+       valid=_valid_sets)
 @settings(max_examples=200, deadline=None)
-def test_random_expressions_agree_with_oracle(expr, fields):
+def test_random_expressions_agree_with_oracle(expr, fields, valid):
     """The value itself (through a 64-bit probe field), not just its
     effect on state."""
     results = []
-    for cls in (Pipeline, OraclePipeline):
+    for pipeline_cls, phv_cls in SIDES:
         p = _program()
         p.add_metadata("probe", 64)
         p.add_action(Action("probe", [PAssign("meta.probe", expr)]))
-        pipe, phv = cls(p), Phv(p)
-        phv.set_valid("h")
+        pipe, phv = pipeline_cls(p), phv_cls(p)
+        for instance in valid:
+            phv.set_valid(instance)
         for name, value in fields.items():
             phv.write(f"meta.{name}", value)
-        pipe.run_action("probe", phv)
-        results.append(phv.read("meta.probe"))
-    oracle = OraclePipeline(p).eval_expr(expr, phv, {})
-    assert results[0] == results[1] == oracle & (2**64 - 1)
+        try:
+            pipe.run_action("probe", phv)
+            results.append(phv.read("meta.probe"))
+        except PisaError as exc:
+            results.append(str(exc))
+    assert results[0] == results[1]
+    if isinstance(results[1], int):
+        assert results[1] == OraclePipeline(p).eval_expr(expr, phv, {}) & (2**64 - 1)
+
+
+# ---------------------------------------------------------------------------
+# Whole switches: generated parser + actions + table index + deparser vs.
+# the dict-PHV parse loop, walker, table scan and bit-at-a-time deparser
+# ---------------------------------------------------------------------------
+
+
+def _both_switches(p4_program, node_ids):
+    """A lowered and an oracle switch over one program (so one set of
+    table entries), each with its own registers, deployed alike: a route
+    per node, every control scalar 2, three keys in every map."""
+    sw, oracle = PisaSwitch(p4_program), OracleSwitch(p4_program)
+    for node in node_ids:
+        sw.table_insert("ipv4_route", [node_ip(node)], "ipv4_forward", [node % 3])
+    for name, table in p4_program.tables.items():
+        if name.startswith("map_"):
+            for slot, key in enumerate((1, 3, 5)):
+                if slot < table.size:
+                    sw.table_insert(name, [key], f"{name}_hit", [slot])
+    for name, reg in p4_program.registers.items():
+        if reg.size == 1:
+            for registers in (sw.registers, oracle.registers):
+                registers.write(name, 0, 2)
+    return sw, oracle
+
+
+def _windows(program, case, rng, count):
+    """Valid frames of every kernel the program ships a layout for, with
+    the small operands that keep compares and map lookups on both sides."""
+    nodes = sorted(program.label_ids.values())
+    frames = []
+    for layout in program.layouts.values():
+        for _ in range(count):
+            chunks = [[rng.randint(-8, 15) for _ in range(c.count)] for c in layout.chunks]
+            ext = {name: case["meta_ext"].get(name, rng.randrange(4))
+                   for name, _, _ in layout.ext_fields}
+            frames.append(encode_frame(
+                layout, rng.choice(nodes), rng.choice(nodes),
+                rng.randrange(case["seq_range"]), chunks, ext,
+                last=rng.random() < 0.5, from_node=rng.choice(nodes),
+            ))
+    return frames
+
+
+def _mangled(frame):
+    """The ways a frame can miss the parse graph's happy path."""
+    def patched(field, value, width):
+        at = HEADERS.offset(field)
+        return frame[:at] + value.to_bytes(width, "big") + frame[at + width:]
+
+    yield from (frame[:cut] for cut in range(len(frame)))
+    yield patched("eth.ethertype", 0x86DD, 2)
+    yield patched("ipv4.proto", 6, 1)
+    yield patched("udp.dport", 9999, 2)
+    yield patched("ncp.magic", 0, 2)
+    yield patched("ncp.kernel_id", 0x7777, 2)
+    yield frame + b"seven trailing bytes"
+
+
+def _observe(switch, frame):
+    try:
+        result = switch.process(frame)
+        return result.verdict, result.label_id, result.data
+    except PisaError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("opt_level", [0, 2])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_shipped_switches_agree_with_oracle(name, opt_level):
+    case = CASES[name]
+    program = _compile(case, opt_level)
+    rng = random.Random(f"switch:{name}")
+    nodes = sorted(program.label_ids.values())
+    for label in sorted(program.switch_programs):
+        sw, oracle = _both_switches(program.switch_programs[label], nodes)
+        windows = _windows(program, case, rng, count=6)
+        frames = windows + [bad for frame in windows[::6] for bad in _mangled(frame)]
+        outcomes = set()
+        for frame in frames:
+            got = _observe(sw, frame)
+            assert got == _observe(oracle, frame), (label, frame.hex())
+            assert sw.registers.arrays == oracle.registers.arrays, (label, frame.hex())
+            outcomes.add(type(got))
+        assert sw.stats.as_dict() == oracle.pipeline.stats.as_dict()
+        assert outcomes == {tuple, str}  # some went through, some were refused
+
+
+def test_parse_graph_corner_cases_agree_with_oracle():
+    """What no shipped program has: a state extracting two headers, a
+    select with a repeated value, on an earlier header, on a header never
+    extracted, a loop, ``reject``, and a sub-byte layout."""
+    from repro.p4.model import ParseState
+
+    p = P4Program("corners")
+    p.add_header(HeaderType("a_t", [("kind", 4), ("len", 4), ("next", 8)]), "a")
+    p.add_header(HeaderType("b_t", [("x", 48)]), "b")
+    p.add_header(HeaderType("c_t", [("y", 16), ("z", 16)]), "c")
+    p.parser = [
+        ParseState("start", ["a", "b"], "a.kind", [(1, "more"), (1, "reject"), (2, "reject"),
+                                                   (3, "again"), (4, "blind")]),
+        ParseState("more", ["c"], "a.next", [(7, "start")]),
+        ParseState("again", [], "valid.c", [(0, "tail")]),
+        ParseState("tail", ["c"], "meta.fwd", [(0, "accept"), (1, "reject")]),
+        ParseState("blind", [], "c.y", [(0, "accept")]),
+    ]
+    p.deparser = ["c", "a", "b"]
+    sw, oracle = PisaSwitch(p), OracleSwitch(p)
+    rng = random.Random(15)
+    for kind in range(6):
+        for nxt in (0, 7):
+            frame = bytes([kind << 4 | 5, nxt]) + rng.randbytes(40)
+            for cut in range(len(frame) + 1):
+                assert _observe(sw, frame[:cut]) == _observe(oracle, frame[:cut]), (kind, nxt, cut)
+    with pytest.raises(PisaError, match="parse graph did not terminate"):
+        sw.process(bytes([0x15, 7] + [0] * 6 + [0] * 4) * 70)
+    # A loop with two ways round cannot be expanded; it is refused when
+    # the switch is built, not discovered 2**64 states later.
+    p.parser[2] = ParseState("again", [], "valid.c", [(0, "more")])
+    with pytest.raises(PisaError, match="parse graph expands past 1024 states"):
+        PisaSwitch(p)
+
+
+# ---------------------------------------------------------------------------
+# Tables: the index Table keeps vs. the oracle's scan, under control-plane
+# traffic
+# ---------------------------------------------------------------------------
+
+
+def _table_program():
+    """The Fig 5 switch plus a table with a ternary key, as an artifact."""
+    program = _compile(CASES["fig5-kvs"], 2)
+    s1 = program.switch_programs["s1"]
+    s1.add_table(Table(
+        "acl", [("ipv4.dst", "ternary"), ("ncp.kernel_id", "exact")],
+        ["ipv4_forward"], "ipv4_miss", managed_by="control-plane", size=5,
+    ))
+    return program.to_json()
+
+
+class TableTraffic(RuleBasedStateMachine):
+    """Inserts, replacements, deletions, priority ties, a full table and
+    an artifact round trip; after every step each key of a small domain
+    must find the same entry through ``Pipeline.apply_table`` (index, or
+    production scan for ``acl``) as through the oracle's scan."""
+
+    artifact = None
+    keys = st.integers(0, 4)
+    patterns = st.one_of(keys, st.tuples(keys, st.sampled_from([0, 1, 6, 0xFFFFFFFF])))
+
+    def __init__(self):
+        super().__init__()
+        if TableTraffic.artifact is None:
+            TableTraffic.artifact = _table_program()
+        self._load(TableTraffic.artifact)
+
+    def _load(self, text):
+        self.program = CompiledProgram.from_json(text)
+        self.sw = PisaSwitch(self.program.switch_programs["s1"])
+        self.oracle = OraclePipeline(self.sw.program)
+
+    def _attempt(self, install):
+        """A refused install leaves the table as it was."""
+        before = {name: list(t.entries) for name, t in self.sw.program.tables.items()}
+        try:
+            install()
+        except PisaError as exc:
+            assert "full" in str(exc)
+            after = {name: list(t.entries) for name, t in self.sw.program.tables.items()}
+            assert after == before
+
+    @rule(key=keys, value=st.integers(0, 7), priority=st.integers(0, 2))
+    def add_duplicate_or_new(self, key, value, priority):
+        table = self.sw.program.tables["map_Idx"]
+        self._attempt(lambda: table.add_entry(TableEntry([key], "map_Idx_hit", [value], priority)))
+
+    @rule(key=keys, value=st.integers(0, 7))
+    def insert_or_replace(self, key, value):
+        self._attempt(lambda: self.sw.table_insert("map_Idx", [key], "map_Idx_hit", [value]))
+
+    @rule(key=keys)
+    def delete(self, key):
+        self.sw.table_delete("map_Idx", [key])
+
+    @rule(pattern=patterns, kernel=st.integers(1, 2), port=st.integers(0, 3),
+          priority=st.integers(0, 2))
+    def add_ternary(self, pattern, kernel, port, priority):
+        table = self.sw.program.tables["acl"]
+        self._attempt(lambda: table.add_entry(
+            TableEntry([pattern, kernel], "ipv4_forward", [port], priority)))
+
+    @rule(pattern=patterns, kernel=st.integers(1, 2))
+    def delete_ternary(self, pattern, kernel):
+        self.sw.table_delete("acl", [pattern, kernel])
+
+    @rule()
+    def through_the_artifact(self):
+        self._load(self.program.to_json())
+
+    @invariant()
+    def lookups_agree(self):
+        program = self.sw.program
+        assert program.tables["map_Idx"].index is not None
+        assert program.tables["acl"].index is None
+        for table, fields in (
+            ("map_Idx", [{"meta.map_Idx_key": k} for k in range(6)]),
+            ("acl", [{"ipv4.dst": d, "ncp.kernel_id": k} for d in range(6) for k in (1, 2, 3)]),
+        ):
+            for values in fields:
+                seen = []
+                for pipe, phv in ((self.sw.pipeline, Phv(program)), (self.oracle, OraclePhv(program))):
+                    for header in ("ipv4", "ncp"):
+                        phv.set_valid(header)
+                    for ref, value in values.items():
+                        phv.write(ref, value)
+                    seen.append((pipe.apply_table(table, phv), _fields(phv)))
+                assert seen[0] == seen[1], (table, values)
+
+
+TableTraffic.TestCase.settings = settings(max_examples=25, stateful_step_count=30, deadline=None)
+test_table_lookup_agrees_with_scan = TableTraffic.TestCase
+
+
+def test_an_entry_added_before_the_pipeline_is_indexed():
+    """``entries=`` at construction and ``add_entry`` on a bare Table,
+    with no switch in sight, feed the same index."""
+    entries = [TableEntry([1], "a", [], 0), TableEntry([1], "b", [], 2), TableEntry([1], "c", [], 2)]
+    table = Table("t", [("meta.k", "exact")], ["a", "b", "c"], "a", entries=entries)
+    assert table.index[(1,)] is entries[1]  # the highest priority, the first of equals
+    table.remove_entries(lambda e: e.action == "b")
+    assert table.index[(1,)] is entries[2]
+    table.remove_entries(lambda e: True)
+    assert table.index == {} and table.entries == []
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +516,6 @@ def test_random_expressions_agree_with_oracle(expr, fields):
 # ---------------------------------------------------------------------------
 
 INTERPRETERS = [Interpreter, OracleInterpreter]
-PIPELINES = [Pipeline, OraclePipeline]
 
 
 def _run(cls, source, meta, args, state=None):
@@ -302,34 +576,34 @@ def _tiny():
     return p
 
 
-@pytest.mark.parametrize("cls", PIPELINES)
+@pytest.mark.parametrize("cls, phv_cls", SIDES)
 class TestPisaMessages:
-    def test_read_in_invalid_header(self, cls):
+    def test_read_in_invalid_header(self, cls, phv_cls):
         p = _tiny()
         p.add_action(Action("copy", [PAssign("meta.t", PField("h.a"))]))
         p.control = [IfNode(PBin("eq", PField("h.a"), PConst(1, 8), 8), [Do("copy")])]
         pipe = cls(p)
         for run in (lambda phv: pipe.run_action("copy", phv), pipe.run):
             with pytest.raises(PisaError, match="read of field 'h.a' in invalid header"):
-                run(Phv(p))
+                run(phv_cls(p))
 
-    def test_unbound_action_parameter(self, cls):
+    def test_unbound_action_parameter(self, cls, phv_cls):
         p = _tiny()
         p.add_action(Action("bad", [PAssign("meta.t", PParam("nope", 8))]))
         with pytest.raises(PisaError, match="unbound action parameter 'nope'"):
-            cls(p).run_action("bad", Phv(p))
+            cls(p).run_action("bad", phv_cls(p))
 
-    def test_unknown_action(self, cls):
+    def test_unknown_action(self, cls, phv_cls):
         p = _tiny()
         with pytest.raises(PisaError, match="unknown action 'ghost'"):
-            cls(p).run_action("ghost", Phv(p))
+            cls(p).run_action("ghost", phv_cls(p))
 
-    def test_register_index_out_of_range(self, cls):
+    def test_register_index_out_of_range(self, cls, phv_cls):
         p = _tiny()
         p.add_register(RegisterArray("r", 8, 2))
         p.add_action(Action("rd", [PRegRead("meta.t", "r", PParam("i", 8))], params=[("i", 8)]))
         with pytest.raises(PisaError, match=r"register r: index 5 out of range \[0, 2\)"):
-            cls(p).run_action("rd", Phv(p), [5])
+            cls(p).run_action("rd", phv_cls(p), [5])
 
 
 class TestGeneratedSourceInTracebacks:
