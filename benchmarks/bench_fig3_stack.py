@@ -20,7 +20,7 @@ from repro.ncp.wire import (
     node_ip,
 )
 from repro.pisa.switch_dev import PisaSwitch
-from repro.util.bits import pack_fields
+from repro.util.bits import FieldLayout
 
 from benchmarks._util import print_table, record_once
 
@@ -47,9 +47,8 @@ def deployed_switch():
 
 
 def plain_udp_frame(dst=2, dport=9999):
-    eth = pack_fields(ETH_FIELDS, {"dst": 1, "src": 2, "ethertype": ETHERTYPE_IPV4})
-    ipv4 = pack_fields(
-        IPV4_FIELDS,
+    eth = FieldLayout(ETH_FIELDS).pack({"dst": 1, "src": 2, "ethertype": ETHERTYPE_IPV4})
+    ipv4 = FieldLayout(IPV4_FIELDS).pack(
         {
             "version_ihl": 0x45,
             "total_len": 28,
@@ -59,7 +58,7 @@ def plain_udp_frame(dst=2, dport=9999):
             "dst": node_ip(dst),
         },
     )
-    udp = pack_fields(UDP_FIELDS, {"sport": 1000, "dport": dport, "length": 8})
+    udp = FieldLayout(UDP_FIELDS).pack({"sport": 1000, "dport": dport, "length": 8})
     return eth + ipv4 + udp
 
 

@@ -3,24 +3,22 @@
 
 Two phases, both on the production ``repro.net`` code paths:
 
-**Scheduler churn** -- the timing-wheel vs reference-heapq comparison.
-A large resident population of self-rescheduling timers (timeout-style
-delays spread over [10us, 5ms]) is driven to a fixed dispatch budget
-under ``scheduler="heap"`` and ``scheduler="wheel"``; events/sec and
-the wheel/heap speedup are reported.  The resident population is the
-regime calendar queues are built for: the heap's O(log n) sift walks a
-2M-record array while the wheel touches one bucket.
+**Scheduler churn** -- a large resident population of
+self-rescheduling timers (timeout-style delays spread over [10us, 5ms])
+is driven to a fixed dispatch budget; events/sec is reported.  The
+resident population is the regime the timing wheel is built for: a
+binary heap's O(log n) sift walks a 2M-record array while the wheel
+touches one bucket.
 
 **Fat-tree packet push** -- 128 hosts on a k=8 fat-tree (80 switches,
 384 links, ECMP routes) running closed-rate permutation traffic until
 every host has injected its quota (>=1M packets total in the full run,
 >=100k in ``--smoke``).  Reports virtual-time totals plus wall-clock
-packets/sec and events/sec under the wheel scheduler.
+packets/sec and events/sec.
 
 Results are deterministic in virtual time (packet and event counts) and
 wall-clock in throughput; ``check_budget.py`` gates the smoke metrics
-(floors on throughput and the speedup, tolerances on the deterministic
-counts).  Run standalone for the full numbers::
+(floors on throughput, tolerances on the deterministic counts).  Run standalone for the full numbers::
 
     python benchmarks/bench_sim_scale.py            # full (~1M packets)
     python benchmarks/bench_sim_scale.py --smoke    # CI-sized
@@ -48,12 +46,12 @@ _DELAYS = [
 ]
 
 
-def sched_churn(scheduler: str, resident: int, dispatches: int) -> float:
-    """Events/sec for *scheduler* holding *resident* timers while
-    *dispatches* of them re-arm (then draining the population)."""
+def sched_churn(resident: int, dispatches: int) -> float:
+    """Events/sec holding *resident* timers while *dispatches* of them
+    re-arm (then draining the population)."""
     from repro.net.events import Simulator
 
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     delays = _DELAYS
     state = {"left": dispatches, "i": 0}
 
@@ -84,7 +82,6 @@ def sched_churn(scheduler: str, resident: int, dispatches: int) -> float:
 
 def fattree_push(
     packets_per_host: int,
-    scheduler: str = "wheel",
     k: int = 8,
     delivery_quantum=None,
 ) -> dict:
@@ -92,15 +89,10 @@ def fattree_push(
     paces one small NCP frame per interval at a rotating peer until its
     quota is injected.  Returns counts plus wall-clock throughput."""
     from repro.ncp.wire import ChunkLayout, KernelLayout, encode_frame
-    from repro.net.events import Simulator
-    from repro.net.network import Network
     from repro.net.topo import fat_tree
 
     topo = fat_tree(k)
-    net = topo.build(
-        net=Network(sim=Simulator(scheduler=scheduler)),
-        delivery_quantum=delivery_quantum,
-    )
+    net = topo.build(delivery_quantum=delivery_quantum)
     hosts = [net.host(h) for h in topo.hosts]
     n = len(hosts)
     layout = KernelLayout(1, "push", [ChunkLayout("x", 4, 32, False)])
@@ -182,16 +174,13 @@ PACKETS_SMOKE = 800
 def measure_sim_scale(smoke: bool = True) -> dict:
     """The ``sim_scale.*`` metrics ``check_budget.py`` gates."""
     resident, dispatches = CHURN_SMOKE if smoke else CHURN_FULL
-    heap_eps = sched_churn("heap", resident, dispatches)
-    wheel_eps = sched_churn("wheel", resident, dispatches)
+    wheel_eps = sched_churn(resident, dispatches)
     push = fattree_push(PACKETS_SMOKE if smoke else PACKETS_FULL)
     assert push["delivered"] == push["packets"], (
         f"lost packets: {push['delivered']}/{push['packets']}"
     )
     return {
-        "sim_scale.sched_events_per_sec_heap": round(heap_eps),
         "sim_scale.sched_events_per_sec_wheel": round(wheel_eps),
-        "sim_scale.sched_speedup_x": round(wheel_eps / heap_eps, 2),
         "sim_scale.fattree_packets": push["packets"],
         "sim_scale.fattree_events": push["events"],
         "sim_scale.fattree_packets_per_sec": round(push["packets_per_sec"]),
@@ -224,9 +213,7 @@ def main(argv=None) -> int:
     if not args.json:
         resident, dispatches = CHURN_SMOKE if args.smoke else CHURN_FULL
         print(f"scheduler churn ({resident} resident, {dispatches} re-arms):")
-        print(f"  heap : {out['sim_scale.sched_events_per_sec_heap']:>12,} ev/s")
-        print(f"  wheel: {out['sim_scale.sched_events_per_sec_wheel']:>12,} ev/s")
-        print(f"  speedup: {out['sim_scale.sched_speedup_x']}x")
+        print(f"  {out['sim_scale.sched_events_per_sec_wheel']:>12,} ev/s")
         print(
             f"fat-tree k=8 push ({out['sim_scale.fattree_packets']:,} packets,"
             f" 128 hosts):"

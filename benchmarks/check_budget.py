@@ -19,14 +19,13 @@ intentional change, regenerate with::
 Some metrics are *wall-clock throughput floors* rather than
 deterministic two-sided budgets: the profiler's events/sec and
 packets/sec on the standard AllReduce round, and the ``sim_scale.*``
-datacenter smoke (scheduler churn events/sec for both schedulers, the
-wheel/heap speedup ratio, and the k=8 fat-tree packet-push throughput).
-They carry ``"kind": "floor"`` and pass when the measured value is at
-or above the budget; ``--update`` sets each floor to a per-metric
-fraction of the measured value (see ``FLOOR_METRICS``) -- a fifth for
-raw throughputs (loose enough for noisy CI machines, tight enough to
-catch an order-of-magnitude regression), 0.7 for the scheduler speedup
-ratio, where same-machine noise cancels.
+datacenter smoke (scheduler churn events/sec and the k=8 fat-tree
+packet-push throughput).  They carry ``"kind": "floor"`` and pass when
+the measured value is at or above the budget; ``--update`` sets each
+floor to a per-metric fraction of the measured value (see
+``FLOOR_METRICS``) -- a fifth for raw throughputs (loose enough for
+noisy CI machines, tight enough to catch an order-of-magnitude
+regression).
 
 The whole-fabric deployment checker is gated the same way: one
 ``check-deploy`` pass over the 64-switch / 8-tenant bench fabric
@@ -67,16 +66,11 @@ SCHEMA = "repro.budgets/1"
 DEFAULT_TOLERANCE_PCT = 5.0
 
 #: wall-clock throughput metrics get one-sided floor budgets; --update
-#: sets floor = measured * fraction. The scheduler speedup ratio keeps a
-#: much tighter fraction than raw throughputs: it is a ratio of two
-#: same-machine runs, so machine noise largely cancels, and the point of
-#: the gate is that the wheel stays decisively ahead of the heap.
+#: sets floor = measured * fraction.
 FLOOR_METRICS = {
     "fig4_allreduce.events_per_sec": 0.2,
     "fig4_allreduce.packets_per_sec": 0.2,
-    "sim_scale.sched_events_per_sec_heap": 0.2,
     "sim_scale.sched_events_per_sec_wheel": 0.2,
-    "sim_scale.sched_speedup_x": 0.7,
     "sim_scale.fattree_events_per_sec": 0.2,
     "sim_scale.fattree_packets_per_sec": 0.2,
 }

@@ -39,7 +39,7 @@ import networkx as nx
 
 from repro.analysis.deploy.model import Deployment, TenantDeployment
 from repro.analysis.proto import ModelResult, check_kernel_model
-from repro.analysis.rules import _SPACE_WORD, _callees, _instr_accesses
+from repro.analysis.rules import _SPACE_WORD, kernel_state_accesses
 from repro.andspec.fabric import FabricSpec
 from repro.diag import DiagnosticSink, Span
 from repro.errors import SourceLocation
@@ -466,30 +466,10 @@ def _module_writes(
     """Global name -> write sites, attributed through the callgraph so a
     helper's store is charged to every kernel that reaches it (same
     scheme as the lint race detector)."""
-    direct: Dict[str, List[Tuple[str, bool, Optional[SourceLocation]]]] = {}
-    for fn in module.functions.values():
-        sites: List[Tuple[str, bool, Optional[SourceLocation]]] = []
-        for instr in fn.instructions():
-            for ref, is_write in _instr_accesses(instr):
-                sites.append((ref.name, is_write, instr.loc))
-        direct[fn.name] = sites
-    callgraph = {
-        fn.name: _callees(fn) for fn in module.functions.values()
-    }
     out: Dict[str, List[Tuple[str, Optional[SourceLocation]]]] = {}
-    for fn in module.kernels():
-        reachable = [fn.name]
-        frontier = list(callgraph.get(fn.name, ()))
-        while frontier:
-            callee = frontier.pop()
-            if callee in reachable:
-                continue
-            reachable.append(callee)
-            frontier.extend(callgraph.get(callee, ()))
-        for owner in reachable:
-            for name, is_write, loc in direct.get(owner, ()):
-                if is_write:
-                    out.setdefault(name, []).append((fn.name, loc))
+    for fn, ref, is_write, loc in kernel_state_accesses(module):
+        if is_write:
+            out.setdefault(ref.name, []).append((fn.name, loc))
     return out
 
 

@@ -42,7 +42,7 @@ occurrence is ruled out.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis import AnalysisContext, Rule, register
 from repro.analysis.absint import exact_range
@@ -167,6 +167,36 @@ def _callees(fn: ir.Function) -> Set[str]:
     }
 
 
+def kernel_state_accesses(
+    module: ir.Module,
+) -> Iterator[Tuple[ir.Function, ir.GlobalRef, bool, object]]:
+    """``(kernel, ref, is_write, loc)`` for every shared-state access a
+    kernel makes, a helper's accesses attributed to every kernel that
+    (transitively) calls it.  The one callgraph attribution behind the
+    race detector and check-deploy's cross-tenant conflict check."""
+    direct = {
+        fn.name: [
+            (ref, is_write, instr.loc)
+            for instr in fn.instructions()
+            for ref, is_write in _instr_accesses(instr)
+        ]
+        for fn in module.functions.values()
+    }
+    callgraph = {fn.name: _callees(fn) for fn in module.functions.values()}
+    for fn in module.kernels():
+        reachable = [fn.name]
+        frontier = list(callgraph.get(fn.name, ()))
+        while frontier:
+            callee = frontier.pop()
+            if callee in reachable:
+                continue
+            reachable.append(callee)
+            frontier.extend(callgraph.get(callee, ()))
+        for owner in reachable:
+            for ref, is_write, loc in direct.get(owner, ()):
+                yield fn, ref, is_write, loc
+
+
 @register
 class SharedStateRaceRule(Rule):
     """The shared-state race detector (the tentpole analysis).
@@ -189,33 +219,12 @@ class SharedStateRaceRule(Rule):
         assert ctx.module is not None
         accesses: Dict[str, List[_StateAccess]] = {}
 
-        # Kernel-side accesses from NIR, with helper accesses attributed
-        # to every kernel that (transitively) calls the helper.
-        direct: Dict[str, List[Tuple[ir.GlobalRef, bool, object]]] = {}
-        for fn in ctx.module.functions.values():
-            sites = []
-            for instr in fn.instructions():
-                for ref, is_write in _instr_accesses(instr):
-                    sites.append((ref, is_write, instr.loc))
-            direct[fn.name] = sites
-        callgraph = {
-            fn.name: _callees(fn) for fn in ctx.module.functions.values()
-        }
-        for fn in ctx.module.kernels():
-            reachable = [fn.name]
-            frontier = list(callgraph.get(fn.name, ()))
-            while frontier:
-                callee = frontier.pop()
-                if callee in reachable:
-                    continue
-                reachable.append(callee)
-                frontier.extend(callgraph.get(callee, ()))
-            desc = f"kernel '{fn.name}'"
-            for owner in reachable:
-                for ref, is_write, loc in direct.get(owner, ()):
-                    accesses.setdefault(ref.name, []).append(
-                        _StateAccess(fn.name, desc, fn.at_label, is_write, loc)
-                    )
+        for fn, ref, is_write, loc in kernel_state_accesses(ctx.module):
+            accesses.setdefault(ref.name, []).append(
+                _StateAccess(
+                    fn.name, f"kernel '{fn.name}'", fn.at_label, is_write, loc
+                )
+            )
 
         # Host-side control-plane writes from the AST.
         for decl in _host_functions(ctx.unit):

@@ -1,8 +1,8 @@
 """Host-only AllReduce baselines (no in-network compute).
 
 Two classical schemes run over the same simulated star topology, with
-the ToR switch doing plain L3 forwarding (a :class:`PythonSwitchNode`
-running :func:`l3_forwarding_program`):
+the ToR switch doing plain L3 forwarding (a
+:class:`~repro.net.node.ForwardingSwitchNode`):
 
 * **parameter server** -- every worker ships its array to one PS host,
   which sums and unicasts the result back to each worker. The PS's
@@ -23,32 +23,12 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from repro.errors import SimulationError
-from repro.ncp.wire import (
-    ChunkLayout,
-    HEADERS,
-    KernelLayout,
-    decode_frame,
-    encode_frame,
-)
+from repro.ncp.wire import ChunkLayout, KernelLayout, decode_frame, encode_frame
 from repro.net.network import Network
-from repro.net.node import HostNode, PythonSwitchNode
-
-#: reads ipv4.dst; its size is where the L3 headers end
-_IPV4_DST = HEADERS.reader("ipv4.dst")
+from repro.net.node import HostNode
 
 #: pseudo kernel id for plain (non-INC) transfers
 XFER_KERNEL_ID = 0x7F00
-
-
-def l3_forwarding_program(data: bytes, in_port: int, node: PythonSwitchNode):
-    """A plain L3 switch: parse Ethernet+IPv4, next-hop by routes table."""
-    if len(data) < _IPV4_DST.size:
-        return []
-    dst_node = _IPV4_DST.unpack_from(data)[0] & 0xFFFF
-    port = node.routes.get(dst_node)
-    if port is None:
-        return []
-    return [(port, data)]
 
 
 def transfer_layout(window_len: int) -> KernelLayout:
@@ -120,7 +100,7 @@ class ParameterServerAllReduce:
         self.net = Network()
         self.workers = [self.net.add_host(f"w{i}") for i in range(n_workers)]
         self.ps = self.net.add_host("ps")
-        self.net.add_python_switch("tor", l3_forwarding_program)
+        self.net.add_forwarding_switch("tor")
         for host in self.workers + [self.ps]:
             self.net.add_link(host.name, "tor", latency=latency, bandwidth=bandwidth)
         self.net.compute_routes()
@@ -200,7 +180,7 @@ class RingAllReduce:
         self.window_len = window_len
         self.net = Network()
         self.workers = [self.net.add_host(f"w{i}") for i in range(n_workers)]
-        self.net.add_python_switch("tor", l3_forwarding_program)
+        self.net.add_forwarding_switch("tor")
         for host in self.workers:
             self.net.add_link(host.name, "tor", latency=latency, bandwidth=bandwidth)
         self.net.compute_routes()

@@ -13,7 +13,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.kvs_cache import OpRecord
 from repro.apps.workloads import value_words
-from repro.baselines.host_allreduce import l3_forwarding_program
 from repro.ncp.wire import ChunkLayout, KernelLayout, decode_frame, encode_frame
 from repro.net.network import Network
 
@@ -35,7 +34,7 @@ class HostOnlyKvs:
         self.net = Network()
         self.clients = [self.net.add_host(f"c{i}") for i in range(n_clients)]
         self.server = self.net.add_host("server")
-        self.net.add_python_switch("tor", l3_forwarding_program)
+        self.net.add_forwarding_switch("tor")
         for host in self.clients + [self.server]:
             self.net.add_link(host.name, "tor", latency=latency, bandwidth=bandwidth)
         self.net.compute_routes()

@@ -1,10 +1,10 @@
 """Discrete-event network simulator: hosts, links, PISA switch nodes."""
 
-from repro.net.events import SCHEDULERS, Simulator, Timer, default_scheduler
+from repro.net.events import Simulator, Timer
 from repro.net.frame import Frame
 from repro.net.link import Link
 from repro.net.network import DEFAULT_BANDWIDTH, DEFAULT_LATENCY, Network, star_network
-from repro.net.node import ForwardingSwitchNode, HostNode, Node, PythonSwitchNode
+from repro.net.node import ForwardingSwitchNode, HostNode, Node
 from repro.net.pisanode import PisaSwitchNode
 from repro.net.topo import Topology, fat_tree, leaf_spine
 
@@ -18,12 +18,9 @@ __all__ = [
     "Network",
     "Node",
     "PisaSwitchNode",
-    "PythonSwitchNode",
-    "SCHEDULERS",
     "Simulator",
     "Timer",
     "Topology",
-    "default_scheduler",
     "fat_tree",
     "leaf_spine",
     "star_network",

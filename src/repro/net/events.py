@@ -1,34 +1,30 @@
 """Discrete-event simulation core.
 
-Two interchangeable schedulers live behind one :class:`Simulator` API:
+:class:`Simulator` is a calendar queue / timing wheel tuned for
+datacenter-scale runs with very large pending-event populations.
+Events are hashed into fixed-width time slots; each slot's bucket is
+kept sorted by C-level :func:`bisect.insort`, the set of occupied
+slots is a small heap of slot numbers, and events beyond the wheel
+horizon wait in an overflow heap that is drained bucket by bucket.
+Every operation touches a tiny, cache-resident bucket instead of a
+multi-megabyte binary heap, which is where the measured speedup at
+1M+ pending events comes from (see ``docs/SIMULATOR.md``).
 
-* ``"wheel"`` (default) -- a calendar queue / timing wheel tuned for
-  datacenter-scale runs with very large pending-event populations.
-  Events are hashed into fixed-width time slots; each slot's bucket is
-  kept sorted by C-level :func:`bisect.insort`, the set of occupied
-  slots is a small heap of slot numbers, and events beyond the wheel
-  horizon wait in an overflow heap that is drained bucket by bucket.
-  Every operation touches a tiny, cache-resident bucket instead of a
-  multi-megabyte binary heap, which is where the measured speedup at
-  1M+ pending events comes from (see ``docs/SIMULATOR.md``).
-* ``"heap"`` -- the original heapq-of-records scheduler, kept as the
-  differential reference: the test suite proves both modes dispatch in
-  byte-identical order.
-
-Both modes share one event-record representation -- a slab-recycled
-4-slot list ``[when, seq, label, callback]`` -- and one total dispatch
-order, ``(when, seq)``: the monotone slot function of the wheel can
-never reorder records across slots, and records that share a slot are
-kept ``(when, seq)``-sorted, so the wheel's dispatch order equals the
-heap's.  ``seq`` is unique per record, so comparisons never reach the
-label/callback fields.
+An event record is a slab-recycled 4-slot list ``[when, seq, label,
+callback]`` and the dispatch order is total: ``(when, seq)``.  The
+monotone slot function can never reorder records across slots, and
+records that share a slot are kept ``(when, seq)``-sorted, so the wheel
+dispatches exactly as a binary heap of the same records would --
+``tests/sched_oracle.py`` is that heap, and the test suite holds the
+wheel to it.  ``seq`` is unique per record, so comparisons never reach
+the label/callback fields.
 
 Cancellation is lazy: :meth:`Simulator.schedule_cancellable` returns a
 :class:`Timer` whose :meth:`~Timer.cancel` nulls the record's callback
-in place; every pop path (``run``, ``run_until_idle``, ``step``) skips
-such tombstones without dispatching them.  Records are recycled through
-a bounded freelist after they are consumed; a :class:`Timer` validates
-the record's sequence number before cancelling, so a stale handle to a
+in place; both pop paths (``run``, ``step``) skip such tombstones
+without dispatching them.  Records are recycled through a bounded
+freelist after they are consumed; a :class:`Timer` validates the
+record's sequence number before cancelling, so a stale handle to a
 recycled record is a safe no-op.
 
 The simulator also carries the run's observability context
@@ -36,14 +32,14 @@ The simulator also carries the run's observability context
 component that can reach the simulator reaches tracing and metrics the
 same way, and the virtual clock is the one clock traces use.  When the
 context carries a profiler or a time-series sampler, the run loop
-switches to an instrumented variant; without them it is a tight
+dispatches through the instrumented :meth:`Simulator._dispatch_next`
+(the body :meth:`Simulator.step` runs once); without them it is a tight
 uninstrumented loop, so disabled-observability numbers stay the real
 numbers.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import insort
 from heapq import heappop, heappush
 from time import perf_counter
@@ -63,19 +59,6 @@ DEFAULT_WHEEL_SLOTS = 32768
 #: consumed event records kept for reuse (the "slab"); bounds retained
 #: memory after a burst while still absorbing steady-state churn
 _FREELIST_MAX = 65536
-
-SCHEDULERS = ("wheel", "heap")
-
-
-def default_scheduler() -> str:
-    """Scheduler mode used by ``Simulator()``: the ``REPRO_SCHED``
-    environment variable (``wheel``/``heap``) or ``wheel``."""
-    mode = os.environ.get("REPRO_SCHED", "wheel")
-    if mode not in SCHEDULERS:
-        raise SimulationError(
-            f"REPRO_SCHED={mode!r}: unknown scheduler (use one of {SCHEDULERS})"
-        )
-    return mode
 
 
 class Timer:
@@ -118,33 +101,24 @@ class Timer:
 
 
 class Simulator:
-    """A deterministic discrete-event scheduler with two modes.
+    """A deterministic discrete-event scheduler.
 
     Events are ``[time, tiebreak-seq, label, callback]`` records; the
     tiebreak keeps simultaneous events in schedule order, which makes
-    runs fully deterministic, and is identical across the ``wheel`` and
-    ``heap`` modes.  The *label* (optional, supplied by the scheduling
-    site as ``"component;instance;handler"``) is what the continuous
-    profiler attributes wall time to.
+    runs fully deterministic.  The *label* (optional, supplied by the
+    scheduling site as ``"component;instance;handler"``) is what the
+    continuous profiler attributes wall time to.
     """
 
     def __init__(
         self,
-        scheduler: Optional[str] = None,
         slot_width: float = DEFAULT_SLOT_WIDTH,
         wheel_slots: int = DEFAULT_WHEEL_SLOTS,
     ) -> None:
-        if scheduler is None:
-            scheduler = default_scheduler()
-        if scheduler not in SCHEDULERS:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r} (use one of {SCHEDULERS})"
-            )
         if slot_width <= 0:
             raise SimulationError("slot_width must be positive")
         if wheel_slots < 2 or wheel_slots & (wheel_slots - 1):
             raise SimulationError("wheel_slots must be a power of two >= 2")
-        self.scheduler = scheduler
         self._now = 0.0
         self._seq = 0
         self._cancelled = 0
@@ -152,26 +126,23 @@ class Simulator:
         self.obs = NULL_OBS
         #: slab of consumed records available for reuse
         self._free: List[List[object]] = []
-        if scheduler == "heap":
-            self._queue: List[List[object]] = []
-        else:
-            self._inv_width = 1.0 / slot_width
-            self._nslots = wheel_slots
-            self._mask = wheel_slots - 1
-            self._buckets: List[List[List[object]]] = [
-                [] for _ in range(wheel_slots)
-            ]
-            #: occupied absolute slot numbers (min-heap)
-            self._slot_heap: List[int] = []
-            #: records at or beyond the horizon (min-heap)
-            self._overflow: List[List[object]] = []
-            #: slots < horizon live in the wheel, the rest overflow
-            self._horizon = wheel_slots
-            #: the bucket currently being drained, consumed by index so
-            #: same-slot arrivals can be merged in front of the cursor
-            self._cur: List[List[object]] = []
-            self._cur_i = 0
-            self._cur_slot = -1
+        self._inv_width = 1.0 / slot_width
+        self._nslots = wheel_slots
+        self._mask = wheel_slots - 1
+        self._buckets: List[List[List[object]]] = [
+            [] for _ in range(wheel_slots)
+        ]
+        #: occupied absolute slot numbers (min-heap)
+        self._slot_heap: List[int] = []
+        #: records at or beyond the horizon (min-heap)
+        self._overflow: List[List[object]] = []
+        #: slots < horizon live in the wheel, the rest overflow
+        self._horizon = wheel_slots
+        #: the bucket currently being drained, consumed by index so
+        #: same-slot arrivals can be merged in front of the cursor
+        self._cur: List[List[object]] = []
+        self._cur_i = 0
+        self._cur_slot = -1
 
     def now(self) -> float:
         return self._now
@@ -193,9 +164,6 @@ class Simulator:
         return [when, self._seq, label, callback]
 
     def _enqueue(self, rec: List[object]) -> None:
-        if self.scheduler == "heap":
-            heappush(self._queue, rec)
-            return
         when: float = rec[0]  # type: ignore[assignment]
         slot = int(when * self._inv_width)
         if slot <= self._cur_slot:
@@ -246,10 +214,6 @@ class Simulator:
         rec = self._record(self._now + delay, label, callback)
         self._enqueue(rec)
         return Timer(self, rec, rec[1])  # type: ignore[arg-type]
-
-    def cancel(self, timer: Timer) -> bool:
-        """Cancel a :class:`Timer` (equivalent to ``timer.cancel()``)."""
-        return timer.cancel()
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -339,206 +303,79 @@ class Simulator:
         profiler = obs.profiler if obs.enabled else None
         sampler = obs.sampler if obs.enabled else None
         if profiler is None and sampler is None:
-            if self.scheduler == "heap":
-                now = self._run_heap_fast(until, max_events)
-            else:
-                now = self._run_wheel_fast(until, max_events)
+            self._run_fast(until, max_events)
         else:
-            now = self._run_instrumented(until, max_events, profiler, sampler)
+            self._run_instrumented(until, max_events, profiler, sampler)
+        if until is not None and until > self._now:
+            self._now = until
         if obs.enabled:
             # IO-only flush: streamed trace shards are durable at every
             # run boundary. Never drains the trace sampler -- a caller
             # may run() again (retransmits) and in-flight windows must
             # stay promotable.
             obs.tracer.flush()
-        return now
-
-    def _run_heap_fast(self, until: Optional[float], max_events: int) -> float:
-        queue = self._queue
-        processed = 0
-        while queue:
-            rec = queue[0]
-            if until is not None and rec[0] > until:  # type: ignore[operator]
-                self._now = until
-                return self._now
-            heappop(queue)
-            callback = rec[3]
-            if callback is None:
-                self._retire(rec)
-                continue
-            self._now = rec[0]  # type: ignore[assignment]
-            self._retire(rec)
-            callback()  # type: ignore[operator]
-            processed += 1
-            self.events_processed += 1
-            if processed > max_events:
-                raise SimulationError(
-                    f"simulation exceeded {max_events} events (livelock?)"
-                )
-        if until is not None:
-            self._now = max(self._now, until)
         return self._now
 
-    def _run_wheel_fast(self, until: Optional[float], max_events: int) -> float:
+    def _run_fast(self, until: Optional[float], max_events: int) -> None:
         processed = 0
         retire = self._retire
+        limit = float("inf") if until is None else until
         while True:
             cur = self._cur
             i = self._cur_i
-            if until is None:
-                # The hot loop: no per-event until checks.
-                while i < len(cur):
-                    rec = cur[i]
-                    i += 1
+            while i < len(cur):
+                rec = cur[i]
+                if rec[0] > limit:  # type: ignore[operator]
                     self._cur_i = i
-                    callback = rec[3]
-                    if callback is None:
-                        retire(rec)
-                        continue
-                    self._now = rec[0]  # type: ignore[assignment]
-                    retire(rec)
-                    callback()  # type: ignore[operator]
-                    processed += 1
-                    self.events_processed += 1
-                    if processed > max_events:
-                        raise SimulationError(
-                            f"simulation exceeded {max_events} events (livelock?)"
-                        )
-            else:
-                while i < len(cur):
-                    rec = cur[i]
-                    if rec[0] > until:  # type: ignore[operator]
-                        self._cur_i = i
-                        self._now = until
-                        return self._now
-                    i += 1
-                    self._cur_i = i
-                    callback = rec[3]
-                    if callback is None:
-                        retire(rec)
-                        continue
-                    self._now = rec[0]  # type: ignore[assignment]
-                    retire(rec)
-                    callback()  # type: ignore[operator]
-                    processed += 1
-                    self.events_processed += 1
-                    if processed > max_events:
-                        raise SimulationError(
-                            f"simulation exceeded {max_events} events (livelock?)"
-                        )
-            self._finish_bucket(cur)
-            if not self._load_next_bucket():
-                if until is not None:
-                    self._now = max(self._now, until)
-                return self._now
-
-    def _next_record(self) -> Optional[List[object]]:
-        """Pop the next record in dispatch order (cancelled tombstones
-        included), or None when the queue is empty. Shared by the
-        instrumented loop and :meth:`step`."""
-        if self.scheduler == "heap":
-            if not self._queue:
-                return None
-            return heappop(self._queue)
-        while True:
-            cur = self._cur
-            i = self._cur_i
-            if i < len(cur):
-                self._cur_i = i + 1
-                return cur[i]
-            self._finish_bucket(cur)
-            if not self._load_next_bucket():
-                return None
-
-    def _peek_when(self) -> Optional[float]:
-        """Time of the next queued record (cancelled included), or None."""
-        if self.scheduler == "heap":
-            if not self._queue:
-                return None
-            return self._queue[0][0]  # type: ignore[return-value]
-        while True:
-            cur = self._cur
-            i = self._cur_i
-            if i < len(cur):
-                return cur[i][0]  # type: ignore[return-value]
-            self._finish_bucket(cur)
-            if not self._load_next_bucket():
-                return None
-
-    def _run_instrumented(
-        self, until: Optional[float], max_events: int, profiler, sampler
-    ) -> float:
-        """The same dispatch order with wall-time attribution per event
-        (profiler) and virtual-clock boundary sampling (time-series
-        sampler)."""
-        processed = 0
-        loop_t0 = perf_counter()
-        try:
-            while True:
-                when = self._peek_when()
-                if when is None:
-                    break
-                if until is not None and when > until:
-                    self._now = until
-                    return self._now
-                rec = self._next_record()
-                assert rec is not None
+                    return
+                i += 1
+                self._cur_i = i
                 callback = rec[3]
                 if callback is None:
-                    self._retire(rec)
+                    retire(rec)
                     continue
-                label = rec[2]
-                if sampler is not None:
-                    # Boundaries at or before this event's time sample the
-                    # state *before* the event runs, so identical runs
-                    # sample identical states.
-                    sampler.advance(when)
-                self._now = when
-                self._retire(rec)
-                if profiler is not None:
-                    t0 = perf_counter()
-                    callback()  # type: ignore[operator]
-                    profiler.record(label, callback, when, perf_counter() - t0)
-                else:
-                    callback()  # type: ignore[operator]
+                self._now = rec[0]  # type: ignore[assignment]
+                retire(rec)
+                callback()  # type: ignore[operator]
                 processed += 1
                 self.events_processed += 1
                 if processed > max_events:
                     raise SimulationError(
                         f"simulation exceeded {max_events} events (livelock?)"
                     )
-            if until is not None:
-                self._now = max(self._now, until)
-            return self._now
-        finally:
-            if profiler is not None:
-                profiler.add_loop_wall(perf_counter() - loop_t0)
+            self._finish_bucket(cur)
+            if not self._load_next_bucket():
+                return
 
-    def run_until_idle(self) -> float:
-        """Drain every pending event; lazily-cancelled events are
-        skipped exactly as :meth:`run` skips them."""
-        return self.run()
-
-    def step(self) -> bool:
-        """Process exactly one live event, skipping cancelled
-        tombstones. Returns False when the queue holds no live events
-        (used by blocking host APIs that co-simulate the network)."""
-        obs = self.obs
-        profiler = obs.profiler if obs.enabled else None
-        sampler = obs.sampler if obs.enabled else None
+    def _dispatch_next(self, until: Optional[float], profiler, sampler) -> bool:
+        """Dispatch the next live event, skipping cancelled tombstones,
+        with wall-time attribution (profiler) and virtual-clock boundary
+        sampling (time-series sampler) when given.  False when the queue
+        is empty or its next record is later than *until*."""
         while True:
-            rec = self._next_record()
-            if rec is None:
+            cur = self._cur
+            i = self._cur_i
+            if i >= len(cur):
+                self._finish_bucket(cur)
+                if not self._load_next_bucket():
+                    return False
+                continue
+            rec = cur[i]
+            when: float = rec[0]  # type: ignore[assignment]
+            if until is not None and when > until:
                 return False
+            self._cur_i = i + 1
             callback = rec[3]
             if callback is None:
                 self._retire(rec)
                 continue
-            when = rec[0]
             label = rec[2]
             if sampler is not None:
+                # Boundaries at or before this event's time sample the
+                # state *before* the event runs, so identical runs
+                # sample identical states.
                 sampler.advance(when)
-            self._now = when  # type: ignore[assignment]
+            self._now = when
             self._retire(rec)
             if profiler is not None:
                 t0 = perf_counter()
@@ -548,3 +385,29 @@ class Simulator:
                 callback()  # type: ignore[operator]
             self.events_processed += 1
             return True
+
+    def _run_instrumented(
+        self, until: Optional[float], max_events: int, profiler, sampler
+    ) -> None:
+        """The same dispatch order, one :meth:`_dispatch_next` at a time."""
+        processed = 0
+        loop_t0 = perf_counter()
+        try:
+            while self._dispatch_next(until, profiler, sampler):
+                processed += 1
+                if processed > max_events:
+                    raise SimulationError(
+                        f"simulation exceeded {max_events} events (livelock?)"
+                    )
+        finally:
+            if profiler is not None:
+                profiler.add_loop_wall(perf_counter() - loop_t0)
+
+    def step(self) -> bool:
+        """Process exactly one live event, skipping cancelled
+        tombstones. Returns False when the queue holds no live events
+        (used by blocking host APIs that co-simulate the network)."""
+        obs = self.obs
+        if obs.enabled:
+            return self._dispatch_next(None, obs.profiler, obs.sampler)
+        return self._dispatch_next(None, None, None)

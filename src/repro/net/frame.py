@@ -7,18 +7,22 @@ passes the *same* Frame object along, so a packet's NCP/IPv4 headers are
 parsed at most once per packet instead of once per hop ("parse once,
 route everywhere").
 
-The raw bytes stay the public currency at the edges: host receiver
-callbacks and Python switch programs still see ``bytes`` (``frame.data``
-is handed over, identity-preserved), and anything that rewrites the
-packet (a PISA pipeline, INT stamping) produces fresh bytes which are
-wrapped into a fresh Frame.  :meth:`Frame.with_data` exists for the one
-rewrite that provably leaves the headers intact -- appending or
-stripping a trailer -- and carries the cached metadata across.
+Inside the fabric a Frame is the only currency: :meth:`Node.send
+<repro.net.node.Node.send>` is the one place bytes become a Frame, and
+links, pipes and every ``handle_frame`` take Frames only.  Raw bytes
+stay the currency at the host edge: ``HostNode.transmit`` takes the
+bytes an application encoded and a plain ``receiver`` callback gets
+``frame.data`` back, identity-preserved.  Anything that rewrites the
+packet (a PISA pipeline, INT stamping) produces fresh bytes, which the
+switch's own ``send`` wraps into a fresh Frame.  :meth:`Frame.with_data`
+exists for the one rewrite that provably leaves the headers intact --
+appending or stripping a trailer -- and carries the cached metadata
+across.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 from repro.ncp.wire import peek_frame
 
@@ -35,14 +39,6 @@ class Frame:
     def __init__(self, data: bytes, meta: object = _UNPARSED) -> None:
         self.data = data
         self._meta = meta
-
-    @staticmethod
-    def wrap(obj: Union[bytes, "Frame"]) -> "Frame":
-        """Normalize bytes-or-Frame to a Frame (bytes are wrapped,
-        Frames pass through so their cached metadata survives)."""
-        if type(obj) is Frame:
-            return obj
-        return Frame(obj)  # type: ignore[arg-type]
 
     @property
     def meta(self) -> Optional[Dict[str, int]]:

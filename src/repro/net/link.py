@@ -222,7 +222,7 @@ class Link:
         self,
         sim: "Simulator",
         sender: "Node",
-        data: "bytes | Frame",
+        frame: Frame,
         earliest: float = 0.0,
     ) -> None:
         """Send a frame from *sender* to the other end.
@@ -233,7 +233,6 @@ class Link:
         """
         receiver = self.other(sender)
         obs = sim.obs
-        frame = Frame.wrap(data)
         if not self.up or not sender.up:
             self.stats.drops_down += 1
             if obs.enabled:

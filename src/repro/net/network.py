@@ -10,7 +10,7 @@ from repro.errors import SimulationError
 from repro.andspec.mapping import PhysicalNet
 from repro.net.events import Simulator
 from repro.net.link import Link
-from repro.net.node import ForwardingSwitchNode, HostNode, Node, PythonSwitchNode
+from repro.net.node import ForwardingSwitchNode, HostNode, Node
 from repro.net.pisanode import PisaSwitchNode
 from repro.obs.context import Observability
 from repro.obs.netmetrics import collect_network_metrics
@@ -72,13 +72,6 @@ class Network:
         self, name: str, switch: PisaSwitch, node_id: Optional[int] = None
     ) -> PisaSwitchNode:
         node = PisaSwitchNode(name, self._claim_id(node_id), self.sim, switch)
-        self._register(node)
-        return node
-
-    def add_python_switch(
-        self, name: str, program: Callable, node_id: Optional[int] = None
-    ) -> PythonSwitchNode:
-        node = PythonSwitchNode(name, self._claim_id(node_id), self.sim, program)
         self._register(node)
         return node
 
@@ -234,11 +227,8 @@ class Network:
             if isinstance(node, HostNode):
                 phys.add_host(node.name)
             else:
-                # Plain forwarders can't host kernels; everything else
-                # (PISA and Python switches) is a placement target.
-                phys.add_switch(
-                    node.name, pisa=not isinstance(node, ForwardingSwitchNode)
-                )
+                # Plain forwarders can't host kernels.
+                phys.add_switch(node.name, pisa=isinstance(node, PisaSwitchNode))
         for link in self.links:
             phys.add_link(link.a.name, link.b.name)
         return phys

@@ -60,11 +60,15 @@ class Node:
     def send(
         self, data: Union[bytes, Frame], port: int, earliest: float = 0.0
     ) -> None:
+        """Put a packet on the link at *port*.  This is the one place
+        bytes become a :class:`Frame`; a Frame passes through, so its
+        cached header parse survives the hop."""
         if not 0 <= port < len(self.links):
             raise SimulationError(f"{self.name}: no port {port}")
+        frame = data if type(data) is Frame else Frame(data)
         self.stats.tx_frames += 1
-        self.stats.tx_bytes += len(data)
-        self.links[port].transmit(self.sim, self, data, earliest=earliest)
+        self.stats.tx_bytes += len(frame.data)
+        self.links[port].transmit(self.sim, self, frame, earliest=earliest)
 
     def send_toward(self, data: Union[bytes, Frame], dst_node_id: int) -> None:
         port = self.routes.get(dst_node_id)
@@ -74,7 +78,7 @@ class Node:
             )
         self.send(data, port)
 
-    def handle_frame(self, frame: Union[bytes, Frame], in_port: int) -> None:
+    def handle_frame(self, frame: Frame, in_port: int) -> None:
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -103,8 +107,7 @@ class HostNode(Node):
         self.frame_receiver: Optional[Callable[[Frame], None]] = None
         self._prof_deliver = f"host;{name};deliver"
 
-    def handle_frame(self, frame: Union[bytes, Frame], in_port: int) -> None:
-        frame = Frame.wrap(frame)
+    def handle_frame(self, frame: Frame, in_port: int) -> None:
         self.stats.rx_frames += 1
         self.stats.rx_bytes += len(frame)
         obs = self.sim.obs
@@ -152,61 +155,18 @@ class HostNode(Node):
             )
 
 
-class PythonSwitchNode(Node):
-    """A switch running an arbitrary Python data-plane function.
-
-    Used by the hand-written baselines (e.g. the Fig 1b NetCache sketch)
-    and by tests. The function receives (data, in_port, node) and returns
-    a list of (out_port, data) transmissions; out_port -1 broadcasts to
-    every port except the ingress.
-    """
-
-    PROF_KIND = "switch"
-
-    PIPELINE_DELAY = 1e-6
-
-    def __init__(
-        self,
-        name: str,
-        node_id: int,
-        sim: "Simulator",
-        program: Callable[[bytes, int, "PythonSwitchNode"], List],
-    ):
-        super().__init__(name, node_id, sim)
-        self.program = program
-        self._prof_program = f"switch;{name};program"
-
-    def handle_frame(self, frame: Union[bytes, Frame], in_port: int) -> None:
-        frame = Frame.wrap(frame)
-        self.stats.rx_frames += 1
-        self.stats.rx_bytes += len(frame)
-        self.stats.processed += 1
-        data = frame.data
-
-        def run() -> None:
-            outputs = self.program(data, in_port, self)
-            for out_port, out_data in outputs:
-                if out_port == -1:
-                    for port in range(len(self.links)):
-                        if port != in_port:
-                            self.send(out_data, port)
-                else:
-                    self.send(out_data, out_port)
-
-        self.sim.schedule(self.PIPELINE_DELAY, run, label=self._prof_program)
-
-
 class ForwardingSwitchNode(Node):
     """A plain L3 forwarder: routes on the frame's destination node id.
 
     This is the transit tier of generated fabrics (aggregation/core in a
-    fat-tree, spines in a leaf-spine): no P4 pipeline, no per-packet
-    Python program -- just a route-table lookup on the cached header
-    parse and a transmit.  Forwarding is *inline*: instead of scheduling
-    a pipeline event per packet, the fixed :attr:`PIPELINE_DELAY` is
-    folded into the egress link's serialization start time (the
-    ``earliest`` floor), which removes one scheduler event per hop on
-    the fabric fast path while keeping per-packet timing identical.
+    fat-tree, spines in a leaf-spine) and the ToR of the host-only
+    baselines: no P4 pipeline -- just a route-table lookup on the cached
+    header parse and a transmit.  Forwarding is *inline*: instead of
+    scheduling a pipeline event per packet, the fixed
+    :attr:`PIPELINE_DELAY` is folded into the egress link's
+    serialization start time (the ``earliest`` floor), which removes one
+    scheduler event per hop on the fabric fast path while keeping
+    per-packet timing identical.
     """
 
     PROF_KIND = "switch"
@@ -217,8 +177,7 @@ class ForwardingSwitchNode(Node):
         super().__init__(name, node_id, sim)
         self._prof_drop = f"switch {name}"
 
-    def handle_frame(self, frame: Union[bytes, Frame], in_port: int) -> None:
-        frame = Frame.wrap(frame)
+    def handle_frame(self, frame: Frame, in_port: int) -> None:
         stats = self.stats
         stats.rx_frames += 1
         stats.rx_bytes += len(frame.data)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Union, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.ncp.wire import node_ip, peek_frame
@@ -49,8 +49,7 @@ class PisaSwitchNode(Node):
                 "ipv4_route", [node_ip(dst_node_id)], "ipv4_forward", [port]
             )
 
-    def handle_frame(self, frame: Union[bytes, Frame], in_port: int) -> None:
-        frame = Frame.wrap(frame)
+    def handle_frame(self, frame: Frame, in_port: int) -> None:
         data = frame.data
         self.stats.rx_frames += 1
         self.stats.rx_bytes += len(data)

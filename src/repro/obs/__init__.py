@@ -48,7 +48,6 @@ from repro.obs.registry import (
     ObservabilityError,
 )
 from repro.obs.sinks import (
-    BoundedBufferSink,
     JsonlSink,
     TraceSampler,
     iter_trace_events,
@@ -66,7 +65,6 @@ from repro.obs.trace import TraceEvent, Tracer
 __all__ = [
     "AlertEngine",
     "AlertRule",
-    "BoundedBufferSink",
     "CompileTrace",
     "Counter",
     "DEFAULT_BUCKETS",

@@ -11,9 +11,6 @@ observability phase 3's memory discipline:
   readers find the shards); memory stays flat no matter how long the
   run is, and the sink self-accounts ``bytes_written``/
   ``events_written`` so the observer can report its own overhead;
-* :class:`BoundedBufferSink` -- a last-N in-memory ring for callers
-  that want recent events without the disk (the generic cousin of the
-  crash flight recorder's ring);
 * :class:`TraceSampler` -- deterministic **head sampling** keyed on a
   stable hash of the window identity ``(kernel, seq)`` (identical runs
   keep identical windows -- no RNG, no wall clock), composed with
@@ -37,7 +34,7 @@ full trace in memory.
 from __future__ import annotations
 
 import json
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -415,38 +412,6 @@ class JsonlSink:
             "bytes_written": self.bytes_written,
             "shards": len(self.shards),
         }
-
-
-class BoundedBufferSink:
-    """A last-N in-memory ring of events (the generic cousin of the
-    flight recorder's ring): bounded retention for callers that want
-    recent history without any disk."""
-
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ObservabilityError("capacity must be at least 1")
-        self.capacity = capacity
-        self._ring = deque(maxlen=capacity)
-        self.events_seen = 0
-        self.bytes_written = 0
-
-    def write(self, event) -> None:
-        self._ring.append(event)
-        self.events_seen += 1
-
-    __call__ = write
-
-    def events(self) -> List:
-        return list(self._ring)
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    def flush(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
 
 
 # -- streaming readers ---------------------------------------------------------

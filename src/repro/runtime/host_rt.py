@@ -24,11 +24,26 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 from repro.errors import ReproError, RuntimeApiError
 from repro.ncl.types import PointerType
 from repro.nclc.driver import CompiledProgram
+from repro.ncp.fragment import (
+    FRAG_KERNEL_BIT,
+    Reassembler,
+    fragment_frame,
+    fragment_index,
+    is_fragment,
+)
 from repro.ncp.window import Window, Windower
 from repro.ncp.wire import decode_frame, encode_frame
+from repro.net.frame import Frame
 from repro.net.node import HostNode
 from repro.nir import ir
 from repro.nir.interp import DeviceState, Interpreter, WindowContext
+from repro.obs.int import (
+    attach_tail,
+    carries_int,
+    record_stack_metrics,
+    stack_event_args,
+    strip_stack,
+)
 
 WindowHandler = Callable[[Window, "NclHost"], None]
 
@@ -56,8 +71,6 @@ class NclHost:
         # Multi-packet windows (S6 future work): frames above the MTU are
         # fragmented; switches forward fragments without executing kernels.
         self.mtu = mtu
-        from repro.ncp.fragment import Reassembler
-
         self._reassembler = Reassembler()
         # When deployed onto a mapped physical network, the runtime speaks
         # with its AND (overlay) identity rather than the physical node id.
@@ -83,11 +96,10 @@ class NclHost:
         self.windows_retransmitted = 0
         #: retransmission attempt counters by (kernel, seq)
         self._retx_attempts: Dict[tuple, int] = {}
-        node.receiver = self._on_frame
-        # Preferred delivery path: the Frame object carries the header
-        # parse cached along the packet path, so delivery re-parses
-        # nothing the network already looked at.
-        node.frame_receiver = self._on_frame_obj
+        # The Frame object carries the header parse cached along the
+        # packet path, so delivery re-parses nothing the network already
+        # looked at.
+        node.frame_receiver = self._on_frame
 
     # -- observability ----------------------------------------------------------
 
@@ -268,10 +280,11 @@ class NclHost:
         attempt: int = 0,
     ) -> None:
         layout = self.program.layouts[kernel]
+        dst_node = self._node_id_of(dst)
         frame = encode_frame(
             layout,
             src_node=self.node_id,
-            dst_node=self._node_id_of(dst),
+            dst_node=dst_node,
             seq=window.seq,
             chunks=window.chunks,
             ext_values=window.ext,
@@ -299,8 +312,6 @@ class NclHost:
                 },
             )
         if self.mtu is not None and len(frame) > self.mtu:
-            from repro.ncp.fragment import fragment_frame
-
             pieces = fragment_frame(frame, self.mtu)
             if obs.enabled:
                 obs.registry.counter(
@@ -310,17 +321,13 @@ class NclHost:
             if int_cfg is not None:
                 # Fragment first, then arm: every fragment travels alone,
                 # so every fragment collects its own per-hop stack.
-                from repro.obs.int import attach_tail
-
                 pieces = [attach_tail(p, attempt) for p in pieces]
             for piece in pieces:
-                self.node.transmit(piece, self._node_id_of(dst))
+                self.node.transmit(piece, dst_node)
             return
         if int_cfg is not None:
-            from repro.obs.int import attach_tail
-
             frame = attach_tail(frame, attempt)
-        self.node.transmit(frame, self._node_id_of(dst))
+        self.node.transmit(frame, dst_node)
 
     # -- incoming path ------------------------------------------------------------------
 
@@ -354,19 +361,15 @@ class NclHost:
             raise RuntimeApiError(f"{out_kernel!r} is not a compiled kernel")
         self._raw_handlers[out_kernel] = handler
 
-    def _on_frame_obj(self, frame) -> None:
-        """Frame-object delivery (bound to ``node.frame_receiver``):
-        reuses the header metadata cached while the packet crossed the
-        fabric instead of re-peeking the bytes."""
-        self._on_frame(frame.data, _meta=frame.meta)
-
-    def _on_frame(self, data: bytes, _meta=None) -> None:
-        from repro.ncp.fragment import is_fragment
-        from repro.obs.int import carries_int
-
+    def _on_frame(self, frame: Frame) -> None:
+        """Delivery (bound to ``node.frame_receiver``): reuses the
+        header metadata cached while the packet crossed the fabric
+        instead of re-peeking the bytes."""
+        data = frame.data
+        meta = frame.meta
         obs = self._obs
         if carries_int(data):
-            data = self._strip_int(obs, data, meta=_meta)
+            data = self._strip_int(obs, data, meta)
         if is_fragment(data):
             try:
                 complete = self._reassembler.feed(data)
@@ -429,24 +432,14 @@ class NclHost:
             return
         self.inbox.setdefault(kernel_name, []).append(window)
 
-    def _strip_int(self, obs, data: bytes, meta=None) -> bytes:
+    def _strip_int(self, obs, data: bytes, meta) -> bytes:
         """Strip the INT trailer at delivery: emit the per-hop stack as
         an ``int:stack`` trace event (the lineage index's raw material)
-        and fold it into the registry."""
-        from repro.ncp.fragment import FRAG_KERNEL_BIT, fragment_index
-        from repro.ncp.wire import peek_frame
-        from repro.obs.int import (
-            record_stack_metrics, stack_event_args, strip_stack,
-        )
-
+        and fold it into the registry.  *meta* is the in-flight Frame's
+        cached header peek: the trailer sits after the payload, so it is
+        the bare frame's too."""
         bare, stack = strip_stack(data)
-        if stack is None or not obs.enabled:
-            return bare
-        # The INT trailer sits after the payload, so the header peek of
-        # the bare frame equals the one cached on the in-flight Frame.
-        if meta is None:
-            meta = peek_frame(bare)
-        if meta is None:
+        if stack is None or not obs.enabled or meta is None:
             return bare
         frag = None
         kernel_id = meta["kernel"]

@@ -153,57 +153,3 @@ class FieldLayout:
     def pack(self, values: Mapping[str, int]) -> bytes:
         """Serialize ``values`` by field name; a missing field packs 0."""
         return self.pack_seq([values.get(name, 0) for name in self.names])
-
-
-class BitReader:
-    """A read cursor over bytes, for formats without a fixed layout."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.bitpos = 0
-
-    def read(self, nbits: int) -> int:
-        end = self.bitpos + nbits
-        if end > len(self.data) * 8:
-            raise ReproError(
-                f"buffer too short: need {nbits} bits, have "
-                f"{len(self.data) * 8 - self.bitpos}"
-            )
-        last = (end + 7) // 8
-        word = int.from_bytes(self.data[self.bitpos // 8 : last], "big")
-        self.bitpos = end
-        return (word >> (last * 8 - end)) & ((1 << nbits) - 1)
-
-    def rest(self) -> bytes:
-        if self.bitpos % 8 != 0:
-            raise ReproError("read stopped mid-byte")
-        return self.data[self.bitpos // 8 :]
-
-
-class BitWriter:
-    """A write cursor accumulating fields MSB first."""
-
-    def __init__(self) -> None:
-        self._word = 0
-        self._nbits = 0
-
-    def write(self, value: int, nbits: int) -> None:
-        self._word = (self._word << nbits) | (value & ((1 << nbits) - 1))
-        self._nbits += nbits
-
-    def to_bytes(self) -> bytes:
-        if self._nbits % 8 != 0:
-            raise ReproError("non-byte-aligned bit stream")
-        return self._word.to_bytes(self._nbits // 8, "big")
-
-
-def pack_fields(fields: Sequence[Tuple[str, int]], values: Mapping[str, int]) -> bytes:
-    """Pack ``values`` (by field name) per a (name, bits) layout."""
-    return FieldLayout(fields).pack(values)
-
-
-def unpack_fields(fields: Sequence[Tuple[str, int]], data: bytes) -> Tuple[dict, bytes]:
-    """Unpack a (name, bits) layout from the front of ``data``;
-    returns (values, remaining_bytes)."""
-    layout = FieldLayout(fields)
-    return layout.unpack(data), data[layout.nbytes :]

@@ -87,6 +87,51 @@ class TestHostKvs:
         assert kvs.records[-1].latency > 100e-6
 
 
+class TestPinnedToParentCommit:
+    """The three baselines that ran on a ``PythonSwitchNode`` ToR, on a
+    ``ForwardingSwitchNode`` now: results, completion time and per-link
+    bytes equal what commit b42f7ed produced.  Only the event count
+    moved: one fewer scheduler event per frame through the ToR."""
+
+    def test_parameter_server(self):
+        arrays = random_arrays(4, 64, seed=5)
+        ps = ParameterServerAllReduce(4, 64, window_len=8)
+        results, elapsed = ps.run(arrays)
+        assert all(r == AllReduceJob.expected(arrays) for r in results)
+        assert elapsed == ps.net.sim.now() == 1.2736000000000012e-05
+        assert [lk.stats.bytes for lk in ps.net.links] == [1440] * 4 + [5760]
+        assert ps.net.nodes["tor"].stats.rx_frames == 64
+        assert ps.net.sim.events_processed == 256 - 64
+
+    def test_ring(self):
+        arrays = random_arrays(4, 64, seed=5)
+        ring = RingAllReduce(4, 64, window_len=8)
+        results, elapsed = ring.run(arrays)
+        assert all(r == AllReduceJob.expected(arrays) for r in results)
+        assert elapsed == ring.net.sim.now() == 3.1296e-05
+        assert [lk.stats.bytes for lk in ring.net.links] == [2160] * 4
+        assert ring.net.nodes["tor"].stats.rx_frames == 48
+        assert ring.net.sim.events_processed == 192 - 48
+
+    def test_host_kvs(self):
+        kvs = HostOnlyKvs(n_clients=2, val_words=4, n_keys=64)
+        kvs.get(0, 1)
+        kvs.get(1, 40)
+        kvs.put(0, 2, [9, 9, 9, 9])
+        kvs.get(1, 2)
+        kvs.net.run()
+        assert [(r.op, r.key, r.completed, r.value) for r in kvs.records] == [
+            ("GET", 1, 7.62528e-05, value_words(1, 4)),
+            ("GET", 40, 7.6316e-05, value_words(40, 4)),
+            ("PUT", 2, 7.637920000000001e-05, [9, 9, 9, 9]),
+            ("GET", 2, 7.644240000000001e-05, [9, 9, 9, 9]),
+        ]
+        assert kvs.net.sim.now() == 7.644240000000001e-05
+        assert [lk.stats.bytes for lk in kvs.net.links] == [316, 316, 632]
+        assert kvs.net.nodes["tor"].stats.rx_frames == 8
+        assert kvs.net.sim.events_processed == 36 - 8
+
+
 class TestHandwrittenNetcache:
     def make(self, cache_size=8, val_words=4):
 

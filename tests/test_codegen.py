@@ -285,14 +285,13 @@ class TestGeneratedProgramShape:
     def test_non_ncp_traffic_routed_not_executed(self, allreduce_rig):
         sw = PisaSwitch(allreduce_rig.switch_programs["s1"])
         from repro.ncp.wire import ETH_FIELDS, ETHERTYPE_IPV4, IPV4_FIELDS, node_ip
-        from repro.util.bits import pack_fields
+        from repro.util.bits import FieldLayout
 
         sw.table_insert("ipv4_route", [node_ip(1)], "ipv4_forward", [2])
-        eth = pack_fields(
-            ETH_FIELDS, {"dst": 1, "src": 2, "ethertype": ETHERTYPE_IPV4}
+        eth = FieldLayout(ETH_FIELDS).pack(
+            {"dst": 1, "src": 2, "ethertype": ETHERTYPE_IPV4}
         )
-        ipv4 = pack_fields(
-            IPV4_FIELDS,
+        ipv4 = FieldLayout(IPV4_FIELDS).pack(
             {"version_ihl": 0x45, "ttl": 64, "proto": 6, "src": node_ip(0), "dst": node_ip(1)},
         )
         result = sw.process(eth + ipv4 + b"tcp-payload")

@@ -1,9 +1,10 @@
-"""The event core: timing-wheel vs reference-heap scheduler semantics.
+"""The event core: the timing wheel against the reference heap.
 
-The wheel must be *observably identical* to the heap -- same dispatch
-order (including (when, seq) tie-breaks), same ``run(until)`` stopping
+``Simulator`` (the wheel) must be *observably identical* to
+``tests/sched_oracle.py``'s binary heap -- same dispatch order
+(including (when, seq) tie-breaks), same ``run(until)`` stopping
 behavior, same cancellation semantics -- only faster.  These tests drive
-both schedulers through the same programs and compare.
+both through the same programs and compare.
 """
 
 import random
@@ -11,16 +12,22 @@ import random
 import pytest
 
 from repro.errors import SimulationError
-from repro.net.events import (
-    SCHEDULERS, Simulator, default_scheduler,
-)
+from repro.net.events import Simulator
+from tests.sched_oracle import HeapSimulator
+
+#: the wheel, a wheel so small it re-bases and pulls overflow constantly,
+#: and the oracle: every semantic below holds on all three
+SIMULATORS = {
+    "wheel": Simulator,
+    "wheel2": lambda: Simulator(wheel_slots=2),
+    "oracle": HeapSimulator,
+}
 
 
-def record_run(scheduler: str, program) -> list:
-    """Run *program* (sim, log) under *scheduler*, return the log."""
-    sim = Simulator(scheduler=scheduler)
+def record_run(make_sim, program) -> list:
+    """Run *program* (sim, log) on a fresh simulator, return the log."""
     log = []
-    program(sim, log)
+    program(make_sim(), log)
     return log
 
 
@@ -28,9 +35,10 @@ class TestDifferentialOrder:
     """Same schedule sequence => byte-identical dispatch order."""
 
     def _compare(self, program):
-        runs = [record_run(s, program) for s in SCHEDULERS]
-        assert runs[0] == runs[1]
-        assert runs[0], "program dispatched nothing"
+        expected = record_run(HeapSimulator, program)
+        assert expected, "program dispatched nothing"
+        assert record_run(SIMULATORS["wheel"], program) == expected
+        assert record_run(SIMULATORS["wheel2"], program) == expected
 
     def test_random_delays_identical_order(self):
         def program(sim, log):
@@ -122,9 +130,9 @@ class TestDifferentialOrder:
 
 
 class TestRunSemantics:
-    @pytest.fixture(params=SCHEDULERS)
+    @pytest.fixture(params=sorted(SIMULATORS))
     def sim(self, request):
-        return Simulator(scheduler=request.param)
+        return SIMULATORS[request.param]()
 
     def test_run_until_sets_now_even_when_idle(self, sim):
         sim.run(until=0.5)
@@ -174,9 +182,9 @@ class TestRunSemantics:
 
 
 class TestCancellation:
-    @pytest.fixture(params=SCHEDULERS)
+    @pytest.fixture(params=sorted(SIMULATORS))
     def sim(self, request):
-        return Simulator(scheduler=request.param)
+        return SIMULATORS[request.param]()
 
     def test_cancelled_event_never_fires(self, sim):
         fired = []
@@ -188,14 +196,12 @@ class TestCancellation:
         assert fired == []
         assert sim.events_processed == 0
 
-    def test_run_until_idle_skips_cancelled(self, sim):
-        """Regression: run_until_idle used to pop records unconditionally,
-        firing lazily-cancelled callbacks."""
+    def test_run_skips_cancelled(self, sim):
         fired = []
         timer = sim.schedule_cancellable(1e-6, lambda: fired.append("dead"))
         sim.schedule(2e-6, lambda: fired.append("live"))
         timer.cancel()
-        sim.run_until_idle()
+        sim.run()
         assert fired == ["live"]
 
     def test_step_skips_cancelled(self, sim):
@@ -240,39 +246,12 @@ class TestCancellation:
 
 
 class TestConfiguration:
-    def test_scheduler_selection_validates(self):
-        with pytest.raises(SimulationError, match="unknown scheduler"):
-            Simulator(scheduler="quantum")
-
     def test_wheel_parameters_validate(self):
         with pytest.raises(SimulationError):
             Simulator(slot_width=0.0)
         with pytest.raises(SimulationError):
             Simulator(wheel_slots=1000)  # not a power of two
 
-    def test_default_scheduler_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCHED", raising=False)
-        assert default_scheduler() == "wheel"
-        monkeypatch.setenv("REPRO_SCHED", "heap")
-        assert default_scheduler() == "heap"
-        assert Simulator().scheduler == "heap"
-        monkeypatch.setenv("REPRO_SCHED", "bogus")
-        with pytest.raises(SimulationError):
-            default_scheduler()
-
-    def test_tiny_wheel_still_correct(self):
-        """A 2-slot wheel forces constant horizon rotation + overflow
-        pulls; order must still match the heap."""
-        def program(sim, log):
-            rng = random.Random(21)
-            for i in range(400):
-                sim.schedule(
-                    rng.random() * 1e-2, lambda i=i: log.append((sim.now(), i))
-                )
-            sim.run()
-
-        heap_log = record_run("heap", program)
-        sim = Simulator(scheduler="wheel", wheel_slots=2)
-        wheel_log = []
-        program(sim, wheel_log)
-        assert wheel_log == heap_log
+    def test_no_scheduler_option(self):
+        with pytest.raises(TypeError):
+            Simulator(scheduler="heap")

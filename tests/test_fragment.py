@@ -12,6 +12,7 @@ from repro.ncp.fragment import (
     is_fragment,
 )
 from repro.ncp.wire import ChunkLayout, KernelLayout, decode_frame, encode_frame
+from repro.net.frame import Frame
 
 
 def big_layout(n=64):
@@ -38,17 +39,13 @@ class TestFragmentation:
         assert all(is_fragment(f) for f in frames)
 
     def test_fragment_kernel_id_outside_dispatch_space(self):
-        from repro.ncp.wire import ETH_FIELDS, IPV4_FIELDS, NCP_FIELDS, UDP_FIELDS
-        from repro.util.bits import unpack_fields
+        from repro.ncp.wire import HEADERS
 
         layout, frame = big_frame(64)
         frag = fragment_frame(frame, 128)[0]
-        _, rest = unpack_fields(ETH_FIELDS, frag)
-        _, rest = unpack_fields(IPV4_FIELDS, rest)
-        _, rest = unpack_fields(UDP_FIELDS, rest)
-        ncp, _ = unpack_fields(NCP_FIELDS, rest)
-        assert ncp["kernel_id"] & FRAG_KERNEL_BIT
-        assert ncp["flags"] & FLAG_FRAG
+        headers = HEADERS.unpack(frag)
+        assert headers["ncp.kernel_id"] & FRAG_KERNEL_BIT
+        assert headers["ncp.flags"] & FLAG_FRAG
 
     def test_mtu_too_small(self):
         layout, frame = big_frame(64)
@@ -180,8 +177,8 @@ class TestReassembly:
             program.layouts["ship"], 1, 2, seq=0, chunks=[list(range(64))]
         )
         pieces = fragment_frame(frame, 160)
-        host._on_frame(pieces[0])
-        host._on_frame(self.rewrite(pieces[1], index=9))
+        host._on_frame(Frame(pieces[0]))
+        host._on_frame(Frame(self.rewrite(pieces[1], index=9)))
         assert host.node.stats.drops == 1
         assert host.windows_received == 0
 

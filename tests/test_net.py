@@ -3,8 +3,12 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.net import Network, Simulator
+from repro.ncp.wire import ChunkLayout, KernelLayout, encode_frame, peek_frame
+from repro.net import Network, Simulator, fat_tree
+from repro.net import frame as frame_mod
 from repro.net.node import HostNode
+
+LAYOUT = KernelLayout(1, "push", [ChunkLayout("x", 4, 32, False)])
 
 
 class TestSimulator:
@@ -115,7 +119,7 @@ class TestTopology:
     def test_multihop_routing(self):
         net = Network()
         net.add_host("a")
-        net.add_python_switch("s1", lambda d, p, n: [(n.routes.get(0, 0), d)])
+        net.add_forwarding_switch("s1")
         net.add_host("b")
         net.add_link("a", "s1")
         net.add_link("s1", "b")
@@ -147,30 +151,57 @@ class TestTopology:
     def test_to_physical_kinds(self):
         net = Network()
         net.add_host("h")
-        net.add_python_switch("s", lambda d, p, n: [])
+        net.add_forwarding_switch("s")
         net.add_link("h", "s")
         phys = net.to_physical()
         assert phys.hosts() == ["h"] and phys.switches() == ["s"]
+        assert phys.pisa_switches() == []
 
 
-class TestPythonSwitch:
-    def test_program_output_ports(self):
+class TestForwardingSwitch:
+    def test_routes_on_header_destination(self):
         net = Network()
         a = net.add_host("a")
         net.add_host("b")
-        net.add_host("c")
-
-        def flood(data, in_port, node):
-            return [(-1, data)]  # everything except ingress
-
-        net.add_python_switch("s", flood)
+        c = net.add_host("c")
+        net.add_forwarding_switch("s")
         for h in ("a", "b", "c"):
             net.add_link(h, "s")
         net.compute_routes()
-        got = {"b": [], "c": [], "a": []}
+        got = {"a": [], "b": [], "c": []}
         for name in got:
-            net.host(name).receiver = lambda d, n=name: got[n].append(d)
-        a.send(b"hello", 0)
+            net.host(name).receiver = got[name].append
+        frame = encode_frame(LAYOUT, a.node_id, c.node_id, 0, [[1, 2, 3, 4]])
+        a.transmit(frame, c.node_id)
+        a.send(b"not ncp", 0)  # nothing to route on: dropped at the switch
         net.run()
-        assert got["b"] == [b"hello"] and got["c"] == [b"hello"]
-        assert got["a"] == []
+        assert got == {"a": [], "b": [], "c": [frame]}
+        assert net.nodes["s"].stats.drops == 1
+
+
+class TestFrameCurrency:
+    def test_bytes_in_same_bytes_out_one_peek(self, monkeypatch):
+        """The host edge is bytes; inside the fabric the one Frame made
+        by ``Node.send`` crosses every hop, so a five-switch path hands
+        the receiver the *same* bytes object and parses its headers
+        once."""
+        peeks = []
+        monkeypatch.setattr(
+            frame_mod, "peek_frame",
+            lambda data: peeks.append(data) or peek_frame(data),
+        )
+        topo = fat_tree(4)
+        net = topo.build()
+        src, dst = net.host(topo.hosts[0]), net.host(topo.hosts[-1])
+        got = []
+        dst.receiver = got.append
+        data = encode_frame(LAYOUT, src.node_id, dst.node_id, 0, [[1, 2, 3, 4]])
+        src.transmit(data, dst.node_id)
+        net.run()
+        assert len(got) == 1 and got[0] is data
+        crossed = [
+            n.name for n in net.nodes.values()
+            if not isinstance(n, HostNode) and n.stats.rx_frames
+        ]
+        assert len(crossed) == 5
+        assert len(peeks) == 1 and peeks[0] is data

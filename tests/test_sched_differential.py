@@ -1,11 +1,12 @@
-"""Differential determinism: fig4/fig5 workloads, heap vs wheel.
+"""Differential determinism: fig4/fig5 workloads, wheel vs reference heap.
 
-The timing-wheel scheduler must be a drop-in replacement for the
-reference heap on *real workloads*, not just synthetic event programs:
-the Fig 4 AllReduce and Fig 5 KVS apps are run once under each
-scheduler and every observable output is compared -- numeric results,
-simulated completion times, the full trace event stream, the lineage
-JSON built from it, and the hosts' final window state.
+The timing wheel must dispatch *real workloads*, not just synthetic
+event programs, exactly as the reference heap does: the Fig 4 AllReduce
+and Fig 5 KVS apps are run once on ``Simulator`` and once with
+``tests/sched_oracle.py``'s heap injected in its place, and every
+observable output is compared -- numeric results, simulated completion
+times, the full trace event stream, the lineage JSON built from it, and
+the hosts' final window state.
 """
 
 import json
@@ -13,9 +14,17 @@ import json
 from repro.apps.allreduce import AllReduceJob
 from repro.apps.kvs_cache import KvsCluster, value_words
 from repro.apps.workloads import random_arrays
-from repro.net.events import SCHEDULERS
 from repro.obs import Observability
 from repro.obs.lineage import LineageIndex
+from repro.net.events import Simulator
+from tests.sched_oracle import HeapSimulator
+
+SCHEDULERS = {"heap": HeapSimulator, "wheel": Simulator}
+
+
+def use_scheduler(scheduler: str, monkeypatch) -> None:
+    """Every ``Network()`` built from here on runs on this scheduler."""
+    monkeypatch.setattr("repro.net.network.Simulator", SCHEDULERS[scheduler])
 
 
 def trace_tuples(obs) -> list:
@@ -33,7 +42,7 @@ def lineage_json(obs) -> str:
 
 
 def run_fig4(scheduler: str, monkeypatch) -> dict:
-    monkeypatch.setenv("REPRO_SCHED", scheduler)
+    use_scheduler(scheduler, monkeypatch)
     obs = Observability()
     job = AllReduceJob(4, 128, 8, obs=obs)
     arrays = random_arrays(4, 128, seed=17)
@@ -42,6 +51,7 @@ def run_fig4(scheduler: str, monkeypatch) -> dict:
     return {
         "results": results,
         "elapsed": elapsed,
+        "sim": type(job.cluster.network.sim).__name__,
         "events": job.cluster.network.sim.events_processed,
         "windows": {
             label: (h.windows_sent, h.windows_received, dict(h.inbox))
@@ -53,7 +63,7 @@ def run_fig4(scheduler: str, monkeypatch) -> dict:
 
 
 def run_fig5(scheduler: str, monkeypatch) -> dict:
-    monkeypatch.setenv("REPRO_SCHED", scheduler)
+    use_scheduler(scheduler, monkeypatch)
     obs = Observability()
     kvs = KvsCluster(
         n_clients=2, cache_size=8, val_words=4, n_keys=64, obs=obs
@@ -85,6 +95,7 @@ class TestFig4Differential:
     def test_allreduce_identical_across_schedulers(self, monkeypatch):
         runs = {s: run_fig4(s, monkeypatch) for s in SCHEDULERS}
         heap, wheel = runs["heap"], runs["wheel"]
+        assert (heap.pop("sim"), wheel.pop("sim")) == ("HeapSimulator", "Simulator")
         assert heap["results"] == wheel["results"]
         assert heap["elapsed"] == wheel["elapsed"]
         assert heap["events"] == wheel["events"]

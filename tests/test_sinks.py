@@ -21,7 +21,6 @@ from repro.obs import (
 )
 from repro.obs.lineage import LineageIndex
 from repro.obs.sinks import (
-    BoundedBufferSink,
     JsonlSink,
     TraceSampler,
     iter_jsonl,
@@ -181,20 +180,6 @@ class TestResolveTracePaths:
             resolve_trace_paths(tmp_path / "nope.jsonl")
 
 
-class TestBoundedBufferSink:
-    def test_keeps_last_n(self):
-        sink = BoundedBufferSink(capacity=3)
-        for i in range(7):
-            sink.write(ev(seq=i))
-        assert sink.events_seen == 7
-        assert len(sink) == 3
-        assert [e.args["seq"] for e in sink.events()] == [4, 5, 6]
-
-    def test_capacity_validated(self):
-        with pytest.raises(ObservabilityError, match="at least 1"):
-            BoundedBufferSink(capacity=0)
-
-
 # ---------------------------------------------------------------------------
 # TraceSampler unit behaviour
 # ---------------------------------------------------------------------------
@@ -322,14 +307,14 @@ class TestTraceSampler:
 
 
 class TestTracerRetention:
-    def test_retain_false_keeps_no_events(self):
+    def test_retain_false_keeps_no_events(self, tmp_path):
         tracer = Tracer(retain=False)
-        sink = BoundedBufferSink(capacity=8)
+        sink = JsonlSink(tmp_path / "t.jsonl")
         tracer.add_stream(sink)
         for i in range(5):
             tracer.instant("x", i * 1e-6, "t")
         assert len(tracer.events) == 0
-        assert sink.events_seen == 5
+        assert sink.events_written == 5
         assert tracer.events_recorded == tracer.events_emitted == 5
 
     def test_retain_int_keeps_bounded_tail(self):

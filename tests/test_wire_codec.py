@@ -23,7 +23,7 @@ from repro.ncp.wire import (
 from repro.obs.int import IntConfig, attach_tail, stamp_hop
 from repro.pisa.parser import Deparser, PacketParser
 from repro.util import intops
-from repro.util.bits import BitReader, BitWriter, FieldLayout
+from repro.util.bits import FieldLayout
 from tests import bits_oracle
 
 
@@ -81,21 +81,6 @@ class TestCompiledLayoutAgainstOracle:
         assert layout.unpack(prefix + body, len(prefix)) == expected
         with pytest.raises(ReproError, match="too short"):
             layout.unpack_seq(prefix + body[:-1], len(prefix))
-
-    @given(st.lists(st.tuples(st.integers(1, 64), st.integers(0)), max_size=10))
-    @settings(max_examples=100, deadline=None)
-    def test_cursors_match_bit_loop(self, writes):
-        pad = -sum(bits for bits, _ in writes) % 8
-        writes = writes + ([(pad, 0)] if pad else [])
-        new, old = BitWriter(), bits_oracle.BitWriter()
-        for bits, value in writes:
-            new.write(value, bits)
-            old.write(value, bits)
-        blob = new.to_bytes()
-        assert blob == old.to_bytes()
-        new_r, old_r = BitReader(blob), bits_oracle.BitReader(blob)
-        for bits, _ in writes:
-            assert new_r.read(bits) == old_r.read(bits)
 
     def test_offsets_and_reader(self):
         layout = FieldLayout([("a", 4), ("b", 4), ("c", 16), ("d", 48), ("e", 8)])
