@@ -9,8 +9,6 @@ EXPERIMENTS.md records one captured run of every table.
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 
@@ -38,143 +36,15 @@ def record_once(benchmark, fn):
     return benchmark.pedantic(fn, rounds=1, iterations=1)
 
 
-def maybe_obs():
-    """An enabled :class:`repro.obs.Observability` when any observability
-    env toggle is set, else ``None`` -- the disabled fast path, so
-    benchmark numbers with everything off are the real numbers.
-
-    * ``REPRO_TRACE=<dir>`` -- trace the run; artifacts land in <dir>;
-    * ``REPRO_INT`` -- in-band telemetry stamping; a numeric value sets
-      the per-packet hop cap (default 8);
-    * ``REPRO_PROFILE`` -- attach a wall-time :class:`~repro.obs.Profiler`;
-    * ``REPRO_SAMPLE=<us>`` -- attach a virtual-clock
-      :class:`~repro.obs.TimeSeriesSampler` at that bucket width;
-    * ``REPRO_TRACE_SAMPLE=<rate>`` -- deterministic trace sampling at
-      that window keep-rate (anomalous windows always kept in full);
-    * ``REPRO_TRACE_SHARD=<n>`` -- write the trace JSONL as rolling
-      shards of *n* events each (plus a manifest) instead of one file."""
-    trace = os.environ.get("REPRO_TRACE")
-    profile = os.environ.get("REPRO_PROFILE")
-    sample = os.environ.get("REPRO_SAMPLE")
-    if not (trace or profile or sample):
-        return None
-    from repro.obs import Observability
-
-    int_cfg = None
-    int_env = os.environ.get("REPRO_INT")
-    if int_env:
-        from repro.obs import IntConfig
-
-        int_cfg = IntConfig(max_hops=int(int_env) if int_env.isdigit() else 8)
-    profiler = sampler = tracer = None
-    if profile:
-        from repro.obs import Profiler
-
-        profiler = Profiler()
-    if sample:
-        from repro.obs import TimeSeriesSampler
-
-        sampler = TimeSeriesSampler(float(sample) * 1e-6)
-    trace_rate = os.environ.get("REPRO_TRACE_SAMPLE")
-    if trace_rate:
-        from repro.obs import Tracer, TraceSampler
-
-        tracer = Tracer(sampler=TraceSampler(rate=float(trace_rate)))
-    return Observability(
-        tracer=tracer, int_config=int_cfg, profiler=profiler, sampler=sampler
-    )
-
-
-def maybe_artifact(program, name: str):
-    """Round-trip *program* through its ``repro.nclc/1`` artifact when
-    ``REPRO_ARTIFACT`` is set, so the benchmark drives a precompiled
-    program exactly the way a deployment loading artifacts would.
-
-    ``REPRO_ARTIFACT=1`` round-trips in memory; any other value names a
-    directory where ``<name>.nclc.json`` is saved and loaded back. Unset
-    (the default) returns *program* untouched -- zero overhead."""
-    mode = os.environ.get("REPRO_ARTIFACT")
-    if not mode:
-        return program
-    from repro.nclc.driver import CompiledProgram
-
-    if mode == "1":
-        return CompiledProgram.from_json(program.to_json())
-    outdir = Path(mode)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"{name}.nclc.json"
-    program.save(path)
-    return CompiledProgram.load(path)
-
-
-def registry_snapshot(network, obs=None) -> dict:
-    """A metrics-registry snapshot of *network*, whether or not the run
-    was traced: the registry's collectors read the always-on component
-    stats, so per-layer breakdowns ride in every results JSON."""
-    if obs is not None:
-        return obs.snapshot()
+def registry_snapshot(network) -> dict:
+    """A metrics-registry snapshot of an untraced *network*: the
+    registry's collectors read the always-on component stats, so
+    per-layer breakdowns ride in every results JSON."""
     from repro.obs import MetricsRegistry, collect_network_metrics
 
     registry = MetricsRegistry()
     collect_network_metrics(network, registry)
     return registry.snapshot()
-
-
-def write_trace(obs, name: str) -> Optional[Path]:
-    """Write the run's artifacts into $REPRO_TRACE: the Chrome trace
-    JSON (for a viewer), the raw trace JSONL, and the lineage JSON --
-    the latter two are what ``python -m repro.obs.query`` reads. When
-    the run carried a profiler / sampler / alert engine, their
-    ``repro.profile/1`` / ``repro.timeseries/1`` / ``repro.alerts/1``
-    documents (and a collapsed-stack flamegraph input) ride along."""
-    if obs is None:
-        return None
-    from repro.obs.lineage import LineageIndex
-
-    # Finalize sampling first: windows still pending in the trace
-    # sampler are resolved (kept if anomalous, dropped otherwise), so
-    # the exported artifacts see the sampler's final verdicts.
-    obs.tracer.close()
-    outdir = Path(os.environ.get("REPRO_TRACE", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"{name}.trace.json"
-    with open(path, "w") as fp:
-        obs.tracer.write_chrome(fp)
-    shard = os.environ.get("REPRO_TRACE_SHARD")
-    if shard:
-        from repro.obs import JsonlSink
-
-        sink = JsonlSink(
-            str(outdir / f"{name}.trace.jsonl"), shard_events=int(shard)
-        )
-        for event in obs.tracer.events:
-            sink.write(event)
-        sink.close()
-    else:
-        with open(outdir / f"{name}.trace.jsonl", "w") as fp:
-            obs.tracer.write_jsonl(fp)
-    index = LineageIndex.from_events(obs.tracer.events)
-    with open(outdir / f"{name}.lineage.json", "w") as fp:
-        index.write_json(fp)
-    extras = []
-    if obs.profiler is not None:
-        with open(outdir / f"{name}.profile.json", "w") as fp:
-            obs.profiler.write_json(fp)
-        with open(outdir / f"{name}.collapsed.txt", "w") as fp:
-            obs.profiler.write_collapsed(fp)
-        extras.append("+profile.json")
-    if obs.sampler is not None:
-        with open(outdir / f"{name}.timeseries.json", "w") as fp:
-            obs.sampler.write_json(fp)
-        extras.append("+timeseries.json")
-    if obs.health is not None:
-        with open(outdir / f"{name}.alerts.json", "w") as fp:
-            obs.health.write_json(fp)
-        extras.append("+alerts.json")
-    extra = (" " + " ".join(extras)) if extras else ""
-    print(f"[obs] wrote {path} (+.jsonl, +lineage.json{extra}; "
-          f"{len(obs.tracer.events)} events, {len(index.windows)} windows)")
-    return path
 
 
 def throughput_summary(profiler) -> Optional[dict]:
@@ -187,33 +57,6 @@ def throughput_summary(profiler) -> Optional[dict]:
         "events_per_sec": round(profiler.events_per_sec(), 1),
         "packets_per_sec": round(profiler.packets_per_sec(), 1),
         "attributed_fraction": round(profiler.attributed_fraction(), 4),
-    }
-
-
-def lineage_summary(obs) -> Optional[dict]:
-    """Compact lineage counts for a results JSON: how many windows a
-    traced run produced and how their attempts ended."""
-    if obs is None:
-        return None
-    from repro.obs.lineage import LineageIndex
-
-    index = LineageIndex.from_events(obs.tracer.events)
-    delivered = dropped = retransmits = 0
-    for window in index.windows.values():
-        for branch in window.branches.values():
-            for attempt in branch.attempts.values():
-                if attempt.kind == "retransmit":
-                    retransmits += 1
-                outcome = attempt.outcome
-                if outcome == "delivered":
-                    delivered += 1
-                elif outcome.startswith("drop:"):
-                    dropped += 1
-    return {
-        "windows": len(index.windows),
-        "attempts_delivered": delivered,
-        "attempts_dropped": dropped,
-        "retransmits": retransmits,
     }
 
 

@@ -20,35 +20,20 @@ from repro.apps.workloads import random_arrays
 from repro.baselines.host_allreduce import ParameterServerAllReduce, RingAllReduce
 
 from benchmarks._util import (
-    lineage_summary,
-    maybe_artifact,
-    maybe_obs,
     print_table,
     record_once,
     registry_snapshot,
     throughput_summary,
-    write_trace,
 )
 
 WINDOW = 8
 
 
-def one_round(n_workers: int, data_len: int, obs=None):
+def one_round(n_workers: int, data_len: int):
     arrays = random_arrays(n_workers, data_len, seed=n_workers)
     expected = AllReduceJob.expected(arrays)
 
-    # With REPRO_ARTIFACT set, the job runs a program round-tripped
-    # through the repro.nclc/1 artifact instead of the in-process one.
-    program = maybe_artifact(
-        AllReduceJob.compile_program(n_workers, data_len, WINDOW),
-        f"fig4_allreduce_w{n_workers}",
-    )
-    inc = AllReduceJob(n_workers, data_len, WINDOW, obs=obs, program=program)
-    if obs is not None and obs.sampler is not None:
-        from repro.obs import attach_cluster_probes, attach_network_probes
-
-        attach_network_probes(obs.sampler, inc.cluster.network)
-        attach_cluster_probes(obs.sampler, inc.cluster)
+    inc = AllReduceJob(n_workers, data_len, WINDOW)
     inc_res, inc_t = inc.run_round(arrays)
     assert inc_res[0] == expected
 
@@ -68,21 +53,12 @@ def one_round(n_workers: int, data_len: int, obs=None):
 def test_fig4_worker_scaling(benchmark):
     rows = []
     metrics = {}
-    lineage = {}
 
     def sweep():
         for n in (2, 4, 8):
-            obs = maybe_obs()
-            inc, inc_t, ps_t, ring_t = one_round(n, 512, obs=obs)
-            # Per-layer breakdown into the results JSON; full packet
-            # trace + lineage to $REPRO_TRACE when tracing is on.
-            metrics[f"workers={n}"] = registry_snapshot(inc.cluster.network, obs)
-            summary = lineage_summary(obs)
-            if summary is not None:
-                lineage[f"workers={n}"] = summary
-            if obs is not None and obs.sampler is not None:
-                obs.sampler.finish(inc.cluster.now())
-            write_trace(obs, f"fig4_allreduce_w{n}")
+            inc, inc_t, ps_t, ring_t = one_round(n, 512)
+            # Per-layer breakdown into the results JSON.
+            metrics[f"workers={n}"] = registry_snapshot(inc.cluster.network)
             rows.append(
                 [
                     n,
@@ -96,8 +72,6 @@ def test_fig4_worker_scaling(benchmark):
 
     record_once(benchmark, sweep)
     benchmark.extra_info["metrics"] = metrics
-    if lineage:
-        benchmark.extra_info["lineage"] = lineage
     print_table(
         "Fig 4: AllReduce completion time vs workers (512 int32)",
         ["workers", "INC us", "PS us", "ring us", "INC vs PS", "INC vs ring"],

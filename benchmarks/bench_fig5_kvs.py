@@ -16,7 +16,7 @@ from repro.apps.kvs_cache import KvsCluster
 from repro.apps.workloads import zipf_keys
 from repro.baselines.host_kvs import HostOnlyKvs
 
-from benchmarks._util import maybe_artifact, print_table, record_once
+from benchmarks._util import print_table, record_once
 
 N_KEYS = 256
 CACHE = 24
@@ -27,15 +27,7 @@ def cached_run(skew: float):
     from collections import Counter
 
     keys = zipf_keys(OPS, N_KEYS, skew, seed=13)
-    # With REPRO_ARTIFACT set, the cluster runs a program round-tripped
-    # through the repro.nclc/1 artifact instead of the in-process one.
-    program = maybe_artifact(
-        KvsCluster.compile_program(n_clients=1, cache_size=CACHE, val_words=4),
-        "fig5_kvs",
-    )
-    kvs = KvsCluster(
-        n_clients=1, cache_size=CACHE, val_words=4, n_keys=N_KEYS, program=program
-    )
+    kvs = KvsCluster(n_clients=1, cache_size=CACHE, val_words=4, n_keys=N_KEYS)
     hot = [k for k, _ in Counter(keys).most_common(CACHE)]
     kvs.install_hot_keys(hot)
     kvs.run_workload(0, keys)

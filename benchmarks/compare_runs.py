@@ -5,7 +5,7 @@ Two modes, both built on ``repro.obs.diff`` (``repro.diff/1``):
 
 * **pairwise** -- ``python benchmarks/compare_runs.py A B``: diff two
   runs' artifacts (each a JSON file or an artifact directory, e.g. two
-  ``$REPRO_TRACE`` output dirs or two ``check_budget.py --history``
+  directories of ``repro.obs`` exports or two ``check_budget.py --history``
   entries) and print per-metric deltas, new/vanished series, and the
   handlers whose wall time regressed most. ``--json`` emits the raw
   report; ``--fail-on-delta`` exits 1 on any non-wall-clock change --

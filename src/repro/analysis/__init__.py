@@ -23,12 +23,27 @@ CLI); every finding carries the rule name and a stable ``NCLxxxx`` code.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import (
+    Any,
+    Dict,
+    Generic,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    TypeVar,
+)
 
+from repro.andspec.model import AndSpec
 from repro.diag import DiagnosticSink
+from repro.errors import ReproError
 from repro.ncl.sema import TranslationUnit
 from repro.nir import ir
 from repro.pisa.arch import ArchProfile, BMV2
+
+
+Ctx = TypeVar("Ctx")
 
 
 class AnalysisContext:
@@ -36,7 +51,7 @@ class AnalysisContext:
 
     ``module`` is ``None`` when lowering produced nothing (e.g. the
     program had no kernels, or recovery poisoned all of them); rules
-    that need NIR must tolerate that by declaring ``requires_nir``.
+    that need NIR return early on it.
     """
 
     def __init__(
@@ -45,7 +60,7 @@ class AnalysisContext:
         module: Optional[ir.Module],
         sink: DiagnosticSink,
         profile: Optional[ArchProfile] = None,
-        and_spec: object = None,
+        and_spec: Optional[AndSpec] = None,
     ) -> None:
         self.unit = unit
         self.module = module
@@ -73,93 +88,107 @@ class AnalysisContext:
         from repro.nir.passes import run_function_pipeline
         from repro.nir.passes.clone import clone_function
 
-        label_ids = None
-        if self.and_spec is not None:
-            try:
-                label_ids = self.and_spec.label_ids()
-            except Exception:
-                label_ids = None
+        label_ids = (
+            self.and_spec.label_ids() if self.and_spec is not None else None
+        )
         for name in self.module.functions:
             fn = self.module.functions[name]
             try:
                 ssa = clone_function(fn)
                 run_function_pipeline(ssa, ("inline", "mem2reg"), verify=False)
                 facts = analyze_function(ssa, label_ids=label_ids)
-            except Exception:
+            except ReproError:
                 continue
             self._absint_fns.append((ssa, facts))
         return self._absint_fns
 
 
-class Rule:
-    """One analysis. Subclasses set the metadata and implement ``run``."""
+class Rule(Generic[Ctx]):
+    """One analysis over a context of type *Ctx*: a lint rule
+    (:class:`AnalysisContext`), a deployment check or a transport-safety
+    check. Subclasses set the metadata and implement ``run``."""
 
-    #: CLI-facing name (``-W <name>`` / ``-W no-<name>``).
+    #: registry-facing name (lint: ``-W <name>`` / ``-W no-<name>``).
     name: str = "?"
-    #: diagnostic codes this rule may emit (documentation + docs table).
+    #: diagnostic codes this rule may emit (``--list-rules`` + the docs).
     codes: Sequence[str] = ()
     #: one-line description for ``--list-rules`` and the docs.
     about: str = ""
-    #: the rule inspects NIR and is skipped when no module lowered.
-    requires_nir: bool = False
 
-    def run(self, ctx: AnalysisContext) -> None:
+    def run(self, ctx: Ctx) -> None:
         raise NotImplementedError
 
 
-#: Registry in definition order -- the order rules run in.
-_REGISTRY: Dict[str, Rule] = {}
+R = TypeVar("R", bound="Rule[Any]")
 
 
-def register(cls: Type[Rule]) -> Type[Rule]:
-    """Class decorator adding a rule (one shared instance) to the registry."""
-    instance = cls()
-    if instance.name in _REGISTRY:
-        raise ValueError(f"duplicate analysis rule {instance.name!r}")
-    _REGISTRY[instance.name] = instance
-    return cls
+class Registry(Generic[Ctx]):
+    """The rules of one checker family, in definition order -- the order
+    they run and list in. ``nclc lint``, ``check-deploy`` and
+    ``check-proto`` each own one instance."""
+
+    def __init__(self, family: str, code_width: int) -> None:
+        self.family = family
+        #: width of the codes column in ``--list-rules``
+        self.code_width = code_width
+        self._rules: Dict[str, Rule[Ctx]] = {}
+
+    def register(self, cls: Type[R]) -> Type[R]:
+        """Class decorator adding a rule (one shared instance)."""
+        rule = cls()
+        if rule.name in self._rules:
+            raise ValueError(f"duplicate {self.family} {rule.name!r}")
+        self._rules[rule.name] = rule
+        return cls
+
+    def all(self) -> List[Rule[Ctx]]:
+        return list(self._rules.values())
+
+    def select(self, specs: Optional[Sequence[str]] = None) -> List[Rule[Ctx]]:
+        """Resolve ``-W``-style selection specs to an ordered rule list.
+
+        * no specs: every registered rule;
+        * positive names (``race``): run exactly the listed rules;
+        * ``no-<name>``: remove a rule from the selection (combines with
+          either of the above).
+
+        Unknown names raise ``ValueError`` (the CLI turns that into exit 2).
+        """
+        positives: List[str] = []
+        negatives: List[str] = []
+        for spec in specs or []:
+            target = negatives if spec.startswith("no-") else positives
+            target.append(spec[3:] if spec.startswith("no-") else spec)
+        for name in positives + negatives:
+            if name != "all" and name not in self._rules:
+                known = ", ".join(self._rules)
+                raise ValueError(
+                    f"unknown {self.family} {name!r} (known: {known})"
+                )
+        if positives and "all" not in positives:
+            enabled = [n for n in self._rules if n in positives]
+        else:
+            enabled = list(self._rules)
+        return [self._rules[n] for n in enabled if n not in negatives]
+
+    def run(self, ctx: Ctx, rules: Optional[Sequence[Rule[Ctx]]] = None) -> None:
+        """Run *rules* (default: all) over the context, in that order."""
+        for rule in self.all() if rules is None else rules:
+            rule.run(ctx)
+
+    def list_rules(self) -> str:
+        """The ``--list-rules`` table: one ``name codes about`` line per rule."""
+        return "".join(
+            f"{rule.name:20} {', '.join(rule.codes):{self.code_width}} "
+            f"{rule.about}\n"
+            for rule in self.all()
+        )
 
 
-def all_rules() -> List[Rule]:
-    return list(_REGISTRY.values())
-
-
-def rule_names() -> List[str]:
-    return list(_REGISTRY)
-
-
-def select_rules(specs: Optional[Sequence[str]] = None) -> List[Rule]:
-    """Resolve ``-W``-style selection specs to an ordered rule list.
-
-    * no specs: every registered rule;
-    * positive names (``race``): run exactly the listed rules;
-    * ``no-<name>``: remove a rule from the selection (combines with
-      either of the above).
-
-    Unknown names raise ``ValueError`` (the CLI turns that into exit 2).
-    """
-    positives: List[str] = []
-    negatives: List[str] = []
-    for spec in specs or []:
-        target = negatives if spec.startswith("no-") else positives
-        target.append(spec[3:] if spec.startswith("no-") else spec)
-    for name in positives + negatives:
-        if name != "all" and name not in _REGISTRY:
-            known = ", ".join(_REGISTRY)
-            raise ValueError(f"unknown analysis rule {name!r} (known: {known})")
-    if positives and "all" not in positives:
-        enabled = [n for n in _REGISTRY if n in positives]
-    else:
-        enabled = list(_REGISTRY)
-    return [_REGISTRY[n] for n in enabled if n not in negatives]
-
-
-def run_rules(ctx: AnalysisContext, rules: Optional[Sequence[Rule]] = None) -> None:
-    """Run *rules* (default: all) over the context, in registry order."""
-    for rule in select_rules() if rules is None else rules:
-        if rule.requires_nir and ctx.module is None:
-            continue
-        rule.run(ctx)
+#: the ``nclc lint`` rule set (populated by :mod:`repro.analysis.rules`)
+RULES: Registry[AnalysisContext] = Registry("analysis rule", code_width=30)
+register = RULES.register
+all_rules = RULES.all
 
 
 # Import for side effect: populates the registry. Kept at the bottom so
@@ -170,11 +199,10 @@ from repro.analysis.linter import LintResult, lint_source  # noqa: E402
 __all__ = [
     "AnalysisContext",
     "Rule",
+    "Registry",
+    "RULES",
     "register",
     "all_rules",
-    "rule_names",
-    "select_rules",
-    "run_rules",
     "LintResult",
     "lint_source",
 ]

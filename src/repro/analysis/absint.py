@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set, Tuple
 
+from repro.errors import NclTypeError
 from repro.ncl.types import is_signed, scalar_bits
 from repro.nir import ir
 from repro.nir.cfg import reverse_postorder
@@ -56,7 +57,7 @@ def _scalar_info(ty) -> Optional[Tuple[int, bool]]:
     """(bits, signed) for scalar types, None for everything else."""
     try:
         return scalar_bits(ty), is_signed(ty)
-    except Exception:
+    except NclTypeError:
         return None
 
 
@@ -99,13 +100,6 @@ class AbsVal:
         pat = rep & intops.mask(bits)
         return cls(bits, signed, rep, rep, ~pat & intops.mask(bits), pat)
 
-    @classmethod
-    def from_type(cls, ty) -> Optional["AbsVal"]:
-        info = _scalar_info(ty)
-        if info is None:
-            return None
-        return cls.top(*info)
-
     # -- predicates ----------------------------------------------------
 
     @property
@@ -119,11 +113,6 @@ class AbsVal:
     @property
     def singleton(self) -> Optional[int]:
         return self.lo if self.lo == self.hi else None
-
-    def is_top(self) -> bool:
-        return (self.lo, self.hi) == _type_range(self.bits, self.signed) and (
-            self.zeros == 0 and self.ones == 0
-        )
 
     def informative(self) -> bool:
         """Did the analysis learn anything beyond the declared width?

@@ -1,7 +1,7 @@
 """The whole-fabric deployment checks (the ``check-deploy`` rule set).
 
-Four analysis families, mirroring the ``repro.analysis`` lint registry
-but operating on a :class:`~repro.analysis.deploy.model.Deployment`
+Five analysis families in one :class:`repro.analysis.Registry`, like the
+lint rule set but operating on a :class:`~repro.analysis.deploy.model.Deployment`
 (N compiled programs on one fabric) instead of a single program:
 
 * **admission** (NCL0910--0914): sum each switch's co-resident resource
@@ -33,12 +33,18 @@ the same site from multiple contexts (every switch, every tenant pair).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
 from repro.analysis.deploy.model import Deployment, TenantDeployment
-from repro.analysis.proto import ModelResult, check_kernel_model
+from repro.analysis import Registry, Rule
+from repro.analysis.proto import (
+    _GUARD_FIXIT,
+    ModelResult,
+    _describe_step,
+    check_models,
+)
 from repro.analysis.rules import _SPACE_WORD, kernel_state_accesses
 from repro.andspec.fabric import FabricSpec
 from repro.diag import DiagnosticSink, Span
@@ -169,15 +175,9 @@ class DeployContext:
         tenant: ``(overlay_label, kernel) -> ModelResult`` (cached; the
         same machinery ``nclc check-proto`` runs on a single program)."""
         if tenant.name not in self._replay:
-            results: Dict[Tuple[str, str], ModelResult] = {}
-            for label, kernels in sorted(
-                tenant.program.effect_summaries().items()
-            ):
-                for name in sorted(kernels):
-                    results[(label, name)] = check_kernel_model(
-                        kernels[name], label
-                    )
-            self._replay[tenant.name] = results
+            self._replay[tenant.name] = check_models(
+                tenant.program.effect_summaries()
+            )
         return self._replay[tenant.name]
 
     def _route_tenant(
@@ -239,35 +239,12 @@ class DeployContext:
         raise AssertionError("caller guaranteed a path exists")
 
 
-class DeployCheck:
-    """One whole-fabric analysis. Subclasses set metadata + ``run``."""
+DeployCheck = Rule[DeployContext]
 
-    #: registry/docs-facing name (also ``--check``-selectable).
-    name: str = "?"
-    #: stable diagnostic codes this check may emit.
-    codes: Sequence[str] = ()
-    #: one-line description for ``--list-rules`` and the docs.
-    about: str = ""
-
-    def run(self, ctx: DeployContext) -> None:
-        raise NotImplementedError
-
-
-#: Registry in definition order -- the order checks run in.
-_REGISTRY: Dict[str, DeployCheck] = {}
-
-
-def register(cls: Type[DeployCheck]) -> Type[DeployCheck]:
-    """Class decorator adding a check (one shared instance)."""
-    instance = cls()
-    if instance.name in _REGISTRY:
-        raise ValueError(f"duplicate deploy check {instance.name!r}")
-    _REGISTRY[instance.name] = instance
-    return cls
-
-
-def all_checks() -> List[DeployCheck]:
-    return list(_REGISTRY.values())
+#: the ``check-deploy`` family, in definition order
+CHECKS: Registry[DeployContext] = Registry("deploy check", code_width=46)
+register = CHECKS.register
+all_checks = CHECKS.all
 
 
 def run_checks(
@@ -275,15 +252,16 @@ def run_checks(
 ) -> None:
     """Run *checks* (default: all), then dedupe the sink: several checks
     legitimately reach one finding from multiple contexts."""
-    for check in all_checks() if checks is None else checks:
-        check.run(ctx)
+    CHECKS.run(ctx, checks)
     ctx.sink.dedupe()
 
 
-def _span(
-    loc: Optional[SourceLocation], label: Optional[str] = None
-) -> Optional[Span]:
-    return Span(loc, 1, label) if loc is not None else None
+def _spans(
+    sites: Iterable[Tuple[Optional[SourceLocation], str]]
+) -> List[Span]:
+    """Labelled secondary spans for the ``(loc, label)`` sites that have
+    a location."""
+    return [Span(loc, 1, label) for loc, label in sites if loc is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -340,17 +318,10 @@ class ResourceAdmissionCheck(DeployCheck):
                         key=lambda r: (-getattr(r[2], rep_attr), r[0].name),
                     )
                 ]
-                secondary = [
-                    s
+                secondary = _spans(
+                    (t.anchor(label), f"tenant '{t.name}' places '{label}' here")
                     for t, label, _rep in reports
-                    if (
-                        s := _span(
-                            t.anchor(label),
-                            f"tenant '{t.name}' places '{label}' here",
-                        )
-                    )
-                    is not None
-                ]
+                )
                 ctx.sink.error(
                     code,
                     f"switch '{node.name}' ({profile.name}) over capacity: "
@@ -416,16 +387,10 @@ class KernelIdIsolationCheck(DeployCheck):
                     f"'{prev_kernel}' of tenant '{prev_tenant.name}' and "
                     f"'{kernel}' of tenant '{tenant.name}'",
                     loc=tenant.loc,
-                    secondary=[
-                        s
-                        for s in (
-                            _span(
-                                prev_tenant.loc,
-                                f"tenant '{prev_tenant.name}' declared here",
-                            ),
-                        )
-                        if s is not None
-                    ],
+                    secondary=_spans([(
+                        prev_tenant.loc,
+                        f"tenant '{prev_tenant.name}' declared here",
+                    )]),
                     notes=[
                         f"tenant '{prev_tenant.name}' uses idbase="
                         f"{prev_tenant.idbase}, tenant '{tenant.name}' "
@@ -550,12 +515,10 @@ class NamespaceIsolationCheck(DeployCheck):
             f"declared by tenants {who}, and control-plane writes "
             "address switch state by name",
             loc=tenants[0].anchor(),
-            secondary=[
-                s
+            secondary=_spans(
+                (t.anchor(), f"tenant '{t.name}' declared here")
                 for t in tenants[1:]
-                if (s := _span(t.anchor(), f"tenant '{t.name}' declared here"))
-                is not None
-            ],
+            ),
             fixit=(
                 f"rename '{name}' in one program, or place the tenants "
                 "on different switches"
@@ -577,19 +540,15 @@ class NamespaceIsolationCheck(DeployCheck):
             return  # co-located read-only state with one name: harmless
         space = _SPACE_WORD[uses[0].ref.space]
         who = " and ".join(f"'{t.name}'" for t in tenants)
-        notes: List[str] = []
-        secondary: List[Span] = []
-        for use in writers:
-            kernel, loc = use.writers[0]
-            notes.append(
-                f"tenant '{use.tenant.name}' kernel '{kernel}' writes "
-                f"'{name}'"
-            )
-            span = _span(
-                loc, f"tenant '{use.tenant.name}' writes '{name}' here"
-            )
-            if span is not None:
-                secondary.append(span)
+        notes = [
+            f"tenant '{use.tenant.name}' kernel '{use.writers[0][0]}' writes "
+            f"'{name}'"
+            for use in writers
+        ]
+        secondary = _spans(
+            (use.writers[0][1], f"tenant '{use.tenant.name}' writes '{name}' here")
+            for use in writers
+        )
         ctx.sink.error(
             "NCL0922",
             f"cross-tenant shared-state conflict on switch '{switch}': "
@@ -641,50 +600,39 @@ class PlacementCheck(DeployCheck):
         overlay = {n.label for n in tenant.program.and_spec.switches}
         taken: Dict[str, str] = {}
         for label, target in sorted(tenant.placement.items()):
-            loc = tenant.map_locs.get(label, tenant.loc)
-            if label not in overlay:
-                ctx.sink.error(
-                    "NCL0932",
-                    f"tenant '{tenant.name}' maps unknown overlay label "
-                    f"'{label}' (the program's AND declares: "
-                    f"{', '.join(sorted(overlay)) or 'none'})",
-                    loc=loc,
-                    rule=self.name,
-                )
-                continue
             node = ctx.fabric.nodes.get(target)
-            if node is None:
-                ctx.sink.error(
-                    "NCL0932",
-                    f"tenant '{tenant.name}' maps '{label}' to unknown "
-                    f"fabric node '{target}'",
-                    loc=loc,
-                    rule=self.name,
+            notes = None
+            if label not in overlay:
+                problem = (
+                    f"maps unknown overlay label '{label}' (the program's "
+                    f"AND declares: {', '.join(sorted(overlay)) or 'none'})"
                 )
-                continue
-            if not node.is_switch:
-                ctx.sink.error(
-                    "NCL0932",
-                    f"tenant '{tenant.name}' maps '{label}' to "
-                    f"'{target}', which is a host, not a switch",
-                    loc=loc,
-                    rule=self.name,
+            elif node is None:
+                problem = f"maps '{label}' to unknown fabric node '{target}'"
+            elif not node.is_switch:
+                problem = (
+                    f"maps '{label}' to '{target}', which is a host, not a "
+                    "switch"
                 )
-                continue
-            if target in taken:
-                ctx.sink.error(
-                    "NCL0932",
-                    f"tenant '{tenant.name}' maps both '{taken[target]}' "
-                    f"and '{label}' to switch '{target}'",
-                    loc=loc,
-                    notes=[
-                        "one pipeline cannot preserve kernel order for "
-                        "two overlay switches of the same program"
-                    ],
-                    rule=self.name,
+            elif target in taken:
+                problem = (
+                    f"maps both '{taken[target]}' and '{label}' to switch "
+                    f"'{target}'"
                 )
+                notes = [
+                    "one pipeline cannot preserve kernel order for "
+                    "two overlay switches of the same program"
+                ]
+            else:
+                taken[target] = label
                 continue
-            taken[target] = label
+            ctx.sink.error(
+                "NCL0932",
+                f"tenant '{tenant.name}' {problem}",
+                loc=tenant.map_locs.get(label, tenant.loc),
+                notes=notes,
+                rule=self.name,
+            )
         _assignment, problems = ctx.host_assignment(tenant)
         for label, reason in problems:
             code = (
@@ -810,6 +758,7 @@ class TransportCheck(DeployCheck):
                     f"extension bytes + {layout.data_bytes} window bytes"
                 )
                 if frame > mtu:
+                    narrow = ctx.fabric.link_between(a, b)
                     ctx.sink.error(
                         "NCL0940",
                         f"tenant '{tenant.name}' kernel '{kernel}' puts "
@@ -818,18 +767,10 @@ class TransportCheck(DeployCheck):
                         f"(link {a} -- {b}): every window fragments, and "
                         "switches do not execute kernels on fragments",
                         loc=loc,
-                        secondary=[
-                            s
-                            for s in (
-                                _span(
-                                    ctx.fabric.link_between(a, b).loc
-                                    if ctx.fabric.link_between(a, b)
-                                    else None,
-                                    f"narrowest link (mtu={link_mtu})",
-                                ),
-                            )
-                            if s is not None
-                        ],
+                        secondary=_spans([(
+                            narrow.loc if narrow is not None else None,
+                            f"narrowest link (mtu={link_mtu})",
+                        )]),
                         fixit=(
                             "shrink the window mask, or raise the link "
                             "MTU past the frame size"
@@ -905,9 +846,7 @@ class ReplaySafetyCheck(DeployCheck):
                 cx = result.counterexample
                 if cx is None:
                     continue
-                steps = ", ".join(
-                    _describe_replay_step(s) for s in cx.schedule
-                )
+                steps = ", ".join(_describe_step(s) for s in cx.schedule)
                 target = placement.get(label)
                 where = (
                     f"switch '{target}'" if target is not None
@@ -926,18 +865,7 @@ class ReplaySafetyCheck(DeployCheck):
                         "verify the program alone with: python -m "
                         "repro.nclc check-proto <program.ncl>",
                     ],
-                    fixit=(
-                        "guard the update on a per-window dedup mark, "
-                        "e.g. `if (seen[window.seq & 63] == 0) { "
-                        "seen[window.seq & 63] = 1; ... }`"
-                    ),
+                    fixit=_GUARD_FIXIT,
                     rule=self.name,
                     status="proved",
                 )
-
-
-def _describe_replay_step(step: Dict[str, object]) -> str:
-    action = step.get("action")
-    if action == "restart":
-        return f"restart({step.get('switch')})"
-    return f"{action}(a{step.get('attempt')})"

@@ -14,24 +14,18 @@ from __future__ import annotations
 import json
 from typing import Dict, List
 
-from repro.analysis.deploy.checks import DeployContext
+from repro.analysis.deploy.checks import DeployContext, ResourceAdmissionCheck
 from repro.analysis.deploy.model import Deployment
 from repro.diag import DiagnosticSink, Severity
-from repro.diag.export import diagnostic_dict
+from repro.diag.export import findings_block
 from repro.diag.render import SourceMap, render_diagnostic
 
 SCHEMA = "repro.deploy/1"
 
-#: the admission ledger's resource columns (AcceptanceReport attrs)
-_RESOURCES = ("stages", "phv_bits", "sram_bytes", "tables", "actions")
-
-#: ArchProfile capacity attr per resource column
+#: the admission ledger's columns: AcceptanceReport attr -> ArchProfile
+#: capacity attr, from the table the admission check sums by
 _CAPACITY = {
-    "stages": "max_stages",
-    "phv_bits": "phv_bits",
-    "sram_bytes": "sram_bytes",
-    "tables": "max_tables",
-    "actions": "max_actions",
+    res: cap for _code, res, cap, _unit in ResourceAdmissionCheck.RESOURCES
 }
 
 
@@ -42,14 +36,14 @@ def admission_ledger(ctx: DeployContext) -> Dict[str, object]:
         residents = ctx.residents(node.name)
         profile = ctx.fabric.switch_profile(node.name)
         tenants: Dict[str, Dict[str, int]] = {}
-        used = {res: 0 for res in _RESOURCES}
+        used = {res: 0 for res in _CAPACITY}
         for tenant, label in residents:
             report = tenant.program.reports.get(label)
             if report is None:
                 continue
-            row = {res: int(getattr(report, res)) for res in _RESOURCES}
+            row = {res: int(getattr(report, res)) for res in _CAPACITY}
             tenants[f"{tenant.name}/{label}"] = row
-            for res in _RESOURCES:
+            for res in _CAPACITY:
                 used[res] += row[res]
         ledger[node.name] = {
             "profile": profile.name,
@@ -96,12 +90,7 @@ def build_report(ctx: DeployContext) -> Dict[str, object]:
         "fabric": deployment.fabric.to_dict(),
         "tenants": tenants,
         "admission": admission_ledger(ctx),
-        "diagnostics": [diagnostic_dict(d) for d in sink.sorted()],
-        "summary": {
-            "errors": sink.count(Severity.ERROR),
-            "warnings": sink.count(Severity.WARNING),
-            "notes": sink.count(Severity.NOTE),
-        },
+        **findings_block(sink),
         "admissible": not sink.has_errors,
     }
 
@@ -138,24 +127,16 @@ def render_report_text(ctx: DeployContext) -> str:
             f"  switch {switch} ({entry['profile']}): "
             f"{len(tenants)} resident program(s)"
         )
-        out.append(
-            "    stages "
-            + _fmt_use(used["stages"], cap["stages"])
-            + ", phv "
-            + _fmt_use(used["phv_bits"], cap["phv_bits"])
-            + ", sram "
-            + _fmt_use(used["sram_bytes"], cap["sram_bytes"])
-            + ", tables "
-            + _fmt_use(used["tables"], cap["tables"])
-            + ", actions "
-            + _fmt_use(used["actions"], cap["actions"])
-        )
+        # columns named after the ledger's resources: "phv_bits" reads
+        # "phv" in the totals line and "phv bits" in a tenant's row
+        out.append("    " + ", ".join(
+            f"{res.split('_')[0]} {_fmt_use(used[res], cap[res])}"
+            for res in _CAPACITY
+        ))
         for who, row in tenants.items():
-            out.append(
-                f"      {who}: {row['stages']} stages, "
-                f"{row['phv_bits']} phv bits, {row['sram_bytes']} sram "
-                f"bytes, {row['tables']} tables, {row['actions']} actions"
-            )
+            out.append(f"      {who}: " + ", ".join(
+                f"{row[res]} {res.replace('_', ' ')}" for res in _CAPACITY
+            ))
     out.append("")
     for tenant in deployment.tenants:
         verdicts = ", ".join(

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.analysis.absint import FunctionFacts, analyze_function
+from repro.analysis.absint import FunctionFacts, analyze_module
 from repro.nir import ir
 
 # -- the effect lattice -------------------------------------------------------
@@ -727,18 +727,12 @@ def analyze_module_effects(
 ) -> Dict[str, KernelEffects]:
     """Effect summaries for every kernel of a per-switch module, keyed
     and iterated by kernel name (sorted, for deterministic output)."""
-    out: Dict[str, KernelEffects] = {}
-    for name in sorted(module.functions):
-        fn = module.functions[name]
-        if fn.kind is ir.FunctionKind.HELPER:
-            continue
-        facts: Optional[FunctionFacts] = None
-        try:
-            facts = analyze_function(fn, label_ids=label_ids)
-        except Exception:
-            facts = None
-        out[name] = analyze_kernel_effects(fn, facts)
-    return out
+    facts = analyze_module(module, label_ids)
+    return {
+        name: analyze_kernel_effects(fn, facts[name])
+        for name, fn in sorted(module.functions.items())
+        if fn.kind is not ir.FunctionKind.HELPER
+    }
 
 
 # -- rendering (byte-deterministic, golden-testable) --------------------------

@@ -10,9 +10,11 @@ never stopping at the first problem:
 4. conformance checking against a real or synthesized AND;
 5. the :mod:`repro.analysis.rules` rule set.
 
-The synthesized AND includes every label the program references -- not
-just the pinned ones a compile would require -- so `lint` never invents
-unknown-label errors for label probes like ``location.id == _locid(..)``.
+Without ``--and`` the AND is the compile driver's default chain
+(:func:`repro.nclc.pm.default_and`), but over every label the program
+references -- not just the pinned ones a compile would require -- so
+`lint` never invents unknown-label errors for label probes like
+``location.id == _locid(..)``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Union
 
 import repro.analysis as analysis
-from repro.andspec.model import AndSpec, parse_and
+from repro.andspec.model import parse_and
 from repro.diag import DiagnosticSink, diagnostic_from_error
 from repro.errors import NclSyntaxError, NclTypeError
 from repro.ncl import analyze, parse
@@ -28,6 +30,7 @@ from repro.ncl.sema import TranslationUnit
 from repro.nir import ir
 from repro.nir.lower import lower_unit
 from repro.nclc.conformance import check_module
+from repro.nclc.pm import default_and, required_labels
 from repro.pisa.arch import ArchProfile, profile_by_name
 
 
@@ -52,15 +55,12 @@ class LintResult:
 def _referenced_labels(
     unit: TranslationUnit, module: Optional[ir.Module]
 ) -> List[str]:
-    """Every AND label the program mentions, pinning or probing."""
-    labels = set()
-    for info in unit.kernels.values():
-        if info.at_label:
-            labels.add(info.at_label)
-    for table in (unit.net_globals, unit.ctrl_vars, unit.maps, unit.blooms):
-        for gvar in table.values():
-            if gvar.at_label:
-                labels.add(gvar.at_label)
+    """Every AND label the program mentions, pinning or probing: what a
+    compile requires, plus incoming kernels' pins and label probes."""
+    labels = set(required_labels(unit))
+    labels.update(
+        info.at_label for info in unit.in_kernels.values() if info.at_label
+    )
     if module is not None:
         for fn in module.functions.values():
             for instr in fn.instructions():
@@ -69,22 +69,6 @@ def _referenced_labels(
                 elif isinstance(instr, ir.Fwd) and instr.label is not None:
                     labels.add(instr.label)
     return sorted(labels)
-
-
-def _synthesize_and(labels: List[str]) -> AndSpec:
-    """Chain AND ``h0 -- s... -- h1`` covering every referenced label
-    (mirrors the compile driver's default, but over the superset)."""
-    spec = AndSpec()
-    spec.add_host("h0")
-    for label in labels or ["s1"]:
-        spec.add_switch(label)
-    spec.add_host("h1")
-    prev = "h0"
-    for label in labels or ["s1"]:
-        spec.add_link(prev, label)
-        prev = label
-    spec.add_link(prev, "h1")
-    return spec
 
 
 def lint_source(
@@ -107,7 +91,7 @@ def lint_source(
     unlimited).
     """
     sink = sink if sink is not None else DiagnosticSink()
-    selected = analysis.select_rules(rules)
+    selected = analysis.RULES.select(rules)
     if isinstance(profile, str) or profile is None:
         profile = profile_by_name(profile)
 
@@ -132,14 +116,14 @@ def lint_source(
     and_spec = (
         parse_and(and_text)
         if and_text is not None
-        else _synthesize_and(_referenced_labels(unit, module))
+        else default_and(_referenced_labels(unit, module))
     )
 
     if module is not None:
         check_module(module, and_spec, sink=sink, unit=unit)
 
     ctx = analysis.AnalysisContext(unit, module, sink, profile, and_spec)
-    analysis.run_rules(ctx, selected)
+    analysis.RULES.run(ctx, selected)
 
     if werror:
         sink.promote_warnings()

@@ -22,7 +22,7 @@ byte-deterministic ``repro.proto/1`` report; the schedule replays in
 the simulator via :func:`replay_counterexample`, reproducing the
 double-count on a real :class:`~repro.runtime.Cluster`.
 
-Checks are registered like the deployment checks -- a separate registry
+The checks live in their own :class:`repro.analysis.Registry` instance,
 run only by ``check-proto`` but listed by ``nclc lint --list-rules``
 and folded into :func:`repro.diag.codes.all_codes`.
 """
@@ -31,16 +31,18 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.analysis import Registry, Rule
 from repro.analysis.effects import (
     KIND_IDEMPOTENT,
     KIND_MONOID,
     KIND_UNSAFE,
     KernelEffects,
+    SymbolEffect,
 )
-from repro.diag import DiagnosticSink, Severity, Span
-from repro.diag.export import diagnostic_dict
+from repro.diag import DiagnosticSink, Severity
+from repro.diag.export import findings_block
 from repro.errors import ReproError, SourceLocation
 from repro.nclc.driver import CompiledProgram
 
@@ -50,11 +52,6 @@ _GUARD_FIXIT = (
     "guard the update on a per-window dedup mark, e.g. "
     "`if (seen[window.seq & 63] == 0) { seen[window.seq & 63] = 1; ... }`"
 )
-
-
-def _span(loc: Optional[SourceLocation],
-          label: Optional[str] = None) -> Optional[Span]:
-    return Span(loc, 1, label) if loc is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +275,20 @@ def check_kernel_model(
                        len(seen))
 
 
+def check_models(
+    summaries: Dict[str, Dict[str, KernelEffects]],
+) -> Dict[Tuple[str, str], ModelResult]:
+    """``(switch label, kernel) -> ModelResult`` for every kernel in a
+    program's effect summaries, in sorted order."""
+    return {
+        (label, name): check_kernel_model(kernels[name], label)
+        for label, kernels in sorted(summaries.items())
+        for name in sorted(kernels)
+    }
+
+
 # ---------------------------------------------------------------------------
-# Check registry (mirrors repro.analysis.deploy.checks)
+# The check-proto rule set (an instance of repro.analysis.Registry)
 # ---------------------------------------------------------------------------
 
 
@@ -300,52 +309,43 @@ class ProtoContext:
 
     def model_results(self) -> Dict[Tuple[str, str], ModelResult]:
         if self._results is None:
-            self._results = {}
-            for label, kernels in sorted(self.effect_summaries().items()):
-                for name in sorted(kernels):
-                    self._results[(label, name)] = check_kernel_model(
-                        kernels[name], label
-                    )
+            self._results = check_models(self.effect_summaries())
         return self._results
 
-    def kernel_loc(self, kernel: str) -> Optional[SourceLocation]:
-        info = self.program.unit.out_kernels.get(kernel)
-        loc = getattr(info, "loc", None)
-        return loc if isinstance(loc, SourceLocation) else None
+    def kernels(
+        self,
+    ) -> Iterator[Tuple[str, str, KernelEffects, ModelResult]]:
+        """``(switch label, kernel, its effects, its model result)`` for
+        every kernel, in sorted order."""
+        results = self.model_results()
+        for label, kernels in sorted(self.effect_summaries().items()):
+            for kname in sorted(kernels):
+                yield label, kname, kernels[kname], results[(label, kname)]
+
+    def symbols(
+        self,
+    ) -> Iterator[Tuple[str, str, KernelEffects, str, SymbolEffect]]:
+        """``(switch label, kernel, its effects, symbol, its effect)`` for
+        every shared symbol every kernel updates, in sorted order."""
+        for label, kernels in sorted(self.effect_summaries().items()):
+            for kname in sorted(kernels):
+                eff = kernels[kname]
+                for sname in sorted(eff.symbols):
+                    yield label, kname, eff, sname, eff.symbols[sname]
 
 
-class ProtoCheck:
-    """Base class: one family of transport-safety findings."""
+ProtoCheck = Rule[ProtoContext]
 
-    name = "unnamed"
-    codes: Tuple[str, ...] = ()
-    about = ""
-
-    def run(self, ctx: ProtoContext) -> None:
-        raise NotImplementedError
-
-
-_REGISTRY: Dict[str, ProtoCheck] = {}
-
-
-def register(cls: Type[ProtoCheck]) -> Type[ProtoCheck]:
-    check = cls()
-    if not isinstance(check, ProtoCheck):
-        raise ValueError(f"{cls.__name__} is not a ProtoCheck")
-    if check.name in _REGISTRY:
-        raise ValueError(f"duplicate proto check name {check.name!r}")
-    _REGISTRY[check.name] = check
-    return cls
-
-
-def all_checks() -> List[ProtoCheck]:
-    return [_REGISTRY[name] for name in sorted(_REGISTRY)]
+#: the ``check-proto`` family; defined, hence run and listed, in name order
+CHECKS: Registry[ProtoContext] = Registry("proto check", code_width=46)
+register = CHECKS.register
+all_checks = CHECKS.all
 
 
 def run_checks(ctx: ProtoContext,
                checks: Optional[Sequence[ProtoCheck]] = None) -> None:
-    for check in (checks if checks is not None else all_checks()):
-        check.run(ctx)
+    """Run *checks* (default: all), then dedupe the sink."""
+    CHECKS.run(ctx, checks)
     ctx.sink.dedupe()
 
 
@@ -358,64 +358,52 @@ class EffectClassification(ProtoCheck):
     about = "classify kernel shared-state updates for replay safety"
 
     def run(self, ctx: ProtoContext) -> None:
-        for _label, kernels in sorted(ctx.effect_summaries().items()):
-            for kname in sorted(kernels):
-                eff = kernels[kname]
-                for sname in sorted(eff.symbols):
-                    sym = eff.symbols[sname]
-                    for site in sym.sites:
-                        if site.guarded:
-                            continue
-                        loc = site.instr.loc
-                        if site.kind == KIND_UNSAFE and "self" in site.deps:
-                            ctx.sink.error(
-                                "NCL0850",
-                                f"kernel {kname!r}: read-modify-write of "
-                                f"switch memory {sname!r} is unsafe on "
-                                f"replay: {site.detail}",
-                                loc=loc,
-                                notes=[
-                                    "a retransmitted window re-executes the "
-                                    "kernel; this update does not collapse "
-                                    "or commute under re-execution",
-                                ],
-                                fixit=_GUARD_FIXIT,
-                                rule=self.name,
-                                status=site.grade,
-                            )
-                        elif site.kind == KIND_UNSAFE:
-                            ctx.sink.warning(
-                                "NCL0852",
-                                f"kernel {kname!r}: overwrite of switch "
-                                f"memory {sname!r} is not replay-stable: "
-                                f"{site.detail}",
-                                loc=loc,
-                                notes=[
-                                    "re-executing the kernel on the same "
-                                    "window bytes may store a different "
-                                    "value or target a different element",
-                                ],
-                                fixit=_GUARD_FIXIT,
-                                rule=self.name,
-                                status=site.grade,
-                            )
-                        elif site.kind == KIND_MONOID:
-                            ctx.sink.warning(
-                                "NCL0851",
-                                f"kernel {kname!r}: unguarded "
-                                f"commutative fold into switch memory "
-                                f"{sname!r}: {site.detail}",
-                                loc=loc,
-                                notes=[
-                                    "replays of the same window accumulate "
-                                    "(the classic double-count); add a "
-                                    "dedup guard or make the fold "
-                                    "idempotent",
-                                ],
-                                fixit=_GUARD_FIXIT,
-                                rule=self.name,
-                                status=site.grade,
-                            )
+        for _label, kname, _eff, sname, sym in ctx.symbols():
+            for site in sym.sites:
+                if site.guarded:
+                    continue
+                if site.kind == KIND_UNSAFE and "self" in site.deps:
+                    report, code = ctx.sink.error, "NCL0850"
+                    what = (
+                        f"read-modify-write of switch memory {sname!r} is "
+                        "unsafe on replay"
+                    )
+                    note = (
+                        "a retransmitted window re-executes the kernel; this "
+                        "update does not collapse or commute under re-execution"
+                    )
+                elif site.kind == KIND_UNSAFE:
+                    report, code = ctx.sink.warning, "NCL0852"
+                    what = (
+                        f"overwrite of switch memory {sname!r} is not "
+                        "replay-stable"
+                    )
+                    note = (
+                        "re-executing the kernel on the same window bytes may "
+                        "store a different value or target a different element"
+                    )
+                elif site.kind == KIND_MONOID:
+                    report, code = ctx.sink.warning, "NCL0851"
+                    what = (
+                        "unguarded commutative fold into switch memory "
+                        f"{sname!r}"
+                    )
+                    note = (
+                        "replays of the same window accumulate (the classic "
+                        "double-count); add a dedup guard or make the fold "
+                        "idempotent"
+                    )
+                else:
+                    continue
+                report(
+                    code,
+                    f"kernel {kname!r}: {what}: {site.detail}",
+                    loc=site.instr.loc,
+                    notes=[note],
+                    fixit=_GUARD_FIXIT,
+                    rule=self.name,
+                    status=site.grade,
+                )
 
 
 @register
@@ -427,31 +415,25 @@ class GuardCoverage(ProtoCheck):
     about = "every update of a guarded symbol must sit behind the guard"
 
     def run(self, ctx: ProtoContext) -> None:
-        for _label, kernels in sorted(ctx.effect_summaries().items()):
-            for kname in sorted(kernels):
-                eff = kernels[kname]
-                for sname in sorted(eff.symbols):
-                    sym = eff.symbols[sname]
-                    if not sym.partial_guard:
-                        continue
-                    unguarded = [s for s in sym.sites if not s.guarded]
-                    loc = unguarded[0].instr.loc if unguarded else None
-                    ctx.sink.warning(
-                        "NCL0853",
-                        f"kernel {kname!r}: dedup guard covers only some "
-                        f"updates of {sname!r} "
-                        f"({len(sym.sites) - len(unguarded)} of "
-                        f"{len(sym.sites)} sites guarded)",
-                        loc=loc,
-                        notes=[
-                            "an update outside the guarded branch still "
-                            "re-executes on replay",
-                        ],
-                        fixit="move every update of the symbol inside the "
-                        "guarded branch",
-                        rule=self.name,
-                        status="possible",
-                    )
+        for _label, kname, _eff, sname, sym in ctx.symbols():
+            if not sym.partial_guard:
+                continue
+            unguarded = [s for s in sym.sites if not s.guarded]
+            ctx.sink.warning(
+                "NCL0853",
+                f"kernel {kname!r}: dedup guard covers only some updates of "
+                f"{sname!r} ({len(sym.sites) - len(unguarded)} of "
+                f"{len(sym.sites)} sites guarded)",
+                loc=unguarded[0].instr.loc if unguarded else None,
+                notes=[
+                    "an update outside the guarded branch still re-executes "
+                    "on replay",
+                ],
+                fixit="move every update of the symbol inside the guarded "
+                "branch",
+                rule=self.name,
+                status="possible",
+            )
 
 
 @register
@@ -463,46 +445,38 @@ class RestartHazard(ProtoCheck):
     about = "a dedup mark must restart together with the state it guards"
 
     def run(self, ctx: ProtoContext) -> None:
-        for label, kernels in sorted(ctx.effect_summaries().items()):
-            for kname in sorted(kernels):
-                eff = kernels[kname]
-                for sname in sorted(eff.symbols):
-                    sym = eff.symbols[sname]
-                    if sym.kind == KIND_IDEMPOTENT or not sym.guarded:
-                        continue
-                    guard = next(
-                        (s.guard for s in sym.sites if s.guard is not None),
-                        None,
-                    )
-                    if guard is None:
-                        continue
-                    guard_sym = eff.symbols.get(guard.symbol)
-                    guard_label = (
-                        guard_sym.at_label
-                        if guard_sym is not None and guard_sym.at_label
-                        else self._global_label(ctx, label, guard.symbol)
-                    ) or label
-                    effect_label = sym.at_label or label
-                    if guard_label == effect_label:
-                        continue
-                    site = sym.sites[0]
-                    ctx.sink.warning(
-                        "NCL0855",
-                        f"kernel {kname!r}: dedup mark {guard.symbol!r} "
-                        f"lives on switch {guard_label!r} but the guarded "
-                        f"update of {sname!r} executes on "
-                        f"{effect_label!r}",
-                        loc=site.instr.loc,
-                        notes=[
-                            f"a restart of {guard_label!r} clears the mark "
-                            "but not the effect: the next retransmit "
-                            "re-applies it",
-                        ],
-                        fixit="pin the mark register and the guarded state "
-                        "to the same _at_ label",
-                        rule=self.name,
-                        status="possible",
-                    )
+        for label, kname, eff, sname, sym in ctx.symbols():
+            if sym.kind == KIND_IDEMPOTENT or not sym.guarded:
+                continue
+            guard = next(
+                (s.guard for s in sym.sites if s.guard is not None), None
+            )
+            if guard is None:
+                continue
+            guard_sym = eff.symbols.get(guard.symbol)
+            guard_label = (
+                guard_sym.at_label
+                if guard_sym is not None and guard_sym.at_label
+                else self._global_label(ctx, label, guard.symbol)
+            ) or label
+            effect_label = sym.at_label or label
+            if guard_label == effect_label:
+                continue
+            ctx.sink.warning(
+                "NCL0855",
+                f"kernel {kname!r}: dedup mark {guard.symbol!r} lives on "
+                f"switch {guard_label!r} but the guarded update of "
+                f"{sname!r} executes on {effect_label!r}",
+                loc=sym.sites[0].instr.loc,
+                notes=[
+                    f"a restart of {guard_label!r} clears the mark but not "
+                    "the effect: the next retransmit re-applies it",
+                ],
+                fixit="pin the mark register and the guarded state to the "
+                "same _at_ label",
+                rule=self.name,
+                status="possible",
+            )
 
     @staticmethod
     def _global_label(ctx: ProtoContext, label: str,
@@ -523,11 +497,10 @@ class WindowModel(ProtoCheck):
     about = "exhaustive window-interleaving search for double-applies"
 
     def run(self, ctx: ProtoContext) -> None:
-        for (label, kname), result in sorted(ctx.model_results().items()):
+        for label, kname, eff, result in ctx.kernels():
             cx = result.counterexample
             if cx is None:
                 continue
-            eff = ctx.effect_summaries()[label][kname]
             sym = eff.symbols.get(cx.symbol)
             loc: Optional[SourceLocation] = None
             grade = "possible"
@@ -575,67 +548,57 @@ def check_program(program: CompiledProgram,
 
 def build_report(ctx: ProtoContext) -> Dict[str, object]:
     kernels: List[Dict[str, object]] = []
-    summaries = ctx.effect_summaries()
-    results = ctx.model_results()
-    for label in sorted(summaries):
-        for kname in sorted(summaries[label]):
-            eff = summaries[label][kname]
-            result = results[(label, kname)]
-            effects_json: List[Dict[str, object]] = []
-            for sname in sorted(eff.symbols):
-                sym = eff.symbols[sname]
-                effects_json.append({
-                    "symbol": sym.name,
-                    "space": sym.space,
-                    "kind": sym.kind,
-                    "grade": sym.grade,
-                    "guarded": sym.guarded,
-                    "partial_guard": sym.partial_guard,
-                    "sites": [
-                        {
-                            "line": site.line,
-                            "op": site.op,
-                            "kind": site.kind,
-                            "fold": site.fold,
-                            "grade": site.grade,
-                            "guarded": site.guarded,
-                            "detail": site.detail,
-                        }
-                        for site in sorted(
-                            sym.sites,
-                            key=lambda s: (s.line, s.op, s.detail),
-                        )
-                    ],
-                })
-            kernels.append({
-                "kernel": kname,
-                "switch": label,
-                "guards": [
-                    {"style": g.style, "symbol": g.symbol, "grade": g.grade}
-                    for g in sorted(
-                        eff.guards, key=lambda g: (g.symbol, g.style)
+    for label, kname, eff, result in ctx.kernels():
+        effects_json: List[Dict[str, object]] = []
+        for sname in sorted(eff.symbols):
+            sym = eff.symbols[sname]
+            effects_json.append({
+                "symbol": sym.name,
+                "space": sym.space,
+                "kind": sym.kind,
+                "grade": sym.grade,
+                "guarded": sym.guarded,
+                "partial_guard": sym.partial_guard,
+                "sites": [
+                    {
+                        "line": site.line,
+                        "op": site.op,
+                        "kind": site.kind,
+                        "fold": site.fold,
+                        "grade": site.grade,
+                        "guarded": site.guarded,
+                        "detail": site.detail,
+                    }
+                    for site in sorted(
+                        sym.sites,
+                        key=lambda s: (s.line, s.op, s.detail),
                     )
                 ],
-                "effects": effects_json,
-                "verdict": result.verdict,
-                "states_explored": result.states_explored,
-                "counterexample": (
-                    result.counterexample.to_json()
-                    if result.counterexample is not None
-                    else None
-                ),
             })
+        kernels.append({
+            "kernel": kname,
+            "switch": label,
+            "guards": [
+                {"style": g.style, "symbol": g.symbol, "grade": g.grade}
+                for g in sorted(
+                    eff.guards, key=lambda g: (g.symbol, g.style)
+                )
+            ],
+            "effects": effects_json,
+            "verdict": result.verdict,
+            "states_explored": result.states_explored,
+            "counterexample": (
+                result.counterexample.to_json()
+                if result.counterexample is not None
+                else None
+            ),
+        })
     sink = ctx.sink
     return {
         "schema": SCHEMA,
         "opt_level": ctx.program.opt_level,
         "kernels": kernels,
-        "diagnostics": [diagnostic_dict(d) for d in sink.sorted()],
-        "summary": {
-            "errors": sink.count(Severity.ERROR),
-            "warnings": sink.count(Severity.WARNING),
-            "notes": sink.count(Severity.NOTE),
-        },
+        **findings_block(sink),
         "safe": not sink.has_errors,
     }
 
@@ -648,44 +611,37 @@ def render_report_text(ctx: ProtoContext) -> str:
     from repro.diag.render import SourceMap, render_text
 
     lines: List[str] = []
-    summaries = ctx.effect_summaries()
-    results = ctx.model_results()
-    for label in sorted(summaries):
-        for kname in sorted(summaries[label]):
-            eff = summaries[label][kname]
-            result = results[(label, kname)]
-            lines.append(f"== kernel {kname} @ {label}")
-            for guard in sorted(eff.guards,
-                                key=lambda g: (g.symbol, g.style)):
-                lines.append(
-                    f"  guard {guard.style} on {guard.symbol!r} "
-                    f"({guard.grade})"
-                )
-            for sname in sorted(eff.symbols):
-                sym = eff.symbols[sname]
-                note = (
-                    " guarded" if sym.guarded
-                    else " PARTIALLY-guarded" if sym.partial_guard
-                    else ""
-                )
-                lines.append(
-                    f"  effect {sym.space} {sym.name!r}: {sym.kind} "
-                    f"({sym.grade}){note}"
-                )
+    for label, kname, eff, result in ctx.kernels():
+        lines.append(f"== kernel {kname} @ {label}")
+        for guard in sorted(eff.guards, key=lambda g: (g.symbol, g.style)):
             lines.append(
-                f"  verdict: {result.verdict} "
-                f"({result.states_explored} states explored)"
+                f"  guard {guard.style} on {guard.symbol!r} ({guard.grade})"
             )
-            cx = result.counterexample
-            if cx is not None:
-                lines.append(
-                    f"  minimal counterexample "
-                    f"({len(cx.schedule)} steps, {cx.symbol!r} "
-                    f"applied {cx.applied}x):"
-                )
-                for i, step in enumerate(cx.schedule, 1):
-                    lines.append(f"    {i}. {_describe_step(step)}")
-            lines.append("")
+        for sname in sorted(eff.symbols):
+            sym = eff.symbols[sname]
+            note = (
+                " guarded" if sym.guarded
+                else " PARTIALLY-guarded" if sym.partial_guard
+                else ""
+            )
+            lines.append(
+                f"  effect {sym.space} {sym.name!r}: {sym.kind} "
+                f"({sym.grade}){note}"
+            )
+        lines.append(
+            f"  verdict: {result.verdict} "
+            f"({result.states_explored} states explored)"
+        )
+        cx = result.counterexample
+        if cx is not None:
+            lines.append(
+                f"  minimal counterexample "
+                f"({len(cx.schedule)} steps, {cx.symbol!r} "
+                f"applied {cx.applied}x):"
+            )
+            for i, step in enumerate(cx.schedule, 1):
+                lines.append(f"    {i}. {_describe_step(step)}")
+        lines.append("")
     diag_text = render_text(ctx.sink, SourceMap({}), summary=False)
     if diag_text.strip():
         lines.append(diag_text.rstrip("\n"))

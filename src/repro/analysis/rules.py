@@ -48,11 +48,14 @@ from repro.analysis import AnalysisContext, Rule, register
 from repro.analysis.absint import exact_range
 from repro.analysis.dataflow import dead_stores, may_uninit_reads
 from repro.diag import Span
+from repro.errors import NclTypeError
 from repro.ncl import ast
 from repro.ncl.parser import const_eval
 from repro.ncl.sema import TranslationUnit
 from repro.ncl.types import is_signed, scalar_bits
 from repro.nir import ir
+
+LintRule = Rule[AnalysisContext]
 
 #: host runtime calls that WRITE switch-resident state from the control plane
 _HOST_WRITE_CALLS = ("ncl::ctrl_wr", "ncl::map_insert", "ncl::map_erase")
@@ -68,7 +71,7 @@ _SPACE_WORD = {
 def _bits(ty) -> Optional[int]:
     try:
         return scalar_bits(ty)
-    except Exception:
+    except NclTypeError:  # pointer / void / window types have no width
         return None
 
 
@@ -124,7 +127,19 @@ def _host_functions(unit: TranslationUnit) -> List[ast.FuncDecl]:
     function do not need to distinguish -- helpers cannot contain
     ``ncl::`` runtime calls anyway (sema rejects them).
     """
-    return [d for d in unit.functions.values() if d.body is not None]
+    return [
+        d for d in unit.functions.values()
+        if d.body is not None and not d.is_kernel
+    ]
+
+
+def _host_calls(unit: TranslationUnit, names: Tuple[str, ...]) -> Iterator[ast.Call]:
+    """Every call to one of the ``ncl::`` runtime functions *names* that
+    host code makes."""
+    for decl in _host_functions(unit):
+        for node in decl.body.walk():
+            if isinstance(node, ast.Call) and node.name in names:
+                yield node
 
 
 class _StateAccess:
@@ -161,12 +176,6 @@ def _instr_accesses(instr: ir.Instr) -> List[Tuple[ir.GlobalRef, bool]]:
     return [(ref, w) for ref, w in out if ref.space in _SPACE_WORD]
 
 
-def _callees(fn: ir.Function) -> Set[str]:
-    return {
-        i.callee.name for i in fn.instructions() if isinstance(i, ir.CallFn)
-    }
-
-
 def kernel_state_accesses(
     module: ir.Module,
 ) -> Iterator[Tuple[ir.Function, ir.GlobalRef, bool, object]]:
@@ -174,31 +183,24 @@ def kernel_state_accesses(
     kernel makes, a helper's accesses attributed to every kernel that
     (transitively) calls it.  The one callgraph attribution behind the
     race detector and check-deploy's cross-tenant conflict check."""
-    direct = {
-        fn.name: [
-            (ref, is_write, instr.loc)
-            for instr in fn.instructions()
-            for ref, is_write in _instr_accesses(instr)
-        ]
-        for fn in module.functions.values()
-    }
-    callgraph = {fn.name: _callees(fn) for fn in module.functions.values()}
     for fn in module.kernels():
-        reachable = [fn.name]
-        frontier = list(callgraph.get(fn.name, ()))
+        reached: Set[str] = set()
+        frontier = [fn.name]
         while frontier:
-            callee = frontier.pop()
-            if callee in reachable:
+            # a helper that failed to lower is not in the module
+            owner = module.functions.get(frontier.pop())
+            if owner is None or owner.name in reached:
                 continue
-            reachable.append(callee)
-            frontier.extend(callgraph.get(callee, ()))
-        for owner in reachable:
-            for ref, is_write, loc in direct.get(owner, ()):
-                yield fn, ref, is_write, loc
+            reached.add(owner.name)
+            for instr in owner.instructions():
+                if isinstance(instr, ir.CallFn):
+                    frontier.append(instr.callee.name)
+                for ref, is_write in _instr_accesses(instr):
+                    yield fn, ref, is_write, instr.loc
 
 
 @register
-class SharedStateRaceRule(Rule):
+class SharedStateRaceRule(LintRule):
     """The shared-state race detector (the tentpole analysis).
 
     A symbol races when at least two parties (distinct kernels, or a
@@ -213,10 +215,10 @@ class SharedStateRaceRule(Rule):
     name = "race"
     codes = ("NCL0701",)
     about = "shared switch state written concurrently without _at_ serialization"
-    requires_nir = True
 
     def run(self, ctx: AnalysisContext) -> None:
-        assert ctx.module is not None
+        if ctx.module is None:
+            return
         accesses: Dict[str, List[_StateAccess]] = {}
 
         for fn, ref, is_write, loc in kernel_state_accesses(ctx.module):
@@ -227,24 +229,19 @@ class SharedStateRaceRule(Rule):
             )
 
         # Host-side control-plane writes from the AST.
-        for decl in _host_functions(ctx.unit):
-            if decl.is_kernel:
+        for node in _host_calls(ctx.unit, _HOST_WRITE_CALLS):
+            target = node.args[0] if node.args else None
+            if isinstance(target, ast.Unary) and target.op == "&":
+                target = target.operand
+            if not isinstance(target, ast.Ident):
                 continue
-            for node in decl.body.walk():
-                if not (isinstance(node, ast.Call) and node.name in _HOST_WRITE_CALLS):
-                    continue
-                target = node.args[0] if node.args else None
-                if isinstance(target, ast.Unary) and target.op == "&":
-                    target = target.operand
-                if not isinstance(target, ast.Ident):
-                    continue
-                if target.name not in ctx.module.globals:
-                    continue
-                accesses.setdefault(target.name, []).append(
-                    _StateAccess(
-                        "<host>", "the host control plane", None, True, target.loc
-                    )
+            if target.name not in ctx.module.globals:
+                continue
+            accesses.setdefault(target.name, []).append(
+                _StateAccess(
+                    "<host>", "the host control plane", None, True, target.loc
                 )
+            )
 
         for name, ref in ctx.module.globals.items():
             if ref.space not in _SPACE_WORD:
@@ -307,14 +304,14 @@ class SharedStateRaceRule(Rule):
 
 
 @register
-class UninitReadRule(Rule):
+class UninitReadRule(LintRule):
     name = "uninit-read"
     codes = ("NCL0702",)
     about = "local variable may be read before it is assigned"
-    requires_nir = True
 
     def run(self, ctx: AnalysisContext) -> None:
-        assert ctx.module is not None
+        if ctx.module is None:
+            return
         for fn in ctx.module.functions.values():
             seen = set()
             for slot_name, load in may_uninit_reads(fn):
@@ -334,14 +331,14 @@ class UninitReadRule(Rule):
 
 
 @register
-class DeadStoreRule(Rule):
+class DeadStoreRule(LintRule):
     name = "dead-store"
     codes = ("NCL0703",)
     about = "a stored value is overwritten or discarded before any read"
-    requires_nir = True
 
     def run(self, ctx: AnalysisContext) -> None:
-        assert ctx.module is not None
+        if ctx.module is None:
+            return
         for fn in ctx.module.functions.values():
             seen = set()
             for slot_name, store in dead_stores(fn):
@@ -374,7 +371,7 @@ def _stmt_terminates(stmt: ast.Stmt) -> bool:
 
 
 @register
-class UnreachableCodeRule(Rule):
+class UnreachableCodeRule(LintRule):
     """AST-level, because the lowerer prunes dead blocks before any NIR
     analysis could see them."""
 
@@ -438,7 +435,7 @@ def _kernel_side_decls(unit: TranslationUnit) -> List[ast.FuncDecl]:
 
 
 @register
-class UnboundedLoopRule(Rule):
+class UnboundedLoopRule(LintRule):
     name = "unbounded-loop"
     codes = ("NCL0705",)
     about = "kernel loop with no bounded trip count (cannot unroll)"
@@ -474,7 +471,7 @@ class UnboundedLoopRule(Rule):
 
 
 @register
-class DeadBranchRule(Rule):
+class DeadBranchRule(LintRule):
     """Range-proved constant branch conditions (proved-only: a branch
     the analysis cannot decide is simply not a finding).
 
@@ -486,7 +483,6 @@ class DeadBranchRule(Rule):
     name = "dead-branch"
     codes = ("NCL0706",)
     about = "branch condition proved always true / always false"
-    requires_nir = True
 
     def run(self, ctx: AnalysisContext) -> None:
         sites: Dict[object, List[Optional[bool]]] = {}
@@ -528,91 +524,142 @@ class DeadBranchRule(Rule):
             )
 
 
+class _RangeGradedRule(LintRule):
+    """The loop the range-graded value-flow rules share.
+
+    Every candidate instruction is graded once per analysis context it
+    occurs in (``"clean"``/``"proved"``/``"possible"``) from the abstract
+    interpreter's facts, or syntactically where the interpreter produced
+    none; the grades of one source site collapse with :func:`_grade_site`
+    and the site reports as an error when proved, a warning when merely
+    possible. The evidence shown is that of the site's first non-clean
+    occurrence. Subclasses supply the four parts below.
+    """
+
+    def site(self, instr: ir.Instr) -> Optional[Tuple]:
+        """When *instr* is a candidate, its site key: the source location
+        first, then whatever else tells two findings there apart."""
+        raise NotImplementedError
+
+    def grade(self, instr, facts) -> Tuple[str, object]:
+        """``(grade, evidence)`` for one occurrence, from absint facts."""
+        raise NotImplementedError
+
+    def fallback(self, instr) -> Optional[Tuple[str, object]]:
+        """``(grade, evidence)`` from syntax alone, for functions the
+        abstract interpreter missed; None = nothing to say."""
+        return None
+
+    def finding(self, key: Tuple, status: str, evidence) -> Tuple:
+        """``(message, notes, fixit)`` for a site graded *status*."""
+        raise NotImplementedError
+
+    def run(self, ctx: AnalysisContext) -> None:
+        if ctx.module is None:
+            return
+        grades: Dict[object, List[str]] = {}
+        evidence: Dict[object, object] = {}
+
+        def record(key, graded) -> None:
+            if graded is None:
+                return
+            grades.setdefault(key, []).append(graded[0])
+            if graded[0] != "clean" and graded[1] is not None:
+                evidence.setdefault(key, graded[1])
+
+        for fn, facts in ctx.absint_functions():
+            for instr in fn.instructions():
+                if (key := self.site(instr)) is not None:
+                    record(key, self.grade(instr, facts))
+        for fn in _absint_missed(ctx):
+            for instr in fn.instructions():
+                if (key := self.site(instr)) is not None:
+                    record(key, self.fallback(instr))
+
+        for key, site_grades in grades.items():
+            status = _grade_site(site_grades)
+            if status is None:
+                continue
+            message, notes, fixit = self.finding(key, status, evidence.get(key))
+            report = ctx.sink.error if status == "proved" else ctx.sink.warning
+            report(
+                self.codes[0], message, key[0], notes=notes, fixit=fixit,
+                rule=self.name, status=status,
+            )
+
+
+def _binop_site(instr: ir.Instr, ops: Tuple[str, ...]):
+    """The site key of *instr* when it is a located BinOp with one of
+    *ops* and a scalar result width."""
+    if (
+        isinstance(instr, ir.BinOp)
+        and instr.op in ops
+        and instr.loc is not None
+        and _bits(instr.ty) is not None
+    ):
+        return (instr.loc,)
+    return None
+
+
 @register
-class WidthTruncationRule(Rule):
+class WidthTruncationRule(_RangeGradedRule):
     name = "width-truncation"
     codes = ("NCL0801",)
     about = "implicit conversion to a narrower integer"
-    requires_nir = True
 
-    @staticmethod
-    def _implicit_truncs(fn: ir.Function):
-        for instr in fn.instructions():
-            if (
-                isinstance(instr, ir.Cast)
-                and instr.kind == "trunc"
-                and not instr.explicit
-                and instr.loc is not None
-            ):
-                from_bits = _bits(instr.operands[0].ty)
-                to_bits = _bits(instr.ty)
-                if from_bits is not None and to_bits is not None:
-                    yield instr, from_bits, to_bits
+    def site(self, instr):
+        if (
+            isinstance(instr, ir.Cast)
+            and instr.kind == "trunc"
+            and not instr.explicit
+            and instr.loc is not None
+        ):
+            from_bits = _bits(instr.operands[0].ty)
+            to_bits = _bits(instr.ty)
+            if from_bits is not None and to_bits is not None:
+                return instr.loc, from_bits, to_bits
+        return None
 
-    def run(self, ctx: AnalysisContext) -> None:
-        assert ctx.module is not None
-        sites: Dict[Tuple, List[str]] = {}
-        evidence: Dict[Tuple, object] = {}
-        for fn, facts in ctx.absint_functions():
-            for instr, from_bits, to_bits in self._implicit_truncs(fn):
-                key = (instr.loc, from_bits, to_bits)
-                val = facts.value_of(instr.operands[0])
-                lo, hi = (
-                    (-(1 << (to_bits - 1)), (1 << (to_bits - 1)) - 1)
-                    if is_signed(instr.ty)
-                    else (0, (1 << to_bits) - 1)
-                )
-                if val is None:
-                    grade = "possible"
-                elif val.is_bottom or (lo <= val.lo and val.hi <= hi):
-                    grade = "clean"  # unreachable, or the value fits
-                elif val.hi < lo or val.lo > hi:
-                    grade = "proved"
-                    evidence[key] = val
-                else:
-                    grade = "possible"
-                    if val.informative():
-                        evidence.setdefault(key, val)
-                sites.setdefault(key, []).append(grade)
-        for fn in _absint_missed(ctx):
-            for instr, from_bits, to_bits in self._implicit_truncs(fn):
-                sites.setdefault(
-                    (instr.loc, from_bits, to_bits), []
-                ).append("possible")
+    def grade(self, instr, facts):
+        to_bits = _bits(instr.ty)
+        val = facts.value_of(instr.operands[0])
+        lo, hi = (
+            (-(1 << (to_bits - 1)), (1 << (to_bits - 1)) - 1)
+            if is_signed(instr.ty)
+            else (0, (1 << to_bits) - 1)
+        )
+        if val is None:
+            return "possible", None
+        if val.is_bottom or (lo <= val.lo and val.hi <= hi):
+            return "clean", None  # unreachable, or the value fits
+        if val.hi < lo or val.lo > hi:
+            return "proved", val
+        return "possible", val if val.informative() else None
 
-        for (loc, from_bits, to_bits), grades in sites.items():
-            status = _grade_site(grades)
-            if status is None:
-                continue
-            val = evidence.get((loc, from_bits, to_bits))
-            notes = [_range_note("the truncated value", val)] if val else None
-            if status == "proved":
-                ctx.sink.error(
-                    "NCL0801",
-                    f"implicit truncation from {from_bits}-bit to "
-                    f"{to_bits}-bit always loses data: no value in range "
-                    f"is representable after narrowing",
-                    loc,
-                    notes=notes,
-                    fixit="mask or range-check the value before narrowing it",
-                    rule=self.name,
-                    status=status,
-                )
-            else:
-                ctx.sink.warning(
-                    "NCL0801",
-                    f"implicit truncation from {from_bits}-bit to "
-                    f"{to_bits}-bit value may lose data",
-                    loc,
-                    notes=notes,
-                    fixit="write an explicit cast if the narrowing is intended",
-                    rule=self.name,
-                    status=status,
-                )
+    def fallback(self, instr):
+        return "possible", None
+
+    def finding(self, key, status, val):
+        _loc, from_bits, to_bits = key
+        notes = [_range_note("the truncated value", val)] if val else None
+        if status == "proved":
+            return (
+                f"implicit truncation from {from_bits}-bit to "
+                f"{to_bits}-bit always loses data: no value in range "
+                f"is representable after narrowing",
+                notes,
+                "mask or range-check the value before narrowing it",
+            )
+        return (
+            f"implicit truncation from {from_bits}-bit to "
+            f"{to_bits}-bit value may lose data",
+            notes,
+            "write an explicit cast if the narrowing is intended",
+        )
 
 
 @register
-class ShiftRangeRule(Rule):
+class ShiftRangeRule(_RangeGradedRule):
     """Shift amounts, graded by the interpreter's trap semantics: a
     negative amount traps, an amount >= the width silently reduces
     modulo the width (almost never what the author meant)."""
@@ -620,233 +667,145 @@ class ShiftRangeRule(Rule):
     name = "shift-range"
     codes = ("NCL0802",)
     about = "shift amount negative or >= the shifted value's width"
-    requires_nir = True
 
-    def run(self, ctx: AnalysisContext) -> None:
-        assert ctx.module is not None
-        sites: Dict[object, List[str]] = {}
-        details: Dict[object, Tuple] = {}
-        for fn, facts in ctx.absint_functions():
-            for instr in fn.instructions():
-                if not (
-                    isinstance(instr, ir.BinOp)
-                    and instr.op in ("shl", "lshr", "ashr")
-                    and instr.loc is not None
-                ):
-                    continue
-                bits = _bits(instr.ty)
-                if bits is None:
-                    continue
-                status = facts.shift_status.get(instr)
-                amount = facts.value_of(instr.rhs)
-                if status in ("neg", "oob"):
-                    grade = "proved"
-                elif status == "maybe" and amount is not None and amount.informative():
-                    grade = "possible"
-                else:
-                    grade = "clean"
-                sites.setdefault(instr.loc, []).append(grade)
-                if grade != "clean" and instr.loc not in details:
-                    details[instr.loc] = (status, bits, amount)
-        for fn in _absint_missed(ctx):
-            for instr in fn.instructions():
-                if (
-                    isinstance(instr, ir.BinOp)
-                    and instr.op in ("shl", "lshr", "ashr")
-                    and instr.loc is not None
-                    and isinstance(instr.rhs, ir.Const)
-                ):
-                    bits = _bits(instr.ty)
-                    if bits is None:
-                        continue
-                    amount = instr.rhs.value
-                    if amount < 0 or amount >= bits:
-                        sites.setdefault(instr.loc, []).append("proved")
-                        details.setdefault(
-                            instr.loc, ("neg" if amount < 0 else "oob", bits, None)
-                        )
-                    else:
-                        sites.setdefault(instr.loc, []).append("clean")
+    def site(self, instr):
+        return _binop_site(instr, ("shl", "lshr", "ashr"))
 
-        for loc, grades in sites.items():
-            graded = _grade_site(grades)
-            if graded is None:
-                continue
-            status, bits, amount = details[loc]
-            notes = [_range_note("the shift amount", amount)] if amount else None
-            if graded == "proved" and status == "neg":
-                message = (
-                    "shift amount is always negative, which traps at runtime"
-                )
-            elif graded == "proved":
-                message = (
-                    f"shift amount is always out of range for a {bits}-bit "
-                    "value (amounts are reduced modulo the width)"
-                )
-            else:
-                message = (
-                    f"shift amount may be out of range for a {bits}-bit value"
-                )
-            report = ctx.sink.error if graded == "proved" else ctx.sink.warning
-            report(
-                "NCL0802", message, loc, notes=notes, rule=self.name,
-                status=graded,
+    def grade(self, instr, facts):
+        status = facts.shift_status.get(instr)
+        amount = facts.value_of(instr.rhs)
+        if status in ("neg", "oob"):
+            grade = "proved"
+        elif status == "maybe" and amount is not None and amount.informative():
+            grade = "possible"
+        else:
+            return "clean", None
+        return grade, (status, _bits(instr.ty), amount)
+
+    def fallback(self, instr):
+        if not isinstance(instr.rhs, ir.Const):
+            return None
+        bits = _bits(instr.ty)
+        amount = instr.rhs.value
+        if 0 <= amount < bits:
+            return "clean", None
+        return "proved", ("neg" if amount < 0 else "oob", bits, None)
+
+    def finding(self, key, graded, details):
+        status, bits, amount = details
+        notes = [_range_note("the shift amount", amount)] if amount else None
+        if graded == "proved" and status == "neg":
+            message = "shift amount is always negative, which traps at runtime"
+        elif graded == "proved":
+            message = (
+                f"shift amount is always out of range for a {bits}-bit "
+                "value (amounts are reduced modulo the width)"
             )
+        else:
+            message = f"shift amount may be out of range for a {bits}-bit value"
+        return message, notes, None
 
 
 @register
-class OverflowRule(Rule):
+class OverflowRule(_RangeGradedRule):
     """Wrapping arithmetic, graded against the *unwrapped* result range:
     disjoint from the representable range means every execution wraps
     (proved); an overlap flags only when both operand ranges are
-    informative, so full-width unknowns stay quiet."""
+    informative, so full-width unknowns stay quiet.
+
+    No syntactic fallback: const-const arithmetic is exactly what the
+    analyzer proves even with top inputs, and anything else was never
+    reportable without ranges."""
 
     name = "overflow"
     codes = ("NCL0803",)
     about = "arithmetic whose result overflows its declared width"
-    requires_nir = True
 
-    def run(self, ctx: AnalysisContext) -> None:
-        assert ctx.module is not None
-        sites: Dict[object, List[str]] = {}
-        details: Dict[object, Tuple] = {}
-        for fn, facts in ctx.absint_functions():
-            for instr in fn.instructions():
-                if not (
-                    isinstance(instr, ir.BinOp)
-                    and instr.op in ("add", "sub", "mul")
-                    and instr.loc is not None
-                ):
-                    continue
-                bits = _bits(instr.ty)
-                if bits is None:
-                    continue
-                a = facts.value_of(instr.lhs)
-                b = facts.value_of(instr.rhs)
-                grade = "clean"
-                if a is not None and b is not None:
-                    exact = exact_range(instr.op, a, b)
-                    signed = is_signed(instr.ty)
-                    lo = -(1 << (bits - 1)) if signed else 0
-                    hi = (1 << (bits - 1)) - 1 if signed else (1 << bits) - 1
-                    if exact is not None:
-                        ex_lo, ex_hi = exact
-                        if ex_lo > hi or ex_hi < lo:
-                            grade = "proved"
-                        elif (ex_lo < lo or ex_hi > hi) and (
-                            a.informative() and b.informative()
-                        ):
-                            grade = "possible"
-                        if grade != "clean" and instr.loc not in details:
-                            details[instr.loc] = (bits, signed, ex_lo, ex_hi)
-                sites.setdefault(instr.loc, []).append(grade)
-        # No syntactic fallback: const-const arithmetic is exactly what
-        # the analyzer proves even with top inputs, and anything else
-        # was never reportable without ranges.
+    def site(self, instr):
+        return _binop_site(instr, ("add", "sub", "mul"))
 
-        for loc, grades in sites.items():
-            graded = _grade_site(grades)
-            if graded is None:
-                continue
-            bits, signed, ex_lo, ex_hi = details[loc]
-            kind = "signed" if signed else "unsigned"
-            if graded == "proved" and ex_lo == ex_hi:
-                message = (
-                    f"expression always evaluates to {ex_lo}, which "
-                    f"overflows {bits}-bit {kind} arithmetic"
-                )
-            elif graded == "proved":
-                message = (
-                    f"arithmetic always overflows: the exact result range "
-                    f"[{ex_lo}, {ex_hi}] lies entirely outside {bits}-bit "
-                    f"{kind} range"
-                )
-            else:
-                message = (
-                    f"arithmetic may overflow {bits}-bit {kind} range: the "
-                    f"exact result can reach [{ex_lo}, {ex_hi}]"
-                )
-            report = ctx.sink.error if graded == "proved" else ctx.sink.warning
-            report(
-                "NCL0803", message, loc,
-                notes=["results wrap modulo the declared width at runtime"],
-                rule=self.name, status=graded,
+    def grade(self, instr, facts):
+        a = facts.value_of(instr.lhs)
+        b = facts.value_of(instr.rhs)
+        exact = exact_range(instr.op, a, b) if a is not None and b is not None else None
+        if exact is None:
+            return "clean", None
+        bits = _bits(instr.ty)
+        signed = is_signed(instr.ty)
+        lo = -(1 << (bits - 1)) if signed else 0
+        hi = (1 << (bits - 1)) - 1 if signed else (1 << bits) - 1
+        ex_lo, ex_hi = exact
+        if ex_lo > hi or ex_hi < lo:
+            grade = "proved"
+        elif (ex_lo < lo or ex_hi > hi) and a.informative() and b.informative():
+            grade = "possible"
+        else:
+            return "clean", None
+        return grade, (bits, signed, ex_lo, ex_hi)
+
+    def finding(self, key, graded, details):
+        bits, signed, ex_lo, ex_hi = details
+        kind = "signed" if signed else "unsigned"
+        if graded == "proved" and ex_lo == ex_hi:
+            message = (
+                f"expression always evaluates to {ex_lo}, which "
+                f"overflows {bits}-bit {kind} arithmetic"
             )
+        elif graded == "proved":
+            message = (
+                f"arithmetic always overflows: the exact result range "
+                f"[{ex_lo}, {ex_hi}] lies entirely outside {bits}-bit "
+                f"{kind} range"
+            )
+        else:
+            message = (
+                f"arithmetic may overflow {bits}-bit {kind} range: the "
+                f"exact result can reach [{ex_lo}, {ex_hi}]"
+            )
+        notes = ["results wrap modulo the declared width at runtime"]
+        return message, notes, None
 
 
 @register
-class DivByZeroRule(Rule):
+class DivByZeroRule(_RangeGradedRule):
     name = "div-by-zero"
     codes = ("NCL0805",)
     about = "division or remainder whose divisor can be zero"
-    requires_nir = True
 
-    def run(self, ctx: AnalysisContext) -> None:
-        assert ctx.module is not None
-        sites: Dict[object, List[str]] = {}
-        evidence: Dict[object, object] = {}
-        for fn, facts in ctx.absint_functions():
-            for instr in fn.instructions():
-                if not (
-                    isinstance(instr, ir.BinOp)
-                    and instr.op in ("udiv", "sdiv", "urem", "srem")
-                    and instr.loc is not None
-                ):
-                    continue
-                status = facts.div_status.get(instr)
-                divisor = facts.value_of(instr.rhs)
-                if status == "zero":
-                    grade = "proved"
-                elif (
-                    status == "maybe"
-                    and divisor is not None
-                    and divisor.informative()
-                ):
-                    grade = "possible"
-                else:
-                    grade = "clean"
-                sites.setdefault(instr.loc, []).append(grade)
-                if grade != "clean" and divisor is not None:
-                    evidence.setdefault(instr.loc, divisor)
-        for fn in _absint_missed(ctx):
-            for instr in fn.instructions():
-                if (
-                    isinstance(instr, ir.BinOp)
-                    and instr.op in ("udiv", "sdiv", "urem", "srem")
-                    and instr.loc is not None
-                ):
-                    const_zero = (
-                        isinstance(instr.rhs, ir.Const) and instr.rhs.value == 0
-                    )
-                    sites.setdefault(instr.loc, []).append(
-                        "proved" if const_zero else "clean"
-                    )
+    def site(self, instr):
+        return _binop_site(instr, ("udiv", "sdiv", "urem", "srem"))
 
-        for loc, grades in sites.items():
-            graded = _grade_site(grades)
-            if graded is None:
-                continue
-            val = evidence.get(loc)
-            notes = [_range_note("the divisor", val)] if val else None
-            if graded == "proved":
-                ctx.sink.error(
-                    "NCL0805",
-                    "divisor is always zero; this division traps on every "
-                    "execution",
-                    loc, notes=notes, rule=self.name, status=graded,
-                )
-            else:
-                ctx.sink.warning(
-                    "NCL0805",
-                    "divisor may be zero",
-                    loc, notes=notes,
-                    fixit="guard the division or prove the divisor nonzero",
-                    rule=self.name, status=graded,
-                )
+    def grade(self, instr, facts):
+        status = facts.div_status.get(instr)
+        divisor = facts.value_of(instr.rhs)
+        if status == "zero":
+            return "proved", divisor
+        if status == "maybe" and divisor is not None and divisor.informative():
+            return "possible", divisor
+        return "clean", None
+
+    def fallback(self, instr):
+        const_zero = isinstance(instr.rhs, ir.Const) and instr.rhs.value == 0
+        return ("proved" if const_zero else "clean"), None
+
+    def finding(self, key, graded, divisor):
+        notes = [_range_note("the divisor", divisor)] if divisor else None
+        if graded == "proved":
+            return (
+                "divisor is always zero; this division traps on every "
+                "execution",
+                notes,
+                None,
+            )
+        return (
+            "divisor may be zero",
+            notes,
+            "guard the division or prove the divisor nonzero",
+        )
 
 
 @register
-class UnusedKernelRule(Rule):
+class UnusedKernelRule(LintRule):
     """Only meaningful when the program ships its own host driver code;
     examples driven from Python (no host functions) stay silent."""
 
@@ -855,22 +814,16 @@ class UnusedKernelRule(Rule):
     about = "kernel defined but never launched/registered by host code"
 
     def run(self, ctx: AnalysisContext) -> None:
-        hosts = [d for d in _host_functions(ctx.unit) if not d.is_kernel]
-        if not hosts:
+        if not _host_functions(ctx.unit):
             return
         used_out: Set[str] = set()
         used_in: Set[str] = set()
-        for decl in hosts:
-            for node in decl.body.walk():
-                if not isinstance(node, ast.Call):
-                    continue
-                if node.name not in ("ncl::out", "ncl::in") or not node.args:
-                    continue
-                target = node.args[0]
-                if isinstance(target, ast.Ident):
-                    (used_out if node.name == "ncl::out" else used_in).add(
-                        target.name
-                    )
+        for node in _host_calls(ctx.unit, ("ncl::out", "ncl::in")):
+            target = node.args[0] if node.args else None
+            if isinstance(target, ast.Ident):
+                (used_out if node.name == "ncl::out" else used_in).add(
+                    target.name
+                )
         for name, info in ctx.unit.out_kernels.items():
             if name not in used_out:
                 ctx.sink.warning(
@@ -894,7 +847,7 @@ class UnusedKernelRule(Rule):
 
 
 @register
-class UnusedWindowFieldRule(Rule):
+class UnusedWindowFieldRule(LintRule):
     name = "unused-window-field"
     codes = ("NCL0903",)
     about = "window extension field that no kernel reads"
@@ -952,7 +905,7 @@ def _longest_block_path(fn: ir.Function) -> int:
 
 
 @register
-class PisaResourceRule(Rule):
+class PisaResourceRule(LintRule):
     """Early, explained versions of the backend's accept/reject budgets.
 
     Estimates are made on pre-unroll NIR, so they are lower bounds; the
@@ -964,10 +917,10 @@ class PisaResourceRule(Rule):
     name = "pisa-resources"
     codes = ("NCL0610", "NCL0611", "NCL0612", "NCL0613", "NCL0614")
     about = "stage/table/PHV/register budget estimates vs the chip profile"
-    requires_nir = True
 
     def run(self, ctx: AnalysisContext) -> None:
-        assert ctx.module is not None
+        if ctx.module is None:
+            return
         profile = ctx.profile
         header_bits = sum(
             b for _, ty in ctx.module.window_fields if (b := _bits(ty))

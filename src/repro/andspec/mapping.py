@@ -81,11 +81,6 @@ class Mapping:
         #: overlay edge -> physical node path (inclusive endpoints)
         self.edge_paths = dict(edge_paths)
 
-    def physical_for(self, overlay_label: str) -> str:
-        if overlay_label not in self.placement:
-            raise MappingError(f"no placement for overlay node {overlay_label!r}")
-        return self.placement[overlay_label]
-
     def __repr__(self) -> str:
         return f"Mapping({self.placement})"
 

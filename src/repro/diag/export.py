@@ -48,9 +48,10 @@ def diagnostic_dict(diag: Diagnostic) -> Dict[str, object]:
     return out
 
 
-def export_dict(sink: DiagnosticSink) -> Dict[str, object]:
+def findings_block(sink: DiagnosticSink) -> Dict[str, object]:
+    """The ``summary`` + ``diagnostics`` keys every report schema
+    (``repro.diag/1``, ``repro.deploy/1``, ``repro.proto/1``) carries."""
     return {
-        "schema": SCHEMA,
         "summary": {
             "errors": sink.count(Severity.ERROR),
             "warnings": sink.count(Severity.WARNING),
@@ -58,6 +59,10 @@ def export_dict(sink: DiagnosticSink) -> Dict[str, object]:
         },
         "diagnostics": [diagnostic_dict(d) for d in sink.sorted()],
     }
+
+
+def export_dict(sink: DiagnosticSink) -> Dict[str, object]:
+    return {"schema": SCHEMA, **findings_block(sink)}
 
 
 def render_json(sink: DiagnosticSink) -> str:

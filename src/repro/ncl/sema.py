@@ -118,10 +118,6 @@ class TranslationUnit:
                 return fty
         return None
 
-    def switch_symbols(self) -> List[Symbol]:
-        """All switch-resident symbols (memory, ctrl vars, maps, blooms)."""
-        return [s for s in self.symbols.values() if s.is_switch_side]
-
     def paired_out_kernel(self, in_kernel: str) -> Optional[KernelInfo]:
         """Find the outgoing kernel whose parameter list the given incoming
         kernel matches (paper S4.1: an _in_ kernel is 'paired' with an

@@ -41,13 +41,9 @@ import json
 import sys
 from pathlib import Path
 
-from repro.errors import BackendRejection, ConformanceError, NclError, ReproError
+from repro.errors import BackendRejection, ReproError
 from repro.nclc import cli
-from repro.nclc.driver import Compiler, WindowConfig
-
-# re-exported for callers that imported these from here historically
-build_parser = cli.build_parser
-parse_kv = cli.parse_kv
+from repro.nclc.driver import Compiler
 
 
 def _emit_ast(args) -> int:
@@ -55,7 +51,7 @@ def _emit_ast(args) -> int:
     from repro.ncl.lexer import tokenize
     from repro.ncl.parser import Parser
 
-    source = Path(args.source).read_text()
+    source = cli.read_text(args.source)
     defines = cli.parse_kv(args.defines)
     tokens = tokenize(source, args.source, defines or None)
     program = Parser(tokens).parse_program()
@@ -63,6 +59,7 @@ def _emit_ast(args) -> int:
     return 0
 
 
+@cli.usage_errors
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "lint":
@@ -79,32 +76,21 @@ def main(argv=None) -> int:
         return proto_main(argv[1:])
     if argv and argv[0] == "build":
         argv = argv[1:]
-    args = cli.build_parser().parse_args(argv)
-    try:
-        return run_build(args)
-    except cli.UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return run_build(cli.build_parser().parse_args(argv))
 
 
 def run_build(args) -> int:
     if args.emit == "ast":
         try:
             return _emit_ast(args)
-        except (NclError, ReproError) as exc:
+        except ReproError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
 
-    source = Path(args.source).read_text()
+    source = cli.read_text(args.source)
     and_text = cli.read_and_text(args)
     defines = cli.parse_kv(args.defines)
-    ext = cli.parse_kv(args.exts)
-
-    windows = {}
-    for spec in args.windows or []:
-        kernel, _, mask_text = spec.partition("=")
-        mask = tuple(int(m) for m in mask_text.split(","))
-        windows[kernel.strip()] = WindowConfig(mask=mask, ext=ext)
+    windows = cli.parse_windows(args)
 
     cache = None
     if args.cache:
@@ -142,9 +128,6 @@ def run_build(args) -> int:
         if trace is not None and args.timing:
             print(trace.format_table())
         return 2
-    except (ConformanceError, NclError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ReproError as exc:
         from repro.analysis.transval import TranslationValidationError
 

@@ -1,25 +1,62 @@
-"""Shared command-line plumbing for the nclc subcommands.
+"""The one command-line skeleton under the four nclc subcommands.
 
-``python -m repro.nclc build`` (the default) and ``python -m repro.nclc
-lint`` historically each built their own ``argparse`` parser and
-duplicated the ``--and`` / ``-D`` / ``--profile`` handling; both now get
-those from :func:`add_common_args` and the value parsing from the
-helpers here, so a flag behaves identically in every subcommand.
+``build``, ``lint``, ``check-deploy`` and ``check-proto`` share what is
+written here and only here:
+
+* the argument groups (``--profile/--and/-D``, ``--window/--ext``,
+  ``-O``, ``--json/--werror/--list-rules``);
+* input reading and ``NAME=VALUE`` / window-mask parsing, every mistake
+  a :class:`UsageError`;
+* the exit-code contract: **0** success (warnings allowed), **1**
+  error-level findings (``--werror`` promotes warnings first; for
+  ``build``, a program that does not compile), **2** the command could
+  not do its job -- bad flags, unreadable or malformed input, a tenant
+  or checked program that does not compile, and for ``build`` a backend
+  rejection. :func:`usage_errors` prints ``error: ...`` and returns 2;
+  :func:`report` is the promote / render / 0-or-1 tail of the checkers.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import sys
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Callable, Dict, List, Optional
+
+from repro.diag import DiagnosticSink
+from repro.nclc.driver import WindowConfig
 
 
 class UsageError(Exception):
-    """Bad command-line input (malformed ``-D``, unreadable ``--and``
-    file). Subcommand mains catch it, print ``error: ...``, and exit 2."""
+    """The command cannot run as asked (malformed ``-D``, unreadable
+    file, input that does not compile): ``error: ...`` and exit 2."""
 
 
-def parse_kv(pairs, cast=int) -> Dict[str, int]:
+def usage_errors(main: Callable[..., int]) -> Callable[..., int]:
+    """Decorator for a subcommand ``main``: a :class:`UsageError` raised
+    anywhere below it prints ``error: <message>`` and exits 2."""
+
+    @functools.wraps(main)
+    def wrapper(argv: Optional[List[str]] = None) -> int:
+        try:
+            return main(argv)
+        except UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+
+    return wrapper
+
+
+def read_text(path: str) -> str:
+    """The text of an input file (source, manifest or ``--and`` overlay)."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}")
+
+
+def parse_kv(pairs) -> Dict[str, int]:
     """Parse repeated ``NAME=VALUE`` options (``-D``, ``--ext``)."""
     out = {}
     for pair in pairs or []:
@@ -27,14 +64,29 @@ def parse_kv(pairs, cast=int) -> Dict[str, int]:
             raise UsageError(f"expected NAME=VALUE, got {pair!r}")
         name, _, value = pair.partition("=")
         try:
-            out[name.strip()] = cast(value)
+            out[name.strip()] = int(value)
         except ValueError:
             raise UsageError(f"bad value in {pair!r}")
     return out
 
 
+def parse_windows(args) -> Dict[str, WindowConfig]:
+    """``--window KERNEL=N[,N...]`` masks, each carrying the ``--ext``
+    field values (which apply to all kernels)."""
+    ext = parse_kv(args.exts)
+    windows = {}
+    for spec in args.windows or []:
+        kernel, _, mask_text = spec.partition("=")
+        try:
+            mask = tuple(int(m) for m in mask_text.split(","))
+        except ValueError:
+            raise UsageError(f"bad window spec {spec!r}")
+        windows[kernel.strip()] = WindowConfig(mask=mask, ext=ext)
+    return windows
+
+
 def add_common_args(parser: argparse.ArgumentParser) -> None:
-    """Options every nclc subcommand understands the same way."""
+    """Options every program-taking subcommand understands the same way."""
     parser.add_argument(
         "--profile",
         default="bmv2",
@@ -50,14 +102,96 @@ def add_common_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def add_window_args(parser: argparse.ArgumentParser) -> None:
+    """``--window`` / ``--ext``: compile-time window geometry."""
+    parser.add_argument(
+        "--window",
+        dest="windows",
+        action="append",
+        metavar="KERNEL=N[,N...]",
+        help="window mask for an outgoing kernel (repeatable)",
+    )
+    parser.add_argument(
+        "--ext",
+        dest="exts",
+        action="append",
+        metavar="FIELD=VALUE",
+        help="window extension field value (applies to all kernels)",
+    )
+
+
+def add_opt_arg(parser: argparse.ArgumentParser, about: str) -> None:
+    parser.add_argument(
+        "-O",
+        dest="opt_level",
+        type=int,
+        choices=(0, 1, 2),
+        default=2,
+        metavar="{0,1,2}",
+        help=about,
+    )
+
+
+def add_report_args(
+    parser: argparse.ArgumentParser, schema: str, listed: str
+) -> None:
+    """``--json`` / ``--werror`` / ``--list-rules`` of the three checkers."""
+    parser.add_argument(
+        "--json",
+        action="store_true",
+        help=f"emit the deterministic {schema} JSON report",
+    )
+    parser.add_argument(
+        "--werror",
+        action="store_true",
+        help="treat warnings as errors (exit 1 on any finding)",
+    )
+    parser.add_argument(
+        "--list-rules",
+        action="store_true",
+        help=f"list registered {listed} and exit",
+    )
+
+
 def read_and_text(args) -> Optional[str]:
     """The AND overlay text named by ``--and``, or None."""
-    if not args.and_file:
-        return None
-    try:
-        return Path(args.and_file).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read AND file: {exc}")
+    return read_text(args.and_file) if args.and_file else None
+
+
+def list_rules(first: str) -> int:
+    """``--list-rules``: the registry of subcommand *first*, then (under a
+    heading each) those of the checkers after it in lint -> check-deploy
+    -> check-proto order, so ``lint`` lists every code there is."""
+    from repro.analysis import RULES
+    from repro.analysis.deploy.checks import CHECKS as DEPLOY_CHECKS
+    from repro.analysis.proto import CHECKS as PROTO_CHECKS
+
+    families = {
+        "lint": ("analysis rules", RULES),
+        "check-deploy": ("deployment checks", DEPLOY_CHECKS),
+        "check-proto": ("transport-safety checks", PROTO_CHECKS),
+    }
+    commands = list(families)
+    for command in commands[commands.index(first):]:
+        heading, registry = families[command]
+        if command != first:
+            print(f"\n{heading} (nclc {command}):")
+        sys.stdout.write(registry.list_rules())
+    return 0
+
+
+def report(
+    args,
+    sink: DiagnosticSink,
+    render_json: Callable[[], str],
+    render_text: Callable[[], str],
+) -> int:
+    """The checkers' tail: ``--werror`` promotion, then the JSON or the
+    text report on stdout; 1 when error-level findings remain, else 0."""
+    if args.werror:
+        sink.promote_warnings()
+    sys.stdout.write(render_json() if args.json else render_text())
+    return 1 if sink.has_errors else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,14 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "-o", "--output", default=".", help="output directory (default: cwd)"
     )
-    parser.add_argument(
-        "-O",
-        dest="opt_level",
-        type=int,
-        choices=(0, 1, 2),
-        default=2,
-        metavar="{0,1,2}",
-        help="optimization level: -O0 minimum passes, -O1 adds DCE + store "
+    add_opt_arg(
+        parser,
+        "optimization level: -O0 minimum passes, -O1 adds DCE + store "
         "forwarding, -O2 the full menu with GVN and store merging "
         "(default: -O2)",
     )
@@ -106,20 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="content-addressed artifact cache directory; unchanged "
         "rebuilds become cache hits",
     )
-    parser.add_argument(
-        "--window",
-        dest="windows",
-        action="append",
-        metavar="KERNEL=N[,N...]",
-        help="window mask for an outgoing kernel (repeatable)",
-    )
-    parser.add_argument(
-        "--ext",
-        dest="exts",
-        action="append",
-        metavar="FIELD=VALUE",
-        help="window extension field value (applies to all kernels)",
-    )
+    add_window_args(parser)
     parser.add_argument(
         "--no-split",
         action="store_true",

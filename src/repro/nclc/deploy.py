@@ -6,28 +6,25 @@ fabric. Runs every check in :mod:`repro.analysis.deploy.checks` --
 resource admission, tenant isolation, placement/reachability, transport
 invariants -- and renders either the human-readable report (per-switch
 utilization, caret excerpts, verdict line) or the byte-deterministic
-``repro.deploy/1`` JSON form for tooling and golden tests.
-
-Exit codes match ``nclc lint``: 0 admissible (warnings allowed), 1
-error-level findings (including promoted warnings under ``--werror``),
-2 usage/manifest/compile errors.
+``repro.deploy/1`` JSON form for tooling and golden tests. Exit codes
+are the shared contract of :mod:`repro.nclc.cli` (0 admissible, 1
+rejected, 2 usage/manifest/compile errors).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.deploy import (
-    all_checks,
     check_deployment,
     parse_deployment,
     render_report_json,
     render_report_text,
 )
-from repro.errors import DeployError, NclError, ReproError
+from repro.errors import NclError, ReproError
+from repro.nclc import cli
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,81 +35,38 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("manifest", nargs="?", help="deployment manifest file")
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the deterministic repro.deploy/1 JSON report",
-    )
-    parser.add_argument(
-        "--werror",
-        action="store_true",
-        help="treat warnings as errors (exit 1 on any finding)",
-    )
-    parser.add_argument(
-        "-O",
-        dest="opt_level",
-        type=int,
-        choices=(0, 1, 2),
-        default=2,
-        help="optimization level used when compiling tenant programs",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="list registered deployment checks and exit",
+    cli.add_report_args(parser, "repro.deploy/1", "deployment checks")
+    cli.add_opt_arg(
+        parser, "optimization level used when compiling tenant programs"
     )
     return parser
 
 
-def list_rules() -> None:
-    """Print the check registry in the ``nclc lint --list-rules`` format."""
-    for check in all_checks():
-        codes = ", ".join(check.codes)
-        print(f"{check.name:20} {codes:46} {check.about}")
-
-
+@cli.usage_errors
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list_rules:
-        list_rules()
-        print()
-        print("transport-safety checks (nclc check-proto):")
-        from repro.nclc.proto import list_rules as list_proto_rules
-
-        list_proto_rules()
-        return 0
+        return cli.list_rules("check-deploy")
     if not args.manifest:
-        print("error: no deployment manifest given", file=sys.stderr)
-        return 2
+        raise cli.UsageError("no deployment manifest given")
 
-    try:
-        text = Path(args.manifest).read_text()
-    except OSError as exc:
-        print(f"error: cannot read {args.manifest}: {exc}", file=sys.stderr)
-        return 2
+    text = cli.read_text(args.manifest)
     try:
         deployment = parse_deployment(
             text, args.manifest, opt_level=args.opt_level
         )
-    except DeployError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NclError as exc:
-        print(f"error: tenant program failed to compile: {exc}", file=sys.stderr)
-        return 2
+        raise cli.UsageError(f"tenant program failed to compile: {exc}")
     except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise cli.UsageError(str(exc))
 
     ctx = check_deployment(deployment)
-    if args.werror:
-        ctx.sink.promote_warnings()
-
-    if args.json:
-        sys.stdout.write(render_report_json(ctx))
-    else:
-        sys.stdout.write(render_report_text(ctx))
-    return 1 if ctx.sink.has_errors else 0
+    return cli.report(
+        args,
+        ctx.sink,
+        lambda: render_report_json(ctx),
+        lambda: render_report_text(ctx),
+    )
 
 
 if __name__ == "__main__":

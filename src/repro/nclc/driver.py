@@ -128,62 +128,56 @@ class CompiledProgram:
                 return name
         return None
 
-    # -- abstract-interpretation summaries ----------------------------------
+    # -- per-switch analyses of the optimized kernels ------------------------
+    # Computed from ``switch_modules``, so they work on cache hits and
+    # loaded artifacts alike.
+
+    def _per_switch(self, analyze):
+        label_ids = self.label_ids
+        return {
+            label: analyze(self.switch_modules[label], label_ids=label_ids)
+            for label in sorted(self.switch_modules)
+        }
+
+    def _render_per_switch(self, what: str, per_switch, render) -> str:
+        return "\n".join(
+            f"; ===== switch {label} ({what}, -O{self.opt_level}) =====\n"
+            + render(result)
+            for label, result in per_switch.items()
+        )
 
     def absint_facts(self):
         """Per-switch abstract-interpretation facts (value ranges + known
-        bits) for the optimized kernels: label -> {fn name -> facts}.
-        Computed from ``switch_modules``, so it works on cache hits and
-        loaded artifacts alike."""
+        bits): label -> {fn name -> facts}."""
         from repro.analysis.absint import analyze_module
 
-        label_ids = self.label_ids
-        return {
-            label: analyze_module(self.switch_modules[label], label_ids=label_ids)
-            for label in sorted(self.switch_modules)
-        }
+        return self._per_switch(analyze_module)
 
     def render_absint(self) -> str:
         """Byte-deterministic dump of :meth:`absint_facts` (the output of
         ``nclc build --emit absint``, golden-tested)."""
         from repro.analysis.absint import render_module_facts
 
-        parts = []
-        for label, facts in self.absint_facts().items():
-            parts.append(
-                f"; ===== switch {label} (absint facts, -O{self.opt_level}) =====\n"
-                + render_module_facts(facts)
-            )
-        return "\n".join(parts)
+        return self._render_per_switch(
+            "absint facts", self.absint_facts(), render_module_facts
+        )
 
     def effect_summaries(self):
         """Per-switch kernel effect summaries (replay-safety lattice:
         idempotent / commutative-monoid / unsafe-on-replay, plus dedup
-        guards): label -> {fn name -> KernelEffects}. Computed from
-        ``switch_modules`` like :meth:`absint_facts`, so it works on
-        cache hits and loaded artifacts alike."""
+        guards): label -> {fn name -> KernelEffects}."""
         from repro.analysis.effects import analyze_module_effects
 
-        label_ids = self.label_ids
-        return {
-            label: analyze_module_effects(
-                self.switch_modules[label], label_ids=label_ids
-            )
-            for label in sorted(self.switch_modules)
-        }
+        return self._per_switch(analyze_module_effects)
 
     def render_effects(self) -> str:
         """Byte-deterministic dump of :meth:`effect_summaries` (the
         output of ``nclc build --emit effects``, golden-tested)."""
         from repro.analysis.effects import render_module_effects
 
-        parts = []
-        for label, summaries in self.effect_summaries().items():
-            parts.append(
-                f"; ===== switch {label} (effect summaries, -O{self.opt_level}) =====\n"
-                + render_module_effects(summaries)
-            )
-        return "\n".join(parts)
+        return self._render_per_switch(
+            "effect summaries", self.effect_summaries(), render_module_effects
+        )
 
     # -- the repro.nclc/1 artifact ------------------------------------------
 

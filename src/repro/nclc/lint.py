@@ -3,20 +3,17 @@
 Lints one or more NCL sources with the full :mod:`repro.analysis`
 pipeline (multi-error sema recovery, conformance explanations, the rule
 set) and renders either human-readable text with caret excerpts or the
-deterministic ``repro.diag/1`` JSON form.
-
-Exit codes: 0 clean (warnings allowed), 1 error-level diagnostics
-(including promoted warnings under ``--werror``), 2 usage errors
-(unknown rule/profile, unreadable file).
+deterministic ``repro.diag/1`` JSON form. Exit codes are the shared
+contract of :mod:`repro.nclc.cli` (0 clean, 1 findings, 2 usage).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
+from typing import List, Optional
 
-from repro.analysis import all_rules, lint_source
+from repro.analysis import lint_source
 from repro.diag import DiagnosticSink
 from repro.diag.export import render_json
 from repro.diag.render import SourceMap, render_text
@@ -31,16 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("sources", nargs="*", help="NCL source files")
     cli.add_common_args(parser)
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the deterministic repro.diag/1 JSON report",
-    )
-    parser.add_argument(
-        "--werror",
-        action="store_true",
-        help="treat warnings as errors (exit 1 on any finding)",
-    )
+    cli.add_report_args(parser, "repro.diag/1", "analysis rules")
     parser.add_argument(
         "-W",
         "--rule",
@@ -50,85 +38,44 @@ def build_parser() -> argparse.ArgumentParser:
         help="select rules: a name runs only the listed rules, "
         "'no-NAME' disables one (repeatable)",
     )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="list registered analysis rules and exit",
-    )
-    parser.add_argument(
-        "--no-summary",
-        action="store_true",
-        help="omit the trailing summary line of the text report",
-    )
     return parser
 
 
-def main(argv=None) -> int:
+@cli.usage_errors
+def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list_rules:
-        for rule in all_rules():
-            codes = ", ".join(rule.codes)
-            print(f"{rule.name:20} {codes:30} {rule.about}")
-        print()
-        print("deployment checks (nclc check-deploy):")
-        from repro.nclc.deploy import list_rules as list_deploy_rules
-
-        list_deploy_rules()
-        print()
-        print("transport-safety checks (nclc check-proto):")
-        from repro.nclc.proto import list_rules as list_proto_rules
-
-        list_proto_rules()
-        return 0
+        return cli.list_rules("lint")
     if not args.sources:
-        print("error: no source files given", file=sys.stderr)
-        return 2
-
-    try:
-        defines = cli.parse_kv(args.defines)
-        and_text = cli.read_and_text(args)
-    except cli.UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise cli.UsageError("no source files given")
+    defines = cli.parse_kv(args.defines)
+    and_text = cli.read_and_text(args)
 
     sink = DiagnosticSink()
     sources = {}
     for src_path in args.sources:
-        try:
-            text = Path(src_path).read_text()
-        except OSError as exc:
-            print(f"error: cannot read {src_path}: {exc}", file=sys.stderr)
-            return 2
-        sources[src_path] = text
+        sources[src_path] = cli.read_text(src_path)
         try:
             lint_source(
-                text,
+                sources[src_path],
                 src_path,
                 defines=defines or None,
                 and_text=and_text,
                 profile=args.profile,
                 rules=args.rules,
-                werror=False,  # promote once, after all files are in
-                sink=sink,
+                sink=sink,  # --werror promotes once, after all files are in
             )
         except (ValueError, KeyError) as exc:
-            # unknown rule name / unknown profile
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise cli.UsageError(str(exc))  # unknown rule name / profile
         except AndError as exc:
-            print(f"error: invalid AND: {exc}", file=sys.stderr)
-            return 2
+            raise cli.UsageError(f"invalid AND: {exc}")
 
-    if args.werror:
-        sink.promote_warnings()
-
-    if args.json:
-        sys.stdout.write(render_json(sink))
-    else:
-        sys.stdout.write(
-            render_text(sink, SourceMap(sources), summary=not args.no_summary)
-        )
-    return 1 if sink.has_errors else 0
+    return cli.report(
+        args,
+        sink,
+        lambda: render_json(sink),
+        lambda: render_text(sink, SourceMap(sources)),
+    )
 
 
 if __name__ == "__main__":

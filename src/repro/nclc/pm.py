@@ -18,10 +18,9 @@ Why this shape (vs the former ~140-line monolithic ``Compiler.compile``):
   sprinkled through the driver);
 * passes report failures through a :class:`repro.diag.DiagnosticSink`
   when one is supplied, so tooling sees structured diagnostics;
-* *preserved-analysis invalidation*: analysis results ("conformance
-  holds", "IR verified") are tracked per pass; a transform that does not
-  declare an analysis preserved invalidates it, and a later pass
-  requiring it triggers recomputation through its producer.
+* ``requires``/``provides`` are checked as the pipeline runs: a pass
+  asking for a key no earlier pass put on the blackboard is a
+  :class:`PipelineError`, not a ``KeyError`` three calls deep.
 
 The registry here covers the driver-level (module/program) passes; the
 function-level NIR passes have their own registry in
@@ -65,8 +64,7 @@ class PipelineContext:
 
     ``artifacts`` is the blackboard: passes declare which keys they
     require/provide. ``options`` carries the compiler configuration
-    (profile, opt_level, max_unroll, split_arrays). ``valid_analyses``
-    tracks which analysis results currently hold.
+    (profile, opt_level, max_unroll, split_arrays).
     """
 
     def __init__(
@@ -90,7 +88,6 @@ class PipelineContext:
         self.options: Dict[str, object] = dict(options or {})
         self.trace = trace
         self.sink = sink
-        self.valid_analyses: set = set()
         self.stage_times: Dict[str, float] = {}
         self.stats: Dict[str, PassStats] = {}
 
@@ -111,10 +108,8 @@ class PipelineContext:
 class CompilePass:
     """One registered driver-level pass.
 
-    ``requires``/``provides`` name blackboard keys; ``analysis`` marks a
-    pass whose product is an analysis result (invalidated by transforms
-    that do not preserve it); ``preserves`` lists analyses a transform
-    keeps valid (``"*"`` = all).
+    ``requires``/``provides`` name blackboard keys; the manager refuses
+    to run a pass whose required keys no earlier pass has put there.
     """
 
     def __init__(
@@ -123,8 +118,6 @@ class CompilePass:
         fn: Callable[[PipelineContext], None],
         requires: Sequence[str] = (),
         provides: Sequence[str] = (),
-        analysis: bool = False,
-        preserves: Sequence[str] = (),
         about: str = "",
         trace_stage: Optional[str] = "",
     ):
@@ -132,30 +125,20 @@ class CompilePass:
         self.fn = fn
         self.requires = tuple(requires)
         self.provides = tuple(provides)
-        self.analysis = analysis
-        self.preserves = tuple(preserves)
         self.about = about
         #: the coarse stage this pass reports under (CompileTrace stage
         #: records and ``stage_times`` keys); "" means "own name", None
         #: means untimed-in-trace (bookkeeping passes).
         self.trace_stage = name if trace_stage == "" else trace_stage
 
-    def __repr__(self) -> str:
-        return f"CompilePass({self.name})"
-
 
 COMPILE_PASSES: Dict[str, CompilePass] = {}
-
-#: analysis name -> the pass that (re)computes it
-_ANALYSIS_PRODUCERS: Dict[str, str] = {}
 
 
 def register_compile_pass(
     name: str,
     requires: Sequence[str] = (),
     provides: Sequence[str] = (),
-    analysis: bool = False,
-    preserves: Sequence[str] = (),
     about: str = "",
     trace_stage: Optional[str] = "",
 ):
@@ -164,13 +147,9 @@ def register_compile_pass(
     def deco(fn: Callable[[PipelineContext], None]):
         if name in COMPILE_PASSES:
             raise PipelineError(f"duplicate compile pass {name!r}")
-        cpass = CompilePass(
-            name, fn, requires, provides, analysis, preserves, about, trace_stage
+        COMPILE_PASSES[name] = CompilePass(
+            name, fn, requires, provides, about, trace_stage
         )
-        COMPILE_PASSES[name] = cpass
-        if analysis:
-            for key in provides:
-                _ANALYSIS_PRODUCERS[key] = name
         return fn
 
     return deco
@@ -219,13 +198,7 @@ class PassManager:
 
     def _run_one(self, cpass: CompilePass, ctx: PipelineContext) -> None:
         for key in cpass.requires:
-            if key in _ANALYSIS_PRODUCERS and key not in ctx.valid_analyses:
-                # Preserved-analysis machinery: recompute through the
-                # registered producer (it must not itself be broken).
-                producer = COMPILE_PASSES[_ANALYSIS_PRODUCERS[key]]
-                if producer.name != cpass.name:
-                    self._run_one(producer, ctx)
-            if key not in ctx.artifacts and key not in ctx.valid_analyses:
+            if key not in ctx.artifacts:
                 raise PipelineError(
                     f"pass {cpass.name!r} requires {key!r}, which no earlier "
                     "pass produced"
@@ -245,26 +218,19 @@ class PassManager:
             wall = time.perf_counter() - t0
             key = cpass.trace_stage or cpass.name
             ctx.stage_times[key] = ctx.stage_times.get(key, 0.0) + wall
-        if cpass.analysis:
-            ctx.valid_analyses.update(cpass.provides)
-        else:
-            # Transforms invalidate every analysis they do not preserve.
-            if "*" not in cpass.preserves:
-                ctx.valid_analyses &= set(cpass.preserves)
 
 
 # ---------------------------------------------------------------------------
 # Pipeline presets
 # ---------------------------------------------------------------------------
 
-#: The frontend pipeline (paper Fig 6, left half).
-FRONTEND_PASSES: Tuple[str, ...] = ("lex", "parse", "sema")
-
 #: The full build pipeline; identical pass *names* at every -O level --
 #: the opt level parameterizes the per-kernel NIR pipelines inside
 #: host-opt and switch-opt (see repro.nir.passes.HOST_PIPELINES).
 BUILD_PASSES: Tuple[str, ...] = (
-    *FRONTEND_PASSES,
+    "lex",
+    "parse",
+    "sema",
     "irgen",
     "and-resolve",
     "conformance",
@@ -308,7 +274,6 @@ def pipeline_fingerprint(opt_level: int, extra: Sequence[str] = ()) -> str:
     "lex",
     requires=("source",),
     provides=("tokens",),
-    preserves=("*",),
     about="tokenize NCL source (applies -D defines)",
     trace_stage="frontend",
 )
@@ -323,7 +288,6 @@ def _pass_lex(ctx: PipelineContext) -> None:
     "parse",
     requires=("tokens",),
     provides=("ast",),
-    preserves=("*",),
     about="parse the token stream into the NCL AST",
     trace_stage="frontend",
 )
@@ -335,7 +299,6 @@ def _pass_parse(ctx: PipelineContext) -> None:
     "sema",
     requires=("ast",),
     provides=("unit",),
-    preserves=("*",),
     about="semantic analysis: the TranslationUnit",
     trace_stage="frontend",
 )
@@ -347,7 +310,6 @@ def _pass_sema(ctx: PipelineContext) -> None:
     "irgen",
     requires=("unit",),
     provides=("module",),
-    preserves=(),
     about="lower the TranslationUnit to NIR",
 )
 def _pass_irgen(ctx: PipelineContext) -> None:
@@ -358,7 +320,6 @@ def _pass_irgen(ctx: PipelineContext) -> None:
     "and-resolve",
     requires=("unit",),
     provides=("and_spec",),
-    preserves=("*",),
     about="parse/synthesize and validate the AND overlay",
     trace_stage=None,
 )
@@ -375,18 +336,17 @@ def _pass_and_resolve(ctx: PipelineContext) -> None:
     "conformance",
     requires=("module", "and_spec"),
     provides=("conformance-ok",),
-    analysis=True,
     about="stage-1 conformance check (paper S5)",
 )
 def _pass_conformance(ctx: PipelineContext) -> None:
     check_module(ctx.get("module"), ctx.get("and_spec"))
+    ctx.put("conformance-ok", True)
 
 
 @register_compile_pass(
     "windows",
     requires=("unit",),
     provides=("window_configs", "layouts"),
-    preserves=("*",),
     about="pin window geometry and derive NCP kernel layouts",
     trace_stage=None,
 )
@@ -401,7 +361,6 @@ def _pass_windows(ctx: PipelineContext) -> None:
     "host-opt",
     requires=("module", "conformance-ok"),
     provides=("host-opt-done",),
-    preserves=("conformance-ok",),
     about="per-kernel host NIR pipeline (reference module)",
 )
 def _pass_host_opt(ctx: PipelineContext) -> None:
@@ -438,7 +397,6 @@ def _verify_opt_label_ids(ctx: PipelineContext):
     "versioning",
     requires=("module", "and_spec", "host-opt-done"),
     provides=("versions",),
-    preserves=("conformance-ok",),
     about="per-AND-switch IR versioning (stage 2)",
 )
 def _pass_versioning(ctx: PipelineContext) -> None:
@@ -449,7 +407,6 @@ def _pass_versioning(ctx: PipelineContext) -> None:
     "switch-opt",
     requires=("versions", "window_configs", "layouts"),
     provides=("compiled_kernels", "split_info", "switch_modules"),
-    preserves=("conformance-ok",),
     about="per-kernel switch NIR pipeline + register-array splitting",
 )
 def _pass_switch_opt(ctx: PipelineContext) -> None:
@@ -516,35 +473,9 @@ def _pass_switch_opt(ctx: PipelineContext) -> None:
 
 
 @register_compile_pass(
-    "absint",
-    requires=("switch_modules", "and_spec"),
-    provides=("absint_facts",),
-    analysis=True,
-    about="per-kernel abstract-interpretation summaries (intervals + known-bits)",
-)
-def _pass_absint(ctx: PipelineContext) -> None:
-    """Cached analysis: value-range + known-bits facts for every switch
-    kernel. Not part of the build preset; any pass requiring
-    ``absint_facts`` gets it (re)computed on demand, and transforms that
-    do not preserve it invalidate it like any other analysis."""
-    from repro.analysis.absint import analyze_module
-
-    label_ids = ctx.get("and_spec").label_ids()
-    switch_modules = ctx.get("switch_modules")
-    ctx.put(
-        "absint_facts",
-        {
-            label: analyze_module(switch_modules[label], label_ids=label_ids)
-            for label in sorted(switch_modules)
-        },
-    )
-
-
-@register_compile_pass(
     "codegen+backend",
     requires=("module", "versions", "compiled_kernels", "and_spec"),
     provides=("switch_programs", "switch_sources", "reports"),
-    preserves=("conformance-ok",),
     about="P4 codegen, template merge, backend accept/reject",
 )
 def _pass_codegen(ctx: PipelineContext) -> None:

@@ -7,31 +7,25 @@ summaries of :mod:`repro.analysis.effects` composed with the
 explicit-state window model checker of :mod:`repro.analysis.proto`.
 Renders either the human-readable report (per-kernel effect lattice,
 verdict, minimal counterexample schedule) or the byte-deterministic
-``repro.proto/1`` JSON form for tooling and golden tests.
-
-Exit codes match ``nclc lint``: 0 replay-safe (warnings allowed), 1
-error-level findings (including promoted warnings under ``--werror``),
-2 usage/compile errors.
+``repro.proto/1`` JSON form for tooling and golden tests. Exit codes
+are the shared contract of :mod:`repro.nclc.cli` (0 replay-safe, 1
+findings in any program, 2 usage/compile errors).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.proto import (
-    ProtoContext,
-    all_checks,
+    check_program,
     render_report_json,
     render_report_text,
-    run_checks,
 )
-from repro.diag import DiagnosticSink
-from repro.errors import NclError, ReproError
+from repro.errors import ReproError
 from repro.nclc import cli
-from repro.nclc.driver import Compiler, WindowConfig
+from repro.nclc.driver import Compiler
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,87 +38,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("sources", nargs="*", help="NCL source files")
     cli.add_common_args(parser)
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the deterministic repro.proto/1 JSON report",
+    cli.add_report_args(parser, "repro.proto/1", "transport-safety checks")
+    cli.add_opt_arg(
+        parser, "optimization level used when compiling the programs"
     )
-    parser.add_argument(
-        "--werror",
-        action="store_true",
-        help="treat warnings as errors (exit 1 on any finding)",
-    )
-    parser.add_argument(
-        "-O",
-        dest="opt_level",
-        type=int,
-        choices=(0, 1, 2),
-        default=2,
-        help="optimization level used when compiling the programs",
-    )
-    parser.add_argument(
-        "--window",
-        dest="windows",
-        action="append",
-        metavar="KERNEL=N[,N...]",
-        help="window mask for an outgoing kernel (repeatable)",
-    )
-    parser.add_argument(
-        "--ext",
-        dest="exts",
-        action="append",
-        metavar="FIELD=VALUE",
-        help="window extension field value (applies to all kernels)",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="list registered transport-safety checks and exit",
-    )
+    cli.add_window_args(parser)
     return parser
 
 
-def list_rules() -> None:
-    """Print the check registry in the ``nclc lint --list-rules`` format."""
-    for check in all_checks():
-        codes = ", ".join(check.codes)
-        print(f"{check.name:20} {codes:46} {check.about}")
-
-
+@cli.usage_errors
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list_rules:
-        list_rules()
-        return 0
+        return cli.list_rules("check-proto")
     if not args.sources:
-        print("error: no source files given", file=sys.stderr)
-        return 2
-
-    try:
-        defines = cli.parse_kv(args.defines)
-        and_text = cli.read_and_text(args)
-        ext = cli.parse_kv(args.exts)
-    except cli.UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    windows = {}
-    for spec in args.windows or []:
-        kernel, _, mask_text = spec.partition("=")
-        try:
-            mask = tuple(int(m) for m in mask_text.split(","))
-        except ValueError:
-            print(f"error: bad window spec {spec!r}", file=sys.stderr)
-            return 2
-        windows[kernel.strip()] = WindowConfig(mask=mask, ext=ext)
+        raise cli.UsageError("no source files given")
+    defines = cli.parse_kv(args.defines)
+    and_text = cli.read_and_text(args)
+    windows = cli.parse_windows(args)
 
     exit_code = 0
     for src_path in args.sources:
-        try:
-            text = Path(src_path).read_text()
-        except OSError as exc:
-            print(f"error: cannot read {src_path}: {exc}", file=sys.stderr)
-            return 2
+        text = cli.read_text(src_path)
         try:
             program = Compiler(
                 profile=args.profile, opt_level=args.opt_level
@@ -135,20 +70,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                 defines=defines or None,
                 filename=src_path,
             )
-        except (NclError, ReproError) as exc:
-            print(f"error: {src_path}: {exc}", file=sys.stderr)
-            return 2
+        except ReproError as exc:
+            raise cli.UsageError(f"{src_path}: {exc}")
 
-        ctx = ProtoContext(program, DiagnosticSink())
-        run_checks(ctx)
-        if args.werror:
-            ctx.sink.promote_warnings()
-        if args.json:
-            sys.stdout.write(render_report_json(ctx))
-        else:
-            sys.stdout.write(render_report_text(ctx))
-        if ctx.sink.has_errors:
-            exit_code = 1
+        ctx = check_program(program)
+        exit_code |= cli.report(
+            args,
+            ctx.sink,
+            lambda: render_report_json(ctx),
+            lambda: render_report_text(ctx),
+        )
     return exit_code
 
 

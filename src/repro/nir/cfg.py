@@ -106,17 +106,6 @@ class DominatorTree:
             runner = nxt
         return False
 
-    def dom_depth(self, block: Block) -> int:
-        depth = 0
-        runner = block
-        while self.idom.get(runner) is not runner:
-            nxt = self.idom.get(runner)
-            if nxt is None:
-                break
-            runner = nxt
-            depth += 1
-        return depth
-
 
 def natural_loops(fn: Function) -> List[Dict]:
     """Find natural loops via back edges (tail -> header where header

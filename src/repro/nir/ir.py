@@ -825,9 +825,6 @@ class Function:
                 preds[succ].append(block)
         return preds
 
-    def remove_block(self, block: Block) -> None:
-        self.blocks.remove(block)
-
     def render(self) -> str:
         params = ", ".join(
             f"{'_ext_ ' if p.ext else ''}{p.name}: {p.ty!r}" for p in self.params

@@ -119,10 +119,6 @@ class IntStack:
     def __len__(self) -> int:
         return len(self.hops)
 
-    def hop_args(self) -> List[Dict[str, int]]:
-        """Hops as JSON-ready dicts (the trace-event representation)."""
-        return [dict(h) for h in self.hops]
-
     def __repr__(self) -> str:
         t = " truncated" if self.truncated else ""
         return f"IntStack({len(self.hops)} hops, attempt={self.attempt}{t})"

@@ -20,10 +20,6 @@ if TYPE_CHECKING:
     from repro.net.network import Network
 
 
-def link_track(link) -> str:
-    return f"link {link.a.name}<->{link.b.name}"
-
-
 def collect_network_metrics(net: "Network", registry: MetricsRegistry) -> None:
     """Set registry gauges from every component stat of *net*.
 

@@ -100,10 +100,6 @@ class TimeSeriesSampler:
 
     # -- sampling (simulator-facing) -------------------------------------------
 
-    @property
-    def next_due(self) -> float:
-        return self._next_idx * self.interval
-
     def advance(self, when: float) -> None:
         """Sample every boundary at or before virtual time ``when``
         (called by the instrumented run loop before each event)."""

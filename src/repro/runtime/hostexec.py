@@ -296,7 +296,12 @@ class HostProgram:
                     ">=": a >= b,
                 }[op]
             )
-        ty = expr.ty or IntType(32, True)
+        return self._arith(op, a, b, expr.ty)
+
+    def _arith(self, op: str, a, b, ty):
+        """``a op b`` wrapped to *ty*: the one arithmetic table, under
+        binary expressions and compound assignments alike."""
+        ty = ty or IntType(32, True)
         if op == "+":
             raw = a + b
         elif op == "-":
@@ -325,45 +330,11 @@ class HostProgram:
         value = self._eval(expr.value, env)
         if expr.op != "=":
             old = self._eval(expr.target, env)
-            binop = ast.Binary(expr.loc, expr.op.rstrip("="), expr.target, expr.value)
-            binop.ty = expr.target.ty
-            # reuse the arithmetic path with already-evaluated operands
-            value = self._apply_binop(expr.op.rstrip("="), old, value, expr.target.ty)
+            value = self._arith(expr.op.rstrip("="), old, value, expr.target.ty)
         if expr.target.ty is not None and expr.target.ty.is_scalar:
             value = self._wrap(value, expr.target.ty)
         self._store(expr.target, value, env)
         return value
-
-    def _apply_binop(self, op, a, b, ty):
-        fake = ast.Binary(None, op, None, None)  # type: ignore[arg-type]
-        fake.ty = ty
-
-        class _Lit:
-            def __init__(self, v):
-                self.v = v
-
-        # inline evaluation without re-walking operands
-        table = {
-            "+": a + b,
-            "-": a - b,
-            "*": a * b,
-            "&": a & b,
-            "|": a | b,
-            "^": a ^ b,
-        }
-        if op in table:
-            raw = table[op]
-        elif op == "/":
-            raw = intops.checked_sdiv(a, b) if (ty and is_signed(ty)) else intops.checked_udiv(a, b)
-        elif op == "%":
-            raw = intops.checked_srem(a, b) if (ty and is_signed(ty)) else a % b
-        elif op == "<<":
-            raw = a << intops.shift_amount(b, scalar_bits(ty) if ty else 32)
-        elif op == ">>":
-            raw = a >> intops.shift_amount(b, scalar_bits(ty) if ty else 32)
-        else:
-            raise RuntimeApiError(f"unsupported compound op {op!r}")
-        return self._wrap(raw, ty) if ty and ty.is_scalar else raw
 
     def _store(self, target: ast.Expr, value, env) -> None:
         if isinstance(target, ast.Ident):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import lint_source, rule_names, select_rules
+from repro.analysis import RULES, Registry, Rule, lint_source
 from repro.diag import Severity
 from repro.errors import IrError
 from repro.ncl.types import BOOL, I32, VOID
@@ -18,11 +18,32 @@ def codes(result):
     return [d.code for d in result.sink.sorted()]
 
 
+select_rules = RULES.select
+
+
+def rule_names():
+    return [rule.name for rule in RULES.all()]
+
+
 def warnings_with(result, code):
     return [d for d in result.sink.sorted() if d.code == code]
 
 
 class TestRuleSelection:
+    """The shared Registry class, through the lint instance (check-deploy
+    and check-proto own two more instances of the same class)."""
+
+    def test_duplicate_name_rejected(self):
+        registry = Registry("toy check", code_width=8)
+
+        @registry.register
+        class First(Rule):
+            name = "one"
+
+        with pytest.raises(ValueError, match="duplicate toy check 'one'"):
+            registry.register(First)
+        assert [r.name for r in registry.all()] == ["one"]
+
     def test_all_rules_by_default(self):
         assert [r.name for r in select_rules()] == rule_names()
 
@@ -47,6 +68,36 @@ class TestRuleSelection:
             select_rules(["not-a-rule"])
         with pytest.raises(ValueError, match="unknown analysis rule"):
             lint("_net_ _out_ void k(int *d) { d[0] = 1; }", rules=["nope"])
+
+
+def test_helper_attribution_is_hash_seed_independent(tmp_path):
+    """Which access a race report anchors on used to follow the iteration
+    order of a set of helper names, i.e. PYTHONHASHSEED, once a kernel
+    called two helpers; ``--json`` must not differ between processes."""
+    import os
+    import subprocess
+    import sys
+
+    src = tmp_path / "helpers.ncl"
+    src.write_text(
+        "_net_ unsigned A[4] = {0};\n"
+        "_net_ unsigned B[4] = {0};\n"
+        "void h1(unsigned *d) { A[0] = d[0]; }\n"
+        "void h2(unsigned *d) { B[0] = d[1]; h1(d); }\n"
+        "void h3(unsigned *d) { A[1] += d[2]; B[1] = 1; }\n"
+        "_net_ _out_ void k1(unsigned *d) { h2(d); h3(d); h1(d); }\n"
+        "_net_ _out_ void k2(unsigned *d) { A[2] = d[0]; h3(d); B[2] = 2; }\n"
+    )
+    reports = set()
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.nclc", "lint", "--json", str(src)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1, done.stderr
+        reports.add(done.stdout)
+    assert len(reports) == 1
 
 
 class TestRaceDetector:

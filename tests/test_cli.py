@@ -156,7 +156,3 @@ class TestBuildSubcommandAndFlags:
         assert list(cache_dir.glob("*/*.nclc.json"))
         assert self.run_build(workdir, "--cache", str(cache_dir), "--timing") == 0
         assert "artifact cache: hit" in capsys.readouterr().out
-
-    def test_bad_define_exits_2(self, workdir, capsys):
-        assert self.run_build(workdir, "-D", "JUNK") == 2
-        assert "NAME=VALUE" in capsys.readouterr().err

@@ -320,27 +320,6 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert data["schema"] == "repro.deploy/1"
 
-    def test_warning_only_exits_zero_until_werror(self, tmp_path, capsys):
-        manifest = tmp_path / "warn.deploy"
-        manifest.write_text(
-            "switch sw0 profile=bmv2\n"
-            "host sender\nhost sink\n"
-            "link sender sw0 mtu=128\nlink sink sw0 mtu=128\n"
-            f"tenant dedup {REPO}/examples/deploy/dedup.ncl "
-            f"and={REPO}/examples/deploy/dedup.and\n"
-            "define dedup FILTER_BITS=1024\n"
-            "window dedup dedup=1,4\n"
-            "map dedup s1=sw0\n"
-        )
-        assert deploy_main([str(manifest)]) == 0
-        assert "warning[NCL0941]" in capsys.readouterr().out
-        assert deploy_main([str(manifest), "--werror"]) == 1
-        assert "error[NCL0941]" in capsys.readouterr().out
-
-    def test_missing_manifest_exits_two(self, capsys):
-        assert deploy_main(["no/such.deploy"]) == 2
-        assert "cannot read" in capsys.readouterr().err
-
     def test_no_manifest_exits_two(self, capsys):
         assert deploy_main([]) == 2
 

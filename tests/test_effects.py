@@ -122,6 +122,23 @@ class TestStoreClassification:
         assert effects_of("acc[0] += v[0];").replay_safe is False
 
 
+def test_abstract_interpreter_bug_is_not_swallowed(monkeypatch):
+    """A defect in the abstract interpreter surfaces from
+    ``effect_summaries()``; it used to be caught and read as "no facts",
+    silently downgrading every grade to ``possible``."""
+
+    program = Compiler().compile(
+        HEADER + "_net_ _out_ void k(unsigned *v) { acc[0] += 1; }\n"
+    )
+
+    def broken(*args, **kwargs):
+        raise TypeError("injected absint bug")
+
+    monkeypatch.setattr("repro.analysis.absint.analyze_function", broken)
+    with pytest.raises(TypeError, match="injected absint bug"):
+        program.effect_summaries()
+
+
 class TestGuardRecognition:
     GUARDED = """
       if (mark[window.seq & 63] == 0) {

@@ -1,5 +1,5 @@
 """The nclc pass manager (repro.nclc.pm): registry integrity, dependency
-checking, preserved-analysis invalidation, presets, fingerprints."""
+checking, failure reporting, presets, fingerprints."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.nclc import pm
 from repro.nclc.pm import (
     BUILD_PASSES,
     COMPILE_PASSES,
-    CompilePass,
     PassManager,
     PipelineContext,
     build_pipeline,
@@ -32,10 +31,7 @@ def scratch_passes():
 
     yield register
     for name in added:
-        cpass = COMPILE_PASSES.pop(name, None)
-        if cpass is not None and cpass.analysis:
-            for key in cpass.provides:
-                pm._ANALYSIS_PRODUCERS.pop(key, None)
+        COMPILE_PASSES.pop(name, None)
 
 
 class TestRegistry:
@@ -77,55 +73,6 @@ class TestDependencyChecking:
         ctx = PipelineContext(source="")
         with pytest.raises(PipelineError, match="not produced yet"):
             ctx.get("module")
-
-
-class TestAnalysisInvalidation:
-    def test_transform_invalidates_and_producer_recomputes(self, scratch_passes):
-        runs = {"analysis": 0, "consumer": 0}
-
-        scratch_passes(
-            "t-analysis", provides=("t-ok",), analysis=True, about="t"
-        )
-        scratch_passes(
-            "t-clobber", requires=(), preserves=(), about="t"
-        )
-        scratch_passes(
-            "t-preserving", requires=(), preserves=("t-ok",), about="t"
-        )
-        scratch_passes("t-consumer", requires=("t-ok",), preserves=("*",), about="t")
-        COMPILE_PASSES["t-analysis"].fn = lambda ctx: runs.__setitem__(
-            "analysis", runs["analysis"] + 1
-        )
-        COMPILE_PASSES["t-clobber"].fn = lambda ctx: None
-        COMPILE_PASSES["t-preserving"].fn = lambda ctx: None
-        COMPILE_PASSES["t-consumer"].fn = lambda ctx: runs.__setitem__(
-            "consumer", runs["consumer"] + 1
-        )
-
-        ctx = PipelineContext(source="")
-        PassManager(
-            ["t-analysis", "t-preserving", "t-consumer"]
-        ).run(ctx)
-        assert runs == {"analysis": 1, "consumer": 1}
-        assert "t-ok" in ctx.valid_analyses
-
-        # A transform that does NOT preserve the analysis invalidates it;
-        # the next consumer triggers recomputation through the producer.
-        runs.update(analysis=0, consumer=0)
-        ctx = PipelineContext(source="")
-        PassManager(
-            ["t-analysis", "t-clobber", "t-consumer"]
-        ).run(ctx)
-        assert runs == {"analysis": 2, "consumer": 1}
-
-    def test_real_pipeline_keeps_conformance_valid_to_the_end(self):
-        ctx = PipelineContext(
-            source="_net_ _out_ void k(int *d) { d[0] += 1; }",
-            options={"profile": __import__("repro.pisa.arch", fromlist=["profile_by_name"]).profile_by_name(None)},
-        )
-        PassManager(build_pipeline(2)).run(ctx)
-        assert "conformance-ok" in ctx.valid_analyses
-        assert "s1" in ctx.get("switch_programs")
 
 
 class TestFailureReporting:

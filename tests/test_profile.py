@@ -175,12 +175,9 @@ class TestExports:
 class TestDisabledOverhead:
     def test_profiler_off_guard_is_near_free(self):
         """With no profiler/sampler the run loop is selected once per
-        ``run()`` by two attribute reads; assert that check's cost, then
-        bound the aggregate tax on a real AllReduce round by charging it
-        (absurdly generously) once per simulated event: still < 5% of
-        the round's wall-clock, mirroring the INT-off guard (1% until
-        PR 14 made the round 4.2x faster; the ~150 ns check read 0.2%
-        of it then and reads 0.9% now)."""
+        ``run()`` by two attribute reads, about 150 ns. The bar is that
+        absolute cost (< 1 us), not a share of an AllReduce round that
+        keeps getting faster under it (ROADMAP 4(c))."""
         sim = Simulator()
         n = 100_000
         best = float("inf")
@@ -192,13 +189,4 @@ class TestDisabledOverhead:
                 sampler = obs.sampler if obs.enabled else None
             best = min(best, (time.perf_counter() - t0) / n)
         assert profiler is None and sampler is None
-        assert best < 5e-6  # 5 us bound; real cost is ~100 ns
-
-        job = AllReduceJob(4, 512, 8)  # untraced: the fast path
-        arrays = random_arrays(4, 512, seed=4)
-        t0 = time.perf_counter()
-        results, _ = job.run_round(arrays)
-        round_wall = time.perf_counter() - t0
-        assert results[0] == AllReduceJob.expected(arrays)
-        events = job.cluster.network.sim.events_processed
-        assert best * events < 0.05 * round_wall
+        assert best < 1e-6

@@ -251,14 +251,8 @@ class TestCli:
             for code in check.codes:
                 assert code in out
 
-    def test_missing_file_exits_2(self, capsys):
-        assert proto_main(["/nonexistent/nothing.ncl"]) == 2
-
     def test_no_sources_exits_2(self, capsys):
         assert proto_main([]) == 2
-
-    def test_bad_window_spec_exits_2(self, capsys):
-        assert proto_main([str(UNSAFE), "--window", "tally=x"]) == 2
 
 
 class TestReplay:

@@ -19,7 +19,7 @@ import pytest
 from repro.analysis.transval import TranslationValidationError, make_validator
 from repro.errors import IrError
 from repro.ncl.types import I32, VOID
-from repro.nclc import Compiler, pm
+from repro.nclc import Compiler
 from repro.nir import ir, passes
 from repro.nir.verify import verify_function
 
@@ -157,12 +157,6 @@ class TestPassValidatorUnit:
 
 
 class TestAbsintCompilePass:
-    def test_registered_as_analysis(self):
-        cpass = pm.COMPILE_PASSES["absint"]
-        assert cpass.analysis
-        assert "absint_facts" in cpass.provides
-        assert pm._ANALYSIS_PRODUCERS["absint_facts"] == "absint"
-
     def test_facts_available_on_compiled_program(self):
         program = Compiler(opt_level=2).compile(
             (REPO / "examples" / "parity.ncl").read_text()
