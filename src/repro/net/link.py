@@ -24,6 +24,7 @@ from typing import Deque, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.net.frame import Frame
+from repro.obs.int import IntError, carries_int, peek_stack, stack_event_args
 
 if TYPE_CHECKING:
     from repro.net.node import Node
@@ -144,6 +145,9 @@ class Link:
             a: _Pipe(self, b, self.port_at[b]),
             b: _Pipe(self, a, self.port_at[a]),
         }
+        #: trace track, and each direction's ``dir`` argument by sender
+        self.track = f"link {a.name}<->{b.name}"
+        self._dir = {a: f"{a.name}->{b.name}", b: f"{b.name}->{a.name}"}
 
     def other(self, node: "Node") -> "Node":
         if node is self.a:
@@ -158,44 +162,41 @@ class Link:
         quantity the overflow check compares against the buffer limit."""
         return max(0.0, self._free_at[sender] - now) * self.bandwidth / 8
 
-    @property
-    def track(self) -> str:
-        return f"link {self.a.name}<->{self.b.name}"
-
-    def _trace_args(self, sender: "Node", receiver: "Node", frame: Frame) -> dict:
-        args = {"dir": f"{sender.name}->{receiver.name}", "bytes": len(frame.data)}
+    def _trace_args(self, sender: "Node", frame: Frame) -> dict:
         meta = frame.meta
-        if meta is not None:
-            args["kernel"] = meta["kernel"]
-            args["seq"] = meta["seq"]
-            args["from"] = meta["from"]
-        return args
+        if meta is None:
+            return {"dir": self._dir[sender], "bytes": len(frame.data)}
+        return {
+            "dir": self._dir[sender], "bytes": len(frame.data),
+            "kernel": meta["kernel"], "seq": meta["seq"], "from": meta["from"],
+        }
 
     def _trace_drop(
-        self, obs, sim: "Simulator", sender: "Node", receiver: "Node",
+        self, obs, sim: "Simulator", sender: "Node",
         frame: Frame, cause: str, backlog: Optional[float] = None,
     ) -> None:
         """Emit the drop instant and, for an INT-carrying frame, the
         partial telemetry stack it was carrying when it died -- that is
         what lets the lineage index show *which attempt* a loss ate."""
-        args = self._trace_args(sender, receiver, frame)
+        args = self._trace_args(sender, frame)
         args["cause"] = cause
         if backlog is not None:
             args["backlog_bytes"] = int(backlog)
         now = sim.now()
-        obs.tracer.instant("drop", now, track=self.track, cat="link", args=args)
-        from repro.obs.int import carries_int, peek_stack, stack_event_args
-
+        obs.tracer.instant("drop", now, self.track, "link", args)
         data = frame.data
         if carries_int(data):
-            stack = peek_stack(data)
+            try:
+                stack = peek_stack(data)
+            except IntError:  # dropped and counted all the same, with no stack to show
+                return
             meta = frame.meta
             if stack is not None and meta is not None:
                 obs.tracer.instant(
-                    "int:stack", now, track=self.track, cat="int",
-                    args=stack_event_args(
+                    "int:stack", now, self.track, "int",
+                    stack_event_args(
                         stack, meta["kernel"], meta["seq"], meta["from"],
-                        outcome=f"drop:{cause}",
+                        f"drop:{cause}",
                     ),
                 )
 
@@ -206,9 +207,7 @@ class Link:
         self.stats.drops_down += 1
         obs = sim.obs
         if obs.enabled:
-            self._trace_drop(
-                obs, sim, self.other(receiver), receiver, frame, "down"
-            )
+            self._trace_drop(obs, sim, self.other(receiver), frame, "down")
 
     def set_down(self) -> None:
         """Fail the link: every subsequent frame drops with cause
@@ -231,17 +230,17 @@ class Link:
         switches with inline forwarding fold their pipeline delay into
         it instead of paying a scheduler event per transit packet.
         """
-        receiver = self.other(sender)
+        self.other(sender)  # refuses a node that is not on this link
         obs = sim.obs
         if not self.up or not sender.up:
             self.stats.drops_down += 1
             if obs.enabled:
-                self._trace_drop(obs, sim, sender, receiver, frame, "down")
+                self._trace_drop(obs, sim, sender, frame, "down")
             return
         if self.loss > 0 and self._rng.random() < self.loss:
             self.stats.drops_loss += 1
             if obs.enabled:
-                self._trace_drop(obs, sim, sender, receiver, frame, "loss")
+                self._trace_drop(obs, sim, sender, frame, "loss")
             return
         size = len(frame.data)
         serialization = size * 8 / self.bandwidth
@@ -253,7 +252,7 @@ class Link:
                 self.stats.drops_overflow += 1
                 if obs.enabled:
                     self._trace_drop(
-                        obs, sim, sender, receiver, frame, "overflow",
+                        obs, sim, sender, frame, "overflow",
                         backlog=backlog_bytes,
                     )
                 return
@@ -271,16 +270,11 @@ class Link:
             # per-direction FIFO order is preserved.
             arrival = math.ceil(arrival / quantum) * quantum
         if obs.enabled:
-            args = self._trace_args(sender, receiver, frame)
+            # one dict for both spans: an event's args are never written
+            args = self._trace_args(sender, frame)
             if start > now:
-                obs.tracer.span(
-                    "queue", now, start - now, track=self.track, cat="link",
-                    args=dict(args),
-                )
-            obs.tracer.span(
-                "serialize", start, serialization, track=self.track, cat="link",
-                args=args,
-            )
+                obs.tracer.span("queue", now, start - now, self.track, "link", args)
+            obs.tracer.span("serialize", start, serialization, self.track, "link", args)
         self._pipes[sender].push(sim, arrival, frame)
 
     def __repr__(self) -> str:

@@ -44,6 +44,8 @@ class Node:
         #: schedule label for frame arrivals at this node -- the count of
         #: these events is the profiler's packets/sec numerator
         self.prof_rx_label = f"{self.PROF_KIND};{name};rx"
+        #: the trace track of what happens at this node
+        self.track = f"{self.PROF_KIND} {name}"
 
     def attach_link(self, link: "Link") -> int:
         self.links.append(link)
@@ -81,6 +83,13 @@ class Node:
     def handle_frame(self, frame: Frame, in_port: int) -> None:
         raise NotImplementedError
 
+    def trace_drop(self, cat: str, **args) -> None:
+        """The ``drop`` instant of a frame that ended at this node (the
+        caller counts it): *args* name the cause and the bytes lost."""
+        obs = self.sim.obs
+        if obs.enabled:
+            obs.tracer.instant("drop", self.sim.now(), self.track, cat, args)
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name}#{self.node_id})"
 
@@ -115,20 +124,19 @@ class HostNode(Node):
         receiver = self.receiver
         if frame_receiver is None and receiver is None:
             self.stats.drops += 1
-            if obs.enabled:
-                obs.tracer.instant(
-                    "drop", self.sim.now(), track=f"host {self.name}", cat="host",
-                    args={"cause": "no-receiver", "bytes": len(frame)},
-                )
+            self.trace_drop("host", cause="no-receiver", bytes=len(frame))
             return
         if obs.enabled:
-            args = {"bytes": len(frame)}
             meta = frame.meta
-            if meta is not None:
-                args.update(kernel=meta["kernel"], seq=meta["seq"], **{"from": meta["from"]})
+            if meta is None:
+                args = {"bytes": len(frame)}
+            else:
+                args = {
+                    "bytes": len(frame), "kernel": meta["kernel"],
+                    "seq": meta["seq"], "from": meta["from"],
+                }
             obs.tracer.span(
-                "deliver", self.sim.now(), self.PROCESS_DELAY,
-                track=f"host {self.name}", cat="host", args=args,
+                "deliver", self.sim.now(), self.PROCESS_DELAY, self.track, "host", args
             )
         if frame_receiver is not None:
             self.sim.schedule(
@@ -173,10 +181,6 @@ class ForwardingSwitchNode(Node):
 
     PIPELINE_DELAY = 1e-6
 
-    def __init__(self, name: str, node_id: int, sim: "Simulator"):
-        super().__init__(name, node_id, sim)
-        self._prof_drop = f"switch {name}"
-
     def handle_frame(self, frame: Frame, in_port: int) -> None:
         stats = self.stats
         stats.rx_frames += 1
@@ -186,14 +190,7 @@ class ForwardingSwitchNode(Node):
         port = None if meta is None else self.routes.get(meta["dst"])
         if port is None:
             stats.drops += 1
-            obs = self.sim.obs
-            if obs.enabled:
-                args = {"cause": "route-miss", "bytes": len(frame.data)}
-                if meta is not None:
-                    args["dst"] = meta["dst"]
-                obs.tracer.instant(
-                    "drop", self.sim.now(), track=self._prof_drop,
-                    cat="switch", args=args,
-                )
+            dst = {} if meta is None else {"dst": meta["dst"]}
+            self.trace_drop("switch", cause="route-miss", bytes=len(frame.data), **dst)
             return
         self.send(frame, port, earliest=self.sim.now() + self.PIPELINE_DELAY)

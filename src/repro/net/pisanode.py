@@ -8,12 +8,18 @@ from repro.errors import SimulationError
 from repro.ncp.wire import node_ip, peek_frame
 from repro.net.frame import Frame
 from repro.net.node import Node
-from repro.obs.int import carries_int, peek_stack, stack_event_args, stamp_hop
+from repro.obs.int import IntError, carries_int, peek_stack, stack_event_args, stamp_hop
 from repro.obs.netmetrics import SwitchPacketTrace
+from repro.obs.registry import BoundSeries, FamilySpec
 from repro.pisa.switch_dev import PisaSwitch
 
 if TYPE_CHECKING:
     from repro.net.events import Simulator
+
+_PHV_FIELDS = FamilySpec(
+    "histogram", "switch.phv_fields", "PHV occupancy (live field count) per packet",
+    ("switch",), (8, 16, 32, 64, 128, 256),
+)
 
 
 class PisaSwitchNode(Node):
@@ -38,8 +44,8 @@ class PisaSwitchNode(Node):
         self._prof_pipeline = f"switch;{name};pipeline"
         #: where the routing table's verdict lands, if the program has one
         self._egress = switch.layout.slots.get("meta.egress_port")
-        #: this node's ``switch.phv_fields`` series, and the registry it is in
-        self._phv_fields = self._phv_registry = None
+        self._node_names = {node_id: name}
+        self._series = BoundSeries()
 
     def install_route(self, dst_node_id: int, port: int) -> None:
         """Install both the simulator next-hop and the P4 table entry."""
@@ -61,31 +67,22 @@ class PisaSwitchNode(Node):
                 observer = SwitchPacketTrace()
                 result = self.switch.process(data, in_port, observer=observer)
                 meta = frame.meta
-                frame_args = {"in_port": in_port}
-                if meta is not None:
-                    frame_args.update(
-                        kernel=meta["kernel"], seq=meta["seq"],
-                        **{"from": meta["from"]},
-                    )
+                if meta is None:
+                    frame_args = {"in_port": in_port}
+                else:
+                    frame_args = {
+                        "in_port": in_port, "kernel": meta["kernel"],
+                        "seq": meta["seq"], "from": meta["from"],
+                    }
                 # run() fires PIPELINE_DELAY after the frame arrived; the
                 # per-stage spans tile that processing window.
                 observer.emit(
-                    obs.tracer,
-                    track=f"switch {self.name}",
-                    start=self.sim.now() - self.PIPELINE_DELAY,
-                    delay=self.PIPELINE_DELAY,
-                    verdict=result.verdict,
-                    frame_args=frame_args,
+                    obs.tracer, self.track, self.sim.now() - self.PIPELINE_DELAY,
+                    self.PIPELINE_DELAY, result.verdict, frame_args,
                 )
-                if obs.registry is not self._phv_registry:
-                    self._phv_registry = obs.registry
-                    self._phv_fields = obs.registry.histogram(
-                        "switch.phv_fields",
-                        "PHV occupancy (live field count) per packet",
-                        ("switch",),
-                        buckets=(8, 16, 32, 64, 128, 256),
-                    ).labels(switch=self.name)
-                self._phv_fields.observe(result.phv.live_fields())
+                self._series[obs.registry, _PHV_FIELDS, self.name].observe(
+                    result.phv.live_fields()
+                )
             else:
                 result = self.switch.process(data, in_port)
             int_cfg = obs.int_config  # None on NULL_OBS and untelemetered runs
@@ -93,7 +90,7 @@ class PisaSwitchNode(Node):
             if verdict == "drop":
                 self.stats.drops += 1
                 if int_cfg is not None:
-                    self._int_absorb(obs, int_cfg, result, "switch")
+                    self._int_absorb(obs, int_cfg, result, "drop:switch")
                 return
             if verdict == "bcast":
                 # "_bcast() sends a window to all devices, one hop away -- in
@@ -122,7 +119,7 @@ class PisaSwitchNode(Node):
                 # Route miss left the default egress; treat as drop.
                 self.stats.drops += 1
                 if int_cfg is not None:
-                    self._int_absorb(obs, int_cfg, result, "route-miss")
+                    self._int_absorb(obs, int_cfg, result, "drop:route-miss")
                 return
             self._forward(result, (egress,), int_cfg)
 
@@ -133,55 +130,58 @@ class PisaSwitchNode(Node):
     def _forward(self, result, ports, int_cfg) -> None:
         """Send the result out every port, stamping a per-hop INT record
         onto each copy (the queue depth differs per egress link, so every
-        copy gets its own record)."""
-        if int_cfg is None:
+        copy gets its own record). A frame whose INT trailer is malformed
+        is dropped here, the first node to look at it (cause ``int``)."""
+        data = result.data
+        if int_cfg is None or not carries_int(data):
             for port in ports:
-                self.send(result.data, port)
+                self.send(data, port)
             return
         now = self.sim.now()
-        data = result.data
-        stamped = carries_int(data)
-        for port in ports:
-            frame = data
-            if stamped:
-                frame, _ = stamp_hop(
-                    frame,
-                    int_cfg,
-                    hop_id=self.node_id,
-                    ingress_ts=now - self.PIPELINE_DELAY,
-                    egress_ts=now,
-                    qdepth_bytes=int(self.links[port].backlog_bytes(self, now)),
-                    tables_matched=result.tables_matched,
-                )
+        try:
+            # stamp every copy before sending any: a trailer that does
+            # not parse fails the first stamp, and nothing has left
+            frames = [
+                stamp_hop(
+                    data, int_cfg, self.node_id, now - self.PIPELINE_DELAY, now,
+                    int(self.links[port].backlog_bytes(self, now)),
+                    result.tables_matched,
+                )[0]
+                for port in ports
+            ]
+        except IntError:
+            self.stats.drops += 1
+            self.trace_drop("switch", cause="int", bytes=len(data))
+            return
+        for frame, port in zip(frames, ports):
             self.send(frame, port)
 
-    def _int_absorb(self, obs, int_cfg, result, cause: str) -> None:
-        """A packet consumed here (kernel ``_drop()`` or a route miss):
-        stamp the final hop record with the DROPPED flag and emit the
-        stack into the trace, since delivery will never surface it."""
+    def _int_absorb(self, obs, int_cfg, result, outcome: str) -> None:
+        """A packet consumed here (kernel ``_drop()`` or a route miss,
+        already counted in ``stats.drops``): stamp the final hop record
+        with the DROPPED flag and emit the stack into the trace, since
+        delivery will never surface it. A trailer that does not parse
+        leaves a ``drop`` instant (cause ``int``) in its place."""
         data = result.data
         if not carries_int(data):
             return
         now = self.sim.now()
-        data, _ = stamp_hop(
-            data,
-            int_cfg,
-            hop_id=self.node_id,
-            ingress_ts=now - self.PIPELINE_DELAY,
-            egress_ts=now,
-            qdepth_bytes=0,
-            tables_matched=result.tables_matched,
-            dropped=True,
-        )
+        try:
+            data, _ = stamp_hop(
+                data, int_cfg, self.node_id, now - self.PIPELINE_DELAY, now,
+                0, result.tables_matched, dropped=True,
+            )
+        except IntError:
+            self.trace_drop("switch", cause="int", bytes=len(data))
+            return
         stack = peek_stack(data)
         meta = peek_frame(data)
         if stack is None or meta is None:
             return
         obs.tracer.instant(
-            "int:stack", now, track=f"switch {self.name}", cat="int",
-            args=stack_event_args(
-                stack, meta["kernel"], meta["seq"], meta["from"],
-                outcome=f"drop:{cause}",
-                node_names={self.node_id: self.name},
+            "int:stack", now, self.track, "int",
+            stack_event_args(
+                stack, meta["kernel"], meta["seq"], meta["from"], outcome,
+                node_names=self._node_names,
             ),
         )

@@ -44,6 +44,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.ncp.wire import FLAG_INT, FLAGS_OFF, HEADERS_LEN, NCP_MAGIC, NCP_OFF
+from repro.obs.registry import BoundSeries, FamilySpec
 from repro.util.bits import FieldLayout
 
 #: trailer magic ("telemetry" tail marker, distinct from NCP_MAGIC)
@@ -64,6 +65,15 @@ _HOP = FieldLayout(
 )
 TAIL_BYTES = _TAIL.nbytes  # 5
 HOP_BYTES = _HOP.nbytes  # 20
+
+# One ``struct`` call moves one record, positionally (a name -> value dict
+# per record cost ten times the call). Every tail field is a struct width; a
+# hop record's two 48-bit timestamps each move as a 16+32 pair of slots,
+# split where the record is stamped and joined where it is read.
+_pack_tail, _unpack_tail = _TAIL.unsigned.pack, _TAIL.unsigned.unpack_from
+_HOP_PAIRED = _HOP.paired()
+_pack_hop, _unpack_hop = _HOP_PAIRED.pack, _HOP_PAIRED.unpack_from
+_LO32 = 0xFFFFFFFF
 
 #: tail flag: a switch hit the hop cap or byte budget and appended nothing
 TAIL_TRUNCATED = 0x01
@@ -107,21 +117,29 @@ class IntConfig:
 
 
 class IntStack:
-    """A decoded INT trailer: the per-hop records plus tail metadata."""
+    """A decoded INT trailer: the per-hop records plus tail metadata.
 
-    __slots__ = ("hops", "attempt", "truncated")
+    ``records`` holds one tuple per hop, in the hop record's field order
+    (``hop, ingress_ns, egress_ns, qdepth, tables, flags``); ``hops`` is
+    the same records as name -> value dicts, built when asked for."""
 
-    def __init__(self, hops: List[Dict[str, int]], attempt: int, truncated: bool):
-        self.hops = hops
+    __slots__ = ("records", "attempt", "truncated")
+
+    def __init__(self, records: List[Tuple[int, ...]], attempt: int, truncated: bool):
+        self.records = records
         self.attempt = attempt
         self.truncated = truncated
 
+    @property
+    def hops(self) -> List[Dict[str, int]]:
+        return [dict(zip(_HOP.names, record)) for record in self.records]
+
     def __len__(self) -> int:
-        return len(self.hops)
+        return len(self.records)
 
     def __repr__(self) -> str:
         t = " truncated" if self.truncated else ""
-        return f"IntStack({len(self.hops)} hops, attempt={self.attempt}{t})"
+        return f"IntStack({len(self.records)} hops, attempt={self.attempt}{t})"
 
 
 # -- frame predicates ---------------------------------------------------------
@@ -138,19 +156,22 @@ def carries_int(data: bytes) -> bool:
     )
 
 
-def _split(frame: bytes) -> Tuple[int, Dict[str, int]]:
-    """(length of the base frame, tail fields) of an INT frame; the hop
-    records lie between the base frame and the tail."""
-    tail = _TAIL.unpack(frame, len(frame) - TAIL_BYTES)
-    if tail["magic"] != INT_MAGIC:
-        raise IntError(f"bad INT tail magic {tail['magic']:#x}")
-    cut = len(frame) - TAIL_BYTES - tail["hop_count"] * HOP_BYTES
+def _split(frame: bytes) -> Tuple[int, int, int, int]:
+    """``(length of the base frame, hop_count, attempt, flags)`` of an
+    INT frame; the hop records lie between the base frame and the tail."""
+    end = len(frame) - TAIL_BYTES
+    if end < HEADERS_LEN:
+        raise IntError(f"no room for an INT tail in a {len(frame)}-byte frame")
+    hop_count, attempt, flags, magic = _unpack_tail(frame, end)
+    if magic != INT_MAGIC:
+        raise IntError(f"bad INT tail magic {magic:#x}")
+    cut = end - hop_count * HOP_BYTES
     if cut < HEADERS_LEN:
         raise IntError(
-            f"INT tail claims {tail['hop_count']} records but the frame "
+            f"INT tail claims {hop_count} records but the frame "
             f"has only {len(frame)} bytes"
         )
-    return cut, tail
+    return cut, hop_count, attempt, flags
 
 
 # -- host side ----------------------------------------------------------------
@@ -159,12 +180,14 @@ def _split(frame: bytes) -> Tuple[int, Dict[str, int]]:
 def attach_tail(frame: bytes, attempt: int = 0) -> bytes:
     """Arm a freshly encoded NCP frame for INT: set FLAG_INT and append
     an empty trailer. ``attempt`` distinguishes retransmissions (0 is
-    the original transmission)."""
+    the original transmission) and saturates at 255, the field's top:
+    telemetry must not fail the send, and a wrapped count would enter
+    the lineage index as the original."""
     if carries_int(frame):
         raise IntError("frame already carries an INT trailer")
     armed = bytearray(frame)
     armed[FLAGS_OFF] |= FLAG_INT
-    return bytes(armed) + _TAIL.pack({"attempt": attempt, "magic": INT_MAGIC})
+    return bytes(armed) + _pack_tail(0, min(attempt, 255), 0, INT_MAGIC)
 
 
 def peek_stack(frame: bytes) -> Optional[IntStack]:
@@ -172,12 +195,12 @@ def peek_stack(frame: bytes) -> Optional[IntStack]:
     frame carries no trailer)."""
     if not carries_int(frame):
         return None
-    cut, tail = _split(frame)
-    hops = [
-        _HOP.unpack(frame, off)
-        for off in range(cut, len(frame) - TAIL_BYTES, HOP_BYTES)
-    ]
-    return IntStack(hops, tail["attempt"], bool(tail["flags"] & TAIL_TRUNCATED))
+    cut, hop_count, attempt, flags = _split(frame)
+    records = []
+    for off in range(cut, cut + hop_count * HOP_BYTES, HOP_BYTES):
+        hop, ih, il, eh, el, qdepth, tables, hflags = _unpack_hop(frame, off)
+        records.append((hop, ih << 32 | il, eh << 32 | el, qdepth, tables, hflags))
+    return IntStack(records, attempt, bool(flags & TAIL_TRUNCATED))
 
 
 def strip_stack(frame: bytes) -> Tuple[bytes, Optional[IntStack]]:
@@ -211,23 +234,22 @@ def stamp_hop(
     ``(frame, stamped)``; when the :class:`IntConfig` caps bite, the
     record is not appended and the tail's TRUNCATED flag is set instead.
     """
-    _, tail = _split(frame)
+    _, hop_count, attempt, flags = _split(frame)
     body = frame[:-TAIL_BYTES]
-    if not cfg.allows(tail["hop_count"]):
-        tail["flags"] |= TAIL_TRUNCATED
-        return body + _TAIL.pack(tail), False
-    record = _HOP.pack(
-        {
-            "hop": hop_id,
-            "ingress_ns": int(round(ingress_ts * _NS)),
-            "egress_ns": int(round(egress_ts * _NS)),
-            "qdepth": int(qdepth_bytes),
-            "tables": min(tables_matched, 255),
-            "flags": HOP_DROPPED if dropped else 0,
-        }
+    if not cfg.allows(hop_count):
+        return body + _pack_tail(hop_count, attempt, flags | TAIL_TRUNCATED, INT_MAGIC), False
+    ingress = int(round(ingress_ts * _NS))
+    egress = int(round(egress_ts * _NS))
+    # out-of-range values wrap to their field, as FieldLayout packs them
+    record = _pack_hop(
+        hop_id & 0xFFFF,
+        ingress >> 32 & 0xFFFF, ingress & _LO32,
+        egress >> 32 & 0xFFFF, egress & _LO32,
+        int(qdepth_bytes) & _LO32,
+        min(tables_matched, 255),
+        HOP_DROPPED if dropped else 0,
     )
-    tail["hop_count"] += 1
-    return body + record + _TAIL.pack(tail), True
+    return body + record + _pack_tail(hop_count + 1, attempt, flags, INT_MAGIC), True
 
 
 # -- trace/metrics emission ---------------------------------------------------
@@ -246,12 +268,11 @@ def stack_event_args(
     (``delivered`` or ``drop:<cause>``), and the per-hop records.
     ``node_names`` (hop id -> label) annotates hops for human readers;
     unresolved hops keep just their numeric id."""
-    hops: List[Dict[str, object]] = []
-    for rec in stack.hops:
-        entry: Dict[str, object] = dict(rec)
-        if node_names is not None and rec["hop"] in node_names:
-            entry["node"] = node_names[rec["hop"]]
-        hops.append(entry)
+    hops: List[Dict[str, object]] = stack.hops  # fresh dicts, ours to annotate
+    if node_names is not None:
+        for entry in hops:
+            if entry["hop"] in node_names:
+                entry["node"] = node_names[entry["hop"]]
     args: Dict[str, object] = {
         "kernel": kernel,
         "seq": seq,
@@ -273,35 +294,42 @@ HOP_LATENCY_BUCKETS = (
 )
 
 
-def record_stack_metrics(registry, host: str, stack: IntStack, deliver_ts: float) -> None:
-    """Fold one delivered stack into the registry: stack/record counts,
-    truncation count, and the per-hop latency histogram that the
-    ``stragglers`` query thresholds against.
+_STACKS = FamilySpec("counter", "int.stacks", "INT stacks stripped at hosts", ("host",))
+_RECORDS = FamilySpec(
+    "counter", "int.records", "INT per-hop records stripped at hosts", ("host",)
+)
+_TRUNCATED = FamilySpec(
+    "counter", "int.truncated", "INT stacks truncated in flight", ("host",)
+)
+_HOP_LATENCY = FamilySpec(
+    "histogram", "int.hop_latency_ns",
+    "per-hop latency (ingress-to-next-ingress), nanoseconds",
+    ("hop",), HOP_LATENCY_BUCKETS,
+)
+
+
+def record_stack_metrics(
+    series: BoundSeries, registry, host: str, stack: IntStack, deliver_ts: float
+) -> None:
+    """Fold one delivered stack into the registry, through the
+    delivering host's bound *series*: stack/record counts, truncation
+    count, and the per-hop latency histogram that the ``stragglers``
+    query thresholds against.
 
     Per-hop latency of hop *i* is ingress-to-ingress (to the next hop,
     or to delivery for the last hop): switch residence plus the egress
     link's queueing and serialization, which is where congestion shows.
     """
-    registry.counter(
-        "int.stacks", "INT stacks stripped at hosts", ("host",)
-    ).labels(host=host).inc()
-    registry.counter(
-        "int.records", "INT per-hop records stripped at hosts", ("host",)
-    ).labels(host=host).inc(len(stack.hops))
+    records = stack.records
+    series[registry, _STACKS, host].inc()
+    series[registry, _RECORDS, host].inc(len(records))
     if stack.truncated:
-        registry.counter(
-            "int.truncated", "INT stacks truncated in flight", ("host",)
-        ).labels(host=host).inc()
-    if not stack.hops:
+        series[registry, _TRUNCATED, host].inc()
+    if not records:
         return
-    latency = registry.histogram(
-        "int.hop_latency_ns",
-        "per-hop latency (ingress-to-next-ingress), nanoseconds",
-        ("hop",),
-        buckets=HOP_LATENCY_BUCKETS,
+    for record, nxt in zip(records, records[1:]):
+        series[registry, _HOP_LATENCY, record[0]].observe(nxt[1] - record[1])
+    hop, ingress_ns = records[-1][:2]
+    series[registry, _HOP_LATENCY, hop].observe(
+        int(round(deliver_ts * _NS)) - ingress_ns
     )
-    deliver_ns = int(round(deliver_ts * _NS))
-    for rec, nxt in zip(stack.hops, stack.hops[1:]):
-        latency.labels(hop=rec["hop"]).observe(nxt["ingress_ns"] - rec["ingress_ns"])
-    last = stack.hops[-1]
-    latency.labels(hop=last["hop"]).observe(deliver_ns - last["ingress_ns"])

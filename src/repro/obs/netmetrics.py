@@ -101,20 +101,18 @@ class SwitchPacketTrace:
     __slots__ = ("ops",)
 
     def __init__(self) -> None:
-        self.ops = []  # (kind, name, detail)
+        self.ops = []  # (span name, detail)
 
     # pipeline callbacks ------------------------------------------------------
 
     def parse(self, nbytes: int) -> None:
-        self.ops.append(("parse", "parser", f"{nbytes}B"))
+        self.ops.append(("parse:parser", f"{nbytes}B"))
 
     def table(self, name: str, hit: bool, action: str) -> None:
-        self.ops.append(
-            ("table", name, f"{'hit' if hit else 'miss'}:{action}")
-        )
+        self.ops.append(("table:" + name, ("hit:" if hit else "miss:") + action))
 
     def action(self, name: str) -> None:
-        self.ops.append(("action", name, ""))
+        self.ops.append(("action:" + name, ""))
 
     # emission ----------------------------------------------------------------
 
@@ -127,22 +125,13 @@ class SwitchPacketTrace:
         verdict: str,
         frame_args: Optional[dict] = None,
     ) -> None:
-        base = dict(frame_args or {})
-        n = max(1, len(self.ops))
-        slice_dur = delay / n
-        for i, (kind, name, detail) in enumerate(self.ops):
-            args = dict(base)
-            args["stage"] = i
+        base = frame_args or {}
+        slice_dur = delay / max(1, len(self.ops))
+        for i, (name, detail) in enumerate(self.ops):
+            args = {**base, "stage": i}
             if detail:
                 args["detail"] = detail
-            tracer.span(
-                f"{kind}:{name}",
-                start + i * slice_dur,
-                slice_dur,
-                track=track,
-                cat="switch",
-                args=args,
-            )
-        out = dict(base)
-        out["verdict"] = verdict
-        tracer.instant("verdict", start + delay, track=track, cat="switch", args=out)
+            tracer.span(name, start + i * slice_dur, slice_dur, track, "switch", args)
+        tracer.instant(
+            "verdict", start + delay, track, "switch", {**base, "verdict": verdict}
+        )

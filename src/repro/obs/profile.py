@@ -8,7 +8,11 @@ scheduling site supplied (``"component;instance;handler"`` -- e.g.
 ``"switch;s1;pipeline"`` or ``"host;w0;deliver"``). Events scheduled
 without a label fall back to the callback's qualified name under the
 ``other`` component, so 100% of callback time is always accounted for
-and the *named* fraction is an honest coverage number.
+and the *named* fraction is an honest coverage number. What an
+instrumented run loop spends outside callbacks -- popping the queue,
+retiring records, this profiler's own bookkeeping, a time-series
+sampler's bucket boundaries -- is reported too, as the entry
+:data:`LOOP_LABEL`, so the entries sum to the loop's wall.
 
 Unlike every other part of ``repro.obs``, profiles are inherently
 wall-clock data (they answer "where does the *real* time go"), so their
@@ -32,6 +36,8 @@ from __future__ import annotations
 import json
 from typing import Dict, IO, List, Optional, Tuple
 
+from repro.obs.trace import chrome_threads
+
 PROFILE_SCHEMA = "repro.profile/1"
 
 #: labels use this separator: component;instance;handler
@@ -41,6 +47,9 @@ LABEL_SEP = ";"
 #: of these is the run's delivered-frame count, which is what the
 #: packets/sec meter divides by wall time
 RX_HANDLER = "rx"
+
+#: the run loop's self time (loop wall minus callback time), as an entry
+LOOP_LABEL = "sim;loop;dispatch"
 
 
 def split_label(label: str) -> Tuple[str, str, str]:
@@ -111,6 +120,20 @@ class Profiler:
         )
 
     @property
+    def loop_self_wall(self) -> float:
+        """Wall time the instrumented run loops spent outside callbacks
+        (0 for a step-driven simulation, which times no loop)."""
+        return max(0.0, self.loop_wall - self.attributed_wall)
+
+    def _rows(self) -> List[Tuple[str, int, float]]:
+        """``(label, count, wall seconds)`` of every entry, the loop's
+        own (one dispatch per event) included where a loop was timed."""
+        rows = [(label, int(e[0]), e[1]) for label, e in self._entries.items()]
+        if self.loop_wall > 0:
+            rows.append((LOOP_LABEL, self.events, self.loop_self_wall))
+        return rows
+
+    @property
     def total_wall(self) -> float:
         """The attribution denominator: loop wall time when a run loop
         was instrumented, else the attributed sum (step-driven sims)."""
@@ -140,10 +163,9 @@ class Profiler:
         """The ``repro.profile/1`` document (pure data, JSON-ready)."""
         total = self.total_wall
         entries = []
-        for label in sorted(
-            self._entries, key=lambda k: (-self._entries[k][1], k)
+        for label, count, wall in sorted(
+            self._rows(), key=lambda row: (-row[2], row[0])
         ):
-            count, wall = self._entries[label]
             component, instance, handler = split_label(label)
             entries.append(
                 {
@@ -151,7 +173,7 @@ class Profiler:
                     "component": component,
                     "instance": instance,
                     "handler": handler,
-                    "count": int(count),
+                    "count": count,
                     "wall_s": wall,
                     "wall_pct": 100.0 * wall / total if total > 0 else 0.0,
                     "avg_us": wall / count * 1e6 if count else 0.0,
@@ -177,10 +199,10 @@ class Profiler:
         """Collapsed-stack lines (``sim;switch;s1;pipeline 1234``): one
         line per label, value = integer microseconds of wall time, the
         input format of every flamegraph renderer."""
-        lines = []
-        for label in sorted(self._entries):
-            _, wall = self._entries[label]
-            lines.append(f"sim{LABEL_SEP}{label} {max(1, int(round(wall * 1e6)))}")
+        lines = [
+            f"sim{LABEL_SEP}{label} {max(1, int(round(wall * 1e6)))}"
+            for label, _, wall in sorted(self._rows())
+        ]
         return "\n".join(lines) + ("\n" if lines else "")
 
     def write_collapsed(self, fp: IO[str]) -> None:
@@ -192,38 +214,18 @@ class Profiler:
         instance, with count/average in args. Not a per-event timeline
         (the profiler aggregates on the hot path); it loads in any
         trace viewer as a proportional where-does-the-time-go view."""
-        tids: Dict[str, int] = {}
-        cursors: Dict[int, float] = {}
-        trace_events: List[Dict[str, object]] = [
-            {
-                "ph": "M",
-                "pid": 1,
-                "tid": 0,
-                "name": "process_name",
-                "args": {"name": process_name},
-            }
-        ]
-        for label in sorted(self._entries):
+        def thread_of(label: str) -> str:
             component, instance, _ = split_label(label)
-            thread = f"{component} {instance}".strip()
-            if thread not in tids:
-                tids[thread] = len(tids) + 1
-                trace_events.append(
-                    {
-                        "ph": "M",
-                        "pid": 1,
-                        "tid": tids[thread],
-                        "name": "thread_name",
-                        "args": {"name": thread},
-                    }
-                )
-        for label in sorted(
-            self._entries, key=lambda k: (-self._entries[k][1], k)
-        ):
-            count, wall = self._entries[label]
-            component, instance, handler = split_label(label)
-            thread = f"{component} {instance}".strip()
-            tid = tids[thread]
+            return f"{component} {instance}".strip()
+
+        rows = self._rows()
+        tids, trace_events = chrome_threads(
+            process_name, (thread_of(label) for label, _, _ in sorted(rows))
+        )
+        cursors: Dict[int, float] = {}
+        for label, count, wall in sorted(rows, key=lambda row: (-row[2], row[0])):
+            component, _, handler = split_label(label)
+            tid = tids[thread_of(label)]
             start = cursors.get(tid, 0.0)
             dur = round(wall * 1e6, 3)
             trace_events.append(
@@ -236,7 +238,7 @@ class Profiler:
                     "name": handler or label,
                     "cat": component,
                     "args": {
-                        "count": int(count),
+                        "count": count,
                         "avg_us": round(wall / count * 1e6, 3) if count else 0.0,
                     },
                 }

@@ -28,7 +28,7 @@ surfacing everything through one schema.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 
@@ -282,6 +282,35 @@ class MetricFamily:
         if self.overflow_routed:
             out["overflow_routed"] = self.overflow_routed
         return out
+
+
+class FamilySpec(NamedTuple):
+    """One family's declaration, spelled once, at module level, by the
+    code that publishes into it."""
+
+    kind: str
+    name: str
+    description: str
+    label_names: Tuple[str, ...] = ()
+    buckets: Optional[Tuple[float, ...]] = None
+
+
+class BoundSeries(dict):
+    """The series one component publishes into, each resolved once per
+    registry instead of once per packet: ``series[obs.registry, SPEC,
+    *label_values].inc()``, a miss declaring the family and binding the
+    child. The registry is part of the key because ``sim.obs`` can be
+    swapped mid-life, and a child bound in the old run's registry would
+    count there in silence; the old run's children go when the new
+    one's first arrives."""
+
+    def __missing__(self, key: Tuple):
+        registry, spec = key[:2]
+        if self and next(iter(self))[0] is not registry:
+            self.clear()
+        labels = dict(zip(spec.label_names, key[2:]))
+        series = self[key] = registry._family(*spec).labels(**labels)
+        return series
 
 
 class MetricsRegistry:

@@ -26,7 +26,9 @@ Three exporters:
 from __future__ import annotations
 
 import json
-from typing import IO, Dict, List, Optional, Union
+from collections import deque
+from itertools import islice
+from typing import IO, Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 #: simulated seconds -> trace microseconds (the chrome schema's unit)
 _US = 1e6
@@ -65,6 +67,23 @@ class TraceEvent:
         return d
 
 
+def chrome_threads(
+    process_name: str, threads: Iterable[str]
+) -> Tuple[Dict[str, int], List[Dict[str, object]]]:
+    """``(thread -> tid, metadata events)`` opening a Chrome trace:
+    threads numbered from 1 in first-appearance order (deterministic),
+    the process and each thread named by an ``M`` event."""
+    tids: Dict[str, int] = {}
+    for thread in threads:
+        tids.setdefault(thread, len(tids) + 1)
+    named = [(0, "process_name", process_name)]
+    named += [(tid, "thread_name", thread) for thread, tid in tids.items()]
+    return tids, [
+        {"ph": "M", "pid": 1, "tid": tid, "name": key, "args": {"name": value}}
+        for tid, key, value in named
+    ]
+
+
 class Tracer:
     """An append-only event log with optional sampling and streaming.
 
@@ -78,49 +97,46 @@ class Tracer:
       everything, when no sampler is configured). Streaming sinks
       (:class:`~repro.obs.sinks.JsonlSink`) ride here.
 
-    ``retain`` controls the in-memory ``events`` list: ``True`` keeps
-    every kept event (the historical behaviour), ``False`` keeps none
-    (stream-only runs), an integer keeps a bounded tail. The tracer
+    ``retain`` controls the in-memory ``events``: ``True`` keeps every
+    kept event in a list (the historical behaviour), an integer keeps
+    that many in a ring whose oldest event falls off as a new one
+    arrives, ``False`` (or 0) keeps none (stream-only runs). The tracer
     self-accounts (:meth:`stats`): events recorded vs emitted vs
     sampled out, bytes written by streams, and the peak number of
     events resident in memory -- the observer reports its own overhead.
     """
 
     def __init__(self, sampler=None, retain: Union[bool, int] = True) -> None:
-        self.events: List[TraceEvent] = []
+        self.events: Union[List[TraceEvent], Deque[TraceEvent]] = (
+            [] if retain is True else deque(maxlen=int(retain))
+        )
+        self._keep = self.events.append
         self._sinks: List = []
         self._streams: List = []
         self._sampler = sampler
         if sampler is not None:
             sampler.bind(self._emit)
-        self._retain = retain
-        self._retain_cap = retain if isinstance(retain, int) and retain is not True else None
+        #: a sink, a sampler or a stream stands between span()/instant()
+        #: and the ring: such events go the long way, through _tap()
+        self._tapped = sampler is not None
         # -- self-accounting
         self.events_recorded = 0
-        self.events_emitted = 0
-        self.peak_resident_events = 0
-        # -- monotonicity fast path: the sim clock only moves forward,
-        # so events usually arrive time-ordered; track it in O(1) and
-        # let timeline() skip the sort when the order held
-        self._last_ts = float("-inf")
-        self._monotonic = True
+        self._peak_resident = 0
 
     def __len__(self) -> int:
         return len(self.events)
-
-    @property
-    def sampler(self):
-        return self._sampler
 
     def add_sink(self, fn) -> None:
         """``fn(event)`` runs for every recorded event, *before*
         sampling (the flight recorder's full-fidelity tap)."""
         self._sinks.append(fn)
+        self._tapped = True
 
     def add_stream(self, sink) -> None:
         """A streaming sink (``write(event)``/``flush()``/``close()``)
         fed the post-sampling stream."""
         self._streams.append(sink)
+        self._tapped = True
 
     # -- recording -------------------------------------------------------------
 
@@ -134,7 +150,12 @@ class Tracer:
         args: Optional[Dict] = None,
     ) -> None:
         """A duration event: [ts, ts+dur) in simulated seconds."""
-        self._record(TraceEvent(ts, dur, name, cat, track, args))
+        event = TraceEvent(ts, dur, name, cat, track, args)
+        self.events_recorded += 1
+        if self._tapped:
+            self._tap(event)
+        else:
+            self._keep(event)
 
     def instant(
         self,
@@ -144,35 +165,31 @@ class Tracer:
         cat: str = "sim",
         args: Optional[Dict] = None,
     ) -> None:
-        self._record(TraceEvent(ts, None, name, cat, track, args))
+        event = TraceEvent(ts, None, name, cat, track, args)
+        self.events_recorded += 1
+        if self._tapped:
+            self._tap(event)
+        else:
+            self._keep(event)
 
-    def _record(self, event: TraceEvent) -> None:
+    def _tap(self, event: TraceEvent) -> None:
+        """One event through whatever is attached: sinks, then the
+        sampler where there is one, then :meth:`_emit`."""
         for sink in self._sinks:
             sink(event)
-        self.events_recorded += 1
-        if event.ts < self._last_ts:
-            self._monotonic = False
-        else:
-            self._last_ts = event.ts
-        if self._sampler is not None:
-            self._sampler.feed(event)
-            resident = len(self.events) + self._sampler.pending_events
-        else:
+        sampler = self._sampler
+        if sampler is None:
             self._emit(event)
-            resident = len(self.events)
-        if resident > self.peak_resident_events:
-            self.peak_resident_events = resident
+            return
+        sampler.feed(event)
+        # events held back for a promotion come and go: watch the peak
+        resident = len(self.events) + sampler.pending_events
+        if resident > self._peak_resident:
+            self._peak_resident = resident
 
     def _emit(self, event: TraceEvent) -> None:
         """One event past the sampling stage: retained + streamed."""
-        self.events_emitted += 1
-        if self._retain:
-            self.events.append(event)
-            cap = self._retain_cap
-            if cap is not None and len(self.events) > cap:
-                # promotion can interleave late events; drop the oldest
-                del self.events[: len(self.events) - cap]
-                self._monotonic = False
+        self._keep(event)
         for stream in self._streams:
             stream.write(event)
 
@@ -200,6 +217,18 @@ class Tracer:
     @property
     def bytes_written(self) -> int:
         return sum(getattr(s, "bytes_written", 0) for s in self._streams)
+
+    @property
+    def events_emitted(self) -> int:
+        """Events past the sampling stage (all of them without a sampler)."""
+        return self._sampler.events_kept if self._sampler else self.events_recorded
+
+    @property
+    def peak_resident_events(self) -> int:
+        """Most events ever held at once (retained + sampler-pending).
+        Retained events only accumulate (one leaves the ring as another
+        arrives), so without a sampler the peak is what is held now."""
+        return max(self._peak_resident, len(self.events))
 
     @property
     def events_sampled_out(self) -> int:
@@ -248,24 +277,23 @@ class Tracer:
             fp.write(json.dumps(event.as_dict(), sort_keys=True))
             fp.write("\n")
 
-    def ordered_events(self) -> List[TraceEvent]:
+    def ordered_events(self) -> Sequence[TraceEvent]:
         """Events in time order. The sim clock is monotonic, so events
-        almost always arrive already sorted -- the recording path tracks
-        that in O(1) and this returns the list as-is; only when order
-        was broken (sampler promotions flush buffered events late, or a
-        bounded ``retain`` dropped a prefix) does it pay for a stable
-        sort, which keeps simultaneous events in recording order."""
-        if self._monotonic:
+        almost always lie in ``events`` already sorted, and then this
+        returns ``events`` itself (checked here, once per export, not
+        tracked per event: an event falling off the ring cannot break
+        the order, a sampler promotion flushing buffered events late
+        can); otherwise a stable sort, which keeps simultaneous events
+        in recording order."""
+        stamps = [event.ts for event in self.events]
+        if stamps == sorted(stamps):
             return self.events
         return sorted(self.events, key=lambda e: e.ts)
 
     def timeline(self, limit: Optional[int] = None) -> str:
         """Human-readable, time-ordered (see :meth:`ordered_events`)."""
-        ordered = self.ordered_events()
-        if limit is not None:
-            ordered = ordered[:limit]
         lines = []
-        for event in ordered:
+        for event in islice(self.ordered_events(), limit):
             dur = f" +{event.dur * _US:.3f}us" if event.dur is not None else ""
             args = ""
             if event.args:
@@ -281,32 +309,8 @@ class Tracer:
 
     def chrome_dict(self, process_name: str = "repro-sim") -> Dict[str, object]:
         """The trace as a chrome://tracing / Perfetto JSON object."""
-        tids: Dict[str, int] = {}
-        trace_events: List[Dict[str, object]] = []
         ordered = self.ordered_events()
-        # Deterministic tids: tracks numbered in first-appearance order.
-        for event in ordered:
-            if event.track not in tids:
-                tids[event.track] = len(tids) + 1
-        trace_events.append(
-            {
-                "ph": "M",
-                "pid": 1,
-                "tid": 0,
-                "name": "process_name",
-                "args": {"name": process_name},
-            }
-        )
-        for track, tid in tids.items():
-            trace_events.append(
-                {
-                    "ph": "M",
-                    "pid": 1,
-                    "tid": tid,
-                    "name": "thread_name",
-                    "args": {"name": track},
-                }
-            )
+        tids, trace_events = chrome_threads(process_name, (e.track for e in ordered))
         for event in ordered:
             entry: Dict[str, object] = {
                 "name": event.name,

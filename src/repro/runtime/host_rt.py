@@ -19,6 +19,7 @@ KVS storage server answering GET misses).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.errors import ReproError, RuntimeApiError
@@ -38,14 +39,32 @@ from repro.net.node import HostNode
 from repro.nir import ir
 from repro.nir.interp import DeviceState, Interpreter, WindowContext
 from repro.obs.int import (
+    IntError,
     attach_tail,
     carries_int,
     record_stack_metrics,
     stack_event_args,
     strip_stack,
 )
+from repro.obs.registry import BoundSeries, FamilySpec
 
 WindowHandler = Callable[[Window, "NclHost"], None]
+
+_WINDOWS = FamilySpec(
+    "counter", "ncp.windows", "window lifecycle events, by kernel",
+    ("host", "kernel", "event"),
+)
+_RETX_TRACKED = FamilySpec(
+    "gauge", "ncp.retx_tracked",
+    "in-flight (kernel, seq) retransmission attempt entries", ("host",),
+)
+_FRAGMENTS = FamilySpec(
+    "counter", "ncp.fragments", "NCP fragments, by direction", ("host", "event")
+)
+_RX_DROPS = FamilySpec(
+    "counter", "ncp.rx_drops", "frames dropped at delivery, by cause",
+    ("host", "cause"),
+)
 
 
 class _InRegistration:
@@ -96,6 +115,8 @@ class NclHost:
         self.windows_retransmitted = 0
         #: retransmission attempt counters by (kernel, seq)
         self._retx_attempts: Dict[tuple, int] = {}
+        #: the registry series this host publishes into, bound on first use
+        self._series = BoundSeries()
         # The Frame object carries the header parse cached along the
         # packet path, so delivery re-parses nothing the network already
         # looked at.
@@ -107,42 +128,27 @@ class NclHost:
     def _obs(self):
         return self.node.sim.obs
 
-    @property
-    def _track(self) -> str:
-        return f"host {self.node.name}"
-
     def _window_count(self, obs, event: str, kernel: str) -> None:
         """Window lifecycle counter: open (cut from an array by the
         windower), flush (framed and put on the wire), recv (decoded at
         a host), retransmit (re-flushed by :meth:`retransmit_window`)."""
-        obs.registry.counter(
-            "ncp.windows",
-            "window lifecycle events, by kernel",
-            ("host", "kernel", "event"),
-        ).labels(host=self.node.name, kernel=kernel, event=event).inc()
+        self._series[obs.registry, _WINDOWS, self.node.name, kernel, event].inc()
 
     def _retx_gauge(self, obs) -> None:
         """Live size of the retransmission-attempt table. Entries are
         evicted when a window of the same (kernel, seq) is delivered
         back, so a steadily climbing gauge means responses are not
         coming home (or the transport never completes its windows)."""
-        obs.registry.gauge(
-            "ncp.retx_tracked",
-            "in-flight (kernel, seq) retransmission attempt entries",
-            ("host",),
-        ).labels(host=self.node.name).set(len(self._retx_attempts))
+        self._series[obs.registry, _RETX_TRACKED, self.node.name].set(
+            len(self._retx_attempts)
+        )
 
-    @property
+    @cached_property
     def _node_labels(self) -> Dict[int, str]:
         """AND node id -> label, for annotating INT hop records."""
-        labels = self.__dict__.get("_node_labels_cache")
-        if labels is None:
-            labels = {
-                node.node_id: label
-                for label, node in self.program.and_spec.nodes.items()
-            }
-            self.__dict__["_node_labels_cache"] = labels
-        return labels
+        return {
+            node.node_id: label for label, node in self.program.and_spec.nodes.items()
+        }
 
     # -- address helpers --------------------------------------------------------
 
@@ -210,11 +216,7 @@ class NclHost:
             return info.at_label
         # Fig 4's ncl::out passes no destination: windows are addressed to
         # the first-hop switch and the kernel's forwarding takes over.
-        label = None
-        for node_label, node in self.program.and_spec.nodes.items():
-            if node.node_id == self.node_id:
-                label = node_label
-                break
+        label = self._node_labels.get(self.node_id)
         if label is not None:
             neighbors = self.program.and_spec.neighbors(label)
             switch_neighbors = [
@@ -297,27 +299,20 @@ class NclHost:
             self._window_count(obs, "flush", kernel)
             obs.tracer.instant(
                 "window:send" if attempt == 0 else "window:retransmit",
-                self.node.sim.now(),
-                track=self._track,
-                cat="ncp",
-                args={
-                    "kernel": kernel,
-                    "kernel_id": layout.kernel_id,
-                    "seq": window.seq,
-                    "from": window.from_node,
+                self.node.sim.now(), self.node.track, "ncp",
+                {
+                    "kernel": kernel, "kernel_id": layout.kernel_id,
+                    "seq": window.seq, "from": window.from_node,
                     "attempt": attempt,
-                    "dst": str(dst),
-                    "bytes": len(frame),
-                    "last": int(window.last),
+                    "dst": dst if dst.__class__ is str else str(dst),
+                    "bytes": len(frame), "last": int(window.last),
                 },
             )
         if self.mtu is not None and len(frame) > self.mtu:
             pieces = fragment_frame(frame, self.mtu)
             if obs.enabled:
-                obs.registry.counter(
-                    "ncp.fragments", "NCP fragments, by direction",
-                    ("host", "event"),
-                ).labels(host=self.node.name, event="sent").inc(len(pieces))
+                sent = self._series[obs.registry, _FRAGMENTS, self.node.name, "sent"]
+                sent.inc(len(pieces))
             if int_cfg is not None:
                 # Fragment first, then arm: every fragment travels alone,
                 # so every fragment collects its own per-hop stack.
@@ -369,27 +364,26 @@ class NclHost:
         meta = frame.meta
         obs = self._obs
         if carries_int(data):
-            data = self._strip_int(obs, data, meta)
+            try:
+                data = self._strip_int(obs, data, meta)
+            except IntError:
+                self._rx_drop(obs, "int", len(data))
+                return
         if is_fragment(data):
             try:
                 complete = self._reassembler.feed(data)
             except ReproError:
-                self.node.stats.drops += 1
-                self._trace_decode_drop(obs, "reassembly", len(data))
+                self._rx_drop(obs, "reassembly", len(data))
                 return
             if complete is None:
                 return
             if obs.enabled:
-                obs.registry.counter(
-                    "ncp.fragments", "NCP fragments, by direction",
-                    ("host", "event"),
-                ).labels(host=self.node.name, event="reassembled").inc()
+                self._series[obs.registry, _FRAGMENTS, self.node.name, "reassembled"].inc()
             data = complete
         try:
             frame = decode_frame(data, self.layout_by_id)
         except ReproError:
-            self.node.stats.drops += 1
-            self._trace_decode_drop(obs, "decode", len(data))
+            self._rx_drop(obs, "decode", len(data))
             return
         self.windows_received += 1
         kernel_name = self.program.kernel_by_id[frame.kernel_id]
@@ -403,15 +397,10 @@ class NclHost:
         if obs.enabled:
             self._window_count(obs, "recv", kernel_name)
             obs.tracer.instant(
-                "window:recv",
-                self.node.sim.now(),
-                track=self._track,
-                cat="ncp",
-                args={
-                    "kernel": kernel_name,
-                    "kernel_id": frame.kernel_id,
-                    "seq": frame.seq,
-                    "from": frame.from_node,
+                "window:recv", self.node.sim.now(), self.node.track, "ncp",
+                {
+                    "kernel": kernel_name, "kernel_id": frame.kernel_id,
+                    "seq": frame.seq, "from": frame.from_node,
                     "last": int(frame.last),
                 },
             )
@@ -448,13 +437,13 @@ class NclHost:
             frag = fragment_index(bare)
         now = self.node.sim.now()
         obs.tracer.instant(
-            "int:stack", now, track=self._track, cat="int",
-            args=stack_event_args(
-                stack, kernel_id, meta["seq"], meta["from"],
-                outcome="delivered", frag=frag, node_names=self._node_labels,
+            "int:stack", now, self.node.track, "int",
+            stack_event_args(
+                stack, kernel_id, meta["seq"], meta["from"], "delivered",
+                frag, self._node_labels,
             ),
         )
-        record_stack_metrics(obs.registry, self.node.name, stack, now)
+        record_stack_metrics(self._series, obs.registry, self.node.name, stack, now)
         return bare
 
     def _run_in_kernel(self, reg: _InRegistration, out_kernel: str, window: Window) -> None:
@@ -470,26 +459,23 @@ class NclHost:
         obs = self._obs
         if obs.enabled:
             obs.tracer.instant(
-                "kernel:run",
-                self.node.sim.now(),
-                track=self._track,
-                cat="ncp",
-                args={"kernel": reg.kernel.name, "seq": window.seq},
+                "kernel:run", self.node.sim.now(), self.node.track, "ncp",
+                {"kernel": reg.kernel.name, "seq": window.seq},
             )
         self._interp.run(reg.kernel, ctx)
         reg.windows_received += 1
         if reg.on_window is not None:
             reg.on_window(window, self)
 
-    def _trace_decode_drop(self, obs, cause: str, nbytes: int) -> None:
+    def _rx_drop(self, obs, cause: str, nbytes: int) -> None:
+        """A delivered frame this host cannot use -- a malformed INT
+        trailer (``int``), a fragment that does not reassemble
+        (``reassembly``), bytes that do not decode (``decode``) -- ends
+        here as one counted, cause-labelled drop."""
+        self.node.stats.drops += 1
         if obs.enabled:
-            obs.tracer.instant(
-                "drop",
-                self.node.sim.now(),
-                track=self._track,
-                cat="ncp",
-                args={"cause": cause, "bytes": nbytes},
-            )
+            self._series[obs.registry, _RX_DROPS, self.node.name, cause].inc()
+        self.node.trace_drop("ncp", cause=cause, bytes=nbytes)
 
     def received_count(self, in_kernel: str) -> int:
         paired = self.program.unit.paired_out_kernel(in_kernel)

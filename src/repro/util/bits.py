@@ -83,6 +83,17 @@ class FieldLayout:
             pos = start + bits // 8
         return struct.Struct(fmt)
 
+    def paired(self) -> struct.Struct:
+        """The layout as one ``struct`` call for a caller that moves each
+        48-bit field as a 16+32 pair of slots (high half, low half) and
+        every other field, 8/16/32/64 bits wide, as one.  Unsigned and
+        unchecked like :attr:`unsigned`: the caller masks what it packs."""
+        try:
+            codes = ["HI" if bits == 48 else _CODES[bits] for _, bits in self.fields]
+        except KeyError as width:
+            raise ReproError(f"no struct slot for a {width}-bit field") from None
+        return struct.Struct(">" + "".join(codes))
+
     def unpack_seq(self, data: bytes, offset: int = 0) -> Sequence[int]:
         """Field values, in layout order, read at ``data[offset:]``."""
         end = offset + self.nbytes
