@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import NcpError
-from repro.ncp.wire import FLAGS_OFF, HEADERS, HEADERS_LEN, pack_headers
+from repro.ncp.wire import FLAGS_OFF, HEADERS_LEN, SLOT, pack_headers, unpack_headers
 from repro.util.bits import FieldLayout
 
 #: set on the wire kernel_id of every fragment; outside the id range the
@@ -44,6 +44,10 @@ _PIECE_OFF = HEADERS_LEN + FRAG.nbytes
 
 MAX_FRAGMENTS = 255
 
+#: the header slots fragmenting rewrites, and those that key reassembly
+_FLAGS, _KERNEL = SLOT["ncp.flags"], SLOT["ncp.kernel_id"]
+_IP_SRC, _SEQ = SLOT["ipv4.src"], SLOT["ncp.seq"]
+
 
 def fragment_frame(frame: bytes, mtu: int) -> List[bytes]:
     """Split an encoded NCP frame into fragments that fit *mtu* bytes.
@@ -57,15 +61,15 @@ def fragment_frame(frame: bytes, mtu: int) -> List[bytes]:
     budget = mtu - _PIECE_OFF
     if budget <= 0:
         raise NcpError(f"mtu {mtu} too small for NCP headers")
-    headers = HEADERS.unpack(frame)
-    if headers["ncp.flags"] & FLAG_FRAG:
+    headers = list(unpack_headers(frame))
+    if headers[_FLAGS] & FLAG_FRAG:
         raise NcpError("refusing to fragment a fragment")
     pieces = [frame[i : i + budget] for i in range(HEADERS_LEN, len(frame), budget)]
     if len(pieces) > MAX_FRAGMENTS:
         raise NcpError(f"window needs {len(pieces)} fragments (max {MAX_FRAGMENTS})")
 
-    headers["ncp.kernel_id"] |= FRAG_KERNEL_BIT
-    headers["ncp.flags"] |= FLAG_FRAG
+    headers[_KERNEL] |= FRAG_KERNEL_BIT
+    headers[_FLAGS] |= FLAG_FRAG
     return [
         pack_headers(headers, FRAG.nbytes + len(piece))
         + FRAG.pack_seq((index, len(pieces), len(piece)))
@@ -87,17 +91,22 @@ class Reassembler:
     """Collects fragments into complete NCP frames.
 
     Keyed by (src ip, original kernel id, seq) -- one outstanding window
-    per sender/kernel/seq, as NCP's window sequencing guarantees.
+    per sender/kernel/seq, as NCP's window sequencing guarantees.  At
+    most ``max_pending`` windows wait: the first fragment of one more
+    evicts the oldest (one that lost a fragment would never leave).
     """
 
     def __init__(self, max_pending: int = 1024):
-        #: key -> (fragment count, first fragment's headers, index -> piece)
+        #: key -> (fragment count, first fragment's header slots, index -> piece)
         self._pending: Dict[
-            Tuple[int, int, int], Tuple[int, Dict[str, int], Dict[int, bytes]]
+            Tuple[int, int, int], Tuple[int, List[int], Dict[int, bytes]]
         ] = {}
         self.max_pending = max_pending
         self.reassembled = 0
         self.fragments_seen = 0
+        #: windows given up on to make room, and the payload bytes they held
+        self.evicted = 0
+        self.evicted_bytes = 0
 
     def feed(self, data: bytes) -> Optional[bytes]:
         """Add one fragment; returns the rebuilt original frame when this
@@ -108,33 +117,35 @@ class Reassembler:
                 f"truncated fragment: headers need {_PIECE_OFF} bytes, "
                 f"have {len(data)}"
             )
-        headers = HEADERS.unpack(data)
-        if not headers["ncp.flags"] & FLAG_FRAG:
+        headers = list(unpack_headers(data))
+        if not headers[_FLAGS] & FLAG_FRAG:
             raise NcpError("not a fragment")
         index, count, piece_len = FRAG.unpack_seq(data, HEADERS_LEN)
         self.fragments_seen += 1
         if index >= count:
             raise NcpError(f"fragment index {index} outside its count {count}")
 
-        original_kernel = headers["ncp.kernel_id"] & ~FRAG_KERNEL_BIT
-        key = (headers["ipv4.src"], original_kernel, headers["ncp.seq"])
+        original_kernel = headers[_KERNEL] & ~FRAG_KERNEL_BIT
+        key = (headers[_IP_SRC], original_kernel, headers[_SEQ])
         entry = self._pending.get(key)
         if entry is None:
             if len(self._pending) >= self.max_pending:
-                raise NcpError("reassembly table full")
+                oldest = next(iter(self._pending))  # dicts keep insertion order
+                self.evicted += 1
+                self.evicted_bytes += sum(map(len, self._pending.pop(oldest)[2].values()))
             entry = self._pending[key] = (count, headers, {})
         elif count != entry[0]:
             raise NcpError(
                 f"fragment claims {count} fragments, its window has {entry[0]}"
             )
-        count, headers, slots = entry
-        slots[index] = data[_PIECE_OFF : _PIECE_OFF + piece_len]
-        if len(slots) < count:
+        count, headers, pieces = entry
+        pieces[index] = data[_PIECE_OFF : _PIECE_OFF + piece_len]
+        if len(pieces) < count:
             return None
         del self._pending[key]
-        payload = b"".join(slots[i] for i in range(count))
-        headers["ncp.kernel_id"] = original_kernel
-        headers["ncp.flags"] &= ~FLAG_FRAG
+        payload = b"".join(pieces[i] for i in range(count))
+        headers[_KERNEL] = original_kernel
+        headers[_FLAGS] &= ~FLAG_FRAG
         self.reassembled += 1
         return pack_headers(headers, len(payload)) + payload
 

@@ -20,7 +20,10 @@ from repro.errors import NcpError
 
 
 class Window:
-    """One window: per-array chunks plus its metadata."""
+    """One window: per-array chunks plus its metadata.  It owns the chunk
+    lists it is given (the windower's slices, the decoder's lists: built
+    for it, copied by nobody); ``ext`` is only read, and the windows of
+    one invocation share theirs."""
 
     __slots__ = ("seq", "chunks", "ext", "last", "from_node")
 
@@ -33,8 +36,8 @@ class Window:
         from_node: int = 0,
     ):
         self.seq = seq
-        self.chunks = [list(c) for c in chunks]
-        self.ext = dict(ext or {})
+        self.chunks = chunks
+        self.ext = {} if ext is None else ext
         self.last = last
         self.from_node = from_node
 
@@ -92,17 +95,8 @@ class Windower:
         """Yield the windows of one kernel invocation, in sequence order."""
         total = self.window_count(arrays)
         for seq in range(total):
-            chunks = [
-                list(array[seq * m : (seq + 1) * m])
-                for array, m in zip(arrays, self.mask)
-            ]
-            yield Window(
-                seq,
-                chunks,
-                ext=ext,
-                last=(seq == total - 1),
-                from_node=from_node,
-            )
+            chunks = [array[seq * m : (seq + 1) * m] for array, m in zip(arrays, self.mask)]
+            yield Window(seq, chunks, ext, seq == total - 1, from_node)
 
     def scatter(
         self, window: Window, arrays: Sequence[List[int]]

@@ -14,16 +14,17 @@ The same (name, bits) layouts drive every consumer:
 * the host-side codec in this module (:func:`encode_frame` /
   :func:`decode_frame` / :func:`peek_frame`), which runs on
   :data:`HEADERS` -- the four fixed headers stacked into one compiled
-  54-byte layout -- and on each :class:`KernelLayout`'s compiled
-  ``payload`` plan;
+  54-byte layout, written by one positional ``struct`` call -- and on
+  each :class:`KernelLayout`'s compiled ``payload`` plan;
 * fragments (:mod:`repro.ncp.fragment`), INT (:mod:`repro.obs.int`) and
-  the deployment checker, which take every header offset and length
+  the deployment checker, which take every header offset, slot and length
   from :data:`HEADERS` (the constants below exist in this module only);
 * nclc's generated parser, so the switch parses exactly what hosts emit.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import NcpError
@@ -93,6 +94,16 @@ UDP_OFF = HEADERS.offset("udp.sport")
 NCP_OFF = HEADERS.offset("ncp.magic")
 FLAGS_OFF = HEADERS.offset("ncp.flags")
 
+#: The headers as one positional ``struct`` call, a MAC moving as a 16+32
+#: pair of slots; ``SLOT`` is where a field's (first) slot sits in what
+#: :data:`unpack_headers` yields and :func:`pack_headers` takes.
+_PAIRED = HEADERS.paired()
+SLOT = dict(zip(
+    HEADERS.names, accumulate((1 + (bits == 48) for _, bits in HEADERS.fields), initial=0)
+))
+unpack_headers = _PAIRED.unpack_from
+_TOTAL_LEN, _UDP_LENGTH = SLOT["ipv4.total_len"], SLOT["udp.length"]
+
 #: the fields routing, tracing and decoding need, read in one call
 _KEY_FIELDS = HEADERS.reader(
     "eth.ethertype", "ipv4.proto", "ipv4.src", "ipv4.dst", "udp.dport",
@@ -101,13 +112,17 @@ _KEY_FIELDS = HEADERS.reader(
 ).unpack_from
 
 
+#: what a node's MAC (02:00:00:00:x:y) and address carry above its id
+_MAC_HI, _IP_NET = 0x0200, 10 << 24
+
+
 def node_ip(node_id: int) -> int:
     """Deterministic IPv4 address for a node id: 10.0.x.y."""
-    return (10 << 24) | (node_id & 0xFFFF)
+    return _IP_NET | (node_id & 0xFFFF)
 
 
 def node_mac(node_id: int) -> int:
-    return (0x02 << 40) | (node_id & 0xFFFF)
+    return (_MAC_HI << 32) | (node_id & 0xFFFF)
 
 
 # -- kernel layouts ----------------------------------------------------------------
@@ -158,6 +173,10 @@ class KernelLayout:
         self.kernel_name = kernel_name
         self.chunks = list(chunks)
         self.ext_fields = [(n, b, s) for n, b, s in ext_fields]
+        self.ext_names = tuple(n for n, _, _ in self.ext_fields)
+        #: [start, end) of each chunk among the payload plan's values
+        ends = list(accumulate((c.count for c in self.chunks), initial=len(self.ext_names)))
+        self.chunk_bounds = list(zip(ends, ends[1:]))
         #: compiled ext+chunks plan: packs with to_unsigned semantics,
         #: unpacks each element wrapped to its width and signedness
         self.payload = FieldLayout(
@@ -217,12 +236,13 @@ def layout_for_kernel(
 # -- frame codec --------------------------------------------------------------------
 
 
-def pack_headers(fields: Dict[str, int], body_len: int) -> bytes:
-    """The 54 header bytes of a frame whose NCP header is followed by
-    ``body_len`` bytes; fills in the UDP and IPv4 length fields."""
-    fields["udp.length"] = HEADERS_LEN - UDP_OFF + body_len
-    fields["ipv4.total_len"] = HEADERS_LEN - IPV4_OFF + body_len
-    return HEADERS.pack(fields)
+def pack_headers(slots: List[int], body_len: int) -> bytes:
+    """The 54 header bytes from one in-range value per :data:`SLOT`, for
+    a frame whose NCP header is followed by ``body_len`` bytes; fills in
+    the UDP and IPv4 length slots."""
+    slots[_UDP_LENGTH] = (HEADERS_LEN - UDP_OFF + body_len) & 0xFFFF
+    slots[_TOTAL_LEN] = (HEADERS_LEN - IPV4_OFF + body_len) & 0xFFFF
+    return _PAIRED.pack(*slots)
 
 
 def encode_frame(
@@ -242,7 +262,7 @@ def encode_frame(
         )
     ext_values = ext_values or {}
     values: List[int] = []
-    for name, _bits, _signed in layout.ext_fields:
+    for name in layout.ext_names:
         if name not in ext_values:
             raise NcpError(f"missing window extension field {name!r}")
         values.append(ext_values[name])
@@ -254,26 +274,18 @@ def encode_frame(
             )
         values.extend(chunk)
     payload = layout.payload.pack_seq(values)
+    src, dst = src_node & 0xFFFF, dst_node & 0xFFFF
     headers = pack_headers(
-        {
-            "eth.dst": node_mac(dst_node),
-            "eth.src": node_mac(src_node),
-            "eth.ethertype": ETHERTYPE_IPV4,
-            "ipv4.version_ihl": IPV4_VERSION_IHL,
-            "ipv4.ident": seq & 0xFFFF,
-            "ipv4.ttl": DEFAULT_TTL,
-            "ipv4.proto": IP_PROTO_UDP,
-            "ipv4.src": node_ip(src_node),
-            "ipv4.dst": node_ip(dst_node),
-            "udp.sport": NCP_PORT,
-            "udp.dport": NCP_PORT,
-            "ncp.magic": NCP_MAGIC,
-            "ncp.version": NCP_VERSION,
-            "ncp.flags": FLAG_LAST if last else 0,
-            "ncp.kernel_id": layout.kernel_id,
-            "ncp.from_node": src_node if from_node is None else from_node,
-            "ncp.seq": seq,
-        },
+        [  # in HEADERS order, one value per slot
+            _MAC_HI, dst, _MAC_HI, src, ETHERTYPE_IPV4,
+            IPV4_VERSION_IHL, 0, 0, seq & 0xFFFF, 0, DEFAULT_TTL, IP_PROTO_UDP, 0,
+            _IP_NET | src, _IP_NET | dst,
+            NCP_PORT, NCP_PORT, 0, 0,
+            NCP_MAGIC, NCP_VERSION, FLAG_LAST if last else 0,
+            layout.kernel_id & 0xFFFF,
+            (src_node if from_node is None else from_node) & 0xFFFF,
+            seq & 0xFFFFFFFF,
+        ],
         len(payload),
     )
     return headers + payload
@@ -354,19 +366,8 @@ def decode_frame(
             f"{payload.nbytes} bytes, have {len(data) - HEADERS_LEN}"
         )
     values = payload.unpack_seq(data, HEADERS_LEN)
-    pos = len(layout.ext_fields)
-    ext = {name: v for (name, _, _), v in zip(layout.ext_fields, values)}
-    chunks: List[List[int]] = []
-    for chunk_layout in layout.chunks:
-        chunks.append(list(values[pos : pos + chunk_layout.count]))
-        pos += chunk_layout.count
     return DecodedFrame(
-        src_node=src & 0xFFFF,
-        dst_node=dst & 0xFFFF,
-        kernel_id=kernel_id,
-        from_node=from_node,
-        seq=seq,
-        last=bool(flags & FLAG_LAST),
-        ext=ext,
-        chunks=chunks,
+        src & 0xFFFF, dst & 0xFFFF, kernel_id, from_node, seq, bool(flags & FLAG_LAST),
+        dict(zip(layout.ext_names, values)),
+        [list(values[start:end]) for start, end in layout.chunk_bounds],
     )

@@ -14,10 +14,7 @@ stay the currency at the host edge: ``HostNode.transmit`` takes the
 bytes an application encoded and a plain ``receiver`` callback gets
 ``frame.data`` back, identity-preserved.  Anything that rewrites the
 packet (a PISA pipeline, INT stamping) produces fresh bytes, which the
-switch's own ``send`` wraps into a fresh Frame.  :meth:`Frame.with_data`
-exists for the one rewrite that provably leaves the headers intact --
-appending or stripping a trailer -- and carries the cached metadata
-across.
+switch's own ``send`` wraps into a fresh Frame.
 """
 
 from __future__ import annotations
@@ -49,12 +46,6 @@ class Frame:
             meta = peek_frame(self.data)
             self._meta = meta
         return meta  # type: ignore[return-value]
-
-    def with_data(self, data: bytes) -> "Frame":
-        """A new Frame around *data*, keeping this frame's cached
-        metadata.  Only valid when the Ethernet/IPv4/UDP/NCP headers are
-        unchanged (e.g. an INT trailer was appended or stripped)."""
-        return Frame(data, self._meta)
 
     @property
     def size(self) -> int:

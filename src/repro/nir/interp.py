@@ -148,7 +148,9 @@ class DeviceState:
 
 
 class WindowContext:
-    """Everything a kernel invocation sees about the current window."""
+    """Everything a kernel invocation sees about the current window.
+    Holds what it is given, uncopied: the caller builds *meta* and *args*
+    per invocation, and a kernel writes the caller's buffers by design."""
 
     def __init__(
         self,
@@ -157,10 +159,10 @@ class WindowContext:
         location_id: int = 0,
         location_labels: Optional[Dict[str, int]] = None,
     ):
-        self.meta = dict(meta)
-        self.args = list(args)
+        self.meta = meta
+        self.args = args
         self.location_id = location_id
-        self.location_labels = dict(location_labels or {})
+        self.location_labels = location_labels or {}
 
 
 class InterpResult:

@@ -32,22 +32,32 @@ FWD_NAMES = ("pass", "drop", "bcast", "reflect")
 class SwitchResult:
     """Outcome of processing one packet."""
 
-    __slots__ = ("verdict", "label_id", "data", "phv", "tables_matched")
+    __slots__ = ("verdict", "label_id", "phv", "tables_matched", "_deparser", "_data")
 
     def __init__(
         self,
         verdict: str,
         label_id: Optional[int],
-        data: bytes,
+        deparser: Deparser,
         phv: Phv,
         tables_matched: int = 0,
     ):
         self.verdict = verdict  # 'pass' | 'drop' | 'bcast' | 'reflect'
         self.label_id = label_id  # AND node id for labelled _pass, else None
-        self.data = data  # deparsed output packet
         self.phv = phv
         #: tables hit during the pipeline run (stamped into INT records)
         self.tables_matched = tables_matched
+        self._deparser = deparser
+        self._data: Optional[bytes] = None
+
+    @property
+    def data(self) -> bytes:
+        """The output packet, deparsed on first read: as on hardware, a
+        packet the program drops never reaches the deparser."""
+        data = self._data
+        if data is None:
+            data = self._data = self._deparser.deparse(self.phv)
+        return data
 
     def __repr__(self) -> str:
         label = f"->{self.label_id}" if self.label_id is not None else ""
@@ -93,7 +103,7 @@ class PisaSwitch:
         return SwitchResult(
             FWD_NAMES[verdict_code],
             None if label == NO_LABEL else label,
-            self.deparser.deparse(phv),
+            self.deparser,
             phv,
             pipeline.last_tables_matched,
         )

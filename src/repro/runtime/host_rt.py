@@ -68,8 +68,13 @@ _RX_DROPS = FamilySpec(
 
 
 class _InRegistration:
-    def __init__(self, kernel: ir.Function, ext_args: List, on_window: Optional[WindowHandler]):
+    def __init__(
+        self, kernel: ir.Function, by_ref: List[bool], ext_args: List,
+        on_window: Optional[WindowHandler],
+    ):
         self.kernel = kernel
+        #: per data parameter: a pointer takes its chunk, a scalar the one element
+        self.by_ref = by_ref
         self.ext_args = ext_args
         self.on_window = on_window
         self.windows_received = 0
@@ -183,15 +188,14 @@ class NclHost:
         config = self._config(kernel)
         ext_values = self._ext_values(kernel, ext)
         windower = Windower(config.mask)
-        count = 0
+        before = self.windows_sent
         obs = self._obs
         for window in windower.split(arrays, ext=ext_values, from_node=self.node_id):
             if obs.enabled:
                 self._window_count(obs, "open", kernel)
             self._send_window(kernel, window, dst)
-            count += 1
-        self.windows_sent += count
-        return count
+            self.windows_sent += 1  # per window: a later one may raise
+        return self.windows_sent - before
 
     def out_window(
         self,
@@ -284,14 +288,8 @@ class NclHost:
         layout = self.program.layouts[kernel]
         dst_node = self._node_id_of(dst)
         frame = encode_frame(
-            layout,
-            src_node=self.node_id,
-            dst_node=dst_node,
-            seq=window.seq,
-            chunks=window.chunks,
-            ext_values=window.ext,
-            last=window.last,
-            from_node=window.from_node,
+            layout, self.node_id, dst_node, window.seq, window.chunks, window.ext,
+            window.last, window.from_node,
         )
         obs = self._obs
         int_cfg = obs.int_config
@@ -347,7 +345,8 @@ class NclHost:
                 f"got {len(ext_args)}"
             )
         fn = self.program.ref_module.functions[in_kernel]
-        self._in_regs[paired.name] = _InRegistration(fn, list(ext_args), on_window)
+        by_ref = [isinstance(param.ty, PointerType) for param in paired.data_params]
+        self._in_regs[paired.name] = _InRegistration(fn, by_ref, list(ext_args), on_window)
 
     def on_raw_window(self, out_kernel: str, handler: WindowHandler) -> None:
         """Receive raw windows of an outgoing kernel (application roles
@@ -357,24 +356,26 @@ class NclHost:
         self._raw_handlers[out_kernel] = handler
 
     def _on_frame(self, frame: Frame) -> None:
-        """Delivery (bound to ``node.frame_receiver``): reuses the
-        header metadata cached while the packet crossed the fabric
-        instead of re-peeking the bytes."""
+        """Delivery (bound to ``node.frame_receiver``).  The decoder's
+        lists become the window's as they are."""
         data = frame.data
-        meta = frame.meta
         obs = self._obs
         if carries_int(data):
             try:
-                data = self._strip_int(obs, data, meta)
+                data = self._strip_int(obs, frame)
             except IntError:
                 self._rx_drop(obs, "int", len(data))
                 return
         if is_fragment(data):
+            reassembler = self._reassembler
+            evicted, held = reassembler.evicted, reassembler.evicted_bytes
             try:
-                complete = self._reassembler.feed(data)
+                complete = reassembler.feed(data)
             except ReproError:
                 self._rx_drop(obs, "reassembly", len(data))
                 return
+            if reassembler.evicted != evicted:  # a pending window made room for this one
+                self._rx_drop(obs, "reassembly", reassembler.evicted_bytes - held)
             if complete is None:
                 return
             if obs.enabled:
@@ -404,31 +405,26 @@ class NclHost:
                     "last": int(frame.last),
                 },
             )
-        window = Window(
-            frame.seq,
-            frame.chunks,
-            ext=frame.ext,
-            last=frame.last,
-            from_node=frame.from_node,
-        )
+        window = Window(frame.seq, frame.chunks, frame.ext, frame.last, frame.from_node)
         raw = self._raw_handlers.get(kernel_name)
         if raw is not None:
             raw(window, self)
             return
         reg = self._in_regs.get(kernel_name)
         if reg is not None:
-            self._run_in_kernel(reg, kernel_name, window)
+            self._run_in_kernel(reg, window)
             return
         self.inbox.setdefault(kernel_name, []).append(window)
 
-    def _strip_int(self, obs, data: bytes, meta) -> bytes:
+    def _strip_int(self, obs, frame: Frame) -> bytes:
         """Strip the INT trailer at delivery: emit the per-hop stack as
         an ``int:stack`` trace event (the lineage index's raw material)
-        and fold it into the registry.  *meta* is the in-flight Frame's
-        cached header peek: the trailer sits after the payload, so it is
-        the bare frame's too."""
-        bare, stack = strip_stack(data)
-        if stack is None or not obs.enabled or meta is None:
+        and fold it into the registry.  The header peek is read off the
+        in-flight Frame (the trailer sits after the payload, so it is
+        the bare frame's too), and only when there is a stack to name."""
+        bare, stack = strip_stack(frame.data)
+        meta = frame.meta if stack is not None and obs.enabled else None
+        if meta is None:
             return bare
         frag = None
         kernel_id = meta["kernel"]
@@ -446,16 +442,10 @@ class NclHost:
         record_stack_metrics(self._series, obs.registry, self.node.name, stack, now)
         return bare
 
-    def _run_in_kernel(self, reg: _InRegistration, out_kernel: str, window: Window) -> None:
-        out_info = self.program.unit.out_kernels[out_kernel]
-        args: List = []
-        for param, chunk in zip(out_info.data_params, window.chunks):
-            if isinstance(param.ty, PointerType):
-                args.append(chunk)
-            else:
-                args.append(chunk[0])
-        args.extend(reg.ext_args)
-        ctx = WindowContext(window.meta(), args, location_id=self.node_id)
+    def _run_in_kernel(self, reg: _InRegistration, window: Window) -> None:
+        args = [c if by_ref else c[0] for by_ref, c in zip(reg.by_ref, window.chunks)]
+        args += reg.ext_args
+        ctx = WindowContext(window.meta(), args, self.node_id)
         obs = self._obs
         if obs.enabled:
             obs.tracer.instant(
@@ -469,9 +459,9 @@ class NclHost:
 
     def _rx_drop(self, obs, cause: str, nbytes: int) -> None:
         """A delivered frame this host cannot use -- a malformed INT
-        trailer (``int``), a fragment that does not reassemble
-        (``reassembly``), bytes that do not decode (``decode``) -- ends
-        here as one counted, cause-labelled drop."""
+        trailer (``int``), a fragment that does not reassemble or whose
+        window was evicted incomplete (``reassembly``), bytes that do not
+        decode (``decode``) -- ends here as one counted, cause-labelled drop."""
         self.node.stats.drops += 1
         if obs.enabled:
             self._series[obs.registry, _RX_DROPS, self.node.name, cause].inc()

@@ -358,7 +358,7 @@ class OracleSwitch:
         return SwitchResult(
             FWD_NAMES[verdict_code],
             None if label == NO_LABEL else label,
-            self.deparser.deparse(phv),
+            self.deparser,
             phv,
         )
 

@@ -47,6 +47,29 @@ class TestFragmentation:
         assert headers["ncp.kernel_id"] & FRAG_KERNEL_BIT
         assert headers["ncp.flags"] & FLAG_FRAG
 
+    def test_header_fields_are_carried_not_regenerated(self):
+        """A frame whose TTL a hop decremented and whose IP ident was
+        rewritten after encoding: every fragment carries the altered
+        fields and the reassembled frame is the altered frame."""
+        from repro.ncp.wire import HEADERS
+
+        layout, frame = big_frame(64)
+        ttl, ident = HEADERS.offset("ipv4.ttl"), HEADERS.offset("ipv4.ident")
+        altered = bytearray(frame)
+        altered[ttl] = 17
+        altered[ident:ident + 2] = b"\xbe\xef"
+        altered = bytes(altered)
+        pieces = fragment_frame(altered, 100)
+        r = Reassembler()
+        rebuilt = None
+        for piece in pieces:
+            headers = HEADERS.unpack(piece)
+            assert (headers["ipv4.ttl"], headers["ipv4.ident"]) == (17, 0xBEEF)
+            assert headers["ipv4.total_len"] == len(piece) - 14
+            assert headers["udp.length"] == len(piece) - 34
+            rebuilt = r.feed(piece)
+        assert rebuilt == altered != frame
+
     def test_mtu_too_small(self):
         layout, frame = big_frame(64)
         with pytest.raises(NcpError, match="mtu"):
@@ -104,6 +127,43 @@ class TestReassembly:
         for piece in pieces[:-1]:
             assert r.feed(piece) is None
         assert r.pending_windows == 1
+
+    @staticmethod
+    def all_but_last(seq):
+        return fragment_frame(big_frame(64, seq=seq)[1], 100)[:-1]
+
+    def test_full_table_evicts_the_oldest_window(self):
+        """Four windows that each lost their last fragment used to fill a
+        table of four for good: the first fragment of every later window
+        was refused with "reassembly table full"."""
+        r = Reassembler(max_pending=4)
+        for seq in range(4):
+            for piece in self.all_but_last(seq):
+                assert r.feed(piece) is None
+        assert (r.pending_windows, r.evicted) == (4, 0)
+        _, fifth = big_frame(64, seq=4)
+        rebuilt = [r.feed(piece) for piece in fragment_frame(fifth, 100)]
+        assert rebuilt[-1] == fifth and set(rebuilt[:-1]) == {None}
+        assert (r.pending_windows, r.evicted, r.reassembled) == (3, 1, 1)
+        held = sum(len(p) - 58 for p in self.all_but_last(0))
+        assert r.evicted_bytes == held > 0
+        # the one given up on was the oldest, seq 0: 1..3 still complete
+        for seq in (1, 2, 3):
+            _, frame = big_frame(64, seq=seq)
+            assert r.feed(fragment_frame(frame, 100)[-1]) == frame
+        assert (r.pending_windows, r.evicted) == (0, 1)
+
+    def test_malformed_fragment_evicts_nothing(self):
+        r = Reassembler(max_pending=2)
+        for seq in range(2):
+            for piece in self.all_but_last(seq):
+                r.feed(piece)
+        first_of_third = self.all_but_last(2)[0]
+        with pytest.raises(NcpError, match="outside its count"):
+            r.feed(self.rewrite(first_of_third, index=200))
+        with pytest.raises(NcpError, match="truncated fragment"):
+            r.feed(first_of_third[:57])
+        assert (r.pending_windows, r.evicted) == (2, 0)
 
     def test_non_fragment_rejected(self):
         layout, frame = big_frame(4)
@@ -181,6 +241,47 @@ class TestReassembly:
         host._on_frame(Frame(self.rewrite(pieces[1], index=9)))
         assert host.node.stats.drops == 1
         assert host.windows_received == 0
+
+    def test_host_counts_an_evicted_window_and_keeps_receiving(self):
+        """Through a host: every window the table gives up on is one
+        ``reassembly`` drop (node stats and ``ncp.rx_drops``, no tracer
+        needed), and fragmented windows keep arriving afterwards."""
+        from repro.nclc import Compiler, WindowConfig
+        from repro.obs import Observability
+        from repro.runtime import Cluster
+
+        program = Compiler().compile(
+            "_net_ _out_ void ship(int *d) { }",
+            and_text="host a\nhost b\nswitch s1\nlink a s1\nlink s1 b",
+            windows={"ship": WindowConfig(mask=(64,))},
+        )
+        obs = Observability()
+        host = Cluster.from_program(program, obs=obs).hosts["b"]
+        host._reassembler = Reassembler(max_pending=4)
+
+        def pieces(seq):
+            frame = encode_frame(
+                program.layouts["ship"], 1, 2, seq=seq, chunks=[list(range(64))]
+            )
+            return fragment_frame(frame, 160)
+
+        for seq in range(4):
+            for piece in pieces(seq)[:-1]:
+                host._on_frame(Frame(piece))
+        assert (host.node.stats.drops, host.windows_received) == (0, 0)
+        for seq in (4, 5):
+            for piece in pieces(seq):
+                host._on_frame(Frame(piece))
+        assert host.windows_received == 2
+        assert [w.seq for w in host.inbox["ship"]] == [4, 5]
+        # seq 4's first fragment pushed out the stalest window; completing
+        # freed its slot, so seq 5 evicted nothing
+        assert host._reassembler.evicted == 1
+        assert host.node.stats.drops == 1
+        series = obs.registry.get("ncp.rx_drops").snapshot()["series"]
+        assert [(s["labels"], s["value"]) for s in series] == [
+            ({"host": "b", "cause": "reassembly"}, 1)
+        ]
 
     @given(st.integers(90, 400), st.integers(8, 96))
     @settings(max_examples=20, deadline=None)

@@ -81,12 +81,28 @@ def batch_calls(obs) -> int:
     return pstats.Stats(profile).total_calls
 
 
+QUIET_CALLS_MAX = OBSERVER_ADDS_MAX = 25_000
+
+
 class TestObserverCallBudget:
-    def test_observed_batch_makes_at_most_twice_the_calls_of_a_quiet_one(self):
-        """A deterministic stand-in for ``obs.overhead_ratio``: calls do
-        not depend on the machine. The bench's observed configuration
-        (ring tracer, INT, profiler) read 76.0k calls against a quiet
-        29.8k at the parent, 2.55x; bound once it reads 52.0k, 1.75x."""
+    """Deterministic stand-ins for the bench's wall-time rows: calls do
+    not depend on the machine. Both bars are absolute. A ratio
+    ``observed / quiet`` (what this class asserted before, <= 2.0, and
+    what ``obs.overhead_ratio`` reports) has a denominator every
+    data-path PR shrinks: the PR that moved the host's leg of the trip to
+    one header ``struct`` call and a lazy deparse took 6.4k calls off
+    the quiet batch and 5.0k off the observed one -- which still peeks
+    its frames and deparses its drops for INT -- so the observed batch
+    got cheaper while the ratio rose from 1.75 to 2.01, and
+    ``obs.overhead_ratio`` is expected to rise with it (2.1-2.3 to about
+    2.6)."""
+
+    def test_the_observer_adds_at_most_25k_calls_to_a_batch(self):
+        """What watching costs, stated as what it adds: the bench's
+        observed configuration (ring tracer, INT, profiler) makes 23.6k
+        calls more than a quiet batch (47.1k against 23.4k). It added
+        46.3k before the observer was bound once per component, 22.3k
+        after."""
         quiet = batch_calls(None)
         observed = batch_calls(
             Observability(
@@ -95,7 +111,13 @@ class TestObserverCallBudget:
                 profiler=Profiler(),
             )
         )
-        assert observed / quiet <= 2.0, (observed, quiet)
+        assert observed - quiet <= OBSERVER_ADDS_MAX, (observed, quiet)
+
+    def test_a_quiet_batch_makes_at_most_25k_calls(self):
+        """The mirror pin for the data path itself: 128 window trips
+        read 23.4k calls, 29.8k while the headers went through a dict
+        and every dropped packet through the deparser."""
+        assert batch_calls(None) <= QUIET_CALLS_MAX
 
 
 # -- the registry helper ----------------------------------------------------------

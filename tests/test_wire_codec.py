@@ -2,7 +2,9 @@
 one frame (peek_frame, decode_frame, the switch's PacketParser) against
 each other."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,10 +16,14 @@ from repro.ncp.wire import (
     FLAG_LAST,
     HEADERS,
     HEADERS_LEN,
+    IPV4_OFF,
+    UDP_OFF,
     ChunkLayout,
     KernelLayout,
     decode_frame,
     encode_frame,
+    node_ip,
+    node_mac,
     peek_frame,
 )
 from repro.obs.int import IntConfig, attach_tail, stamp_hop
@@ -117,6 +123,104 @@ class TestCompiledLayoutAgainstOracle:
             [intops.wrap(v, c.bits, c.signed) for v in vals]
             for c, vals in zip(layout.chunks, chunks)
         ]
+
+
+# -- the 54 header bytes ---------------------------------------------------------
+
+#: frames captured at the commit named in the file, before the headers
+#: went through one positional ``struct`` call
+GOLDEN_FRAMES = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "ncp_frames.json").read_text()
+)
+
+
+def headers_by_name(layout, src, dst, seq, last, from_node, body_len):
+    """The specification: every header field by name, the unset ones 0,
+    packed a bit at a time."""
+    return bits_oracle.pack_fields(HEADERS.fields, {
+        "eth.dst": node_mac(dst),
+        "eth.src": node_mac(src),
+        "eth.ethertype": 0x0800,
+        "ipv4.version_ihl": 0x45,
+        "ipv4.total_len": HEADERS_LEN - IPV4_OFF + body_len,
+        "ipv4.ident": seq & 0xFFFF,
+        "ipv4.ttl": 64,
+        "ipv4.proto": 17,
+        "ipv4.src": node_ip(src),
+        "ipv4.dst": node_ip(dst),
+        "udp.sport": 0x4E43,
+        "udp.dport": 0x4E43,
+        "udp.length": HEADERS_LEN - UDP_OFF + body_len,
+        "ncp.magic": 0xC317,
+        "ncp.version": 1,
+        "ncp.flags": FLAG_LAST if last else 0,
+        "ncp.kernel_id": layout.kernel_id,
+        "ncp.from_node": src if from_node is None else from_node,
+        "ncp.seq": seq,
+    })
+
+
+class TestEncodedHeaders:
+    #: both sides of every width the header masks to: node ids,
+    #: kernel_id and from_node mod 2**16, seq mod 2**32 (ident mod 2**16)
+    EDGES = [0, 1, 2**16 - 1, 2**16, 2**16 + 5, 2**32 - 1, 2**32, 2**32 + 7, 2**40]
+
+    def test_differential_against_the_bit_loop(self):
+        rng = random.Random(20)
+        layouts = [
+            KernelLayout(1, "a", [ChunkLayout("d", 8, 32, True)], [("len", 32, False)]),
+            KernelLayout(70000, "q", [ChunkLayout("k", 1, 64, False),
+                                      ChunkLayout("v", 4, 32, False)]),
+            # a body past 64 KiB: the two length fields wrap as well
+            KernelLayout(9, "huge", [ChunkLayout("d", 8200, 64, False)]),
+        ]
+
+        def pick():
+            return rng.choice(self.EDGES) if rng.random() < 0.4 else rng.randrange(1 << 34)
+
+        for i in range(2000):
+            layout = layouts[2] if i % 400 == 0 else layouts[i % 2]
+            chunks = [[rng.randrange(1 << c.bits) for _ in range(c.count)]
+                      for c in layout.chunks]
+            ext = {n: rng.randrange(1 << b) for n, b, _ in layout.ext_fields}
+            src, dst, seq = pick(), pick(), pick()
+            last = rng.random() < 0.5
+            from_node = None if rng.random() < 0.3 else pick()
+            frame = encode_frame(layout, src, dst, seq, chunks, ext, last, from_node)
+            body = frame[HEADERS_LEN:]
+            assert body == bits_oracle.pack_fields(
+                layout.payload.fields,
+                dict(zip(layout.payload.names, [*ext.values(), *sum(chunks, [])])),
+            )
+            assert frame[:HEADERS_LEN] == headers_by_name(
+                layout, src, dst, seq, last, from_node, len(body)
+            ), (src, dst, seq, last, from_node)
+
+    def test_seq_at_the_top_of_its_field(self):
+        layout = KernelLayout(1, "a", [ChunkLayout("d", 1, 8, False)])
+        headers = HEADERS.unpack(encode_frame(layout, 2**16 + 3, 2**16 - 1, 2**32 - 1, [[0]]))
+        assert headers["ncp.seq"] == 2**32 - 1 and headers["ipv4.ident"] == 2**16 - 1
+        assert headers["ipv4.src"] == node_ip(3) and headers["eth.src"] == node_mac(3)
+        assert headers["ipv4.dst"] == node_ip(2**16 - 1)
+        assert headers["ncp.from_node"] == 3
+
+    @pytest.mark.parametrize("which, fixture, kernel", [
+        ("fig4_window", "allreduce_program", "allreduce"),
+        ("fig5_query", "kvs_program", "query"),
+    ])
+    def test_golden_frames(self, request, which, fixture, kernel):
+        golden = GOLDEN_FRAMES[which]
+        layout = request.getfixturevalue(fixture).layouts[kernel]
+        assert encode_frame(layout, **golden["args"]).hex() == golden["hex"]
+
+    def test_every_check_still_raises(self):
+        layout = KernelLayout(1, "a", [ChunkLayout("d", 2, 32, True)], [("len", 32, False)])
+        with pytest.raises(NcpError, match="expected 1 chunks, got 2"):
+            encode_frame(layout, 1, 2, 0, [[1, 2], [3]], {"len": 2})
+        with pytest.raises(NcpError, match="missing window extension field 'len'"):
+            encode_frame(layout, 1, 2, 0, [[1, 2]])
+        with pytest.raises(NcpError, match="chunk 'd': expected 2 elements, got 3"):
+            encode_frame(layout, 1, 2, 0, [[1, 2, 3]], {"len": 2})
 
 
 # -- three views of one frame ---------------------------------------------------
