@@ -39,10 +39,10 @@ block order and is byte-stable for golden tests (``nclc --emit absint``).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Optional, Set, Tuple
 
-from repro.errors import NclTypeError
-from repro.ncl.types import is_signed, scalar_bits
+from repro.ncl.types import BoolType, IntType
 from repro.nir import ir
 from repro.nir.cfg import reverse_postorder
 from repro.util import intops
@@ -55,10 +55,11 @@ MAX_ROUNDS = 64
 
 def _scalar_info(ty) -> Optional[Tuple[int, bool]]:
     """(bits, signed) for scalar types, None for everything else."""
-    try:
-        return scalar_bits(ty), is_signed(ty)
-    except NclTypeError:
-        return None
+    if isinstance(ty, IntType):
+        return ty.bits, ty.signed
+    if isinstance(ty, BoolType):
+        return BoolType.bits, False
+    return None
 
 
 def _type_range(bits: int, signed: bool) -> Tuple[int, int]:
@@ -84,10 +85,11 @@ class AbsVal:
 
     # -- constructors --------------------------------------------------
 
-    @classmethod
-    def top(cls, bits: int, signed: bool) -> "AbsVal":
+    @staticmethod
+    @lru_cache(maxsize=None)  # one per scalar type; AbsVals are never mutated
+    def top(bits: int, signed: bool) -> "AbsVal":
         lo, hi = _type_range(bits, signed)
-        return cls(bits, signed, lo, hi).reduced()
+        return AbsVal(bits, signed, lo, hi).reduced()
 
     @classmethod
     def bottom(cls, bits: int, signed: bool) -> "AbsVal":
@@ -484,20 +486,10 @@ class _Analyzer:
         self.label_ids = dict(label_ids or {})
         self.win_ext = dict(win_ext or {})
         self.facts = FunctionFacts(fn)
+        #: operand access: Params and Undef carry no information beyond
+        #: their width
+        self.get = self.facts.value_of
         self.updates: Dict[ir.Instr, int] = {}
-
-    # -- operand access ------------------------------------------------
-
-    def get(self, value: ir.Value) -> Optional[AbsVal]:
-        if isinstance(value, ir.Instr):
-            return self.facts.values.get(value)
-        info = _scalar_info(value.ty)
-        if info is None:
-            return None
-        if isinstance(value, ir.Const):
-            return AbsVal.const(value.value, *info)
-        # Params and Undef carry no information beyond their width.
-        return AbsVal.top(*info)
 
     # -- the fixed point -----------------------------------------------
 
@@ -505,6 +497,17 @@ class _Analyzer:
         if not self.fn.blocks:
             return self.facts
         rpo = reverse_postorder(self.fn)
+        # Evaluate on change.  A non-phi transfer is a pure function of its
+        # operands' facts, so while no operand's fact has moved since the
+        # instruction was last evaluated its result is the one held in
+        # ``seen``; and once ``_update`` has found that result absorbed by
+        # the stored fact it will find so again.  Order, reachability and
+        # phis are as in plain round-robin, so are the facts.
+        tick = 0
+        #: instr -> tick at which its stored fact last changed
+        moved: Dict[ir.Instr, int] = {}
+        #: instr -> (tick evaluated, transfer result, result absorbed)
+        seen: Dict[ir.Instr, Tuple[int, Optional[AbsVal], bool]] = {}
         for round_no in range(1, MAX_ROUNDS + 1):
             self.facts.rounds = round_no
             reachable, feasible = self._reachability()
@@ -513,13 +516,30 @@ class _Analyzer:
                 if block not in reachable:
                     continue
                 for instr in block.instrs:
+                    tick += 1
                     if isinstance(instr, ir.Phi):
                         new = self._eval_phi(instr, block, reachable, feasible)
-                    else:
-                        new = self._transfer(instr)
-                    if new is None:
+                        if new is not None and self._update(instr, new, round_no):
+                            moved[instr] = tick
+                            changed = True
                         continue
-                    changed |= self._update(instr, new, round_no)
+                    last = seen.get(instr)
+                    if last is None:
+                        new = self._transfer(instr)
+                    else:
+                        at, new, absorbed = last
+                        for op in instr.operands:
+                            if moved.get(op, 0) > at:
+                                new = self._transfer(instr)
+                                break
+                        else:
+                            if absorbed:
+                                continue
+                    stepped = new is not None and self._update(instr, new, round_no)
+                    if stepped:
+                        moved[instr] = tick
+                        changed = True
+                    seen[instr] = (tick, new, not stepped)
             if not changed:
                 break
         self._finalize()

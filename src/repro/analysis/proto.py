@@ -299,13 +299,10 @@ class ProtoContext:
                  sink: Optional[DiagnosticSink] = None) -> None:
         self.program = program
         self.sink = sink if sink is not None else DiagnosticSink()
-        self._summaries: Optional[Dict[str, Dict[str, KernelEffects]]] = None
         self._results: Optional[Dict[Tuple[str, str], ModelResult]] = None
 
     def effect_summaries(self) -> Dict[str, Dict[str, KernelEffects]]:
-        if self._summaries is None:
-            self._summaries = self.program.effect_summaries()
-        return self._summaries
+        return self.program.effect_summaries()
 
     def model_results(self) -> Dict[Tuple[str, str], ModelResult]:
         if self._results is None:

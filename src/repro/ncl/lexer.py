@@ -1,14 +1,20 @@
-"""Hand-written lexer for the NCL C subset.
+"""Lexer for the NCL C subset: one compiled pattern, one loop.
 
-Supports decimal/hex/octal/binary integer literals with ``u``/``l``
-suffixes, character and string literals with the common escapes, ``//``
-and ``/* */`` comments, and ``#``-lines (preprocessor directives are
-recognized and skipped -- NCL programs in this reproduction use constants
-via the ``defines`` compiler option instead of a full preprocessor).
+``_MASTER`` *is* the lexical grammar (docs/LANGUAGE.md "Lexical grammar"):
+a run of trivia (blanks, ``//`` and ``/* */`` comments), then at most one
+of: an identifier or keyword (ASCII), an integer literal (decimal, ``0x``
+hex, ``0b`` binary, leading-``0`` octal; ``_`` separators; ``u``/``l``
+suffixes), a punctuator (longest first, from ``PUNCTUATORS``), a character
+or string literal with the common escapes, or a ``#``-line (preprocessor
+directives are recognized and skipped -- NCL programs in this reproduction
+use constants via the ``defines`` compiler option instead of a full
+preprocessor).  Whatever the pattern does not match is an error, named by
+``_diagnose``.  Line and column come from match offsets.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterator, List, Mapping, Optional
 
 from repro.errors import NclSyntaxError, SourceLocation
@@ -24,175 +30,83 @@ _ESCAPES = {
     '"': '"',
 }
 
+# The lookahead gives a hex run one length: were ``\x11`` also ``\x1`` then
+# ``1``, a string that fails to close would be retried 2^n ways.
+_ESCAPE = r"""\\(?:[ntr0\\'"]|x[0-9a-fA-F]+(?![0-9a-fA-F]))"""
+_STRING_BODY = rf'(?:[^"\\\n]|{_ESCAPE})*'
+_INT = (
+    r"(?:0[xX]_*[0-9a-fA-F][0-9a-fA-F_]*|0[bB]_*[01][01_]*|0[0-7_]*|[1-9][0-9_]*)"
+    r"[uUlL]*(?![A-Za-z0-9_])"
+)
 
-class Lexer:
-    """Tokenizes one NCL translation unit."""
+_MASTER = re.compile(
+    r"(?P<trivia>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)+)?"
+    r"(?:(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
+    rf"|(?P<int>{_INT})"
+    r"|(?!/\*)(?P<punct>" + "|".join(map(re.escape, PUNCTUATORS)) + ")"
+    rf"|'(?P<char>[^\\']|{_ESCAPE})'"
+    rf'|"(?P<string>{_STRING_BODY})"'
+    r"|(?P<hash>\#(?:\\\n|[^\n])*))?",
+    re.DOTALL,
+)
+_ESCAPE_RE = re.compile(_ESCAPE)
+_OPEN_STRING = re.compile('"' + _STRING_BODY)
+_ALNUM_RUN = re.compile(r"[A-Za-z0-9_]*")
 
-    def __init__(self, source: str, filename: str = "<ncl>"):
-        self._src = source
-        self._filename = filename
-        self._pos = 0
-        self._line = 1
-        self._col = 1
 
-    # -- low-level cursor ---------------------------------------------------
+def _decode_escape(m) -> str:
+    esc = m.group()
+    return chr(int(esc[2:], 16)) if esc[1] == "x" else _ESCAPES[esc[1]]
 
-    def _loc(self) -> SourceLocation:
-        return SourceLocation(self._filename, self._line, self._col)
 
-    def _peek(self, offset: int = 0) -> str:
-        idx = self._pos + offset
-        return self._src[idx] if idx < len(self._src) else ""
+def _unescape(body: str) -> str:
+    """Decode the escapes of a literal body the pattern already accepted."""
+    return _ESCAPE_RE.sub(_decode_escape, body) if "\\" in body else body
 
-    def _advance(self, count: int = 1) -> str:
-        text = self._src[self._pos : self._pos + count]
-        for ch in text:
-            if ch == "\n":
-                self._line += 1
-                self._col = 1
-            else:
-                self._col += 1
-        self._pos += count
-        return text
 
-    # -- skipping -----------------------------------------------------------
+def _int_value(text: str) -> int:
+    body = text.rstrip("uUlL").replace("_", "")
+    prefix = body[:2].lower()
+    if prefix == "0x":
+        return int(body, 16)
+    if prefix == "0b":
+        return int(body, 2)
+    return int(body, 8 if body[0] == "0" and len(body) > 1 else 10)
 
-    def _skip_trivia(self) -> None:
-        while self._pos < len(self._src):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self._pos < len(self._src) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._loc()
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if self._pos >= len(self._src):
-                        raise NclSyntaxError("unterminated block comment", start)
-                    self._advance()
-                self._advance(2)
-            elif ch == "#" and self._col == 1:
-                # Preprocessor line: consume (with backslash continuations).
-                while self._pos < len(self._src):
-                    if self._peek() == "\\" and self._peek(1) == "\n":
-                        self._advance(2)
-                    elif self._peek() == "\n":
-                        break
-                    else:
-                        self._advance()
-            else:
-                return
 
-    # -- literal scanners ---------------------------------------------------
+def _bad_escape(source: str, at: int, at_end: str) -> str:
+    """What is wrong with the backslash escape at ``source[at]``."""
+    esc = source[at + 1 : at + 2]
+    if esc == "x":
+        return "\\x escape with no hex digits"
+    return f"unknown escape sequence \\{esc}" if esc else at_end
 
-    def _lex_number(self) -> Token:
-        loc = self._loc()
-        start = self._pos
-        if self._peek() == "0" and self._peek(1) and self._peek(1) in "xX":
-            self._advance(2)
-            while self._peek().isalnum() or self._peek() == "_":
-                self._advance()
-        elif self._peek() == "0" and self._peek(1) and self._peek(1) in "bB":
-            self._advance(2)
-            while self._peek() and self._peek() in "01_":
-                self._advance()
-        else:
-            while self._peek().isdigit() or self._peek() == "_":
-                self._advance()
-        # integer suffixes
-        while self._peek() and self._peek() in "uUlL":
-            self._advance()
-        text = self._src[start : self._pos]
-        body = text.rstrip("uUlL").replace("_", "")
-        try:
-            if body.lower().startswith("0x"):
-                value = int(body, 16)
-            elif body.lower().startswith("0b"):
-                value = int(body, 2)
-            elif body.startswith("0") and len(body) > 1:
-                value = int(body, 8)
-            else:
-                value = int(body, 10)
-        except ValueError:
-            raise NclSyntaxError(f"malformed integer literal {text!r}", loc)
-        return Token(TokenKind.INT_LIT, text, loc, value)
 
-    def _lex_escaped_char(self, loc: SourceLocation) -> str:
-        ch = self._advance()
-        if ch != "\\":
-            return ch
-        esc = self._advance()
-        if esc == "x":
-            digits = ""
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                digits += self._advance()
-            if not digits:
-                raise NclSyntaxError("\\x escape with no hex digits", loc)
-            return chr(int(digits, 16))
-        if esc in _ESCAPES:
-            return _ESCAPES[esc]
-        raise NclSyntaxError(f"unknown escape sequence \\{esc}", loc)
-
-    def _lex_char(self) -> Token:
-        loc = self._loc()
-        self._advance()  # opening quote
-        if self._peek() == "'":
-            raise NclSyntaxError("empty character literal", loc)
-        value = self._lex_escaped_char(loc)
-        if self._advance() != "'":
-            raise NclSyntaxError("unterminated character literal", loc)
-        return Token(TokenKind.CHAR_LIT, f"'{value}'", loc, ord(value))
-
-    def _lex_string(self) -> Token:
-        loc = self._loc()
-        self._advance()  # opening quote
-        chars: List[str] = []
-        while True:
-            if self._pos >= len(self._src) or self._peek() == "\n":
-                raise NclSyntaxError("unterminated string literal", loc)
-            if self._peek() == '"':
-                self._advance()
-                break
-            chars.append(self._lex_escaped_char(loc))
-        value = "".join(chars)
-        return Token(TokenKind.STRING_LIT, f'"{value}"', loc, value)
-
-    # -- main loop ----------------------------------------------------------
-
-    def next_token(self) -> Token:
-        self._skip_trivia()
-        loc = self._loc()
-        if self._pos >= len(self._src):
-            return Token(TokenKind.EOF, "", loc)
-        ch = self._peek()
-        if ch.isdigit():
-            return self._lex_number()
-        if ch == "'":
-            return self._lex_char()
-        if ch == '"':
-            return self._lex_string()
-        if ch.isalpha() or ch == "_":
-            start = self._pos
-            while self._peek().isalnum() or self._peek() == "_":
-                self._advance()
-            text = self._src[start : self._pos]
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            return Token(kind, text, loc)
-        for punct in PUNCTUATORS:
-            if self._src.startswith(punct, self._pos):
-                self._advance(len(punct))
-                return Token(TokenKind.PUNCT, punct, loc)
-        raise NclSyntaxError(f"unexpected character {ch!r}", loc)
-
-    def tokens(self) -> Iterator[Token]:
-        """Yield all tokens, ending with a single EOF token."""
-        while True:
-            tok = self.next_token()
-            yield tok
-            if tok.kind is TokenKind.EOF:
-                return
+def _diagnose(source: str, start: int, loc: SourceLocation) -> NclSyntaxError:
+    """The error for text at ``source[start]`` that is no token."""
+    ch = source[start]
+    if source.startswith("/*", start):
+        return NclSyntaxError("unterminated block comment", loc)
+    if ch in "0123456789":
+        text = _ALNUM_RUN.match(source, start).group()
+        return NclSyntaxError(f"malformed integer literal {text!r}", loc)
+    if ch == "'":
+        nxt = source[start + 1 : start + 2]
+        if nxt == "'":
+            return NclSyntaxError("empty character literal", loc)
+        if nxt == "\\" and not _ESCAPE_RE.match(source, start + 1):
+            return NclSyntaxError(
+                _bad_escape(source, start + 1, "unknown escape sequence \\"), loc
+            )
+        return NclSyntaxError("unterminated character literal", loc)
+    if ch == '"':
+        stop = _OPEN_STRING.match(source, start).end()
+        if source.startswith("\\", stop):
+            return NclSyntaxError(
+                _bad_escape(source, stop, "unterminated string literal"), loc
+            )
+        return NclSyntaxError("unterminated string literal", loc)
+    return NclSyntaxError(f"unexpected character {ch!r}", loc)
 
 
 def tokenize(
@@ -204,14 +118,65 @@ def tokenize(
 
     ``defines`` stands in for ``#define`` object macros (e.g. ``DATA_LEN``
     in the paper's Fig 4); each occurrence of a defined name becomes an
-    integer literal token.
+    integer literal token.  The list ends with a single EOF token.
     """
+    defines = defines or {}
     out: List[Token] = []
-    defines = dict(defines or {})
-    for tok in Lexer(source, filename).tokens():
-        if tok.kind is TokenKind.IDENT and tok.text in defines:
-            value = defines[tok.text]
-            out.append(Token(TokenKind.INT_LIT, str(value), tok.loc, value))
+    match = _MASTER.match
+    # ``line_start`` is the offset of the current line's first character;
+    # newlines are counted over source[counted:start] once per token.
+    pos = counted = line_start = 0
+    line = 1
+    while True:
+        m = match(source, pos)
+        start = m.end(1)
+        if start < 0:
+            start = pos
+        if start > counted:
+            newlines = source.count("\n", counted, start)
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", counted, start) + 1
+        loc = SourceLocation(filename, line, start - line_start + 1)
+        kind = m.lastgroup
+        counted = pos = m.end()
+        if kind == "word":
+            text = source[start:pos]
+            if text in KEYWORDS:
+                out.append(Token(TokenKind.KEYWORD, text, loc))
+            elif text in defines:
+                value = defines[text]
+                out.append(Token(TokenKind.INT_LIT, str(value), loc, value))
+            else:
+                out.append(Token(TokenKind.IDENT, text, loc))
+        elif kind == "punct":
+            out.append(Token(TokenKind.PUNCT, source[start:pos], loc))
+        elif kind == "int":
+            text = source[start:pos]
+            out.append(Token(TokenKind.INT_LIT, text, loc, _int_value(text)))
+        elif kind == "string":
+            value = _unescape(m.group("string"))
+            out.append(Token(TokenKind.STRING_LIT, f'"{value}"', loc, value))
+        elif kind == "char":
+            value = _unescape(m.group("char"))
+            out.append(Token(TokenKind.CHAR_LIT, f"'{value}'", loc, ord(value)))
+            counted = start  # a raw newline is a legal character literal
+        elif kind == "hash" and not source[line_start:start].strip(" \t"):
+            counted = start  # continuation lines
+        elif start == len(source):
+            out.append(Token(TokenKind.EOF, "", loc))
+            return out
         else:
-            out.append(tok)
-    return out
+            raise _diagnose(source, start, loc)
+
+
+class Lexer:
+    """Tokenizes one NCL translation unit."""
+
+    def __init__(self, source: str, filename: str = "<ncl>"):
+        self._src = source
+        self._filename = filename
+
+    def tokens(self) -> Iterator[Token]:
+        """Yield all tokens, ending with a single EOF token."""
+        return iter(tokenize(self._src, self._filename))

@@ -107,6 +107,10 @@ class CompiledProgram:
         #: ref_module's functions lowered to Python (repro.nir.pygen), shared
         #: by every host; safe to keep because no pass runs on them any more
         self.lowered: Dict[ir.Function, object] = {}
+        #: absint_facts() / effect_summaries(), computed on first request and
+        #: kept for the same reason: the switch modules no longer change
+        self._absint_facts: Optional[dict] = None
+        self._effect_summaries: Optional[dict] = None
         self.kernel_ids = {name: lo.kernel_id for name, lo in layouts.items()}
         self.kernel_by_id = {lo.kernel_id: name for name, lo in layouts.items()}
 
@@ -151,7 +155,9 @@ class CompiledProgram:
         bits): label -> {fn name -> facts}."""
         from repro.analysis.absint import analyze_module
 
-        return self._per_switch(analyze_module)
+        if self._absint_facts is None:
+            self._absint_facts = self._per_switch(analyze_module)
+        return self._absint_facts
 
     def render_absint(self) -> str:
         """Byte-deterministic dump of :meth:`absint_facts` (the output of
@@ -168,7 +174,9 @@ class CompiledProgram:
         guards): label -> {fn name -> KernelEffects}."""
         from repro.analysis.effects import analyze_module_effects
 
-        return self._per_switch(analyze_module_effects)
+        if self._effect_summaries is None:
+            self._effect_summaries = self._per_switch(analyze_module_effects)
+        return self._effect_summaries
 
     def render_effects(self) -> str:
         """Byte-deterministic dump of :meth:`effect_summaries` (the

@@ -6,6 +6,7 @@ is simple and fast at the CFG sizes NCL kernels produce.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List, Optional, Set
 
 from repro.nir.ir import Block, Function
@@ -30,16 +31,16 @@ def reverse_postorder(fn: Function) -> List[Block]:
 
 
 class DominatorTree:
-    """Immediate dominators + dominance frontiers for one function."""
+    """Immediate dominators + dominance frontiers (on first read; only
+    mem2reg's phi placement reads them) for one function."""
 
     def __init__(self, fn: Function):
         self.fn = fn
         self.rpo = reverse_postorder(fn)
         self._rpo_index = {b: i for i, b in enumerate(self.rpo)}
+        self._preds = fn.predecessors()
         self.idom: Dict[Block, Optional[Block]] = {}
         self._compute_idoms()
-        self.frontiers: Dict[Block, Set[Block]] = {}
-        self._compute_frontiers()
         self.children: Dict[Block, List[Block]] = {b: [] for b in self.rpo}
         for block, idom in self.idom.items():
             if idom is not None and idom is not block:
@@ -47,7 +48,7 @@ class DominatorTree:
 
     def _compute_idoms(self) -> None:
         entry = self.fn.entry
-        preds = self.fn.predecessors()
+        preds = self._preds
         idom: Dict[Block, Optional[Block]] = {b: None for b in self.rpo}
         idom[entry] = entry
         changed = True
@@ -78,9 +79,13 @@ class DominatorTree:
                 fb = idom[fb]  # type: ignore[assignment]
         return fa
 
-    def _compute_frontiers(self) -> None:
-        self.frontiers = {b: set() for b in self.rpo}
-        preds = self.fn.predecessors()
+    @cached_property
+    def frontiers(self) -> Dict[Block, Set[Block]]:
+        return self._compute_frontiers()
+
+    def _compute_frontiers(self) -> Dict[Block, Set[Block]]:
+        frontiers: Dict[Block, Set[Block]] = {b: set() for b in self.rpo}
+        preds = self._preds
         for block in self.rpo:
             if len(preds[block]) < 2:
                 continue
@@ -89,10 +94,11 @@ class DominatorTree:
                     continue
                 runner: Optional[Block] = pred
                 while runner is not None and runner is not self.idom[block]:
-                    self.frontiers[runner].add(block)
+                    frontiers[runner].add(block)
                     runner = self.idom[runner]
                     if runner is pred:  # safety against malformed idoms
                         break
+        return frontiers
 
     def dominates(self, a: Block, b: Block) -> bool:
         """True if *a* dominates *b* (reflexive)."""
@@ -111,6 +117,7 @@ def natural_loops(fn: Function) -> List[Dict]:
     """Find natural loops via back edges (tail -> header where header
     dominates tail). Returns [{header, body: set[Block], latches}]."""
     dom = DominatorTree(fn)
+    preds = fn.predecessors()
     loops: Dict[Block, Dict] = {}
     for block in dom.rpo:
         for succ in block.successors():
@@ -121,7 +128,6 @@ def natural_loops(fn: Function) -> List[Dict]:
                 info["latches"].append(block)
                 # Walk predecessors backwards from the latch to collect the
                 # loop body; the header (already in the body) stops the walk.
-                preds = fn.predecessors()
                 stack = [block]
                 while stack:
                     node = stack.pop()
