@@ -47,6 +47,15 @@ class Frame:
             self._meta = meta
         return meta  # type: ignore[return-value]
 
+    def named(self, args: Dict[str, object]) -> Dict[str, object]:
+        """*args* plus the window this frame carries, if it carries one:
+        how a trace event about a frame starts (built when it is read)."""
+        meta = self.meta
+        if meta is not None:
+            args["kernel"], args["seq"], args["from"] = (
+                meta["kernel"], meta["seq"], meta["from"])
+        return args
+
     @property
     def size(self) -> int:
         return len(self.data)

@@ -24,11 +24,30 @@ from typing import Deque, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.net.frame import Frame
-from repro.obs.int import IntError, carries_int, peek_stack, stack_event_args
+from repro.obs.int import IntError, IntStack, peek_stack, stack_event_args
 
 if TYPE_CHECKING:
     from repro.net.node import Node
     from repro.net.events import Simulator
+
+
+# -- what a link's events say, built when an event is read (obs.trace) -----------
+
+
+def _frame_args(direction: str, frame: Frame) -> dict:
+    return frame.named({"dir": direction, "bytes": len(frame.data)})
+
+
+def _drop_args(direction: str, frame: Frame, cause: str, backlog: Optional[float]) -> dict:
+    args = _frame_args(direction, frame)
+    args["cause"] = cause
+    if backlog is not None:
+        args["backlog_bytes"] = int(backlog)
+    return args
+
+
+def _drop_stack_args(stack: IntStack, meta: dict, cause: str) -> dict:
+    return stack_event_args(stack, meta["kernel"], meta["seq"], meta["from"], "drop:" + cause)
 
 
 class LinkStats:
@@ -162,15 +181,6 @@ class Link:
         quantity the overflow check compares against the buffer limit."""
         return max(0.0, self._free_at[sender] - now) * self.bandwidth / 8
 
-    def _trace_args(self, sender: "Node", frame: Frame) -> dict:
-        meta = frame.meta
-        if meta is None:
-            return {"dir": self._dir[sender], "bytes": len(frame.data)}
-        return {
-            "dir": self._dir[sender], "bytes": len(frame.data),
-            "kernel": meta["kernel"], "seq": meta["seq"], "from": meta["from"],
-        }
-
     def _trace_drop(
         self, obs, sim: "Simulator", sender: "Node",
         frame: Frame, cause: str, backlog: Optional[float] = None,
@@ -178,27 +188,20 @@ class Link:
         """Emit the drop instant and, for an INT-carrying frame, the
         partial telemetry stack it was carrying when it died -- that is
         what lets the lineage index show *which attempt* a loss ate."""
-        args = self._trace_args(sender, frame)
-        args["cause"] = cause
-        if backlog is not None:
-            args["backlog_bytes"] = int(backlog)
         now = sim.now()
-        obs.tracer.instant("drop", now, self.track, "link", args)
-        data = frame.data
-        if carries_int(data):
-            try:
-                stack = peek_stack(data)
-            except IntError:  # dropped and counted all the same, with no stack to show
-                return
-            meta = frame.meta
-            if stack is not None and meta is not None:
-                obs.tracer.instant(
-                    "int:stack", now, self.track, "int",
-                    stack_event_args(
-                        stack, meta["kernel"], meta["seq"], meta["from"],
-                        f"drop:{cause}",
-                    ),
-                )
+        obs.tracer.instant(
+            "drop", now, self.track, "link",
+            (_drop_args, self._dir[sender], frame, cause, backlog),
+        )
+        try:
+            stack = peek_stack(frame.data)  # None: no trailer
+        except IntError:  # dropped and counted all the same, with no stack to show
+            return
+        meta = frame.meta
+        if stack is not None and meta is not None:
+            obs.tracer.instant(
+                "int:stack", now, self.track, "int", (_drop_stack_args, stack, meta, cause)
+            )
 
     def _drop_at_delivery(
         self, sim: "Simulator", receiver: "Node", frame: Frame
@@ -270,8 +273,7 @@ class Link:
             # per-direction FIFO order is preserved.
             arrival = math.ceil(arrival / quantum) * quantum
         if obs.enabled:
-            # one dict for both spans: an event's args are never written
-            args = self._trace_args(sender, frame)
+            args = (_frame_args, self._dir[sender], frame)  # one payload for both spans
             if start > now:
                 obs.tracer.span("queue", now, start - now, self.track, "link", args)
             obs.tracer.span("serialize", start, serialization, self.track, "link", args)

@@ -6,10 +6,19 @@ from typing import Callable, Dict, List, Optional, Union, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.net.frame import Frame
+from repro.obs.trace import fields
 
 if TYPE_CHECKING:
     from repro.net.events import Simulator
     from repro.net.link import Link
+
+
+#: a ``drop`` instant's args at a node (obs.trace.fields); ``dst`` where one was read
+_DROP_ARGS = ("cause", "bytes", "dst")
+
+
+def _deliver_args(frame: Frame) -> dict:
+    return frame.named({"bytes": len(frame)})
 
 
 class NodeStats:
@@ -83,12 +92,18 @@ class Node:
     def handle_frame(self, frame: Frame, in_port: int) -> None:
         raise NotImplementedError
 
-    def trace_drop(self, cat: str, **args) -> None:
+    def trace_drop(
+        self, cat: str, cause: str, nbytes: int, dst: Optional[int] = None
+    ) -> None:
         """The ``drop`` instant of a frame that ended at this node (the
-        caller counts it): *args* name the cause and the bytes lost."""
+        caller counts it), naming the cause, the bytes lost and, where
+        one was read, the destination nobody routes to."""
         obs = self.sim.obs
         if obs.enabled:
-            obs.tracer.instant("drop", self.sim.now(), self.track, cat, args)
+            names = _DROP_ARGS if dst is not None else _DROP_ARGS[:2]
+            obs.tracer.instant(
+                "drop", self.sim.now(), self.track, cat, (fields, names, cause, nbytes, dst)
+            )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name}#{self.node_id})"
@@ -124,19 +139,12 @@ class HostNode(Node):
         receiver = self.receiver
         if frame_receiver is None and receiver is None:
             self.stats.drops += 1
-            self.trace_drop("host", cause="no-receiver", bytes=len(frame))
+            self.trace_drop("host", "no-receiver", len(frame))
             return
         if obs.enabled:
-            meta = frame.meta
-            if meta is None:
-                args = {"bytes": len(frame)}
-            else:
-                args = {
-                    "bytes": len(frame), "kernel": meta["kernel"],
-                    "seq": meta["seq"], "from": meta["from"],
-                }
             obs.tracer.span(
-                "deliver", self.sim.now(), self.PROCESS_DELAY, self.track, "host", args
+                "deliver", self.sim.now(), self.PROCESS_DELAY, self.track, "host",
+                (_deliver_args, frame),
             )
         if frame_receiver is not None:
             self.sim.schedule(
@@ -190,7 +198,9 @@ class ForwardingSwitchNode(Node):
         port = None if meta is None else self.routes.get(meta["dst"])
         if port is None:
             stats.drops += 1
-            dst = {} if meta is None else {"dst": meta["dst"]}
-            self.trace_drop("switch", cause="route-miss", bytes=len(frame.data), **dst)
+            self.trace_drop(
+                "switch", "route-miss", len(frame.data),
+                None if meta is None else meta["dst"],
+            )
             return
         self.send(frame, port, earliest=self.sim.now() + self.PIPELINE_DELAY)

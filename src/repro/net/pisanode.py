@@ -5,10 +5,17 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
-from repro.ncp.wire import node_ip, peek_frame
+from repro.ncp.wire import node_ip
 from repro.net.frame import Frame
 from repro.net.node import Node
-from repro.obs.int import IntError, carries_int, peek_stack, stack_event_args, stamp_hop
+from repro.obs.int import (
+    IntError,
+    carries_int,
+    hop_record,
+    peek_stack,
+    stack_event_args,
+    stamp_hop,
+)
 from repro.obs.netmetrics import SwitchPacketTrace
 from repro.obs.registry import BoundSeries, FamilySpec
 from repro.pisa.switch_dev import PisaSwitch
@@ -66,19 +73,11 @@ class PisaSwitchNode(Node):
             if obs.enabled:
                 observer = SwitchPacketTrace()
                 result = self.switch.process(data, in_port, observer=observer)
-                meta = frame.meta
-                if meta is None:
-                    frame_args = {"in_port": in_port}
-                else:
-                    frame_args = {
-                        "in_port": in_port, "kernel": meta["kernel"],
-                        "seq": meta["seq"], "from": meta["from"],
-                    }
                 # run() fires PIPELINE_DELAY after the frame arrived; the
                 # per-stage spans tile that processing window.
                 observer.emit(
                     obs.tracer, self.track, self.sim.now() - self.PIPELINE_DELAY,
-                    self.PIPELINE_DELAY, result.verdict, frame_args,
+                    self.PIPELINE_DELAY, result.verdict, in_port, frame,
                 )
                 self._series[obs.registry, _PHV_FIELDS, self.name].observe(
                     result.phv.live_fields()
@@ -90,7 +89,9 @@ class PisaSwitchNode(Node):
             if verdict == "drop":
                 self.stats.drops += 1
                 if int_cfg is not None:
-                    self._int_absorb(obs, int_cfg, result, "drop:switch")
+                    self._int_absorb(
+                        obs, int_cfg, frame, result.tables_matched, "drop:switch"
+                    )
                 return
             if verdict == "bcast":
                 # "_bcast() sends a window to all devices, one hop away -- in
@@ -119,7 +120,9 @@ class PisaSwitchNode(Node):
                 # Route miss left the default egress; treat as drop.
                 self.stats.drops += 1
                 if int_cfg is not None:
-                    self._int_absorb(obs, int_cfg, result, "drop:route-miss")
+                    self._int_absorb(
+                        obs, int_cfg, frame, result.tables_matched, "drop:route-miss"
+                    )
                 return
             self._forward(result, (egress,), int_cfg)
 
@@ -151,37 +154,44 @@ class PisaSwitchNode(Node):
             ]
         except IntError:
             self.stats.drops += 1
-            self.trace_drop("switch", cause="int", bytes=len(data))
+            self.trace_drop("switch", "int", len(data))
             return
         for frame, port in zip(frames, ports):
             self.send(frame, port)
 
-    def _int_absorb(self, obs, int_cfg, result, outcome: str) -> None:
+    def _int_absorb(
+        self, obs, int_cfg, frame: Frame, tables_matched: int, outcome: str
+    ) -> None:
         """A packet consumed here (kernel ``_drop()`` or a route miss,
-        already counted in ``stats.drops``): stamp the final hop record
-        with the DROPPED flag and emit the stack into the trace, since
-        delivery will never surface it. A trailer that does not parse
-        leaves a ``drop`` instant (cause ``int``) in its place."""
-        data = result.data
-        if not carries_int(data):
-            return
-        now = self.sim.now()
+        already counted in ``stats.drops``): its stack is the one it
+        arrived with -- the trailer rides behind the payload, where no
+        action reaches -- plus this hop's record with the DROPPED flag,
+        emitted into the trace since delivery will never surface it
+        (nothing is deparsed or stamped: nobody receives those bytes).
+        A trailer that does not parse leaves a ``drop`` instant (cause
+        ``int``) in its place."""
         try:
-            data, _ = stamp_hop(
-                data, int_cfg, self.node_id, now - self.PIPELINE_DELAY, now,
-                0, result.tables_matched, dropped=True,
-            )
+            stack = peek_stack(frame.data)  # None: no trailer to speak of
         except IntError:
-            self.trace_drop("switch", cause="int", bytes=len(data))
+            self.trace_drop("switch", "int", len(frame.data))
             return
-        stack = peek_stack(data)
-        meta = peek_frame(data)
+        meta = frame.meta
         if stack is None or meta is None:
             return
+        now = self.sim.now()
+        if int_cfg.allows(len(stack.records)):
+            stack.records.append(
+                hop_record(
+                    self.node_id, now - self.PIPELINE_DELAY, now, 0,
+                    tables_matched, dropped=True,
+                )
+            )
+        else:
+            stack.truncated = True
         obs.tracer.instant(
             "int:stack", now, self.track, "int",
-            stack_event_args(
-                stack, meta["kernel"], meta["seq"], meta["from"], outcome,
-                node_names=self._node_names,
+            (
+                stack_event_args, stack, meta["kernel"], meta["seq"], meta["from"],
+                outcome, None, self._node_names,
             ),
         )

@@ -74,6 +74,7 @@ _pack_tail, _unpack_tail = _TAIL.unsigned.pack, _TAIL.unsigned.unpack_from
 _HOP_PAIRED = _HOP.paired()
 _pack_hop, _unpack_hop = _HOP_PAIRED.pack, _HOP_PAIRED.unpack_from
 _LO32 = 0xFFFFFFFF
+_LO48 = 0xFFFFFFFFFFFF
 
 #: tail flag: a switch hit the hop cap or byte budget and appended nothing
 TAIL_TRUNCATED = 0x01
@@ -218,6 +219,29 @@ def strip_stack(frame: bytes) -> Tuple[bytes, Optional[IntStack]]:
 # -- switch side --------------------------------------------------------------
 
 
+def hop_record(
+    hop_id: int,
+    ingress_ts: float,
+    egress_ts: float,
+    qdepth_bytes: int,
+    tables_matched: int,
+    dropped: bool = False,
+) -> Tuple[int, ...]:
+    """One hop's record as :attr:`IntStack.records` holds it (what
+    :func:`stamp_hop` packs, and what a switch consuming the packet
+    appends to the stack it arrived with). Timestamps are virtual-clock
+    seconds, stored as integer ns; out-of-range values wrap to their
+    field, as FieldLayout packs them, and ``tables`` saturates."""
+    return (
+        hop_id & 0xFFFF,
+        int(round(ingress_ts * _NS)) & _LO48,
+        int(round(egress_ts * _NS)) & _LO48,
+        int(qdepth_bytes) & _LO32,
+        tables_matched if tables_matched < 255 else 255,
+        HOP_DROPPED if dropped else 0,
+    )
+
+
 def stamp_hop(
     frame: bytes,
     cfg: IntConfig,
@@ -228,9 +252,7 @@ def stamp_hop(
     tables_matched: int,
     dropped: bool = False,
 ) -> Tuple[bytes, bool]:
-    """Append one per-hop record (switch data-plane hook).
-
-    Timestamps are virtual-clock seconds, stored as integer ns. Returns
+    """Append one :func:`hop_record` (switch data-plane hook). Returns
     ``(frame, stamped)``; when the :class:`IntConfig` caps bite, the
     record is not appended and the tail's TRUNCATED flag is set instead.
     """
@@ -238,16 +260,12 @@ def stamp_hop(
     body = frame[:-TAIL_BYTES]
     if not cfg.allows(hop_count):
         return body + _pack_tail(hop_count, attempt, flags | TAIL_TRUNCATED, INT_MAGIC), False
-    ingress = int(round(ingress_ts * _NS))
-    egress = int(round(egress_ts * _NS))
-    # out-of-range values wrap to their field, as FieldLayout packs them
+    hop, ingress, egress, qdepth, tables, hflags = hop_record(
+        hop_id, ingress_ts, egress_ts, qdepth_bytes, tables_matched, dropped
+    )
     record = _pack_hop(
-        hop_id & 0xFFFF,
-        ingress >> 32 & 0xFFFF, ingress & _LO32,
-        egress >> 32 & 0xFFFF, egress & _LO32,
-        int(qdepth_bytes) & _LO32,
-        min(tables_matched, 255),
-        HOP_DROPPED if dropped else 0,
+        hop, ingress >> 32, ingress & _LO32, egress >> 32, egress & _LO32,
+        qdepth, tables, hflags,
     )
     return body + record + _pack_tail(hop_count + 1, attempt, flags, INT_MAGIC), True
 

@@ -35,6 +35,11 @@ _FRAG_KERNEL_BIT = 0x8000
 
 _NS = 1e9
 
+#: the event kinds the index folds; no other event's args are read
+_FOLDED = frozenset(
+    ("window:send", "window:retransmit", "int:stack", "window:recv", "drop")
+)
+
 
 class LineageError(ReproError):
     """Malformed lineage input (unknown window, bad JSON schema ...)."""
@@ -267,24 +272,26 @@ class LineageIndex:
         ignored; fragment kernel ids are mapped back to their kernel."""
         index = cls()
         for event in events:
-            if isinstance(event, dict):
-                name = event.get("name")
+            is_dict = isinstance(event, dict)
+            name = event.get("name") if is_dict else event.name
+            if name not in _FOLDED:
+                continue  # and its args stay unread (unformatted, in a live trace)
+            if is_dict:
                 ts = event.get("ts")
                 track = event.get("track", "")
                 args = event.get("args") or {}
             else:
-                name = event.name
                 ts = event.ts
                 track = event.track
                 args = event.args or {}
-            if name in ("window:send", "window:retransmit"):
-                index._fold_send(name, float(ts), track, args)
-            elif name == "int:stack":
+            if name == "int:stack":
                 index._fold_stack(float(ts), track, args)
             elif name == "window:recv":
                 index._fold_recv(float(ts), track, args)
             elif name == "drop":
                 index._fold_drop(float(ts), track, args)
+            else:  # window:send / window:retransmit
+                index._fold_send(name, float(ts), track, args)
         return index
 
     @classmethod

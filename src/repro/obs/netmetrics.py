@@ -11,12 +11,13 @@ an :class:`~repro.obs.context.Observability` is attached) and post-hoc
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer
 
 if TYPE_CHECKING:
+    from repro.net.frame import Frame
     from repro.net.network import Network
 
 
@@ -87,6 +88,45 @@ def collect_network_metrics(net: "Network", registry: MetricsRegistry) -> None:
         sw_rwrites.labels(switch=node.name).set(stats.register_writes)
 
 
+# -- what a switch's per-packet events say, built when one is read (obs.trace) --
+
+
+def _stage_args(in_port: int, frame: "Frame", stage: int, detail, a, b) -> dict:
+    args = frame.named({"in_port": in_port})
+    args["stage"] = stage
+    if detail is not None:
+        args["detail"] = detail(a, b)
+    return args
+
+
+def _parse_detail(nbytes: int, _) -> str:
+    return f"{nbytes}B"
+
+
+def _table_detail(hit: bool, action: str) -> str:
+    return ("hit:" if hit else "miss:") + action
+
+
+def _verdict_args(in_port: int, frame: "Frame", verdict: str) -> dict:
+    args = frame.named({"in_port": in_port})
+    args["verdict"] = verdict
+    return args
+
+
+class _SpanNames(dict):
+    """``name -> prefix + name``, each joined once per process."""
+
+    def __init__(self, prefix: str) -> None:
+        self.prefix = prefix
+
+    def __missing__(self, name: str) -> str:
+        span = self[name] = self.prefix + name
+        return span
+
+
+_TABLE_SPANS, _ACTION_SPANS = _SpanNames("table:"), _SpanNames("action:")
+
+
 class SwitchPacketTrace:
     """Per-packet pipeline observer: collects what the parser and each
     pipeline stage did, then emits proportional sub-spans.
@@ -101,18 +141,18 @@ class SwitchPacketTrace:
     __slots__ = ("ops",)
 
     def __init__(self) -> None:
-        self.ops = []  # (span name, detail)
+        self.ops = []  # (span name, what formats the detail or None, its two inputs)
 
     # pipeline callbacks ------------------------------------------------------
 
     def parse(self, nbytes: int) -> None:
-        self.ops.append(("parse:parser", f"{nbytes}B"))
+        self.ops.append(("parse:parser", _parse_detail, nbytes, None))
 
     def table(self, name: str, hit: bool, action: str) -> None:
-        self.ops.append(("table:" + name, ("hit:" if hit else "miss:") + action))
+        self.ops.append((_TABLE_SPANS[name], _table_detail, hit, action))
 
     def action(self, name: str) -> None:
-        self.ops.append(("action:" + name, ""))
+        self.ops.append((_ACTION_SPANS[name], None, None, None))
 
     # emission ----------------------------------------------------------------
 
@@ -123,15 +163,17 @@ class SwitchPacketTrace:
         start: float,
         delay: float,
         verdict: str,
-        frame_args: Optional[dict] = None,
+        in_port: int,
+        frame: "Frame",
     ) -> None:
-        base = frame_args or {}
         slice_dur = delay / max(1, len(self.ops))
-        for i, (name, detail) in enumerate(self.ops):
-            args = {**base, "stage": i}
-            if detail:
-                args["detail"] = detail
-            tracer.span(name, start + i * slice_dur, slice_dur, track, "switch", args)
+        span = tracer.span
+        for i, (name, detail, a, b) in enumerate(self.ops):
+            span(
+                name, start + i * slice_dur, slice_dur, track, "switch",
+                (_stage_args, in_port, frame, i, detail, a, b),
+            )
         tracer.instant(
-            "verdict", start + delay, track, "switch", {**base, "verdict": verdict}
+            "verdict", start + delay, track, "switch",
+            (_verdict_args, in_port, frame, verdict),
         )

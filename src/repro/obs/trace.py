@@ -35,7 +35,11 @@ _US = 1e6
 
 
 class TraceEvent:
-    __slots__ = ("ts", "dur", "name", "cat", "track", "args")
+    """``args`` is the dict the site passed or, from a hot site, a payload
+    ``(formatter, *scalars)`` that becomes ``formatter(*scalars)`` on first
+    read; a payload holds nothing that changes after the event."""
+
+    __slots__ = ("ts", "dur", "name", "cat", "track", "_args")
 
     def __init__(
         self,
@@ -44,14 +48,21 @@ class TraceEvent:
         name: str,
         cat: str,
         track: str,
-        args: Optional[Dict] = None,
+        args: Union[Dict, Tuple, None] = None,
     ):
         self.ts = ts
         self.dur = dur  # None -> instant event
         self.name = name
         self.cat = cat
         self.track = track
-        self.args = args or {}
+        self._args = args or {}
+
+    @property
+    def args(self) -> Dict:
+        args = self._args
+        if args.__class__ is tuple:
+            args = self._args = args[0](*args[1:])
+        return args
 
     def as_dict(self) -> Dict[str, object]:
         d: Dict[str, object] = {
@@ -65,6 +76,12 @@ class TraceEvent:
         if self.args:
             d["args"] = self.args
         return d
+
+
+def fields(names: Sequence[str], *values) -> Dict:
+    """The formatter of a payload whose scalars are its args: *names*
+    onto *values*, in order (a value past the last name is left out)."""
+    return dict(zip(names, values))
 
 
 def chrome_threads(
@@ -107,10 +124,10 @@ class Tracer:
     """
 
     def __init__(self, sampler=None, retain: Union[bool, int] = True) -> None:
-        self.events: Union[List[TraceEvent], Deque[TraceEvent]] = (
+        self._ring: Union[List, Deque] = (
             [] if retain is True else deque(maxlen=int(retain))
         )
-        self._keep = self.events.append
+        self._keep = self._ring.append
         self._sinks: List = []
         self._streams: List = []
         self._sampler = sampler
@@ -124,17 +141,37 @@ class Tracer:
         self._peak_resident = 0
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._ring)
+
+    @property
+    def events(self) -> Union[List[TraceEvent], Deque[TraceEvent]]:
+        """What is retained, oldest first: one list (``retain=True``) or
+        ring, the same object at every read. Untapped, :meth:`span` and
+        :meth:`instant` append an event's bare fields, and those appended
+        since the last read become :class:`TraceEvent` objects here, in
+        place -- most leave a ring unread, never having been one. (A
+        reference kept while more is recorded shows the new entries as
+        field tuples until this is read again.)"""
+        self._make_events()
+        return self._ring
+
+    def _make_events(self) -> None:
+        ring, fresh = self._ring, []
+        while ring and ring[-1].__class__ is tuple:  # only ever the tail end
+            fresh.append(ring.pop())
+        ring.extend(TraceEvent(*raw) for raw in reversed(fresh))
 
     def add_sink(self, fn) -> None:
         """``fn(event)`` runs for every recorded event, *before*
         sampling (the flight recorder's full-fidelity tap)."""
+        self._make_events()  # objects follow: no field tuple may precede one
         self._sinks.append(fn)
         self._tapped = True
 
     def add_stream(self, sink) -> None:
         """A streaming sink (``write(event)``/``flush()``/``close()``)
         fed the post-sampling stream."""
+        self._make_events()
         self._streams.append(sink)
         self._tapped = True
 
@@ -147,15 +184,14 @@ class Tracer:
         dur: float,
         track: str,
         cat: str = "sim",
-        args: Optional[Dict] = None,
+        args: Union[Dict, Tuple, None] = None,
     ) -> None:
         """A duration event: [ts, ts+dur) in simulated seconds."""
-        event = TraceEvent(ts, dur, name, cat, track, args)
         self.events_recorded += 1
         if self._tapped:
-            self._tap(event)
+            self._tap(TraceEvent(ts, dur, name, cat, track, args))
         else:
-            self._keep(event)
+            self._keep((ts, dur, name, cat, track, args))
 
     def instant(
         self,
@@ -163,14 +199,13 @@ class Tracer:
         ts: float,
         track: str,
         cat: str = "sim",
-        args: Optional[Dict] = None,
+        args: Union[Dict, Tuple, None] = None,
     ) -> None:
-        event = TraceEvent(ts, None, name, cat, track, args)
         self.events_recorded += 1
         if self._tapped:
-            self._tap(event)
+            self._tap(TraceEvent(ts, None, name, cat, track, args))
         else:
-            self._keep(event)
+            self._keep((ts, None, name, cat, track, args))
 
     def _tap(self, event: TraceEvent) -> None:
         """One event through whatever is attached: sinks, then the
@@ -183,7 +218,7 @@ class Tracer:
             return
         sampler.feed(event)
         # events held back for a promotion come and go: watch the peak
-        resident = len(self.events) + sampler.pending_events
+        resident = len(self._ring) + sampler.pending_events
         if resident > self._peak_resident:
             self._peak_resident = resident
 
@@ -228,7 +263,7 @@ class Tracer:
         """Most events ever held at once (retained + sampler-pending).
         Retained events only accumulate (one leaves the ring as another
         arrives), so without a sampler the peak is what is held now."""
-        return max(self._peak_resident, len(self.events))
+        return max(self._peak_resident, len(self._ring))
 
     @property
     def events_sampled_out(self) -> int:
@@ -240,7 +275,7 @@ class Tracer:
 
     def resident_events(self) -> int:
         pending = self._sampler.pending_events if self._sampler else 0
-        return len(self.events) + pending
+        return len(self._ring) + pending
 
     def stats(self) -> Dict[str, object]:
         out: Dict[str, object] = {

@@ -154,11 +154,12 @@ class Phv:
     def live_fields(self) -> int:
         """PHV occupancy: metadata plus the fields of valid headers."""
         layout, slots = self.layout, self.slots
-        return layout.n_meta + sum(
-            end - start
-            for instance, (start, end) in layout.headers.items()
-            if slots[layout.valid[instance]]
-        )
+        valid = layout.valid
+        live = layout.n_meta
+        for instance, (start, end) in layout.headers.items():
+            if slots[valid[instance]]:
+                live += end - start
+        return live
 
     def clone(self) -> "Phv":
         new = Phv.__new__(Phv)

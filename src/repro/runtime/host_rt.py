@@ -47,6 +47,7 @@ from repro.obs.int import (
     strip_stack,
 )
 from repro.obs.registry import BoundSeries, FamilySpec
+from repro.obs.trace import fields
 
 WindowHandler = Callable[[Window, "NclHost"], None]
 
@@ -65,6 +66,11 @@ _RX_DROPS = FamilySpec(
     "counter", "ncp.rx_drops", "frames dropped at delivery, by cause",
     ("host", "cause"),
 )
+
+#: the args of a host's window events, in order (obs.trace.fields)
+_SEND_ARGS = ("kernel", "kernel_id", "seq", "from", "attempt", "dst", "bytes", "last")
+_RECV_ARGS = ("kernel", "kernel_id", "seq", "from", "last")
+_RUN_ARGS = ("kernel", "seq")
 
 
 class _InRegistration:
@@ -298,13 +304,11 @@ class NclHost:
             obs.tracer.instant(
                 "window:send" if attempt == 0 else "window:retransmit",
                 self.node.sim.now(), self.node.track, "ncp",
-                {
-                    "kernel": kernel, "kernel_id": layout.kernel_id,
-                    "seq": window.seq, "from": window.from_node,
-                    "attempt": attempt,
-                    "dst": dst if dst.__class__ is str else str(dst),
-                    "bytes": len(frame), "last": int(window.last),
-                },
+                (
+                    fields, _SEND_ARGS, kernel, layout.kernel_id, window.seq,
+                    window.from_node, attempt, dst if dst.__class__ is str else str(dst),
+                    len(frame), int(window.last),
+                ),
             )
         if self.mtu is not None and len(frame) > self.mtu:
             pieces = fragment_frame(frame, self.mtu)
@@ -399,11 +403,10 @@ class NclHost:
             self._window_count(obs, "recv", kernel_name)
             obs.tracer.instant(
                 "window:recv", self.node.sim.now(), self.node.track, "ncp",
-                {
-                    "kernel": kernel_name, "kernel_id": frame.kernel_id,
-                    "seq": frame.seq, "from": frame.from_node,
-                    "last": int(frame.last),
-                },
+                (
+                    fields, _RECV_ARGS, kernel_name, frame.kernel_id, frame.seq,
+                    frame.from_node, int(frame.last),
+                ),
             )
         window = Window(frame.seq, frame.chunks, frame.ext, frame.last, frame.from_node)
         raw = self._raw_handlers.get(kernel_name)
@@ -434,9 +437,9 @@ class NclHost:
         now = self.node.sim.now()
         obs.tracer.instant(
             "int:stack", now, self.node.track, "int",
-            stack_event_args(
-                stack, kernel_id, meta["seq"], meta["from"], "delivered",
-                frag, self._node_labels,
+            (
+                stack_event_args, stack, kernel_id, meta["seq"], meta["from"],
+                "delivered", frag, self._node_labels,
             ),
         )
         record_stack_metrics(self._series, obs.registry, self.node.name, stack, now)
@@ -450,7 +453,7 @@ class NclHost:
         if obs.enabled:
             obs.tracer.instant(
                 "kernel:run", self.node.sim.now(), self.node.track, "ncp",
-                {"kernel": reg.kernel.name, "seq": window.seq},
+                (fields, _RUN_ARGS, reg.kernel.name, window.seq),
             )
         self._interp.run(reg.kernel, ctx)
         reg.windows_received += 1
@@ -465,7 +468,7 @@ class NclHost:
         self.node.stats.drops += 1
         if obs.enabled:
             self._series[obs.registry, _RX_DROPS, self.node.name, cause].inc()
-        self.node.trace_drop("ncp", cause=cause, bytes=nbytes)
+        self.node.trace_drop("ncp", cause, nbytes)
 
     def received_count(self, in_kernel: str) -> int:
         paired = self.program.unit.paired_out_kernel(in_kernel)

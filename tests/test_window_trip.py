@@ -10,8 +10,8 @@ import pytest
 from repro.apps.allreduce import AllReduceJob, star_and
 from repro.nclc import Compiler, WindowConfig
 from repro.ncp.wire import encode_frame
-from repro.net import pisanode
-from repro.obs import IntConfig, Observability
+from repro.obs import IntConfig, Observability, Profiler, Tracer
+from repro.obs.int import peek_stack
 from repro.pisa.parser import Deparser
 from repro.pisa.switch_dev import PisaSwitch
 from repro.runtime import Cluster
@@ -78,24 +78,41 @@ class TestLazyDeparse:
         # ports each, from one deparse)
         assert (stats.processed, stats.drops, len(deparse_calls)) == (4, 2, 2)
 
-    def test_an_int_absorbed_drop_stamps_the_bytes_the_parent_stamped(
-        self, monkeypatch, deparse_calls
+    def test_an_absorbed_drop_records_the_stack_the_parent_stamped(
+        self, deparse_calls
     ):
-        stamped = []
-        real = pisanode.stamp_hop
-
-        def spy(*args, **kwargs):
-            result = real(*args, **kwargs)
-            if kwargs.get("dropped"):
-                stamped.append(result[0].hex())
-            return result
-
-        monkeypatch.setattr(pisanode, "stamp_hop", spy)
+        """A packet the kernel consumed is neither deparsed nor stamped:
+        its ``int:stack`` event carries the stack the frames the parent
+        stamped (pinned as bytes in the golden) would decode to."""
         obs = Observability(int_config=IntConfig(max_hops=8))
         job = AllReduceJob(2, 8, 4, multiround=True, obs=obs)
         job.run_round([[1, 2, 3, 4, 5, 6, 7, 8], [10, 20, 30, 40, 50, 60, 70, 80]])
-        assert stamped == GOLDEN["int_absorbed_drops"]
-        assert len(deparse_calls) == 4  # INT reads the drops' bytes too
+        absorbed = [
+            event.args for event in obs.tracer.named("int:stack")
+            if event.args["outcome"] == "drop:switch"
+        ]
+        stamped = [peek_stack(bytes.fromhex(h)) for h in GOLDEN["int_absorbed_drops"]]
+        assert [(a["attempt"], a["hops"]) for a in absorbed] == [
+            (stack.attempt, [dict(hop, node="s1") for hop in stack.hops])
+            for stack in stamped
+        ]
+        assert len(deparse_calls) == 2  # the two that left; the drops' bytes are unread
+
+
+    def test_with_the_observer_on_still_one_call_per_packet_that_leaves(
+        self, deparse_calls
+    ):
+        """The bench's observed configuration: of a batch's 128 packets
+        32 are broadcast, and those are the 32 deparsed (at cb58053 INT
+        read the bytes of the 96 aggregated away too: 128)."""
+        obs = Observability(
+            tracer=Tracer(retain=4096), int_config=IntConfig(max_hops=8),
+            profiler=Profiler(),
+        )
+        job = AllReduceJob(4, 256, 8, multiround=True, obs=obs)
+        job.run_round([[i] * 256 for i in range(4)])
+        stats = job.cluster.switches["s1"].stats
+        assert (stats.processed, stats.drops, len(deparse_calls)) == (128, 96, 32)
 
 
 class TestWhoOwnsAWindowsLists:
