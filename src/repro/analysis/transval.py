@@ -305,7 +305,7 @@ def make_validator(
     label_ids: Optional[Mapping[str, int]] = None,
     location_id: int = 0,
 ) -> PassValidator:
-    """Convenience constructor used by the pass-manager layer."""
+    """Convenience constructor used by the compile (``--verify-opt``)."""
     return PassValidator(
         module,
         fn,

@@ -5,7 +5,7 @@ assigned once and never reused, because downstream tooling (CI gates,
 suppression lists, the docs table in ``docs/DIAGNOSTICS.md``) keys on
 them. This module is the single source of truth for the assignment:
 
-* the frontend / conformance / pass-manager codes are listed statically
+* the frontend / conformance / compile-step codes are listed statically
   here;
 * the ``nclc lint`` analysis rules contribute their declared ``codes``;
 * the ``check-deploy`` whole-fabric checks contribute theirs;
@@ -33,7 +33,7 @@ block  owner
 0920+  deployment: tenant isolation
 0930+  deployment: placement / reachability
 0940+  deployment: transport invariants
-0990   pass-manager internal failure
+0990   a compile step failed
 ====== ==================================================
 """
 
@@ -43,7 +43,7 @@ import re
 from typing import Dict, Iterable, Tuple
 
 #: codes emitted by raise sites outside the rule/check registries:
-#: frontend errors, conformance checks, and the pass manager.
+#: frontend errors, conformance checks, and the compile steps.
 STATIC_CODES: Dict[str, str] = {
     "NCL0001": "generic front-end error",
     "NCL0101": "syntax error",

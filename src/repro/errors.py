@@ -82,12 +82,6 @@ class IrError(ReproError):
     """Malformed NIR detected by the verifier or a pass."""
 
 
-class PipelineError(ReproError):
-    """The compile pass manager was asked to run an ill-formed pipeline
-    (unknown pass, unsatisfied input, invalidated analysis with no
-    producer)."""
-
-
 class ArtifactError(ReproError):
     """A serialized ``repro.nclc/1`` compile artifact is malformed,
     has an unsupported schema version, or cannot be reconstructed."""

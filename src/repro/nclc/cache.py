@@ -2,8 +2,8 @@
 
 A cache key is the sha256 of everything that determines compiler
 output: the NCL source, ``-D`` defines, the AND text, window configs,
-the chip profile, the optimization level and unroll/split options, and
-the *pipeline fingerprint* (driver + NIR pass lists plus the compiler
+the chip profile, the optimization level and split option, and the
+*pipeline fingerprint* (compile steps + NIR pass lists plus the compiler
 version, :func:`repro.nclc.pm.pipeline_fingerprint`). Change any of
 them -- including just upgrading the compiler or reordering a pass --
 and the key changes, so a hit is always safe to reuse.
@@ -17,9 +17,10 @@ Layout on disk (when a root directory is given)::
     <root>/<key[:2]>/<key>.nclc.json
 
 Entries are written atomically (temp file + rename) so a crashed
-compile never leaves a truncated artifact behind. An in-memory layer
-fronts the disk in all cases; a purely in-memory cache (``root=None``)
-works for single-process reuse and tests.
+compile never leaves a truncated artifact behind; one truncated some
+other way is a miss (``Compiler.compile`` rebuilds and overwrites it).
+An in-memory layer fronts the disk in all cases; a purely in-memory
+cache (``root=None``) works for single-process reuse and tests.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import tempfile
 from typing import Dict, Mapping, Optional
 
 from repro.nclc.pm import pipeline_fingerprint
+from repro.nir.passes.unroll import DEFAULT_MAX_TRIPS
 
 
 class CacheStats:
@@ -71,7 +73,6 @@ class ArtifactCache:
         defines: Optional[Mapping[str, int]] = None,
         profile=None,
         opt_level: int = 2,
-        max_unroll: int = 4096,
         split_arrays="auto",
     ) -> str:
         """The content address of one compile's inputs + configuration."""
@@ -89,7 +90,8 @@ class ArtifactCache:
             "defines": dict(defines or {}),
             "profile": getattr(profile, "name", profile),
             "opt_level": opt_level,
-            "max_unroll": max_unroll,
+            # the unroll bound is fixed; still keyed, so keys stay put
+            "max_unroll": DEFAULT_MAX_TRIPS,
             "split_arrays": split_arrays,
             "pipeline": pipeline_fingerprint(opt_level),
         }
@@ -103,9 +105,8 @@ class ArtifactCache:
             return None
         return os.path.join(self.root, key[:2], f"{key}.nclc.json")
 
-    def get(self, key: str, trace=None) -> Optional[str]:
-        """The artifact JSON for *key*, or None on miss. Records the
-        hit/miss in stats, the metrics registry, and the compile trace."""
+    def get(self, key: str) -> Optional[str]:
+        """The artifact JSON stored under *key*, or None."""
         text = self._mem.get(key)
         if text is None:
             path = self._path(key)
@@ -113,15 +114,21 @@ class ArtifactCache:
                 with open(path) as fp:
                     text = fp.read()
                 self._mem[key] = text
-        event = "hit" if text is not None else "miss"
+        return text
+
+    def count(self, event: str, key: str, trace=None) -> None:
+        """Record one lookup's outcome (``hit``/``miss``) in stats, the
+        metrics registry, and the compile trace."""
         if event == "hit":
             self.stats.hits += 1
         else:
             self.stats.misses += 1
-        self._count(event)
+        if self.registry is not None:
+            self.registry.counter(
+                "nclc.cache", "artifact cache lookups, by outcome", ("event",)
+            ).labels(event=event).inc()
         if trace is not None and hasattr(trace, "cache_event"):
             trace.cache_event(event, key)
-        return text
 
     def put(self, key: str, text: str) -> None:
         """Store artifact JSON under its content address (atomic on disk)."""
@@ -146,13 +153,6 @@ class ArtifactCache:
     def clear(self) -> None:
         """Drop the in-memory layer (disk entries are left in place)."""
         self._mem.clear()
-
-    def _count(self, event: str) -> None:
-        if self.registry is None:
-            return
-        self.registry.counter(
-            "nclc.cache", "artifact cache lookups, by outcome", ("event",)
-        ).labels(event=event).inc()
 
     def __repr__(self) -> str:
         where = self.root or "<memory>"

@@ -1,6 +1,6 @@
 """nclc -- the NCL compiler driver (the paper's Fig 6 trajectory).
 
-Pipeline (now an explicit :class:`repro.nclc.pm.PassManager` run)::
+The steps (run in order by :func:`repro.nclc.pm.compile_program`)::
 
     NCL source ──lex/parse/sema──> TranslationUnit        ("frontend")
         │
@@ -18,13 +18,14 @@ The *window configuration* pins each outgoing kernel's mask (elements
 per array per window) and static window-extension fields at compile
 time -- the paper's prototype scope ("windows that fit a packet", S6).
 
-The driver owns three policies on top of the pass manager:
+The driver owns three policies on top of the compile:
 
 * ``opt_level`` selects the ``-O0/-O1/-O2`` pipeline presets (see
   :mod:`repro.nir.passes`);
 * an optional :class:`repro.nclc.cache.ArtifactCache` short-circuits the
   whole run on a content-address hit, returning the cached
-  :class:`CompiledProgram` deserialized from its artifact JSON;
+  :class:`CompiledProgram` deserialized from its artifact JSON (an entry
+  that does not load is a miss, rebuilt and overwritten);
 * :class:`CompiledProgram` serializes to the versioned ``repro.nclc/1``
   artifact (:meth:`CompiledProgram.save` / :meth:`CompiledProgram.load`)
   so runtimes and benchmarks can run precompiled programs.
@@ -35,7 +36,7 @@ from __future__ import annotations
 from typing import Dict, Mapping, Optional, Sequence, Union
 
 from repro.andspec.model import AndSpec
-from repro.errors import RuntimeApiError
+from repro.errors import ArtifactError, RuntimeApiError
 from repro.ncp.wire import KernelLayout
 from repro.nir import ir
 from repro.nir.passes import PassStats
@@ -226,7 +227,6 @@ class Compiler:
     def __init__(
         self,
         profile: Union[str, ArchProfile, None] = None,
-        max_unroll: int = 4096,
         split_arrays: Union[bool, str] = "auto",
         opt_level: int = 2,
         cache=None,
@@ -238,7 +238,6 @@ class Compiler:
             self.profile = profile
         else:
             self.profile = profile_by_name(profile)
-        self.max_unroll = max_unroll
         # "auto": split register arrays only when the chip's access
         # discipline demands it; True/False force the behaviour.
         self.split_arrays = split_arrays
@@ -278,55 +277,26 @@ class Compiler:
                 defines=defines,
                 profile=self.profile,
                 opt_level=self.opt_level,
-                max_unroll=self.max_unroll,
                 split_arrays=self.split_arrays,
             )
-            # A cache hit would skip the optimization passes entirely, so
-            # there would be nothing for the validator to check; verified
-            # builds always run the pipeline.
-            cached = None if self.verify_opt else self.cache.get(
-                cache_key, trace=trace
-            )
-            if cached is not None:
-                return CompiledProgram.from_json(cached)
+        # A cache hit would skip the optimization passes entirely, so
+        # there would be nothing for the validator to check; verified
+        # builds always run the pipeline (and still publish).
+        if cache_key is not None and not self.verify_opt:
+            program = None
+            text = self.cache.get(cache_key)
+            if text is not None:
+                try:
+                    program = CompiledProgram.from_json(text)
+                except ArtifactError:
+                    pass  # truncated or stale: a miss, overwritten below
+            self.cache.count("miss" if program is None else "hit", cache_key, trace)
+            if program is not None:
+                return program
 
-        ctx = pm.PipelineContext(
-            source=source,
-            filename=filename,
-            defines=defines,
-            and_text=and_text,
-            windows=windows,
-            options={
-                "profile": self.profile,
-                "opt_level": self.opt_level,
-                "max_unroll": self.max_unroll,
-                "split_arrays": self.split_arrays,
-                "verify_opt": self.verify_opt,
-            },
-            trace=trace,
-            sink=sink,
+        program = pm.compile_program(
+            self, source, and_text, windows, defines, filename, trace, sink
         )
-        manager = pm.PassManager(pm.build_pipeline(self.opt_level))
-        manager.run(ctx)
-
-        program = CompiledProgram(
-            unit=ctx.get("unit"),
-            ref_module=ctx.get("module"),
-            and_spec=ctx.get("and_spec"),
-            layouts=ctx.get("layouts"),
-            window_configs=ctx.get("window_configs"),
-            switch_programs=ctx.get("switch_programs"),
-            switch_sources=ctx.get("switch_sources"),
-            reports=ctx.get("reports"),
-            stats=ctx.stats,
-            stage_times=ctx.stage_times,
-            profile=self.profile,
-            source=source,
-            split_info=ctx.get("split_info"),
-            compile_trace=trace,
-            opt_level=self.opt_level,
-            switch_modules=ctx.get("switch_modules"),
-        )
-        if self.cache is not None and cache_key is not None:
+        if cache_key is not None:
             self.cache.put(cache_key, program.to_json())
         return program

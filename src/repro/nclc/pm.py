@@ -1,43 +1,35 @@
-"""The nclc pass manager.
+"""The nclc compile: the paper's Fig 6 steps, called in order.
 
-The compile path is an explicit pipeline of *registered* passes, the
-shape LLVM's ``PassBuilder`` gives a compiler: every stage of the
-paper's Fig 6 trajectory (frontend lex -> parse -> sema -> conformance,
-the per-kernel NIR pipelines, and the backend and-mapping -> codegen ->
-P4 emission) is a named :class:`CompilePass` with declared inputs and
-outputs, run by a :class:`PassManager` over a :class:`PipelineContext`.
+:func:`compile_program` is the whole path as straight-line code over
+local variables: the frontend (lex -> parse -> sema), lowering to NIR,
+the AND overlay, the stage-1 conformance check, window geometry, the
+per-kernel host pipeline, per-switch versioning, the per-kernel switch
+pipeline (window specialisation, unroll, optimisation, register
+splitting), then P4 codegen and the backend's accept/reject. The ``-O``
+level changes only the per-kernel NIR pass lists (:mod:`repro.nir.passes`);
+the steps are the same at every level, and :data:`STEPS` names them for
+the artifact-cache fingerprint.
 
-Why this shape (vs the former ~140-line monolithic ``Compiler.compile``):
-
-* pipelines are *data* -- the ``-O0/-O1/-O2`` presets select per-kernel
-  NIR pass lists by name, and the full pipeline fingerprints into the
-  artifact-cache key (:mod:`repro.nclc.cache`), so a pipeline change
-  invalidates cached artifacts exactly like a source change;
-* per-pass wall time is emitted uniformly by the manager (the
-  :class:`repro.obs.CompileTrace` integration is in one place, not
-  sprinkled through the driver);
-* passes report failures through a :class:`repro.diag.DiagnosticSink`
-  when one is supplied, so tooling sees structured diagnostics;
-* ``requires``/``provides`` are checked as the pipeline runs: a pass
-  asking for a key no earlier pass put on the blackboard is a
-  :class:`PipelineError`, not a ``KeyError`` three calls deep.
-
-The registry here covers the driver-level (module/program) passes; the
-function-level NIR passes have their own registry in
-:mod:`repro.nir.passes` and are driven per kernel by the ``host-opt``
-and ``switch-opt`` passes below.
+Each step runs under :func:`_step`, which keeps what a caller reads of
+it: its wall time in ``CompiledProgram.stage_times``, its
+:class:`repro.obs.CompileTrace` stage record, and an ``NCL0990``
+diagnostic naming it when it fails. ``lex``, ``parse`` and ``sema`` are
+timed and traced together as ``frontend``; ``and-resolve`` and
+``windows`` are timed but write no trace record.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager, nullcontext
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.andspec.model import parse_and
-from repro.errors import PipelineError, ReproError
-from repro.ncl.parser import Parser
+from repro.andspec.model import AndSpec, parse_and
+from repro.errors import ReproError, RuntimeApiError
 from repro.ncl.lexer import tokenize
+from repro.ncl.parser import Parser
 from repro.ncl.sema import TranslationUnit, analyze
 from repro.ncp.wire import KernelLayout, layout_for_kernel
 from repro.nir import ir
@@ -45,189 +37,24 @@ from repro.nir.lower import lower_unit
 from repro.nir.passes import (
     PassStats,
     host_pipeline,
-    run_function_pipeline,
+    optimize_host,
+    optimize_switch,
+    split_register_arrays,
     switch_pipeline,
 )
 from repro.p4.backend import check_program
 from repro.p4.printer import print_program
 from repro.nclc.codegen import build_switch_program
 from repro.nclc.conformance import check_module
+from repro.nclc.driver import CompiledProgram, WindowConfig
 from repro.nclc.versioning import version_module
 
 #: Version string baked into every artifact and cache key. Bump on any
-#: change that alters generated artifacts without changing pass names.
+#: change that alters generated artifacts without changing step names.
 NCLC_VERSION = "nclc-1.1.0"
 
-
-class PipelineContext:
-    """Everything the passes read and write during one compilation.
-
-    ``artifacts`` is the blackboard: passes declare which keys they
-    require/provide. ``options`` carries the compiler configuration
-    (profile, opt_level, max_unroll, split_arrays).
-    """
-
-    def __init__(
-        self,
-        source: str,
-        filename: str = "<ncl>",
-        defines=None,
-        and_text: Optional[str] = None,
-        windows=None,
-        options: Optional[Dict[str, object]] = None,
-        trace=None,
-        sink=None,
-    ):
-        self.artifacts: Dict[str, object] = {
-            "source": source,
-            "filename": filename,
-            "defines": dict(defines or {}),
-            "and_text": and_text,
-            "windows_in": windows,
-        }
-        self.options: Dict[str, object] = dict(options or {})
-        self.trace = trace
-        self.sink = sink
-        self.stage_times: Dict[str, float] = {}
-        self.stats: Dict[str, PassStats] = {}
-
-    # -- blackboard access ---------------------------------------------------
-
-    def get(self, key: str):
-        if key not in self.artifacts:
-            raise PipelineError(f"pipeline artifact {key!r} not produced yet")
-        return self.artifacts[key]
-
-    def put(self, key: str, value) -> None:
-        self.artifacts[key] = value
-
-    def opt(self, key: str, default=None):
-        return self.options.get(key, default)
-
-
-class CompilePass:
-    """One registered driver-level pass.
-
-    ``requires``/``provides`` name blackboard keys; the manager refuses
-    to run a pass whose required keys no earlier pass has put there.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        fn: Callable[[PipelineContext], None],
-        requires: Sequence[str] = (),
-        provides: Sequence[str] = (),
-        about: str = "",
-        trace_stage: Optional[str] = "",
-    ):
-        self.name = name
-        self.fn = fn
-        self.requires = tuple(requires)
-        self.provides = tuple(provides)
-        self.about = about
-        #: the coarse stage this pass reports under (CompileTrace stage
-        #: records and ``stage_times`` keys); "" means "own name", None
-        #: means untimed-in-trace (bookkeeping passes).
-        self.trace_stage = name if trace_stage == "" else trace_stage
-
-
-COMPILE_PASSES: Dict[str, CompilePass] = {}
-
-
-def register_compile_pass(
-    name: str,
-    requires: Sequence[str] = (),
-    provides: Sequence[str] = (),
-    about: str = "",
-    trace_stage: Optional[str] = "",
-):
-    """Decorator registering a driver-level pass under a stable name."""
-
-    def deco(fn: Callable[[PipelineContext], None]):
-        if name in COMPILE_PASSES:
-            raise PipelineError(f"duplicate compile pass {name!r}")
-        COMPILE_PASSES[name] = CompilePass(
-            name, fn, requires, provides, about, trace_stage
-        )
-        return fn
-
-    return deco
-
-
-class PassManager:
-    """Runs a named pipeline of compile passes over a context.
-
-    Per-pass wall time lands in ``ctx.stage_times`` (and the
-    :class:`repro.obs.CompileTrace`, when one rides along); failures are
-    reported through the context's diagnostic sink before propagating.
-    """
-
-    def __init__(self, pipeline: Sequence[str]):
-        unknown = [n for n in pipeline if n not in COMPILE_PASSES]
-        if unknown:
-            raise PipelineError(f"unknown compile passes: {unknown}")
-        self.pipeline = list(pipeline)
-
-    def run(self, ctx: PipelineContext) -> PipelineContext:
-        # Consecutive passes sharing a trace stage become ONE coarse
-        # CompileTrace stage record (lex/parse/sema -> "frontend"),
-        # preserving the driver's historical stage trajectory.
-        for stage, group in self._grouped():
-            if stage is not None and ctx.trace is not None:
-                with ctx.trace.stage(stage):
-                    for cpass in group:
-                        self._run_one(cpass, ctx)
-            else:
-                for cpass in group:
-                    self._run_one(cpass, ctx)
-        return ctx
-
-    # -- internals -----------------------------------------------------------
-
-    def _grouped(self) -> List[Tuple[Optional[str], List[CompilePass]]]:
-        groups: List[Tuple[Optional[str], List[CompilePass]]] = []
-        for name in self.pipeline:
-            cpass = COMPILE_PASSES[name]
-            stage = cpass.trace_stage
-            if groups and groups[-1][0] == stage and stage is not None:
-                groups[-1][1].append(cpass)
-            else:
-                groups.append((stage, [cpass]))
-        return groups
-
-    def _run_one(self, cpass: CompilePass, ctx: PipelineContext) -> None:
-        for key in cpass.requires:
-            if key not in ctx.artifacts:
-                raise PipelineError(
-                    f"pass {cpass.name!r} requires {key!r}, which no earlier "
-                    "pass produced"
-                )
-        t0 = time.perf_counter()
-        try:
-            cpass.fn(ctx)
-        except ReproError as exc:
-            if ctx.sink is not None:
-                ctx.sink.error(
-                    "NCL0990",
-                    f"compile pass {cpass.name!r} failed: {exc}",
-                    loc=getattr(exc, "loc", None),
-                )
-            raise
-        finally:
-            wall = time.perf_counter() - t0
-            key = cpass.trace_stage or cpass.name
-            ctx.stage_times[key] = ctx.stage_times.get(key, 0.0) + wall
-
-
-# ---------------------------------------------------------------------------
-# Pipeline presets
-# ---------------------------------------------------------------------------
-
-#: The full build pipeline; identical pass *names* at every -O level --
-#: the opt level parameterizes the per-kernel NIR pipelines inside
-#: host-opt and switch-opt (see repro.nir.passes.HOST_PIPELINES).
-BUILD_PASSES: Tuple[str, ...] = (
+#: The steps :func:`compile_program` runs, in order, at every ``-O`` level.
+STEPS: Tuple[str, ...] = (
     "lex",
     "parse",
     "sema",
@@ -242,22 +69,15 @@ BUILD_PASSES: Tuple[str, ...] = (
 )
 
 
-def build_pipeline(opt_level: int = 2) -> List[str]:
-    """The preset driver pipeline for one ``-O`` level."""
-    # Validates the level early (raises on unknown levels).
-    switch_pipeline(opt_level)
-    return list(BUILD_PASSES)
-
-
 def pipeline_fingerprint(opt_level: int, extra: Sequence[str] = ()) -> str:
-    """A stable digest of everything that determines what the pipeline
-    *does*: driver pass names, the per-kernel NIR pass lists for this
-    opt level, and the compiler version. Cache keys include this, so a
+    """A stable digest of everything that determines what the compile
+    *does*: the step names, the per-kernel NIR pass lists for this opt
+    level, and the compiler version. Cache keys include this, so a
     pipeline or version change misses the cache exactly like a source
     change."""
     h = hashlib.sha256()
     h.update(NCLC_VERSION.encode())
-    h.update(b"|driver:" + ",".join(build_pipeline(opt_level)).encode())
+    h.update(b"|driver:" + ",".join(STEPS).encode())
     h.update(b"|host:" + ",".join(host_pipeline(opt_level)).encode())
     h.update(b"|switch:" + ",".join(switch_pipeline(opt_level)).encode())
     for item in extra:
@@ -265,245 +85,148 @@ def pipeline_fingerprint(opt_level: int, extra: Sequence[str] = ()) -> str:
     return h.hexdigest()
 
 
-# ---------------------------------------------------------------------------
-# The registered passes
-# ---------------------------------------------------------------------------
+@contextmanager
+def _step(times, trace, sink, name: str, key: Optional[str] = None, traced=True):
+    """One step: its wall time adds to ``times[key or name]``, it is a
+    CompileTrace stage record when *traced* (and a trace rides along),
+    and a ReproError out of it lands in *sink* as NCL0990 naming it."""
+    key = key or name
+    with trace.stage(key) if traced and trace is not None else nullcontext():
+        t0 = time.perf_counter()
+        try:
+            yield
+        except ReproError as exc:
+            if sink is not None:
+                sink.error(
+                    "NCL0990",
+                    f"compile pass {name!r} failed: {exc}",
+                    loc=getattr(exc, "loc", None),
+                )
+            raise
+        finally:
+            times[key] = times.get(key, 0.0) + time.perf_counter() - t0
 
 
-@register_compile_pass(
-    "lex",
-    requires=("source",),
-    provides=("tokens",),
-    about="tokenize NCL source (applies -D defines)",
-    trace_stage="frontend",
-)
-def _pass_lex(ctx: PipelineContext) -> None:
-    ctx.put(
-        "tokens",
-        tokenize(ctx.get("source"), ctx.get("filename"), ctx.get("defines")),
+def compile_program(
+    compiler, source, and_text, windows, defines, filename, trace, sink
+):
+    """Run the Fig 6 steps over *source* under *compiler*'s profile, -O
+    level, split policy and ``verify_opt`` (the arguments are those of
+    :meth:`repro.nclc.driver.Compiler.compile`)."""
+    opt_level = compiler.opt_level
+    stage_times: Dict[str, float] = {}
+    stats: Dict[str, PassStats] = {}
+    step = functools.partial(_step, stage_times, trace, sink)
+
+    with trace.stage("frontend") if trace is not None else nullcontext():
+        with step("lex", "frontend", traced=False):
+            tokens = tokenize(source, filename, dict(defines or {}))
+        with step("parse", "frontend", traced=False):
+            ast = Parser(tokens).parse_program()
+        with step("sema", "frontend", traced=False):
+            unit = analyze(ast)
+    with step("irgen"):
+        module = lower_unit(unit)
+    with step("and-resolve", traced=False):
+        required = required_labels(unit)
+        and_spec = parse_and(and_text) if and_text is not None else default_and(required)
+        and_spec.validate(required)
+    with step("conformance"):
+        check_module(module, and_spec)
+    with step("windows", traced=False):
+        window_configs = resolve_window_configs(unit, windows)
+        layouts = build_layouts(unit, window_configs)
+
+    # --verify-opt: every per-kernel pipeline runs under a translation
+    # validator (imported here: repro.analysis's linter imports this module)
+    verify_opt = compiler.verify_opt
+    if verify_opt:
+        from repro.analysis.transval import make_validator
+    label_ids = and_spec.label_ids()
+    with step("host-opt"):
+        host_stats = stats.setdefault("host", PassStats())
+        for fn in module.kernels():
+            validator = (
+                make_validator(module, fn, label_ids=label_ids) if verify_opt else None
+            )
+            optimize_host(
+                fn, host_stats, trace=trace, opt_level=opt_level, validator=validator
+            )
+    with step("versioning"):
+        versions = version_module(module, and_spec)
+
+    profile = compiler.profile
+    # Arch-specific transformation: split register arrays when the chip
+    # allows fewer accesses per array than the kernels make.
+    want_split = compiler.split_arrays is True or (
+        compiler.split_arrays == "auto"
+        and profile is not None
+        and profile.max_register_accesses_per_array <= 4
     )
-
-
-@register_compile_pass(
-    "parse",
-    requires=("tokens",),
-    provides=("ast",),
-    about="parse the token stream into the NCL AST",
-    trace_stage="frontend",
-)
-def _pass_parse(ctx: PipelineContext) -> None:
-    ctx.put("ast", Parser(ctx.get("tokens")).parse_program())
-
-
-@register_compile_pass(
-    "sema",
-    requires=("ast",),
-    provides=("unit",),
-    about="semantic analysis: the TranslationUnit",
-    trace_stage="frontend",
-)
-def _pass_sema(ctx: PipelineContext) -> None:
-    ctx.put("unit", analyze(ctx.get("ast")))
-
-
-@register_compile_pass(
-    "irgen",
-    requires=("unit",),
-    provides=("module",),
-    about="lower the TranslationUnit to NIR",
-)
-def _pass_irgen(ctx: PipelineContext) -> None:
-    ctx.put("module", lower_unit(ctx.get("unit")))
-
-
-@register_compile_pass(
-    "and-resolve",
-    requires=("unit",),
-    provides=("and_spec",),
-    about="parse/synthesize and validate the AND overlay",
-    trace_stage=None,
-)
-def _pass_and_resolve(ctx: PipelineContext) -> None:
-    unit: TranslationUnit = ctx.get("unit")
-    required = required_labels(unit)
-    and_text = ctx.get("and_text")
-    spec = parse_and(and_text) if and_text is not None else default_and(required)
-    spec.validate(required)
-    ctx.put("and_spec", spec)
-
-
-@register_compile_pass(
-    "conformance",
-    requires=("module", "and_spec"),
-    provides=("conformance-ok",),
-    about="stage-1 conformance check (paper S5)",
-)
-def _pass_conformance(ctx: PipelineContext) -> None:
-    check_module(ctx.get("module"), ctx.get("and_spec"))
-    ctx.put("conformance-ok", True)
-
-
-@register_compile_pass(
-    "windows",
-    requires=("unit",),
-    provides=("window_configs", "layouts"),
-    about="pin window geometry and derive NCP kernel layouts",
-    trace_stage=None,
-)
-def _pass_windows(ctx: PipelineContext) -> None:
-    unit: TranslationUnit = ctx.get("unit")
-    configs = resolve_window_configs(unit, ctx.get("windows_in"))
-    ctx.put("window_configs", configs)
-    ctx.put("layouts", build_layouts(unit, configs))
-
-
-@register_compile_pass(
-    "host-opt",
-    requires=("module", "conformance-ok"),
-    provides=("host-opt-done",),
-    about="per-kernel host NIR pipeline (reference module)",
-)
-def _pass_host_opt(ctx: PipelineContext) -> None:
-    module: ir.Module = ctx.get("module")
-    opt_level = int(ctx.opt("opt_level", 2))
-    host_stats = ctx.stats.setdefault("host", PassStats())
-    label_ids = _verify_opt_label_ids(ctx)
-    for fn in module.kernels():
-        validator = None
-        if ctx.opt("verify_opt"):
-            from repro.analysis.transval import make_validator
-
-            validator = make_validator(module, fn, label_ids=label_ids)
-        run_function_pipeline(
-            fn,
-            host_pipeline(opt_level),
-            stats=host_stats,
-            trace=ctx.trace,
-            stage="host",
-            validator=validator,
-        )
-    ctx.put("host-opt-done", True)
-
-
-def _verify_opt_label_ids(ctx: PipelineContext):
-    """Label->id map for the --verify-opt interpreter runs (the AND is
-    resolved before either opt pass, but only consult it when needed)."""
-    if not ctx.opt("verify_opt"):
-        return None
-    return ctx.get("and_spec").label_ids()
-
-
-@register_compile_pass(
-    "versioning",
-    requires=("module", "and_spec", "host-opt-done"),
-    provides=("versions",),
-    about="per-AND-switch IR versioning (stage 2)",
-)
-def _pass_versioning(ctx: PipelineContext) -> None:
-    ctx.put("versions", version_module(ctx.get("module"), ctx.get("and_spec")))
-
-
-@register_compile_pass(
-    "switch-opt",
-    requires=("versions", "window_configs", "layouts"),
-    provides=("compiled_kernels", "split_info", "switch_modules"),
-    about="per-kernel switch NIR pipeline + register-array splitting",
-)
-def _pass_switch_opt(ctx: PipelineContext) -> None:
-    opt_level = int(ctx.opt("opt_level", 2))
-    max_unroll = int(ctx.opt("max_unroll", 4096))
-    window_configs = ctx.get("window_configs")
-    layouts: Dict[str, KernelLayout] = ctx.get("layouts")
-    profile = ctx.opt("profile")
-    split_arrays = ctx.opt("split_arrays", "auto")
-
     compiled: Dict[str, List[Tuple[ir.Function, KernelLayout]]] = {}
     split_info: Dict[str, list] = {}
-    switch_modules: Dict[str, ir.Module] = {}
-    for version in ctx.get("versions"):
-        loc_stats = ctx.stats.setdefault(version.label, PassStats())
-        kernels: List[Tuple[ir.Function, KernelLayout]] = []
-        for fn in version.module.kernels(ir.FunctionKind.OUT_KERNEL):
-            config = window_configs[fn.name]
-            pipeline = list(switch_pipeline(opt_level))
-            if not config.ext:
-                pipeline = [p for p in pipeline if p != "specialize-window"]
-            validator = None
-            if ctx.opt("verify_opt"):
-                from repro.analysis.transval import make_validator
-
-                label_ids = _verify_opt_label_ids(ctx)
+    with step("switch-opt"):
+        for version in versions:
+            loc_stats = stats.setdefault(version.label, PassStats())
+            kernels = compiled[version.label] = []
+            for fn in version.module.kernels(ir.FunctionKind.OUT_KERNEL):
+                ext = window_configs[fn.name].ext
                 validator = make_validator(
                     version.module,
                     fn,
-                    window_spec=config.ext,
+                    window_spec=ext,
                     label_ids=label_ids,
                     location_id=label_ids.get(version.label, 0),
+                ) if verify_opt else None
+                optimize_switch(
+                    fn, ext, loc_stats, trace=trace, stage=version.label,
+                    opt_level=opt_level, validator=validator,
                 )
-            run_function_pipeline(
-                fn,
-                pipeline,
-                stats=loc_stats,
-                trace=ctx.trace,
-                stage=version.label,
-                options={"window_spec": config.ext, "max_trips": max_unroll},
-                validator=validator,
-            )
-            kernels.append((fn, layouts[fn.name]))
-        # Arch-specific transformation: split register arrays when the
-        # chip allows fewer accesses per array than the kernels make.
-        want_split = split_arrays is True or (
-            split_arrays == "auto"
-            and profile is not None
-            and profile.max_register_accesses_per_array <= 4
-        )
-        if want_split:
-            from repro.nir.passes import split_register_arrays
+                kernels.append((fn, layouts[fn.name]))
+            if want_split:
+                splits = split_register_arrays(
+                    version.module, profile.max_register_accesses_per_array
+                )
+                if splits:
+                    split_info[version.label] = splits
 
-            splits = split_register_arrays(
-                version.module, profile.max_register_accesses_per_array
-            )
-            if splits:
-                split_info[version.label] = splits
-        compiled[version.label] = kernels
-        switch_modules[version.label] = version.module
-    ctx.put("compiled_kernels", compiled)
-    ctx.put("split_info", split_info)
-    ctx.put("switch_modules", switch_modules)
-
-
-@register_compile_pass(
-    "codegen+backend",
-    requires=("module", "versions", "compiled_kernels", "and_spec"),
-    provides=("switch_programs", "switch_sources", "reports"),
-    about="P4 codegen, template merge, backend accept/reject",
-)
-def _pass_codegen(ctx: PipelineContext) -> None:
-    module: ir.Module = ctx.get("module")
-    and_spec = ctx.get("and_spec")
-    compiled = ctx.get("compiled_kernels")
-    profile = ctx.opt("profile")
-    label_ids = and_spec.label_ids()
     switch_programs = {}
     switch_sources = {}
     reports = {}
-    for version in ctx.get("versions"):
-        program = build_switch_program(
-            version.module,
-            compiled[version.label],
-            label_ids,
-            name=f"{module.name}_{version.label}",
-        )
-        switch_programs[version.label] = program
-        switch_sources[version.label] = print_program(program)
-        reports[version.label] = check_program(program, profile)
-    ctx.put("switch_programs", switch_programs)
-    ctx.put("switch_sources", switch_sources)
-    ctx.put("reports", reports)
+    with step("codegen+backend"):
+        for version in versions:
+            program = build_switch_program(
+                version.module,
+                compiled[version.label],
+                label_ids,
+                name=f"{module.name}_{version.label}",
+            )
+            switch_programs[version.label] = program
+            switch_sources[version.label] = print_program(program)
+            reports[version.label] = check_program(program, profile)
+
+    return CompiledProgram(
+        unit=unit,
+        ref_module=module,
+        and_spec=and_spec,
+        layouts=layouts,
+        window_configs=window_configs,
+        switch_programs=switch_programs,
+        switch_sources=switch_sources,
+        reports=reports,
+        stats=stats,
+        stage_times=stage_times,
+        profile=profile,
+        source=source,
+        split_info=split_info,
+        compile_trace=trace,
+        opt_level=opt_level,
+        switch_modules={version.label: version.module for version in versions},
+    )
 
 
 # ---------------------------------------------------------------------------
-# Helpers shared with the driver
+# Helpers (the linter reuses required_labels and default_and)
 # ---------------------------------------------------------------------------
 
 
@@ -523,11 +246,9 @@ def required_labels(unit: TranslationUnit) -> List[str]:
     return sorted(set(labels))
 
 
-def default_and(required: List[str]):
+def default_and(required: List[str]) -> AndSpec:
     """Synthesize a chain AND when the program does not supply one:
     h0 -- s1 -- ... -- h1, with one switch per required label."""
-    from repro.andspec.model import AndSpec
-
     spec = AndSpec()
     spec.add_host("h0")
     labels = required or ["s1"]
@@ -543,9 +264,6 @@ def default_and(required: List[str]):
 
 
 def resolve_window_configs(unit: TranslationUnit, windows):
-    from repro.errors import RuntimeApiError
-    from repro.nclc.driver import WindowConfig
-
     windows = dict(windows or {})
     configs = {}
     ext_fields = [name for name, _ in unit.window_fields[3:]]  # skip builtins

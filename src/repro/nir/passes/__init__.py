@@ -1,14 +1,15 @@
-"""NIR optimization passes: the registry and the standard pipelines.
+"""NIR optimization passes: the name -> pass table and the standard pipelines.
 
 The menu mirrors the paper's S5 "Analysis and optimization" stage:
 loop unrolling, constant folding/propagation, GVN/CSE, DCE, plus CFG
 simplification and always-inlining of helpers.
 
-Every pass is *registered* under a stable name (:data:`NIR_PASSES`), so
-the pass-manager layer (:mod:`repro.nclc.pm`) can assemble pipelines by
-name, fingerprint them for the artifact cache, and time each invocation
-individually. The ``-O0/-O1/-O2`` presets are plain lists of registered
-pass names (:data:`HOST_PIPELINES` / :data:`SWITCH_PIPELINES`):
+Every pass has a stable name (:data:`NIR_PASSES`), so a pipeline is a
+tuple of names: the compile (:mod:`repro.nclc.pm`) fingerprints them for
+the artifact cache and times each invocation individually. The
+``-O0/-O1/-O2`` presets are those tuples (:data:`HOST_PIPELINES` /
+:data:`SWITCH_PIPELINES`), run per kernel by :func:`optimize_host` and
+:func:`optimize_switch`:
 
 * ``-O0`` runs only what correctness demands -- inlining and mem2reg
   (codegen needs SSA over acyclic CFGs), window specialization, the
@@ -22,7 +23,7 @@ pass names (:data:`HOST_PIPELINES` / :data:`SWITCH_PIPELINES`):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.nir import ir
 from repro.nir.mem2reg import promote_allocas
@@ -61,7 +62,6 @@ __all__ = [
     "run_function_pipeline",
     "host_pipeline",
     "switch_pipeline",
-    "NirPass",
     "NIR_PASSES",
     "HOST_PIPELINES",
     "SWITCH_PIPELINES",
@@ -84,92 +84,28 @@ class PassStats:
         return f"PassStats({inner})"
 
 
-# ---------------------------------------------------------------------------
-# The registry
-# ---------------------------------------------------------------------------
-
-
-class NirPass:
-    """A registered function-level pass.
-
-    ``fn(function, **kwargs) -> int`` returns a change count (what
-    :class:`PassStats` accumulates). ``analysis`` marks passes that never
-    mutate IR (the verifier); the pass manager uses the flag for
-    preserved-analysis bookkeeping.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        fn: Callable[..., int],
-        about: str = "",
-        analysis: bool = False,
-        takes: Sequence[str] = (),
-    ):
-        self.name = name
-        self.fn = fn
-        self.about = about
-        self.analysis = analysis
-        #: names of pipeline-level keyword options this pass consumes
-        #: (e.g. ``window_spec`` for specialize-window)
-        self.takes = tuple(takes)
-
-    def __repr__(self) -> str:
-        return f"NirPass({self.name})"
-
-
-NIR_PASSES: Dict[str, NirPass] = {}
-
-
-def register_nir_pass(
-    name: str,
-    fn: Callable[..., int],
-    about: str = "",
-    analysis: bool = False,
-    takes: Sequence[str] = (),
-) -> NirPass:
-    if name in NIR_PASSES:
-        raise ValueError(f"duplicate NIR pass {name!r}")
-    npass = NirPass(name, fn, about, analysis, takes)
-    NIR_PASSES[name] = npass
-    return npass
-
-
-def _verify(fn: ir.Function) -> int:
-    verify_function(fn)
-    return 0
-
-
-register_nir_pass("inline", inline_calls, "always-inline helper calls")
-register_nir_pass("mem2reg", promote_allocas, "promote scalar locals to SSA")
-register_nir_pass("constfold", fold_constants, "constant folding + propagation")
-register_nir_pass("simplifycfg", simplify_cfg, "CFG simplification")
-register_nir_pass("gvn", global_value_numbering, "global value numbering / CSE")
-register_nir_pass("dce", eliminate_dead_code, "dead code elimination")
-register_nir_pass(
-    "specialize-window",
-    lambda fn, window_spec=None: specialize_window(fn, window_spec or {}),
-    "bake window-extension fields into constants",
-    takes=("window_spec",),
-)
-register_nir_pass(
-    "unroll",
-    lambda fn, max_trips=4096: unroll_loops(fn, max_trips=max_trips),
-    "full loop unrolling (switch CFGs must be acyclic)",
-    takes=("max_trips",),
-)
-register_nir_pass("memexpand", expand_memcpy, "expand memcpy into element accesses")
-register_nir_pass(
-    "rangesimplify",
-    simplify_ranges,
-    "materialize abstractly-proved constants (intervals + known-bits)",
-    takes=("window_spec",),
-)
-register_nir_pass("storefwd", forward_stores, "forward stored values into re-reads")
-register_nir_pass(
-    "storemerge", merge_conditional_stores, "merge conditional stores (predication)"
-)
-register_nir_pass("verify", _verify, "IR structural verifier", analysis=True)
+#: Every function-level pass by name. One calling convention:
+#: ``NIR_PASSES[name](function, window_spec) -> int``, the change count
+#: :class:`PassStats` accumulates; ``window_spec`` (the kernel's static
+#: window-extension fields, empty on the host) is read only by the two
+#: passes that bake those fields in.
+NIR_PASSES: Dict[str, Callable[[ir.Function, Mapping[str, int]], int]] = {
+    "inline": lambda fn, spec: inline_calls(fn),
+    "mem2reg": lambda fn, spec: promote_allocas(fn),
+    "constfold": lambda fn, spec: fold_constants(fn),
+    "simplifycfg": lambda fn, spec: simplify_cfg(fn),
+    "gvn": lambda fn, spec: global_value_numbering(fn),
+    "dce": lambda fn, spec: eliminate_dead_code(fn),
+    "specialize-window": specialize_window,
+    # switch CFGs must be acyclic: every loop is unrolled in full
+    "unroll": lambda fn, spec: unroll_loops(fn),
+    "memexpand": lambda fn, spec: expand_memcpy(fn),
+    "rangesimplify": simplify_ranges,
+    "storefwd": lambda fn, spec: forward_stores(fn),
+    "storemerge": lambda fn, spec: merge_conditional_stores(fn),
+    # the structural verifier: changes nothing, counts nothing
+    "verify": lambda fn, spec: verify_function(fn) or 0,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +178,14 @@ def switch_pipeline(opt_level: int = 2) -> Tuple[str, ...]:
     return SWITCH_PIPELINES[opt_level]
 
 
-def _run_pass(trace, stage, name, pass_fn, fn, *args, **kwargs):
+def _run_pass(trace, stage, name, fn, window_spec) -> int:
     """Run one pass, optionally under a CompileTrace (duck-typed: any
     object with ``measure(stage, pass, fn)`` recording wall time and
     IR-size deltas)."""
     if trace is None:
-        return pass_fn(fn, *args, **kwargs)
+        return NIR_PASSES[name](fn, window_spec)
     with trace.measure(stage, name, fn):
-        return pass_fn(fn, *args, **kwargs)
+        return NIR_PASSES[name](fn, window_spec)
 
 
 def run_function_pipeline(
@@ -259,15 +195,13 @@ def run_function_pipeline(
     verify: bool = True,
     trace=None,
     stage: str = "",
-    options: Optional[Mapping[str, object]] = None,
+    window_spec: Optional[Mapping[str, int]] = None,
     validator=None,
 ) -> PassStats:
     """Run the named passes over *fn* in order.
 
-    ``options`` supplies pipeline-level keywords (``window_spec``,
-    ``max_trips``) to the passes that declared them via ``takes``.
-    ``verify=False`` skips the registered ``verify`` steps (used by
-    tests that build deliberately broken IR).
+    ``verify=False`` skips the ``verify`` steps (used by tests that
+    build deliberately broken IR).
 
     ``validator`` is the ``--verify-opt`` hook (duck-typed, see
     :class:`repro.analysis.transval.PassValidator`): before each
@@ -278,18 +212,16 @@ def run_function_pipeline(
     the pass if the semantics changed.
     """
     stats = stats or PassStats()
-    options = dict(options or {})
+    window_spec = window_spec or {}
     for name in pipeline:
-        npass = NIR_PASSES.get(name)
-        if npass is None:
+        if name not in NIR_PASSES:
             raise ValueError(f"unknown NIR pass {name!r}")
-        if npass.analysis:
+        if name == "verify":
             if verify:
-                _run_pass(trace, stage, name, npass.fn, fn)
+                _run_pass(trace, stage, name, fn, window_spec)
             continue
-        kwargs = {k: options[k] for k in npass.takes if k in options}
         before = validator.snapshot(fn) if validator is not None else None
-        stats.add(name, _run_pass(trace, stage, name, npass.fn, fn, **kwargs))
+        stats.add(name, _run_pass(trace, stage, name, fn, window_spec))
         if validator is not None:
             validator.check(name, before, fn)
     return stats
@@ -302,10 +234,12 @@ def optimize_host(
     trace=None,
     stage: str = "host",
     opt_level: int = 2,
+    validator=None,
 ) -> PassStats:
     """The host pipeline: SSA + early optimizations, loops kept."""
     return run_function_pipeline(
-        fn, host_pipeline(opt_level), stats, verify, trace, stage
+        fn, host_pipeline(opt_level), stats, verify, trace, stage,
+        validator=validator,
     )
 
 
@@ -314,23 +248,17 @@ def optimize_switch(
     window_spec: Optional[Mapping[str, int]] = None,
     stats: Optional[PassStats] = None,
     verify: bool = True,
-    max_trips: int = 4096,
     trace=None,
     stage: str = "switch",
     opt_level: int = 2,
+    validator=None,
 ) -> PassStats:
     """The device pipeline front half: SSA, specialization, full unroll,
     then the scalar optimizations. After this the CFG is acyclic and
     ready for PISA lowering."""
-    pipeline = list(switch_pipeline(opt_level))
+    pipeline = switch_pipeline(opt_level)
     if not window_spec:
-        pipeline = [p for p in pipeline if p != "specialize-window"]
+        pipeline = tuple(p for p in pipeline if p != "specialize-window")
     return run_function_pipeline(
-        fn,
-        pipeline,
-        stats,
-        verify,
-        trace,
-        stage,
-        options={"window_spec": dict(window_spec or {}), "max_trips": max_trips},
+        fn, pipeline, stats, verify, trace, stage, window_spec, validator
     )

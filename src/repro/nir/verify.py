@@ -1,7 +1,7 @@
 """The NIR verifier.
 
-Run after construction and after every pass (the pass manager enforces
-this): catches malformed CFGs, dangling values, def-before-use violations
+Run after construction and by the ``verify`` steps of the -O pipelines:
+catches malformed CFGs, dangling values, def-before-use violations
 and phi inconsistencies early, the way ``opt -verify`` does for LLVM.
 """
 

@@ -60,6 +60,28 @@ class TestHitMiss:
         compile_allreduce(cache)
         assert cache.stats.hits == 1  # re-read from disk
 
+    @pytest.mark.parametrize("keep", [0, 100])
+    def test_entry_that_does_not_load_is_a_miss_and_is_rebuilt(self, tmp_path, keep):
+        """An empty or truncated shard on disk: the lookup counts as a
+        miss, the program is compiled, and the entry is overwritten with
+        an artifact that loads."""
+        good = compile_allreduce(ArtifactCache(root=tmp_path)).to_json()
+        [shard] = tmp_path.glob("*/*.nclc.json")
+        shard.write_text(good[:keep])
+        registry = MetricsRegistry()
+        cache = ArtifactCache(root=tmp_path, registry=registry)
+        trace = CompileTrace()
+        program = Compiler(cache=cache).compile(ALLREDUCE_SRC, trace=trace, **ALLREDUCE_KW)
+        assert program.to_json() == good
+        assert cache.stats.as_dict() == {"hits": 0, "misses": 1, "puts": 1}
+        [series] = registry.snapshot()["nclc.cache"]["series"]
+        assert series["labels"] == {"event": "miss"} and series["value"] == 1
+        assert [e["event"] for e in trace.cache_events] == ["miss"]
+        assert shard.read_text() == good
+        fresh = ArtifactCache(root=tmp_path)
+        compile_allreduce(fresh)
+        assert fresh.stats.hits == 1 and fresh.stats.misses == 0
+
     def test_metrics_and_trace_record_events(self):
         registry = MetricsRegistry()
         cache = ArtifactCache(registry=registry)
@@ -90,6 +112,21 @@ class TestKeying:
             defines=ALLREDUCE_DEFINES,
         )
         assert cache.key_for(**kw) == cache.key_for(**kw)
+
+    def test_keys_are_those_the_parent_wrote(self):
+        """Captured at 5cf5b19, when ``key_for`` still took a
+        ``max_unroll`` option (always its 4096 default): caches on disk
+        from before it went still hit."""
+        cache = ArtifactCache()
+        assert cache.key_for(
+            source=ALLREDUCE_SRC,
+            and_text=STAR_AND,
+            windows={"allreduce": WindowConfig(mask=(4,), ext={"len": 4})},
+            defines=ALLREDUCE_DEFINES,
+        ) == "8c79a9f3be30ab25ac27bebcbaf8d29cefc09791d87b63dc9610fdfa6bef0648"
+        assert cache.key_for(
+            source=ALLREDUCE_SRC, profile="tofino-like", opt_level=0, split_arrays=False
+        ) == "840772a822c169177dbf8a6d7412f043b92a06c61bc89488e7b7aa17b510b1dd"
 
     def test_source_change_invalidates(self):
         cache = ArtifactCache()

@@ -64,17 +64,17 @@ class TestValidatorIsGreen:
 
 def _corrupt_storefwd(monkeypatch):
     """Make the store-forwarding pass flip the first add into a sub."""
-    original = passes.NIR_PASSES["storefwd"].fn
+    original = passes.NIR_PASSES["storefwd"]
 
-    def evil(fn, **kw):
-        changed = original(fn, **kw)
+    def evil(fn, window_spec):
+        changed = original(fn, window_spec)
         for instr in fn.instructions():
             if isinstance(instr, ir.BinOp) and instr.op == "add":
                 instr.op = "sub"
                 return changed + 1
         return changed
 
-    monkeypatch.setattr(passes.NIR_PASSES["storefwd"], "fn", evil)
+    monkeypatch.setitem(passes.NIR_PASSES, "storefwd", evil)
 
 
 class TestSeededMiscompile:
