@@ -5,8 +5,9 @@ switch/host programming (Fig 4, verbatim structure).
 
 The compiler splits the program into a switch P4 program and "host
 binaries"; `HostProgram` plays the role of the compiled host binary,
-executing `main()` with the `ncl::` runtime calls bound to the live
-simulated cluster. Each worker runs the *same* main().
+running `main()` -- lowered to NIR like the kernels, on the same
+executor -- with the `ncl::` runtime calls bound to the live simulated
+cluster. Each worker runs the *same* main().
 
 Run:  python examples/unified_allreduce.py [n_workers]
 """
@@ -91,7 +92,6 @@ def main() -> None:
     # Rebind each host executor to its rank's compiled constants.
     for rank in range(1, n_workers):
         hosts[rank].program = programs[rank]
-        hosts[rank].unit = programs[rank].unit
 
     print(f"running main() on {n_workers} workers (one unified NCL source)...")
     # Phase 1: every worker's main() up to the blocking ncl::in. Our

@@ -5,8 +5,11 @@ An artifact carries everything the runtime/cluster and benchmarks need
 to *run* a compiled program without re-invoking the frontend: the
 reference NIR module (host-side interpretation), the per-location
 optimized switch NIR, the generated P4 programs, kernel window layouts,
-window configs, the AND overlay, acceptance reports, and a slim
-semantic summary of the translation unit (kernel signatures + pairing).
+window configs, the AND overlay, acceptance reports, a slim semantic
+summary of the translation unit (kernel signatures + pairing) and, when
+the program has host functions, the ``host`` key: the host module
+:class:`repro.runtime.HostProgram` runs and why any host function left
+out of it did not lower.
 
 Two properties are deliberate:
 
@@ -20,10 +23,11 @@ Two properties are deliberate:
   anything unrecognized raises :class:`repro.errors.ArtifactError`
   instead of silently reconstructing garbage.
 
-What is *not* in an artifact: the NCL AST. Host-side ``ncl::exec``
-(:mod:`repro.runtime.hostexec`) interprets host *functions* from the
-AST and therefore needs an in-process compile; programs loaded from
-artifacts expose an empty ``unit.functions``.
+What is *not* in an artifact: the NCL AST. Nothing needs it: host code
+runs from the host module. The schema string did not move when the
+``host`` key arrived, because a program without host functions writes
+none, byte for byte as before; an artifact written before it loads
+without host code, and ``HostProgram.run`` refuses to run any.
 """
 
 from __future__ import annotations
@@ -121,6 +125,7 @@ _INSTR_TAGS = {
     ir.MapValue: "mapval",
     ir.BloomOp: "bloom",
     ir.Memcpy: "memcpy",
+    ir.GlobalAddr: "gaddr",
     ir.Fwd: "fwd",
     ir.CallFn: "call",
     ir.Phi: "phi",
@@ -183,7 +188,7 @@ class _FnDumper:
             rec["slot_ty"] = dump_type(instr.slot_ty)
             rec["name"] = instr.name
         elif isinstance(instr, (ir.LoadElem, ir.StoreElem, ir.CtrlRead,
-                                ir.MapLookup)):
+                                ir.MapLookup, ir.GlobalAddr)):
             rec["ref"] = instr.ref.name
         elif isinstance(instr, (ir.LoadParam, ir.StoreParam)):
             rec["param"] = instr.param.index
@@ -351,7 +356,8 @@ class _FnLoader:
         elif cls is ir.Alloca:
             instr.slot_ty = load_type(enc["slot_ty"])
             instr.name = enc["name"]
-        elif cls in (ir.LoadElem, ir.StoreElem, ir.CtrlRead, ir.MapLookup):
+        elif cls in (ir.LoadElem, ir.StoreElem, ir.CtrlRead, ir.MapLookup,
+                     ir.GlobalAddr):
             instr.ref = self._global(enc["ref"])
         elif cls in (ir.LoadParam, ir.StoreParam):
             instr.param = self.params[enc["param"]]
@@ -683,8 +689,7 @@ class ArtifactUnit:
     """TranslationUnit stand-in for programs loaded from artifacts.
 
     Carries exactly the semantic surface the runtime consumes: kernel
-    signatures, pairing, and window fields. ``functions`` is empty --
-    host-side ``ncl::exec`` needs the AST and thus an in-process compile.
+    signatures, pairing, and window fields.
     """
 
     def __init__(
@@ -696,8 +701,6 @@ class ArtifactUnit:
         self.out_kernels = out_kernels
         self.in_kernels = in_kernels
         self.window_fields = window_fields
-        #: no AST in artifacts: ncl::exec host functions are unavailable
-        self.functions: Dict[str, object] = {}
 
     @property
     def kernels(self) -> Dict[str, ArtifactKernelInfo]:
@@ -781,7 +784,7 @@ def program_payload(program) -> Dict[str, object]:
     from repro.nclc.pm import NCLC_VERSION
 
     labels = sorted(program.switch_programs)
-    return {
+    payload = {
         "schema": SCHEMA,
         "nclc_version": NCLC_VERSION,
         "opt_level": program.opt_level,
@@ -831,6 +834,12 @@ def program_payload(program) -> Dict[str, object]:
             for label, splits in sorted(program.split_info.items())
         },
     }
+    if program.host_module is not None:
+        payload["host"] = {
+            "module": dump_module(program.host_module),
+            "errors": program.host_errors,
+        }
+    return payload
 
 
 def dump_program(program) -> str:
@@ -899,9 +908,12 @@ def load_program(text: str):
             ]
             for label, splits in enc["split_info"].items()
         }
+        host = enc.get("host")
+        host_module = load_module(host["module"]) if host is not None else None
+        host_errors = dict(host["errors"]) if host is not None else {}
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ArtifactError(f"malformed artifact: {exc!r}") from None
-    return CompiledProgram(
+    program = CompiledProgram(
         unit=unit,
         ref_module=ref_module,
         and_spec=and_spec,
@@ -919,3 +931,5 @@ def load_program(text: str):
         opt_level=int(enc["opt_level"]),
         switch_modules=switch_modules,
     )
+    program.host_module, program.host_errors = host_module, host_errors
+    return program

@@ -5,6 +5,7 @@ The steps (run in order by :func:`repro.nclc.pm.compile_program`)::
     NCL source ──lex/parse/sema──> TranslationUnit        ("frontend")
         │
         ├── host pipeline:  lower -> SSA -> early opts        (ref module)
+        │                   lower host functions               (host module)
         │
         └── device pipeline:
               lower -> conformance check           (stage 1)
@@ -108,6 +109,11 @@ class CompiledProgram:
         #: ref_module's functions lowered to Python (repro.nir.pygen), shared
         #: by every host; safe to keep because no pass runs on them any more
         self.lowered: Dict[ir.Function, object] = {}
+        #: the host functions (repro.nir.lower.lower_host; None when there
+        #: are none) that repro.runtime.HostProgram runs, and why each host
+        #: function missing from it did not lower
+        self.host_module: Optional[ir.Module] = None
+        self.host_errors: Dict[str, str] = {}
         #: absint_facts() / effect_summaries(), computed on first request and
         #: kept for the same reason: the switch modules no longer change
         self._absint_facts: Optional[dict] = None

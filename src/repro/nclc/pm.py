@@ -1,8 +1,9 @@
 """The nclc compile: the paper's Fig 6 steps, called in order.
 
 :func:`compile_program` is the whole path as straight-line code over
-local variables: the frontend (lex -> parse -> sema), lowering to NIR,
-the AND overlay, the stage-1 conformance check, window geometry, the
+local variables: the frontend (lex -> parse -> sema), lowering to NIR
+(the kernels, and apart from them the host functions), the AND overlay,
+the stage-1 conformance check, window geometry, the
 per-kernel host pipeline, per-switch versioning, the per-kernel switch
 pipeline (window specialisation, unroll, optimisation, register
 splitting), then P4 codegen and the backend's accept/reject. The ``-O``
@@ -33,7 +34,7 @@ from repro.ncl.parser import Parser
 from repro.ncl.sema import TranslationUnit, analyze
 from repro.ncp.wire import KernelLayout, layout_for_kernel
 from repro.nir import ir
-from repro.nir.lower import lower_unit
+from repro.nir.lower import lower_host, lower_unit
 from repro.nir.passes import (
     PassStats,
     host_pipeline,
@@ -127,6 +128,7 @@ def compile_program(
             unit = analyze(ast)
     with step("irgen"):
         module = lower_unit(unit)
+        host_module, host_errors = lower_host(unit)
     with step("and-resolve", traced=False):
         required = required_labels(unit)
         and_spec = parse_and(and_text) if and_text is not None else default_and(required)
@@ -205,7 +207,7 @@ def compile_program(
             switch_sources[version.label] = print_program(program)
             reports[version.label] = check_program(program, profile)
 
-    return CompiledProgram(
+    program = CompiledProgram(
         unit=unit,
         ref_module=module,
         and_spec=and_spec,
@@ -223,6 +225,8 @@ def compile_program(
         opt_level=opt_level,
         switch_modules={version.label: version.module for version in versions},
     )
+    program.host_module, program.host_errors = host_module, host_errors
+    return program
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,9 @@ through dedicated instructions naming the symbol they touch:
   reached through pointer parameters;
 * ``CtrlRead`` -- ``_ctrl_`` variables (never written from kernel code);
 * ``MapLookup``/``MapFound``/``MapValue`` -- ``ncl::Map`` access;
-* ``Memcpy`` -- bulk copy between parameter/global windows of elements.
+* ``Memcpy`` -- bulk copy between parameter/global windows of elements;
+* ``GlobalAddr`` -- host code only: a global handed whole to a runtime
+  call (``{data}``, ``&done``, ``&nworkers``, a bare Map).
 
 Forwarding decisions (``_drop``/``_pass``/``_bcast``/``_reflect``) are
 modelled by :class:`Fwd`, which writes the per-window decision register;
@@ -602,6 +604,21 @@ class Memcpy(Instr):
         )
 
 
+class GlobalAddr(Instr):
+    """The address of a host global, ``_ctrl_`` variable or container, as
+    host code passes it to a runtime call: a host global's element list,
+    or the name the control plane knows switch-side state by."""
+
+    def __init__(self, ref: GlobalRef):
+        super().__init__(PointerType(ref.ty), ())
+        self.ref = ref
+
+    mnemonic = "gaddr"
+
+    def render(self) -> str:
+        return f"%{self.id} = gaddr {self.ref.name}"
+
+
 class Fwd(Instr):
     """Set the window forwarding decision (last writer wins)."""
 
@@ -622,7 +639,8 @@ class Fwd(Instr):
 
 
 class CallFn(Instr):
-    """Direct call to a helper function (always inlined before lowering)."""
+    """Direct call to a helper function (always inlined before lowering),
+    or in host code to a body-less extern: a runtime call (nir.lower)."""
 
     has_side_effects = True
 

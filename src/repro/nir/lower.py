@@ -1,11 +1,14 @@
 """AST -> NIR lowering (the nclc frontend's IR generation).
 
-Produces one :class:`repro.nir.ir.Module` containing every network kernel
-and helper function of a translation unit, plus :class:`GlobalRef`
-descriptors for all switch/host state.
+:func:`lower_unit` produces one :class:`repro.nir.ir.Module` containing
+every network kernel and the helper functions they call, plus
+:class:`GlobalRef` descriptors for all switch/host state.
+:func:`lower_host` produces the *host module*: every host function (a
+function with a body that is not a kernel), run by
+:class:`repro.runtime.HostProgram` on the same generated executor.
 
-Notable semantic choices (documented deviations from C, both driven by
-the PISA target -- see DESIGN.md):
+Notable semantic choices in kernel code (documented deviations from C,
+both driven by the PISA target -- see DESIGN.md):
 
 * ``&&``/``||``/``?:`` evaluate **both** operands eagerly and combine
   with bitwise ops / ``select``. Match-action pipelines evaluate all
@@ -13,15 +16,26 @@ the PISA target -- see DESIGN.md):
   apart from Map lookups, which are pure reads.
 * ``&expr`` is only meaningful as a ``memcpy`` operand (there is no
   general address space on a switch).
+
+Host code keeps C's semantics where the two differ: ``&&``/``||``/``?:``
+evaluate one side, and parameters are assignable locals. The five
+``ncl::`` runtime calls become calls of body-less *extern* functions
+named after the call and its static operands (``ncl::ctrl_wr``,
+``ncl::map_insert``, ``ncl::map_erase``, ``ncl::out <kernel> [<dst>]``,
+``ncl::in <kernel>``), which the runtime binds; a global passed whole to
+one (``{data}``, ``&done``, ``&nworkers``, a bare Map) is a
+:class:`repro.nir.ir.GlobalAddr`.
+
+In both, a declaration is visible to the end of its block.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.errors import NclTypeError
+from repro.errors import NclTypeError, ReproError
 from repro.ncl import ast
-from repro.ncl.sema import TranslationUnit
+from repro.ncl.sema import HOST_RUNTIME_CALLS, TranslationUnit
 from repro.ncl.symbols import Symbol
 from repro.ncl.types import (
     ArrayType,
@@ -32,6 +46,7 @@ from repro.ncl.types import (
     PointerType,
     Type,
     U32,
+    VOID,
     common_type,
     is_signed,
     scalar_bits,
@@ -87,9 +102,9 @@ class ModuleLowerer:
 
     def lower(self) -> ir.Module:
         self._lower_globals()
-        # Only helpers reachable from kernels are lowered to NIR; other
-        # host functions (main, setup code using the ncl:: runtime API)
-        # are executed by repro.runtime.hostexec at the AST level.
+        # Only helpers reachable from kernels are lowered here; host
+        # functions (main, setup code using the ncl:: runtime API) go to
+        # the host module (lower_host).
         for name in self._kernel_reachable_helpers():
             decl = self.unit.functions[name]
             fn = self._make_function(decl, ir.FunctionKind.HELPER)
@@ -112,6 +127,13 @@ class ModuleLowerer:
                     raise
                 del self.module.functions[fn_name]
         return self.module
+
+    def extern(self, name: str, ret: Type) -> ir.Function:
+        """The body-less function standing for runtime call *name*."""
+        fn = self.module.functions.get(name)
+        if fn is None:
+            fn = self.module.add_function(ir.Function(name, ir.FunctionKind.HELPER, [], ret))
+        return fn
 
     def _kernel_reachable_helpers(self) -> "List[str]":
         """Helper functions transitively called from any kernel body."""
@@ -187,13 +209,14 @@ class FunctionLowerer:
         self.fn = fn
         self.decl = decl
         self.block = fn.new_block("entry")
-        self.env: Dict[str, Union[ir.Alloca, ir.Param]] = {}
+        #: the names in scope; a scope works on a copy, dropped when it ends
+        self.env: Dict[str, Union[ir.Alloca, ir.Param]] = {
+            param.name: param for param in fn.params
+        }
         self.loops: List[_LoopFrame] = []
         #: source location of the statement/expression being lowered;
         #: every emitted instruction is stamped with it (Instr.loc).
         self.cur_loc = None
-        for param in fn.params:
-            self.env[param.name] = param
 
     # -- emission helpers ---------------------------------------------------
 
@@ -223,8 +246,16 @@ class FunctionLowerer:
     # -- statements ----------------------------------------------------------
 
     def lower_block(self, block: ast.Block) -> None:
+        outer, self.env = self.env, dict(self.env)
         for stmt in block.stmts:
             self.lower_stmt(stmt)
+        self.env = outer
+
+    def lower_scoped(self, stmt: ast.Stmt) -> None:
+        """Lower the body of an ``if``/loop: what it declares ends with it."""
+        outer, self.env = self.env, dict(self.env)
+        self.lower_stmt(stmt)
+        self.env = outer
 
     def lower_stmt(self, stmt: ast.Stmt) -> None:
         if self.block.terminator is not None:
@@ -255,12 +286,17 @@ class FunctionLowerer:
         else:
             raise NclTypeError(f"cannot lower {type(stmt).__name__}", stmt.loc)
 
-    def lower_decl(self, stmt: ast.DeclStmt) -> None:
-        assert stmt.ty is not None
-        slot = ir.Alloca(stmt.ty, stmt.name)
+    def alloca(self, ty: Type, name: str) -> ir.Alloca:
+        """A stack slot for local *name*, declared in the innermost scope."""
+        slot = ir.Alloca(ty, name)
         self.fn.entry.instrs.insert(0, slot)
         slot.block = self.fn.entry
-        self.env[stmt.name] = slot
+        self.env[name] = slot
+        return slot
+
+    def lower_decl(self, stmt: ast.DeclStmt) -> None:
+        assert stmt.ty is not None
+        slot = self.alloca(stmt.ty, stmt.name)
         if stmt.init is not None:
             if stmt.ty.is_pointer:
                 # `auto *idx = Idx[key]`: the local holds the lookup token,
@@ -273,6 +309,8 @@ class FunctionLowerer:
             self.emit(ir.Store(slot, ir.Undef(stmt.ty)))
 
     def lower_if(self, stmt: ast.If) -> None:
+        # a condition declaration is in scope in the then-branch only (sema)
+        outer, self.env = self.env, dict(self.env)
         if stmt.cond_decl is not None:
             self.lower_decl(stmt.cond_decl)
             decl_value = self._read_local(stmt.cond_decl.name)
@@ -285,11 +323,12 @@ class FunctionLowerer:
         else_block = self.fn.new_block("if.else") if stmt.orelse else merge_block
         self._terminate(ir.CondBr(cond, then_block, else_block))
         self._switch_to(then_block)
-        self.lower_stmt(stmt.then)
+        self.lower_scoped(stmt.then)
+        self.env = outer
         self._terminate(ir.Br(merge_block))
         if stmt.orelse is not None:
             self._switch_to(else_block)
-            self.lower_stmt(stmt.orelse)
+            self.lower_scoped(stmt.orelse)
             self._terminate(ir.Br(merge_block))
         self._switch_to(merge_block)
 
@@ -303,12 +342,13 @@ class FunctionLowerer:
         self._terminate(ir.CondBr(cond, body, done))
         self._switch_to(body)
         self.loops.append(_LoopFrame(head, done))
-        self.lower_stmt(stmt.body)
+        self.lower_scoped(stmt.body)
         self.loops.pop()
         self._terminate(ir.Br(head))
         self._switch_to(done)
 
     def lower_for(self, stmt: ast.For) -> None:
+        outer, self.env = self.env, dict(self.env)  # the loop variable's scope
         if stmt.init is not None:
             self.lower_stmt(stmt.init)
         head = self.fn.new_block("for.head")
@@ -324,7 +364,7 @@ class FunctionLowerer:
             self._terminate(ir.Br(body))
         self._switch_to(body)
         self.loops.append(_LoopFrame(step, done))
-        self.lower_stmt(stmt.body)
+        self.lower_scoped(stmt.body)
         self.loops.pop()
         self._terminate(ir.Br(step))
         self._switch_to(step)
@@ -332,6 +372,7 @@ class FunctionLowerer:
             self.lower_expr(stmt.step)
         self._terminate(ir.Br(head))
         self._switch_to(done)
+        self.env = outer
 
     # -- expressions ----------------------------------------------------------
 
@@ -363,13 +404,7 @@ class FunctionLowerer:
         if isinstance(expr, ast.Assign):
             return self.lower_assign(expr)
         if isinstance(expr, ast.Ternary):
-            cond = self.as_bool(self.lower_expr(expr.cond))
-            a = self.lower_expr(expr.then)
-            b = self.lower_expr(expr.other)
-            ty = expr.ty or common_type(a.ty, b.ty)
-            a = self.coerce(a, ty, expr.then)
-            b = self.coerce(b, ty, expr.other)
-            return self.emit(ir.Select(cond, a, b, ty))
+            return self.lower_ternary(expr)
         if isinstance(expr, ast.Call):
             return self.lower_call(expr)
         if isinstance(expr, ast.Cast):
@@ -480,9 +515,7 @@ class FunctionLowerer:
             self.lower_expr(expr.lhs)
             return self.lower_expr(expr.rhs)
         if op in ("&&", "||"):
-            lhs = self.as_bool(self.lower_expr(expr.lhs))
-            rhs = self.as_bool(self.lower_expr(expr.rhs))
-            return self.emit(ir.BinOp("and" if op == "&&" else "or", lhs, rhs, BOOL))
+            return self.lower_logical(expr)
         lhs = self.lower_expr(expr.lhs)
         rhs = self.lower_expr(expr.rhs)
         if op in ("==", "!=", "<", "<=", ">", ">="):
@@ -492,6 +525,22 @@ class FunctionLowerer:
         rhs = self.coerce(rhs, ty, expr.rhs)
         ir_op = _arith_op(op, ty, expr.loc)
         return self.emit(ir.BinOp(ir_op, lhs, rhs, ty))
+
+    def lower_logical(self, expr: ast.Binary) -> ir.Value:
+        """``&&``/``||`` in kernel code: both sides, combined bitwise."""
+        lhs = self.as_bool(self.lower_expr(expr.lhs))
+        rhs = self.as_bool(self.lower_expr(expr.rhs))
+        return self.emit(ir.BinOp("and" if expr.op == "&&" else "or", lhs, rhs, BOOL))
+
+    def lower_ternary(self, expr: ast.Ternary) -> ir.Value:
+        """``?:`` in kernel code: both sides, then a ``select``."""
+        cond = self.as_bool(self.lower_expr(expr.cond))
+        a = self.lower_expr(expr.then)
+        b = self.lower_expr(expr.other)
+        ty = expr.ty or common_type(a.ty, b.ty)
+        a = self.coerce(a, ty, expr.then)
+        b = self.coerce(b, ty, expr.other)
+        return self.emit(ir.Select(cond, a, b, ty))
 
     def lower_compare(
         self, op: str, lhs: ir.Value, rhs: ir.Value, expr: ast.Binary
@@ -835,6 +884,105 @@ class FunctionLowerer:
         return self.emit(ir.Cast(kind, value, to_ty))
 
 
+#: how many arguments each control-plane runtime call takes
+_CONTROL_ARITY = {"ncl::ctrl_wr": (2, 3), "ncl::map_insert": (3,), "ncl::map_erase": (2,)}
+
+
+class HostFunctionLowerer(FunctionLowerer):
+    """Lowers one host function (see the module docstring)."""
+
+    def lower(self) -> None:
+        for param in self.fn.params:  # C parameters are assignable locals
+            if param.ty.is_scalar:
+                self.emit(ir.Store(self.alloca(param.ty, param.name), param))
+        super().lower()
+
+    def _either(
+        self, cond: ir.Value, then: Callable[[], ir.Value],
+        other: Callable[[], ir.Value], ty: Type,
+    ) -> ir.Value:
+        """``cond ? then() : other()``, lowering each side on its own branch."""
+        arms = (self.fn.new_block("host.then"), self.fn.new_block("host.else"))
+        merge = self.fn.new_block("host.end")
+        self._terminate(ir.CondBr(cond, *arms))
+        phi = ir.Phi(ty)
+        for block, side in zip(arms, (then, other)):
+            self._switch_to(block)
+            phi.add_incoming(side(), self.block)
+            self._terminate(ir.Br(merge))
+        self._switch_to(merge)
+        return self.emit(phi)
+
+    def lower_logical(self, expr: ast.Binary) -> ir.Value:
+        lhs = self.as_bool(self.lower_expr(expr.lhs))
+        sides = [
+            lambda: self.as_bool(self.lower_expr(expr.rhs)),
+            lambda: ir.Const(BOOL, int(expr.op == "||")),  # when rhs is skipped
+        ]
+        if expr.op == "||":
+            sides.reverse()
+        return self._either(lhs, *sides, BOOL)
+
+    def lower_ternary(self, expr: ast.Ternary) -> ir.Value:
+        cond = self.as_bool(self.lower_expr(expr.cond))
+        ty = expr.ty
+        return self._either(
+            cond,
+            lambda: self.coerce(self.lower_expr(expr.then), ty, expr.then),
+            lambda: self.coerce(self.lower_expr(expr.other), ty, expr.other),
+            ty,
+        )
+
+    def lower_call(self, expr: ast.Call) -> ir.Value:
+        name = expr.name
+        if name not in HOST_RUNTIME_CALLS:
+            return super().lower_call(expr)
+        if name in _CONTROL_ARITY:
+            args = [self.lower_operand(arg) for arg in expr.args]
+            arity = _CONTROL_ARITY[name]
+            if len(args) not in arity:
+                raise NclTypeError(
+                    f"{name} takes {' or '.join(map(str, arity))} arguments", expr.loc
+                )
+            if not (isinstance(args[0], ir.GlobalAddr) and args[0].ref.space != "host"):
+                raise NclTypeError(
+                    f"{name} expects a _ctrl_ variable or Map first", expr.loc
+                )
+            return self.emit(ir.CallFn(self.parent.extern(name, VOID), args))
+        # ncl::out(kernel, {a, b, ...} [, "dst"]) / ncl::in(kernel, {a, ...})
+        static = [name, expr.args[0].name]  # sema: an identifier naming a kernel
+        items = expr.args[1:2]
+        if items and isinstance(items[0], ast.Call) and items[0].name == "__list__":
+            items = items[0].args
+        args = [self.lower_operand(item) for item in items]
+        if name == "ncl::out":
+            dst = None
+            for extra in expr.args[2:]:
+                if isinstance(extra, ast.StrLit):
+                    dst = extra.value  # a destination label (Fig 2's "Host-B")
+                else:
+                    self.lower_expr(extra)
+            if dst is not None:
+                static.append(dst)
+        return self.emit(ir.CallFn(self.parent.extern(" ".join(static), I32), args))
+
+    def lower_operand(self, expr: ast.Expr) -> ir.Value:
+        """A runtime call's argument: the address of the host global,
+        ``_ctrl_`` variable or container it names (``&x``, or a bare array,
+        ``_ctrl_`` variable or container), else its value."""
+        node = expr.operand if isinstance(expr, ast.Unary) and expr.op == "&" else expr
+        ref = None
+        if isinstance(node, ast.Ident) and node.name not in self.env:
+            ref = self.module.globals.get(node.name)
+        if ref is not None and (
+            node is not expr or ref.space != "host" or isinstance(ref.ty, ArrayType)
+        ):
+            return self.emit(ir.GlobalAddr(ref))
+        if node is not expr:
+            raise NclTypeError("host code takes the address of a global only", expr.loc)
+        return self.lower_expr(expr)
+
+
 def _arith_op(op: str, ty: Type, loc=None) -> str:
     signed = is_signed(ty) if ty.is_scalar else False
     table = {
@@ -923,3 +1071,37 @@ def lower_unit(
     still see the parts of the program that are well-formed.
     """
     return ModuleLowerer(unit, name, lenient=lenient).lower()
+
+
+def lower_host(unit: TranslationUnit) -> Tuple[Optional[ir.Module], Dict[str, str]]:
+    """The host module of an analyzed translation unit: every host
+    function lowered with host semantics (:class:`HostFunctionLowerer`),
+    but one that does not lower, or calls one that does not, whose reason
+    is returned by name instead. ``(None, {})`` without host functions."""
+    decls = [decl for decl in unit.functions.values() if decl.body is not None]
+    if not decls:
+        return None, {}
+    lowerer = ModuleLowerer(unit, "host")
+    lowerer._lower_globals()
+    module = lowerer.module
+    for decl in decls:
+        module.add_function(lowerer._make_function(decl, ir.FunctionKind.HELPER))
+    errors: Dict[str, str] = {}
+    for decl in decls:
+        try:
+            HostFunctionLowerer(lowerer, module.functions[decl.name], decl).lower()
+        except (ReproError, *_LOWERING_ERRORS) as exc:
+            errors[decl.name] = f"{type(exc).__name__}: {exc}"
+    pending = list(errors)
+    while pending:
+        broken = pending.pop()
+        for fn in module.functions.values():
+            if fn.name not in errors and any(
+                isinstance(i, ir.CallFn) and i.callee.name == broken
+                for i in fn.instructions()
+            ):
+                errors[fn.name] = f"calls {broken!r}, which does not lower"
+                pending.append(fn.name)
+    for fn_name in errors:
+        del module.functions[fn_name]
+    return module, errors

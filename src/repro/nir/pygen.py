@@ -30,7 +30,8 @@ MAX_STEPS = 1_000_000
 
 def lower_function(fn: ir.Function, cache: Dict[ir.Function, Callable]) -> Callable:
     """The Python function *fn* lowers to, memoised in *cache* (which also
-    receives its callees). Valid until *fn* is next mutated; its ``source``
+    receives its callees; a body-less one, a host runtime call, must be
+    there already). Valid until *fn* is next mutated; its ``source``
     attribute holds the generated text."""
     code = cache.get(fn)
     if code is None:
@@ -319,6 +320,10 @@ class _FunctionSource:
             f"{self.v(i.nbytes)}, {sizeof(elem)}, {sizeof(i.src.elem_type)}, "
             f"{scalar_bits(elem)}, {is_signed(elem)})"
         )
+
+    def _GlobalAddr(self, i: ir.GlobalAddr):
+        # a host global is its element list; switch-side state, its name
+        return self.buffer(i.ref)[0] if i.ref.space == "host" else repr(i.ref.name)
 
     def _Fwd(self, i: ir.Fwd):
         self.w(f"fwd = {i.kind.name}; lab = {i.label!r}")

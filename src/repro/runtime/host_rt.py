@@ -15,6 +15,9 @@ the incoming kernel runs in the NIR interpreter with the window chunks
 and the caller's ``_ext_`` buffers as arguments. Raw window handlers are
 available for application roles that are not plain receivers (e.g. the
 KVS storage server answering GET misses).
+
+:class:`HostProgram` is the host binary on top: the program's own host
+code (``main()``) driving an :class:`NclHost` through the ``ncl::`` calls.
 """
 
 from __future__ import annotations
@@ -476,3 +479,84 @@ class NclHost:
             return 0
         reg = self._in_regs.get(paired.name)
         return reg.windows_received if reg else 0
+
+
+class HostProgram:
+    """The host binary of the paper's dual pipeline (Fig 4: one NCL file
+    holds the kernels and ``main()``): runs a function of the program's
+    host module on the generated NIR executor against one deployed
+    host's memory, with the runtime calls bound to the live cluster:
+
+    * ``ncl::ctrl_wr(&var, value [, index])``, ``ncl::map_insert(&map,
+      k, v)``, ``ncl::map_erase(&map, k)`` -> the controller;
+    * ``ncl::out(kernel, {arrays...} [, "dst"])`` -> :meth:`NclHost.out`,
+      a scalar standing for a one-element array; returns the windows sent;
+    * ``ncl::in(kernel, {args...})`` -> arms the incoming kernel on first
+      use (the trailing arguments bind its ``_ext_`` parameters), then
+      co-simulates until its next window has been handled; returns the
+      windows received so far, and raises when the network goes idle first.
+
+    ``program`` may be replaced (e.g. by a per-rank compile) between runs.
+    """
+
+    def __init__(self, cluster, host_label: str):
+        self.cluster = cluster
+        self.program: CompiledProgram = cluster.program
+        self.host: NclHost = cluster.host(host_label)
+        self._interp: Optional[Interpreter] = None
+        self._registered_in: set = set()
+
+    def run(self, fn_name: str = "main", args: Optional[Sequence] = None):
+        error = self.program.host_errors.get(fn_name)
+        if error is not None:
+            raise RuntimeApiError(f"host function {fn_name!r} does not run: {error}")
+        module = self.program.host_module
+        fn = module.functions.get(fn_name) if module is not None else None
+        if fn is None or not fn.blocks:
+            raise RuntimeApiError(f"no host function {fn_name!r} to run")
+        if self._interp is None or self._interp.module is not module:
+            lowered = {
+                extern: self._bind(*extern.name.split(" ", 2))
+                for extern in module.functions.values()
+                if not extern.blocks
+            }
+            self._interp = Interpreter(module, self.host.state, lowered)
+        return self._interp.run(fn, WindowContext({}, list(args or []))).ret
+
+    def _bind(self, call: str, kernel: str = "", dst: Optional[str] = None):
+        """The executor-shaped function a runtime call's extern stands for."""
+        host, sim, controller = self.host, self.cluster.sim, self.cluster.controller
+        if call in ("ncl::ctrl_wr", "ncl::map_insert", "ncl::map_erase"):
+            method = getattr(controller, call[len("ncl::"):])
+
+            def control(state, meta, args, loc, labels):
+                method(*args)
+                return ir.FwdKind.PASS, None, None
+
+            return control
+        if call == "ncl::out":
+
+            def out(state, meta, args, loc, labels):
+                arrays = [[a] if isinstance(a, int) else a for a in args]
+                return ir.FwdKind.PASS, None, host.out(kernel, arrays, dst=dst)
+
+            return out
+        if call != "ncl::in":
+            raise RuntimeApiError(f"unknown runtime call {call!r}")
+
+        def in_(state, meta, args, loc, labels):
+            if kernel not in self._registered_in:  # (register_in vets the kernel)
+                info = self.program.unit.in_kernels.get(kernel)
+                n_ext = len(info.ext_params) if info is not None else 0
+                host.register_in(kernel, args[-n_ext:] if n_ext else [])
+                self._registered_in.add(kernel)
+            before = host.received_count(kernel)
+            while host.received_count(kernel) == before:
+                if not sim.step():
+                    raise RuntimeApiError(
+                        f"ncl::in({kernel}): the network is idle and no window is "
+                        f"coming ({before} received so far)"
+                    )
+            return ir.FwdKind.PASS, None, host.received_count(kernel)
+
+        return in_

@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import NclTypeError
 from repro.nir import ir
+from repro.nir.interp import DeviceState, run_kernel
+from repro.nir.lower import lower_host
 from repro.nir.verify import verify_module
 
 from tests.conftest import (
@@ -11,6 +13,7 @@ from tests.conftest import (
     ALLREDUCE_SRC,
     KVS_DEFINES,
     KVS_SRC,
+    frontend_unit,
     lowered_module,
 )
 
@@ -190,8 +193,9 @@ class TestExpressionLowering:
         assert len(rets) == 1
 
     def test_host_only_functions_not_lowered(self):
-        # main/setup code using the runtime API is hostexec territory;
-        # it must not reach NIR (where ncl:: calls are invalid).
+        # main/setup code using the runtime API goes to the host module
+        # (lower_host); it must not reach the kernels' module, where
+        # ncl:: calls are invalid.
         mod = lowered_module(
             '_net_ _at_("s1") _ctrl_ unsigned n;\n'
             "_net_ _out_ void k(unsigned *d) { d[0] = n; }\n"
@@ -199,3 +203,35 @@ class TestExpressionLowering:
         )
         assert "main" not in mod.functions
         assert "k" in mod.functions
+
+    def test_host_functions_lower_to_the_host_module(self):
+        unit = frontend_unit(
+            '_net_ _at_("s1") _ctrl_ unsigned n;\n'
+            "_net_ _out_ void k(unsigned *d) { d[0] = n; }\n"
+            "int main() { ncl::ctrl_wr(&n, 4); return 0; }"
+        )
+        host, errors = lower_host(unit)
+        assert errors == {} and set(host.functions) == {"main", "ncl::ctrl_wr"}
+        assert not host.functions["ncl::ctrl_wr"].blocks  # an extern
+        (addr,) = instrs_of(host, "main", ir.GlobalAddr)
+        assert addr.ref.name == "n"
+        assert lower_host(frontend_unit("_net_ _out_ void k(int *d) { }")) == (None, {})
+
+
+class TestBlockScoping:
+    """A declaration ends with its block: a flat name -> slot map let an
+    inner ``int x`` go on naming its slot after the block closed."""
+
+    @pytest.mark.parametrize(
+        "body, want",
+        [
+            ("int x = 1; { int x = 2; d[1] = x; } d[0] = x;", [1, 2]),
+            ("int x = 1; if (d[2] == 0) { int x = 5; d[1] = x; } d[0] = x;", [1, 5]),
+            ("int i = 7; for (int i = 0; i < 2; ++i) d[1] += 1; d[0] = i;", [7, 2]),
+        ],
+    )
+    def test_inner_declaration_ends_with_its_block(self, body, want):
+        mod = lowered_module(f"_net_ _out_ void k(int *d) {{ {body} }}")
+        d = [0, 0, 0]
+        run_kernel(mod, "k", DeviceState.from_module(mod), {}, [d])
+        assert d[:2] == want
