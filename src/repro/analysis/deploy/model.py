@@ -26,7 +26,7 @@ declarations::
     pin    training worker0=trainer0
 
 ``program=`` paths ending in ``.nclc.json`` are loaded as serialized
-``repro.nclc/1`` artifacts; anything else is compiled as NCL source
+``repro.nclc/2`` artifacts; anything else is compiled as NCL source
 (with the tenant's ``define``/``window``/``and=`` configuration).
 Every declaration records its :class:`repro.errors.SourceLocation`, so
 check findings carry carets into the manifest itself.
@@ -44,6 +44,7 @@ from repro.andspec.fabric import (
 )
 from repro.errors import (
     AndError,
+    ArtifactError,
     DeployError,
     NclError,
     ReproError,
@@ -416,7 +417,10 @@ def _load_or_compile(
                 f"{where}: define/window/and= apply at compile time and "
                 "cannot reconfigure a serialized artifact"
             )
-        program = CompiledProgram.from_json(text)
+        try:
+            program = CompiledProgram.from_json(text)
+        except ArtifactError as exc:
+            raise DeployError(f"{where}: {exc}") from None
         sources.setdefault(decl.program, program.source)
         return program
 

@@ -5,7 +5,7 @@ placement, the per-switch admission ledger (who uses how much of which
 resource, against which chip profile), and the structured diagnostics.
 The JSON form is byte-deterministic -- sorted keys, sorted collections,
 diagnostics in source order -- so golden tests and CI gates can diff it
-verbatim, exactly like the ``repro.diag/1`` and ``repro.nclc/1``
+verbatim, exactly like the ``repro.diag/1`` and ``repro.nclc/2``
 artifacts it builds on.
 """
 

@@ -105,8 +105,9 @@ class AllReduceJob:
         self.n_workers = n_workers
         self.data_len = data_len
         self.window_len = window_len
-        # A precompiled program (e.g. one loaded from a repro.nclc/1
-        # artifact via CompiledProgram.load) skips the compiler entirely.
+        # A precompiled program (e.g. one loaded from a repro.nclc/2
+        # artifact via CompiledProgram.load) skips the frontend and the
+        # NIR pipeline.
         self.program = program or self.compile_program(
             n_workers,
             data_len,

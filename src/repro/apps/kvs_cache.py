@@ -105,8 +105,8 @@ class KvsCluster:
         self.val_words = val_words
         self.server_delay = server_delay
         server_id = n_clients  # AND ids assign in declaration order
-        # A precompiled program (e.g. loaded from a repro.nclc/1
-        # artifact) skips the compiler entirely.
+        # A precompiled program (e.g. loaded from a repro.nclc/2
+        # artifact) skips the frontend and the NIR pipeline.
         self.program = program or self.compile_program(
             n_clients, cache_size, val_words, profile=profile
         )

@@ -83,7 +83,7 @@ class IrError(ReproError):
 
 
 class ArtifactError(ReproError):
-    """A serialized ``repro.nclc/1`` compile artifact is malformed,
+    """A serialized ``repro.nclc/2`` compile artifact is malformed,
     has an unsupported schema version, or cannot be reconstructed."""
 
 

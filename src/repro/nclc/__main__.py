@@ -9,7 +9,7 @@ Compile an NCL program and emit the per-switch P4 artifacts::
 (``build`` is the default subcommand -- a bare source path works too.)
 ``--emit`` selects the output: the parse tree (``ast``), the optimized
 per-switch NIR (``nir``), per-switch P4 + acceptance reports (``p4``,
-the default), or one serialized ``repro.nclc/1`` artifact (``artifact``)
+the default), or one serialized ``repro.nclc/2`` artifact (``artifact``)
 that :meth:`repro.nclc.driver.CompiledProgram.load` turns back into a
 runnable program. ``--cache DIR`` keeps a content-addressed artifact
 cache there so unchanged rebuilds are near-instant.
@@ -43,6 +43,7 @@ from pathlib import Path
 
 from repro.errors import BackendRejection, ReproError
 from repro.nclc import cli
+from repro.nclc.artifact import SCHEMA
 from repro.nclc.driver import Compiler
 
 
@@ -175,7 +176,7 @@ def run_build(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         artifact_path = outdir / (Path(args.source).stem + ".nclc.json")
         program.save(artifact_path)
-        print(f"artifact: repro.nclc/1 (-O{program.opt_level}) -> {artifact_path}")
+        print(f"artifact: {SCHEMA} (-O{program.opt_level}) -> {artifact_path}")
         return 0
 
     outdir.mkdir(parents=True, exist_ok=True)

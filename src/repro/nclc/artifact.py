@@ -1,15 +1,18 @@
-"""The ``repro.nclc/1`` compile artifact: a versioned, serializable
+"""The ``repro.nclc/2`` compile artifact: a versioned, serializable
 snapshot of a :class:`repro.nclc.driver.CompiledProgram`.
 
-An artifact carries everything the runtime/cluster and benchmarks need
-to *run* a compiled program without re-invoking the frontend: the
-reference NIR module (host-side interpretation), the per-location
-optimized switch NIR, the generated P4 programs, kernel window layouts,
-window configs, the AND overlay, acceptance reports, a slim semantic
-summary of the translation unit (kernel signatures + pairing) and, when
-the program has host functions, the ``host`` key: the host module
+An artifact stores each fact once: the compile's inputs (source, AND
+overlay, chip profile, ``-O`` level, window configs) and the NIR it
+produced -- the reference module, whose kernels carry the signatures
+the runtime reads, and the optimized NIR of each switch -- plus sema's
+in -> out kernel pairing, the register splits and, when the program has
+host functions, the ``host`` key: the host module
 :class:`repro.runtime.HostProgram` runs and why any host function left
-out of it did not lower.
+out of it did not lower. Everything else is a function of those, and
+:func:`load_program` recomputes it with the code that computed it the
+first time: the kernel layouts with :func:`repro.nclc.pm.build_layouts`,
+each switch's P4 program, its printed text and its acceptance report
+with :func:`repro.nclc.pm.generate_switch_programs`.
 
 Two properties are deliberate:
 
@@ -20,29 +23,25 @@ Two properties are deliberate:
   yields byte-identical artifacts, which is what makes the
   content-addressed cache (:mod:`repro.nclc.cache`) return stable bytes.
 * **Closed-world schema** -- every node kind is explicitly tagged;
-  anything unrecognized raises :class:`repro.errors.ArtifactError`
-  instead of silently reconstructing garbage.
+  anything unrecognized, and any payload that does not decode, raises
+  :class:`repro.errors.ArtifactError` instead of silently reconstructing
+  garbage. A ``repro.nclc/1`` artifact is refused the same way.
 
 What is *not* in an artifact: the NCL AST. Nothing needs it: host code
-runs from the host module. The schema string did not move when the
-``host`` key arrived, because a program without host functions writes
-none, byte for byte as before; an artifact written before it loads
-without host code, and ``HostProgram.run`` refuses to run any.
+runs from the host module.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.andspec.model import AndSpec, parse_and
-from repro.errors import ArtifactError
+from repro.errors import ArtifactError, ReproError
 from repro.ncl import types as T
 from repro.nir import ir
-from repro.p4 import model as p4
-from repro.p4.backend import AcceptanceReport
 
-SCHEMA = "repro.nclc/1"
+SCHEMA = "repro.nclc/2"
 
 # ---------------------------------------------------------------------------
 # Types
@@ -419,371 +418,14 @@ def load_module(enc) -> ir.Module:
 
 
 # ---------------------------------------------------------------------------
-# P4 programs
-# ---------------------------------------------------------------------------
-
-
-def _dump_pexpr(e: p4.PExpr):
-    if isinstance(e, p4.PConst):
-        return ["c", e.value, e.bits]
-    if isinstance(e, p4.PField):
-        return ["f", e.ref]
-    if isinstance(e, p4.PParam):
-        return ["a", e.name, e.bits]
-    if isinstance(e, p4.PBin):
-        return ["b", e.op, _dump_pexpr(e.lhs), _dump_pexpr(e.rhs), e.bits,
-                e.signed]
-    if isinstance(e, p4.PUn):
-        return ["n", e.op, _dump_pexpr(e.operand), e.bits, e.signed]
-    if isinstance(e, p4.PMux):
-        return ["m", _dump_pexpr(e.cond), _dump_pexpr(e.a), _dump_pexpr(e.b),
-                e.bits]
-    raise ArtifactError(f"unserializable P4 expression {e!r}")
-
-
-def _load_pexpr(enc) -> p4.PExpr:
-    tag = enc[0]
-    if tag == "c":
-        return p4.PConst(enc[1], enc[2])
-    if tag == "f":
-        return p4.PField(enc[1])
-    if tag == "a":
-        return p4.PParam(enc[1], enc[2])
-    if tag == "b":
-        return p4.PBin(enc[1], _load_pexpr(enc[2]), _load_pexpr(enc[3]),
-                       enc[4], bool(enc[5]))
-    if tag == "n":
-        return p4.PUn(enc[1], _load_pexpr(enc[2]), enc[3], bool(enc[4]))
-    if tag == "m":
-        return p4.PMux(_load_pexpr(enc[1]), _load_pexpr(enc[2]),
-                       _load_pexpr(enc[3]), enc[4])
-    raise ArtifactError(f"unknown P4 expression tag {tag!r}")
-
-
-def _dump_prim(prim: p4.Primitive):
-    if isinstance(prim, p4.PAssign):
-        return ["set", prim.dst, _dump_pexpr(prim.expr)]
-    if isinstance(prim, p4.PRegRead):
-        return ["rrd", prim.dst, prim.reg, _dump_pexpr(prim.index)]
-    if isinstance(prim, p4.PRegWrite):
-        return ["rwr", prim.reg, _dump_pexpr(prim.index), _dump_pexpr(prim.expr)]
-    raise ArtifactError(f"unserializable primitive {prim!r}")
-
-
-def _load_prim(enc) -> p4.Primitive:
-    tag = enc[0]
-    if tag == "set":
-        return p4.PAssign(enc[1], _load_pexpr(enc[2]))
-    if tag == "rrd":
-        return p4.PRegRead(enc[1], enc[2], _load_pexpr(enc[3]))
-    if tag == "rwr":
-        return p4.PRegWrite(enc[1], _load_pexpr(enc[2]), _load_pexpr(enc[3]))
-    raise ArtifactError(f"unknown primitive tag {tag!r}")
-
-
-def _dump_control(node: p4.ControlNode):
-    if isinstance(node, p4.Apply):
-        return ["apply", node.table]
-    if isinstance(node, p4.Do):
-        return ["do", node.action]
-    if isinstance(node, p4.IfNode):
-        return [
-            "if",
-            _dump_pexpr(node.cond),
-            [_dump_control(n) for n in node.then_nodes],
-            [_dump_control(n) for n in node.else_nodes],
-        ]
-    raise ArtifactError(f"unserializable control node {node!r}")
-
-
-def _load_control(enc) -> p4.ControlNode:
-    tag = enc[0]
-    if tag == "apply":
-        return p4.Apply(enc[1])
-    if tag == "do":
-        return p4.Do(enc[1])
-    if tag == "if":
-        return p4.IfNode(
-            _load_pexpr(enc[1]),
-            [_load_control(n) for n in enc[2]],
-            [_load_control(n) for n in enc[3]],
-        )
-    raise ArtifactError(f"unknown control tag {tag!r}")
-
-
-def dump_p4_program(prog: p4.P4Program):
-    return {
-        "name": prog.name,
-        "headers": [
-            {
-                "name": ht.name,
-                "fields": [[f.name, f.bits] for f in ht.fields],
-            }
-            for ht in prog.headers.values()
-        ],
-        "instances": dict(prog.instances),
-        "metadata": dict(prog.metadata),
-        "parser": [
-            {
-                "name": st.name,
-                "extracts": list(st.extracts),
-                "select_field": st.select_field,
-                "transitions": [[v, nxt] for v, nxt in st.transitions],
-                "default_next": st.default_next,
-            }
-            for st in prog.parser
-        ],
-        "actions": [
-            {
-                "name": a.name,
-                "primitives": [_dump_prim(pr) for pr in a.primitives],
-                "params": [[n, b] for n, b in a.params],
-            }
-            for a in prog.actions.values()
-        ],
-        "tables": [
-            {
-                "name": t.name,
-                "keys": [[ref, kind] for ref, kind in t.keys],
-                "actions": list(t.actions),
-                "default_action": t.default_action,
-                "default_args": list(t.default_args),
-                "entries": [
-                    {
-                        "match": [
-                            list(m) if isinstance(m, tuple) else m
-                            for m in e.match
-                        ],
-                        "mkinds": [
-                            "tern" if isinstance(m, tuple) else "exact"
-                            for m in e.match
-                        ],
-                        "action": e.action,
-                        "args": list(e.args),
-                        "priority": e.priority,
-                    }
-                    for e in t.entries
-                ],
-                "managed_by": t.managed_by,
-                "size": t.size,
-            }
-            for t in prog.tables.values()
-        ],
-        "registers": [
-            {"name": r.name, "bits": r.bits, "size": r.size, "signed": r.signed}
-            for r in prog.registers.values()
-        ],
-        "control": [_dump_control(n) for n in prog.control],
-        "deparser": list(prog.deparser),
-    }
-
-
-def load_p4_program(enc) -> p4.P4Program:
-    prog = p4.P4Program(enc["name"])
-    for henc in enc["headers"]:
-        prog.headers[henc["name"]] = p4.HeaderType(
-            henc["name"], [(n, b) for n, b in henc["fields"]]
-        )
-    prog.instances = dict(enc["instances"])
-    prog.metadata = dict(enc["metadata"])
-    prog.parser = [
-        p4.ParseState(
-            st["name"],
-            st["extracts"],
-            st["select_field"],
-            [(v, nxt) for v, nxt in st["transitions"]],
-            st["default_next"],
-        )
-        for st in enc["parser"]
-    ]
-    for aenc in enc["actions"]:
-        prog.add_action(
-            p4.Action(
-                aenc["name"],
-                [_load_prim(pr) for pr in aenc["primitives"]],
-                [(n, b) for n, b in aenc["params"]],
-            )
-        )
-    for tenc in enc["tables"]:
-        entries = [
-            p4.TableEntry(
-                [
-                    tuple(m) if kind == "tern" else m
-                    for m, kind in zip(e["match"], e["mkinds"])
-                ],
-                e["action"],
-                e["args"],
-                e["priority"],
-            )
-            for e in tenc["entries"]
-        ]
-        prog.add_table(
-            p4.Table(
-                tenc["name"],
-                [(ref, kind) for ref, kind in tenc["keys"]],
-                tenc["actions"],
-                tenc["default_action"],
-                tenc["default_args"],
-                entries,
-                tenc["managed_by"],
-                tenc["size"],
-            )
-        )
-    for renc in enc["registers"]:
-        prog.add_register(
-            p4.RegisterArray(
-                renc["name"], renc["bits"], renc["size"], renc["signed"]
-            )
-        )
-    prog.control = [_load_control(n) for n in enc["control"]]
-    prog.deparser = list(enc["deparser"])
-    prog.validate()
-    return prog
-
-
-# ---------------------------------------------------------------------------
-# Unit summary (the runtime's view of the frontend output)
-# ---------------------------------------------------------------------------
-
-
-class ArtifactParam:
-    """Kernel parameter as the runtime sees it (name, type, _ext_)."""
-
-    __slots__ = ("name", "ty", "ext")
-
-    def __init__(self, name: str, ty: T.Type, ext: bool):
-        self.name = name
-        self.ty = ty
-        self.ext = ext
-
-    def __repr__(self) -> str:
-        return f"ArtifactParam({'_ext_ ' if self.ext else ''}{self.name}: {self.ty!r})"
-
-
-class ArtifactKernelInfo:
-    """KernelInfo-shaped summary reconstructed from an artifact."""
-
-    def __init__(self, name: str, kind: str, at_label: Optional[str],
-                 params: List[ArtifactParam]):
-        self.name = name
-        self.kind = kind
-        self.at_label = at_label
-        self.params = params
-
-    @property
-    def data_params(self) -> List[ArtifactParam]:
-        return [p for p in self.params if not p.ext]
-
-    @property
-    def ext_params(self) -> List[ArtifactParam]:
-        return [p for p in self.params if p.ext]
-
-    def data_signature(self) -> Tuple[T.Type, ...]:
-        return tuple(p.ty for p in self.data_params)
-
-    def __repr__(self) -> str:
-        return f"ArtifactKernelInfo({self.kind} {self.name})"
-
-
-class ArtifactUnit:
-    """TranslationUnit stand-in for programs loaded from artifacts.
-
-    Carries exactly the semantic surface the runtime consumes: kernel
-    signatures, pairing, and window fields.
-    """
-
-    def __init__(
-        self,
-        out_kernels: Dict[str, ArtifactKernelInfo],
-        in_kernels: Dict[str, ArtifactKernelInfo],
-        window_fields: List[Tuple[str, T.Type]],
-    ):
-        self.out_kernels = out_kernels
-        self.in_kernels = in_kernels
-        self.window_fields = window_fields
-
-    @property
-    def kernels(self) -> Dict[str, ArtifactKernelInfo]:
-        merged = dict(self.out_kernels)
-        merged.update(self.in_kernels)
-        return merged
-
-    def window_field_type(self, name: str) -> Optional[T.Type]:
-        for fname, fty in self.window_fields:
-            if fname == name:
-                return fty
-        return None
-
-    def paired_out_kernel(self, in_kernel: str) -> Optional[ArtifactKernelInfo]:
-        info = self.in_kernels.get(in_kernel)
-        if info is None:
-            return None
-        sig = info.data_signature()
-        for out in self.out_kernels.values():
-            if out.data_signature() == sig:
-                return out
-        return None
-
-
-def _dump_kernel_info(info) -> Dict[str, object]:
-    kind = getattr(info.kind, "name", info.kind)
-    return {
-        "name": info.name,
-        "kind": kind,
-        "at_label": info.at_label,
-        "params": [
-            {"name": p.name, "ty": dump_type(p.ty), "ext": bool(p.ext)}
-            for p in info.params
-        ],
-    }
-
-
-def _load_kernel_info(enc) -> ArtifactKernelInfo:
-    return ArtifactKernelInfo(
-        enc["name"],
-        enc["kind"],
-        enc.get("at_label"),
-        [
-            ArtifactParam(p["name"], load_type(p["ty"]), bool(p["ext"]))
-            for p in enc["params"]
-        ],
-    )
-
-
-def dump_unit(unit) -> Dict[str, object]:
-    return {
-        "out_kernels": [
-            _dump_kernel_info(unit.out_kernels[k])
-            for k in sorted(unit.out_kernels)
-        ],
-        "in_kernels": [
-            _dump_kernel_info(unit.in_kernels[k])
-            for k in sorted(unit.in_kernels)
-        ],
-        "window_fields": [
-            [name, dump_type(ty)] for name, ty in unit.window_fields
-        ],
-    }
-
-
-def load_unit(enc) -> ArtifactUnit:
-    return ArtifactUnit(
-        {k["name"]: _load_kernel_info(k) for k in enc["out_kernels"]},
-        {k["name"]: _load_kernel_info(k) for k in enc["in_kernels"]},
-        [(name, load_type(ty)) for name, ty in enc["window_fields"]],
-    )
-
-
-# ---------------------------------------------------------------------------
 # Whole programs
 # ---------------------------------------------------------------------------
 
 
 def program_payload(program) -> Dict[str, object]:
-    """The artifact as a JSON-ready dict (schema ``repro.nclc/1``)."""
+    """The artifact as a JSON-ready dict (schema ``repro.nclc/2``)."""
     from repro.nclc.pm import NCLC_VERSION
 
-    labels = sorted(program.switch_programs)
     payload = {
         "schema": SCHEMA,
         "nclc_version": NCLC_VERSION,
@@ -791,39 +433,16 @@ def program_payload(program) -> Dict[str, object]:
         "profile": program.profile.name,
         "source": program.source,
         "and": program.and_spec.render(),
-        "unit": dump_unit(program.unit),
+        "pairs": program.pairs,
         "window_configs": {
             name: {"mask": list(cfg.mask),
                    "ext": {k: cfg.ext[k] for k in sorted(cfg.ext)}}
             for name, cfg in program.window_configs.items()
         },
-        "layouts": {
-            name: {
-                "kernel_id": lo.kernel_id,
-                "kernel_name": lo.kernel_name,
-                "chunks": [
-                    {"name": c.name, "count": c.count, "bits": c.bits,
-                     "signed": c.signed}
-                    for c in lo.chunks
-                ],
-                "ext_fields": [[n, b, s] for n, b, s in lo.ext_fields],
-            }
-            for name, lo in program.layouts.items()
-        },
         "ref_module": dump_module(program.ref_module),
         "switch_modules": {
             label: dump_module(program.switch_modules[label])
             for label in sorted(program.switch_modules)
-        },
-        "switch_programs": {
-            label: dump_p4_program(program.switch_programs[label])
-            for label in labels
-        },
-        "switch_sources": {
-            label: program.switch_sources[label] for label in labels
-        },
-        "reports": {
-            label: program.reports[label].as_dict() for label in labels
         },
         "split_info": {
             label: [
@@ -850,56 +469,39 @@ def dump_program(program) -> str:
 
 
 def load_program(text: str):
-    """Reconstruct a CompiledProgram from ``repro.nclc/1`` artifact JSON."""
-    from repro.ncp.wire import ChunkLayout, KernelLayout
+    """Reconstruct a CompiledProgram from ``repro.nclc/2`` artifact JSON:
+    decode what the artifact stores, then rebuild the layouts, P4
+    programs, P4 text and reports with the compile's own code."""
     from repro.nir.passes.regsplit import SplitInfo
     from repro.pisa.arch import profile_by_name
     from repro.nclc.driver import CompiledProgram, WindowConfig
+    from repro.nclc.pm import build_layouts, generate_switch_programs
 
     try:
         enc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ArtifactError(f"artifact is not valid JSON: {exc}") from None
-    if not isinstance(enc, dict) or enc.get("schema") != SCHEMA:
+    if not isinstance(enc, dict):
+        raise ArtifactError(f"artifact is not a JSON object: {text[:40]!r}")
+    if enc.get("schema") != SCHEMA:
         raise ArtifactError(
             f"unsupported artifact schema {enc.get('schema')!r} "
             f"(this reader understands {SCHEMA!r})"
         )
     try:
         profile = profile_by_name(enc["profile"])
-    except KeyError:
-        raise ArtifactError(f"unknown chip profile {enc['profile']!r}") from None
-    try:
+        opt_level = int(enc["opt_level"])
+        source = enc["source"]
         and_spec: AndSpec = parse_and(enc["and"])
-        unit = load_unit(enc["unit"])
+        pairs = dict(enc["pairs"])
         window_configs = {
             name: WindowConfig(cfg["mask"], cfg["ext"])
             for name, cfg in enc["window_configs"].items()
-        }
-        layouts = {
-            name: KernelLayout(
-                lo["kernel_id"],
-                lo["kernel_name"],
-                [
-                    ChunkLayout(c["name"], c["count"], c["bits"], c["signed"])
-                    for c in lo["chunks"]
-                ],
-                [(n, b, s) for n, b, s in lo["ext_fields"]],
-            )
-            for name, lo in enc["layouts"].items()
         }
         ref_module = load_module(enc["ref_module"])
         switch_modules = {
             label: load_module(menc)
             for label, menc in enc["switch_modules"].items()
-        }
-        switch_programs = {
-            label: load_p4_program(penc)
-            for label, penc in enc["switch_programs"].items()
-        }
-        reports = {
-            label: AcceptanceReport(**renc)
-            for label, renc in enc["reports"].items()
         }
         split_info = {
             label: [
@@ -911,24 +513,31 @@ def load_program(text: str):
         host = enc.get("host")
         host_module = load_module(host["module"]) if host is not None else None
         host_errors = dict(host["errors"]) if host is not None else {}
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        layouts = build_layouts(ref_module, window_configs)
+        switch_programs, switch_sources, reports = generate_switch_programs(
+            ref_module.name, switch_modules, layouts, and_spec.label_ids(), profile
+        )
+    except ArtifactError:
+        raise
+    except (ReproError, AttributeError, KeyError, IndexError, TypeError,
+            ValueError) as exc:
         raise ArtifactError(f"malformed artifact: {exc!r}") from None
     program = CompiledProgram(
-        unit=unit,
         ref_module=ref_module,
+        pairs=pairs,
         and_spec=and_spec,
         layouts=layouts,
         window_configs=window_configs,
         switch_programs=switch_programs,
-        switch_sources=dict(enc["switch_sources"]),
+        switch_sources=switch_sources,
         reports=reports,
         stats={},
         stage_times={},
         profile=profile,
-        source=enc["source"],
+        source=source,
         split_info=split_info,
         compile_trace=None,
-        opt_level=int(enc["opt_level"]),
+        opt_level=opt_level,
         switch_modules=switch_modules,
     )
     program.host_module, program.host_errors = host_module, host_errors

@@ -8,9 +8,10 @@ version, :func:`repro.nclc.pm.pipeline_fingerprint`). Change any of
 them -- including just upgrading the compiler or reordering a pass --
 and the key changes, so a hit is always safe to reuse.
 
-The cached value is the byte-stable ``repro.nclc/1`` artifact JSON
-(:mod:`repro.nclc.artifact`); a warm hit skips the whole pipeline and
-deserializes, which is what makes unchanged rebuilds fast.
+The cached value is the byte-stable ``repro.nclc/2`` artifact JSON
+(:mod:`repro.nclc.artifact`); a warm hit skips the frontend and the NIR
+pipeline -- loading regenerates only the P4 from the stored NIR --
+which is what makes unchanged rebuilds fast.
 
 Layout on disk (when a root directory is given)::
 
@@ -18,7 +19,8 @@ Layout on disk (when a root directory is given)::
 
 Entries are written atomically (temp file + rename) so a crashed
 compile never leaves a truncated artifact behind; one truncated some
-other way is a miss (``Compiler.compile`` rebuilds and overwrites it).
+other way, or written under another schema (``repro.nclc/1``), does not
+load and is a miss (``Compiler.compile`` rebuilds and overwrites it).
 An in-memory layer fronts the disk in all cases; a purely in-memory
 cache (``root=None``) works for single-process reuse and tests.
 """

@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         "facts (value ranges + known bits) per switch kernel, 'effects' "
         "the replay-safety effect summaries per switch kernel, 'p4' writes "
         "per-switch .p4 + reports (default), 'artifact' writes one "
-        "repro.nclc/1 JSON artifact loadable with CompiledProgram.load",
+        "repro.nclc/2 JSON artifact loadable with CompiledProgram.load",
     )
     parser.add_argument(
         "--verify-opt",

@@ -27,9 +27,14 @@ The driver owns three policies on top of the compile:
   whole run on a content-address hit, returning the cached
   :class:`CompiledProgram` deserialized from its artifact JSON (an entry
   that does not load is a miss, rebuilt and overwritten);
-* :class:`CompiledProgram` serializes to the versioned ``repro.nclc/1``
+* :class:`CompiledProgram` serializes to the versioned ``repro.nclc/2``
   artifact (:meth:`CompiledProgram.save` / :meth:`CompiledProgram.load`)
-  so runtimes and benchmarks can run precompiled programs.
+  so runtimes and benchmarks can run precompiled programs. The artifact
+  holds the compile's inputs and the NIR it produced; loading rebuilds
+  the layouts, the P4 programs, their text and the reports with the
+  compile's own code (:func:`repro.nclc.pm.build_layouts`,
+  :func:`repro.nclc.pm.generate_switch_programs`), so a loaded program
+  and a fresh one have the same shape.
 """
 
 from __future__ import annotations
@@ -66,8 +71,8 @@ class CompiledProgram:
 
     def __init__(
         self,
-        unit,
         ref_module: ir.Module,
+        pairs: Dict[str, str],
         and_spec: AndSpec,
         layouts: Dict[str, KernelLayout],
         window_configs: Dict[str, WindowConfig],
@@ -83,8 +88,11 @@ class CompiledProgram:
         opt_level: int = 2,
         switch_modules: Optional[Dict[str, ir.Module]] = None,
     ):
-        self.unit = unit
+        #: the reference NIR module; its kernels' signatures are the ones
+        #: the runtime reads
         self.ref_module = ref_module
+        #: incoming kernel -> the outgoing kernel sema paired it with (S4.1)
+        self.pairs = pairs
         self.and_spec = and_spec
         self.layouts = layouts
         self.window_configs = window_configs
@@ -133,10 +141,9 @@ class CompiledProgram:
 
     def paired_in_kernel(self, out_kernel: str) -> Optional[str]:
         """The incoming kernel paired with an outgoing one (S4.1)."""
-        for name in self.unit.in_kernels:
-            paired = self.unit.paired_out_kernel(name)
-            if paired is not None and paired.name == out_kernel:
-                return name
+        for in_kernel, paired in self.pairs.items():
+            if paired == out_kernel:
+                return in_kernel
         return None
 
     # -- per-switch analyses of the optimized kernels ------------------------
@@ -194,16 +201,16 @@ class CompiledProgram:
             "effect summaries", self.effect_summaries(), render_module_effects
         )
 
-    # -- the repro.nclc/1 artifact ------------------------------------------
+    # -- the repro.nclc/2 artifact ------------------------------------------
 
     def to_json(self) -> str:
-        """Serialize to canonical (byte-stable) ``repro.nclc/1`` JSON."""
+        """Serialize to canonical (byte-stable) ``repro.nclc/2`` JSON."""
         from repro.nclc.artifact import dump_program
 
         return dump_program(self)
 
     def save(self, path) -> None:
-        """Write the ``repro.nclc/1`` artifact JSON to *path*."""
+        """Write the ``repro.nclc/2`` artifact JSON to *path*."""
         import pathlib
 
         pathlib.Path(path).write_text(self.to_json())

@@ -43,15 +43,20 @@ from repro.nir.passes import (
     split_register_arrays,
     switch_pipeline,
 )
-from repro.p4.backend import check_program
+from repro.p4.backend import AcceptanceReport, check_program
+from repro.p4.model import P4Program
 from repro.p4.printer import print_program
+from repro.pisa.arch import ArchProfile
 from repro.nclc.codegen import build_switch_program
 from repro.nclc.conformance import check_module
 from repro.nclc.driver import CompiledProgram, WindowConfig
 from repro.nclc.versioning import version_module
 
-#: Version string baked into every artifact and cache key. Bump on any
-#: change that alters generated artifacts without changing step names.
+#: Version string baked into every artifact and cache key. It guards what
+#: a compile produces: bump it on any change that alters the generated
+#: NIR, P4 or reports without changing a step name or a pass list. How an
+#: artifact encodes that output is artifact.SCHEMA's business; the move to
+#: repro.nclc/2 left this string, and so every cache key, unchanged.
 NCLC_VERSION = "nclc-1.1.0"
 
 #: The steps :func:`compile_program` runs, in order, at every ``-O`` level.
@@ -137,7 +142,7 @@ def compile_program(
         check_module(module, and_spec)
     with step("windows", traced=False):
         window_configs = resolve_window_configs(unit, windows)
-        layouts = build_layouts(unit, window_configs)
+        layouts = build_layouts(module, window_configs)
 
     # --verify-opt: every per-kernel pipeline runs under a translation
     # validator (imported here: repro.analysis's linter imports this module)
@@ -165,12 +170,10 @@ def compile_program(
         and profile is not None
         and profile.max_register_accesses_per_array <= 4
     )
-    compiled: Dict[str, List[Tuple[ir.Function, KernelLayout]]] = {}
     split_info: Dict[str, list] = {}
     with step("switch-opt"):
         for version in versions:
             loc_stats = stats.setdefault(version.label, PassStats())
-            kernels = compiled[version.label] = []
             for fn in version.module.kernels(ir.FunctionKind.OUT_KERNEL):
                 ext = window_configs[fn.name].ext
                 validator = make_validator(
@@ -184,7 +187,6 @@ def compile_program(
                     fn, ext, loc_stats, trace=trace, stage=version.label,
                     opt_level=opt_level, validator=validator,
                 )
-                kernels.append((fn, layouts[fn.name]))
             if want_split:
                 splits = split_register_arrays(
                     version.module, profile.max_register_accesses_per_array
@@ -192,24 +194,17 @@ def compile_program(
                 if splits:
                     split_info[version.label] = splits
 
-    switch_programs = {}
-    switch_sources = {}
-    reports = {}
+    switch_modules = {version.label: version.module for version in versions}
     with step("codegen+backend"):
-        for version in versions:
-            program = build_switch_program(
-                version.module,
-                compiled[version.label],
-                label_ids,
-                name=f"{module.name}_{version.label}",
-            )
-            switch_programs[version.label] = program
-            switch_sources[version.label] = print_program(program)
-            reports[version.label] = check_program(program, profile)
+        switch_programs, switch_sources, reports = generate_switch_programs(
+            module.name, switch_modules, layouts, label_ids, profile
+        )
 
+    # sema's in -> out pairing (S4.1), recorded once for the runtime
+    paired = {name: unit.paired_out_kernel(name) for name in sorted(unit.in_kernels)}
     program = CompiledProgram(
-        unit=unit,
         ref_module=module,
+        pairs={name: out.name for name, out in paired.items() if out is not None},
         and_spec=and_spec,
         layouts=layouts,
         window_configs=window_configs,
@@ -223,7 +218,7 @@ def compile_program(
         split_info=split_info,
         compile_trace=trace,
         opt_level=opt_level,
-        switch_modules={version.label: version.module for version in versions},
+        switch_modules=switch_modules,
     )
     program.host_module, program.host_errors = host_module, host_errors
     return program
@@ -232,6 +227,32 @@ def compile_program(
 # ---------------------------------------------------------------------------
 # Helpers (the linter reuses required_labels and default_and)
 # ---------------------------------------------------------------------------
+
+
+def generate_switch_programs(
+    name: str,
+    switch_modules: Dict[str, ir.Module],
+    layouts: Dict[str, KernelLayout],
+    label_ids: Dict[str, int],
+    profile: ArchProfile,
+) -> Tuple[Dict[str, P4Program], Dict[str, str], Dict[str, AcceptanceReport]]:
+    """The ``codegen+backend`` step: each switch's P4 program (codegen +
+    template merge), its printed text and the backend's acceptance
+    report, all functions of its optimized NIR. A loaded artifact
+    (:func:`repro.nclc.artifact.load_program`) rebuilds them here too."""
+    programs, sources, reports = {}, {}, {}
+    for label, switch_module in switch_modules.items():
+        kernels = [
+            (fn, layouts[fn.name])
+            for fn in switch_module.kernels(ir.FunctionKind.OUT_KERNEL)
+        ]
+        program = build_switch_program(
+            switch_module, kernels, label_ids, name=f"{name}_{label}"
+        )
+        programs[label] = program
+        sources[label] = print_program(program)
+        reports[label] = check_program(program, profile)
+    return programs, sources, reports
 
 
 def required_labels(unit: TranslationUnit) -> List[str]:
@@ -294,12 +315,14 @@ def resolve_window_configs(unit: TranslationUnit, windows):
     return configs
 
 
-def build_layouts(unit: TranslationUnit, configs) -> Dict[str, KernelLayout]:
+def build_layouts(module: ir.Module, configs) -> Dict[str, KernelLayout]:
+    """Each outgoing kernel's wire layout, from its signature in the
+    reference module and its window config (ids in name order)."""
     layouts: Dict[str, KernelLayout] = {}
-    ext_fields = unit.window_fields[3:]  # user extension fields only
-    for kid, name in enumerate(sorted(unit.out_kernels), start=1):
-        info = unit.out_kernels[name]
-        params = [(p.name, p.ty) for p in info.data_params]
+    ext_fields = module.window_fields[3:]  # user extension fields only
+    out_kernels = {fn.name: fn for fn in module.kernels(ir.FunctionKind.OUT_KERNEL)}
+    for kid, name in enumerate(sorted(out_kernels), start=1):
+        params = [(p.name, p.ty) for p in out_kernels[name].params if not p.ext]
         layouts[name] = layout_for_kernel(
             kid, name, params, configs[name].mask, ext_fields
         )

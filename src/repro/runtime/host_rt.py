@@ -224,9 +224,9 @@ class NclHost:
     def _resolve_dst(self, kernel: str, dst: Union[str, int, None]) -> Union[str, int]:
         if dst is not None:
             return dst
-        info = self.program.unit.out_kernels.get(kernel)
-        if info is not None and info.at_label is not None:
-            return info.at_label
+        fn = self.program.ref_module.functions.get(kernel)
+        if fn is not None and fn.kind is ir.FunctionKind.OUT_KERNEL and fn.at_label is not None:
+            return fn.at_label
         # Fig 4's ncl::out passes no destination: windows are addressed to
         # the first-hop switch and the kernel's forwarding takes over.
         label = self._node_labels.get(self.node_id)
@@ -340,20 +340,23 @@ class NclHost:
         """Arm an incoming kernel (``ncl::in``). ``ext_args`` bind the
         kernel's ``_ext_`` parameters: pass mutable sequences (lists,
         numpy arrays) for pointers."""
-        info = self.program.unit.in_kernels.get(in_kernel)
-        if info is None:
+        functions = self.program.ref_module.functions
+        fn = functions.get(in_kernel)
+        if fn is None or fn.kind is not ir.FunctionKind.IN_KERNEL:
             raise RuntimeApiError(f"{in_kernel!r} is not an incoming kernel")
-        paired = self.program.unit.paired_out_kernel(in_kernel)
+        paired = self.program.pairs.get(in_kernel)
         if paired is None:
             raise RuntimeApiError(f"{in_kernel!r} has no paired outgoing kernel")
-        if len(ext_args) != len(info.ext_params):
+        n_ext = sum(param.ext for param in fn.params)
+        if len(ext_args) != n_ext:
             raise RuntimeApiError(
-                f"{in_kernel!r} takes {len(info.ext_params)} _ext_ arguments, "
-                f"got {len(ext_args)}"
+                f"{in_kernel!r} takes {n_ext} _ext_ arguments, got {len(ext_args)}"
             )
-        fn = self.program.ref_module.functions[in_kernel]
-        by_ref = [isinstance(param.ty, PointerType) for param in paired.data_params]
-        self._in_regs[paired.name] = _InRegistration(fn, by_ref, list(ext_args), on_window)
+        by_ref = [
+            isinstance(param.ty, PointerType)
+            for param in functions[paired].params if not param.ext
+        ]
+        self._in_regs[paired] = _InRegistration(fn, by_ref, list(ext_args), on_window)
 
     def on_raw_window(self, out_kernel: str, handler: WindowHandler) -> None:
         """Receive raw windows of an outgoing kernel (application roles
@@ -474,10 +477,7 @@ class NclHost:
         self.node.trace_drop("ncp", cause, nbytes)
 
     def received_count(self, in_kernel: str) -> int:
-        paired = self.program.unit.paired_out_kernel(in_kernel)
-        if paired is None:
-            return 0
-        reg = self._in_regs.get(paired.name)
+        reg = self._in_regs.get(self.program.pairs.get(in_kernel))
         return reg.windows_received if reg else 0
 
 
@@ -546,8 +546,8 @@ class HostProgram:
 
         def in_(state, meta, args, loc, labels):
             if kernel not in self._registered_in:  # (register_in vets the kernel)
-                info = self.program.unit.in_kernels.get(kernel)
-                n_ext = len(info.ext_params) if info is not None else 0
+                fn = self.program.ref_module.functions.get(kernel)
+                n_ext = sum(param.ext for param in fn.params) if fn is not None else 0
                 host.register_in(kernel, args[-n_ext:] if n_ext else [])
                 self._registered_in.add(kernel)
             before = host.received_count(kernel)

@@ -12,8 +12,10 @@ a nested block, a host array index is not bounds-checked, a loop stops
 after 10M iterations rather than a call after ``MAX_STEPS`` steps, and
 an unsigned ``%`` by zero raises Python's own message.
 
-It runs the program's ``main()`` from the same translation unit the
-kernels came from, with the ``ncl::`` calls bound to the live runtime:
+It runs the program's ``main()`` from the translation unit the kernels
+came from -- the frontend run again on the program's source and the
+defines it was compiled with (:func:`frontend`) -- with the ``ncl::``
+calls bound to the live runtime:
 
 * ``ncl::ctrl_wr(&var, value)``      -> control-plane write;
 * ``ncl::map_insert(&map, k, v)``    -> control-plane table insert;
@@ -29,11 +31,14 @@ Host code runs under C semantics (fixed-width wrapping, short-circuit
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from functools import cached_property
+from typing import Dict, List, Mapping, Optional
 
 from repro.errors import RuntimeApiError
 from repro.ncl import ast
-from repro.ncl.sema import TranslationUnit
+from repro.ncl.lexer import tokenize
+from repro.ncl.parser import Parser
+from repro.ncl.sema import TranslationUnit, analyze
 from repro.ncl.symbols import Symbol, SymbolKind
 from repro.ncl.types import ArrayType, IntType, Type, is_signed, scalar_bits
 from repro.runtime.host_rt import NclHost
@@ -86,15 +91,25 @@ class _CtrlHandle:
         self.name = name
 
 
+def frontend(source: str, defines: Optional[Mapping[str, int]] = None) -> TranslationUnit:
+    """Lex, parse and analyze *source*: the walker's input."""
+    return analyze(Parser(tokenize(source, "<ncl>", dict(defines or {}))).parse_program())
+
+
 class OracleHostProgram:
-    """Binds a translation unit's host code to a deployed cluster host."""
+    """Binds a translation unit's host code to a deployed cluster host.
+    :attr:`unit` is the frontend's on the cluster program's source; assign
+    it to walk a program compiled with ``-D`` values."""
 
     def __init__(self, cluster, host_label: str):
         self.cluster = cluster
         self.program = cluster.program
-        self.unit: TranslationUnit = self.program.unit
         self.host: NclHost = cluster.host(host_label)
         self._registered_in: Dict[str, bool] = {}
+
+    @cached_property
+    def unit(self) -> TranslationUnit:
+        return frontend(self.program.source)
 
     # -- entry points ----------------------------------------------------------
 

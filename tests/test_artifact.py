@@ -1,5 +1,6 @@
-"""The versioned repro.nclc/1 artifact: save/load round-trips and
-running precompiled programs (no frontend re-invocation)."""
+"""The versioned repro.nclc/2 artifact: save/load round-trips, running
+precompiled programs (no frontend re-invocation), and a malformed
+artifact ending in ``ArtifactError`` however it is malformed."""
 
 import json
 
@@ -10,6 +11,7 @@ from repro.apps.kvs_cache import KvsCluster
 from repro.apps.workloads import random_arrays, zipf_keys
 from repro.errors import ArtifactError
 from repro.nclc import Compiler, WindowConfig
+from repro.nclc.artifact import SCHEMA
 from repro.nclc.driver import CompiledProgram
 
 from tests.conftest import ALLREDUCE_DEFINES, ALLREDUCE_SRC, STAR_AND
@@ -27,7 +29,7 @@ def compile_allreduce():
 class TestRoundTrip:
     def test_schema_header(self):
         payload = json.loads(compile_allreduce().to_json())
-        assert payload["schema"] == "repro.nclc/1"
+        assert payload["schema"] == SCHEMA == "repro.nclc/2"
         assert payload["nclc_version"].startswith("nclc-")
         assert payload["opt_level"] == 2
         assert payload["profile"] == "bmv2"
@@ -48,8 +50,14 @@ class TestRoundTrip:
         loaded = CompiledProgram.from_json(program.to_json())
         assert loaded.kernel_ids == program.kernel_ids
         assert loaded.label_ids == program.label_ids
-        assert sorted(loaded.unit.out_kernels) == sorted(program.unit.out_kernels)
-        assert sorted(loaded.unit.in_kernels) == sorted(program.unit.in_kernels)
+        assert loaded.pairs == program.pairs == {"result": "allreduce"}
+        assert {
+            name: (fn.kind, fn.at_label, [(p.name, p.ty, p.ext) for p in fn.params])
+            for name, fn in loaded.ref_module.functions.items()
+        } == {
+            name: (fn.kind, fn.at_label, [(p.name, p.ty, p.ext) for p in fn.params])
+            for name, fn in program.ref_module.functions.items()
+        }
         assert loaded.and_spec.render() == program.and_spec.render()
         assert loaded.switch_sources == program.switch_sources
         for name, layout in program.layouts.items():
@@ -63,9 +71,13 @@ class TestRoundTrip:
 
     def test_in_kernel_pairing_survives(self):
         loaded = CompiledProgram.from_json(compile_allreduce().to_json())
-        paired = loaded.unit.paired_out_kernel("result")
-        assert paired is not None and paired.name == "allreduce"
+        assert loaded.pairs["result"] == "allreduce"
         assert loaded.paired_in_kernel("allreduce") == "result"
+
+    def test_neither_shape_has_a_unit(self):
+        program = compile_allreduce()
+        loaded = CompiledProgram.from_json(program.to_json())
+        assert not hasattr(program, "unit") and not hasattr(loaded, "unit")
 
 
 class TestLoadErrors:
@@ -81,6 +93,24 @@ class TestLoadErrors:
         payload = json.loads(compile_allreduce().to_json())
         del payload["ref_module"]
         with pytest.raises(ArtifactError):
+            CompiledProgram.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("text", ["[]", "3", "null", '"repro.nclc/2"'])
+    def test_rejects_json_that_is_not_an_object(self, text):
+        with pytest.raises(ArtifactError, match="not a JSON object"):
+            CompiledProgram.from_json(text)
+
+    @pytest.mark.parametrize("key", ["profile", "opt_level", "source"])
+    def test_rejects_payload_missing_a_top_level_key(self, key):
+        payload = json.loads(compile_allreduce().to_json())
+        del payload[key]
+        with pytest.raises(ArtifactError, match=f"malformed artifact: KeyError\\('{key}'"):
+            CompiledProgram.from_json(json.dumps(payload))
+
+    def test_rejects_an_opt_level_that_is_not_a_number(self):
+        payload = json.loads(compile_allreduce().to_json())
+        payload["opt_level"] = "x"
+        with pytest.raises(ArtifactError, match="malformed artifact: ValueError"):
             CompiledProgram.from_json(json.dumps(payload))
 
 

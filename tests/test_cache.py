@@ -1,5 +1,6 @@
 """The content-addressed artifact cache (repro.nclc.cache)."""
 
+import json
 import time
 
 import pytest
@@ -81,6 +82,24 @@ class TestHitMiss:
         fresh = ArtifactCache(root=tmp_path)
         compile_allreduce(fresh)
         assert fresh.stats.hits == 1 and fresh.stats.misses == 0
+
+    @pytest.mark.parametrize("stale", ["schema-1", "no-profile"])
+    def test_entry_that_does_not_decode_is_a_miss_and_is_rebuilt(self, tmp_path, stale):
+        """Valid JSON that is not an artifact this reader decodes -- one
+        written under ``repro.nclc/1``, one missing a key -- is a miss,
+        rebuilt and overwritten, like a truncated shard."""
+        good = compile_allreduce(ArtifactCache(root=tmp_path)).to_json()
+        [shard] = tmp_path.glob("*/*.nclc.json")
+        payload = json.loads(good)
+        if stale == "schema-1":
+            payload["schema"] = "repro.nclc/1"
+        else:
+            del payload["profile"]
+        shard.write_text(json.dumps(payload))
+        cache = ArtifactCache(root=tmp_path)
+        assert compile_allreduce(cache).to_json() == good
+        assert cache.stats.as_dict() == {"hits": 0, "misses": 1, "puts": 1}
+        assert shard.read_text() == good
 
     def test_metrics_and_trace_record_events(self):
         registry = MetricsRegistry()

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.nclc.__main__ import main
+from repro.nclc.artifact import SCHEMA
 
 from tests.conftest import ALLREDUCE_SRC, STAR_AND
 
@@ -132,7 +133,7 @@ class TestBuildSubcommandAndFlags:
         from repro.nclc.driver import CompiledProgram
 
         assert self.run_build(workdir, "--emit", "artifact") == 0
-        assert "repro.nclc/1" in capsys.readouterr().out
+        assert f"artifact: {SCHEMA} (-O2)" in capsys.readouterr().out
         artifact = workdir / "build" / "prog.nclc.json"
         program = CompiledProgram.load(artifact)
         assert "s1" in program.switch_programs

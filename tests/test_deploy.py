@@ -341,6 +341,16 @@ class TestCli:
         assert deploy_main([str(manifest)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_malformed_artifact_tenant_exits_two_naming_it(self, tmp_path, capsys):
+        (tmp_path / "t.nclc.json").write_text("[]")
+        manifest = tmp_path / "bad.deploy"
+        manifest.write_text(
+            "switch sw0 profile=bmv2\nhost h0\nlink h0 sw0\n"
+            "tenant t t.nclc.json\nmap t s1=sw0\n"
+        )
+        assert deploy_main([str(manifest)]) == 2
+        assert "tenant 't': artifact is not a JSON object" in capsys.readouterr().err
+
     def test_dispatch_through_nclc_main(self, capsys):
         assert nclc_main(["check-deploy", str(REPO / EXAMPLE)]) == 0
 

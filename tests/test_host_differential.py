@@ -53,7 +53,7 @@ from repro.errors import PisaError, ReproError, RuntimeApiError
 from repro.nclc import CompiledProgram, Compiler, WindowConfig
 from repro.runtime import Cluster, HostProgram
 
-from tests.hostexec_oracle import OracleHostProgram
+from tests.hostexec_oracle import OracleHostProgram, frontend
 from tests.test_hostexec import AND, HOST_SEMANTICS, MAP_HOST, UNIFIED
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -206,14 +206,17 @@ class TestCorpus:
             + [f"link w{i} s1" for i in range(n)]
         )
 
+        def defines(r):
+            return {"DATA_LEN": example.DATA_LEN, "WIN_LEN": example.WIN_LEN,
+                    "NWORKERS": n, "MY_RANK": r}
+
         def compile_rank(r):
             return Compiler().compile(
                 example.UNIFIED_SOURCE,
                 and_text=and_text,
                 windows={"allreduce": WindowConfig(
                     mask=(example.WIN_LEN,), ext={"len": example.WIN_LEN})},
-                defines={"DATA_LEN": example.DATA_LEN, "WIN_LEN": example.WIN_LEN,
-                         "NWORKERS": n, "MY_RANK": r},
+                defines=defines(r),
             )
 
         fresh = [compile_rank(r) for r in range(n)]
@@ -226,7 +229,8 @@ class TestCorpus:
             hosts = [cls(cluster, f"w{r}") for r in range(n)]
             for r, host in enumerate(hosts):
                 host.program = programs[r]
-                host.unit = programs[r].unit  # what the walker reads
+                if cls is OracleHostProgram:  # what the walker reads
+                    host.unit = frontend(example.UNIFIED_SOURCE, defines(r))
             for r in range(n):
                 if r != rank:
                     example._send_only(hosts[r], r, n)

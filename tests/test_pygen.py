@@ -21,7 +21,6 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.errors import PisaError
 from repro.ncp.wire import HEADERS, encode_frame, node_ip
 from repro.nclc import Compiler, WindowConfig
-from repro.nclc.driver import CompiledProgram
 from repro.nir import ir, pygen
 from repro.nir.interp import DeviceState, Interpreter, WindowContext
 from repro.p4.model import (
@@ -406,35 +405,34 @@ def test_parse_graph_corner_cases_agree_with_oracle():
 
 
 def _table_program():
-    """The Fig 5 switch plus a table with a ternary key, as an artifact."""
-    program = _compile(CASES["fig5-kvs"], 2)
-    s1 = program.switch_programs["s1"]
-    s1.add_table(Table(
+    """The Fig 5 switch plus a table with a ternary key."""
+    program = _compile(CASES["fig5-kvs"], 2).switch_programs["s1"]
+    program.add_table(Table(
         "acl", [("ipv4.dst", "ternary"), ("ncp.kernel_id", "exact")],
         ["ipv4_forward"], "ipv4_miss", managed_by="control-plane", size=5,
     ))
-    return program.to_json()
+    return program
 
 
 class TableTraffic(RuleBasedStateMachine):
     """Inserts, replacements, deletions, priority ties, a full table and
-    an artifact round trip; after every step each key of a small domain
-    must find the same entry through ``Pipeline.apply_table`` (index, or
-    production scan for ``acl``) as through the oracle's scan."""
+    a switch rebuilt from the entries installed so far; after every step
+    each key of a small domain must find the same entry through
+    ``Pipeline.apply_table`` (index, or production scan for ``acl``) as
+    through the oracle's scan."""
 
-    artifact = None
+    pristine = None
     keys = st.integers(0, 4)
     patterns = st.one_of(keys, st.tuples(keys, st.sampled_from([0, 1, 6, 0xFFFFFFFF])))
 
     def __init__(self):
         super().__init__()
-        if TableTraffic.artifact is None:
-            TableTraffic.artifact = _table_program()
-        self._load(TableTraffic.artifact)
+        if TableTraffic.pristine is None:
+            TableTraffic.pristine = _table_program()
+        self._load(copy.deepcopy(TableTraffic.pristine))
 
-    def _load(self, text):
-        self.program = CompiledProgram.from_json(text)
-        self.sw = PisaSwitch(self.program.switch_programs["s1"])
+    def _load(self, program):
+        self.sw = PisaSwitch(program)
         self.oracle = OraclePipeline(self.sw.program)
 
     def _attempt(self, install):
@@ -472,8 +470,15 @@ class TableTraffic(RuleBasedStateMachine):
         self.sw.table_delete("acl", [pattern, kernel])
 
     @rule()
-    def through_the_artifact(self):
-        self._load(self.program.to_json())
+    def rebuilt_from_its_entries(self):
+        """Every table built anew with ``entries=``, which indexes them."""
+        program = copy.deepcopy(self.sw.program)
+        for name, t in program.tables.items():
+            program.tables[name] = Table(
+                t.name, t.keys, t.actions, t.default_action, t.default_args,
+                t.entries, t.managed_by, t.size,
+            )
+        self._load(program)
 
     @invariant()
     def lookups_agree(self):
