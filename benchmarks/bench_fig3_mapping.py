@@ -11,7 +11,7 @@ latency; plus a deployed-and-verified end-to-end check through a mapped
 import time
 
 
-from repro.andspec import PhysicalNet, map_overlay, parse_and
+from repro.andspec import FabricSpec, map_overlay, parse_and
 from repro.nclc import Compiler, WindowConfig
 from repro.net.network import Network
 from repro.runtime.cluster import Cluster
@@ -19,8 +19,9 @@ from repro.runtime.cluster import Cluster
 from benchmarks._util import print_table, record_once
 
 
-def leaf_spine(n_leaves: int, n_hosts_per_leaf: int) -> PhysicalNet:
-    phys = PhysicalNet()
+def leaf_spine(n_leaves: int, n_hosts_per_leaf: int) -> FabricSpec:
+    """One spine over *n_leaves* leaves; every switch is programmable."""
+    phys = FabricSpec()
     phys.add_switch("spine")
     for leaf in range(n_leaves):
         phys.add_switch(f"leaf{leaf}")
@@ -44,7 +45,7 @@ def test_fig3c_mapping_sweep(benchmark):
     def sweep():
         for n_hosts, n_leaves in [(2, 2), (4, 2), (4, 4), (8, 4)]:
             overlay = parse_and(star_overlay(n_hosts))
-            phys = leaf_spine(n_leaves, max(2, n_hosts // n_leaves + 1))
+            phys = leaf_spine(n_leaves, max(2, n_hosts // n_leaves + 1)).graph()
             t0 = time.perf_counter()
             mapping = map_overlay(overlay, phys)
             elapsed = (time.perf_counter() - t0) * 1e3

@@ -42,6 +42,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Optional, Set, Tuple
 
+from repro.errors import IrError
 from repro.ncl.types import BoolType, IntType
 from repro.nir import ir
 from repro.nir.cfg import reverse_postorder
@@ -49,7 +50,8 @@ from repro.util import intops
 
 #: rounds before unstable interval bounds are widened to the type range
 WIDEN_AFTER = 3
-#: hard cap on fixed-point rounds (safety net; never reached in practice)
+#: hard cap on fixed-point rounds; a function still moving in the last
+#: one raises IrError (widening keeps chains short: never reached)
 MAX_ROUNDS = 64
 
 
@@ -151,11 +153,15 @@ class AbsVal:
         ).reduced()
 
     def widened(self, new: "AbsVal") -> "AbsVal":
-        """Jump unstable bounds straight to the type range (loop headers)."""
+        """Jump unstable bounds straight to the type range and drop every
+        known bit once the join *new* has lost one (loop headers): a
+        known-bits chain would otherwise lose one bit a round."""
         tlo, thi = _type_range(self.bits, self.signed)
         lo = self.lo if new.lo >= self.lo else tlo
         hi = self.hi if new.hi <= self.hi else thi
-        return AbsVal(self.bits, self.signed, lo, hi, new.zeros, new.ones).reduced()
+        lost = new.zeros != self.zeros or new.ones != self.ones
+        zeros, ones = (0, 0) if lost else (new.zeros, new.ones)
+        return AbsVal(self.bits, self.signed, lo, hi, zeros, ones).reduced()
 
     def reduced(self) -> "AbsVal":
         """Exchange information between the two domains; clamp to type."""
@@ -519,7 +525,7 @@ class _Analyzer:
                     tick += 1
                     if isinstance(instr, ir.Phi):
                         new = self._eval_phi(instr, block, reachable, feasible)
-                        if new is not None and self._update(instr, new, round_no):
+                        if new is not None and self._update(instr, new):
                             moved[instr] = tick
                             changed = True
                         continue
@@ -535,24 +541,34 @@ class _Analyzer:
                         else:
                             if absorbed:
                                 continue
-                    stepped = new is not None and self._update(instr, new, round_no)
+                    stepped = new is not None and self._update(instr, new)
                     if stepped:
                         moved[instr] = tick
                         changed = True
                     seen[instr] = (tick, new, not stepped)
             if not changed:
                 break
+        else:
+            self._unconverged()
         self._finalize()
         return self.facts
 
-    def _update(self, instr: ir.Instr, new: AbsVal, round_no: int) -> bool:
+    def _unconverged(self) -> None:
+        """A fixed point that still moved in its last allowed round is no
+        fixed point: facts read from it would be unsound."""
+        raise IrError(
+            f"abstract interpretation of '{self.fn.name}' did not converge "
+            f"in {MAX_ROUNDS} rounds"
+        )
+
+    def _update(self, instr: ir.Instr, new: AbsVal) -> bool:
         old = self.facts.values.get(instr)
         if old is not None:
             new = old.join(new)
             if new == old:
                 return False
             self.updates[instr] = self.updates.get(instr, 0) + 1
-            if self.updates[instr] > WIDEN_AFTER or round_no >= MAX_ROUNDS - 1:
+            if self.updates[instr] > WIDEN_AFTER:
                 new = old.widened(new)
                 if new == old:
                     return False

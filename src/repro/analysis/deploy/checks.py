@@ -47,6 +47,7 @@ from repro.analysis.proto import (
 )
 from repro.analysis.rules import _SPACE_WORD, kernel_state_accesses
 from repro.andspec.fabric import FabricSpec
+from repro.andspec.mapping import place_hosts, transit_graph
 from repro.diag import DiagnosticSink, Span
 from repro.errors import SourceLocation
 from repro.nir.ir import GlobalRef, Module
@@ -85,7 +86,6 @@ class DeployContext:
     def __init__(self, deployment: Deployment, sink: DiagnosticSink) -> None:
         self.deployment = deployment
         self.sink = sink
-        self._graph: Optional[nx.Graph] = None
         self._host_assignments: Dict[
             str, Tuple[Dict[str, str], List[Tuple[str, str]]]
         ] = {}
@@ -100,25 +100,16 @@ class DeployContext:
     def fabric(self) -> FabricSpec:
         return self.deployment.fabric
 
-    def graph(self) -> nx.Graph:
-        """The fabric as a networkx graph; edges carry ``mtu``."""
-        if self._graph is None:
-            g = nx.Graph()
-            for node in self.fabric.nodes.values():
-                g.add_node(node.name, kind=node.kind)
-            for link in self.fabric.links:
-                g.add_edge(link.a, link.b, mtu=link.mtu)
-            self._graph = g
-        return self._graph
-
     # -- per-tenant views ----------------------------------------------
 
     def host_assignment(
         self, tenant: TenantDeployment
     ) -> Tuple[Dict[str, str], List[Tuple[str, str]]]:
         if tenant.name not in self._host_assignments:
-            self._host_assignments[tenant.name] = tenant.resolve_hosts(
-                self.fabric
+            self._host_assignments[tenant.name] = place_hosts(
+                [n.label for n in tenant.program.and_spec.hosts],
+                self.fabric.graph(),
+                tenant.host_pins,
             )
         return self._host_assignments[tenant.name]
 
@@ -126,15 +117,16 @@ class DeployContext:
         self, tenant: TenantDeployment
     ) -> Dict[str, str]:
         """The tenant's ``map`` entries that name a real overlay label
-        and a real fabric switch (bad entries are NCL0932 findings and
-        excluded here so downstream checks do not cascade)."""
+        and a programmable fabric switch (bad entries are NCL0932
+        findings and excluded here so downstream checks do not
+        cascade)."""
         overlay = {n.label for n in tenant.program.and_spec.switches}
         out: Dict[str, str] = {}
         for label, target in tenant.placement.items():
             if label not in overlay:
                 continue
             node = self.fabric.nodes.get(target)
-            if node is None or not node.is_switch:
+            if node is None or not node.programmable:
                 continue
             out[label] = target
         return out
@@ -183,7 +175,7 @@ class DeployContext:
     def _route_tenant(
         self, tenant: TenantDeployment
     ) -> Dict[Tuple[str, str], Optional[_EdgePath]]:
-        graph = self.graph()
+        graph = self.fabric.graph()
         images = self.node_images(tenant)
         mapped = set(self.valid_switch_placement(tenant).values())
         out: Dict[Tuple[str, str], Optional[_EdgePath]] = {}
@@ -191,18 +183,10 @@ class DeployContext:
             src, dst = images.get(a), images.get(b)
             if src is None or dst is None or src == dst:
                 continue  # placement check reports the missing image
-            # Admissible interior nodes: switches that are not *other*
-            # mapped switches of this tenant (kernel execution order,
-            # as in map_overlay), and no hosts (hosts do not forward).
-            allowed = {
-                n
-                for n, d in graph.nodes(data=True)
-                if d["kind"] == "switch" and n not in (mapped - {src, dst})
-            } | {src, dst}
-            sub = graph.subgraph(allowed)
-            if src not in sub or dst not in sub or not nx.has_path(
-                sub, src, dst
-            ):
+            # No host and no *other* mapped switch of this tenant inside
+            # the path (kernel execution order, as in map_overlay).
+            sub = transit_graph(graph, (src, dst), mapped)
+            if not nx.has_path(sub, src, dst):
                 out[(a, b)] = None
                 continue
             out[(a, b)] = self._widest_path(sub, src, dst)
@@ -295,8 +279,9 @@ class ResourceAdmissionCheck(DeployCheck):
     )
 
     def run(self, ctx: DeployContext) -> None:
-        for node in sorted(ctx.fabric.switches, key=lambda n: n.name):
-            residents = ctx.residents(node.name)
+        for name in sorted(ctx.fabric.switches):
+            node = ctx.fabric.nodes[name]
+            residents = ctx.residents(name)
             reports = [
                 (tenant, label, tenant.program.reports[label])
                 for tenant, label in residents
@@ -614,6 +599,11 @@ class PlacementCheck(DeployCheck):
                     f"maps '{label}' to '{target}', which is a host, not a "
                     "switch"
                 )
+            elif not node.programmable:
+                problem = (
+                    f"maps '{label}' to '{target}', a switch with no chip "
+                    "profile, which cannot run a kernel"
+                )
             elif target in taken:
                 problem = (
                     f"maps both '{taken[target]}' and '{label}' to switch "
@@ -686,8 +676,7 @@ class PlacementCheck(DeployCheck):
                 continue
             images = ctx.node_images(tenant)
             src, dst = images[a], images[b]
-            graph = ctx.graph()
-            if nx.has_path(graph, src, dst):
+            if nx.has_path(ctx.fabric.graph(), src, dst):
                 reason = (
                     "every fabric path interposes another of the "
                     "tenant's mapped switches (or routes through a "

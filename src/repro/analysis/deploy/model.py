@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.andspec.fabric import (
     FabricSpec,
+    declared_profile,
     fabric_lines,
     parse_kv_options,
 )
@@ -97,58 +98,6 @@ class TenantDeployment:
         if label is not None and label in self.map_locs:
             return self.map_locs[label]
         return self.loc
-
-    def resolve_hosts(
-        self, fabric: FabricSpec
-    ) -> Tuple[Dict[str, str], List[Tuple[str, str]]]:
-        """Place the overlay hosts onto fabric hosts.
-
-        Pins win; an unpinned overlay host matches a fabric host of the
-        same name; leftovers take free fabric hosts in declaration
-        order. Returns ``(assignment, problems)`` where each problem is
-        ``(overlay_host, reason)`` -- the placement check turns those
-        into diagnostics rather than raising.
-        """
-        assignment: Dict[str, str] = {}
-        problems: List[Tuple[str, str]] = []
-        used: set = set()
-        overlay_hosts = [n.label for n in self.program.and_spec.hosts]
-        for label in overlay_hosts:
-            target = self.host_pins.get(label)
-            if target is None and label in fabric.nodes:
-                if fabric.nodes[label].is_host:
-                    target = label
-            if target is None:
-                continue  # greedy pass below
-            if target not in fabric.nodes:
-                problems.append(
-                    (label, f"pinned to unknown fabric node '{target}'")
-                )
-                continue
-            if not fabric.nodes[target].is_host:
-                problems.append(
-                    (label, f"pinned to '{target}', which is a switch")
-                )
-                continue
-            if target in used:
-                problems.append(
-                    (label, f"fabric host '{target}' assigned twice")
-                )
-                continue
-            assignment[label] = target
-            used.add(target)
-        free = [h.name for h in fabric.hosts if h.name not in used]
-        for label in overlay_hosts:
-            if label in assignment or any(p[0] == label for p in problems):
-                continue
-            if not free:
-                problems.append(
-                    (label, "no free fabric host left to place it on")
-                )
-                continue
-            assignment[label] = free.pop(0)
-            used.add(assignment[label])
-        return assignment, problems
 
     def __repr__(self) -> str:
         return (
@@ -253,10 +202,9 @@ def parse_deployment(
                     raise DeployError(
                         f"{where}: expected '{kind} <name> [options]'"
                     )
-                options = parse_kv_options(
-                    parts[2:], where, ("profile",) if kind == "switch" else ()
+                fabric.add_node(
+                    parts[1], kind, declared_profile(kind, parts, where), loc
                 )
-                fabric.add_node(parts[1], kind, options.get("profile"), loc)
             elif kind == "link":
                 if len(parts) < 3:
                     raise DeployError(

@@ -32,9 +32,11 @@ _CAPACITY = {
 def admission_ledger(ctx: DeployContext) -> Dict[str, object]:
     """Per-switch resource accounting: per-tenant use, totals, capacity."""
     ledger: Dict[str, object] = {}
-    for node in sorted(ctx.fabric.switches, key=lambda n: n.name):
-        residents = ctx.residents(node.name)
-        profile = ctx.fabric.switch_profile(node.name)
+    for name in sorted(ctx.fabric.switches):
+        if not ctx.fabric.nodes[name].programmable:
+            continue  # no kernel can be admitted there
+        residents = ctx.residents(name)
+        profile = ctx.fabric.switch_profile(name)
         tenants: Dict[str, Dict[str, int]] = {}
         used = {res: 0 for res in _CAPACITY}
         for tenant, label in residents:
@@ -45,7 +47,7 @@ def admission_ledger(ctx: DeployContext) -> Dict[str, object]:
             tenants[f"{tenant.name}/{label}"] = row
             for res in _CAPACITY:
                 used[res] += row[res]
-        ledger[node.name] = {
+        ledger[name] = {
             "profile": profile.name,
             "tenants": tenants,
             "used": used,

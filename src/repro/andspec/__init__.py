@@ -1,8 +1,9 @@
 """Abstract Network Description: overlay model, parser, physical mapping,
-and the physical-fabric spec the deployment checker admits programs onto."""
+and the physical-fabric spec -- the one description of a physical network
+the mapper, the simulator and the deployment checker read."""
 
 from repro.andspec.fabric import FabricLink, FabricNode, FabricSpec, parse_fabric
-from repro.andspec.mapping import Mapping, PhysicalNet, map_overlay
+from repro.andspec.mapping import Mapping, map_overlay, place_hosts, transit_graph
 from repro.andspec.model import AndNode, AndSpec, parse_and
 
 __all__ = [
@@ -12,8 +13,9 @@ __all__ = [
     "FabricNode",
     "FabricSpec",
     "Mapping",
-    "PhysicalNet",
     "map_overlay",
     "parse_and",
     "parse_fabric",
+    "place_hosts",
+    "transit_graph",
 ]

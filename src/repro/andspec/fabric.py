@@ -3,11 +3,17 @@
 The AND (:mod:`repro.andspec.model`) describes *one application's*
 functional overlay; a :class:`FabricSpec` describes the shared physical
 substrate many such applications are deployed onto: switches with their
-chip profiles, hosts, and links with their MTUs. It is the
-deployment-time counterpart of the AND -- the whole-fabric static
-analyzer (:mod:`repro.analysis.deploy`) admits N compiled programs onto
-one fabric by checking their summed resource demands, isolation and
-placement against this description.
+chip profiles, hosts, and links with their MTUs and bandwidths. It is the
+one description of a physical network: the generators
+(:func:`repro.net.topo.fat_tree`, :func:`repro.net.topo.leaf_spine`)
+return one, :meth:`FabricSpec.build` instantiates it in the simulator,
+the overlay mapper and the whole-fabric deployment checker
+(:mod:`repro.analysis.deploy`) read its :meth:`FabricSpec.graph`.
+
+A switch is a kernel placement target iff it has a chip profile
+(:attr:`FabricNode.programmable`). Every switch a fabric file declares
+gets one (``bmv2`` by default); a generator leaves its transit tiers
+without one, so they forward traffic but run no kernel.
 
 Text format (one declaration per line, ``#`` comments)::
 
@@ -17,25 +23,28 @@ Text format (one declaration per line, ``#`` comments)::
     link   worker0 sw0 mtu=1500     # mtu defaults to 1500
     link   sw0 sw1 mtu=9000
 
-The spec is serializable in both directions (:meth:`FabricSpec.render`
-/ :func:`parse_fabric`, :meth:`FabricSpec.to_dict` /
-:meth:`FabricSpec.from_dict`) and converts to the mapper's
-:class:`repro.andspec.mapping.PhysicalNet` via
-:meth:`FabricSpec.to_physical`.
+:meth:`FabricSpec.render` and :func:`parse_fabric` are inverses for a
+parsed fabric (the text has no way to say "no profile");
+:meth:`FabricSpec.to_dict` is the ``fabric`` key of the deployment
+report. Neither holds link bandwidth: only the simulator reads it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import AndError, SourceLocation
 
 DEFAULT_MTU = 1500
 DEFAULT_PROFILE = "bmv2"
+#: default link parameters (10 GbE, 1 us propagation)
+DEFAULT_BANDWIDTH = 10e9
+DEFAULT_LATENCY = 1e-6
 
 
 class FabricNode:
-    """One physical node: a host, or a switch with a chip profile."""
+    """One physical node: a host, or a switch with or without a chip
+    profile."""
 
     __slots__ = ("name", "kind", "profile", "loc")
 
@@ -52,11 +61,10 @@ class FabricNode:
             raise AndError(f"host {name!r} cannot carry a chip profile")
         self.name = name
         self.kind = kind
-        #: chip profile name (switches only); resolved lazily so a spec
-        #: can be parsed without importing the PISA architecture tables
-        self.profile: Optional[str] = (
-            (profile or DEFAULT_PROFILE) if kind == "switch" else None
-        )
+        #: chip profile name (programmable switches only); resolved
+        #: lazily so a spec can be parsed without importing the PISA
+        #: architecture tables
+        self.profile = profile
         #: declaration site in the fabric/deployment file, when parsed
         self.loc = loc
 
@@ -68,15 +76,21 @@ class FabricNode:
     def is_host(self) -> bool:
         return self.kind == "host"
 
+    @property
+    def programmable(self) -> bool:
+        """Can a kernel be placed here? Iff the node has a chip profile."""
+        return self.profile is not None
+
     def __repr__(self) -> str:
-        prof = f" profile={self.profile}" if self.is_switch else ""
+        prof = f" profile={self.profile}" if self.programmable else ""
         return f"FabricNode({self.kind} {self.name}{prof})"
 
 
 class FabricLink:
-    """One physical link with its MTU (bytes of frame it can carry)."""
+    """One physical link with its MTU (bytes of frame it can carry) and
+    its bandwidth (bits per second)."""
 
-    __slots__ = ("a", "b", "mtu", "loc")
+    __slots__ = ("a", "b", "mtu", "bandwidth", "loc")
 
     def __init__(
         self,
@@ -84,12 +98,14 @@ class FabricLink:
         b: str,
         mtu: int = DEFAULT_MTU,
         loc: Optional[SourceLocation] = None,
+        bandwidth: float = DEFAULT_BANDWIDTH,
     ) -> None:
         if mtu <= 0:
             raise AndError(f"link {a!r} -- {b!r}: mtu must be positive")
         self.a = a
         self.b = b
         self.mtu = int(mtu)
+        self.bandwidth = bandwidth
         self.loc = loc
 
     @property
@@ -101,11 +117,13 @@ class FabricLink:
 
 
 class FabricSpec:
-    """A parsed and validated physical fabric."""
+    """A physical fabric: parsed from a file or made by a generator."""
 
-    def __init__(self) -> None:
+    def __init__(self, name: str = "fabric") -> None:
+        self.name = name
         self.nodes: Dict[str, FabricNode] = {}
         self.links: List[FabricLink] = []
+        self._by_key: Dict[Tuple[str, str], FabricLink] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -130,9 +148,11 @@ class FabricSpec:
     def add_switch(
         self,
         name: str,
-        profile: Optional[str] = None,
+        profile: Optional[str] = DEFAULT_PROFILE,
         loc: Optional[SourceLocation] = None,
     ) -> FabricNode:
+        """Add a switch; ``profile=None`` makes it a plain forwarder that
+        carries traffic but is no placement target."""
         return self.add_node(name, "switch", profile, loc)
 
     def add_link(
@@ -141,27 +161,31 @@ class FabricSpec:
         b: str,
         mtu: int = DEFAULT_MTU,
         loc: Optional[SourceLocation] = None,
+        bandwidth: float = DEFAULT_BANDWIDTH,
     ) -> FabricLink:
         for name in (a, b):
             if name not in self.nodes:
                 raise AndError(f"link references unknown fabric node {name!r}")
         if a == b:
             raise AndError(f"self-link on {a!r}")
-        link = FabricLink(a, b, mtu, loc)
-        if any(link.key == existing.key for existing in self.links):
+        link = FabricLink(a, b, mtu, loc, bandwidth)
+        if link.key in self._by_key:
             raise AndError(f"duplicate link {a!r} -- {b!r}")
+        self._by_key[link.key] = link
         self.links.append(link)
         return link
 
     # -- queries -----------------------------------------------------------
 
     @property
-    def hosts(self) -> List[FabricNode]:
-        return [n for n in self.nodes.values() if n.is_host]
+    def hosts(self) -> List[str]:
+        """Host names, in declaration order."""
+        return [n.name for n in self.nodes.values() if n.is_host]
 
     @property
-    def switches(self) -> List[FabricNode]:
-        return [n for n in self.nodes.values() if n.is_switch]
+    def switches(self) -> List[str]:
+        """Switch names, in declaration order."""
+        return [n.name for n in self.nodes.values() if n.is_switch]
 
     def node(self, name: str) -> FabricNode:
         if name not in self.nodes:
@@ -169,29 +193,15 @@ class FabricSpec:
         return self.nodes[name]
 
     def link_between(self, a: str, b: str) -> Optional[FabricLink]:
-        key = (a, b) if a <= b else (b, a)
-        for link in self.links:
-            if link.key == key:
-                return link
-        return None
-
-    def neighbors(self, name: str) -> List[str]:
-        self.node(name)
-        out: List[str] = []
-        for link in self.links:
-            if link.a == name:
-                out.append(link.b)
-            elif link.b == name:
-                out.append(link.a)
-        return out
+        return self._by_key.get((a, b) if a <= b else (b, a))
 
     def switch_profile(self, name: str) -> "ArchProfile":
         """The resolved :class:`repro.pisa.arch.ArchProfile` of a switch."""
         from repro.pisa.arch import ArchProfile, profile_by_name
 
         node = self.node(name)
-        if not node.is_switch:
-            raise AndError(f"fabric node {name!r} is a host, not a switch")
+        if not node.programmable:
+            raise AndError(f"fabric node {name!r} has no chip profile")
         profile: ArchProfile = profile_by_name(node.profile)
         return profile
 
@@ -200,34 +210,74 @@ class FabricSpec:
             raise AndError("empty fabric: no nodes declared")
         from repro.pisa.arch import PROFILES
 
-        for node in self.switches:
-            if node.profile not in PROFILES:
+        for node in self.nodes.values():
+            if node.programmable and node.profile not in PROFILES:
                 raise AndError(
                     f"switch {node.name!r} names unknown chip profile "
                     f"{node.profile!r} (known: {', '.join(sorted(PROFILES))})"
                 )
 
-    def to_physical(self) -> "PhysicalNet":
-        """The mapper's view of this fabric (a kind-attributed graph)."""
-        from repro.andspec.mapping import PhysicalNet
+    def graph(self) -> "nx.Graph":
+        """The view the overlay mapper and the deployment checker read
+        (the same one :meth:`repro.net.network.Network.graph` gives of a
+        live network): node ``kind`` and ``programmable``, edge ``mtu``."""
+        import networkx as nx
 
-        phys = PhysicalNet()
+        g = nx.Graph()
         for node in self.nodes.values():
-            if node.is_host:
-                phys.add_host(node.name)
-            else:
-                phys.add_switch(node.name)
+            g.add_node(node.name, kind=node.kind, programmable=node.programmable)
         for link in self.links:
-            phys.add_link(link.a, link.b)
-        return phys
+            g.add_edge(link.a, link.b, mtu=link.mtu)
+        return g
+
+    def build(
+        self,
+        obs: Optional["Observability"] = None,
+        latency: float = DEFAULT_LATENCY,
+        pisa_factory: Optional[Callable[[str], "PisaSwitch"]] = None,
+        ecmp: bool = True,
+        queue_limit_bytes: Optional[int] = None,
+        delivery_quantum: Optional[float] = None,
+    ) -> "Network":
+        """Instantiate the fabric as a live simulated network.
+
+        Hosts claim the low node ids in declaration order (h0 -> id 0,
+        ...) so application code can address them positionally; the
+        switches follow in declaration order, and link *i* is seeded
+        with *i*. A switch is a plain :class:`ForwardingSwitchNode`
+        unless it is programmable and ``pisa_factory`` is given, in which
+        case it runs a fresh device from the factory. Routes are
+        installed ECMP by default -- that is what spreads flows over a
+        fat-tree's parallel paths.
+        """
+        from repro.net.network import Network
+
+        net = Network(obs=obs)
+        for name in self.hosts:
+            net.add_host(name)
+        for name in self.switches:
+            if pisa_factory is not None and self.nodes[name].programmable:
+                net.add_pisa_switch(name, pisa_factory(name))
+            else:
+                net.add_forwarding_switch(name)
+        for seed, link in enumerate(self.links):
+            net.add_link(
+                link.a, link.b, latency=latency, bandwidth=link.bandwidth,
+                seed=seed, queue_limit_bytes=queue_limit_bytes,
+                delivery_quantum=delivery_quantum,
+            )
+        net.compute_routes(ecmp=ecmp)
+        return net
 
     # -- serialization ------------------------------------------------------
 
     def render(self) -> str:
         lines: List[str] = []
         for node in self.nodes.values():
-            if node.is_switch:
+            if node.programmable:
                 lines.append(f"switch {node.name} profile={node.profile}")
+            elif node.is_switch:
+                lines.append(f"switch {node.name}")
             else:
                 lines.append(f"host   {node.name}")
         lines += [
@@ -238,10 +288,10 @@ class FabricSpec:
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready dict (deterministically ordered)."""
         return {
-            "hosts": sorted(n.name for n in self.hosts),
+            "hosts": sorted(self.hosts),
             "switches": [
-                {"name": n.name, "profile": n.profile}
-                for n in sorted(self.switches, key=lambda n: n.name)
+                {"name": name, "profile": self.nodes[name].profile}
+                for name in sorted(self.switches)
             ],
             "links": [
                 {"a": link.key[0], "b": link.key[1], "mtu": link.mtu}
@@ -249,21 +299,10 @@ class FabricSpec:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FabricSpec":
-        spec = cls()
-        for name in data.get("hosts", []):  # type: ignore[union-attr]
-            spec.add_host(str(name))
-        for sw in data.get("switches", []):  # type: ignore[union-attr]
-            spec.add_switch(str(sw["name"]), str(sw["profile"]))
-        for ln in data.get("links", []):  # type: ignore[union-attr]
-            spec.add_link(str(ln["a"]), str(ln["b"]), int(ln.get("mtu", DEFAULT_MTU)))
-        return spec
-
     def __repr__(self) -> str:
         return (
-            f"FabricSpec({len(self.hosts)} hosts, {len(self.switches)} "
-            f"switches, {len(self.links)} links)"
+            f"FabricSpec({self.name}: {len(self.hosts)} hosts, "
+            f"{len(self.switches)} switches, {len(self.links)} links)"
         )
 
 
@@ -285,6 +324,16 @@ def parse_kv_options(
             raise AndError(f"{where}: duplicate option {key!r}")
         out[key] = value
     return out
+
+
+def declared_profile(kind: str, parts: List[str], where: str) -> Optional[str]:
+    """The chip profile of a ``host``/``switch`` line: every declared
+    switch gets one (``bmv2`` unless ``profile=`` names another)."""
+    if kind == "host":
+        parse_kv_options(parts[2:], where, ())
+        return None
+    options = parse_kv_options(parts[2:], where, ("profile",))
+    return options.get("profile") or DEFAULT_PROFILE
 
 
 def fabric_lines(
@@ -309,10 +358,7 @@ def parse_fabric(text: str, filename: str = "<fabric>") -> FabricSpec:
         if kind in ("host", "switch"):
             if len(parts) < 2:
                 raise AndError(f"{where}: expected '{kind} <name> [options]'")
-            options = parse_kv_options(
-                parts[2:], where, ("profile",) if kind == "switch" else ()
-            )
-            spec.add_node(parts[1], kind, options.get("profile"), loc)
+            spec.add_node(parts[1], kind, declared_profile(kind, parts, where), loc)
         elif kind == "link":
             if len(parts) < 3:
                 raise AndError(f"{where}: expected 'link <a> <b> [mtu=N]'")
@@ -334,10 +380,10 @@ def parse_fabric(text: str, filename: str = "<fabric>") -> FabricSpec:
     return spec
 
 
-# imported for typing only; kept at the bottom to avoid a hard import of
-# networkx (via mapping) when only the spec itself is needed
-from typing import TYPE_CHECKING  # noqa: E402
-
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.andspec.mapping import PhysicalNet
+    import networkx as nx
+
+    from repro.net.network import Network
+    from repro.obs.context import Observability
     from repro.pisa.arch import ArchProfile
+    from repro.pisa.switch_dev import PisaSwitch

@@ -1,71 +1,33 @@
-"""Overlay-to-physical network mapping.
+"""Overlay-to-physical network mapping, and the rules every reader of a
+physical network shares.
 
 The paper assumes "a mechanism that maps the overlay network of the AND
 file into a physical network and allocates network resources" (S3.2,
-citing Switches-for-HIRE). This module provides a concrete such
-mechanism for the simulator:
+citing Switches-for-HIRE). :func:`map_overlay` is that mechanism for the
+simulator: overlay hosts go to physical hosts by :func:`place_hosts`
+(pins, then name matches, then free hosts in declaration order), overlay
+switches to distinct ``programmable`` switches, and every overlay edge
+(u, v) must have a path between the images of u and v in
+:func:`transit_graph` -- switches only inside it (hosts do not forward),
+and **no other mapped switch**, which would reorder kernel execution.
+The search over switch placements is exhaustive (overlays are small).
 
-* overlay hosts are mapped to physical hosts;
-* overlay switches are mapped to distinct physical switches;
-* every overlay edge (u, v) must map to a physical path between the
-  images of u and v that traverses **no other mapped switch** -- this is
-  what preserves on-path kernel execution order.
-
-The mapper does exhaustive search with pruning over switch placements
-(overlays are small -- a handful of functional components), after pinning
-hosts either by an explicit assignment or by name match.
+The physical network is the graph :meth:`FabricSpec.graph
+<repro.andspec.fabric.FabricSpec.graph>` or
+:meth:`repro.net.network.Network.graph` gives (node ``kind`` and
+``programmable``); the simulator's routes and the deployment checker
+apply the same :func:`transit_graph` and :func:`place_hosts`.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
 from repro.errors import MappingError
 from repro.andspec.model import AndSpec
-
-
-class PhysicalNet:
-    """A physical topology the mapper can target.
-
-    Thin wrapper over an undirected networkx graph whose nodes carry a
-    ``kind`` attribute (``host``/``switch``). The network simulator's
-    :class:`repro.net.topology.Topology` exposes a conversion to this.
-    """
-
-    def __init__(self) -> None:
-        self.graph = nx.Graph()
-
-    def add_host(self, name: str) -> None:
-        self.graph.add_node(name, kind="host")
-
-    def add_switch(self, name: str, pisa: bool = True) -> None:
-        """Add a switch; ``pisa=False`` marks a plain forwarder (e.g. a
-        fat-tree aggregation/core tier) that can carry traffic but not
-        host kernels -- the mapper will route through it, never place on
-        it."""
-        self.graph.add_node(name, kind="switch", pisa=pisa)
-
-    def add_link(self, a: str, b: str) -> None:
-        for n in (a, b):
-            if n not in self.graph:
-                raise MappingError(f"link references unknown physical node {n!r}")
-        self.graph.add_edge(a, b)
-
-    def hosts(self) -> List[str]:
-        return [n for n, d in self.graph.nodes(data=True) if d["kind"] == "host"]
-
-    def switches(self) -> List[str]:
-        return [n for n, d in self.graph.nodes(data=True) if d["kind"] == "switch"]
-
-    def pisa_switches(self) -> List[str]:
-        """Switches that can host kernels (programmable targets only)."""
-        return [
-            n for n, d in self.graph.nodes(data=True)
-            if d["kind"] == "switch" and d.get("pisa", True)
-        ]
 
 
 class Mapping:
@@ -85,52 +47,101 @@ class Mapping:
         return f"Mapping({self.placement})"
 
 
+def transit_graph(
+    graph: nx.Graph, ends: Iterable[str], avoid: Collection[str] = ()
+) -> nx.Graph:
+    """The part of *graph* a path between *ends* may use: every switch
+    not in *avoid*, plus the ends themselves (a view, not a copy; it
+    keeps *graph*'s node and neighbor order, so searches over it break
+    ties the same way on every run)."""
+    keep = set(ends)
+    kinds = graph.nodes
+    return nx.subgraph_view(
+        graph,
+        filter_node=lambda n: n in keep
+        or (kinds[n]["kind"] == "switch" and n not in avoid),
+    )
+
+
+def place_hosts(
+    labels: Sequence[str], graph: nx.Graph, pins: Dict[str, str]
+) -> Tuple[Dict[str, str], List[Tuple[str, str]]]:
+    """Place overlay hosts *labels* onto the physical hosts of *graph*.
+
+    Pins win; an unpinned overlay host matches a physical host of the
+    same name; leftovers take free physical hosts in declaration order.
+    Returns ``(assignment, problems)`` where each problem is
+    ``(overlay_host, reason)``.
+    """
+    kinds = dict(graph.nodes(data="kind"))
+    assignment: Dict[str, str] = {}
+    problems: List[Tuple[str, str]] = []
+    used: set = set()
+    for label in labels:
+        target = pins.get(label)
+        if target is None and kinds.get(label) == "host":
+            target = label
+        if target is None:
+            continue  # greedy pass below
+        if target not in kinds:
+            problems.append(
+                (label, f"pinned to unknown fabric node '{target}'")
+            )
+            continue
+        if kinds[target] != "host":
+            problems.append(
+                (label, f"pinned to '{target}', which is a switch")
+            )
+            continue
+        if target in used:
+            problems.append(
+                (label, f"fabric host '{target}' assigned twice")
+            )
+            continue
+        assignment[label] = target
+        used.add(target)
+    free = [n for n, kind in kinds.items() if kind == "host" and n not in used]
+    for label in labels:
+        if label in assignment or any(p[0] == label for p in problems):
+            continue
+        if not free:
+            problems.append(
+                (label, "no free fabric host left to place it on")
+            )
+            continue
+        assignment[label] = free.pop(0)
+        used.add(assignment[label])
+    return assignment, problems
+
+
 def map_overlay(
     overlay: AndSpec,
-    physical: PhysicalNet,
+    graph: nx.Graph,
     host_pin: Optional[Dict[str, str]] = None,
 ) -> Mapping:
-    """Map *overlay* onto *physical*; raises :class:`MappingError` if
-    impossible.
+    """Map *overlay* onto the physical network *graph*; raises
+    :class:`MappingError` if impossible.
 
-    ``host_pin`` optionally fixes overlay-host -> physical-host choices;
-    unpinned overlay hosts are matched by name if a physical node with
-    the same name exists, else assigned greedily.
+    ``host_pin`` optionally fixes overlay-host -> physical-host choices
+    (see :func:`place_hosts` for the rest).
     """
-    graph = physical.graph
-    phys_hosts = physical.hosts()
-    # Kernels can only be placed on programmable switches; plain
-    # forwarders (fat-tree transit tiers) are path material, not targets.
-    phys_switches = physical.pisa_switches()
+    placement, problems = place_hosts(
+        [n.label for n in overlay.hosts], graph, dict(host_pin or {})
+    )
+    if problems:
+        label, reason = problems[0]
+        raise MappingError(f"overlay host '{label}': {reason}")
 
-    placement: Dict[str, str] = {}
-    used_hosts = set()
-    host_pin = dict(host_pin or {})
-    for node in overlay.hosts:
-        target = host_pin.get(node.label)
-        if target is None and node.label in graph and graph.nodes[node.label]["kind"] == "host":
-            target = node.label
-        if target is None:
-            free = [h for h in phys_hosts if h not in used_hosts]
-            if not free:
-                raise MappingError("not enough physical hosts for the overlay")
-            target = free[0]
-        if target not in graph or graph.nodes[target]["kind"] != "host":
-            raise MappingError(f"{target!r} is not a physical host")
-        if target in used_hosts:
-            raise MappingError(f"physical host {target!r} assigned twice")
-        placement[node.label] = target
-        used_hosts.add(target)
-
+    targets = [n for n, prog in graph.nodes(data="programmable") if prog]
     overlay_switches = [n.label for n in overlay.switches]
-    if len(overlay_switches) > len(phys_switches):
+    if len(overlay_switches) > len(targets):
         raise MappingError(
             f"overlay needs {len(overlay_switches)} switches but the physical "
-            f"network has {len(phys_switches)}"
+            f"network has {len(targets)}"
         )
 
     edges = list(overlay.edges)
-    for candidate in permutations(phys_switches, len(overlay_switches)):
+    for candidate in permutations(targets, len(overlay_switches)):
         trial = dict(placement)
         trial.update(zip(overlay_switches, candidate))
         paths = _check_edges(graph, edges, trial, set(candidate))
@@ -148,14 +159,12 @@ def _check_edges(
     paths: Dict[Tuple[str, str], List[str]] = {}
     for a, b in edges:
         src, dst = placement[a], placement[b]
+        # No other mapped switch inside the path: that would interpose a
+        # kernel-running switch on a logical edge.
         try:
-            path = nx.shortest_path(graph, src, dst)
+            paths[(a, b)] = nx.shortest_path(
+                transit_graph(graph, (src, dst), mapped_switches), src, dst
+            )
         except nx.NetworkXNoPath:
             return None
-        # Interior nodes must not be other mapped switches (that would
-        # interpose a kernel-running switch on a logical edge).
-        for interior in path[1:-1]:
-            if interior in mapped_switches:
-                return None
-        paths[(a, b)] = path
     return paths

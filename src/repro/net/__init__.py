@@ -3,10 +3,10 @@
 from repro.net.events import Simulator, Timer
 from repro.net.frame import Frame
 from repro.net.link import Link
-from repro.net.network import DEFAULT_BANDWIDTH, DEFAULT_LATENCY, Network, star_network
+from repro.net.network import DEFAULT_BANDWIDTH, DEFAULT_LATENCY, Network
 from repro.net.node import ForwardingSwitchNode, HostNode, Node
 from repro.net.pisanode import PisaSwitchNode
-from repro.net.topo import Topology, fat_tree, leaf_spine
+from repro.net.topo import fat_tree, leaf_spine
 
 __all__ = [
     "DEFAULT_BANDWIDTH",
@@ -20,8 +20,6 @@ __all__ = [
     "PisaSwitchNode",
     "Simulator",
     "Timer",
-    "Topology",
     "fat_tree",
     "leaf_spine",
-    "star_network",
 ]

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import networkx as nx
 
 from repro.errors import SimulationError
-from repro.andspec.mapping import PhysicalNet
+from repro.andspec.fabric import DEFAULT_BANDWIDTH, DEFAULT_LATENCY
+from repro.andspec.mapping import transit_graph
 from repro.net.events import Simulator
 from repro.net.link import Link
 from repro.net.node import ForwardingSwitchNode, HostNode, Node
@@ -15,10 +16,6 @@ from repro.net.pisanode import PisaSwitchNode
 from repro.obs.context import Observability
 from repro.obs.netmetrics import collect_network_metrics
 from repro.pisa.switch_dev import PisaSwitch
-
-#: default link parameters (10 GbE, 1 us propagation)
-DEFAULT_BANDWIDTH = 10e9
-DEFAULT_LATENCY = 1e-6
 
 
 class Network:
@@ -141,70 +138,85 @@ class Network:
     # -- routing -------------------------------------------------------------------
 
     def graph(self) -> nx.Graph:
+        """The view the overlay mapper reads, the same one
+        :meth:`repro.andspec.fabric.FabricSpec.graph` gives of a fabric:
+        node ``kind`` and ``programmable`` (a PISA switch)."""
         g = nx.Graph()
         for node in self.nodes.values():
-            g.add_node(node.name, kind="host" if isinstance(node, HostNode) else "switch")
+            g.add_node(
+                node.name,
+                kind="host" if isinstance(node, HostNode) else "switch",
+                programmable=isinstance(node, PisaSwitchNode),
+            )
         for link in self.links:
-            g.add_edge(link.a.name, link.b.name, link=link)
+            g.add_edge(link.a.name, link.b.name)
         return g
 
     def compute_routes(self, ecmp: bool = False) -> None:
         """Install next-hop routes (and P4 route entries on PISA switches)
-        for every node pair, via shortest paths.
+        for every node pair, via shortest paths that cross switches only
+        (:func:`repro.andspec.mapping.transit_graph`): hosts do not
+        forward, so a host is where a route starts or ends, never a hop.
 
-        With ``ecmp=True``, every equal-cost next hop is considered and
-        one is picked per (src, dst) pair by a deterministic hash -- the
-        flow-level spreading a fat-tree needs so its core links all carry
-        traffic.  The choice depends only on the node-id pair, so routes
-        are identical across runs and schedulers.
+        Without ``ecmp`` a node's routes follow its breadth-first search
+        tree. With ``ecmp=True``, every equal-cost next hop is considered
+        and one is picked per (src, dst) pair by a deterministic hash --
+        the flow-level spreading a fat-tree needs so its core links all
+        carry traffic.  The choice depends only on the node-id pair, so
+        routes are identical across runs and schedulers.
         """
         g = self.graph()
+        ports: Dict[str, Dict[str, int]] = {}
+        for name, node in self.nodes.items():
+            ports[name] = {}
+            for port, link in enumerate(node.links):
+                ports[name].setdefault(link.other(node).name, port)
+        switches = transit_graph(g, ())
         if not ecmp:
             for src_name, src in self.nodes.items():
-                paths = nx.single_source_shortest_path(g, src_name)
-                for dst_name, path in paths.items():
-                    if dst_name == src_name or len(path) < 2:
-                        continue
-                    dst = self.nodes[dst_name]
-                    next_hop = self.nodes[path[1]]
-                    port = self._port_toward(src, next_hop)
-                    self._install(src, dst, port)
+                # the search grows from src and from switches only
+                hop = {src_name: src_name}
+                queue = [src_name]
+                for via in queue:
+                    for name in g[via]:
+                        if name not in hop:
+                            hop[name] = name if via == src_name else hop[via]
+                            self._install(src, self.nodes[name], ports[src_name][hop[name]])
+                            if name in switches:
+                                queue.append(name)
             return
-        dist = dict(nx.all_pairs_shortest_path_length(g))
-        for src_name, src in self.nodes.items():
-            dist_from_src = dist[src_name]
-            neighbors = sorted(g.neighbors(src_name))
-            for dst_name, dst in self.nodes.items():
-                if dst_name == src_name:
-                    continue
-                d = dist_from_src.get(dst_name)
-                if d is None:
+        # transit_graph(g, (src, dst)) of every pair from one copy of the
+        # switches, which each destination joins in turn (a source only
+        # adds its own first hop).
+        core = nx.Graph(switches)
+        neighbors = {name: sorted(g[name]) for name in g}
+        for dst_name, dst in self.nodes.items():
+            joined = dst_name not in core
+            if joined:
+                core.add_node(dst_name)
+                core.add_edges_from((dst_name, n) for n in g[dst_name] if n in core)
+            dist = nx.single_source_shortest_path_length(core, dst_name)
+            if joined:
+                core.remove_node(dst_name)
+            for src_name, src in self.nodes.items():
+                near = [dist[n] for n in neighbors[src_name] if n in dist]
+                if src is dst or not near:
                     continue
                 # Every neighbor one step closer to dst is an equal-cost
                 # next hop; hash the (src, dst) id pair over them.
-                next_hops = [
-                    n for n in neighbors if dist[n].get(dst_name) == d - 1
-                ]
-                if not next_hops:
-                    continue
+                best = min(near)
+                next_hops = [n for n in neighbors[src_name] if dist.get(n) == best]
                 pick = next_hops[
                     (src.node_id * 2654435761 + dst.node_id * 40503)
                     % len(next_hops)
                 ]
-                port = self._port_toward(src, self.nodes[pick])
-                self._install(src, dst, port)
+                self._install(src, dst, ports[src_name][pick])
 
     def _install(self, src: Node, dst: Node, port: int) -> None:
         if isinstance(src, PisaSwitchNode):
             src.install_route(dst.node_id, port)
         else:
             src.routes[dst.node_id] = port
-
-    def _port_toward(self, node: Node, neighbor: Node) -> int:
-        for port, link in enumerate(node.links):
-            if link.other(node) is neighbor:
-                return port
-        raise SimulationError(f"{node.name} has no link to {neighbor.name}")
 
     # -- queries ---------------------------------------------------------------------
 
@@ -220,37 +232,9 @@ class Network:
             raise SimulationError(f"no node with id {node_id}")
         return node
 
-    def to_physical(self) -> PhysicalNet:
-        """Expose the topology to the AND mapper."""
-        phys = PhysicalNet()
-        for node in self.nodes.values():
-            if isinstance(node, HostNode):
-                phys.add_host(node.name)
-            else:
-                # Plain forwarders can't host kernels.
-                phys.add_switch(node.name, pisa=isinstance(node, PisaSwitchNode))
-        for link in self.links:
-            phys.add_link(link.a.name, link.b.name)
-        return phys
-
     def total_bytes_on_links(self) -> int:
         return sum(link.stats.bytes for link in self.links)
 
     def run(self, until: Optional[float] = None) -> float:
         return self.sim.run(until)
 
-
-def star_network(
-    n_hosts: int,
-    make_switch: Callable[[Network], Node],
-    bandwidth: float = DEFAULT_BANDWIDTH,
-    latency: float = DEFAULT_LATENCY,
-) -> Tuple[Network, List[HostNode]]:
-    """Hosts around one ToR switch -- the Fig 4 AllReduce topology."""
-    net = Network()
-    hosts = [net.add_host(f"h{i}") for i in range(n_hosts)]
-    switch = make_switch(net)
-    for host in hosts:
-        net.add_link(host.name, switch.name, latency=latency, bandwidth=bandwidth)
-    net.compute_routes()
-    return net, hosts

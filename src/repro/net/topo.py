@@ -1,17 +1,14 @@
 """Datacenter topology generators: k-ary fat-trees and leaf-spines.
 
-A :class:`Topology` is a declarative description -- named hosts, switches
-grouped into tiers, links with per-tier bandwidths -- that can be
-realized three ways:
-
-* :meth:`Topology.build` -> a live :class:`repro.net.network.Network`
-  with :class:`ForwardingSwitchNode` transit switches (and, optionally,
-  PISA switches on one tier, so compiled kernels run in the fabric);
-* :meth:`Topology.to_physical` -> a
-  :class:`repro.andspec.mapping.PhysicalNet` for the overlay mapper,
-  with only the programmable tier marked as placement targets;
-* :meth:`Topology.to_fabric` -> a
-  :class:`repro.andspec.fabric.FabricSpec` for the deployment checker.
+A generator returns a :class:`repro.andspec.fabric.FabricSpec` -- the
+one physical description the simulator
+(:meth:`~repro.andspec.fabric.FabricSpec.build`), the overlay mapper and
+the deployment checker (:meth:`~repro.andspec.fabric.FabricSpec.graph`)
+all read. Hosts come in pod-major order; links carry per-tier
+bandwidths. The tier hosts plug into (fat-tree edge switches, leaves)
+gets the ``bmv2`` chip profile, so it is where kernels are placed -- where
+the paper puts INC kernels; aggregation, core and spine switches have no
+profile and only forward.
 
 The ``oversubscription`` knob divides uplink bandwidth (edge->agg,
 agg->core; leaf->spine) by the given factor, modelling the usual
@@ -20,136 +17,15 @@ tapered datacenter designs (1.0 = full bisection bandwidth).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
-
+from repro.andspec.fabric import DEFAULT_BANDWIDTH, FabricSpec
 from repro.errors import SimulationError
-
-if TYPE_CHECKING:
-    from repro.andspec.fabric import FabricSpec
-    from repro.andspec.mapping import PhysicalNet
-    from repro.net.network import Network
-    from repro.net.node import HostNode
-    from repro.obs.context import Observability
-    from repro.pisa.switch_dev import PisaSwitch
-
-#: tier name of the switches hosts plug into (the programmable tier by
-#: default -- where the paper puts INC kernels)
-EDGE_TIER = "edge"
-
-
-class Topology:
-    """A named topology: hosts, tiered switches, and links."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.hosts: List[str] = []
-        #: switch name -> tier ("edge" / "agg" / "core" / "leaf" / "spine")
-        self.switch_tiers: Dict[str, str] = {}
-        #: (a, b, bandwidth_bits_per_sec)
-        self.links: List[Tuple[str, str, float]] = []
-
-    # -- construction ------------------------------------------------------
-
-    def add_host(self, name: str) -> None:
-        self.hosts.append(name)
-
-    def add_switch(self, name: str, tier: str) -> None:
-        self.switch_tiers[name] = tier
-
-    def add_link(self, a: str, b: str, bandwidth: float) -> None:
-        self.links.append((a, b, bandwidth))
-
-    def switches(self, tier: Optional[str] = None) -> List[str]:
-        if tier is None:
-            return list(self.switch_tiers)
-        return [s for s, t in self.switch_tiers.items() if t == tier]
-
-    # -- realizations ------------------------------------------------------
-
-    def build(
-        self,
-        net: Optional["Network"] = None,
-        obs: Optional["Observability"] = None,
-        latency: float = 1e-6,
-        pisa_factory: Optional[Callable[[str], "PisaSwitch"]] = None,
-        pisa_tier: str = EDGE_TIER,
-        ecmp: bool = True,
-        queue_limit_bytes: Optional[int] = None,
-        delivery_quantum: Optional[float] = None,
-    ) -> "Network":
-        """Realize the topology as a live simulated network.
-
-        Hosts claim the low node ids (h0 -> id 0, ...) so application
-        code can address them positionally.  Every switch is a plain
-        :class:`ForwardingSwitchNode` unless ``pisa_factory`` is given,
-        in which case switches on ``pisa_tier`` become PISA switches
-        running the factory's program (one fresh device per switch).
-        Routes are installed ECMP by default -- that is what spreads
-        flows over a fat-tree's parallel paths.
-        """
-        from repro.net.network import Network
-
-        if net is None:
-            net = Network(obs=obs)
-        for host in self.hosts:
-            net.add_host(host)
-        for switch, tier in self.switch_tiers.items():
-            if pisa_factory is not None and tier == pisa_tier:
-                net.add_pisa_switch(switch, pisa_factory(switch))
-            else:
-                net.add_forwarding_switch(switch)
-        for seed, (a, b, bandwidth) in enumerate(self.links):
-            net.add_link(
-                a, b, latency=latency, bandwidth=bandwidth, seed=seed,
-                queue_limit_bytes=queue_limit_bytes,
-                delivery_quantum=delivery_quantum,
-            )
-        net.compute_routes(ecmp=ecmp)
-        return net
-
-    def to_physical(self, pisa_tier: str = EDGE_TIER) -> "PhysicalNet":
-        """Expose the topology to the AND overlay mapper.  Only
-        ``pisa_tier`` switches are kernel-placement targets; the rest are
-        transit."""
-        from repro.andspec.mapping import PhysicalNet
-
-        phys = PhysicalNet()
-        for host in self.hosts:
-            phys.add_host(host)
-        for switch, tier in self.switch_tiers.items():
-            phys.add_switch(switch, pisa=(tier == pisa_tier))
-        for a, b, _bandwidth in self.links:
-            phys.add_link(a, b)
-        return phys
-
-    def to_fabric(
-        self, profile: Optional[str] = None, mtu: Optional[int] = None
-    ) -> "FabricSpec":
-        """Expose the topology to the deployment checker as a fabric
-        spec (every switch gets *profile*, default bmv2)."""
-        from repro.andspec.fabric import DEFAULT_MTU, FabricSpec
-
-        spec = FabricSpec()
-        for host in self.hosts:
-            spec.add_host(host)
-        for switch in self.switch_tiers:
-            spec.add_switch(switch, profile=profile)
-        for a, b, _bandwidth in self.links:
-            spec.add_link(a, b, mtu=mtu if mtu is not None else DEFAULT_MTU)
-        return spec
-
-    def __repr__(self) -> str:
-        return (
-            f"Topology({self.name}: {len(self.hosts)} hosts, "
-            f"{len(self.switch_tiers)} switches, {len(self.links)} links)"
-        )
 
 
 def fat_tree(
     k: int,
-    bandwidth: float = 10e9,
+    bandwidth: float = DEFAULT_BANDWIDTH,
     oversubscription: float = 1.0,
-) -> Topology:
+) -> FabricSpec:
     """The classic k-ary fat-tree (Al-Fares et al.): k pods, each with
     k/2 edge and k/2 aggregation switches, (k/2)^2 core switches, and
     k^3/4 hosts.  k=8 gives the paper-scale fabric: 128 hosts, 80
@@ -165,37 +41,37 @@ def fat_tree(
         raise SimulationError("oversubscription factor must be >= 1.0")
     half = k // 2
     uplink = bandwidth * half / oversubscription
-    topo = Topology(f"fat-tree-k{k}")
+    spec = FabricSpec(f"fat-tree-k{k}")
     for group in range(half):
         for i in range(half):
-            topo.add_switch(f"c{group}_{i}", "core")
+            spec.add_switch(f"c{group}_{i}", profile=None)
     host = 0
     for pod in range(k):
         for e in range(half):
             edge = f"e{pod}_{e}"
-            topo.add_switch(edge, "edge")
+            spec.add_switch(edge)
             for _ in range(half):
                 name = f"h{host}"
-                topo.add_host(name)
-                topo.add_link(name, edge, bandwidth)
+                spec.add_host(name)
+                spec.add_link(name, edge, bandwidth=bandwidth)
                 host += 1
         for a in range(half):
             agg = f"a{pod}_{a}"
-            topo.add_switch(agg, "agg")
+            spec.add_switch(agg, profile=None)
             for e in range(half):
-                topo.add_link(f"e{pod}_{e}", agg, uplink)
+                spec.add_link(f"e{pod}_{e}", agg, bandwidth=uplink)
             for i in range(half):
-                topo.add_link(agg, f"c{a}_{i}", uplink)
-    return topo
+                spec.add_link(agg, f"c{a}_{i}", bandwidth=uplink)
+    return spec
 
 
 def leaf_spine(
     leaves: int,
     spines: int,
     hosts_per_leaf: int,
-    bandwidth: float = 10e9,
+    bandwidth: float = DEFAULT_BANDWIDTH,
     oversubscription: float = 1.0,
-) -> Topology:
+) -> FabricSpec:
     """A two-tier leaf-spine Clos: every leaf connects to every spine.
 
     Names: hosts ``h{i}``, leaves ``l{i}``, spines ``s{i}``.  Uplink
@@ -207,17 +83,17 @@ def leaf_spine(
     if oversubscription < 1.0:
         raise SimulationError("oversubscription factor must be >= 1.0")
     uplink = hosts_per_leaf * bandwidth / spines / oversubscription
-    topo = Topology(f"leaf-spine-{leaves}x{spines}")
+    spec = FabricSpec(f"leaf-spine-{leaves}x{spines}")
     for s in range(spines):
-        topo.add_switch(f"s{s}", "spine")
+        spec.add_switch(f"s{s}", profile=None)
     host = 0
     for leaf in range(leaves):
         name = f"l{leaf}"
-        topo.add_switch(name, "leaf")
+        spec.add_switch(name)
         for _ in range(hosts_per_leaf):
-            topo.add_host(f"h{host}")
-            topo.add_link(f"h{host}", name, bandwidth)
+            spec.add_host(f"h{host}")
+            spec.add_link(f"h{host}", name, bandwidth=bandwidth)
             host += 1
         for s in range(spines):
-            topo.add_link(name, f"s{s}", uplink)
-    return topo
+            spec.add_link(name, f"s{s}", bandwidth=uplink)
+    return spec

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.errors import MappingError, SimulationError
+from repro.errors import SimulationError
 from repro.andspec.mapping import Mapping, map_overlay
 from repro.nclc.driver import CompiledProgram
 from repro.net.network import DEFAULT_BANDWIDTH, DEFAULT_LATENCY, Network
-from repro.net.node import HostNode
 from repro.net.pisanode import PisaSwitchNode
 from repro.pisa.switch_dev import PisaSwitch
 from repro.runtime.controller import Controller
@@ -92,30 +91,19 @@ class Cluster:
     ) -> "Cluster":
         """Map the AND overlay onto an existing physical network.
 
-        Physical switches chosen by the mapper must currently be
-        "empty" slots: pass a network whose switches are built with
-        ``add_pisa_switch`` placeholders or use 1:1 deployment. To keep
-        the mapped path simple, this variant requires physical switch
-        nodes to be :class:`PisaSwitchNode`s and replaces their programs.
+        The mapper places overlay switches on the network's PISA switches
+        (its programmable nodes) and replaces their programs; overlay
+        hosts land on physical hosts by :func:`repro.andspec.place_hosts`.
         """
-        mapping = map_overlay(program.and_spec, network.to_physical(), host_pin)
+        mapping = map_overlay(program.and_spec, network.graph(), host_pin)
         switches: Dict[str, PisaSwitchNode] = {}
         hosts: Dict[str, NclHost] = {}
-        for overlay_label, phys_name in mapping.placement.items():
-            and_node = program.and_spec.node(overlay_label)
-            node = network.nodes[phys_name]
-            if and_node.is_switch:
-                if not isinstance(node, PisaSwitchNode):
-                    raise MappingError(
-                        f"physical node {phys_name!r} cannot host a PISA program"
-                    )
-                node.switch = PisaSwitch(
-                    program.switch_programs[overlay_label], overlay_label
-                )
-                switches[overlay_label] = node
-            else:
-                if not isinstance(node, HostNode):
-                    raise MappingError(f"{phys_name!r} is not a physical host")
+        for and_node in program.and_spec.switches:
+            node = network.nodes[mapping.placement[and_node.label]]
+            node.switch = PisaSwitch(
+                program.switch_programs[and_node.label], and_node.label
+            )
+            switches[and_node.label] = node
         # AND node ids must be routable: alias them onto physical routes.
         network.compute_routes()
         for overlay_label, phys_name in mapping.placement.items():

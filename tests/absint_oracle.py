@@ -6,7 +6,7 @@ loop it replaced (commit 46853cb), kept as the *specification*: every
 round re-runs the transfer function and ``_update`` on every reachable
 instruction, and the last round exists only to see that nothing changed.
 Everything else -- transfer functions, ``_update``, widening,
-reachability, ``_finalize`` -- is inherited, so the two differ in nothing
+reachability, the non-convergence error, ``_finalize`` -- is inherited, so the two differ in nothing
 but which evaluations they make (tests/test_absint_differential.py holds
 them to identical facts, including ``rounds`` and dict insertion order);
 nothing under ``src/`` imports this file.
@@ -45,9 +45,11 @@ class OracleAnalyzer(_Analyzer):
                         new = self._transfer(instr)
                     if new is None:
                         continue
-                    changed |= self._update(instr, new, round_no)
+                    changed |= self._update(instr, new)
             if not changed:
                 break
+        else:
+            self._unconverged()
         self._finalize()
         return self.facts
 

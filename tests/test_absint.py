@@ -17,14 +17,18 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import absint, lint_source
 from repro.analysis.absint import (
     AbsVal,
+    analyze_function,
     analyze_module,
     compare_verdict,
     exact_range,
 )
-from repro.nclc import Compiler
+from repro.errors import IrError
+from repro.nclc import Compiler, WindowConfig
 from repro.nir import ir
+from repro.nir.interp import DeviceState, run_kernel
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -62,10 +66,14 @@ class TestDomainAlgebra:
 
     def test_widen_respects_shared_known_bits(self):
         # both sides know the top five bits are zero, so the widened
-        # bound lands on 7, not the type max -- the bit domain still
-        # converges because repeated widening clears unstable bits too
+        # bound lands on 7, not the type max
+        assert interval(0, 4).widened(interval(0, 6)).hi == 7
+        # once the join has lost a known bit (bit 2: [0, 3] knows it is
+        # zero, [0, 5] does not) widening drops every known bit, so the
+        # bound goes to the type max: a chain that loses one bit a round
+        # cannot take `bits` rounds to settle
         w = interval(0, 3).widened(interval(0, 5))
-        assert w.hi == 7
+        assert (w.hi, w.zeros, w.ones) == (255, 0, 0)
 
     def test_widen_keeps_stable_bounds(self):
         a = interval(2, 10)
@@ -236,3 +244,73 @@ class TestRangeSimplify:
         [(label, module)] = program.switch_modules.items()
         fn = clone_function(module.functions["parity"])
         assert simplify_ranges(fn) > 0
+
+
+#: ``r``'s loop doubles ``i`` 64 times; its known bits at the loop header
+#: lose one bit a round, a chain long enough to reach the round cap
+SHIFT_LOOP_SRC = r"""
+_net_ _at_("s1") unsigned acc[1] = {0};
+_net_ _out_ void k(unsigned *d) { acc[0] += d[0]; }
+_net_ _in_ void r(unsigned *d, _ext_ uint64_t *out) {
+  uint64_t lim = (uint64_t)window.seq << 40;
+  uint64_t big = 0;
+  uint64_t i = 1;
+  for (unsigned n = 0; n < 64; ++n) {
+    if (i < lim) big = i;
+    i = i << 1;
+  }
+  if ((big >> 62) == 2) out[0] = 7;
+}
+"""
+
+#: ``r`` halves an all-ones word 64 times: one known bit lost a round
+SHIFT_RIGHT_SRC = r"""
+_net_ _at_("s1") unsigned acc[1] = {0};
+_net_ _out_ void k(unsigned *d) { acc[0] += d[0]; }
+_net_ _in_ void r(unsigned *d, _ext_ uint64_t *out) {
+  uint64_t x = 0;
+  x = ~x;
+  for (unsigned n = 0; n < 64; ++n) x = x >> 1;
+  out[0] = x;
+}
+"""
+
+STAR = "host w0\nhost w1\nswitch s1\nlink w0 s1\nlink w1 s1"
+
+
+def _shift_program(source, opt_level):
+    return Compiler(opt_level=opt_level).compile(
+        source, and_text=STAR, windows={"k": WindowConfig(mask=(1,))}
+    )
+
+
+class TestWideningConverges:
+    """Widening that keeps a shrinking known-bits mask lets a loop-carried
+    value lose one bit a round; capped at MAX_ROUNDS the analysis used to
+    stop short of its fixed point and -O2 folded a live branch away."""
+
+    def test_the_three_levels_agree(self):
+        stored = []
+        for level in (0, 1, 2):
+            module = _shift_program(SHIFT_LOOP_SRC, level).ref_module
+            out = [0]
+            run_kernel(
+                module, "r", DeviceState.from_module(module),
+                {"seq": 2**24 - 1}, [[0], out],
+            )
+            stored.append(out[0])
+        assert stored == [7, 7, 7]
+
+    def test_no_false_dead_branch(self):
+        result = lint_source(SHIFT_LOOP_SRC, "shift.ncl", and_text=STAR)
+        assert [d.code for d in result.sink.sorted()] == []
+
+    def test_a_right_shift_chain_converges_in_six_rounds(self):
+        fn = _shift_program(SHIFT_RIGHT_SRC, 1).ref_module.functions["r"]
+        assert analyze_function(fn).rounds <= 6
+
+    def test_a_too_small_cap_raises(self, monkeypatch):
+        fn = _shift_program(SHIFT_RIGHT_SRC, 1).ref_module.functions["r"]
+        monkeypatch.setattr(absint, "MAX_ROUNDS", 2)
+        with pytest.raises(IrError, match="'r' did not converge in 2 rounds"):
+            analyze_function(fn)

@@ -1,9 +1,10 @@
-"""Abstract Network Description: model, parser, overlay mapping."""
+"""Abstract Network Description: model, parser, overlay mapping (onto a
+:class:`FabricSpec`'s graph view)."""
 
 import pytest
 
 from repro.errors import AndError, MappingError
-from repro.andspec import AndSpec, PhysicalNet, map_overlay, parse_and
+from repro.andspec import AndSpec, FabricSpec, map_overlay, parse_and
 
 
 class TestParsing:
@@ -85,7 +86,7 @@ class TestValidation:
 
 
 def chain_physical(n_switches=3):
-    phys = PhysicalNet()
+    phys = FabricSpec()
     phys.add_host("h0")
     phys.add_host("h1")
     prev = "h0"
@@ -95,7 +96,7 @@ def chain_physical(n_switches=3):
         phys.add_link(prev, name)
         prev = name
     phys.add_link(prev, "h1")
-    return phys
+    return phys.graph()
 
 
 class TestMapping:
@@ -134,12 +135,12 @@ class TestMapping:
             "host a\nhost b\nhost c\nswitch s1\n"
             "link a s1\nlink b s1\nlink c s1"
         )
-        phys = PhysicalNet()
+        phys = FabricSpec()
         phys.add_host("x")
         phys.add_switch("p0")
         phys.add_link("x", "p0")
-        with pytest.raises(MappingError, match="hosts"):
-            map_overlay(overlay, phys)
+        with pytest.raises(MappingError, match="'b': no free fabric host"):
+            map_overlay(overlay, phys.graph())
 
     def test_host_pinning(self):
         overlay = parse_and("host a\nswitch s1\nhost b\nlink a s1\nlink s1 b")
@@ -149,5 +150,5 @@ class TestMapping:
 
     def test_pin_to_switch_rejected(self):
         overlay = parse_and("host a\nswitch s1\nlink a s1")
-        with pytest.raises(MappingError, match="not a physical host"):
+        with pytest.raises(MappingError, match="'p0', which is a switch"):
             map_overlay(overlay, chain_physical(1), host_pin={"a": "p0"})

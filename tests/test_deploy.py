@@ -14,7 +14,7 @@ from repro.analysis.deploy import (
     render_report_json,
     render_report_text,
 )
-from repro.andspec import FabricSpec, parse_fabric
+from repro.andspec import parse_fabric
 from repro.diag import Severity
 from repro.diag.codes import CodeCollision, all_codes, assert_unique
 from repro.errors import AndError, DeployError
@@ -57,21 +57,21 @@ class TestFabricSpec:
         assert spec.link_between("h0", "sw0").mtu == 9000
         assert spec.link_between("sw0", "sw1").mtu == 1500  # default
         assert spec.switch_profile("sw0").name == "tofino-like"
-        assert sorted(spec.neighbors("sw0")) == ["h0", "sw1"]
+        assert sorted(spec.graph()["sw0"]) == ["h0", "sw1"]
 
     def test_render_parse_roundtrip(self):
         spec = parse_fabric(self.FABRIC)
         again = parse_fabric(spec.render())
         assert again.to_dict() == spec.to_dict()
 
-    def test_dict_roundtrip(self):
-        spec = parse_fabric(self.FABRIC)
-        assert FabricSpec.from_dict(spec.to_dict()).to_dict() == spec.to_dict()
-
-    def test_to_physical_kinds(self):
-        phys = parse_fabric(self.FABRIC).to_physical()
-        assert sorted(phys.switches()) == ["sw0", "sw1"]
-        assert phys.hosts() == ["h0"]
+    def test_graph_kinds(self):
+        graph = parse_fabric(self.FABRIC).graph()
+        assert dict(graph.nodes(data=True)) == {
+            "sw0": {"kind": "switch", "programmable": True},
+            "sw1": {"kind": "switch", "programmable": True},
+            "h0": {"kind": "host", "programmable": False},
+        }
+        assert graph.edges["h0", "sw0"] == {"mtu": 9000}
 
     @pytest.mark.parametrize(
         "text,fragment",

@@ -148,14 +148,15 @@ class TestTopology:
         with pytest.raises(SimulationError):
             net.node_by_id(9)
 
-    def test_to_physical_kinds(self):
+    def test_graph_kinds(self):
         net = Network()
         net.add_host("h")
         net.add_forwarding_switch("s")
         net.add_link("h", "s")
-        phys = net.to_physical()
-        assert phys.hosts() == ["h"] and phys.switches() == ["s"]
-        assert phys.pisa_switches() == []
+        assert dict(net.graph().nodes(data=True)) == {
+            "h": {"kind": "host", "programmable": False},
+            "s": {"kind": "switch", "programmable": False},
+        }
 
 
 class TestForwardingSwitch:

@@ -1,10 +1,12 @@
 """Datacenter topology generators, ECMP routing, and failure injection.
 
-Structural properties of the fat-tree / leaf-spine generators, the three
-realizations (live Network, PhysicalNet for the mapper, FabricSpec for
-the deployment checker), ECMP spreading over parallel core paths,
-switch-failure semantics (drop cause ``down``, the ``node.up`` gauge, a
-health alert on it), and NIC-style delivery coalescing.
+Structural properties of the fat-tree / leaf-spine generators (each a
+:class:`repro.andspec.FabricSpec` whose host-facing tier is the
+programmable one), the one description read two ways (``build()`` into a
+live Network, ``graph()`` for the mapper and the deployment checker),
+ECMP spreading over parallel core paths, switch-failure semantics (drop
+cause ``down``, the ``node.up`` gauge, a health alert on it), and
+NIC-style delivery coalescing.
 """
 
 import pytest
@@ -15,6 +17,8 @@ from repro.errors import SimulationError
 from repro.ncp.wire import ChunkLayout, KernelLayout, encode_frame
 from repro.net import Network, fat_tree, leaf_spine
 from repro.net.node import ForwardingSwitchNode
+from repro.net.pisanode import PisaSwitchNode
+from repro.pisa.switch_dev import PisaSwitch
 from repro.obs import AlertEngine, Observability, TimeSeriesSampler
 from repro.obs.timeseries import attach_network_probes
 
@@ -45,22 +49,26 @@ def deliver_all(topo, pairs, **build_kwargs):
     return net, got
 
 
+def programmable(spec):
+    return [s for s in spec.switches if spec.nodes[s].programmable]
+
+
 class TestGenerators:
     def test_fat_tree_k4_counts(self):
         topo = fat_tree(4)
         assert len(topo.hosts) == 16
-        assert len(topo.switch_tiers) == 20
+        assert len(topo.switches) == 20
         assert len(topo.links) == 48
-        assert len(topo.switches("edge")) == 8
-        assert len(topo.switches("agg")) == 8
-        assert len(topo.switches("core")) == 4
+        assert programmable(topo) == [f"e{p}_{i}" for p in range(4) for i in range(2)]
+        assert sum(s.startswith("a") for s in topo.switches) == 8
+        assert sum(s.startswith("c") for s in topo.switches) == 4
 
     def test_fat_tree_k8_paper_scale(self):
         topo = fat_tree(8)
         assert len(topo.hosts) == 128
-        assert len(topo.switch_tiers) == 80
+        assert len(topo.switches) == 80
         assert len(topo.links) == 384
-        assert len(topo.switches("core")) == 16
+        assert sum(s.startswith("c") for s in topo.switches) == 16
 
     def test_fat_tree_validates_arity(self):
         with pytest.raises(SimulationError, match="even"):
@@ -72,17 +80,16 @@ class TestGenerators:
 
     def test_fat_tree_oversubscription_tapers_uplinks(self):
         topo = fat_tree(4, bandwidth=10e9, oversubscription=4.0)
-        by_pair = {(a, b): bw for a, b, bw in topo.links}
-        assert by_pair[("h0", "e0_0")] == 10e9
+        assert topo.link_between("h0", "e0_0").bandwidth == 10e9
         # k/2 * bandwidth / oversub = 2 * 10G / 4
-        assert by_pair[("e0_0", "a0_0")] == pytest.approx(5e9)
-        assert by_pair[("a0_0", "c0_0")] == pytest.approx(5e9)
+        assert topo.link_between("e0_0", "a0_0").bandwidth == pytest.approx(5e9)
+        assert topo.link_between("a0_0", "c0_0").bandwidth == pytest.approx(5e9)
 
     def test_leaf_spine_counts(self):
         topo = leaf_spine(leaves=4, spines=2, hosts_per_leaf=8)
         assert len(topo.hosts) == 32
-        assert len(topo.switches("leaf")) == 4
-        assert len(topo.switches("spine")) == 2
+        assert programmable(topo) == ["l0", "l1", "l2", "l3"]
+        assert [s for s in topo.switches if s.startswith("s")] == ["s0", "s1"]
         # host links + leaves*spines uplinks
         assert len(topo.links) == 32 + 8
         with pytest.raises(SimulationError):
@@ -91,6 +98,10 @@ class TestGenerators:
     def test_repr(self):
         assert "fat-tree-k4" in repr(fat_tree(4))
 
+    def test_generated_fabrics_validate(self):
+        fat_tree(4).validate()
+        leaf_spine(2, 2, 4).validate()
+
 
 class TestBuild:
     def test_hosts_claim_low_node_ids(self):
@@ -98,7 +109,7 @@ class TestBuild:
         net = topo.build()
         for i, name in enumerate(topo.hosts):
             assert net.host(name).node_id == i
-        for switch in topo.switch_tiers:
+        for switch in topo.switches:
             assert net.nodes[switch].node_id >= len(topo.hosts)
             assert isinstance(net.nodes[switch], ForwardingSwitchNode)
 
@@ -165,33 +176,37 @@ class TestBuild:
         assert leaf.stats.drops == 1
 
 
-class TestRealizations:
-    def test_to_physical_marks_only_edge_tier_pisa(self):
-        topo = fat_tree(4)
-        phys = topo.to_physical()
-        assert sorted(phys.pisa_switches()) == sorted(topo.switches("edge"))
-        assert len(phys.switches()) == 20
-        assert len(phys.hosts()) == 16
-
+class TestPlacementTargets:
     def test_map_overlay_places_on_programmable_tier_only(self):
-        phys = fat_tree(4).to_physical()
         overlay = parse_and(
             "host h0\nhost h1\nswitch s\nlink h0 s\nlink h1 s"
         )
-        mapping = map_overlay(overlay, phys)
+        mapping = map_overlay(overlay, fat_tree(4).graph())
         assert mapping.placement["s"].startswith("e")
 
     def test_map_overlay_fails_without_programmable_switches(self):
-        phys = fat_tree(4).to_physical(pisa_tier="nonexistent")
+        graph = fat_tree(4).graph()
+        for name in graph:
+            graph.nodes[name]["programmable"] = False
         overlay = parse_and("host h0\nhost h1\nswitch s\nlink h0 s\nlink h1 s")
         with pytest.raises(MappingError):
-            map_overlay(overlay, phys)
+            map_overlay(overlay, graph)
 
-    def test_to_fabric_validates(self):
-        spec = fat_tree(4).to_fabric()
-        spec.validate()
-        spec = leaf_spine(2, 2, 4).to_fabric(profile="bmv2")
-        spec.validate()
+    def test_pisa_factory_runs_on_the_programmable_tier(self, allreduce_program):
+        made = []
+
+        def factory(name):
+            made.append(name)
+            return PisaSwitch(allreduce_program.switch_programs["s1"], name)
+
+        topo = leaf_spine(2, 2, 2)
+        net = topo.build(pisa_factory=factory)
+        assert made == programmable(topo)
+        assert {n for n, node in net.nodes.items() if isinstance(node, PisaSwitchNode)} == set(made)
+        # the live network's view is the fabric's, minus the MTUs
+        spec_view = topo.graph()
+        assert dict(net.graph().nodes(data=True)) == dict(spec_view.nodes(data=True))
+        assert sorted(map(sorted, net.graph().edges)) == sorted(map(sorted, spec_view.edges))
 
 
 def two_host_line():
