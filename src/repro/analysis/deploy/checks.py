@@ -45,12 +45,12 @@ from repro.analysis.proto import (
     _describe_step,
     check_models,
 )
-from repro.analysis.rules import _SPACE_WORD, kernel_state_accesses
+from repro.analysis.rules import _SPACE_WORD
 from repro.andspec.fabric import FabricSpec
 from repro.andspec.mapping import place_hosts, transit_graph
 from repro.diag import DiagnosticSink, Span
 from repro.errors import SourceLocation
-from repro.nir.ir import GlobalRef, Module
+from repro.nir.ir import STATE_SPACES, GlobalRef, state_accesses
 from repro.ncp.fragment import FRAG_KERNEL_BIT
 from repro.ncp.wire import HEADERS_LEN
 from repro.obs.int import HOP_BYTES, TAIL_BYTES, IntConfig
@@ -396,31 +396,18 @@ class KernelIdIsolationCheck(DeployCheck):
 class _GlobalUse:
     """How one tenant uses one global on one physical switch."""
 
-    __slots__ = ("tenant", "ref", "writers")
+    __slots__ = ("tenant", "ref", "writer")
 
     def __init__(
         self,
         tenant: TenantDeployment,
         ref: GlobalRef,
-        writers: List[Tuple[str, Optional[SourceLocation]]],
+        writer: Optional[Tuple[str, Optional[SourceLocation]]],
     ) -> None:
         self.tenant = tenant
         self.ref = ref
-        #: ``[(kernel, loc)]`` write sites, callgraph-attributed
-        self.writers = writers
-
-
-def _module_writes(
-    module: Module,
-) -> Dict[str, List[Tuple[str, Optional[SourceLocation]]]]:
-    """Global name -> write sites, attributed through the callgraph so a
-    helper's store is charged to every kernel that reaches it (same
-    scheme as the lint race detector)."""
-    out: Dict[str, List[Tuple[str, Optional[SourceLocation]]]] = {}
-    for fn, ref, is_write, loc in kernel_state_accesses(module):
-        if is_write:
-            out.setdefault(ref.name, []).append((fn.name, loc))
-    return out
+        #: ``(kernel, loc)`` of the tenant's first write, or None
+        self.writer = writer
 
 
 @register
@@ -434,8 +421,8 @@ class NamespaceIsolationCheck(DeployCheck):
     * ``_ctrl_`` variables alias unconditionally (NCL0921) -- a
       control-plane write by either tenant lands in both programs;
     * other switch state (arrays, Maps, BloomFilters) conflicts when at
-      least one tenant's kernels write it (NCL0922), with the write
-      sites attributed interprocedurally across the tenant boundary.
+      least one tenant's kernels write it (NCL0922), naming each such
+      tenant's first write (:func:`repro.nir.ir.state_accesses`).
     """
 
     name = "namespaces"
@@ -452,9 +439,13 @@ class NamespaceIsolationCheck(DeployCheck):
             module = tenant.program.ref_module
             if module is None:
                 continue
-            writes = _module_writes(module)
+            first_writer: Dict[str, Tuple[str, Optional[SourceLocation]]] = {}
+            for fn in module.kernels():
+                for _block, instr, ref, is_write in state_accesses(fn):
+                    if is_write:
+                        first_writer.setdefault(ref.name, (fn.name, instr.loc))
             for name, ref in sorted(module.globals.items()):
-                if ref.space not in _SPACE_WORD:
+                if ref.space not in STATE_SPACES:
                     continue
                 # A pinned symbol lives on its label's switch; an
                 # unpinned one is versioned onto every switch the
@@ -464,7 +455,7 @@ class NamespaceIsolationCheck(DeployCheck):
                     if ref.at_label is not None
                     else sorted(placement)
                 )
-                use = _GlobalUse(tenant, ref, writes.get(name, []))
+                use = _GlobalUse(tenant, ref, first_writer.get(name))
                 for label in labels:
                     target = placement.get(label)
                     if target is None:
@@ -520,18 +511,18 @@ class NamespaceIsolationCheck(DeployCheck):
         uses: List[_GlobalUse],
         tenants: List[TenantDeployment],
     ) -> None:
-        writers = [u for u in uses if u.writers]
+        writers = [u for u in uses if u.writer is not None]
         if not writers:
             return  # co-located read-only state with one name: harmless
         space = _SPACE_WORD[uses[0].ref.space]
         who = " and ".join(f"'{t.name}'" for t in tenants)
         notes = [
-            f"tenant '{use.tenant.name}' kernel '{use.writers[0][0]}' writes "
+            f"tenant '{use.tenant.name}' kernel '{use.writer[0]}' writes "
             f"'{name}'"
             for use in writers
         ]
         secondary = _spans(
-            (use.writers[0][1], f"tenant '{use.tenant.name}' writes '{name}' here")
+            (use.writer[1], f"tenant '{use.tenant.name}' writes '{name}' here")
             for use in writers
         )
         ctx.sink.error(

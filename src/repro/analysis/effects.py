@@ -573,110 +573,39 @@ def _match_fold(value: ir.Value, walker: _DepWalker
 # -- the per-kernel analysis --------------------------------------------------
 
 
-class _RawSite:
-    __slots__ = ("instr", "ref", "op", "kind", "fold", "grade", "detail",
-                 "deps", "block")
-
-    def __init__(self, instr: ir.Instr, ref: ir.GlobalRef, op: str,
-                 kind: str, fold: Optional[str], grade: str, detail: str,
-                 deps: FrozenSet[str], block: Optional[ir.Block]) -> None:
-        self.instr = instr
-        self.ref = ref
-        self.op = op
-        self.kind = kind
-        self.fold = fold
-        self.grade = grade
-        self.detail = detail
-        self.deps = deps
-        self.block = block
-
-
-def _collect_sites(fn: ir.Function, facts: Optional[FunctionFacts],
-                   seen_fns: Optional[Set[str]] = None) -> List[_RawSite]:
-    """Every shared-state update in ``fn``, including (interprocedurally)
-    those of helper functions it calls; callee sites are attributed to
-    the caller's callsite block for guard purposes."""
-    if seen_fns is None:
-        seen_fns = set()
-    if fn.name in seen_fns:
-        return []
-    seen_fns = seen_fns | {fn.name}
-    sites: List[_RawSite] = []
-    for block in fn.blocks:
-        if facts is not None and facts.reachable and (
-            block not in facts.reachable
-        ):
-            continue
-        for instr in block.instrs:
-            if isinstance(instr, ir.StoreElem) and instr.ref.space in (
-                "net",
-            ):
-                walker = _DepWalker(instr.ref, instr.index)
-                kind, fold, grade, detail, deps = _classify_store(
-                    instr, walker, facts
-                )
-                sites.append(_RawSite(instr, instr.ref, "store", kind, fold,
-                                      grade, detail, deps, block))
-            elif isinstance(instr, ir.BloomOp) and instr.op == "insert":
-                sites.append(_RawSite(
-                    instr, instr.ref, "bloom-insert", KIND_IDEMPOTENT, None,
-                    "proved", "Bloom-filter insert (set union)",
-                    frozenset(), block,
-                ))
-            elif isinstance(instr, ir.Memcpy):
-                dst = instr.dst
-                if dst.ref is None or dst.ref.space not in ("net",):
-                    continue
-                walker = _DepWalker(dst.ref, None)
-                deps = walker.deps(instr.dst_off) | walker.deps(instr.nbytes)
-                src = instr.src
-                if src.ref is not None:
-                    if src.ref is dst.ref:
-                        deps |= frozenset({"self"})
-                    elif src.ref.space in ("net", "ctrl", "map", "bloom"):
-                        deps |= frozenset({f"{src.ref.space}:{src.ref.name}"})
-                deps |= walker.deps(instr.src_off)
-                ctrl_like = {
-                    d for d in deps
-                    if d.split(":", 1)[0] in ("ctrl", "map")
-                }
-                hard = deps - ctrl_like - {"self"}
-                if "self" in deps or hard:
-                    kind, grade = KIND_UNSAFE, "possible"
-                    detail = (
-                        "memcpy into switch memory from mutable state "
-                        "({})".format(", ".join(sorted(deps)))
-                    )
-                elif ctrl_like:
-                    kind, grade = KIND_IDEMPOTENT, "possible"
-                    detail = ("memcpy overwrite; stable unless the control "
-                              "plane intervenes between attempts")
-                else:
-                    kind, grade = KIND_IDEMPOTENT, "proved"
-                    detail = "memcpy overwrite with replay-stable bytes"
-                sites.append(_RawSite(instr, dst.ref, "memcpy", kind, None,
-                                      grade, detail, deps, block))
-            elif isinstance(instr, ir.CallFn):
-                for callee_site in _collect_sites(
-                    instr.callee, None, seen_fns
-                ):
-                    sites.append(_RawSite(
-                        callee_site.instr, callee_site.ref, callee_site.op,
-                        callee_site.kind, callee_site.fold,
-                        callee_site.grade,
-                        callee_site.detail
-                        + f" (via call to {instr.callee.name!r})",
-                        callee_site.deps, block,
-                    ))
-    return sites
+def _classify_memcpy(instr: ir.Memcpy) -> Tuple[str, str, str, FrozenSet[str]]:
+    """``(kind, grade, detail, deps)`` of a memcpy into switch memory."""
+    dst, src = instr.dst, instr.src
+    walker = _DepWalker(dst.ref, None)
+    deps = walker.deps(instr.dst_off) | walker.deps(instr.nbytes)
+    if src.ref is not None:
+        if src.ref is dst.ref:
+            deps |= frozenset({"self"})
+        elif src.ref.space in ir.STATE_SPACES:
+            deps |= frozenset({f"{src.ref.space}:{src.ref.name}"})
+    deps |= walker.deps(instr.src_off)
+    ctrl_like = {d for d in deps if d.split(":", 1)[0] in ("ctrl", "map")}
+    hard = deps - ctrl_like - {"self"}
+    if "self" in deps or hard:
+        detail = "memcpy into switch memory from mutable state ({})".format(
+            ", ".join(sorted(deps))
+        )
+        return KIND_UNSAFE, "possible", detail, deps
+    if ctrl_like:
+        return KIND_IDEMPOTENT, "possible", (
+            "memcpy overwrite; stable unless the control plane intervenes "
+            "between attempts"
+        ), deps
+    return KIND_IDEMPOTENT, "proved", "memcpy overwrite with replay-stable bytes", deps
 
 
 def analyze_kernel_effects(fn: ir.Function,
                            facts: Optional[FunctionFacts] = None
                            ) -> KernelEffects:
-    """Effect summary of one SSA kernel function."""
+    """Effect summary of one SSA kernel function: every reachable write
+    :func:`repro.nir.ir.state_accesses` finds, classified and matched
+    to the dedup guard whose region holds it."""
     guards = _find_guards(fn, facts)
-    sites = _collect_sites(fn, facts)
 
     # Marking stores of a recognized guard are bookkeeping, not payload:
     # drop them from the guard symbol so the mark register itself does
@@ -686,31 +615,48 @@ def analyze_kernel_effects(fn: ir.Function,
 
     by_symbol: Dict[str, List[EffectSite]] = {}
     refs: Dict[str, ir.GlobalRef] = {}
-    for raw in sites:
+    for block, instr, ref, is_write in ir.state_accesses(fn):
+        if not is_write or (
+            facts is not None and facts.reachable
+            and block not in facts.reachable
+        ):
+            continue
+        if isinstance(instr, ir.BloomOp):
+            if any(
+                g.symbol == ref.name and g.style == "bloom-dedup"
+                for g, _ in guards
+            ):
+                continue  # the guard's own insert
+            op, kind, fold, grade, deps = (
+                "bloom-insert", KIND_IDEMPOTENT, None, "proved", frozenset()
+            )
+            detail = "Bloom-filter insert (set union)"
+        elif ref.space != "net":
+            continue
+        elif isinstance(instr, ir.Memcpy):
+            op, fold = "memcpy", None
+            kind, grade, detail, deps = _classify_memcpy(instr)
+        else:
+            op = "store"
+            walker = _DepWalker(ref, instr.index)
+            kind, fold, grade, detail, deps = _classify_store(
+                instr, walker, facts
+            )
+            if ref.name in guard_syms and kind == KIND_IDEMPOTENT:
+                continue  # the mark write itself
         guard: Optional[GuardInfo] = None
         for info, region in guards:
-            if raw.block is not None and raw.block in region:
+            if block in region:
                 if guard is None or (
                     _GRADE_ORDER[info.grade] > _GRADE_ORDER[guard.grade]
                 ):
                     guard = info
-        if (
-            raw.ref.name in guard_syms
-            and raw.op == "store"
-            and raw.kind == KIND_IDEMPOTENT
-        ):
-            continue  # the mark write itself
-        if raw.op == "bloom-insert" and any(
-            g.symbol == raw.ref.name and g.style == "bloom-dedup"
-            for g, _ in guards
-        ):
-            continue  # the guard's own insert
         site = EffectSite(
-            raw.instr, raw.ref.name, raw.op, raw.kind, raw.fold, raw.grade,
-            guard is not None, guard, raw.detail, raw.deps,
+            instr, ref.name, op, kind, fold, grade,
+            guard is not None, guard, detail, deps,
         )
-        refs[raw.ref.name] = raw.ref
-        by_symbol.setdefault(raw.ref.name, []).append(site)
+        refs[ref.name] = ref
+        by_symbol.setdefault(ref.name, []).append(site)
 
     symbols = {
         name: SymbolEffect(

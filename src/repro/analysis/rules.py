@@ -60,12 +60,9 @@ LintRule = Rule[AnalysisContext]
 #: host runtime calls that WRITE switch-resident state from the control plane
 _HOST_WRITE_CALLS = ("ncl::ctrl_wr", "ncl::map_insert", "ncl::map_erase")
 
-_SPACE_WORD = {
-    "net": "switch memory",
-    "ctrl": "control variable",
-    "map": "Map",
-    "bloom": "BloomFilter",
-}
+_SPACE_WORD = dict(
+    zip(ir.STATE_SPACES, ("switch memory", "control variable", "Map", "BloomFilter"))
+)
 
 
 def _bits(ty) -> Optional[int]:
@@ -119,24 +116,30 @@ def _gvar_decl(unit: TranslationUnit, name: str) -> Optional[ast.GlobalVar]:
     return None
 
 
-def _host_functions(unit: TranslationUnit) -> List[ast.FuncDecl]:
-    """Host (non-kernel) functions with bodies, in declaration order.
+def _host_functions(ctx: AnalysisContext) -> List[ast.FuncDecl]:
+    """Host functions with bodies, in declaration order.
 
-    ``unit.functions`` also holds switch-side helper functions; a helper
-    is any function reachable from a kernel, which the callers of this
-    function do not need to distinguish -- helpers cannot contain
-    ``ncl::`` runtime calls anyway (sema rejects them).
+    ``unit.functions`` also holds the switch-side helpers: the functions
+    a kernel reaches, which lowering put in the module as HELPERs. Those
+    are left out, so a Python-driven program with a pure helper has no
+    host code.
     """
+    helpers = set()
+    if ctx.module is not None:
+        helpers = {
+            fn.name for fn in ctx.module.functions.values()
+            if fn.kind is ir.FunctionKind.HELPER
+        }
     return [
-        d for d in unit.functions.values()
-        if d.body is not None and not d.is_kernel
+        d for d in ctx.unit.functions.values()
+        if d.body is not None and not d.is_kernel and d.name not in helpers
     ]
 
 
-def _host_calls(unit: TranslationUnit, names: Tuple[str, ...]) -> Iterator[ast.Call]:
+def _host_calls(ctx: AnalysisContext, names: Tuple[str, ...]) -> Iterator[ast.Call]:
     """Every call to one of the ``ncl::`` runtime functions *names* that
     host code makes."""
-    for decl in _host_functions(unit):
+    for decl in _host_functions(ctx):
         for node in decl.body.walk():
             if isinstance(node, ast.Call) and node.name in names:
                 yield node
@@ -155,50 +158,6 @@ class _StateAccess:
         self.loc = loc
 
 
-def _instr_accesses(instr: ir.Instr) -> List[Tuple[ir.GlobalRef, bool]]:
-    """(ref, is_write) pairs for one instruction."""
-    out: List[Tuple[ir.GlobalRef, bool]] = []
-    if isinstance(instr, ir.LoadElem):
-        out.append((instr.ref, False))
-    elif isinstance(instr, ir.StoreElem):
-        out.append((instr.ref, True))
-    elif isinstance(instr, ir.CtrlRead):
-        out.append((instr.ref, False))
-    elif isinstance(instr, ir.MapLookup):
-        out.append((instr.ref, False))
-    elif isinstance(instr, ir.BloomOp):
-        out.append((instr.ref, instr.op == "insert"))
-    elif isinstance(instr, ir.Memcpy):
-        if instr.src.ref is not None:
-            out.append((instr.src.ref, False))
-        if instr.dst.ref is not None:
-            out.append((instr.dst.ref, True))
-    return [(ref, w) for ref, w in out if ref.space in _SPACE_WORD]
-
-
-def kernel_state_accesses(
-    module: ir.Module,
-) -> Iterator[Tuple[ir.Function, ir.GlobalRef, bool, object]]:
-    """``(kernel, ref, is_write, loc)`` for every shared-state access a
-    kernel makes, a helper's accesses attributed to every kernel that
-    (transitively) calls it.  The one callgraph attribution behind the
-    race detector and check-deploy's cross-tenant conflict check."""
-    for fn in module.kernels():
-        reached: Set[str] = set()
-        frontier = [fn.name]
-        while frontier:
-            # a helper that failed to lower is not in the module
-            owner = module.functions.get(frontier.pop())
-            if owner is None or owner.name in reached:
-                continue
-            reached.add(owner.name)
-            for instr in owner.instructions():
-                if isinstance(instr, ir.CallFn):
-                    frontier.append(instr.callee.name)
-                for ref, is_write in _instr_accesses(instr):
-                    yield fn, ref, is_write, instr.loc
-
-
 @register
 class SharedStateRaceRule(LintRule):
     """The shared-state race detector (the tentpole analysis).
@@ -207,9 +166,11 @@ class SharedStateRaceRule(LintRule):
     kernel plus the host control plane) touch it, at least one touch is
     a write, and nothing serializes them onto a single switch: the
     symbol must carry an ``_at_`` pin and every accessing kernel must be
-    unpinned (versioning then confines its access to the symbol's
-    switch) or pinned to the *same* label. Host control-plane writes to
-    a pinned symbol are serialized by the runtime.
+    unpinned (versioning rejects an access that location specialization
+    leaves on any other switch) or pinned to the *same* label. Host
+    control-plane writes to a pinned symbol are serialized by the
+    runtime. Accesses are :func:`repro.nir.ir.state_accesses`, kernel by
+    kernel: helpers never name switch state (sema, NCL0400).
     """
 
     name = "race"
@@ -221,15 +182,17 @@ class SharedStateRaceRule(LintRule):
             return
         accesses: Dict[str, List[_StateAccess]] = {}
 
-        for fn, ref, is_write, loc in kernel_state_accesses(ctx.module):
-            accesses.setdefault(ref.name, []).append(
-                _StateAccess(
-                    fn.name, f"kernel '{fn.name}'", fn.at_label, is_write, loc
+        for fn in ctx.module.kernels():
+            for _block, instr, ref, is_write in ir.state_accesses(fn):
+                accesses.setdefault(ref.name, []).append(
+                    _StateAccess(
+                        fn.name, f"kernel '{fn.name}'", fn.at_label, is_write,
+                        instr.loc,
+                    )
                 )
-            )
 
         # Host-side control-plane writes from the AST.
-        for node in _host_calls(ctx.unit, _HOST_WRITE_CALLS):
+        for node in _host_calls(ctx, _HOST_WRITE_CALLS):
             target = node.args[0] if node.args else None
             if isinstance(target, ast.Unary) and target.op == "&":
                 target = target.operand
@@ -244,7 +207,7 @@ class SharedStateRaceRule(LintRule):
             )
 
         for name, ref in ctx.module.globals.items():
-            if ref.space not in _SPACE_WORD:
+            if ref.space not in ir.STATE_SPACES:
                 continue
             touches = accesses.get(name, [])
             writes = [a for a in touches if a.is_write]
@@ -814,11 +777,11 @@ class UnusedKernelRule(LintRule):
     about = "kernel defined but never launched/registered by host code"
 
     def run(self, ctx: AnalysisContext) -> None:
-        if not _host_functions(ctx.unit):
+        if not _host_functions(ctx):
             return
         used_out: Set[str] = set()
         used_in: Set[str] = set()
-        for node in _host_calls(ctx.unit, ("ncl::out", "ncl::in")):
+        for node in _host_calls(ctx, ("ncl::out", "ncl::in")):
             target = node.args[0] if node.args else None
             if isinstance(target, ast.Ident):
                 (used_out if node.name == "ncl::out" else used_in).add(
@@ -963,13 +926,12 @@ class PisaResourceRule(LintRule):
     def _check_register_accesses(self, ctx, fn, profile) -> None:
         counts: Dict[str, int] = {}
         first_loc: Dict[str, object] = {}
-        for instr in fn.instructions():
-            for ref, _w in _instr_accesses(instr):
-                if ref.space != "net":
-                    continue
-                counts[ref.name] = counts.get(ref.name, 0) + 1
-                if ref.name not in first_loc and instr.loc is not None:
-                    first_loc[ref.name] = instr.loc
+        for _block, instr, ref, _w in ir.state_accesses(fn):
+            if ref.space != "net":
+                continue
+            counts[ref.name] = counts.get(ref.name, 0) + 1
+            if ref.name not in first_loc and instr.loc is not None:
+                first_loc[ref.name] = instr.loc
         for name, count in counts.items():
             if count <= profile.max_register_accesses_per_array:
                 continue

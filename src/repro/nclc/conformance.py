@@ -11,6 +11,8 @@ expensive transformation runs. Checks:
 * location consistency: a kernel pinned to ``_at_("s1")`` may not touch
   switch memory pinned to another location (the paper names "location
   conflicts between kernels and switch memory" as a stage-1 check);
+  versioning applies the same rule to a location-less kernel once it is
+  specialized for each switch (:func:`check_switch_kernel`);
 * all ``_at_``/``_pass``/``_locid`` labels exist in the AND and name
   switches;
 * window masks match kernel signatures (delegated to the layout builder
@@ -68,7 +70,8 @@ def check_module(
     _check_no_recursion(module, fail)
     for fn in module.kernels(ir.FunctionKind.OUT_KERNEL):
         _check_kernel_ops(fn, fail)
-        _check_location_conflicts(module, fn, fail)
+        if fn.at_label is not None:
+            _check_location_conflicts(fn, fn.at_label, fail)
         if and_spec is not None:
             _check_labels(fn, and_spec, fail)
     if and_spec is not None:
@@ -123,35 +126,36 @@ def _check_kernel_ops(fn: ir.Function, fail: _Fail) -> None:
             )
 
 
-def _check_location_conflicts(module: ir.Module, fn: ir.Function, fail: _Fail) -> None:
-    if fn.at_label is None:
-        return
-    for instr in fn.instructions():
-        ref = getattr(instr, "ref", None)
-        if isinstance(ref, ir.GlobalRef) and ref.space in ("net", "ctrl", "map", "bloom"):
-            if ref.at_label is not None and ref.at_label != fn.at_label:
-                fail(
-                    CODE_LOCATION_CONFLICT,
-                    f"location conflict: kernel {fn.name!r} at "
-                    f'"{fn.at_label}" accesses {ref.name!r} pinned to '
-                    f'"{ref.at_label}"',
-                    instr.loc,
-                )
-        if isinstance(instr, ir.Memcpy):
-            for region in (instr.dst, instr.src):
-                gref = region.ref
-                if (
-                    gref is not None
-                    and gref.at_label is not None
-                    and gref.at_label != fn.at_label
-                ):
-                    fail(
-                        CODE_LOCATION_CONFLICT,
-                        f"location conflict: kernel {fn.name!r} at "
-                        f'"{fn.at_label}" memcpys {gref.name!r} pinned to '
-                        f'"{gref.at_label}"',
-                        instr.loc,
-                    )
+def _check_location_conflicts(fn: ir.Function, label: str, fail: _Fail) -> None:
+    """*fn* runs on switch *label*, where state pinned to another switch
+    has no copy to touch."""
+    for _block, instr, ref, _w in ir.state_accesses(fn):
+        pin = ref.at_label
+        if pin is None or pin == label:
+            continue
+        verb = "memcpys" if isinstance(instr, ir.Memcpy) else "accesses"
+        message = (
+            f'location conflict: kernel {fn.name!r} at "{label}" {verb} '
+            f'{ref.name!r} pinned to "{pin}"'
+        )
+        if fn.at_label is None:
+            message += (
+                f'; guard the access with `if (location.id == _locid("{pin}"))` '
+                f'or pin the kernel with _at_("{pin}")'
+            )
+        fail(CODE_LOCATION_CONFLICT, message, instr.loc)
+
+
+def check_switch_kernel(fn: ir.Function, label: str) -> None:
+    """Versioning's location check: *fn*, specialized for switch *label*,
+    may not still touch state pinned to another switch. Raises
+    :class:`ConformanceError` naming the code (NCL0603) and the first
+    such access."""
+
+    def fail(code: str, message: str, loc: Optional[SourceLocation]) -> None:
+        raise ConformanceError(f"{loc}: {code} {message}" if loc else f"{code} {message}")
+
+    _check_location_conflicts(fn, label, fail)
 
 
 def _kernel_labels(fn: ir.Function) -> Iterable[ir.Instr]:
@@ -190,7 +194,7 @@ def _check_global_labels(module: ir.Module, and_spec: AndSpec, fail: _Fail) -> N
             )
             continue
         node = and_spec.node(ref.at_label)
-        if ref.space in ("net", "ctrl", "map", "bloom") and not node.is_switch:
+        if ref.space in ir.STATE_SPACES and not node.is_switch:
             fail(
                 CODE_HOST_PINNED_STATE,
                 f"global {ref.name!r}: switch state cannot be pinned to "

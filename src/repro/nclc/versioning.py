@@ -11,7 +11,9 @@ run there (pinned via ``_at_`` or location-less/SPMD), resolve the
 location struct and ``_locid`` labels to that switch's node id, and keep
 only the switch state that exists there. Constant folding + CFG
 simplification then *are* the location-split: branches on
-``location.id`` collapse to the arm for this switch.
+``location.id`` collapse to the arm for this switch. A kernel that still
+touches state pinned to another switch after that is rejected (NCL0603):
+a location-less kernel must guard its access to pinned state.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.andspec.model import AndSpec
+from repro.nclc.conformance import check_switch_kernel
 from repro.nir import ir
 from repro.nir.passes.clone import clone_function
 from repro.nir.passes.constfold import fold_constants
@@ -79,6 +82,7 @@ def _version_for(
         specialize_location(fn, node_id, label_ids)
         fold_constants(fn)
         simplify_cfg(fn)
+        check_switch_kernel(fn, label)
     return LocationModule(label, node_id, version)
 
 
@@ -88,9 +92,9 @@ def _rebind_globals(fn: ir.Function, version: ir.Module) -> None:
 
     A kernel may reference state that does not exist at this location
     (location-less kernel touching pinned memory); that reference is kept
-    pointing at the original ref and will fault at conformance or run
-    time, which is the correct diagnosis for an SPMD kernel that was not
-    split by location before touching pinned state.
+    pointing at the original ref. Location specialization removes it from
+    a guarded kernel, and :func:`check_switch_kernel` rejects one it does
+    not remove.
     """
     for instr in fn.instructions():
         ref = getattr(instr, "ref", None)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum, auto
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import IrError
 from repro.ncl.types import (
@@ -855,6 +855,38 @@ class Function:
 
     def __repr__(self) -> str:
         return f"Function({self.name}, {self.kind.name})"
+
+
+#: the GlobalRef spaces that live on a switch
+STATE_SPACES = ("net", "ctrl", "map", "bloom")
+
+
+def state_accesses(fn: Function) -> Iterator[Tuple[Block, Instr, GlobalRef, bool]]:
+    """Every ``(block, instr, ref, is_write)`` by which *fn* touches
+    switch state (a ref in :data:`STATE_SPACES`), in block then
+    instruction order; a memcpy yields its ``dst`` before its ``src``,
+    and a Bloom-filter insert is a write.
+
+    The one definition every analysis reads. It does not follow calls:
+    sema lets only ``_out_`` kernels name switch state (NCL0400 on a
+    helper that does, and on passing switch memory to a pointer
+    parameter), so no callee can touch it.
+    """
+    for block in fn.blocks:
+        for instr in block.instrs:
+            if isinstance(instr, Memcpy):
+                touched = ((instr.dst.ref, True), (instr.src.ref, False))
+            elif isinstance(instr, (LoadElem, CtrlRead, MapLookup)):
+                touched = ((instr.ref, False),)
+            elif isinstance(instr, StoreElem):
+                touched = ((instr.ref, True),)
+            elif isinstance(instr, BloomOp):
+                touched = ((instr.ref, instr.op == "insert"),)
+            else:
+                continue
+            for ref, is_write in touched:
+                if ref is not None and ref.space in STATE_SPACES:
+                    yield block, instr, ref, is_write
 
 
 class Module:

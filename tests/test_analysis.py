@@ -163,14 +163,20 @@ class TestRaceDetector:
         assert codes(lint(src, rules=["race"])) == []
 
     def test_race_through_helper_call(self):
+        """A helper cannot name switch state: sema rejects the access
+        (NCL0400), and the race rule, which reads each kernel's own
+        accesses, has nothing to add."""
         src = (
             "_net_ unsigned c[4] = {0};\n"
             "void bump(unsigned k) { c[k & 3] += 1; }\n"
             "_net_ _out_ void a(unsigned k) { bump(k); }\n"
             "_net_ _out_ void b(unsigned k) { bump(k); }\n"
         )
-        races = warnings_with(lint(src, rules=["race"]), "NCL0701")
-        assert len(races) == 1
+        result = lint(src, rules=["race"])
+        rejected = warnings_with(result, "NCL0400")
+        assert [(d.primary.line, d.primary.column) for d in rejected] == [(2, 25)]
+        assert "'c'" in rejected[0].message
+        assert warnings_with(result, "NCL0701") == []
 
 
 class TestDefUseRules:
@@ -351,6 +357,19 @@ class TestUsageRules:
     def test_no_host_code_means_no_usage_verdict(self):
         src = "_net_ _out_ void lonely(int *d) { d[0] = 1; }"
         assert codes(lint(src, rules=["unused-kernel"])) == []
+
+    def test_a_kernel_helper_is_not_host_code(self):
+        """A pure helper a kernel calls is switch code; with no other
+        function the program is Python-driven and gets no verdict."""
+        src = (
+            "_net_ unsigned c[4] = {0};\n"
+            "unsigned idx(unsigned k) { return k & 3; }\n"
+            "_net_ _out_ void a(unsigned k) { c[idx(k)] += 1; }\n"
+        )
+        assert codes(lint(src)) == []
+        with_main = src + "int main() { return 0; }\n"
+        found = warnings_with(lint(with_main, rules=["unused-kernel"]), "NCL0901")
+        assert len(found) == 1 and "'a'" in found[0].message
 
     def test_unused_window_field(self):
         src = (

@@ -234,6 +234,37 @@ class TestVersioning:
             assert isinstance(stores[0].value, ir.Const)
             assert stores[0].value.value == want
 
+    PINNED_C = '_net_ _at_("s1") unsigned c[4];\n'
+
+    def compile_a(self, body, opt_level):
+        return Compiler(opt_level=opt_level).compile(
+            self.PINNED_C + "_net_ _out_ void a(unsigned *d) {\n" + body + "}\n",
+            and_text=self.AND,
+            windows={"a": WindowConfig(mask=(1,))},
+        )
+
+    @pytest.mark.parametrize("opt_level", [0, 2])
+    def test_unguarded_access_to_pinned_state_rejected(self, opt_level):
+        """A location-less kernel runs on s2 too, where 'c' has no copy:
+        an access location specialization leaves there is NCL0603."""
+        with pytest.raises(ConformanceError) as exc:
+            self.compile_a("  d[0] = c[0] + 1; c[1] = d[0];\n", opt_level)
+        message = str(exc.value)
+        assert "NCL0603" in message
+        assert "kernel 'a' at \"s2\" accesses 'c' pinned to \"s1\"" in message
+        assert 'location.id == _locid("s1")' in message
+        assert '_at_("s1")' in message
+
+    @pytest.mark.parametrize("opt_level", [0, 2])
+    def test_guarded_access_to_pinned_state_compiles(self, opt_level):
+        program = self.compile_a(
+            '  if (location.id == _locid("s1")) { d[0] = c[0] + 1; c[1] = d[0]; }\n',
+            opt_level,
+        )
+        assert "reg_c" in program.switch_programs["s1"].registers
+        assert "reg_c" not in program.switch_programs["s2"].registers
+        assert "reg_c" not in program.switch_sources["s2"]
+
     def test_spmd_execution_differs_by_location(self):
         src = (
             "_net_ unsigned hits[2] = {0};\n"

@@ -63,7 +63,7 @@ CHAIN_AND = "host w0\nhost w1\nswitch x\nswitch y\nlink w0 x\nlink x y\nlink y w
 STAR_AND = "host w0\nhost w1\nswitch s1\nlink w0 s1\nlink w1 s1"
 PUSH_NCL = r"""
 _net_ _at_("LABEL") unsigned seen[1] = {0};
-_net_ _out_ void push(unsigned *d) { seen[0] += d[0]; }
+_net_ _out_ _at_("LABEL") void push(unsigned *d) { seen[0] += d[0]; }
 """
 LAYOUT = KernelLayout(1, "push", [ChunkLayout("x", 4, 32, False)])
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.diag import diagnostic_from_error
 from repro.errors import NclTypeError
 from repro.ncl import frontend
 
@@ -140,6 +141,71 @@ class TestAccessRules:
             "_net_ _out_ void o(int *d) { }",
             "only available in outgoing",
         )
+
+
+_CALLS_H = "_net_ _out_ void k(unsigned *d) { d[0] = h(d); }\n"
+
+
+@pytest.mark.parametrize(
+    "source, match",
+    [
+        pytest.param(
+            "_net_ unsigned c[4];\n"
+            "unsigned h(unsigned *d) { return c[d[0] & 3]; }\n" + _CALLS_H,
+            "'c' is only accessible in outgoing kernel",
+            id="helper-reads-net",
+        ),
+        pytest.param(
+            '_net_ _at_("s1") _ctrl_ unsigned t;\n'
+            "unsigned h(unsigned *d) { return t; }\n" + _CALLS_H,
+            "'t' is only accessible in outgoing kernel",
+            id="helper-reads-ctrl",
+        ),
+        pytest.param(
+            '_net_ _at_("s1") ncl::Map<unsigned, unsigned, 16> M;\n'
+            "unsigned h(unsigned *d) { return *M[d[0]]; }\n" + _CALLS_H,
+            "'M' is only accessible in outgoing kernel",
+            id="helper-looks-up-map",
+        ),
+        pytest.param(
+            '_net_ _at_("s1") ncl::BloomFilter<1024, 3> B;\n'
+            "unsigned h(unsigned *d) { ncl::bf_insert(B, (uint64_t)d[0]); return 0; }\n"
+            + _CALLS_H,
+            "bf_insert is only valid in outgoing kernels",
+            id="helper-bloom-insert",
+        ),
+        pytest.param(
+            "_net_ unsigned c[4];\n"
+            "unsigned h(unsigned *d) { memcpy(c, d, 16); return 0; }\n" + _CALLS_H,
+            "'c' is only accessible in outgoing kernel",
+            id="helper-memcpy-into-net",
+        ),
+        pytest.param(
+            "_net_ unsigned c[4];\n"
+            "unsigned h(unsigned *p) { return p[0]; }\n"
+            "_net_ _out_ void k(unsigned *d) { d[0] = h(c); }\n",
+            r"cannot pass uint32_t\[4\] as uint32_t\*",
+            id="net-array-to-pointer-param",
+        ),
+        pytest.param(
+            "_net_ unsigned c[4];\n"
+            "_net_ _out_ void k(unsigned *d) { d[0] = 1; }\n"
+            "_net_ _in_ void r(unsigned *d) { unsigned x = c[0]; }\n",
+            "'c' is only accessible in outgoing kernel",
+            id="in-kernel-reads-net",
+        ),
+    ],
+)
+def test_only_out_kernels_touch_switch_state(source, match):
+    """Only an ``_out_`` kernel's own body can name switch state: a helper
+    cannot, nor can a kernel hand switch memory to one by pointer. This
+    is why :func:`repro.nir.ir.state_accesses` -- the one state-access
+    walk the race, resource, effect, deploy and conformance checks read
+    -- walks each kernel alone, with no callgraph. If this rule is ever
+    relaxed, that walk must learn to follow calls."""
+    with pytest.raises(NclTypeError, match=match) as exc:
+        frontend(source)
+    assert diagnostic_from_error(exc.value).code == "NCL0400"
 
 
 class TestIntrinsicRules:
