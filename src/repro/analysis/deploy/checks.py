@@ -11,9 +11,9 @@ lint rule set but operating on a :class:`~repro.analysis.deploy.model.Deployment
   ``_ctrl_`` namespace aliasing, and cross-tenant shared-state writes
   on one physical switch;
 * **placement** (NCL0930--0932): every mapped label lands on a real
-  switch, every overlay node is covered, and every overlay edge has a
-  fabric path that interposes none of the tenant's other switches;
-* **transport** (NCL0940--0941): window frames fit the path MTU
+  switch, every overlay node is covered, and every overlay edge's
+  installed routes exist and cross none of the tenant's other switches;
+* **transport** (NCL0940--0941): window frames fit the routes' MTU
   unfragmented (switches do not execute kernels on fragments), and the
   headroom left for INT telemetry -- the latter graded
   ``proved``/``possible`` by interval reasoning over the hop count,
@@ -47,7 +47,7 @@ from repro.analysis.proto import (
 )
 from repro.analysis.rules import _SPACE_WORD
 from repro.andspec.fabric import FabricSpec
-from repro.andspec.mapping import place_hosts, transit_graph
+from repro.andspec.mapping import Routes, place_hosts
 from repro.diag import DiagnosticSink, Span
 from repro.errors import SourceLocation
 from repro.nir.ir import STATE_SPACES, GlobalRef, state_accesses
@@ -60,24 +60,17 @@ HEADER_BYTES: int = HEADERS_LEN
 
 
 class _EdgePath:
-    """The fabric path chosen for one overlay edge of one tenant."""
+    """The installed route one direction of a tenant's overlay edge rides."""
 
-    __slots__ = ("path", "bottleneck_mtu", "switch_hops", "narrow_link")
+    __slots__ = ("path", "switch_hops", "narrow_link")
 
-    def __init__(
-        self,
-        path: List[str],
-        bottleneck_mtu: int,
-        switch_hops: int,
-        narrow_link: Tuple[str, str, int],
-    ) -> None:
+    def __init__(self, path: List[str], graph: nx.Graph) -> None:
         self.path = path
-        #: max-min link MTU over all admissible paths (the widest path)
-        self.bottleneck_mtu = bottleneck_mtu
-        #: switches traversed on the chosen (widest, then shortest) path
-        self.switch_hops = switch_hops
-        #: ``(a, b, mtu)`` of the path's narrowest link
-        self.narrow_link = narrow_link
+        #: switches the route traverses
+        self.switch_hops = sum(graph.nodes[n]["kind"] == "switch" for n in path)
+        link = min(zip(path, path[1:]), key=lambda e: graph.edges[e]["mtu"])
+        #: ``(a, b, mtu)`` of the route's narrowest link, ends in name order
+        self.narrow_link = (min(link), max(link), graph.edges[link]["mtu"])
 
 
 class DeployContext:
@@ -86,6 +79,8 @@ class DeployContext:
     def __init__(self, deployment: Deployment, sink: DiagnosticSink) -> None:
         self.deployment = deployment
         self.sink = sink
+        #: the fabric's installed single-path routes
+        self.routes = Routes(deployment.fabric.graph())
         self._host_assignments: Dict[
             str, Tuple[Dict[str, str], List[Tuple[str, str]]]
         ] = {}
@@ -108,7 +103,7 @@ class DeployContext:
         if tenant.name not in self._host_assignments:
             self._host_assignments[tenant.name] = place_hosts(
                 [n.label for n in tenant.program.and_spec.hosts],
-                self.fabric.graph(),
+                self.routes.graph,
                 tenant.host_pins,
             )
         return self._host_assignments[tenant.name]
@@ -155,7 +150,8 @@ class DeployContext:
     def edge_paths(
         self, tenant: TenantDeployment
     ) -> Dict[Tuple[str, str], Optional[_EdgePath]]:
-        """Chosen fabric path per overlay edge (None = unreachable)."""
+        """Installed route per direction ``(u, v)`` of each placed overlay
+        edge (None both ways = the edge is not admissible)."""
         if tenant.name not in self._edge_paths:
             self._edge_paths[tenant.name] = self._route_tenant(tenant)
         return self._edge_paths[tenant.name]
@@ -175,7 +171,6 @@ class DeployContext:
     def _route_tenant(
         self, tenant: TenantDeployment
     ) -> Dict[Tuple[str, str], Optional[_EdgePath]]:
-        graph = self.fabric.graph()
         images = self.node_images(tenant)
         mapped = set(self.valid_switch_placement(tenant).values())
         out: Dict[Tuple[str, str], Optional[_EdgePath]] = {}
@@ -183,44 +178,12 @@ class DeployContext:
             src, dst = images.get(a), images.get(b)
             if src is None or dst is None or src == dst:
                 continue  # placement check reports the missing image
-            # No host and no *other* mapped switch of this tenant inside
-            # the path (kernel execution order, as in map_overlay).
-            sub = transit_graph(graph, (src, dst), mapped)
-            if not nx.has_path(sub, src, dst):
-                out[(a, b)] = None
-                continue
-            out[(a, b)] = self._widest_path(sub, src, dst)
+            routed = self.routes.edge(src, dst, mapped)
+            if routed is None:
+                out[(a, b)] = out[(b, a)] = None
+            else:
+                out[(a, b)], out[(b, a)] = (_EdgePath(p, self.routes.graph) for p in routed)
         return out
-
-    @staticmethod
-    def _widest_path(sub: nx.Graph, src: str, dst: str) -> _EdgePath:
-        """Widest-bottleneck path (max-min MTU), shortest among those."""
-        thresholds = sorted(
-            {d["mtu"] for _, _, d in sub.edges(data=True)}, reverse=True
-        )
-        for mtu in thresholds:
-            wide = nx.Graph(
-                (a, b, d)
-                for a, b, d in sub.edges(data=True)
-                if d["mtu"] >= mtu
-            )
-            if src in wide and dst in wide and nx.has_path(wide, src, dst):
-                path = nx.shortest_path(wide, src, dst)
-                hops = sum(
-                    1 for n in path if sub.nodes[n]["kind"] == "switch"
-                )
-                narrow = min(
-                    (
-                        (a, b, sub.edges[a, b]["mtu"])
-                        for a, b in zip(path, path[1:])
-                    ),
-                    key=lambda e: e[2],
-                )
-                a, b, link_mtu = narrow
-                if a > b:
-                    a, b = b, a
-                return _EdgePath(path, mtu, hops, (a, b, link_mtu))
-        raise AssertionError("caller guaranteed a path exists")
 
 
 DeployCheck = Rule[DeployContext]
@@ -555,9 +518,9 @@ class PlacementCheck(DeployCheck):
     wrong node kind (and two overlay switches on one physical switch --
     one pipeline cannot run two programs' kernels for one tenant);
     NCL0931 rejects overlay nodes the mapping leaves unplaced; NCL0930
-    rejects overlay edges with no admissible fabric path -- the path
-    must exist and interpose none of the tenant's other mapped switches
-    (which would reorder kernel execution), matching ``map_overlay``.
+    rejects overlay edges whose installed route, in either direction,
+    is missing or crosses another of the tenant's mapped switches (which
+    would reorder kernel execution): the rule ``map_overlay`` applies.
     """
 
     name = "placement"
@@ -662,16 +625,17 @@ class PlacementCheck(DeployCheck):
         self, ctx: DeployContext, tenant: TenantDeployment
     ) -> None:
         mapped = ctx.valid_switch_placement(tenant)
-        for (a, b), edge_path in sorted(ctx.edge_paths(tenant).items()):
-            if edge_path is not None:
+        paths = ctx.edge_paths(tenant)
+        images = ctx.node_images(tenant)
+        for a, b in sorted(tenant.program.and_spec.edges):
+            if (a, b) not in paths or paths[(a, b)] is not None:
                 continue
-            images = ctx.node_images(tenant)
             src, dst = images[a], images[b]
-            if nx.has_path(ctx.fabric.graph(), src, dst):
+            if nx.has_path(ctx.routes.graph, src, dst):
                 reason = (
-                    "every fabric path interposes another of the "
-                    "tenant's mapped switches (or routes through a "
-                    "host), which would break kernel execution order"
+                    "the route between them crosses another of the "
+                    "tenant's mapped switches (or every path runs through "
+                    "a host), which would break kernel execution order"
                 )
             else:
                 reason = "the fabric has no path between them at all"
@@ -702,14 +666,14 @@ class TransportCheck(DeployCheck):
 
     A window frame is ``eth+ipv4+udp+NCP`` framing plus the kernel's
     extension fields plus its window payload. If that exceeds the
-    best bottleneck MTU on the tenant's paths, the runtime *can* ship
+    narrowest link on the tenant's installed routes, the runtime *can* ship
     it fragmented -- but switches do not execute kernels on fragments,
     so the deployment silently degrades to host-only execution: an
     admission error (NCL0940, proved, from the exact layouts).
 
     INT telemetry rides the same frames (tail + one record per switch
     hop). Headroom below the tail plus the *minimum* hop count on the
-    chosen paths proves truncation (``proved``); headroom below the
+    routes proves truncation (``proved``); headroom below the
     default 8-hop policy cap only admits it (``possible``) -- the same
     interval grading the absint lint rules use (NCL0941, warning).
     """
@@ -726,10 +690,8 @@ class TransportCheck(DeployCheck):
             ]
             if not paths:
                 continue
-            tightest = min(paths, key=lambda p: p.bottleneck_mtu)
-            mtu = tightest.bottleneck_mtu
+            a, b, mtu = min((p.narrow_link for p in paths), key=lambda e: e[2])
             min_hops = min(p.switch_hops for p in paths)
-            a, b, link_mtu = tightest.narrow_link
             for kernel, layout in sorted(tenant.program.layouts.items()):
                 frame = HEADER_BYTES + layout.ext_bytes + layout.data_bytes
                 loc = tenant.window_locs.get(kernel) or tenant.anchor()
@@ -743,13 +705,13 @@ class TransportCheck(DeployCheck):
                         "NCL0940",
                         f"tenant '{tenant.name}' kernel '{kernel}' puts "
                         f"{frame} bytes on the wire ({breakdown}) but the "
-                        f"widest usable path bottlenecks at {mtu} bytes "
+                        f"routed path bottlenecks at {mtu} bytes "
                         f"(link {a} -- {b}): every window fragments, and "
                         "switches do not execute kernels on fragments",
                         loc=loc,
                         secondary=_spans([(
                             narrow.loc if narrow is not None else None,
-                            f"narrowest link (mtu={link_mtu})",
+                            f"narrowest link (mtu={mtu})",
                         )]),
                         fixit=(
                             "shrink the window mask, or raise the link "

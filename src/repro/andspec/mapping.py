@@ -7,16 +7,16 @@ citing Switches-for-HIRE). :func:`map_overlay` is that mechanism for the
 simulator: overlay hosts go to physical hosts by :func:`place_hosts`
 (pins, then name matches, then free hosts in declaration order), overlay
 switches to distinct ``programmable`` switches, and every overlay edge
-(u, v) must have a path between the images of u and v in
-:func:`transit_graph` -- switches only inside it (hosts do not forward),
-and **no other mapped switch**, which would reorder kernel execution.
-The search over switch placements is exhaustive (overlays are small).
+must ride the installed route (:class:`Routes`) between its ends' images,
+both ways, crossing **no other mapped switch**, which would reorder
+kernel execution. The search over switch placements is exhaustive
+(overlays are small).
 
 The physical network is the graph :meth:`FabricSpec.graph
 <repro.andspec.fabric.FabricSpec.graph>` or
 :meth:`repro.net.network.Network.graph` gives (node ``kind`` and
 ``programmable``); the simulator's routes and the deployment checker
-apply the same :func:`transit_graph` and :func:`place_hosts`.
+apply the same :func:`route_tree` and :func:`place_hosts`.
 """
 
 from __future__ import annotations
@@ -40,27 +40,80 @@ class Mapping:
     ) -> None:
         #: overlay label -> physical node name
         self.placement = dict(placement)
-        #: overlay edge -> physical node path (inclusive endpoints)
+        #: (u, v) -> the route from u's image to v's (inclusive ends), for
+        #: both directions of every overlay edge
         self.edge_paths = dict(edge_paths)
 
     def __repr__(self) -> str:
         return f"Mapping({self.placement})"
 
 
-def transit_graph(
-    graph: nx.Graph, ends: Iterable[str], avoid: Collection[str] = ()
-) -> nx.Graph:
-    """The part of *graph* a path between *ends* may use: every switch
-    not in *avoid*, plus the ends themselves (a view, not a copy; it
-    keeps *graph*'s node and neighbor order, so searches over it break
-    ties the same way on every run)."""
+def transit_graph(graph: nx.Graph, ends: Iterable[str]) -> nx.Graph:
+    """The part of *graph* a path between *ends* may use: every switch,
+    plus the ends themselves (a view, not a copy; it keeps *graph*'s
+    node and neighbor order, so searches over it break ties the same way
+    on every run)."""
     keep = set(ends)
     kinds = graph.nodes
     return nx.subgraph_view(
-        graph,
-        filter_node=lambda n: n in keep
-        or (kinds[n]["kind"] == "switch" and n not in avoid),
+        graph, filter_node=lambda n: n in keep or kinds[n]["kind"] == "switch"
     )
+
+
+def route_tree(graph: nx.Graph, src: str) -> Dict[str, str]:
+    """The single-path routes *src* installs, node -> first hop, in the
+    order a breadth-first search from *src* reaches the nodes: it grows
+    through switches only (hosts do not forward) in *graph*'s neighbor
+    order, so every run breaks ties the same way. The one place a
+    single path is chosen: ``Network.compute_routes`` installs these
+    first hops, :class:`Routes` walks them."""
+    kinds = graph.nodes
+    hop = {src: src}
+    queue = [src]
+    for via in queue:
+        for name in graph[via]:
+            if name not in hop:
+                hop[name] = name if via == src else hop[via]
+                if kinds[name]["kind"] == "switch":
+                    queue.append(name)
+    del hop[src]
+    return hop
+
+
+class Routes:
+    """The installed single-path routes of *graph*, read hop by hop the
+    way a frame takes them; each node's :func:`route_tree` is computed
+    once, on first use."""
+
+    def __init__(self, graph: nx.Graph) -> None:
+        self.graph = graph
+        self._trees: Dict[str, Dict[str, str]] = {}
+
+    def path(self, src: str, dst: str) -> Optional[List[str]]:
+        """The nodes a frame from *src* to *dst* visits (both ends
+        included), or None if *src* has no route to *dst*."""
+        path = [src]
+        while path[-1] != dst:
+            node = path[-1]
+            if node not in self._trees:
+                self._trees[node] = route_tree(self.graph, node)
+            if dst not in self._trees[node]:
+                return None
+            path.append(self._trees[node][dst])
+        return path
+
+    def edge(
+        self, src: str, dst: str, mapped: Collection[str]
+    ) -> Optional[Tuple[List[str], List[str]]]:
+        """The routes *src* -> *dst* and back if an overlay edge may ride
+        them: both exist and cross none of the *mapped* switches; None
+        otherwise."""
+        there, back = self.path(src, dst), self.path(dst, src)
+        if there is None or back is None:
+            return None
+        if any(n in mapped for n in there[1:-1] + back[1:-1]):
+            return None
+        return there, back
 
 
 def place_hosts(
@@ -140,31 +193,16 @@ def map_overlay(
             f"network has {len(targets)}"
         )
 
-    edges = list(overlay.edges)
+    routes = Routes(graph)
     for candidate in permutations(targets, len(overlay_switches)):
         trial = dict(placement)
         trial.update(zip(overlay_switches, candidate))
-        paths = _check_edges(graph, edges, trial, set(candidate))
-        if paths is not None:
+        paths: Dict[Tuple[str, str], List[str]] = {}
+        for a, b in overlay.edges:
+            routed = routes.edge(trial[a], trial[b], candidate)
+            if routed is None:
+                break
+            paths[(a, b)], paths[(b, a)] = routed
+        else:
             return Mapping(trial, paths)
     raise MappingError("no feasible placement of overlay switches found")
-
-
-def _check_edges(
-    graph: nx.Graph,
-    edges: Sequence[Tuple[str, str]],
-    placement: Dict[str, str],
-    mapped_switches: set,
-) -> Optional[Dict[Tuple[str, str], List[str]]]:
-    paths: Dict[Tuple[str, str], List[str]] = {}
-    for a, b in edges:
-        src, dst = placement[a], placement[b]
-        # No other mapped switch inside the path: that would interpose a
-        # kernel-running switch on a logical edge.
-        try:
-            paths[(a, b)] = nx.shortest_path(
-                transit_graph(graph, (src, dst), mapped_switches), src, dst
-            )
-        except nx.NetworkXNoPath:
-            return None
-    return paths

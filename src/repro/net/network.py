@@ -8,7 +8,7 @@ import networkx as nx
 
 from repro.errors import SimulationError
 from repro.andspec.fabric import DEFAULT_BANDWIDTH, DEFAULT_LATENCY
-from repro.andspec.mapping import transit_graph
+from repro.andspec.mapping import route_tree, transit_graph
 from repro.net.events import Simulator
 from repro.net.link import Link
 from repro.net.node import ForwardingSwitchNode, HostNode, Node
@@ -154,16 +154,17 @@ class Network:
 
     def compute_routes(self, ecmp: bool = False) -> None:
         """Install next-hop routes (and P4 route entries on PISA switches)
-        for every node pair, via shortest paths that cross switches only
-        (:func:`repro.andspec.mapping.transit_graph`): hosts do not
-        forward, so a host is where a route starts or ends, never a hop.
+        for every node pair, over paths that cross switches only (hosts
+        do not forward).
 
-        Without ``ecmp`` a node's routes follow its breadth-first search
-        tree. With ``ecmp=True``, every equal-cost next hop is considered
-        and one is picked per (src, dst) pair by a deterministic hash --
-        the flow-level spreading a fat-tree needs so its core links all
-        carry traffic.  The choice depends only on the node-id pair, so
-        routes are identical across runs and schedulers.
+        Without ``ecmp`` each node installs the first hops of its
+        :func:`repro.andspec.mapping.route_tree`, the routes the overlay
+        mapper and check-deploy judge. With ``ecmp=True``, every
+        equal-cost next hop is considered and one is picked per (src,
+        dst) pair by a deterministic hash -- the flow-level spreading a
+        fat-tree needs so its core links all carry traffic.  The choice
+        depends only on the node-id pair, so routes are identical across
+        runs and schedulers.
         """
         g = self.graph()
         ports: Dict[str, Dict[str, int]] = {}
@@ -171,24 +172,15 @@ class Network:
             ports[name] = {}
             for port, link in enumerate(node.links):
                 ports[name].setdefault(link.other(node).name, port)
-        switches = transit_graph(g, ())
         if not ecmp:
             for src_name, src in self.nodes.items():
-                # the search grows from src and from switches only
-                hop = {src_name: src_name}
-                queue = [src_name]
-                for via in queue:
-                    for name in g[via]:
-                        if name not in hop:
-                            hop[name] = name if via == src_name else hop[via]
-                            self._install(src, self.nodes[name], ports[src_name][hop[name]])
-                            if name in switches:
-                                queue.append(name)
+                for dst_name, hop in route_tree(g, src_name).items():
+                    self._install(src, self.nodes[dst_name], ports[src_name][hop])
             return
         # transit_graph(g, (src, dst)) of every pair from one copy of the
         # switches, which each destination joins in turn (a source only
         # adds its own first hop).
-        core = nx.Graph(switches)
+        core = nx.Graph(transit_graph(g, ()))
         neighbors = {name: sorted(g[name]) for name in g}
         for dst_name, dst in self.nodes.items():
             joined = dst_name not in core

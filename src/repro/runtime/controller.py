@@ -20,9 +20,6 @@ from repro.net.pisanode import PisaSwitchNode
 if TYPE_CHECKING:
     from repro.net.events import Simulator
 
-#: modelled controller -> switch RPC latency (one way)
-DEFAULT_CTRL_DELAY = 100e-6
-
 
 class Controller:
     def __init__(

@@ -111,8 +111,11 @@ class TestMapping:
         overlay = parse_and("host h0\nswitch s1\nhost h1\nlink h0 s1\nlink s1 h1")
         mapping = map_overlay(overlay, chain_physical(3))
         assert mapping.placement["s1"] in ("p0", "p1", "p2")
-        # every overlay edge must have a physical path
-        assert set(mapping.edge_paths) == {("h0", "s1"), ("h1", "s1")}
+        # every overlay edge has a route, in both directions
+        assert set(mapping.edge_paths) == {
+            ("h0", "s1"), ("s1", "h0"), ("h1", "s1"), ("s1", "h1"),
+        }
+        assert mapping.edge_paths[("s1", "h0")] == mapping.edge_paths[("h0", "s1")][::-1]
 
     def test_two_switch_overlay_on_chain(self):
         overlay = parse_and(

@@ -6,9 +6,15 @@ how those hash.  Four interpreters, ``PYTHONHASHSEED`` 0 to 3, each take
 the seven bench programs to their -O2 artifact JSON, ``--emit nir`` /
 ``absint`` / ``effects``, P4, lint and check-proto reports (JSON and
 text) and the deployment report (tests/toolchain_corpus.py ``--bench
---texts``); the four outputs must be the same bytes.  So must the
-``repro.lineage/1`` JSON of a traced, INT-stamped Fig 4 round in which
-one window is sent a second time (this module, run as a script).
+--texts``); the four outputs must be the same bytes.  So must, from this
+module run as a script (``python -m tests.test_hashseed_determinism
+<output>``):
+
+* ``lineage`` -- the ``repro.lineage/1`` JSON of a traced, INT-stamped
+  Fig 4 round in which one window is sent a second time;
+* ``flight`` -- the ``repro.flight/1`` bundles of a short Fig 4 run whose
+  w0 uplink fails mid-round (the alert escalation and the timeout);
+* ``routes`` -- ``fat_tree(8)``'s route tables, single-path and ECMP.
 """
 
 from __future__ import annotations
@@ -20,8 +26,21 @@ import subprocess
 import sys
 
 from repro.apps.allreduce import AllReduceJob
+from repro.apps.workloads import random_arrays
+from repro.errors import RuntimeApiError
 from repro.ncp.window import Window
-from repro.obs import IntConfig, Observability, Tracer
+from repro.net import fat_tree
+from repro.obs import (
+    AlertEngine,
+    FlightRecorder,
+    IntConfig,
+    Observability,
+    TimeSeriesSampler,
+    Tracer,
+    attach_cluster_probes,
+    attach_network_probes,
+    flight_guard,
+)
 from repro.obs.lineage import LineageIndex
 
 from tests import toolchain_corpus as corpus
@@ -76,12 +95,68 @@ def test_toolchain_outputs_do_not_depend_on_the_hash_seed():
             )
 
 
+def failed_link_flight_bundles() -> str:
+    """The flight bundles of a two-worker Fig 4 run with the full
+    observer: round 1 succeeds, then the w0 uplink fails mid-round-2 --
+    the critical drop-rate alert dumps one bundle, the round's timeout
+    inside :func:`flight_guard` the other."""
+    sampler = TimeSeriesSampler(1e-6)
+    health = AlertEngine(["drops: link.drops{cause=down} rate > 0 over 2us !critical"])
+    flight = FlightRecorder(capacity=64)
+    obs = Observability(sampler=sampler, health=health, flight=flight)
+    job = AllReduceJob(2, 64, 8, obs=obs)
+    attach_network_probes(sampler, job.cluster.network)
+    attach_cluster_probes(sampler, job.cluster)
+    job.run_round(random_arrays(2, 64, seed=1))
+    job.cluster.network.fail_link("w0", "s1", at=job.cluster.now() + 1e-6)
+    try:
+        with flight_guard(obs, clock=job.cluster.now):
+            job.run_round(random_arrays(2, 64, seed=2))
+    except RuntimeApiError:
+        pass
+    return json.dumps([data for _reason, data, _path in flight.bundles], sort_keys=True, indent=1)
+
+
+def fat_tree_route_tables() -> str:
+    """Every node's route table of ``fat_tree(8)``, in installation
+    order, single-path and ECMP."""
+    return json.dumps({
+        mode: {name: list(node.routes.items()) for name, node in fat_tree(8).build(ecmp=ecmp).nodes.items()}
+        for mode, ecmp in (("single", False), ("ecmp", True))
+    })
+
+
+#: what this module prints when run as a script, by name
+SCRIPT_OUTPUTS = {
+    "lineage": traced_round_lineage,
+    "flight": failed_link_flight_bundles,
+    "routes": fat_tree_route_tables,
+}
+
+
 def test_lineage_does_not_depend_on_the_hash_seed():
-    first, *rest = [run_under(seed, "-m", "tests.test_hashseed_determinism") for seed in SEEDS]
+    first, *rest = [run_under(seed, "-m", "tests.test_hashseed_determinism", "lineage") for seed in SEEDS]
     assert b'"kind": "retransmit"' in first and b'"kind": "send"' in first
     for seed, other in zip(SEEDS[1:], rest):
         assert other == first, f"PYTHONHASHSEED={seed} changes the lineage JSON"
 
 
+def test_flight_bundles_do_not_depend_on_the_hash_seed():
+    first, *rest = [run_under(seed, "-m", "tests.test_hashseed_determinism", "flight") for seed in SEEDS]
+    bundles = json.loads(first)
+    assert [b["reason"] for b in bundles] == ["alert:drops", "exception:RuntimeApiError"]
+    assert all(b["schema"] == "repro.flight/1" and b["events"] for b in bundles)
+    for seed, other in zip(SEEDS[1:], rest):
+        assert other == first, f"PYTHONHASHSEED={seed} changes the flight bundles"
+
+
+def test_fat_tree_routes_do_not_depend_on_the_hash_seed():
+    first, *rest = [run_under(seed, "-m", "tests.test_hashseed_determinism", "routes") for seed in SEEDS]
+    tables = json.loads(first)
+    assert len(tables["single"]) == len(tables["ecmp"]) == 208  # 128 hosts + 80 switches
+    for seed, other in zip(SEEDS[1:], rest):
+        assert other == first, f"PYTHONHASHSEED={seed} changes fat_tree(8)'s routes"
+
+
 if __name__ == "__main__":
-    sys.stdout.write(traced_round_lineage())
+    sys.stdout.write(SCRIPT_OUTPUTS[sys.argv[1]]())

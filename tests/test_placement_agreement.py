@@ -1,13 +1,20 @@
-"""One physical description, one placement rule: the overlay mapper, the
-simulator's routes and check-deploy agree on every fabric.
+"""One physical description, one placement rule, one path rule: the
+overlay mapper, the simulator's routes and check-deploy agree on every
+fabric.
 
 All three read a :class:`repro.andspec.FabricSpec` (or a live network)
 through the same graph view and decide with the same helpers:
 
-* transit -- :func:`repro.andspec.transit_graph`: hosts are endpoints,
-  never interior nodes of a path (``map_overlay``,
-  ``Network.compute_routes`` single-path and ECMP, check-deploy's edge
-  routing);
+* paths -- :func:`repro.andspec.mapping.route_tree` chooses a node's
+  single-path routes, hosts endpoints and never interior nodes;
+  single-path ``Network.compute_routes`` installs its first hops, and
+  ``map_overlay`` and check-deploy judge each overlay edge, in both
+  directions, by the route those tables give
+  (:class:`repro.andspec.mapping.Routes`): it must cross no other mapped
+  switch of the tenant (else ``MappingError`` / NCL0930), and
+  NCL0940/0941 read its narrowest link and switch-hop count. ECMP routes
+  only spread flows over equal-cost paths of the same transit graph
+  (:func:`repro.andspec.transit_graph`);
 * placement targets -- a switch is one iff it has a chip profile (the
   generators give one to the tier hosts plug into);
 * host placement -- :func:`repro.andspec.place_hosts` (pins, then name
@@ -28,7 +35,12 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from repro.analysis.deploy import Deployment, TenantDeployment, check_deployment
+from repro.analysis.deploy import (
+    Deployment,
+    TenantDeployment,
+    check_deployment,
+    parse_deployment,
+)
 from repro.analysis.deploy.report import admission_ledger
 from repro.andspec import map_overlay, parse_and, parse_fabric, transit_graph
 from repro.apps.allreduce import AllReduceJob
@@ -37,6 +49,8 @@ from repro.ncp.wire import ChunkLayout, KernelLayout, encode_frame
 from repro.nclc import Compiler, WindowConfig
 from repro.net import fat_tree, leaf_spine
 from repro.net.node import HostNode
+from repro.pisa.switch_dev import PisaSwitch
+from repro.runtime.cluster import Cluster
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "route_tables.json"
@@ -59,6 +73,21 @@ link   sA t1
 link   t1 t2
 link   t2 sB
 """
+#: a direct 80-byte sw0 -- swx link beside a 9000-byte detour through t;
+#: the single-path route from sw0 to trainer1 is the short, narrow one
+DETOUR = """
+switch sw0
+switch swx
+switch t
+host   trainer0
+host   trainer1
+link   trainer0 sw0
+link   trainer1 swx
+link   sw0 swx mtu=80
+link   sw0 t mtu=9000
+link   t swx mtu=9000
+"""
+FIG4_STAR = "switch s1\n" + "".join(f"host w{i}\nlink w{i} s1\n" for i in range(4))
 CHAIN_AND = "host w0\nhost w1\nswitch x\nswitch y\nlink w0 x\nlink x y\nlink y w1"
 STAR_AND = "host w0\nhost w1\nswitch s1\nlink w0 s1\nlink w1 s1"
 PUSH_NCL = r"""
@@ -110,6 +139,20 @@ def route_digest(net) -> str:
         for name, node in sorted(net.nodes.items())
     }
     return hashlib.sha256(json.dumps(tables, sort_keys=True).encode()).hexdigest()
+
+
+def follow_overlay(cluster, u: str, v: str):
+    """The physical path a frame from overlay node *u* to overlay node
+    *v* takes in a mapped *cluster*: frames carry AND node ids, which
+    ``deploy_mapped`` aliases onto the physical routes."""
+    place = cluster.mapping.placement
+    net = cluster.network
+    node, target = net.nodes[place[u]], cluster.program.and_spec.node(v).node_id
+    path = [node.name]
+    while node.name != place[v] and len(path) <= len(net.nodes):
+        node = node.links[node.routes[target]].other(node)
+        path.append(node.name)
+    return path
 
 
 def follow(net, src: str, dst: str):
@@ -233,6 +276,115 @@ class TestModelMatchesSimulator:
             {h: mapping.placement[h] for h in ("w0", "w1")},
         )
         assert [d.code for d in ctx.sink.sorted() if d.code.startswith("NCL093")] == []
+
+
+# ---------------------------------------------------------------------------
+# one path rule: the mapper and check-deploy judge the installed route
+# ---------------------------------------------------------------------------
+
+
+AGREEMENT = dict(
+    FABRICS,
+    **{"fig4 star": lambda: parse_fabric(FIG4_STAR), "detour": lambda: parse_fabric(DETOUR)},
+)
+
+
+#: overlay -> (AND text, the label its kernel runs at)
+OVERLAYS = {"star": (STAR_AND, "s1"), "chain": (CHAIN_AND, "x")}
+
+
+@pytest.mark.parametrize(
+    "name,overlay",
+    [(name, "star") for name in sorted(AGREEMENT)]
+    + [(name, "chain") for name in sorted(AGREEMENT) if name != "fig4 star"],
+)
+def test_mapper_check_deploy_and_installed_routes_are_one_path(name, overlay):
+    spec = AGREEMENT[name]()
+    and_text, label = OVERLAYS[overlay]
+    program = compile_push(and_text, label)
+    # the chain's ends on the first and last host, so x and y both route
+    pins = {"w0": spec.hosts[0], "w1": spec.hosts[-1]} if overlay == "chain" else None
+    mapping = map_overlay(program.and_spec, spec.graph(), pins)
+    switches = [n.label for n in program.and_spec.switches]
+    hosts = [n.label for n in program.and_spec.hosts]
+    tenant, ctx = deploy(
+        spec, program,
+        {s: mapping.placement[s] for s in switches},
+        {h: mapping.placement[h] for h in hosts},
+    )
+    assert [d.code for d in ctx.sink.sorted() if d.code.startswith("NCL093")] == []
+    p4 = program.switch_programs[label]
+    cluster = Cluster.deploy_mapped(
+        program,
+        spec.build(pisa_factory=lambda sw: PisaSwitch(p4, sw)),
+        host_pin={h: mapping.placement[h] for h in hosts},
+    )
+    assert cluster.mapping.placement == mapping.placement
+    for a, b in program.and_spec.edges:
+        for u, v in ((a, b), (b, a)):
+            walked = follow_overlay(cluster, u, v)
+            assert mapping.edge_paths[(u, v)] == walked
+            assert ctx.edge_paths(tenant)[(u, v)].path == walked
+            assert cluster.mapping.edge_paths[(u, v)] == walked
+
+
+class TestDetour:
+    """Frames from sw0 to trainer1 take the direct 80-byte link, so that
+    is the link check-deploy judges, not the wider detour through t."""
+
+    MANIFEST = DETOUR + (
+        f"tenant training {REPO}/examples/deploy/allreduce.ncl "
+        f"and={REPO}/examples/deploy/allreduce.and\n"
+        "define training DATA_LEN=64\n"
+        "define training WIN_LEN=8\n"
+        "window training allreduce=8 len=8\n"
+        "map    training s1=sw0\n"
+        "pin    training w0=trainer0 w1=trainer1\n"
+    )
+
+    def test_the_installed_route_takes_the_narrow_link(self):
+        net = parse_fabric(DETOUR).build(ecmp=False)
+        assert follow(net, "sw0", "trainer1") == ["sw0", "swx", "trainer1"]
+        assert follow(net, "trainer1", "sw0") == ["trainer1", "swx", "sw0"]
+
+    def test_check_deploy_rejects_windows_wider_than_the_route(self):
+        ctx = check_deployment(parse_deployment(self.MANIFEST, "detour.deploy"))
+        [finding] = [d for d in ctx.sink.sorted() if d.code == "NCL0940"]
+        assert "puts 90 bytes on the wire" in finding.message
+        assert "routed path bottlenecks at 80 bytes (link sw0 -- swx)" in finding.message
+
+
+class TestInterposedSwitch:
+    """An overlay edge whose route crosses another mapped switch is
+    refused even when a detour around that switch exists: frames take
+    the route, not the detour."""
+
+    #: a line a - b - c with a longer detour a - d - e - c
+    FABRIC = """
+switch a
+switch b
+switch c
+switch d
+switch e
+host   w0
+link   w0 a
+link   a b
+link   b c
+link   a d
+link   d e
+link   e c
+"""
+    AND = "host w0\nswitch x\nswitch y\nswitch z\nlink w0 x\nlink x y\nlink x z"
+
+    def test_check_deploy_refuses_the_route(self):
+        spec = parse_fabric(self.FABRIC)
+        assert follow(spec.build(ecmp=False), "a", "c") == ["a", "b", "c"]
+        _tenant, ctx = deploy(
+            spec, compile_push(self.AND, "x"), {"x": "a", "y": "c", "z": "b"}
+        )
+        [finding] = [d for d in ctx.sink.sorted() if d.code == "NCL0930"]
+        assert "overlay edge x -- y is unrealizable" in finding.message
+        assert "the route between them crosses another of the tenant's mapped" in finding.message
 
 
 class TestRouteTablesPinned:
