@@ -676,13 +676,13 @@ def replay_counterexample(
     maps the abstract actions onto the real transport: ``send`` /
     ``retransmit`` / ``duplicate`` put (re-)transmissions on the wire,
     ``deliver`` runs the simulator until the fabric drains (the kernel
-    executes on the switch), ``restart`` swaps in a fresh
-    :class:`~repro.pisa.switch_dev.PisaSwitch` (all registers zeroed).
+    executes on the switch), ``restart`` resets the switch's registers to
+    their initial values in place (its table entries are kept).
     Returns the switch's register arrays after the schedule, keyed by
     symbol name -- the seeded double-count is directly observable.
     """
     from repro.ncp.window import Window
-    from repro.pisa.switch_dev import PisaSwitch
+    from repro.pisa.pipeline import RegisterState
     from repro.runtime import Cluster
 
     cluster = Cluster.from_program(program)
@@ -715,9 +715,10 @@ def replay_counterexample(
             node = cluster.switches.get(label)
             if node is None:
                 raise ReproError(f"no switch {label!r} in the deployment")
-            node.switch = PisaSwitch(
-                program.switch_programs[label], label
-            )
+            # In place: the generated pipeline is bound to these lists.
+            fresh = RegisterState(node.switch.program).arrays
+            for name, values in node.switch.registers.arrays.items():
+                values[:] = fresh[name]
         else:
             raise ReproError(f"unknown schedule action {action!r}")
     cluster.run()

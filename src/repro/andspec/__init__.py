@@ -3,7 +3,7 @@ and the physical-fabric spec -- the one description of a physical network
 the mapper, the simulator and the deployment checker read."""
 
 from repro.andspec.fabric import FabricLink, FabricNode, FabricSpec, parse_fabric
-from repro.andspec.mapping import Mapping, map_overlay, place_hosts, transit_graph
+from repro.andspec.mapping import Mapping, map_overlay, place_hosts
 from repro.andspec.model import AndNode, AndSpec, parse_and
 
 __all__ = [
@@ -17,5 +17,4 @@ __all__ = [
     "parse_and",
     "parse_fabric",
     "place_hosts",
-    "transit_graph",
 ]

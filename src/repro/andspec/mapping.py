@@ -16,13 +16,13 @@ The physical network is the graph :meth:`FabricSpec.graph
 <repro.andspec.fabric.FabricSpec.graph>` or
 :meth:`repro.net.network.Network.graph` gives (node ``kind`` and
 ``programmable``); the simulator's routes and the deployment checker
-apply the same :func:`route_tree` and :func:`place_hosts`.
+apply the same :meth:`Adjacency.search` and :func:`place_hosts`.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -48,45 +48,48 @@ class Mapping:
         return f"Mapping({self.placement})"
 
 
-def transit_graph(graph: nx.Graph, ends: Iterable[str]) -> nx.Graph:
-    """The part of *graph* a path between *ends* may use: every switch,
-    plus the ends themselves (a view, not a copy; it keeps *graph*'s
-    node and neighbor order, so searches over it break ties the same way
-    on every run)."""
-    keep = set(ends)
-    kinds = graph.nodes
-    return nx.subgraph_view(
-        graph, filter_node=lambda n: n in keep or kinds[n]["kind"] == "switch"
-    )
+class Adjacency:
+    """*graph* in index form, built once for many searches: node names and
+    each node's neighbors (indices) in graph order, and if it forwards."""
 
+    def __init__(self, graph: nx.Graph) -> None:
+        self.names = list(graph)
+        self.index = {name: i for i, name in enumerate(self.names)}
+        self.neighbors = [[self.index[n] for n in graph[name]] for name in self.names]
+        self.forwards = [kind == "switch" for _, kind in graph.nodes(data="kind")]
 
-def route_tree(graph: nx.Graph, src: str) -> Dict[str, str]:
-    """The single-path routes *src* installs, node -> first hop, in the
-    order a breadth-first search from *src* reaches the nodes: it grows
-    through switches only (hosts do not forward) in *graph*'s neighbor
-    order, so every run breaks ties the same way. The one place a
-    single path is chosen: ``Network.compute_routes`` installs these
-    first hops, :class:`Routes` walks them."""
-    kinds = graph.nodes
-    hop = {src: src}
-    queue = [src]
-    for via in queue:
-        for name in graph[via]:
-            if name not in hop:
-                hop[name] = name if via == src else hop[via]
-                if kinds[name]["kind"] == "switch":
-                    queue.append(name)
-    del hop[src]
-    return hop
+    def search(self, root: int) -> Tuple[List[int], List[int], List[int]]:
+        """The one breadth-first search from *root*, grown through switches
+        only in graph neighbor order (every run breaks ties the same way):
+        the nodes reached in order, *root* first, and per node its hop
+        count and *root*'s first hop toward it (-1: not reached)."""
+        forwards, neighbors = self.forwards, self.neighbors
+        depth, first = [-1] * len(neighbors), [-1] * len(neighbors)
+        depth[root], reached = 0, [root]
+        for via in reached:
+            if forwards[via] or via == root:
+                for n in neighbors[via]:
+                    if depth[n] < 0:
+                        depth[n], first[n] = depth[via] + 1, n if via == root else first[via]
+                        reached.append(n)
+        return reached, depth, first
+
+    def route_tree(self, src: str) -> Dict[str, str]:
+        """The single-path routes *src* installs, node -> first hop, in the
+        order :meth:`search` reaches them (``Network.compute_routes``
+        installs these first hops, :class:`Routes` walks them)."""
+        reached, _, first = self.search(self.index[src])
+        return {self.names[n]: self.names[first[n]] for n in reached[1:]}
 
 
 class Routes:
     """The installed single-path routes of *graph*, read hop by hop the
-    way a frame takes them; each node's :func:`route_tree` is computed
+    way a frame takes them; each node's :meth:`Adjacency.route_tree` is computed
     once, on first use."""
 
     def __init__(self, graph: nx.Graph) -> None:
         self.graph = graph
+        self._adjacency = Adjacency(graph)
         self._trees: Dict[str, Dict[str, str]] = {}
 
     def path(self, src: str, dst: str) -> Optional[List[str]]:
@@ -96,7 +99,7 @@ class Routes:
         while path[-1] != dst:
             node = path[-1]
             if node not in self._trees:
-                self._trees[node] = route_tree(self.graph, node)
+                self._trees[node] = self._adjacency.route_tree(node)
             if dst not in self._trees[node]:
                 return None
             path.append(self._trees[node][dst])

@@ -8,7 +8,7 @@ import networkx as nx
 
 from repro.errors import SimulationError
 from repro.andspec.fabric import DEFAULT_BANDWIDTH, DEFAULT_LATENCY
-from repro.andspec.mapping import route_tree, transit_graph
+from repro.andspec.mapping import Adjacency
 from repro.net.events import Simulator
 from repro.net.link import Link
 from repro.net.node import ForwardingSwitchNode, HostNode, Node
@@ -158,57 +158,40 @@ class Network:
         do not forward).
 
         Without ``ecmp`` each node installs the first hops of its
-        :func:`repro.andspec.mapping.route_tree`, the routes the overlay
-        mapper and check-deploy judge. With ``ecmp=True``, every
-        equal-cost next hop is considered and one is picked per (src,
-        dst) pair by a deterministic hash -- the flow-level spreading a
-        fat-tree needs so its core links all carry traffic.  The choice
-        depends only on the node-id pair, so routes are identical across
-        runs and schedulers.
+        :meth:`repro.andspec.mapping.Adjacency.route_tree`, the routes the overlay
+        mapper and check-deploy judge. With ``ecmp=True``, one of the
+        equal-cost next hops (the switches one hop closer to dst by the
+        same search) is picked per (src, dst) pair by a hash of their node
+        ids -- the flow-level spreading a fat-tree needs so its core links
+        all carry traffic, identical on every run.
         """
-        g = self.graph()
-        ports: Dict[str, Dict[str, int]] = {}
-        for name, node in self.nodes.items():
-            ports[name] = {}
+        adj = Adjacency(self.graph())
+        nodes = [self.nodes[name] for name in adj.names]
+        ids = [node.node_id for node in nodes]
+        ports: List[Dict[int, int]] = [{} for _ in nodes]
+        for node, out in zip(nodes, ports):
             for port, link in enumerate(node.links):
-                ports[name].setdefault(link.other(node).name, port)
-        if not ecmp:
-            for src_name, src in self.nodes.items():
-                for dst_name, hop in route_tree(g, src_name).items():
-                    self._install(src, self.nodes[dst_name], ports[src_name][hop])
-            return
-        # transit_graph(g, (src, dst)) of every pair from one copy of the
-        # switches, which each destination joins in turn (a source only
-        # adds its own first hop).
-        core = nx.Graph(transit_graph(g, ()))
-        neighbors = {name: sorted(g[name]) for name in g}
-        for dst_name, dst in self.nodes.items():
-            joined = dst_name not in core
-            if joined:
-                core.add_node(dst_name)
-                core.add_edges_from((dst_name, n) for n in g[dst_name] if n in core)
-            dist = nx.single_source_shortest_path_length(core, dst_name)
-            if joined:
-                core.remove_node(dst_name)
-            for src_name, src in self.nodes.items():
-                near = [dist[n] for n in neighbors[src_name] if n in dist]
-                if src is dst or not near:
-                    continue
-                # Every neighbor one step closer to dst is an equal-cost
-                # next hop; hash the (src, dst) id pair over them.
-                best = min(near)
-                next_hops = [n for n in neighbors[src_name] if dist.get(n) == best]
-                pick = next_hops[
-                    (src.node_id * 2654435761 + dst.node_id * 40503)
-                    % len(next_hops)
-                ]
-                self._install(src, dst, ports[src_name][pick])
-
-    def _install(self, src: Node, dst: Node, port: int) -> None:
-        if isinstance(src, PisaSwitchNode):
-            src.install_route(dst.node_id, port)
-        else:
-            src.routes[dst.node_id] = port
+                out.setdefault(adj.index[link.other(node).name], port)
+        installs = [n.install_route for n in nodes]
+        depths = [adj.search(dst)[1] for dst in range(len(nodes))] if ecmp else []
+        for src, install in enumerate(installs):
+            if not ecmp:
+                reached, _, first = adj.search(src)
+                for dst in reached[1:]:
+                    install(ids[dst], ports[src][first[dst]])
+                continue
+            # The next hops toward dst: the neighbor switches one hop closer
+            # (a lone one always is), by name, one picked by the (src, dst) ids.
+            near = sorted(filter(adj.forwards.__getitem__, adj.neighbors[src]),
+                          key=adj.names.__getitem__)
+            out, base = ports[src], ids[src] * 2654435761
+            for dst, depth in enumerate(depths):
+                closer = depth[src] - 1
+                if closer > 0:
+                    hops = near if len(near) == 1 else [n for n in near if depth[n] == closer]
+                    install(ids[dst], out[hops[(base + ids[dst] * 40503) % len(hops)]])
+                elif closer == 0:  # the last hop
+                    install(ids[dst], out[dst])
 
     # -- queries ---------------------------------------------------------------------
 

@@ -56,6 +56,9 @@ class Node:
         #: the trace track of what happens at this node
         self.track = f"{self.PROF_KIND} {name}"
 
+    def install_route(self, dst_node_id: int, port: int) -> None:
+        self.routes[dst_node_id] = port
+
     def attach_link(self, link: "Link") -> int:
         self.links.append(link)
         return len(self.links) - 1

@@ -57,10 +57,8 @@ class PisaSwitchNode(Node):
     def install_route(self, dst_node_id: int, port: int) -> None:
         """Install both the simulator next-hop and the P4 table entry."""
         self.routes[dst_node_id] = port
-        if "ipv4_route" in self.switch.program.tables:
-            self.switch.table_insert(
-                "ipv4_route", [node_ip(dst_node_id)], "ipv4_forward", [port]
-            )
+        if "ipv4_route" in self.switch.tables:
+            self.switch.table_insert("ipv4_route", [node_ip(dst_node_id)], "ipv4_forward", [port])
 
     def handle_frame(self, frame: Frame, in_port: int) -> None:
         data = frame.data

@@ -290,7 +290,9 @@ class Table:
         for entry in entries or ():
             self.add_entry(entry)
 
-    def add_entry(self, entry: TableEntry) -> None:
+    def add_entry(self, entry: TableEntry, replace: bool = False) -> None:
+        """Install *entry*, last; with *replace*, in place of every entry
+        with its match (an exact table finds them in :attr:`index`)."""
         if len(entry.match) != len(self.keys):
             raise PisaError(
                 f"table {self.name}: malformed entry {entry!r}: "
@@ -303,6 +305,8 @@ class Table:
                     f"table {self.name}: malformed entry {entry!r}: "
                     f"bad pattern for {kind} key {ref}"
                 )
+        if replace and (self.index is None or tuple(entry.match) in self.index):
+            self.remove_entries(lambda e: e.match == entry.match)
         if len(self.entries) >= self.size:
             raise PisaError(f"table {self.name} full ({self.size} entries)")
         self.entries.append(entry)

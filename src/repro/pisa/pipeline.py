@@ -17,6 +17,7 @@ module used to hold, now the test oracle ``tests/pisa_oracle.py``.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import PisaError
@@ -81,9 +82,11 @@ class PipelineStats:
 
 
 class Pipeline:
-    def __init__(self, program: P4Program, registers: Optional[RegisterState] = None):
+    def __init__(self, program: P4Program):
         self.program = program
-        self.registers = registers or RegisterState(program)
+        self.registers = RegisterState(program)
+        #: its own tables: copies of the program's, const entries too
+        self.tables = copy.deepcopy(program.tables)
         self.stats = PipelineStats()
         #: per-packet trace observer (e.g. repro.obs.SwitchPacketTrace),
         #: set around one run() by the switch device; None -> no tracing
@@ -96,7 +99,7 @@ class Pipeline:
         #: the program lowered to Python: actions by name, control, each
         #: table with the function building its key, source
         self._actions, self._control, self._tables, self.source = lower_program(
-            program, self.layout, self.stats, self.registers.arrays
+            program, self.layout, self.stats, self.registers.arrays, self.tables
         )
 
     # -- actions ---------------------------------------------------------------

@@ -226,10 +226,11 @@ def lower_deparser(program: p4.P4Program, layout: PhvLayout) -> Tuple[Callable, 
 
 
 def lower_program(
-    program: p4.P4Program, layout: PhvLayout, stats, registers: Dict[str, List[int]]
+    program: p4.P4Program, layout: PhvLayout, stats, registers: Dict[str, List[int]],
+    tables: Dict[str, p4.Table],
 ) -> Tuple[Dict[str, Callable], Callable, Dict[str, Tuple[p4.Table, Callable]], str]:
     """``(actions by name, control, tables by name, source)`` for *program*,
-    bound to one pipeline's *stats* and register lists. An action is
+    bound to one pipeline's *stats*, register lists and *tables*. An action is
     called as ``action(slots, args)``, the control block as
     ``control(pipe, phv)``; a table comes with its key builder,
     ``key(slots) -> tuple``."""
@@ -239,8 +240,8 @@ def lower_program(
     env.update((local, registers[name]) for name, local in gen.registers.items())
     compile_source(f"<p4 {program.name}>", gen.source, env)
     actions = {name: env[local] for name, local in gen.actions.items()}
-    tables = {name: (program.tables[name], env[local]) for name, local in gen.keys.items()}
-    return actions, env["control"], tables, gen.source
+    keyed = {name: (tables[name], env[local]) for name, local in gen.keys.items()}
+    return actions, env["control"], keyed, gen.source
 
 
 class _ProgramSource:

@@ -2,7 +2,7 @@
 control-plane interface.
 
 This is the per-switch runtime object the network simulator hosts. It
-owns the register state and table entries (both persist across packets)
+owns its register state and its tables (both persist across packets)
 and exposes the control-plane operations libncrt's controller uses:
 writing ``_ctrl_`` registers, and inserting/removing ``ncl::Map`` and
 routing entries.
@@ -19,11 +19,12 @@ from repro.p4.model import (
     META_FWD_LABEL,
     NO_LABEL,
     P4Program,
+    Table,
     TableEntry,
 )
 from repro.pisa.parser import Deparser, PacketParser
 from repro.pisa.phv import Phv
-from repro.pisa.pipeline import Pipeline, RegisterState
+from repro.pisa.pipeline import Pipeline
 
 #: Forwarding verdict names, index-aligned with the META_FWD encoding.
 FWD_NAMES = ("pass", "drop", "bcast", "reflect")
@@ -65,12 +66,16 @@ class SwitchResult:
 
 
 class PisaSwitch:
+    """A switch running *program* with registers and tables of its own:
+    the program is never written, so switches built from one do not
+    share entries."""
+
     def __init__(self, program: P4Program, name: str = "switch"):
         program.validate()
         self.name = name
         self.program = program
-        self.registers = RegisterState(program)
-        self.pipeline = Pipeline(program, self.registers)
+        self.pipeline = Pipeline(program)
+        self.registers, self.tables = self.pipeline.registers, self.pipeline.tables
         self.parser = PacketParser(program)
         self.deparser = Deparser(program)
         #: the slot map all three were lowered against
@@ -127,9 +132,7 @@ class PisaSwitch:
         args: Sequence[int] = (),
         priority: int = 0,
     ) -> None:
-        tbl = self.program.tables.get(table)
-        if tbl is None:
-            raise PisaError(f"unknown table {table!r}")
+        tbl = self._table(table)
         if action not in tbl.actions:
             raise PisaError(f"table {table}: action {action!r} not allowed")
         params = self.program.actions[action].params
@@ -138,21 +141,19 @@ class PisaSwitch:
                 f"table {table}: action {action} takes {len(params)} "
                 f"args, entry gives {len(args)}"
             )
-        # Replace an existing exact-match entry with the same key.
-        tbl.remove_entries(lambda e: list(e.match) == list(match))
-        tbl.add_entry(TableEntry(list(match), action, list(args), priority))
+        tbl.add_entry(TableEntry(list(match), action, list(args), priority), replace=True)
 
     def table_delete(self, table: str, match: Sequence) -> int:
-        tbl = self.program.tables.get(table)
-        if tbl is None:
-            raise PisaError(f"unknown table {table!r}")
-        return tbl.remove_entries(lambda e: list(e.match) == list(match))
+        return self._table(table).remove_entries(lambda e: list(e.match) == list(match))
 
     def table_entries(self, table: str) -> List[TableEntry]:
-        tbl = self.program.tables.get(table)
+        return list(self._table(table).entries)
+
+    def _table(self, name: str) -> Table:
+        tbl = self.tables.get(name)
         if tbl is None:
-            raise PisaError(f"unknown table {table!r}")
-        return list(tbl.entries)
+            raise PisaError(f"unknown table {name!r}")
+        return tbl
 
     @property
     def stats(self):

@@ -112,12 +112,9 @@ class Cluster:
             if and_node.node_id == phys_node.node_id:
                 continue
             for node in network.nodes.values():
-                if phys_node.node_id in node.routes:
-                    node.routes[and_node.node_id] = node.routes[phys_node.node_id]
-                if isinstance(node, PisaSwitchNode):
-                    port = node.routes.get(and_node.node_id)
-                    if port is not None:
-                        node.install_route(and_node.node_id, port)
+                port = node.routes.get(phys_node.node_id)
+                if port is not None:
+                    node.install_route(and_node.node_id, port)
         controller = Controller(program, switches, network.sim, delay=ctrl_delay)
         for and_node in program.and_spec.hosts:
             phys = network.host(mapping.placement[and_node.label])

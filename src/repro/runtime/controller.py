@@ -80,7 +80,7 @@ class Controller:
         ``Idx``)."""
         for node in self._targets(map_name):
             table = f"map_{map_name}"
-            if table not in node.switch.program.tables:
+            if table not in node.switch.tables:
                 raise RuntimeApiError(
                     f"Map {map_name!r} has no table on switch {node.name!r}"
                 )

@@ -159,9 +159,13 @@ class OracleDeparser:
 
 
 class OraclePipeline:
-    def __init__(self, program: P4Program, registers=None):
+    """*tables* are the ones whose entries it matches: a switch's own
+    (``PisaSwitch.tables``) to run beside it, by default the program's."""
+
+    def __init__(self, program: P4Program, registers=None, tables=None):
         self.program = program
         self.registers = registers or RegisterState(program)
+        self.tables = program.tables if tables is None else tables
         self.stats = PipelineStats()
         self.observer = None
         self.last_tables_matched = 0
@@ -272,7 +276,7 @@ class OraclePipeline:
 
     def apply_table(self, name: str, phv) -> bool:
         """Apply a table; returns True on hit."""
-        table = self.program.tables.get(name)
+        table = self.tables.get(name)
         if table is None:
             raise PisaError(f"unknown table {name!r}")
         key = [phv.read(ref) for ref, _ in table.keys]
@@ -339,9 +343,9 @@ class OraclePipeline:
 class OracleSwitch:
     """parser -> pipeline -> deparser, as ``PisaSwitch.process`` does it."""
 
-    def __init__(self, program: P4Program):
+    def __init__(self, program: P4Program, tables=None):
         self.program = program
-        self.pipeline = OraclePipeline(program)
+        self.pipeline = OraclePipeline(program, tables=tables)
         self.registers = self.pipeline.registers
         self.parser = OracleParser(program)
         self.deparser = OracleDeparser(program)

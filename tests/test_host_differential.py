@@ -68,12 +68,6 @@ _EXAMPLE.loader.exec_module(unified_allreduce)
 _MODULO_BY_ZERO = "division by zero in data-plane arithmetic"
 
 
-def compile_twice(source: str, **options):
-    """Two independent compiles: a cluster's table writes land in its
-    program's P4 objects, so the oracle and the executor get one each."""
-    return [Compiler().compile(source, **options) for _ in range(2)]
-
-
 def observed(cluster) -> dict:
     """What host code can change: host memory and windows sent, and the
     switches' registers and tables."""
@@ -105,17 +99,16 @@ def outcome(runner, fn: str, args=()):
         return ("raised", type(exc).__name__, message)
 
 
-def run_all(programs, label: str, calls):
+def run_all(program, label: str, calls):
     """*calls* run one after another on one host of a fresh cluster per
-    side: the oracle on ``programs[0]``, the executor on ``programs[1]``
-    and on its artifact round trip. Returns the three (outcomes, state)."""
-    fresh, other = programs
-    text = other.to_json()
+    side: the oracle and the executor on *program*, and the executor on
+    its artifact round trip. Returns the three (outcomes, state)."""
+    text = program.to_json()
     loaded = CompiledProgram.from_json(text)
     assert loaded.to_json() == text
     sides = []
-    for program, cls in ((fresh, OracleHostProgram), (other, HostProgram), (loaded, HostProgram)):
-        cluster = Cluster.from_program(program)
+    for side, cls in ((program, OracleHostProgram), (program, HostProgram), (loaded, HostProgram)):
+        cluster = Cluster.from_program(side)
         runner = cls(cluster, label)
         sides.append(([outcome(runner, fn, args) for fn, args in calls], observed(cluster)))
     return sides
@@ -191,7 +184,7 @@ class TestCorpus:
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_executor_agrees_with_walker(self, name):
         source, options, label, calls = CORPUS[name]
-        sides = run_all(compile_twice(source, **options), label, calls)
+        sides = run_all(Compiler().compile(source, **options), label, calls)
         assert all(result[0] == "returned" for result in sides[0][0])
         assert_agree(sides)
 
@@ -365,9 +358,9 @@ class TestGeneratedHostFunctions:
     @given(source=host_programs())
     @settings(max_examples=60, deadline=None)
     def test_executor_agrees_with_walker(self, source):
-        programs = compile_twice(source)
-        assert programs[1].host_errors == {}
-        assert_agree(run_all(programs, "h0", [("f", [])]))
+        program = Compiler().compile(source)
+        assert program.host_errors == {}
+        assert_agree(run_all(program, "h0", [("f", [])]))
 
 
 # -- where the two part on purpose ----------------------------------------------------

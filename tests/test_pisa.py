@@ -261,7 +261,7 @@ class TestTables:
 
     def test_exact_hit_and_miss(self):
         p, pipe = self.make()
-        p.tables["t"].add_entry(TableEntry([5], "set_out", [0x11]))
+        pipe.tables["t"].add_entry(TableEntry([5], "set_out", [0x11]))
         phv = self.phv_with_a(p, 5)
         assert pipe.apply_table("t", phv)
         assert phv.read("meta.out") == 0x11
@@ -271,8 +271,8 @@ class TestTables:
 
     def test_ternary_priority(self):
         p, pipe = self.make("ternary")
-        p.tables["t"].add_entry(TableEntry([(0x00, 0x0F)], "set_out", [1], priority=1))
-        p.tables["t"].add_entry(TableEntry([(0x00, 0x00)], "set_out", [2], priority=0))
+        pipe.tables["t"].add_entry(TableEntry([(0x00, 0x0F)], "set_out", [1], priority=1))
+        pipe.tables["t"].add_entry(TableEntry([(0x00, 0x00)], "set_out", [2], priority=0))
         phv = self.phv_with_a(p, 0xF0)  # matches both (low nibble 0; wildcard)
         pipe.apply_table("t", phv)
         assert phv.read("meta.out") == 1
@@ -286,7 +286,7 @@ class TestTables:
 
     def test_stats_counters(self):
         p, pipe = self.make()
-        p.tables["t"].add_entry(TableEntry([5], "set_out", [1]))
+        pipe.tables["t"].add_entry(TableEntry([5], "set_out", [1]))
         pipe.apply_table("t", self.phv_with_a(p, 5))
         pipe.apply_table("t", self.phv_with_a(p, 9))
         assert pipe.stats.table_hits["t"] == 1
@@ -351,6 +351,59 @@ class TestSwitchDevice:
         assert sw.table_entries("t")[0].args == [6]
         assert sw.table_delete("t", [1]) == 1
         assert sw.table_entries("t") == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["insert", "add", "delete"]), st.sampled_from(["t", "acl"]),
+        st.one_of(st.integers(0, 3), st.tuples(st.integers(0, 3), st.sampled_from([0, 3]))),
+        st.integers(0, 7), st.integers(0, 2),
+    ), max_size=40))
+    def test_insert_keeps_the_entries_and_index_of_a_rebuild(self, ops):
+        """``table_insert`` finds an exact key in ``Table.index`` instead of
+        rebuilding the entry list; after every step the entries (order
+        included) and the index are those of the remove-then-add it
+        replaced, run on a second switch of the same program."""
+        p = tiny_program()
+        p.add_metadata("out", 8)
+        p.add_action(
+            Action("set_out", [PAssign("meta.out", PParam("v", 8))], params=[("v", 8)])
+        )
+        p.add_table(Table("t", [("h.a", "exact")], ["set_out"], "set_out", [0], size=3))
+        p.add_table(Table("acl", [("h.a", "ternary")], ["set_out"], "set_out", [0], size=3))
+        sw, ref = PisaSwitch(p), PisaSwitch(p)
+
+        def rebuild_insert(table, match, args, priority):
+            tbl = ref.tables[table]
+            tbl.remove_entries(lambda e: list(e.match) == list(match))
+            tbl.add_entry(TableEntry(list(match), "set_out", list(args), priority))
+
+        def state(switch):
+            """Each table's entries in order, and where its index points."""
+            out = {}
+            for name, t in switch.tables.items():
+                index = t.index or {}
+                out[name] = ([(e.match, e.args, e.priority) for e in t.entries],
+                             {key: t.entries.index(e) for key, e in index.items()})
+            return out
+
+        for op, table, pattern, value, priority in ops:
+            match, outcomes = [pattern], []
+            for switch in (sw, ref):
+                try:
+                    if op == "delete":
+                        switch.table_delete(table, match)
+                    elif op == "add":
+                        entry = TableEntry(match, "set_out", [value], priority)
+                        switch.tables[table].add_entry(entry)
+                    elif switch is sw:
+                        sw.table_insert(table, match, "set_out", [value], priority)
+                    else:
+                        rebuild_insert(table, match, [value], priority)
+                    outcomes.append(None)
+                except PisaError as exc:  # a full table, a pair on the exact key
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+            assert state(sw) == state(ref)
 
     def test_rejects_disallowed_action(self):
         p = tiny_program()

@@ -5,7 +5,7 @@ fabric.
 All three read a :class:`repro.andspec.FabricSpec` (or a live network)
 through the same graph view and decide with the same helpers:
 
-* paths -- :func:`repro.andspec.mapping.route_tree` chooses a node's
+* paths -- :meth:`repro.andspec.mapping.Adjacency.search` chooses a node's
   single-path routes, hosts endpoints and never interior nodes;
   single-path ``Network.compute_routes`` installs its first hops, and
   ``map_overlay`` and check-deploy judge each overlay edge, in both
@@ -13,8 +13,10 @@ through the same graph view and decide with the same helpers:
   (:class:`repro.andspec.mapping.Routes`): it must cross no other mapped
   switch of the tenant (else ``MappingError`` / NCL0930), and
   NCL0940/0941 read its narrowest link and switch-hop count. ECMP routes
-  only spread flows over equal-cost paths of the same transit graph
-  (:func:`repro.andspec.transit_graph`);
+  only spread flows over equal-cost paths through switches, by hop counts
+  from the same search (:class:`repro.andspec.mapping.Adjacency`), and
+  are held here to a networkx subgraph view of their own
+  (:func:`transit_view`);
 * placement targets -- a switch is one iff it has a chip profile (the
   generators give one to the tier hosts plug into);
 * host placement -- :func:`repro.andspec.place_hosts` (pins, then name
@@ -42,7 +44,7 @@ from repro.analysis.deploy import (
     parse_deployment,
 )
 from repro.analysis.deploy.report import admission_ledger
-from repro.andspec import map_overlay, parse_and, parse_fabric, transit_graph
+from repro.andspec import map_overlay, parse_and, parse_fabric
 from repro.apps.allreduce import AllReduceJob
 from repro.errors import MappingError
 from repro.ncp.wire import ChunkLayout, KernelLayout, encode_frame
@@ -54,6 +56,17 @@ from repro.runtime.cluster import Cluster
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "route_tables.json"
+
+
+def transit_view(graph, ends):
+    """The part of *graph* a path between *ends* may use: every switch,
+    plus the ends themselves (a view, not a copy) -- written here, apart
+    from the search the simulator routes by, so it stays a reference."""
+    keep = set(ends)
+    return nx.subgraph_view(
+        graph, filter_node=lambda n: n in keep or graph.nodes[n]["kind"] == "switch"
+    )
+
 
 #: a host ``m`` between sA and sB: a path through it is two hops shorter
 #: than the switch path sA - t1 - t2 - sB, but m does not forward
@@ -264,7 +277,7 @@ class TestModelMatchesSimulator:
                 assert path[-1] == dst
                 assert all(not isinstance(net.nodes[n], HostNode) for n in path[1:-1])
                 assert len(path) - 1 == nx.shortest_path_length(
-                    transit_graph(graph, (src, dst)), src, dst
+                    transit_view(graph, (src, dst)), src, dst
                 )
 
     def test_a_mapped_star_is_admitted_as_placed(self, name):

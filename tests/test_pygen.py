@@ -283,10 +283,12 @@ def test_random_expressions_agree_with_oracle(expr, fields, valid):
 
 
 def _both_switches(p4_program, node_ids):
-    """A lowered and an oracle switch over one program (so one set of
-    table entries), each with its own registers, deployed alike: a route
-    per node, every control scalar 2, three keys in every map."""
-    sw, oracle = PisaSwitch(p4_program), OracleSwitch(p4_program)
+    """A lowered and an oracle switch over one program, the oracle
+    matching the lowered switch's table entries, each with its own
+    registers, deployed alike: a route per node, every control scalar 2,
+    three keys in every map."""
+    sw = PisaSwitch(p4_program)
+    oracle = OracleSwitch(p4_program, tables=sw.tables)
     for node in node_ids:
         sw.table_insert("ipv4_route", [node_ip(node)], "ipv4_forward", [node % 3])
     for name, table in p4_program.tables.items():
@@ -433,21 +435,21 @@ class TableTraffic(RuleBasedStateMachine):
 
     def _load(self, program):
         self.sw = PisaSwitch(program)
-        self.oracle = OraclePipeline(self.sw.program)
+        self.oracle = OraclePipeline(self.sw.program, tables=self.sw.tables)
 
     def _attempt(self, install):
         """A refused install leaves the table as it was."""
-        before = {name: list(t.entries) for name, t in self.sw.program.tables.items()}
+        before = {name: list(t.entries) for name, t in self.sw.tables.items()}
         try:
             install()
         except PisaError as exc:
             assert "full" in str(exc)
-            after = {name: list(t.entries) for name, t in self.sw.program.tables.items()}
+            after = {name: list(t.entries) for name, t in self.sw.tables.items()}
             assert after == before
 
     @rule(key=keys, value=st.integers(0, 7), priority=st.integers(0, 2))
     def add_duplicate_or_new(self, key, value, priority):
-        table = self.sw.program.tables["map_Idx"]
+        table = self.sw.tables["map_Idx"]
         self._attempt(lambda: table.add_entry(TableEntry([key], "map_Idx_hit", [value], priority)))
 
     @rule(key=keys, value=st.integers(0, 7))
@@ -461,7 +463,7 @@ class TableTraffic(RuleBasedStateMachine):
     @rule(pattern=patterns, kernel=st.integers(1, 2), port=st.integers(0, 3),
           priority=st.integers(0, 2))
     def add_ternary(self, pattern, kernel, port, priority):
-        table = self.sw.program.tables["acl"]
+        table = self.sw.tables["acl"]
         self._attempt(lambda: table.add_entry(
             TableEntry([pattern, kernel], "ipv4_forward", [port], priority)))
 
@@ -473,7 +475,7 @@ class TableTraffic(RuleBasedStateMachine):
     def rebuilt_from_its_entries(self):
         """Every table built anew with ``entries=``, which indexes them."""
         program = copy.deepcopy(self.sw.program)
-        for name, t in program.tables.items():
+        for name, t in self.sw.tables.items():
             program.tables[name] = Table(
                 t.name, t.keys, t.actions, t.default_action, t.default_args,
                 t.entries, t.managed_by, t.size,
@@ -483,8 +485,8 @@ class TableTraffic(RuleBasedStateMachine):
     @invariant()
     def lookups_agree(self):
         program = self.sw.program
-        assert program.tables["map_Idx"].index is not None
-        assert program.tables["acl"].index is None
+        assert self.sw.tables["map_Idx"].index is not None
+        assert self.sw.tables["acl"].index is None
         for table, fields in (
             ("map_Idx", [{"meta.map_Idx_key": k} for k in range(6)]),
             ("acl", [{"ipv4.dst": d, "ncp.kernel_id": k} for d in range(6) for k in (1, 2, 3)]),
