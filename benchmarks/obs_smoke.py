@@ -53,6 +53,7 @@ EVENTS_PER_WINDOW = 24
 def run_smoke(n_windows: int, out_dir: Path, rate: float = 0.001,
               loss: float = 0.001) -> dict:
     from repro.nclc import Compiler, WindowConfig
+    from repro.net import FaultPlan
     from repro.obs import (
         FlightRecorder,
         JsonlSink,
@@ -77,7 +78,8 @@ def run_smoke(n_windows: int, out_dir: Path, rate: float = 0.001,
     flight = FlightRecorder(capacity=256)
     obs = Observability(tracer=tracer, flight=flight)
 
-    cluster = Cluster.from_program(program, loss=loss, obs=obs)
+    cluster = Cluster.from_program(program, obs=obs)
+    cluster.network.inject(FaultPlan(loss=loss))
     h0 = cluster.host("h0")
 
     t0 = time.monotonic()

@@ -31,6 +31,7 @@ from pathlib import Path
 from repro.apps.allreduce import AllReduceJob
 from repro.apps.workloads import random_arrays
 from repro.errors import RuntimeApiError
+from repro.net import FaultPlan
 from repro.obs import (
     AlertEngine,
     FlightRecorder,
@@ -82,7 +83,7 @@ def main(outdir: str = "flight_recorder_out") -> int:
 
     # -- round 2: the uplink goes down mid-round ---------------------------
     fail_at = job.cluster.now() + 1e-6
-    job.cluster.network.fail_link("w0", "s1", at=fail_at)
+    job.cluster.network.inject(FaultPlan(events=((fail_at, "down", ("w0", "s1")),)))
     print(f"\ninjecting w0<->s1 link failure at t={fail_at * 1e6:.1f}us; "
           f"watching: {ALERT_RULE!r}")
     try:

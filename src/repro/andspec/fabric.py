@@ -243,8 +243,9 @@ class FabricSpec:
 
         Hosts claim the low node ids in declaration order (h0 -> id 0,
         ...) so application code can address them positionally; the
-        switches follow in declaration order, and link *i* is seeded
-        with *i*. A switch is a plain :class:`ForwardingSwitchNode`
+        switches follow in declaration order, and so do the links (the
+        index :meth:`~repro.net.network.Network.inject` seeds a link's
+        loss draw with). A switch is a plain :class:`ForwardingSwitchNode`
         unless it is programmable and ``pisa_factory`` is given, in which
         case it runs a fresh device from the factory. Routes are
         installed ECMP by default -- that is what spreads flows over a
@@ -260,10 +261,10 @@ class FabricSpec:
                 net.add_pisa_switch(name, pisa_factory(name))
             else:
                 net.add_forwarding_switch(name)
-        for seed, link in enumerate(self.links):
+        for link in self.links:
             net.add_link(
                 link.a, link.b, latency=latency, bandwidth=link.bandwidth,
-                seed=seed, queue_limit_bytes=queue_limit_bytes,
+                queue_limit_bytes=queue_limit_bytes,
                 delivery_quantum=delivery_quantum,
             )
         net.compute_routes(ecmp=ecmp)

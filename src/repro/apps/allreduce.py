@@ -96,7 +96,6 @@ class AllReduceJob:
         profile: Optional[str] = None,
         bandwidth: float = 10e9,
         latency: float = 1e-6,
-        loss: float = 0.0,
         obs=None,
         program=None,
     ):
@@ -116,7 +115,7 @@ class AllReduceJob:
             profile=profile,
         )
         self.cluster = Cluster.from_program(
-            self.program, bandwidth=bandwidth, latency=latency, loss=loss, obs=obs
+            self.program, bandwidth=bandwidth, latency=latency, obs=obs
         )
         self.cluster.controller.ctrl_wr("nworkers", n_workers)
 
@@ -146,38 +145,31 @@ class AllReduceJob:
     def run_round(
         self, worker_arrays: Sequence[Sequence[int]]
     ) -> Tuple[List[List[int]], float]:
-        """One synchronous AllReduce over the workers' arrays.
-
-        Returns (per-worker result arrays, elapsed simulated seconds).
-        """
+        """One synchronous AllReduce over the workers' arrays: (per-worker
+        result arrays, elapsed simulated seconds), or a RuntimeApiError
+        naming each worker's missing result windows (``done`` says only
+        that the one marked last came)."""
         if len(worker_arrays) != self.n_workers:
             raise RuntimeApiError(
                 f"need {self.n_workers} arrays, got {len(worker_arrays)}"
             )
-        results: List[List[int]] = []
-        dones: List[List[int]] = []
-        for i in range(self.n_workers):
-            out: List[int] = [0] * self.data_len
-            done = [0]
-            results.append(out)
-            dones.append(done)
-            self.cluster.host(f"w{i}").register_in("result", [out, done])
+        results = [[0] * self.data_len for _ in range(self.n_workers)]
+        arrived: List[set] = [set() for _ in range(self.n_workers)]
+        for i, (out, seqs) in enumerate(zip(results, arrived)):
+            self.cluster.host(f"w{i}").register_in(
+                "result", [out, [0]], on_window=lambda w, _h, seqs=seqs: seqs.add(w.seq)
+            )
         start = self.cluster.now()
         for i, array in enumerate(worker_arrays):
             self.cluster.host(f"w{i}").out("allreduce", [list(array)])
         self.cluster.run()
         elapsed = self.cluster.now() - start
-        if not all(d[0] for d in dones):
-            raise RuntimeApiError(
-                "AllReduce did not complete: "
-                f"{sum(d[0] for d in dones)}/{self.n_workers} workers done "
-                "(lossy link without retransmission?)"
-            )
+        every = set(range(self.data_len // self.window_len))
+        missing = [f"w{i} lacks seqs {sorted(every - seqs)}"
+                   for i, seqs in enumerate(arrived) if seqs != every]
+        if missing:
+            raise RuntimeApiError("AllReduce did not complete: " + "; ".join(missing))
         return results, elapsed
-
-    def host_to_switch_bytes(self) -> int:
-        """Total bytes that crossed the worker<->ToR links so far."""
-        return self.cluster.network.total_bytes_on_links()
 
     @staticmethod
     def expected(worker_arrays: Sequence[Sequence[int]]) -> List[int]:

@@ -1,4 +1,4 @@
-"""Point-to-point links with latency, bandwidth and optional loss.
+"""Point-to-point links with latency, bandwidth, loss and an up flag.
 
 Delivery is *piped*: each direction of a link keeps a FIFO of in-flight
 ``(arrival, frame)`` pairs and arms at most one scheduler event (the
@@ -18,9 +18,8 @@ them all.  The default (``None``) keeps the exact un-coalesced timing.
 from __future__ import annotations
 
 import math
-import random
 from collections import deque
-from typing import Deque, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Deque, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.net.frame import Frame
@@ -133,8 +132,6 @@ class Link:
         b: "Node",
         latency: float = 1e-6,
         bandwidth: float = 10e9,  # bits/s
-        loss: float = 0.0,
-        seed: int = 0,
         queue_limit_bytes: Optional[int] = None,
         delivery_quantum: Optional[float] = None,
     ):
@@ -146,14 +143,14 @@ class Link:
         self.b = b
         self.latency = latency
         self.bandwidth = bandwidth
-        self.loss = loss
         self.queue_limit_bytes = queue_limit_bytes
         self.delivery_quantum = delivery_quantum
-        self._rng = random.Random(seed)
         self._free_at = {a: 0.0, b: 0.0}
-        #: administrative state; a downed link eats every frame (the
-        #: chaos harness's link-failure injection point)
+        #: administrative state; a downed link eats every frame with cause
+        #: ``down``. Network.inject sets it, and ``loss_draw``: None, or a
+        #: seeded ``(random, rate)`` that drops a frame with cause ``loss``
         self.up = True
+        self.loss_draw: Optional[Tuple[Callable[[], float], float]] = None
         self.stats = LinkStats()
         self.port_at = {
             a: a.attach_link(self),
@@ -212,14 +209,6 @@ class Link:
         if obs.enabled:
             self._trace_drop(obs, sim, self.other(receiver), frame, "down")
 
-    def set_down(self) -> None:
-        """Fail the link: every subsequent frame drops with cause
-        ``down`` until :meth:`set_up`."""
-        self.up = False
-
-    def set_up(self) -> None:
-        self.up = True
-
     def transmit(
         self,
         sim: "Simulator",
@@ -240,7 +229,8 @@ class Link:
             if obs.enabled:
                 self._trace_drop(obs, sim, sender, frame, "down")
             return
-        if self.loss > 0 and self._rng.random() < self.loss:
+        loss_draw = self.loss_draw
+        if loss_draw is not None and loss_draw[0]() < loss_draw[1]:
             self.stats.drops_loss += 1
             if obs.enabled:
                 self._trace_drop(obs, sim, sender, frame, "loss")

@@ -1,8 +1,11 @@
-"""The simulated network: topology construction, routing, statistics."""
+"""The simulated network: topology construction, faults, routing, statistics."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import random
+from dataclasses import dataclass
+from functools import partial
+from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
@@ -16,6 +19,27 @@ from repro.net.pisanode import PisaSwitchNode
 from repro.obs.context import Observability
 from repro.obs.netmetrics import collect_network_metrics
 from repro.pisa.switch_dev import PisaSwitch
+
+
+@dataclass(frozen=True)
+class FaultPlan:
+    """What goes wrong in a run, as data (:meth:`Network.inject` applies
+    it): each link's per-frame ``loss`` probability, drawn from streams
+    seeded by ``seed``, and ``events`` ``(at, kind, target)``, kept sorted
+    by ``at``: at virtual time ``at`` a node (by name) or a link (by a pair
+    of names) goes ``"down"`` or comes back ``"up"``."""
+
+    loss: float = 0.0
+    seed: int = 0
+    events: Tuple[tuple, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.loss <= 1.0:  # NaN fails this too
+            raise SimulationError(f"loss must be in [0, 1], got {self.loss!r}")
+        for _at, kind, _target in self.events:
+            if kind not in ("down", "up"):
+                raise SimulationError(f"unknown fault kind {kind!r} (known: down, up)")
+        object.__setattr__(self, "events", tuple(sorted(self.events, key=lambda e: e[0])))
 
 
 class Network:
@@ -87,15 +111,13 @@ class Network:
         b: str,
         latency: float = DEFAULT_LATENCY,
         bandwidth: float = DEFAULT_BANDWIDTH,
-        loss: float = 0.0,
-        seed: int = 0,
         queue_limit_bytes: Optional[int] = None,
         delivery_quantum: Optional[float] = None,
     ) -> Link:
         if a not in self.nodes or b not in self.nodes:
             raise SimulationError(f"link endpoints must exist: {a!r}, {b!r}")
         link = Link(
-            self.nodes[a], self.nodes[b], latency, bandwidth, loss, seed,
+            self.nodes[a], self.nodes[b], latency, bandwidth,
             queue_limit_bytes=queue_limit_bytes,
             delivery_quantum=delivery_quantum,
         )
@@ -109,31 +131,29 @@ class Network:
                 return link
         raise SimulationError(f"no link between {a!r} and {b!r}")
 
-    def fail_link(self, a: str, b: str, at: Optional[float] = None) -> Link:
-        """Inject a link failure: immediately, or at virtual time ``at``
-        (scheduled on the simulator, so the failure lands
-        deterministically mid-run)."""
-        link = self.link_between(a, b)
-        if at is None:
-            link.set_down()
-        else:
-            self.sim.schedule_at(
-                at, link.set_down, label=f"link;{a}<->{b};fail"
-            )
-        return link
-
-    def fail_switch(self, name: str, at: Optional[float] = None) -> Node:
-        """Fail a node: it stops transmitting, and frames arriving at it
-        -- including frames already in flight on its links -- drop with
-        cause ``down``.  Immediate, or scheduled at virtual time ``at``."""
-        node = self.nodes.get(name)
-        if node is None:
-            raise SimulationError(f"no node named {name!r}")
-        if at is None:
-            node.set_down()
-        else:
-            self.sim.schedule_at(at, node.set_down, label=f"node;{name};fail")
-        return node
+    def inject(self, plan: FaultPlan) -> None:
+        """Apply *plan*, the one way a fault enters the simulation. With
+        ``plan.loss > 0`` link *i* of :attr:`links` draws from
+        ``random.Random(plan.seed + i)``, one stream for both directions.
+        An event due by now sets its target's ``up`` at once, a later one
+        is scheduled; every target is checked before anything changes."""
+        targets = []
+        for _at, _kind, target in plan.events:
+            if isinstance(target, str):
+                if target not in self.nodes:
+                    raise SimulationError(f"no node named {target!r}")
+                targets.append((self.nodes[target], f"node;{target}"))
+            else:
+                targets.append((self.link_between(*target), "link;{}<->{}".format(*target)))
+        if plan.loss > 0:
+            for i, link in enumerate(self.links):
+                link.loss_draw = (random.Random(plan.seed + i).random, plan.loss)
+        for (at, kind, _target), (obj, track) in zip(plan.events, targets):
+            if at <= self.sim.now():
+                obj.up = kind == "up"
+            else:
+                self.sim.schedule_at(at, partial(setattr, obj, "up", kind == "up"),
+                                     label=track + (";heal" if kind == "up" else ";fail"))
 
     # -- routing -------------------------------------------------------------------
 

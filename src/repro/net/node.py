@@ -47,8 +47,8 @@ class Node:
         #: next-hop port by destination node id (installed at deploy time)
         self.routes: Dict[int, int] = {}
         self.stats = NodeStats()
-        #: administrative state; frames transmitted by or delivered to a
-        #: downed node drop with cause ``down`` (see Network.fail_switch)
+        #: administrative state (Network.inject sets it): frames a downed
+        #: node sends or is sent, in flight too, drop with cause ``down``
         self.up = True
         #: schedule label for frame arrivals at this node -- the count of
         #: these events is the profiler's packets/sec numerator
@@ -62,14 +62,6 @@ class Node:
     def attach_link(self, link: "Link") -> int:
         self.links.append(link)
         return len(self.links) - 1
-
-    def set_down(self) -> None:
-        """Fail the node: it stops transmitting, and frames arriving at
-        it (including ones already in flight) drop with cause ``down``."""
-        self.up = False
-
-    def set_up(self) -> None:
-        self.up = True
 
     def send(
         self, data: Union[bytes, Frame], port: int, earliest: float = 0.0

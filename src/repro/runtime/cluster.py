@@ -52,7 +52,6 @@ class Cluster:
         program: CompiledProgram,
         bandwidth: float = DEFAULT_BANDWIDTH,
         latency: float = DEFAULT_LATENCY,
-        loss: float = 0.0,
         ctrl_delay: float = 0.0,
         obs=None,
     ) -> "Cluster":
@@ -73,8 +72,8 @@ class Cluster:
                 switches[node.label] = net.add_pisa_switch(
                     node.label, PisaSwitch(p4, node.label), node_id=node.node_id
                 )
-        for seed, (a, b) in enumerate(spec.edges):
-            net.add_link(a, b, latency=latency, bandwidth=bandwidth, loss=loss, seed=seed)
+        for a, b in spec.edges:
+            net.add_link(a, b, latency=latency, bandwidth=bandwidth)
         net.compute_routes()
         controller = Controller(program, switches, net.sim, delay=ctrl_delay)
         for node in spec.hosts:

@@ -54,7 +54,7 @@ class TestAllReduce:
         for n in (2, 4):
             job = AllReduceJob(n, 64, 8)
             job.run_round(random_arrays(n, 64, seed=0))
-            sizes[n] = job.host_to_switch_bytes()
+            sizes[n] = job.cluster.network.total_bytes_on_links()
         assert sizes[4] < sizes[2] * 3  # linear-ish, not n^2
 
     @given(

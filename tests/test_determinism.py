@@ -77,14 +77,15 @@ class TestSimulationDeterminism:
 
     def test_lossy_link_repeatable(self):
         """Loss uses a seeded RNG: two runs drop the same frames."""
-        from repro.net.network import Network
+        from repro.net.network import FaultPlan, Network
 
         def run():
             net = Network()
             a = net.add_host("a")
             b = net.add_host("b")
-            net.add_link("a", "b", loss=0.5, seed=7)
+            net.add_link("a", "b")
             net.compute_routes()
+            net.inject(FaultPlan(loss=0.5, seed=7))
             got = []
             b.receiver = lambda data: got.append(data)
             for i in range(20):

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.apps.allreduce import AllReduceJob
+from repro.net import FaultPlan
 from repro.apps.workloads import random_arrays
 from repro.errors import RuntimeApiError, SimulationError
 from repro.obs import (
@@ -107,7 +108,9 @@ def crashed_allreduce(out_dir):
     attach_network_probes(sampler, job.cluster.network)
     attach_cluster_probes(sampler, job.cluster)
     job.run_round(random_arrays(2, 256, seed=1))
-    job.cluster.network.fail_link("w0", "s1", at=job.cluster.now() + 1e-6)
+    job.cluster.network.inject(
+        FaultPlan(events=((job.cluster.now() + 1e-6, "down", ("w0", "s1")),))
+    )
     with pytest.raises(RuntimeApiError):
         with flight_guard(obs, clock=job.cluster.now):
             job.run_round(random_arrays(2, 256, seed=2))

@@ -29,7 +29,7 @@ from repro.apps.allreduce import AllReduceJob
 from repro.apps.workloads import random_arrays
 from repro.errors import RuntimeApiError
 from repro.ncp.window import Window
-from repro.net import fat_tree
+from repro.net import FaultPlan, fat_tree
 from repro.obs import (
     AlertEngine,
     FlightRecorder,
@@ -108,7 +108,9 @@ def failed_link_flight_bundles() -> str:
     attach_network_probes(sampler, job.cluster.network)
     attach_cluster_probes(sampler, job.cluster)
     job.run_round(random_arrays(2, 64, seed=1))
-    job.cluster.network.fail_link("w0", "s1", at=job.cluster.now() + 1e-6)
+    job.cluster.network.inject(
+        FaultPlan(events=((job.cluster.now() + 1e-6, "down", ("w0", "s1")),))
+    )
     try:
         with flight_guard(obs, clock=job.cluster.now):
             job.run_round(random_arrays(2, 64, seed=2))

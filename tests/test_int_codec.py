@@ -12,7 +12,7 @@ import pytest
 from repro.apps.allreduce import AllReduceJob
 from repro.ncp.wire import FLAG_INT, FLAGS_OFF, HEADERS_LEN, encode_frame
 from repro.nclc import Compiler, WindowConfig
-from repro.net.network import Network
+from repro.net.network import FaultPlan, Network
 from repro.obs import IntConfig, Observability
 from repro.obs.int import (
     HOP_BYTES,
@@ -316,8 +316,9 @@ class TestMalformedTrailerInTheFabric:
         obs = Observability()
         net = Network(obs=obs)
         a, b = net.add_host("a"), net.add_host("b")
-        net.add_link("a", "b", seed=1, loss=1.0)
+        net.add_link("a", "b")
         net.compute_routes()
+        net.inject(FaultPlan(loss=1.0, seed=1))
         a.transmit(forge(make_frame(), how), b.node_id)
         net.run()
         assert net.links[0].stats.drops_loss == 1

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.ncp.wire import ChunkLayout, KernelLayout, encode_frame, peek_frame
-from repro.net import Network, Simulator, fat_tree
+from repro.net import FaultPlan, Network, Simulator, fat_tree
 from repro.net import frame as frame_mod
 from repro.net.node import HostNode
 
@@ -61,8 +61,9 @@ def two_hosts(bandwidth=1e9, latency=1e-6, loss=0.0):
     net = Network()
     a = net.add_host("a")
     b = net.add_host("b")
-    net.add_link("a", "b", latency=latency, bandwidth=bandwidth, loss=loss, seed=1)
+    net.add_link("a", "b", latency=latency, bandwidth=bandwidth)
     net.compute_routes()
+    net.inject(FaultPlan(loss=loss, seed=1))
     return net, a, b
 
 

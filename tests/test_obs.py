@@ -14,7 +14,7 @@ import pytest
 from repro.errors import RuntimeApiError, SimulationError
 from repro.nclc import Compiler, WindowConfig
 from repro.net.events import Simulator
-from repro.net.network import Network
+from repro.net.network import FaultPlan, Network
 from repro.obs import (
     NULL_OBS,
     CompileTrace,
@@ -391,13 +391,14 @@ class TestDisabledPath:
 # ---------------------------------------------------------------------------
 
 
-def traced_two_hosts(**link_kwargs):
+def traced_two_hosts(loss=0.0, **link_kwargs):
     obs = Observability()
     net = Network(obs=obs)
     a = net.add_host("a")
     b = net.add_host("b")
-    net.add_link("a", "b", seed=1, **link_kwargs)
+    net.add_link("a", "b", **link_kwargs)
     net.compute_routes()
+    net.inject(FaultPlan(loss=loss, seed=1))
     b.receiver = lambda data: None
     return net, a, b, obs
 
@@ -571,7 +572,8 @@ class TestTracedAllReduce:
         from repro.apps.allreduce import AllReduceJob
 
         obs = Observability()
-        job = AllReduceJob(2, 16, 4, loss=1.0, obs=obs)
+        job = AllReduceJob(2, 16, 4, obs=obs)
+        job.cluster.network.inject(FaultPlan(loss=1.0))
         with pytest.raises(RuntimeApiError, match="did not complete"):
             job.run_round([[1] * 16, [2] * 16])
         snap = obs.snapshot()

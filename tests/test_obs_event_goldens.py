@@ -36,7 +36,7 @@ from repro.errors import RuntimeApiError
 from repro.ncp.window import Window
 from repro.ncp.wire import encode_frame, node_ip
 from repro.nclc import Compiler, WindowConfig
-from repro.net.network import Network
+from repro.net.network import FaultPlan, Network
 from repro.obs import IntConfig, Observability, Tracer
 from repro.obs.int import attach_tail
 from repro.obs.lineage import LineageIndex
@@ -105,7 +105,8 @@ def lossy_allreduce() -> Observability:
     again (read off the trace, as a transport would read its timers)
     until nothing new is lost; what the way down loses stays lost."""
     obs = observed()
-    job = AllReduceJob(2, 64, 8, multiround=True, loss=0.2, obs=obs)
+    job = AllReduceJob(2, 64, 8, multiround=True, obs=obs)
+    job.cluster.network.inject(FaultPlan(loss=0.2))
     arrays = arrays_for(24, 2, 64)
     run_round_that_may_not_finish(job, arrays)
     retried = 0
@@ -161,10 +162,12 @@ def failures_mid_flight() -> Observability:
     job = AllReduceJob(2, 64, 8, multiround=True, obs=obs)
     net = job.cluster.network
     job.run_round(arrays_for(1, 2, 64))
-    net.fail_link("w0", "s1", at=job.cluster.now() + 1.5e-6)
+    net.inject(FaultPlan(events=((job.cluster.now() + 1.5e-6, "down", ("w0", "s1")),)))
     run_round_that_may_not_finish(job, arrays_for(2, 2, 64))
-    net.link_between("w0", "s1").set_up()
-    net.fail_switch("s1", at=job.cluster.now() + 2.5e-6)
+    net.inject(FaultPlan(events=(
+        (job.cluster.now(), "up", ("w0", "s1")),
+        (job.cluster.now() + 2.5e-6, "down", "s1"),
+    )))
     run_round_that_may_not_finish(job, arrays_for(3, 2, 64))
 
     program = Compiler().compile(
@@ -225,7 +228,7 @@ def frames_nobody_names() -> Observability:
     for seq in range(4):
         x.transmit(encode_frame(layout, 10, 11, seq, [[7]]), 11)
     fabric.run()
-    fabric.fail_link("x", "f")
+    fabric.inject(FaultPlan(events=((fabric.sim.now(), "down", ("x", "f")),)))
     x.transmit(bytes(not_ncp), 11)
     x.transmit(attach_tail(encode_frame(layout, 10, 11, 9, [[7]])), 11)
     fabric.run()

@@ -156,7 +156,9 @@ class TestHostApi:
 class TestLossyDeploy:
     def test_loss_surfaces_as_incomplete(self, deployed):
         from repro.apps.allreduce import AllReduceJob
+        from repro.net import FaultPlan
 
-        job = AllReduceJob(2, 32, 4, loss=1.0)
+        job = AllReduceJob(2, 32, 4)
+        job.cluster.network.inject(FaultPlan(loss=1.0))
         with pytest.raises(RuntimeApiError, match="did not complete"):
             job.run_round([[1] * 32, [2] * 32])

@@ -30,6 +30,7 @@ from repro.obs.sinks import (
     window_key,
 )
 from repro.obs.trace import TraceEvent
+from repro.net import FaultPlan
 from repro.runtime import Cluster
 
 PROBE_SRC = (
@@ -39,12 +40,14 @@ PROBE_SRC = (
 
 
 def probe_cluster(obs, loss=0.0):
-    # link-loss RNGs are seeded by edge index, so lossy runs replay
-    # byte-identically without any configuration
+    # a plan's loss draws are seeded by link index, so lossy runs replay
+    # byte-identically
     program = Compiler().compile(
         PROBE_SRC, windows={"probe": WindowConfig(mask=(1,))}
     )
-    return Cluster.from_program(program, loss=loss, obs=obs)
+    cluster = Cluster.from_program(program, obs=obs)
+    cluster.network.inject(FaultPlan(loss=loss))
+    return cluster
 
 
 def ev(name="window:send", ts=0.0, kernel=1, seq=0, **extra):

@@ -15,7 +15,7 @@ from repro.andspec.model import parse_and
 from repro.andspec.mapping import MappingError, map_overlay
 from repro.errors import SimulationError
 from repro.ncp.wire import ChunkLayout, KernelLayout, encode_frame
-from repro.net import Network, fat_tree, leaf_spine
+from repro.net import FaultPlan, Network, fat_tree, leaf_spine
 from repro.net.node import ForwardingSwitchNode
 from repro.net.pisanode import PisaSwitchNode
 from repro.pisa.switch_dev import PisaSwitch
@@ -209,10 +209,10 @@ class TestPlacementTargets:
         assert sorted(map(sorted, net.graph().edges)) == sorted(map(sorted, spec_view.edges))
 
 
-def two_host_line():
-    """h0 -- s -- h1 with explicit construction (no generator), so the
-    failure tests control every timing."""
-    net = Network()
+def two_host_line(obs=None):
+    """h0 -- s -- h1 (links 0 and 1) with explicit construction (no
+    generator), so the failure tests control every timing."""
+    net = Network(obs=obs)
     net.add_host("h0")
     net.add_host("h1")
     net.add_forwarding_switch("s")
@@ -224,11 +224,15 @@ def two_host_line():
     return net, got
 
 
+def node_fails(name, at=0.0):
+    return FaultPlan(events=((at, "down", name),))
+
+
 class TestFailSwitch:
     def test_immediate_failure_drops_with_cause_down(self):
         net, got = two_host_line()
         h1 = net.host("h1")
-        net.fail_switch("s")
+        net.inject(node_fails("s"))
         net.host("h0").transmit(frame_to(h1.node_id), h1.node_id)
         net.run()
         assert got == []
@@ -241,7 +245,7 @@ class TestFailSwitch:
         net.host("h0").transmit(frame_to(h1.node_id), h1.node_id)
         # fail while the frame is serializing toward the switch: it is
         # already in the delivery pipe, and must still die there
-        net.fail_switch("s", at=5e-7)
+        net.inject(node_fails("s", at=5e-7))
         net.run()
         assert got == []
         assert net.link_between("h0", "s").stats.drops_down == 1
@@ -250,8 +254,8 @@ class TestFailSwitch:
     def test_downed_sender_drops_at_transmit(self):
         net, got = two_host_line()
         h1 = net.host("h1")
-        # fail_switch works on any node: a downed host cannot transmit
-        net.fail_switch("h0")
+        # a node event works on any node: a downed host cannot transmit
+        net.inject(node_fails("h0"))
         net.host("h0").transmit(frame_to(h1.node_id), h1.node_id)
         net.run()
         assert got == []
@@ -261,11 +265,11 @@ class TestFailSwitch:
     def test_recovery_resumes_delivery(self):
         net, got = two_host_line()
         h1 = net.host("h1")
-        node = net.fail_switch("s")
+        net.inject(node_fails("s"))
         net.host("h0").transmit(frame_to(h1.node_id), h1.node_id)
         net.run()
         assert got == []
-        node.set_up()
+        net.inject(FaultPlan(events=((net.sim.now(), "up", "s"),)))
         net.host("h0").transmit(frame_to(h1.node_id, seq=1), h1.node_id)
         net.run()
         assert len(got) == 1
@@ -273,7 +277,7 @@ class TestFailSwitch:
     def test_unknown_node_rejected(self):
         net, _ = two_host_line()
         with pytest.raises(SimulationError, match="no node"):
-            net.fail_switch("ghost")
+            net.inject(node_fails("ghost"))
 
     def test_node_up_gauge_in_snapshot(self):
         obs = Observability()
@@ -284,7 +288,7 @@ class TestFailSwitch:
         net.add_link("h0", "s")
         net.add_link("s", "h1")
         net.compute_routes()
-        net.fail_switch("s")
+        net.inject(node_fails("s"))
         snap = obs.registry.snapshot()
         up = {
             s["labels"]["node"]: s["value"]
@@ -309,7 +313,7 @@ class TestFailSwitch:
         net.host("h1").receiver = got.append
         attach_network_probes(sampler, net)
         h1 = net.host("h1")
-        net.fail_switch("s", at=5e-7)
+        net.inject(node_fails("s", at=5e-7))
         for i in range(12):
             net.host("h0").transmit(
                 frame_to(h1.node_id, seq=i), h1.node_id
