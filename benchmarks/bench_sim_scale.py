@@ -80,11 +80,7 @@ def sched_churn(resident: int, dispatches: int) -> float:
 # -- phase 2: fat-tree packet push --------------------------------------------
 
 
-def fattree_push(
-    packets_per_host: int,
-    k: int = 8,
-    delivery_quantum=None,
-) -> dict:
+def fattree_push(packets_per_host: int, k: int = 8) -> dict:
     """Closed-rate permutation traffic on a k-ary fat-tree: every host
     paces one small NCP frame per interval at a rotating peer until its
     quota is injected.  Returns counts plus wall-clock throughput."""
@@ -92,7 +88,7 @@ def fattree_push(
     from repro.net.topo import fat_tree
 
     topo = fat_tree(k)
-    net = topo.build(delivery_quantum=delivery_quantum)
+    net = topo.build()
     hosts = [net.host(h) for h in topo.hosts]
     n = len(hosts)
     layout = KernelLayout(1, "push", [ChunkLayout("x", 4, 32, False)])
@@ -198,11 +194,6 @@ def main(argv=None) -> int:
         "--json", action="store_true", help="machine-readable output"
     )
     parser.add_argument(
-        "--quantum", type=float, metavar="SECONDS",
-        help="also run the fat-tree push with NIC-style delivery "
-        "coalescing at this quantum and report the event reduction",
-    )
-    parser.add_argument(
         "--profile", metavar="OUT.json",
         help="write a repro.profile/1 report of a profiled fat-tree "
         "push (feed to `repro-obs flame` / `repro-obs query diff`)",
@@ -223,18 +214,6 @@ def main(argv=None) -> int:
         print(f"  ev/s   : {out['sim_scale.fattree_events_per_sec']:>12,}")
     else:
         print(json.dumps(out, indent=2, sort_keys=True))
-
-    if args.quantum:
-        quota = PACKETS_SMOKE if args.smoke else PACKETS_FULL
-        exact = fattree_push(quota)
-        batched = fattree_push(quota, delivery_quantum=args.quantum)
-        print(
-            f"delivery_quantum={args.quantum:g}: events "
-            f"{exact['events']:,} -> {batched['events']:,} "
-            f"({100 * (1 - batched['events'] / exact['events']):.1f}% fewer), "
-            f"pkt/s {exact['packets_per_sec']:,.0f} -> "
-            f"{batched['packets_per_sec']:,.0f}"
-        )
 
     if args.profile:
         from repro.obs import Observability, Profiler

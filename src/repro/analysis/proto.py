@@ -682,7 +682,6 @@ def replay_counterexample(
     symbol name -- the seeded double-count is directly observable.
     """
     from repro.ncp.window import Window
-    from repro.pisa.pipeline import RegisterState
     from repro.runtime import Cluster
 
     cluster = Cluster.from_program(program)
@@ -715,10 +714,7 @@ def replay_counterexample(
             node = cluster.switches.get(label)
             if node is None:
                 raise ReproError(f"no switch {label!r} in the deployment")
-            # In place: the generated pipeline is bound to these lists.
-            fresh = RegisterState(node.switch.program).arrays
-            for name, values in node.switch.registers.arrays.items():
-                values[:] = fresh[name]
+            node.switch.reset_registers()
         else:
             raise ReproError(f"unknown schedule action {action!r}")
     cluster.run()

@@ -237,7 +237,6 @@ class FabricSpec:
         pisa_factory: Optional[Callable[[str], "PisaSwitch"]] = None,
         ecmp: bool = True,
         queue_limit_bytes: Optional[int] = None,
-        delivery_quantum: Optional[float] = None,
     ) -> "Network":
         """Instantiate the fabric as a live simulated network.
 
@@ -265,7 +264,6 @@ class FabricSpec:
             net.add_link(
                 link.a, link.b, latency=latency, bandwidth=link.bandwidth,
                 queue_limit_bytes=queue_limit_bytes,
-                delivery_quantum=delivery_quantum,
             )
         net.compute_routes(ecmp=ecmp)
         return net

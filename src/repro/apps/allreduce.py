@@ -118,6 +118,8 @@ class AllReduceJob:
             self.program, bandwidth=bandwidth, latency=latency, obs=obs
         )
         self.cluster.controller.ctrl_wr("nworkers", n_workers)
+        #: the last round failed, so s1 may hold its partial slots
+        self._failed = False
 
     @staticmethod
     def compile_program(
@@ -148,11 +150,18 @@ class AllReduceJob:
         """One synchronous AllReduce over the workers' arrays: (per-worker
         result arrays, elapsed simulated seconds), or a RuntimeApiError
         naming each worker's missing result windows (``done`` says only
-        that the one marked last came)."""
+        that the one marked last came). A failed round's partial slots
+        stay on ``s1`` (a caller may still complete it by retransmitting)
+        until the next round, which first puts ``s1`` back as deployed:
+        registers reset, ``nworkers`` rewritten."""
         if len(worker_arrays) != self.n_workers:
             raise RuntimeApiError(
                 f"need {self.n_workers} arrays, got {len(worker_arrays)}"
             )
+        if self._failed:
+            self.cluster.switches["s1"].switch.reset_registers()
+            self.cluster.controller.ctrl_wr("nworkers", self.n_workers)
+            self._failed = False
         results = [[0] * self.data_len for _ in range(self.n_workers)]
         arrived: List[set] = [set() for _ in range(self.n_workers)]
         for i, (out, seqs) in enumerate(zip(results, arrived)):
@@ -168,6 +177,7 @@ class AllReduceJob:
         missing = [f"w{i} lacks seqs {sorted(every - seqs)}"
                    for i, seqs in enumerate(arrived) if seqs != every]
         if missing:
+            self._failed = True
             raise RuntimeApiError("AllReduce did not complete: " + "; ".join(missing))
         return results, elapsed
 

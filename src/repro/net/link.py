@@ -1,23 +1,20 @@
 """Point-to-point links with latency, bandwidth, loss and an up flag.
 
-Delivery is *piped*: each direction of a link keeps a FIFO of in-flight
-``(arrival, frame)`` pairs and arms at most one scheduler event (the
-"wake") at a time; a wake drains every frame whose arrival time has
-come, then re-arms for the next head-of-queue arrival.  Because each
-direction's arrival times are non-decreasing (frames serialize behind
-one another), this preserves exact per-frame arrival times while
-replacing a per-frame closure allocation with a single bound-method
-callback per burst.
-
-``delivery_quantum`` optionally coalesces interrupts the way real NIC
-drivers do: arrival times are rounded up to the next quantum boundary,
-so a burst of back-to-back frames shares one wake event that delivers
-them all.  The default (``None``) keeps the exact un-coalesced timing.
+Delivery is *piped*, and the pipe is the one place that decides when a
+node acts on a frame: each direction of a link keeps a FIFO of in-flight
+``(due, frame)`` pairs, where ``due`` is the frame's arrival plus the
+receiving node's processing delay (:attr:`repro.net.node.Node.DELAY`),
+and arms at most one scheduler event (the "wake") at a time.  A wake
+hands every frame whose due time has come to the receiver's
+``handle_frame`` -- which does its work inline -- if the receiver is up
+at that instant, and drops it with cause ``down`` if not; then it
+re-arms for the next head-of-queue frame.  Because each direction's
+arrival times are non-decreasing (frames serialize behind one another),
+so are its due times, and one hop costs one scheduler event.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Callable, Deque, Optional, Tuple, TYPE_CHECKING
 
@@ -74,44 +71,50 @@ class LinkStats:
 
 
 class _Pipe:
-    """One direction's in-flight frames, drained by a single wake event."""
+    """One direction's in-flight frames, drained by a single wake event
+    at each frame's due time (arrival + the receiver's ``DELAY``, read
+    when the link is made)."""
 
-    __slots__ = ("link", "receiver", "in_port", "queue", "armed")
+    __slots__ = ("link", "receiver", "in_port", "delay", "queue", "armed")
 
     def __init__(self, link: "Link", receiver: "Node", in_port: int) -> None:
         self.link = link
         self.receiver = receiver
         self.in_port = in_port
+        self.delay = receiver.DELAY
         self.queue: Deque[Tuple[float, Frame]] = deque()
         self.armed = False
 
     def push(self, sim: "Simulator", arrival: float, frame: Frame) -> None:
-        self.queue.append((arrival, frame))
+        due = arrival + self.delay
+        self.queue.append((due, frame))
         if not self.armed:
             self.armed = True
-            sim.schedule_at(arrival, self._wake, label=self.receiver.prof_rx_label)
+            sim.schedule_at(due, self._wake, label=self.receiver.prof_rx_label)
 
     def _wake(self) -> None:
         receiver = self.receiver
         sim = receiver.sim
         now = sim.now()
         queue = self.queue
-        in_port = self.in_port
-        if receiver.up:
-            while queue and queue[0][0] <= now:
-                receiver.handle_frame(queue.popleft()[1], in_port)
-        else:
-            # The receiving node failed with these frames in flight:
-            # they die at the NIC with drop cause ``down``.
-            link = self.link
-            while queue and queue[0][0] <= now:
-                link._drop_at_delivery(sim, receiver, queue.popleft()[1])
-        if queue:
-            sim.schedule_at(
-                queue[0][0], self._wake, label=receiver.prof_rx_label
-            )
-        else:
-            self.armed = False
+        try:
+            if receiver.up:
+                in_port = self.in_port
+                while queue and queue[0][0] <= now:
+                    receiver.handle_frame(queue.popleft()[1], in_port)
+            else:
+                # The receiving node is down when it would act on these
+                # frames: they die at the NIC with drop cause ``down``.
+                link = self.link
+                while queue and queue[0][0] <= now:
+                    link._drop_at_delivery(sim, receiver, queue.popleft()[1])
+        finally:
+            # re-armed even when a handler raised, so the frames behind
+            # it are still delivered if the run goes on
+            if queue:
+                sim.schedule_at(queue[0][0], self._wake, label=receiver.prof_rx_label)
+            else:
+                self.armed = False
 
 
 class Link:
@@ -133,18 +136,14 @@ class Link:
         latency: float = 1e-6,
         bandwidth: float = 10e9,  # bits/s
         queue_limit_bytes: Optional[int] = None,
-        delivery_quantum: Optional[float] = None,
     ):
         if bandwidth <= 0:
             raise SimulationError("bandwidth must be positive")
-        if delivery_quantum is not None and delivery_quantum <= 0:
-            raise SimulationError("delivery_quantum must be positive")
         self.a = a
         self.b = b
         self.latency = latency
         self.bandwidth = bandwidth
         self.queue_limit_bytes = queue_limit_bytes
-        self.delivery_quantum = delivery_quantum
         self._free_at = {a: 0.0, b: 0.0}
         #: administrative state; a downed link eats every frame with cause
         #: ``down``. Network.inject sets it, and ``loss_draw``: None, or a
@@ -209,19 +208,10 @@ class Link:
         if obs.enabled:
             self._trace_drop(obs, sim, self.other(receiver), frame, "down")
 
-    def transmit(
-        self,
-        sim: "Simulator",
-        sender: "Node",
-        frame: Frame,
-        earliest: float = 0.0,
-    ) -> None:
-        """Send a frame from *sender* to the other end.
-
-        ``earliest`` optionally floors the serialization start time --
-        switches with inline forwarding fold their pipeline delay into
-        it instead of paying a scheduler event per transit packet.
-        """
+    def transmit(self, sim: "Simulator", sender: "Node", frame: Frame) -> None:
+        """Send a frame from *sender* to the other end: it serializes
+        once the direction's earlier frames have, and arrives
+        ``latency`` later."""
         self.other(sender)  # refuses a node that is not on this link
         obs = sim.obs
         if not self.up or not sender.up:
@@ -238,7 +228,7 @@ class Link:
         size = len(frame.data)
         serialization = size * 8 / self.bandwidth
         now = sim.now()
-        start = max(now, earliest, self._free_at[sender])
+        start = max(now, self._free_at[sender])
         if self.queue_limit_bytes is not None:
             backlog_bytes = self.backlog_bytes(sender, now)
             if backlog_bytes + size > self.queue_limit_bytes:
@@ -254,20 +244,12 @@ class Link:
         self.stats.frames += 1
         self.stats.bytes += size
         self.stats.busy_time += serialization
-        arrival = done + self.latency
-        quantum = self.delivery_quantum
-        if quantum is not None:
-            # Interrupt coalescing: deliver on the next quantum boundary
-            # (bursts share one wake event). ceil keeps arrival >= the
-            # physical arrival time, and the rounding is monotone, so
-            # per-direction FIFO order is preserved.
-            arrival = math.ceil(arrival / quantum) * quantum
         if obs.enabled:
             args = (_frame_args, self._dir[sender], frame)  # one payload for both spans
             if start > now:
                 obs.tracer.span("queue", now, start - now, self.track, "link", args)
             obs.tracer.span("serialize", start, serialization, self.track, "link", args)
-        self._pipes[sender].push(sim, arrival, frame)
+        self._pipes[sender].push(sim, done + self.latency, frame)
 
     def __repr__(self) -> str:
         return f"Link({self.a.name} <-> {self.b.name})"

@@ -112,14 +112,12 @@ class Network:
         latency: float = DEFAULT_LATENCY,
         bandwidth: float = DEFAULT_BANDWIDTH,
         queue_limit_bytes: Optional[int] = None,
-        delivery_quantum: Optional[float] = None,
     ) -> Link:
         if a not in self.nodes or b not in self.nodes:
             raise SimulationError(f"link endpoints must exist: {a!r}, {b!r}")
         link = Link(
             self.nodes[a], self.nodes[b], latency, bandwidth,
             queue_limit_bytes=queue_limit_bytes,
-            delivery_quantum=delivery_quantum,
         )
         self.links.append(link)
         return link

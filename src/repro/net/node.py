@@ -39,6 +39,10 @@ class Node:
     #: profiler component kind for schedule labels (see repro.obs.profile)
     PROF_KIND = "node"
 
+    #: seconds from a frame's arrival to the instant this node acts on it:
+    #: the link's pipe calls :meth:`handle_frame` then, if the node is up
+    DELAY = 0.0
+
     def __init__(self, name: str, node_id: int, sim: "Simulator"):
         self.name = name
         self.node_id = node_id
@@ -63,9 +67,7 @@ class Node:
         self.links.append(link)
         return len(self.links) - 1
 
-    def send(
-        self, data: Union[bytes, Frame], port: int, earliest: float = 0.0
-    ) -> None:
+    def send(self, data: Union[bytes, Frame], port: int) -> None:
         """Put a packet on the link at *port*.  This is the one place
         bytes become a :class:`Frame`; a Frame passes through, so its
         cached header parse survives the hop."""
@@ -74,7 +76,7 @@ class Node:
         frame = data if type(data) is Frame else Frame(data)
         self.stats.tx_frames += 1
         self.stats.tx_bytes += len(frame.data)
-        self.links[port].transmit(self.sim, self, frame, earliest=earliest)
+        self.links[port].transmit(self.sim, self, frame)
 
     def send_toward(self, data: Union[bytes, Frame], dst_node_id: int) -> None:
         port = self.routes.get(dst_node_id)
@@ -85,6 +87,7 @@ class Node:
         self.send(data, port)
 
     def handle_frame(self, frame: Frame, in_port: int) -> None:
+        """Act on *frame*, :attr:`DELAY` after it arrived at *in_port*."""
         raise NotImplementedError
 
     def trace_drop(
@@ -116,7 +119,7 @@ class HostNode(Node):
     PROF_KIND = "host"
 
     #: model of the host networking stack's per-frame processing delay
-    PROCESS_DELAY = 2e-6
+    DELAY = 2e-6
 
     def __init__(self, name: str, node_id: int, sim: "Simulator"):
         super().__init__(name, node_id, sim)
@@ -124,33 +127,26 @@ class HostNode(Node):
         #: preferred receiver: gets the Frame object itself, so the
         #: header parse cached along the packet path is reused
         self.frame_receiver: Optional[Callable[[Frame], None]] = None
-        self._prof_deliver = f"host;{name};deliver"
 
     def handle_frame(self, frame: Frame, in_port: int) -> None:
         self.stats.rx_frames += 1
         self.stats.rx_bytes += len(frame)
-        obs = self.sim.obs
         frame_receiver = self.frame_receiver
-        receiver = self.receiver
-        if frame_receiver is None and receiver is None:
+        if frame_receiver is None and self.receiver is None:
             self.stats.drops += 1
             self.trace_drop("host", "no-receiver", len(frame))
             return
+        obs = self.sim.obs
         if obs.enabled:
+            # the stack's processing window, from the frame's arrival
             obs.tracer.span(
-                "deliver", self.sim.now(), self.PROCESS_DELAY, self.track, "host",
+                "deliver", self.sim.now() - self.DELAY, self.DELAY, self.track, "host",
                 (_deliver_args, frame),
             )
         if frame_receiver is not None:
-            self.sim.schedule(
-                self.PROCESS_DELAY, lambda: frame_receiver(frame),
-                label=self._prof_deliver,
-            )
+            frame_receiver(frame)
         else:
-            data = frame.data
-            self.sim.schedule(
-                self.PROCESS_DELAY, lambda: receiver(data), label=self._prof_deliver
-            )
+            self.receiver(frame.data)
 
     def transmit(self, data: Union[bytes, Frame], dst_node_id: int) -> None:
         """Send a frame toward a destination (single-homed hosts just use
@@ -172,17 +168,12 @@ class ForwardingSwitchNode(Node):
     This is the transit tier of generated fabrics (aggregation/core in a
     fat-tree, spines in a leaf-spine) and the ToR of the host-only
     baselines: no P4 pipeline -- just a route-table lookup on the cached
-    header parse and a transmit.  Forwarding is *inline*: instead of
-    scheduling a pipeline event per packet, the fixed
-    :attr:`PIPELINE_DELAY` is folded into the egress link's
-    serialization start time (the ``earliest`` floor), which removes one
-    scheduler event per hop on the fabric fast path while keeping
-    per-packet timing identical.
+    header parse and a transmit, :attr:`DELAY` after the frame arrived.
     """
 
     PROF_KIND = "switch"
 
-    PIPELINE_DELAY = 1e-6
+    DELAY = 1e-6
 
     def handle_frame(self, frame: Frame, in_port: int) -> None:
         stats = self.stats
@@ -198,4 +189,4 @@ class ForwardingSwitchNode(Node):
                 None if meta is None else meta["dst"],
             )
             return
-        self.send(frame, port, earliest=self.sim.now() + self.PIPELINE_DELAY)
+        self.send(frame, port)

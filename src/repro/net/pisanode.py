@@ -41,14 +41,13 @@ class PisaSwitchNode(Node):
       the template's ``reflect_rewrite`` action).
     """
 
-    PIPELINE_DELAY = 1e-6
+    DELAY = 1e-6
 
     PROF_KIND = "switch"
 
     def __init__(self, name: str, node_id: int, sim: "Simulator", switch: PisaSwitch):
         super().__init__(name, node_id, sim)
         self.switch = switch
-        self._prof_pipeline = f"switch;{name};pipeline"
         #: where the routing table's verdict lands, if the program has one
         self._egress = switch.layout.slots.get("meta.egress_port")
         self._node_names = {node_id: name}
@@ -61,70 +60,62 @@ class PisaSwitchNode(Node):
             self.switch.table_insert("ipv4_route", [node_ip(dst_node_id)], "ipv4_forward", [port])
 
     def handle_frame(self, frame: Frame, in_port: int) -> None:
-        data = frame.data
-        self.stats.rx_frames += 1
-        self.stats.rx_bytes += len(data)
-
-        def run() -> None:
-            self.stats.processed += 1
-            obs = self.sim.obs
-            if obs.enabled:
-                observer = SwitchPacketTrace()
-                result = self.switch.process(data, in_port, observer=observer)
-                # run() fires PIPELINE_DELAY after the frame arrived; the
-                # per-stage spans tile that processing window.
-                observer.emit(
-                    obs.tracer, self.track, self.sim.now() - self.PIPELINE_DELAY,
-                    self.PIPELINE_DELAY, result.verdict, in_port, frame,
+        stats = self.stats
+        stats.rx_frames += 1
+        stats.rx_bytes += len(frame.data)
+        stats.processed += 1
+        obs = self.sim.obs
+        if obs.enabled:
+            observer = SwitchPacketTrace()
+            result = self.switch.process(frame.data, in_port, observer=observer)
+            # the per-stage spans tile the DELAY the frame spent here
+            observer.emit(
+                obs.tracer, self.track, self.sim.now() - self.DELAY,
+                self.DELAY, result.verdict, in_port, frame,
+            )
+            self._series[obs.registry, _PHV_FIELDS, self.name].observe(
+                result.phv.live_fields()
+            )
+        else:
+            result = self.switch.process(frame.data, in_port)
+        int_cfg = obs.int_config  # None on NULL_OBS and untelemetered runs
+        verdict = result.verdict
+        if verdict == "drop":
+            stats.drops += 1
+            if int_cfg is not None:
+                self._int_absorb(obs, int_cfg, frame, result.tables_matched, "drop:switch")
+            return
+        if verdict == "bcast":
+            # "_bcast() sends a window to all devices, one hop away -- in
+            # the overlay -- from the current location" (S4.1): that
+            # includes the neighbor it arrived from.
+            self._forward(result, range(len(self.links)), int_cfg)
+            return
+        if verdict == "reflect":
+            self._forward(result, (in_port,), int_cfg)
+            return
+        # pass: a labelled pass overrides normal routing.
+        if result.label_id is not None:
+            port = self.routes.get(result.label_id)
+            if port is None:
+                raise SimulationError(
+                    f"{self.name}: _pass toward unknown node {result.label_id}"
                 )
-                self._series[obs.registry, _PHV_FIELDS, self.name].observe(
-                    result.phv.live_fields()
+            self._forward(result, (port,), int_cfg)
+            return
+        if self._egress is None:
+            egress = result.phv.read("meta.egress_port")  # says what is missing
+        else:
+            egress = result.phv.slots[self._egress]
+        if egress >= len(self.links):
+            # Route miss left the default egress; treat as drop.
+            stats.drops += 1
+            if int_cfg is not None:
+                self._int_absorb(
+                    obs, int_cfg, frame, result.tables_matched, "drop:route-miss"
                 )
-            else:
-                result = self.switch.process(data, in_port)
-            int_cfg = obs.int_config  # None on NULL_OBS and untelemetered runs
-            verdict = result.verdict
-            if verdict == "drop":
-                self.stats.drops += 1
-                if int_cfg is not None:
-                    self._int_absorb(
-                        obs, int_cfg, frame, result.tables_matched, "drop:switch"
-                    )
-                return
-            if verdict == "bcast":
-                # "_bcast() sends a window to all devices, one hop away -- in
-                # the overlay -- from the current location" (S4.1): that
-                # includes the neighbor it arrived from.
-                self._forward(result, range(len(self.links)), int_cfg)
-                return
-            if verdict == "reflect":
-                self._forward(result, (in_port,), int_cfg)
-                return
-            # pass: a labelled pass overrides normal routing.
-            if result.label_id is not None:
-                port = self.routes.get(result.label_id)
-                if port is None:
-                    raise SimulationError(
-                        f"{self.name}: _pass toward unknown node "
-                        f"{result.label_id}"
-                    )
-                self._forward(result, (port,), int_cfg)
-                return
-            if self._egress is None:
-                egress = result.phv.read("meta.egress_port")  # says what is missing
-            else:
-                egress = result.phv.slots[self._egress]
-            if egress >= len(self.links):
-                # Route miss left the default egress; treat as drop.
-                self.stats.drops += 1
-                if int_cfg is not None:
-                    self._int_absorb(
-                        obs, int_cfg, frame, result.tables_matched, "drop:route-miss"
-                    )
-                return
-            self._forward(result, (egress,), int_cfg)
-
-        self.sim.schedule(self.PIPELINE_DELAY, run, label=self._prof_pipeline)
+            return
+        self._forward(result, (egress,), int_cfg)
 
     # -- in-band telemetry hooks ---------------------------------------------
 
@@ -144,7 +135,7 @@ class PisaSwitchNode(Node):
             # not parse fails the first stamp, and nothing has left
             frames = [
                 stamp_hop(
-                    data, int_cfg, self.node_id, now - self.PIPELINE_DELAY, now,
+                    data, int_cfg, self.node_id, now - self.DELAY, now,
                     int(self.links[port].backlog_bytes(self, now)),
                     result.tables_matched,
                 )[0]
@@ -180,7 +171,7 @@ class PisaSwitchNode(Node):
         if int_cfg.allows(len(stack.records)):
             stack.records.append(
                 hop_record(
-                    self.node_id, now - self.PIPELINE_DELAY, now, 0,
+                    self.node_id, now - self.DELAY, now, 0,
                     tables_matched, dropped=True,
                 )
             )

@@ -21,20 +21,17 @@ in the test suite asserts this stays sub-microsecond.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer
 
 
 class Observability:
-    """Registry + tracer for one run.
-
-    ``wall_clock`` is the *caller-supplied* wall clock (defaults to
-    nothing): simulation traces only ever use the simulator's virtual
-    clock, so they stay deterministic; components that genuinely need
-    wall time (the compiler) receive the clock explicitly.
-    """
+    """Registry + tracer for one run. Simulation traces only ever use the
+    simulator's virtual clock, so they stay deterministic; components
+    that genuinely need wall time (the compiler) receive a clock
+    explicitly."""
 
     enabled = True
 
@@ -42,7 +39,6 @@ class Observability:
         self,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
-        wall_clock: Optional[Callable[[], float]] = None,
         int_config=None,
         profiler=None,
         sampler=None,
@@ -51,7 +47,6 @@ class Observability:
     ):
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
-        self.wall_clock = wall_clock
         #: an :class:`repro.obs.int.IntConfig` turns on in-band telemetry
         #: stamping for the run; None keeps the data plane untouched
         self.int_config = int_config
@@ -117,7 +112,6 @@ class _NullObservability:
     enabled = False
     registry = None
     tracer = None
-    wall_clock = None
     int_config = None
     profiler = None
     sampler = None

@@ -131,7 +131,7 @@ class SwitchPacketTrace:
     """Per-packet pipeline observer: collects what the parser and each
     pipeline stage did, then emits proportional sub-spans.
 
-    The simulator charges one lumped ``PIPELINE_DELAY`` per packet; for
+    The simulator charges one lumped ``DELAY`` per packet; for
     the trace we apportion it evenly across the recorded stage
     operations (parse, each table apply, each top-level action) so the
     per-stage spans tile the switch's processing window exactly --

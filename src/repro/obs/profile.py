@@ -5,7 +5,7 @@ Observability` (``obs.profiler``); when present, the simulator's
 instrumented run loop times every event callback with the wall clock and
 hands the measurement here, attributed to the *schedule label* the
 scheduling site supplied (``"component;instance;handler"`` -- e.g.
-``"switch;s1;pipeline"`` or ``"host;w0;deliver"``). Events scheduled
+``"switch;s1;rx"`` or ``"ctrl;controller;apply"``). Events scheduled
 without a label fall back to the callback's qualified name under the
 ``other`` component, so 100% of callback time is always accounted for
 and the *named* fraction is an honest coverage number. What an
@@ -25,7 +25,7 @@ Outputs:
   wall time/count/average, attribution fraction, and the throughput
   meters (events/sec, packets/sec);
 * :meth:`Profiler.collapsed` -- collapsed-stack lines
-  (``sim;switch;s1;pipeline 1234``) for any flamegraph renderer;
+  (``sim;switch;s1;rx 1234``) for any flamegraph renderer;
 * :meth:`Profiler.chrome_dict` -- an aggregate Chrome trace-event JSON
   (one span per label, grouped by component instance) that loads in
   ``chrome://tracing`` / Perfetto.
@@ -53,7 +53,7 @@ LOOP_LABEL = "sim;loop;dispatch"
 
 
 def split_label(label: str) -> Tuple[str, str, str]:
-    """``"switch;s1;pipeline"`` -> ("switch", "s1", "pipeline")."""
+    """``"switch;s1;rx"`` -> ("switch", "s1", "rx")."""
     parts = label.split(LABEL_SEP)
     while len(parts) < 3:
         parts.append("")
@@ -196,7 +196,7 @@ class Profiler:
         fp.write("\n")
 
     def collapsed(self) -> str:
-        """Collapsed-stack lines (``sim;switch;s1;pipeline 1234``): one
+        """Collapsed-stack lines (``sim;switch;s1;rx 1234``): one
         line per label, value = integer microseconds of wall time, the
         input format of every flamegraph renderer."""
         lines = [

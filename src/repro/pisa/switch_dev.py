@@ -24,7 +24,7 @@ from repro.p4.model import (
 )
 from repro.pisa.parser import Deparser, PacketParser
 from repro.pisa.phv import Phv
-from repro.pisa.pipeline import Pipeline
+from repro.pisa.pipeline import Pipeline, RegisterState
 
 #: Forwarding verdict names, index-aligned with the META_FWD encoding.
 FWD_NAMES = ("pass", "drop", "bcast", "reflect")
@@ -123,6 +123,13 @@ class PisaSwitch:
 
     def ctrl_register_read(self, register: str, index: int = 0) -> int:
         return self.registers.read(register, index)
+
+    def reset_registers(self) -> None:
+        """Every register array back to its initial value, in place (the
+        generated pipeline is bound to these lists); tables are kept."""
+        fresh = RegisterState(self.program).arrays
+        for name, values in self.registers.arrays.items():
+            values[:] = fresh[name]
 
     def table_insert(
         self,

@@ -91,7 +91,9 @@ class TestPinnedToParentCommit:
     """The three baselines that ran on a ``PythonSwitchNode`` ToR, on a
     ``ForwardingSwitchNode`` now: results, completion time and per-link
     bytes equal what commit b42f7ed produced.  Only the event count
-    moved: one fewer scheduler event per frame through the ToR."""
+    moved: one fewer scheduler event per frame through the ToR, then
+    one per link frame (a hop is one event since the link charges each
+    node's ``DELAY``), plus the host KVS server's four work timers."""
 
     def test_parameter_server(self):
         arrays = random_arrays(4, 64, seed=5)
@@ -101,7 +103,7 @@ class TestPinnedToParentCommit:
         assert elapsed == ps.net.sim.now() == 1.2736000000000012e-05
         assert [lk.stats.bytes for lk in ps.net.links] == [1440] * 4 + [5760]
         assert ps.net.nodes["tor"].stats.rx_frames == 64
-        assert ps.net.sim.events_processed == 256 - 64
+        assert ps.net.sim.events_processed == 128 == sum(lk.stats.frames for lk in ps.net.links)
 
     def test_ring(self):
         arrays = random_arrays(4, 64, seed=5)
@@ -111,7 +113,7 @@ class TestPinnedToParentCommit:
         assert elapsed == ring.net.sim.now() == 3.1296e-05
         assert [lk.stats.bytes for lk in ring.net.links] == [2160] * 4
         assert ring.net.nodes["tor"].stats.rx_frames == 48
-        assert ring.net.sim.events_processed == 192 - 48
+        assert ring.net.sim.events_processed == 96 == sum(lk.stats.frames for lk in ring.net.links)
 
     def test_host_kvs(self):
         kvs = HostOnlyKvs(n_clients=2, val_words=4, n_keys=64)
@@ -129,7 +131,7 @@ class TestPinnedToParentCommit:
         assert kvs.net.sim.now() == 7.644240000000001e-05
         assert [lk.stats.bytes for lk in kvs.net.links] == [316, 316, 632]
         assert kvs.net.nodes["tor"].stats.rx_frames == 8
-        assert kvs.net.sim.events_processed == 36 - 8
+        assert kvs.net.sim.events_processed == 16 + 4
 
 
 class TestHandwrittenNetcache:

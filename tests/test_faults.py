@@ -136,16 +136,65 @@ class TestLossyFig4NeverReturnsAWrongSum:
     def test_every_round_is_the_oracle_or_the_error(
         self, fig4_programs, loss, seed, n_workers, multiround
     ):
-        """Two rounds of the multiround kernel, one of the one-shot (its
-        slots are never cleared). A round after a failed one is not run:
-        the switch still holds the failed round's partial slots."""
+        """Three rounds of the multiround kernel, going on past a failed
+        one (the next round resets the switch), and one of the one-shot
+        (its slots are never cleared)."""
         job = AllReduceJob(n_workers, 64, 8, program=fig4_programs[n_workers, multiround])
         job.cluster.network.inject(FaultPlan(loss=loss, seed=seed))
-        for round_ in range(2 if multiround else 1):
+        for round_ in range(3 if multiround else 1):
             arrays = fig4_arrays(seed + round_, n_workers, 64)
             try:
                 results, _ = job.run_round(arrays)
             except RuntimeApiError as exc:
                 assert str(exc).startswith("AllReduce did not complete: w")
-                return
+                continue
             assert results == [AllReduceJob.expected(arrays)] * n_workers
+
+    def test_a_failed_round_does_not_poison_the_next(self):
+        """Round 1 loses seq 13 at 1 % loss; with the loss then cleared,
+        round 2 used to return 8 wrong elements per worker: ``s1`` still
+        held round 1's partial sums and counts in slot 13."""
+        job = AllReduceJob(4, 256, 8)
+        net = job.cluster.network
+        net.inject(FaultPlan(loss=0.01))
+        with pytest.raises(RuntimeApiError, match=r"w1 lacks seqs \[13\]"):
+            job.run_round(fig4_arrays(1, 4, 256))
+        s1 = job.cluster.switches["s1"].switch
+        assert s1.registers.arrays["reg_count"][13]  # kept for a retransmission
+        for link in net.links:
+            link.loss_draw = None
+        arrays = fig4_arrays(2, 4, 256)
+        results, _ = job.run_round(arrays)
+        assert results == [AllReduceJob.expected(arrays)] * 4
+        assert job.cluster.controller.ctrl_rd("nworkers") == 4
+
+
+class TestADownedNodeActsOnNothing:
+    def test_a_switch_that_fails_with_frames_inside_runs_none_of_them(self):
+        """Both of w0's windows reach ``s1`` before it fails at 1.5 us
+        (the first at 1.07 us), inside its 1 us pipeline delay. Handling
+        used to start at arrival: ``s1`` ran its kernel on both and wrote
+        the registers of a dead device."""
+        job = AllReduceJob(2, 16, 8)
+        job.cluster.host("w0").out("allreduce", [list(range(16))])
+        net = job.cluster.network
+        net.inject(FaultPlan(events=((1.5e-6, "down", "s1"),)))
+        net.run()
+        s1 = job.cluster.switches["s1"]
+        assert s1.stats.processed == 0
+        assert s1.switch.registers.arrays == {
+            "reg_accum": [0] * 16, "reg_count": [0, 0], "reg_nworkers": [2],
+        }
+        assert net.link_between("w0", "s1").stats.drops_down == 2
+
+    def test_a_frame_that_arrives_in_an_outage_ending_within_delay_is_handled(self):
+        """The other side of the rule: a node acts on a frame iff it is up
+        ``DELAY`` after the frame arrived."""
+        net, got = two_host_line()
+        switch = net.nodes["s"]
+        # h0 -> s takes 1 us of latency plus serialization: s is down when
+        # the frame arrives and up again before the frame is due
+        net.inject(FaultPlan(events=((5e-7, "down", "s"), (1.2e-6, "up", "s"))))
+        send(net, 1)
+        assert switch.DELAY == 1e-6 and len(got) == 1
+        assert switch.stats.processed == 1

@@ -63,7 +63,7 @@ def absorbed(monkeypatch):
         result = last[self.switch]
         assert tables_matched == result.tables_matched
         expected = parent_int_absorb(
-            result.data, int_cfg, self.node_id, self.sim.now(), self.PIPELINE_DELAY,
+            result.data, int_cfg, self.node_id, self.sim.now(), self.DELAY,
             result.tables_matched, outcome, self._node_names,
         )
         new = obs.tracer.events[already:]
@@ -241,7 +241,7 @@ class TestRandomStacks:
         node.sim = SimpleNamespace(now=lambda: now, obs=obs)
         node._int_absorb(obs, cfg, Frame(data), tables, outcome)
         expected = parent_int_absorb(
-            data, cfg, hop_id, now, node.PIPELINE_DELAY, tables, outcome,
+            data, cfg, hop_id, now, node.DELAY, tables, outcome,
             node._node_names,
         )
         (event,) = obs.tracer.events

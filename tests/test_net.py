@@ -78,7 +78,7 @@ class TestLinks:
         # serialization 1000B at 1B/us = 1ms, + 1ms latency + host delay
         t, data = got[0]
         assert data == b"x" * 1000
-        assert t == pytest.approx(2e-3 + HostNode.PROCESS_DELAY, rel=1e-6)
+        assert t == pytest.approx(2e-3 + HostNode.DELAY, rel=1e-6)
 
     def test_serialization_queueing(self):
         net, a, b = two_hosts(bandwidth=8e6, latency=0.0)
@@ -114,6 +114,28 @@ class TestLinks:
         a.transmit(b"abc", b.node_id)
         net.run()
         assert b.stats.drops == 1
+
+    def test_a_receiver_that_raises_leaves_the_frames_behind_it_deliverable(self):
+        """A node acts on a frame inside the link's wake: an exception out
+        of it ends the run, and the next run still delivers the rest."""
+        net, a, b = two_hosts()
+        got = []
+
+        def receiver(data):
+            got.append(data)
+            if len(got) == 1:
+                raise RuntimeError("first frame refused")
+
+        b.receiver = receiver
+        for i in range(3):
+            a.transmit(bytes([i]) * 64, b.node_id)
+        with pytest.raises(RuntimeError, match="first frame refused"):
+            net.run()
+        net.run()
+        assert got == [bytes([i]) * 64 for i in range(3)]
+        a.transmit(b"late", b.node_id)
+        net.run()
+        assert got[-1] == b"late"
 
 
 class TestTopology:

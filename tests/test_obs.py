@@ -514,9 +514,9 @@ class TestTracedAllReduce:
             e.args["verdict"] in ("drop", "bcast", "pass", "reflect")
             for e in verdicts
         )
-        # per packet, the sub-spans tile PIPELINE_DELAY exactly
+        # per packet, the sub-spans tile DELAY exactly
         per_packet = sum(e.dur for e in spans) / len(verdicts)
-        assert per_packet == pytest.approx(PisaSwitchNode.PIPELINE_DELAY)
+        assert per_packet == pytest.approx(PisaSwitchNode.DELAY)
 
     def test_events_carry_ncp_window_identity(self, traced_allreduce):
         _, obs = traced_allreduce

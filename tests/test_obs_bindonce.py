@@ -45,9 +45,14 @@ def sha256(text: str) -> str:
 class TestGoldenAgainstTheParent:
     def test_trace_registry_and_lineage_digests(self):
         """Two rounds of the bench's Fig 4 job under a tracer and INT.
-        The digests were taken at the commit named in the golden file,
-        before the observer's hot path was rewritten: same events, same
-        args, same series, byte for byte."""
+        The digests were taken at 1d9c0c5, before the observer's hot path
+        was rewritten: same events, same args, same series, byte for
+        byte. The trace and registry digests were re-captured on top of
+        the commit named in the golden file, when a hop became one
+        scheduler event: the 3 504 events are the same but recorded in
+        another order (148 ``deliver`` spans start one ulp off, read as
+        ``now - DELAY``), and ``sim.events_processed`` went from 1 024 to
+        512; the lineage digest is the one taken at 1d9c0c5."""
         golden = json.loads(GOLDEN.read_text())
         obs = Observability(tracer=Tracer(), int_config=IntConfig(max_hops=8))
         job = AllReduceJob(4, 256, 8, multiround=True, obs=obs)

@@ -9,12 +9,18 @@ kernel-drop / truncated branches, and the ``meta is None`` shape of
 every frame-naming event -- and digest the trace JSONL, the lineage
 JSON and the registry snapshot of each.
 
-The digests in ``tests/golden/obs_event_kinds.json`` were captured at
-cb58053, the commit before trace events kept their args as
+The digests in ``tests/golden/obs_event_kinds.json`` were first captured
+at cb58053, the commit before trace events kept their args as
 ``(formatter, *scalars)`` and before a dropped packet's INT stack
-stopped going through the deparser: pinned against that commit, not
-against this one. To re-capture (only for a deliberate change to trace
-*content*)::
+stopped going through the deparser, and re-captured on top of 6504618
+when a hop became one scheduler event (a node acts on a frame, and is
+checked to be up, ``DELAY`` after it arrives): in every scenario that
+moved the order a run records its events in and ``sim.events_processed``,
+and some ``deliver`` spans' starts by one ulp; the failed switch of
+``failures_mid_flight`` no longer runs the two windows inside it; and
+``frames_nobody_names`` stamps its node drops and reads its overflow
+backlog when the node acts, and loses a 1 us ``queue`` span. To
+re-capture (only for a deliberate change to trace *content*)::
 
     PYTHONPATH=src python -m tests.test_obs_event_goldens --capture
 """
@@ -293,7 +299,7 @@ def reached(obs, what: str) -> bool:
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_records_what_the_parent_recorded(name):
     golden = json.loads(GOLDEN.read_text())
-    assert golden["captured_at"] == "cb58053"
+    assert golden["captured_at"] == "6504618"
     obs = SCENARIOS[name]()
     assert digests(obs) == golden["scenarios"][name]
     missing = [what for what in REACHES[name] if not reached(obs, what)]

@@ -101,8 +101,9 @@ class TestMeters:
         profiler, job = profiled_allreduce()
         assert profiler.events_per_sec() > 0
         assert profiler.packets_per_sec() > 0
-        # every packet arrival is an event, so packets/sec < events/sec
-        assert profiler.packets_per_sec() < profiler.events_per_sec()
+        # a node acts on a frame in the event that delivers it, and a Fig 4
+        # round has no other events: packets/sec == events/sec
+        assert profiler.packets_per_sec() == profiler.events_per_sec()
         # packets/sec counts exactly the rx-handler events
         rx = sum(e["count"] for e in profiler.report()["entries"]
                  if e["handler"] == "rx")

@@ -325,33 +325,3 @@ class TestFailSwitch:
         assert engine.alerts[0].rule.escalates
         names = [e.name for e in obs.tracer.events if e.track == "health"]
         assert "alert:firing" in names
-
-
-class TestDeliveryQuantum:
-    def _burst(self, quantum):
-        net = Network()
-        net.add_host("h0")
-        net.add_host("h1")
-        net.add_link("h0", "h1", delivery_quantum=quantum)
-        net.compute_routes()
-        got = []
-        net.host("h1").receiver = got.append
-        h1_id = net.host("h1").node_id
-        for i in range(64):
-            net.host("h0").transmit(frame_to(h1_id, seq=i), h1_id)
-        net.run()
-        return len(got), net.sim.events_processed
-
-    def test_coalescing_cuts_events_not_frames(self):
-        exact_got, exact_events = self._burst(None)
-        coal_got, coal_events = self._burst(1e-5)
-        assert exact_got == coal_got == 64
-        # one wake per quantum boundary instead of one per frame
-        assert coal_events < exact_events
-
-    def test_invalid_quantum_rejected(self):
-        net = Network()
-        net.add_host("h0")
-        net.add_host("h1")
-        with pytest.raises(SimulationError, match="delivery_quantum"):
-            net.add_link("h0", "h1", delivery_quantum=0.0)
