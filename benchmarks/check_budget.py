@@ -70,7 +70,7 @@ DEFAULT_TOLERANCE_PCT = 5.0
 FLOOR_METRICS = {
     "fig4_allreduce.events_per_sec": 0.2,
     "fig4_allreduce.packets_per_sec": 0.2,
-    "sim_scale.sched_events_per_sec_wheel": 0.2,
+    "sim_scale.sched_events_per_sec": 0.2,
     "sim_scale.fattree_events_per_sec": 0.2,
     "sim_scale.fattree_packets_per_sec": 0.2,
 }

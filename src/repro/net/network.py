@@ -26,8 +26,8 @@ class FaultPlan:
     """What goes wrong in a run, as data (:meth:`Network.inject` applies
     it): each link's per-frame ``loss`` probability, drawn from streams
     seeded by ``seed``, and ``events`` ``(at, kind, target)``, kept sorted
-    by ``at``: at virtual time ``at`` a node (by name) or a link (by a pair
-    of names) goes ``"down"`` or comes back ``"up"``."""
+    by ``at``: at virtual time ``at`` (finite) a node (by name) or a link
+    (by a pair of names) goes ``"down"`` or comes back ``"up"``."""
 
     loss: float = 0.0
     seed: int = 0
@@ -36,9 +36,11 @@ class FaultPlan:
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss <= 1.0:  # NaN fails this too
             raise SimulationError(f"loss must be in [0, 1], got {self.loss!r}")
-        for _at, kind, _target in self.events:
+        for at, kind, _target in self.events:
             if kind not in ("down", "up"):
                 raise SimulationError(f"unknown fault kind {kind!r} (known: down, up)")
+            if not abs(at) < float("inf"):  # NaN fails this too
+                raise SimulationError(f"fault event time must be finite, got {at!r}")
         object.__setattr__(self, "events", tuple(sorted(self.events, key=lambda e: e[0])))
 
 

@@ -1,11 +1,14 @@
 """The reference scheduler: a binary heap of ``(when, seq)`` records.
 
 This is the dispatch-order *specification* ``repro.net.events.Simulator``
-(the timing wheel) is held to: virtual time first, schedule order as the
-tie-break, cancelled records skipped, ``run(until)`` never consuming a
-later event.  API-compatible with ``Simulator`` as far as the fabric and
-libncrt use it, so whole workloads can run on it
-(tests/test_sched_differential.py); it takes no profiler or sampler.
+is held to: virtual time first, schedule order as the tie-break,
+cancelled records skipped, ``run(until)`` never consuming a later event
+(``until=inf`` leaves the clock at the last event).  The simulator is a
+binary heap too; this copy stays the plain one, without the fast and
+instrumented run loops or the refusal of non-finite times.
+API-compatible with ``Simulator`` as far as the fabric and libncrt use
+it, so whole workloads can run on it (tests/test_sched_differential.py);
+it takes no profiler or sampler.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ class HeapSimulator:
         self._seq += 1
         rec = [when, self._seq, label, callback]
         heappush(self._queue, rec)
-        return Timer(self, rec, self._seq)
+        return Timer(self, rec)
 
     def schedule(self, delay, callback, label=None) -> Timer:
         if delay < 0:
@@ -70,7 +73,7 @@ class HeapSimulator:
                 raise SimulationError(
                     f"simulation exceeded {max_events} events (livelock?)"
                 )
-        if until is not None and until > self._now:
+        if until is not None and self._now < until < float("inf"):
             self._now = until
         if self.obs.enabled:
             self.obs.tracer.flush()

@@ -1,12 +1,14 @@
-"""The event core: the timing wheel against the reference heap.
+"""The event core against the reference heap.
 
-``Simulator`` (the wheel) must be *observably identical* to
-``tests/sched_oracle.py``'s binary heap -- same dispatch order
+``Simulator`` must be *observably identical* to
+``tests/sched_oracle.py``'s plain binary heap -- same dispatch order
 (including (when, seq) tie-breaks), same ``run(until)`` stopping
-behavior, same cancellation semantics -- only faster.  These tests drive
-both through the same programs and compare.
+behavior, same cancellation semantics.  These tests drive both through
+the same programs and compare.  ``Simulator`` alone also refuses a
+non-finite time before anything changes.
 """
 
+import math
 import random
 
 import pytest
@@ -15,11 +17,9 @@ from repro.errors import SimulationError
 from repro.net.events import Simulator
 from tests.sched_oracle import HeapSimulator
 
-#: the wheel, a wheel so small it re-bases and pulls overflow constantly,
-#: and the oracle: every semantic below holds on all three
+#: the simulator and the oracle: every semantic below holds on both
 SIMULATORS = {
-    "wheel": Simulator,
-    "wheel2": lambda: Simulator(wheel_slots=2),
+    "sim": Simulator,
     "oracle": HeapSimulator,
 }
 
@@ -37,8 +37,7 @@ class TestDifferentialOrder:
     def _compare(self, program):
         expected = record_run(HeapSimulator, program)
         assert expected, "program dispatched nothing"
-        assert record_run(SIMULATORS["wheel"], program) == expected
-        assert record_run(SIMULATORS["wheel2"], program) == expected
+        assert record_run(Simulator, program) == expected
 
     def test_random_delays_identical_order(self):
         def program(sim, log):
@@ -82,8 +81,8 @@ class TestDifferentialOrder:
 
     def test_far_future_overflow_events(self):
         def program(sim, log):
-            # Mix near events with ones far past the wheel horizon
-            # (default horizon is ~8.4ms; these reach seconds out).
+            # Mix near events with far-future ones (seconds out, nine
+            # decades of delay in one queue).
             rng = random.Random(5)
             for i in range(800):
                 delay = 10.0 ** rng.uniform(-7, 1)
@@ -98,7 +97,7 @@ class TestDifferentialOrder:
             for i in range(500):
                 sim.schedule(rng.random() * 1e-2, lambda i=i: log.append((sim.now(), i)))
             # stop mid-stream several times; schedule *earlier* events
-            # between segments (they land before the wheel's current slot)
+            # between segments (they land among the events still queued)
             for until in (1e-3, 2.5e-3, 7e-3):
                 sim.run(until=until)
                 log.append(("stopped", sim.now()))
@@ -233,25 +232,73 @@ class TestCancellation:
         assert sim.events_processed == 6
 
     def test_stale_timer_after_record_reuse(self, sim):
-        """A Timer held past its event's dispatch must stay dead even
-        after the slab recycles the record for a new event."""
+        """A Timer held past its event's dispatch stays dead: cancelling
+        it touches neither a later event nor the counts."""
         timer = sim.schedule_cancellable(1e-6, lambda: None)
         sim.run()
         assert not timer.active
         fired = []
-        sim.schedule(1e-6, lambda: fired.append(1))  # likely reuses the record
-        timer.cancel()  # must be a no-op on the recycled record
+        sim.schedule(1e-6, lambda: fired.append(1))
+        assert timer.cancel() is False
+        assert sim.pending == 1
         sim.run()
         assert fired == [1]
 
+    def test_run_until_inf_drains_and_keeps_the_clock(self, sim):
+        sim.schedule(1e-6, lambda: None)
+        assert sim.run(until=math.inf) == 1e-6
+        sim.schedule(1e-6, lambda: None)  # the clock is still usable
+        assert sim.run() == 2e-6
+
+
+class TestNonFiniteTimes:
+    """NaN or infinity is refused before anything changes: an unchecked
+    NaN breaks the heap's order, and a counted event that is never
+    queued leaves ``pending`` wrong forever."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("how", ["schedule", "schedule_cancellable"])
+    def test_a_non_finite_delay_is_refused(self, how, bad):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="not finite"):
+            getattr(sim, how)(bad, lambda: None)
+        assert sim.pending == 0 and sim.step() is False
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_non_finite_time_is_refused(self, bad):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="non-finite"):
+            sim.schedule_at(bad, lambda: None)
+        assert sim.pending == 0 and sim.step() is False
+
+    @pytest.mark.parametrize("how", ["schedule", "schedule_cancellable", "schedule_at"])
+    def test_minus_inf_is_in_the_past(self, how):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="in the past|cannot schedule at"):
+            getattr(sim, how)(-math.inf, lambda: None)
+        assert sim.pending == 0
+
+    def test_a_later_event_still_runs_after_a_refusal(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(2e-6, lambda: fired.append("b"))
+        with pytest.raises(SimulationError):
+            sim.schedule(math.nan, lambda: fired.append("nan"))
+        sim.schedule(1e-6, lambda: fired.append("a"))
+        sim.run()
+        assert fired == ["a", "b"] and sim.pending == 0
+
+    def test_run_until_nan_is_refused_and_runs_nothing(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1e-6, lambda: fired.append(1))
+        with pytest.raises(SimulationError, match="cannot run until nan"):
+            sim.run(until=math.nan)
+        assert fired == [] and sim.now() == 0.0 and sim.pending == 1
+
 
 class TestConfiguration:
-    def test_wheel_parameters_validate(self):
-        with pytest.raises(SimulationError):
-            Simulator(slot_width=0.0)
-        with pytest.raises(SimulationError):
-            Simulator(wheel_slots=1000)  # not a power of two
-
     def test_no_scheduler_option(self):
-        with pytest.raises(TypeError):
-            Simulator(scheduler="heap")
+        for option in ({"scheduler": "heap"}, {"slot_width": 256e-9}, {"wheel_slots": 2}):
+            with pytest.raises(TypeError):
+                Simulator(**option)

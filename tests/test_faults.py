@@ -36,6 +36,14 @@ class TestPlanChecks:
         with pytest.raises(SimulationError, match="unknown fault kind 'flap'"):
             FaultPlan(events=((0.0, "flap", "s"),))
 
+    @pytest.mark.parametrize("at", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_time_is_refused_when_built(self, at):
+        """Before, a NaN ``at`` built fine; ``inject`` then armed every
+        link's loss draw and scheduled the first event before it raised a
+        raw ValueError, and the NaN left the sort order undefined."""
+        with pytest.raises(SimulationError, match="must be finite"):
+            FaultPlan(loss=0.1, events=((1e-6, "down", "s"), (at, "up", "s")))
+
     def test_a_target_that_names_nothing_is_refused_before_anything_changes(self):
         net, _ = two_host_line()
         with pytest.raises(SimulationError, match="no link between"):

@@ -106,7 +106,9 @@ def batch_calls(obs) -> int:
     return calls
 
 
-QUIET_CALLS_MAX = 9_500
+#: a quiet batch read 7 681 with the calendar-wheel scheduler and reads
+#: 6 871 on one binary heap; the bar pins that saving
+QUIET_CALLS_MAX = 7_500
 OBSERVER_ADDS_MAX = 9_500
 
 
@@ -160,9 +162,10 @@ class TestObserverCallBudget:
 
     def test_a_quiet_batch_makes_at_most_25k_calls(self):
         """The mirror pin for the data path itself: 128 window trips
-        read 8 890 calls of this repo's functions (cProfile: 23.4k, and
-        29.8k while the headers went through a dict and every dropped
-        packet through the deparser)."""
+        read 6 871 calls of this repo's functions (8 890 when the bar
+        was set at 9 500; cProfile: 23.4k then, and 29.8k while the
+        headers went through a dict and every dropped packet through the
+        deparser)."""
         assert batch_calls(None) <= QUIET_CALLS_MAX
 
 

@@ -1,7 +1,7 @@
-"""Differential determinism: fig4/fig5 workloads, wheel vs reference heap.
+"""Differential determinism: fig4/fig5 workloads, simulator vs reference heap.
 
-The timing wheel must dispatch *real workloads*, not just synthetic
-event programs, exactly as the reference heap does: the Fig 4 AllReduce
+``Simulator`` must dispatch *real workloads*, not just synthetic event
+programs, exactly as the plain reference heap does: the Fig 4 AllReduce
 and Fig 5 KVS apps are run once on ``Simulator`` and once with
 ``tests/sched_oracle.py``'s heap injected in its place, and every
 observable output is compared -- numeric results, simulated completion
