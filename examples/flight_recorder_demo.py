@@ -2,8 +2,8 @@
 """The full observability-phase-2 stack on a run that goes wrong.
 
 A two-worker AllReduce with everything attached -- continuous profiler,
-virtual-clock time-series sampler, health alert engine, flight
-recorder:
+virtual-clock time series of the metrics registry with a health alert
+rule, flight recorder:
 
     w0 --+
          +--> s1 (in-network aggregation)
@@ -33,13 +33,10 @@ from repro.apps.workloads import random_arrays
 from repro.errors import RuntimeApiError
 from repro.net import FaultPlan
 from repro.obs import (
-    AlertEngine,
     FlightRecorder,
     Observability,
     Profiler,
     TimeSeriesSampler,
-    attach_cluster_probes,
-    attach_network_probes,
     flight_guard,
     validate_bundle,
 )
@@ -56,16 +53,11 @@ def main(outdir: str = "flight_recorder_out") -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     profiler = Profiler()
-    sampler = TimeSeriesSampler(interval=1e-6)  # 1us buckets
-    health = AlertEngine([ALERT_RULE])
+    sampler = TimeSeriesSampler(interval=1e-6, rules=[ALERT_RULE])  # 1us buckets
     flight = FlightRecorder(capacity=128, out_dir=str(out))
-    obs = Observability(
-        profiler=profiler, sampler=sampler, health=health, flight=flight
-    )
+    obs = Observability(profiler=profiler, sampler=sampler, flight=flight)
 
     job = AllReduceJob(N_WORKERS, DATA_LEN, WINDOW, obs=obs)
-    attach_network_probes(sampler, job.cluster.network)
-    attach_cluster_probes(sampler, job.cluster)
 
     # -- round 1: healthy --------------------------------------------------
     arrays = random_arrays(N_WORKERS, DATA_LEN, seed=1)
@@ -107,7 +99,7 @@ def main(outdir: str = "flight_recorder_out") -> int:
     # Reconstruct the alert + its triggering window from bundle 0 alone
     # (what `python -m repro.obs.query alerts --flight` does offline).
     escalation = json.loads((out / "flight-0.json").read_text())
-    (alert,) = escalation["alerts"]["alerts"]
+    (alert,) = escalation["timeseries"]["alerts"]
     print(f"\nfrom flight-0.json alone: [{alert['severity']}] "
           f"{alert['name']} fired at {alert['fired_at'] * 1e6:.1f}us "
           f"({alert['rule']})")
@@ -119,12 +111,10 @@ def main(outdir: str = "flight_recorder_out") -> int:
     with open(out / "run.profile.json", "w") as fp:
         profiler.write_json(fp)
     with open(out / "run.timeseries.json", "w") as fp:
-        sampler.write_json(fp)
-    with open(out / "run.alerts.json", "w") as fp:
-        health.write_json(fp)
+        sampler.write_json(fp)  # the curves, the rule and its alert
     with open(out / "run.metrics.json", "w") as fp:
         json.dump(obs.snapshot(), fp, sort_keys=True)
-    print(f"\nwrote run.{{profile,timeseries,alerts,metrics}}.json to {out}/;"
+    print(f"\nwrote run.{{profile,timeseries,metrics}}.json to {out}/;"
           " explore offline, e.g.")
     print(f"  python -m repro.obs.query alerts --flight {out}/flight-0.json --window")
     print(f"  python -m repro.obs.query timeseries --timeseries "

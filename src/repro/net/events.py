@@ -13,7 +13,9 @@ A time in the past or not finite is refused with
 :class:`~repro.errors.SimulationError` before anything changes.
 Cancellation is lazy: a :class:`Timer` nulls its record's callback and
 every pop path skips such tombstones; a record's callback is nulled when
-it fires too, so a :class:`Timer` held past its event is dead.
+it fires too, so a :class:`Timer` held past its event is dead.  An event
+counts as processed once it is popped to run, so a callback that raises
+leaves :attr:`Simulator.pending` right.
 
 :attr:`Simulator.obs` is the run's observability context (default
 :data:`~repro.obs.context.NULL_OBS`), whose traces read the virtual clock.
@@ -164,9 +166,9 @@ class Simulator:
                 continue
             rec[3] = None
             self._now = when  # type: ignore[assignment]
+            self.events_processed += 1
             callback()  # type: ignore[operator]
             processed += 1
-            self.events_processed += 1
             if processed > max_events:
                 raise SimulationError(
                     f"simulation exceeded {max_events} events (livelock?)"
@@ -183,24 +185,25 @@ class Simulator:
             when: float = rec[0]  # type: ignore[assignment]
             if until is not None and when > until:
                 return False
-            heappop(queue)
             callback = rec[3]
+            if callback is not None and sampler is not None:
+                # Boundaries at or before this event's time sample the
+                # state *before* the event runs, so identical runs
+                # sample identical states; a boundary that raises
+                # leaves the event queued.
+                sampler.advance(when)
+            heappop(queue)
             if callback is None:
                 continue
             rec[3] = None
-            if sampler is not None:
-                # Boundaries at or before this event's time sample the
-                # state *before* the event runs, so identical runs
-                # sample identical states.
-                sampler.advance(when)
             self._now = when
+            self.events_processed += 1
             if profiler is not None:
                 t0 = perf_counter()
                 callback()  # type: ignore[operator]
                 profiler.record(rec[2], callback, when, perf_counter() - t0)
             else:
                 callback()  # type: ignore[operator]
-            self.events_processed += 1
             return True
         return False
 

@@ -32,7 +32,6 @@ from repro.obs.diff import (
     validate_report,
 )
 from repro.obs.flight import FlightRecorder, flight_guard, validate_bundle
-from repro.obs.health import AlertEngine, AlertRule, parse_rule
 from repro.obs.int import IntConfig, IntError, IntStack, carries_int, peek_stack
 from repro.obs.netmetrics import SwitchPacketTrace, collect_network_metrics
 from repro.obs.profile import Profiler
@@ -55,15 +54,10 @@ from repro.obs.sinks import (
     stable_hash,
     window_key,
 )
-from repro.obs.timeseries import (
-    TimeSeriesSampler,
-    attach_cluster_probes,
-    attach_network_probes,
-)
+from repro.obs.timeseries import AlertRule, TimeSeriesSampler, parse_rule
 from repro.obs.trace import TraceEvent, Tracer
 
 __all__ = [
-    "AlertEngine",
     "AlertRule",
     "CompileTrace",
     "Counter",
@@ -88,8 +82,6 @@ __all__ = [
     "TraceEvent",
     "TraceSampler",
     "Tracer",
-    "attach_cluster_probes",
-    "attach_network_probes",
     "build_report",
     "carries_int",
     "collect_network_metrics",

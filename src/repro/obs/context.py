@@ -42,7 +42,6 @@ class Observability:
         int_config=None,
         profiler=None,
         sampler=None,
-        health=None,
         flight=None,
     ):
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -53,24 +52,18 @@ class Observability:
         #: a :class:`repro.obs.profile.Profiler` switches the simulator
         #: onto the instrumented run loop and attributes wall time
         self.profiler = profiler
-        #: a :class:`repro.obs.timeseries.TimeSeriesSampler` samples
-        #: probes on virtual-clock bucket boundaries during the run
+        #: a :class:`repro.obs.timeseries.TimeSeriesSampler` samples the
+        #: registry and evaluates its alert rules on virtual-clock bucket
+        #: boundaries during the run
         self.sampler = sampler
-        #: a :class:`repro.obs.health.AlertEngine`; evaluated on every
-        #: completed sampler bucket
-        self.health = health
         #: a :class:`repro.obs.flight.FlightRecorder`; rides the tracer
         #: as a sink and dumps bundles on escalation/failure
         self.flight = flight
+        if sampler is not None:
+            sampler.bind(self)
         if flight is not None:
             flight.bind(self)
             self.tracer.add_sink(flight.record)
-        if health is not None:
-            health.bind(self)
-            if sampler is not None:
-                sampler.on_bucket(health.observe)
-            if flight is not None:
-                health.escalate_to(flight.trigger)
         # Self-accounting: the observer reports its own overhead as
         # obs.* gauges at snapshot time (events recorded vs sampled
         # out, bytes streamed to disk, peak resident events, metric
@@ -115,7 +108,6 @@ class _NullObservability:
     int_config = None
     profiler = None
     sampler = None
-    health = None
     flight = None
 
     def snapshot(self):

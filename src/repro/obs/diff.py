@@ -1,7 +1,7 @@
 """Cross-run regression diffing: two runs' artifacts -> one report.
 
 The bench harness and budget gate accumulate byte-deterministic
-artifacts per run -- ``repro.profile/1`` documents, ``repro.timeseries/1``
+artifacts per run -- ``repro.profile/1`` documents, ``repro.timeseries/2``
 dumps, metrics-registry snapshots, flat measured-metric dicts.
 :func:`build_report` compares any mix of them between a baseline run A
 and a candidate run B into a single byte-deterministic ``repro.diff/1``
@@ -29,6 +29,8 @@ from __future__ import annotations
 import json
 from typing import Dict, IO, List, Optional, Sequence, Tuple
 
+from repro.obs.timeseries import TIMESERIES_SCHEMA
+
 DIFF_SCHEMA = "repro.diff/1"
 
 #: substrings marking a metric as wall-clock-derived (nondeterministic
@@ -49,7 +51,7 @@ def sniff_kind(doc) -> str:
         schema = doc.get("schema")
         if schema == "repro.profile/1":
             return "profile"
-        if schema == "repro.timeseries/1":
+        if schema == TIMESERIES_SCHEMA:
             return "timeseries"
         if isinstance(schema, str):
             return "generic"

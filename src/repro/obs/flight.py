@@ -8,14 +8,16 @@ is the middle ground: a bounded ring of the most recent trace events
 a :class:`~repro.obs.sinks.TraceSampler` is dropping most events from
 the exported trace, and it works even when nothing ever exports the
 full trace), plus
-whatever else the observability context knows -- registry snapshot,
-time-series curves, alert state -- bundled into one self-contained
-``repro.flight/1`` JSON document the moment something goes wrong.
+whatever else the observability context knows -- registry snapshot
+and the time-series curves with their alerts -- bundled into one
+self-contained ``repro.flight/2`` JSON document the moment something
+goes wrong.
 
 Two triggers:
 
-* **alert escalation** -- a ``!critical`` health rule firing calls
-  :meth:`trigger` (wired by :class:`~repro.obs.context.Observability`);
+* **alert escalation** -- a ``!critical`` rule of the run's
+  :class:`~repro.obs.timeseries.TimeSeriesSampler` firing calls
+  :meth:`trigger`;
 * **unhandled failure** -- wrap the run in :func:`flight_guard`; an
   escaping exception dumps a bundle and re-raises.
 
@@ -30,9 +32,11 @@ import json
 from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, IO, List, Optional
+from typing import Dict, List, Optional
 
-FLIGHT_SCHEMA = "repro.flight/1"
+from repro.obs.timeseries import TIMESERIES_SCHEMA
+
+FLIGHT_SCHEMA = "repro.flight/2"
 
 
 class FlightRecorder:
@@ -55,7 +59,7 @@ class FlightRecorder:
 
     def bind(self, obs) -> None:
         """Back-reference to the run's context, so a bundle can include
-        the registry snapshot, time series, and alert state (wired by
+        the registry snapshot and the time series (wired by
         :class:`~repro.obs.context.Observability`)."""
         self._obs = obs
 
@@ -82,12 +86,9 @@ class FlightRecorder:
             "events": self.recent(),
             "metrics": obs.snapshot() if obs is not None else {},
             "timeseries": None,
-            "alerts": None,
         }
-        if obs is not None and getattr(obs, "sampler", None) is not None:
+        if obs is not None and obs.sampler is not None:
             out["timeseries"] = obs.sampler.dump()
-        if obs is not None and getattr(obs, "health", None) is not None:
-            out["alerts"] = obs.health.export()
         return out
 
     def trigger(self, reason: str, now: Optional[float] = None) -> Dict[str, object]:
@@ -104,11 +105,6 @@ class FlightRecorder:
                 fp.write("\n")
         self.bundles.append((reason, data, path))
         return data
-
-    def write_json(self, fp: IO[str], reason: str = "manual",
-                   now: Optional[float] = None) -> None:
-        json.dump(self.bundle(reason, now), fp, sort_keys=True, indent=1)
-        fp.write("\n")
 
 
 @contextmanager
@@ -128,12 +124,12 @@ def flight_guard(obs, clock=None, reason: str = "exception"):
 
 _REQUIRED_KEYS = (
     "schema", "reason", "virtual_time", "capacity", "events_seen",
-    "events", "metrics", "timeseries", "alerts",
+    "events", "metrics", "timeseries",
 )
 
 
 def validate_bundle(data: Dict[str, object]) -> List[str]:
-    """Structural check of a ``repro.flight/1`` bundle; returns the list
+    """Structural check of a ``repro.flight/2`` bundle; returns the list
     of problems (empty means valid). Used by tests and the CI gate."""
     problems: List[str] = []
     if not isinstance(data, dict):
@@ -163,11 +159,6 @@ def validate_bundle(data: Dict[str, object]) -> List[str]:
         problems.append("metrics is not an object")
     ts = data.get("timeseries")
     if ts is not None:
-        if not isinstance(ts, dict) or ts.get("schema") != "repro.timeseries/1":
-            problems.append("timeseries is not a repro.timeseries/1 document")
-    alerts = data.get("alerts")
-    if alerts is not None:
-        if not isinstance(alerts, dict) or \
-                alerts.get("schema") != "repro.alerts/1":
-            problems.append("alerts is not a repro.alerts/1 document")
+        if not isinstance(ts, dict) or ts.get("schema") != TIMESERIES_SCHEMA:
+            problems.append(f"timeseries is not a {TIMESERIES_SCHEMA} document")
     return problems

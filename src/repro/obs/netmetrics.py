@@ -25,8 +25,9 @@ def collect_network_metrics(net: "Network", registry: MetricsRegistry) -> None:
     """Set registry gauges from every component stat of *net*.
 
     Idempotent (gauges are overwritten), so it can run at every
-    snapshot. Covers the simulator core, links (incl. drop causes),
-    nodes, and PISA switch pipelines (per-table/per-action accounting).
+    snapshot. Covers the simulator core, links (incl. drop causes and
+    per-direction queue depth), nodes, and PISA switch pipelines
+    (per-table/per-action accounting).
     """
     registry.gauge("sim.time_seconds", "virtual time at snapshot").set(net.sim.now())
     registry.gauge("sim.events_processed", "discrete events run").set(
@@ -39,6 +40,11 @@ def collect_network_metrics(net: "Network", registry: MetricsRegistry) -> None:
     g_drops = registry.gauge(
         "link.drops", "frames dropped, by cause", ("link", "cause")
     )
+    g_qdepth = registry.gauge(
+        "link.qdepth_bytes", "bytes queued to cross, by sending end",
+        ("link", "dir"),
+    )
+    now = net.sim.now()
     for link in net.links:
         name = f"{link.a.name}<->{link.b.name}"
         g_bytes.labels(link=name).set(link.stats.bytes)
@@ -47,6 +53,10 @@ def collect_network_metrics(net: "Network", registry: MetricsRegistry) -> None:
         g_drops.labels(link=name, cause="loss").set(link.stats.drops_loss)
         g_drops.labels(link=name, cause="overflow").set(link.stats.drops_overflow)
         g_drops.labels(link=name, cause="down").set(link.stats.drops_down)
+        for end in (link.a, link.b):
+            g_qdepth.labels(link=name, dir=f"{end.name}->").set(
+                link.backlog_bytes(end, now)
+            )
 
     n_rx_f = registry.gauge("node.rx_frames", "frames received", ("node",))
     n_rx_b = registry.gauge("node.rx_bytes", "bytes received", ("node",))

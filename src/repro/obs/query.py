@@ -3,7 +3,10 @@
 Works offline from the artifacts a run writes -- a trace JSONL
 (:meth:`repro.obs.Tracer.write_jsonl`), a lineage JSON
 (:meth:`repro.obs.lineage.LineageIndex.write_json`), and optionally a
-metrics snapshot (:meth:`repro.obs.Observability.snapshot`, as JSON).
+metrics snapshot (:meth:`repro.obs.Observability.snapshot`, as JSON), a
+time-series dump (:meth:`repro.obs.TimeSeriesSampler.write_json`: the
+registry's curves plus the alerts its rules raised) or a flight bundle
+(which carries that dump).
 
 Subcommands::
 
@@ -13,8 +16,8 @@ Subcommands::
     drops       every drop, with cause and site
     stragglers  per-hop records above a latency percentile threshold
     profile     where the wall time went (repro.profile/1 report)
-    timeseries  virtual-clock curves (repro.timeseries/1 dump)
-    alerts      health alerts, from an alerts doc or a flight bundle
+    timeseries  virtual-clock curves of the registry (repro.timeseries/2)
+    alerts      health alerts, from a time-series dump or a flight bundle
     export      re-render a metrics snapshot (e.g. Prometheus text)
     diff        cross-run regression report (repro.diff/1) from two
                 runs' artifacts (files or run directories)
@@ -30,6 +33,7 @@ Examples::
     python -m repro.obs.query timeseries --timeseries run.timeseries.json \\
         --series link.drops --rate
     python -m repro.obs.query alerts --flight flight-0.json
+    python -m repro.obs.query alerts --timeseries run.timeseries.json
     python -m repro.obs.query export --metrics run.metrics.json --format prom
     python -m repro.obs.query diff baseline/ candidate/ --top 5
     python -m repro.obs.query diff a.metrics.json b.metrics.json --json
@@ -45,7 +49,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.obs.lineage import LineageError, LineageIndex
 from repro.obs.prom import render_prom
-from repro.obs.timeseries import rates as rate_curve
+from repro.obs.timeseries import TIMESERIES_SCHEMA, matching, rates, summed
 
 
 def load_json(path: str) -> Dict:
@@ -267,21 +271,17 @@ def parse_label_filter(text: Optional[str]) -> Dict[str, str]:
     return labels
 
 
-def _matching_series(doc: Dict, name: str, want: Dict[str, str]) -> List[Dict]:
-    return [
-        s for s in doc["series"]
-        if s["name"] == name
-        and all(s["labels"].get(k) == v for k, v in want.items())
-    ]
+def check_timeseries(doc: Dict, source: str) -> Dict:
+    if doc.get("schema") != TIMESERIES_SCHEMA:
+        raise LineageError(
+            f"{source} is not a {TIMESERIES_SCHEMA} dump "
+            f"(schema={doc.get('schema')!r})"
+        )
+    return doc
 
 
 def cmd_timeseries(args: argparse.Namespace) -> int:
-    doc = load_json(args.timeseries)
-    if doc.get("schema") != "repro.timeseries/1":
-        raise LineageError(
-            f"{args.timeseries} is not a repro.timeseries/1 dump "
-            f"(schema={doc.get('schema')!r})"
-        )
+    doc = check_timeseries(load_json(args.timeseries), args.timeseries)
     interval = doc["interval"]
     if not args.series:
         print(
@@ -294,18 +294,13 @@ def cmd_timeseries(args: argparse.Namespace) -> int:
             print(f"  {sel:<48} {series['kind']:<8} {len(series['points'])} points")
         return 0
     want = parse_label_filter(args.labels)
-    matched = _matching_series(doc, args.series, want)
+    matched = matching(doc, args.series, want)
     if not matched:
         print(f"no series matching {args.series!r} labels {want}")
         return 1
-    # Pointwise sum across matching series -- same shape alert rules see.
-    acc: Dict[int, float] = {}
-    for series in matched:
-        for idx, value in series["points"]:
-            acc[idx] = acc.get(idx, 0.0) + value
-    points = sorted(acc.items())
+    points = summed(matched)
     if args.rate:
-        points = rate_curve(points, interval)
+        points = rates(points, interval)
         unit = "/s"
     else:
         unit = ""
@@ -325,23 +320,17 @@ def cmd_alerts(args: argparse.Namespace) -> int:
             for problem in problems:
                 print(f"invalid flight bundle: {problem}", file=sys.stderr)
             return 2
-        doc = bundle.get("alerts")
+        doc = bundle["timeseries"]
         print(
             f"flight bundle: reason={bundle['reason']!r} "
             f"t={bundle['virtual_time']} "
             f"({len(bundle['events'])}/{bundle['events_seen']} events retained)"
         )
         if doc is None:
-            print("bundle carries no alert state (run had no AlertEngine)")
+            print("bundle carries no time series (run had no sampler)")
             return 0
-    elif args.alerts:
-        doc = load_json(args.alerts)
     else:
-        raise LineageError("pass --alerts <run.alerts.json> or --flight <bundle.json>")
-    if doc.get("schema") != "repro.alerts/1":
-        raise LineageError(
-            f"not a repro.alerts/1 document (schema={doc.get('schema')!r})"
-        )
+        doc = check_timeseries(load_json(args.timeseries), args.timeseries)
     print(f"{len(doc['rules'])} rules:")
     for rule in doc["rules"]:
         print(f"  {rule}")
@@ -464,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.set_defaults(fn=cmd_profile)
 
     timeseries = subs.add_parser(
-        "timeseries", help="virtual-clock curves (repro.timeseries/1)"
+        "timeseries", help="virtual-clock curves (repro.timeseries/2)"
     )
     timeseries.add_argument("--timeseries", required=True,
                             help="dump JSON (TimeSeriesSampler.write_json)")
@@ -477,11 +466,12 @@ def build_parser() -> argparse.ArgumentParser:
     timeseries.set_defaults(fn=cmd_timeseries)
 
     alerts = subs.add_parser(
-        "alerts", help="health alerts, from an alerts doc or flight bundle"
+        "alerts", help="health alerts, from a time-series dump or flight bundle"
     )
-    alerts.add_argument("--alerts",
-                        help="alerts JSON (AlertEngine.write_json)")
-    alerts.add_argument("--flight",
+    source = alerts.add_mutually_exclusive_group(required=True)
+    source.add_argument("--timeseries",
+                        help="dump JSON (TimeSeriesSampler.write_json)")
+    source.add_argument("--flight",
                         help="flight bundle JSON (reconstructs alert state)")
     alerts.add_argument("--window", action="store_true",
                         help="also print each alert's evidence window")

@@ -60,8 +60,8 @@ class HeapSimulator:
                 continue
             rec[3] = None  # fired: a Timer held past here is dead
             self._now = when
+            self.events_processed += 1  # popped to run, before it can raise
             callback()
-            self.events_processed += 1
             return True
         return False
 

@@ -48,7 +48,7 @@ def profile_doc(wall_by_label, total=1.0):
 
 def timeseries_doc(points_by_series, interval=1e-6):
     return {
-        "schema": "repro.timeseries/1",
+        "schema": "repro.timeseries/2",
         "interval": interval,
         "series": [
             {"name": name, "labels": {}, "points": points}

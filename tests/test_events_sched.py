@@ -15,6 +15,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.net.events import Simulator
+from repro.obs import NULL_OBS, Observability, ObservabilityError, TimeSeriesSampler
 from tests.sched_oracle import HeapSimulator
 
 #: the simulator and the oracle: every semantic below holds on both
@@ -179,6 +180,17 @@ class TestRunSemantics:
         sim.run()
         assert sim.events_processed == 7
 
+    @pytest.mark.parametrize("how", ["run", "step"])
+    def test_a_callback_that_raises_counts_as_processed(self, sim, how):
+        def boom():
+            raise ValueError("boom")
+
+        sim.schedule(1e-6, boom)
+        with pytest.raises(ValueError, match="boom"):
+            getattr(sim, how)()
+        assert sim.events_processed == 1 and sim.pending == 0
+        assert sim.step() is False
+
 
 class TestCancellation:
     @pytest.fixture(params=sorted(SIMULATORS))
@@ -295,6 +307,21 @@ class TestNonFiniteTimes:
         with pytest.raises(SimulationError, match="cannot run until nan"):
             sim.run(until=math.nan)
         assert fired == [] and sim.now() == 0.0 and sim.pending == 1
+
+
+class TestSampledDispatch:
+    def test_a_boundary_that_raises_leaves_the_event_queued(self):
+        """The sampler runs before the event is popped: a boundary that
+        raises (here ``max_samples``) loses no event."""
+        sim = Simulator()
+        sim.obs = Observability(sampler=TimeSeriesSampler(1e-6, max_samples=3))
+        ran = []
+        sim.schedule(5e-6, lambda: ran.append(1))
+        with pytest.raises(ObservabilityError, match="exceeded 3"):
+            sim.run()
+        assert ran == [] and sim.pending == 1 and sim.events_processed == 0
+        sim.obs = NULL_OBS
+        assert sim.step() is True and ran == [1] and sim.pending == 0
 
 
 class TestConfiguration:

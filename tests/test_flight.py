@@ -10,12 +10,9 @@ from repro.net import FaultPlan
 from repro.apps.workloads import random_arrays
 from repro.errors import RuntimeApiError, SimulationError
 from repro.obs import (
-    AlertEngine,
     FlightRecorder,
     Observability,
     TimeSeriesSampler,
-    attach_cluster_probes,
-    attach_network_probes,
     flight_guard,
     render_prom,
     validate_bundle,
@@ -34,19 +31,18 @@ class TestRing:
         assert [e["name"] for e in recent] == [f"e{i}" for i in range(42, 50)]
 
     def test_bundle_is_self_contained_and_valid(self):
-        sampler = TimeSeriesSampler(1e-6)
-        sampler.add_probe("c", lambda: 1)
+        sampler = TimeSeriesSampler(1e-6, rules=["c > 100"])
         flight = FlightRecorder(capacity=4)
-        obs = Observability(
-            sampler=sampler, health=AlertEngine(["c > 100"]), flight=flight
-        )
+        obs = Observability(sampler=sampler, flight=flight)
+        obs.registry.counter("c").inc()
         obs.tracer.instant("hello", 0.0, track="t")
         sampler.finish(0.0)
         bundle = flight.bundle("manual", now=0.0)
         assert validate_bundle(bundle) == []
-        assert bundle["schema"] == "repro.flight/1"
-        assert bundle["timeseries"]["schema"] == "repro.timeseries/1"
-        assert bundle["alerts"]["schema"] == "repro.alerts/1"
+        assert bundle["schema"] == "repro.flight/2"
+        assert bundle["timeseries"]["schema"] == "repro.timeseries/2"
+        assert bundle["timeseries"]["rules"] == ["c: c > 100"]
+        assert "alerts" not in bundle
         json.dumps(bundle)  # self-contained pure data
 
     def test_validate_rejects_malformed_bundles(self):
@@ -98,15 +94,12 @@ def crashed_allreduce(out_dir):
     succeeds, then the w0 uplink goes down mid-round-2 -- the critical
     drop-rate alert fires (bundle 0), the round times out inside
     flight_guard (bundle 1)."""
-    sampler = TimeSeriesSampler(1e-6)
-    health = AlertEngine(
-        ["drops: link.drops{cause=down} rate > 0 over 2us !critical"]
+    sampler = TimeSeriesSampler(
+        1e-6, rules=["drops: link.drops{cause=down} rate > 0 over 2us !critical"]
     )
     flight = FlightRecorder(capacity=128, out_dir=str(out_dir))
-    obs = Observability(sampler=sampler, health=health, flight=flight)
+    obs = Observability(sampler=sampler, flight=flight)
     job = AllReduceJob(2, 256, 8, obs=obs)
-    attach_network_probes(sampler, job.cluster.network)
-    attach_cluster_probes(sampler, job.cluster)
     job.run_round(random_arrays(2, 256, seed=1))
     job.cluster.network.inject(
         FaultPlan(events=((job.cluster.now() + 1e-6, "down", ("w0", "s1")),))
@@ -139,7 +132,7 @@ class TestEndToEnd:
             data = json.loads((out_dir / f"flight-{n}.json").read_text())
             assert validate_bundle(data) == []
         escalation = json.loads((out_dir / "flight-0.json").read_text())
-        (alert,) = escalation["alerts"]["alerts"]
+        (alert,) = escalation["timeseries"]["alerts"]
         assert alert["name"] == "drops"
         assert alert["severity"] == "critical"
         assert alert["state"] == "firing"
@@ -170,6 +163,22 @@ class TestEndToEnd:
         assert "[critical] drops:" in out
         assert "still firing" in out
         assert "t=" in out  # the evidence window printed
+
+    def test_query_alerts_reads_the_time_series_dump(self, crash, tmp_path, capsys):
+        from repro.obs.query import main
+
+        obs, _, _ = crash
+        dump = tmp_path / "run.timeseries.json"
+        with open(dump, "w") as fp:
+            obs.sampler.write_json(fp)
+        rc = main(["alerts", "--timeseries", str(dump)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "link.drops{cause=down} rate > 0 over 2us !critical" in out
+        assert "[critical] drops:" in out
+        dump.write_text('{"schema": "repro.alerts/1"}')
+        assert main(["alerts", "--timeseries", str(dump)]) == 2
+        assert "not a repro.timeseries/2 dump" in capsys.readouterr().err
 
     def test_query_alerts_rejects_invalid_bundle(self, tmp_path, capsys):
         from repro.obs.query import main

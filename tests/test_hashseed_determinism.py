@@ -12,7 +12,7 @@ module run as a script (``python -m tests.test_hashseed_determinism
 
 * ``lineage`` -- the ``repro.lineage/1`` JSON of a traced, INT-stamped
   Fig 4 round in which one window is sent a second time;
-* ``flight`` -- the ``repro.flight/1`` bundles of a short Fig 4 run whose
+* ``flight`` -- the ``repro.flight/2`` bundles of a short Fig 4 run whose
   w0 uplink fails mid-round (the alert escalation and the timeout);
 * ``routes`` -- ``fat_tree(8)``'s route tables, single-path and ECMP.
 """
@@ -31,14 +31,11 @@ from repro.errors import RuntimeApiError
 from repro.ncp.window import Window
 from repro.net import FaultPlan, fat_tree
 from repro.obs import (
-    AlertEngine,
     FlightRecorder,
     IntConfig,
     Observability,
     TimeSeriesSampler,
     Tracer,
-    attach_cluster_probes,
-    attach_network_probes,
     flight_guard,
 )
 from repro.obs.lineage import LineageIndex
@@ -100,13 +97,10 @@ def failed_link_flight_bundles() -> str:
     observer: round 1 succeeds, then the w0 uplink fails mid-round-2 --
     the critical drop-rate alert dumps one bundle, the round's timeout
     inside :func:`flight_guard` the other."""
-    sampler = TimeSeriesSampler(1e-6)
-    health = AlertEngine(["drops: link.drops{cause=down} rate > 0 over 2us !critical"])
+    sampler = TimeSeriesSampler(1e-6, rules=["drops: link.drops{cause=down} rate > 0 over 2us !critical"])
     flight = FlightRecorder(capacity=64)
-    obs = Observability(sampler=sampler, health=health, flight=flight)
+    obs = Observability(sampler=sampler, flight=flight)
     job = AllReduceJob(2, 64, 8, obs=obs)
-    attach_network_probes(sampler, job.cluster.network)
-    attach_cluster_probes(sampler, job.cluster)
     job.run_round(random_arrays(2, 64, seed=1))
     job.cluster.network.inject(
         FaultPlan(events=((job.cluster.now() + 1e-6, "down", ("w0", "s1")),))
@@ -147,7 +141,7 @@ def test_flight_bundles_do_not_depend_on_the_hash_seed():
     first, *rest = [run_under(seed, "-m", "tests.test_hashseed_determinism", "flight") for seed in SEEDS]
     bundles = json.loads(first)
     assert [b["reason"] for b in bundles] == ["alert:drops", "exception:RuntimeApiError"]
-    assert all(b["schema"] == "repro.flight/1" and b["events"] for b in bundles)
+    assert all(b["schema"] == "repro.flight/2" and b["events"] for b in bundles)
     for seed, other in zip(SEEDS[1:], rest):
         assert other == first, f"PYTHONHASHSEED={seed} changes the flight bundles"
 

@@ -1,9 +1,11 @@
-"""The health alert engine: rule parsing, evaluation, escalation."""
+"""Health alerts: rule parsing, evaluation over the registry's time
+series, escalation to the flight recorder."""
 
 import pytest
 
-from repro.obs import AlertEngine, AlertRule, Observability, TimeSeriesSampler
-from repro.obs.health import parse_duration, parse_rule
+from repro.net.events import Simulator
+from repro.obs import AlertRule, FlightRecorder, Observability, TimeSeriesSampler
+from repro.obs.timeseries import parse_duration, parse_rule
 from repro.obs.registry import ObservabilityError
 
 
@@ -34,7 +36,7 @@ class TestRuleParsing:
         assert rule.escalates
 
     def test_absence_rule(self):
-        rule = parse_rule("stalled: ncp.windows_received absent over 20us")
+        rule = parse_rule("stalled: ncp.windows{event=recv} absent over 20us")
         assert rule.mode == "absent"
         assert rule.op == "=="
         assert rule.threshold == 0.0
@@ -43,7 +45,7 @@ class TestRuleParsing:
     def test_text_round_trips(self):
         for text in (
             "drops: link.drops{cause=down} rate > 0 over 2us !critical",
-            "stalled: ncp.windows_received absent over 20us",
+            "stalled: ncp.windows{event=recv} absent over 20us",
             "q: link.qdepth_bytes{dir=w0->,link=s1<->w0} >= 100",
         ):
             rule = parse_rule(text)
@@ -67,52 +69,63 @@ class TestRuleParsing:
             AlertRule("r", "s", mode="rate")
 
     def test_duplicate_rule_names_rejected(self):
-        engine = AlertEngine(["a: s > 1"])
         with pytest.raises(ObservabilityError, match="duplicate"):
-            engine.add_rule("a: other > 2")
+            TimeSeriesSampler(1e-6, rules=["a: s > 1", "a: other > 2"])
 
 
-def driven_engine(rules, values, interval=1e-6, series="s"):
-    """Drive an engine through ``values`` sampled at successive
-    boundaries of a sampler with one probed series."""
-    sampler = TimeSeriesSampler(interval)
-    state = {"v": 0.0}
-    sampler.add_probe(series, lambda: state["v"])
-    engine = AlertEngine(rules)
-    obs = Observability(sampler=sampler, health=engine)
-    for i, value in enumerate(values):
-        state["v"] = value
-        sampler.advance(i * interval)
-    return engine, obs
+def driven(rules, values, interval=1e-6, series="s", flight=None):
+    """Drive a sampler's ``rules`` through ``values``: a scheduled
+    callback puts value *k* into the registry half an interval before
+    boundary *k*, so boundary *k* samples it (``values[0]`` is the
+    series' initial 0). A registry counter carries non-decreasing
+    values, a gauge any others."""
+    sampler = TimeSeriesSampler(interval, rules=rules)
+    obs = Observability(sampler=sampler, flight=flight)
+    sim = Simulator()
+    sim.obs = obs
+    if values == sorted(values):
+        child = obs.registry.counter(series).labels()
+        for k, (prev, value) in enumerate(zip(values, values[1:]), 1):
+            sim.schedule_at((k - 0.5) * interval,
+                            lambda d=value - prev: child.inc(d))
+    else:
+        child = obs.registry.gauge(series).labels()
+        for k, value in enumerate(values[1:], 1):
+            sim.schedule_at((k - 0.5) * interval,
+                            lambda v=value: child.set(v))
+    sim.run()
+    sampler.finish(sim.now())
+    assert sampler.dump()["buckets"] == len(values)
+    return sampler, obs
 
 
 class TestEvaluation:
     def test_threshold_fires_and_resolves(self):
-        engine, obs = driven_engine(["s > 10"], [0, 5, 20, 30, 5])
-        assert len(engine.alerts) == 1
-        alert = engine.alerts[0]
+        sampler, obs = driven(["s > 10"], [0, 5, 20, 30, 5])
+        assert len(sampler.alerts) == 1
+        alert = sampler.alerts[0]
         assert alert.fired_at == pytest.approx(2e-6)
         assert alert.resolved_at == pytest.approx(4e-6)
         assert alert.state == "resolved"
         assert alert.value == 20.0
-        assert not engine.firing()
+        assert not sampler.firing()
         # trace instants landed on the health track
         names = [(e.name, e.args["alert"]) for e in obs.tracer.events
                  if e.track == "health"]
         assert names == [("alert:firing", "s"), ("alert:resolved", "s")]
 
     def test_still_firing_at_end_of_run(self):
-        engine, _ = driven_engine(["s > 10"], [0, 20, 30])
-        assert engine.alerts[0].state == "firing"
-        assert engine.firing() == engine.alerts
+        sampler, _ = driven(["s > 10"], [0, 20, 30])
+        assert sampler.alerts[0].state == "firing"
+        assert sampler.firing() == sampler.alerts
 
     def test_rate_rule_fires_on_counter_slope(self):
         # counter flat, then +10/bucket: rate = 1e7/s over 1us buckets
-        engine, _ = driven_engine(
+        sampler, _ = driven(
             ["fast: s rate > 5e6 over 2us"], [0, 0, 0, 10, 20, 20, 20, 20]
         )
-        assert len(engine.alerts) == 1
-        alert = engine.alerts[0]
+        assert len(sampler.alerts) == 1
+        alert = sampler.alerts[0]
         assert alert.fired_at == pytest.approx(4e-6)
         assert alert.resolved_at is not None
         # evidence window carries the triggering rate curve
@@ -120,50 +133,65 @@ class TestEvaluation:
         assert alert.window[-1][1] == pytest.approx(1e7)
 
     def test_absent_rule_fires_while_counter_stalls(self):
-        engine, _ = driven_engine(
+        sampler, _ = driven(
             ["stall: s absent over 3us"], [0, 1, 2, 3, 3, 3, 3, 4, 5]
         )
-        assert len(engine.alerts) == 1
-        alert = engine.alerts[0]
+        assert len(sampler.alerts) == 1
+        alert = sampler.alerts[0]
         assert alert.fired_at == pytest.approx(6e-6)
         assert alert.resolved_at == pytest.approx(7e-6)
 
     def test_no_history_no_false_fire(self):
-        engine, _ = driven_engine(["r: s rate > 0 over 5us"], [0, 10])
-        assert engine.alerts == []  # not enough buckets for the window
+        sampler, _ = driven(["r: s rate > 0 over 5us"], [0, 10])
+        assert sampler.alerts == []  # not enough buckets for the window
 
     def test_label_filter_selects_series(self):
-        sampler = TimeSeriesSampler(1e-6)
-        sampler.add_probe("c", lambda: 100, {"cause": "down"})
-        sampler.add_probe("c", lambda: 0, {"cause": "loss"})
-        engine = AlertEngine(["only: c{cause=loss} > 1"])
-        Observability(sampler=sampler, health=engine)
+        sampler = TimeSeriesSampler(1e-6, rules=["only: c{cause=loss} > 1"])
+        obs = Observability(sampler=sampler)
+        family = obs.registry.gauge("c", labels=("cause",))
+        family.labels(cause="down").set(100)
+        family.labels(cause="loss").set(0)
         sampler.advance(0.0)
-        assert engine.alerts == []  # the filtered stream stays at 0
+        assert sampler.alerts == []  # the filtered stream stays at 0
+
+    def test_a_series_the_registry_never_creates_reads_zero(self):
+        """A heartbeat on windows nobody receives: the registry never
+        creates ``ncp.windows{event=recv}``, and the rule reads 0 at
+        every boundary, so it fires once it has a whole window."""
+        sampler = TimeSeriesSampler(
+            1e-6, rules=["stalled: ncp.windows{event=recv} absent over 3us"]
+        )
+        sim = Simulator()
+        sim.obs = obs = Observability(sampler=sampler)
+        other = obs.registry.counter("other").labels()
+        for k in range(10):
+            sim.schedule_at((k + 0.5) * 1e-6, other.inc)
+        sim.run()
+        assert obs.registry.get("ncp.windows") is None
+        (alert,) = sampler.alerts
+        assert alert.fired_at == pytest.approx(3e-6)
+        assert alert.state == "firing"
+        assert alert.window == [[i * 1e-6, 0.0] for i in range(4)]
 
 
 class TestEscalation:
     def test_critical_firing_escalates_once(self):
-        calls = []
-        engine = AlertEngine(["bad: s > 1 !critical", "meh: s > 2"])
-        engine.escalate_to(lambda reason, t: calls.append((reason, t)))
-        sampler = TimeSeriesSampler(1e-6)
-        state = {"v": 0.0}
-        sampler.add_probe("s", lambda: state["v"])
-        sampler.on_bucket(engine.observe)
-        for i, value in enumerate([0, 5, 5, 5]):
-            state["v"] = value
-            sampler.advance(i * 1e-6)
+        flight = FlightRecorder()
+        sampler, _ = driven(
+            ["bad: s > 1 !critical", "meh: s > 2"], [0, 5, 5, 5], flight=flight
+        )
         # both rules fired, only the critical one escalated, exactly once
-        assert len(engine.alerts) == 2
-        assert calls == [("alert:bad", pytest.approx(1e-6))]
+        assert len(sampler.alerts) == 2
+        assert [(r, d["virtual_time"]) for r, d, _ in flight.bundles] == [
+            ("alert:bad", pytest.approx(1e-6))
+        ]
 
 
-class TestExport:
-    def test_export_schema(self):
-        engine, _ = driven_engine(["s > 10"], [0, 20, 5])
-        doc = engine.export()
-        assert doc["schema"] == "repro.alerts/1"
+class TestDump:
+    def test_dump_carries_rules_and_alerts(self):
+        sampler, _ = driven(["s > 10"], [0, 20, 5])
+        doc = sampler.dump()
+        assert doc["schema"] == "repro.timeseries/2"
         assert doc["rules"] == ["s: s > 10"]
         (alert,) = doc["alerts"]
         assert alert["state"] == "resolved"

@@ -52,7 +52,10 @@ class TestGoldenAgainstTheParent:
         scheduler event: the 3 504 events are the same but recorded in
         another order (148 ``deliver`` spans start one ulp off, read as
         ``now - DELAY``), and ``sim.events_processed`` went from 1 024 to
-        512; the lineage digest is the one taken at 1d9c0c5."""
+        512; the lineage digest is the one taken at 1d9c0c5. The registry
+        digest was re-taken on top of 35329d4 when the snapshot gained
+        the ``link.qdepth_bytes`` family; without it the snapshot hashes
+        to the digest before."""
         golden = json.loads(GOLDEN.read_text())
         obs = Observability(tracer=Tracer(), int_config=IntConfig(max_hops=8))
         job = AllReduceJob(4, 256, 8, multiround=True, obs=obs)

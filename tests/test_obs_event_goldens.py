@@ -19,8 +19,13 @@ moved the order a run records its events in and ``sim.events_processed``,
 and some ``deliver`` spans' starts by one ulp; the failed switch of
 ``failures_mid_flight`` no longer runs the two windows inside it; and
 ``frames_nobody_names`` stamps its node drops and reads its overflow
-backlog when the node acts, and loses a 1 us ``queue`` span. To
-re-capture (only for a deliberate change to trace *content*)::
+backlog when the node acts, and loses a 1 us ``queue`` span. The
+registry digests alone were re-captured on top of 35329d4 when the
+snapshot gained the ``link.qdepth_bytes`` family (the time series read
+queue depth from the registry since): every other digest and count is
+the one taken at 6504618, and each snapshot without that family hashes
+to the digest pinned there. To re-capture (only for a deliberate change
+to trace *content*)::
 
     PYTHONPATH=src python -m tests.test_obs_event_goldens --capture
 """
@@ -299,7 +304,7 @@ def reached(obs, what: str) -> bool:
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_records_what_the_parent_recorded(name):
     golden = json.loads(GOLDEN.read_text())
-    assert golden["captured_at"] == "6504618"
+    assert golden["captured_at"] == "35329d4"
     obs = SCENARIOS[name]()
     assert digests(obs) == golden["scenarios"][name]
     missing = [what for what in REACHES[name] if not reached(obs, what)]

@@ -19,8 +19,7 @@ from repro.net import FaultPlan, Network, fat_tree, leaf_spine
 from repro.net.node import ForwardingSwitchNode
 from repro.net.pisanode import PisaSwitchNode
 from repro.pisa.switch_dev import PisaSwitch
-from repro.obs import AlertEngine, Observability, TimeSeriesSampler
-from repro.obs.timeseries import attach_network_probes
+from repro.obs import Observability, TimeSeriesSampler
 
 LAYOUT = KernelLayout(1, "push", [ChunkLayout("x", 4, 32, False)])
 
@@ -297,11 +296,10 @@ class TestFailSwitch:
         assert up == {"h0": 1, "h1": 1, "s": 0}
 
     def test_health_alert_fires_on_down_drops(self):
-        sampler = TimeSeriesSampler(1e-6)
-        engine = AlertEngine(
-            ["dead: link.drops{cause=down} rate > 0 over 2us !critical"]
+        sampler = TimeSeriesSampler(
+            1e-6, rules=["dead: link.drops{cause=down} rate > 0 over 2us !critical"]
         )
-        obs = Observability(sampler=sampler, health=engine)
+        obs = Observability(sampler=sampler)
         net = Network(obs=obs)
         net.add_host("h0")
         net.add_host("h1")
@@ -311,7 +309,6 @@ class TestFailSwitch:
         net.compute_routes()
         got = []
         net.host("h1").receiver = got.append
-        attach_network_probes(sampler, net)
         h1 = net.host("h1")
         net.inject(node_fails("s", at=5e-7))
         for i in range(12):
@@ -321,7 +318,7 @@ class TestFailSwitch:
         net.run()
         sampler.finish(net.sim.now())
         assert got == []
-        assert [a.rule.name for a in engine.alerts] == ["dead"]
-        assert engine.alerts[0].rule.escalates
+        assert [a.rule.name for a in sampler.alerts] == ["dead"]
+        assert sampler.alerts[0].rule.escalates
         names = [e.name for e in obs.tracer.events if e.track == "health"]
         assert "alert:firing" in names
