@@ -1,21 +1,3 @@
-"""NIR: the NCL intermediate representation, passes, and interpreter."""
-
-from repro.nir.ir import Function, FunctionKind, FwdKind, Module
-from repro.nir.interp import DeviceState, Interpreter, InterpResult, WindowContext, run_kernel
-from repro.nir.lower import lower_unit
-from repro.nir.verify import verify_function, verify_module
-
-__all__ = [
-    "DeviceState",
-    "Function",
-    "FunctionKind",
-    "FwdKind",
-    "Interpreter",
-    "InterpResult",
-    "Module",
-    "WindowContext",
-    "lower_unit",
-    "run_kernel",
-    "verify_function",
-    "verify_module",
-]
+"""NIR: the NCL intermediate representation (``ir``), its lowering from
+the AST (``lower``), passes (``passes``) and executor (``interp``, which
+runs what ``pygen`` generates)."""

@@ -115,7 +115,8 @@ class DominatorTree:
 
 def natural_loops(fn: Function) -> List[Dict]:
     """Find natural loops via back edges (tail -> header where header
-    dominates tail). Returns [{header, body: set[Block], latches}]."""
+    dominates tail). Returns [{header, body: set[Block], latches}]; a
+    body holds reachable blocks only."""
     dom = DominatorTree(fn)
     preds = fn.predecessors()
     loops: Dict[Block, Dict] = {}
@@ -134,5 +135,5 @@ def natural_loops(fn: Function) -> List[Dict]:
                     if node in info["body"]:
                         continue
                     info["body"].add(node)
-                    stack.extend(preds.get(node, []))
+                    stack.extend(p for p in preds[node] if p in dom.idom)
     return list(loops.values())

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, Iterable, List, Optional
 
+from repro.errors import ConformanceError
 from repro.nir import ir
 
 
@@ -24,85 +26,20 @@ class ValueMap:
 
 
 def clone_instr(instr: ir.Instr, vmap: ValueMap) -> ir.Instr:
-    """Clone one instruction, remapping operands and branch targets."""
-    if isinstance(instr, ir.BinOp):
-        new = ir.BinOp(instr.op, vmap.value(instr.lhs), vmap.value(instr.rhs), instr.ty)
-    elif isinstance(instr, ir.UnOp):
-        new = ir.UnOp(instr.op, vmap.value(instr.operands[0]), instr.ty)
-    elif isinstance(instr, ir.Cast):
-        new = ir.Cast(
-            instr.kind, vmap.value(instr.operands[0]), instr.ty,
-            explicit=instr.explicit,
-        )
-    elif isinstance(instr, ir.Select):
-        new = ir.Select(
-            vmap.value(instr.operands[0]),
-            vmap.value(instr.operands[1]),
-            vmap.value(instr.operands[2]),
-            instr.ty,
-        )
-    elif isinstance(instr, ir.Alloca):
-        new = ir.Alloca(instr.slot_ty, instr.name)
-    elif isinstance(instr, ir.Load):
-        slot = vmap.value(instr.slot)
-        assert isinstance(slot, ir.Alloca)
-        new = ir.Load(slot)
-    elif isinstance(instr, ir.Store):
-        slot = vmap.value(instr.slot)
-        assert isinstance(slot, ir.Alloca)
-        new = ir.Store(slot, vmap.value(instr.value))
-    elif isinstance(instr, ir.LoadElem):
-        new = ir.LoadElem(instr.ref, vmap.value(instr.index))
-    elif isinstance(instr, ir.StoreElem):
-        new = ir.StoreElem(instr.ref, vmap.value(instr.index), vmap.value(instr.value))
-    elif isinstance(instr, ir.LoadParam):
-        new = ir.LoadParam(instr.param, vmap.value(instr.index))
-    elif isinstance(instr, ir.StoreParam):
-        new = ir.StoreParam(instr.param, vmap.value(instr.index), vmap.value(instr.value))
-    elif isinstance(instr, ir.WinField):
-        new = ir.WinField(instr.field, instr.ty)
-    elif isinstance(instr, ir.LocField):
-        new = ir.LocField(instr.field, instr.ty)
-    elif isinstance(instr, ir.LocLabel):
-        new = ir.LocLabel(instr.label)
-    elif isinstance(instr, ir.CtrlRead):
-        idx = instr.index
-        new = ir.CtrlRead(instr.ref, vmap.value(idx) if idx is not None else None)
-    elif isinstance(instr, ir.MapLookup):
-        new = ir.MapLookup(instr.ref, vmap.value(instr.key))
-    elif isinstance(instr, ir.MapFound):
-        new = ir.MapFound(vmap.value(instr.operands[0]))
-    elif isinstance(instr, ir.MapValue):
-        new = ir.MapValue(vmap.value(instr.operands[0]), instr.ty)
-    elif isinstance(instr, ir.BloomOp):
-        new = ir.BloomOp(instr.ref, instr.op, vmap.value(instr.operands[0]))
-    elif isinstance(instr, ir.Memcpy):
-        new = ir.Memcpy(
-            ir.MemRegion(instr.dst.kind, param=instr.dst.param, ref=instr.dst.ref),
-            vmap.value(instr.dst_off),
-            ir.MemRegion(instr.src.kind, param=instr.src.param, ref=instr.src.ref),
-            vmap.value(instr.src_off),
-            vmap.value(instr.nbytes),
-        )
-    elif isinstance(instr, ir.Fwd):
-        new = ir.Fwd(instr.kind, instr.label)
-    elif isinstance(instr, ir.CallFn):
-        new = ir.CallFn(instr.callee, [vmap.value(op) for op in instr.operands])
-    elif isinstance(instr, ir.Phi):
-        new = ir.Phi(instr.ty)
-        for value, block in instr.incoming:
-            new.add_incoming(vmap.value(value), vmap.block(block))
+    """Clone one instruction, remapping operands and branch targets: a
+    fresh id and block, every other attribute as it is (a
+    :class:`ir.MemRegion` copied, since a clone may retarget it)."""
+    new = object.__new__(type(instr))
+    new.__dict__.update(instr.__dict__, id=next(ir._id_counter), block=None)
+    new.operands = [vmap.value(op) for op in instr.operands]
+    if isinstance(instr, ir.Phi):
+        new.incoming = [(vmap.value(v), vmap.block(b)) for v, b in instr.incoming]
     elif isinstance(instr, ir.Br):
-        new = ir.Br(vmap.block(instr.target))
+        new.target = vmap.block(instr.target)
     elif isinstance(instr, ir.CondBr):
-        new = ir.CondBr(
-            vmap.value(instr.cond), vmap.block(instr.then), vmap.block(instr.other)
-        )
-    elif isinstance(instr, ir.Ret):
-        new = ir.Ret(vmap.value(instr.value) if instr.value is not None else None)
-    else:
-        raise ir.IrError(f"cannot clone {type(instr).__name__}")  # type: ignore[attr-defined]
-    new.loc = instr.loc
+        new.then, new.other = vmap.block(instr.then), vmap.block(instr.other)
+    elif isinstance(instr, ir.Memcpy):
+        new.dst, new.src = copy.copy(instr.dst), copy.copy(instr.src)
     return new
 
 
@@ -116,56 +53,49 @@ def clone_function(fn: ir.Function, new_name: Optional[str] = None) -> ir.Functi
         fn.ret,
         fn.at_label,
     )
-    param_map = {old: new for old, new in zip(fn.params, new_fn.params)}
-    vmap = ValueMap()
-    for block in fn.blocks:
-        clone = ir.Block(block.label)
-        vmap.blocks[block] = clone
-        new_fn.blocks.append(clone)
-    for block in fn.blocks:
-        clone = vmap.blocks[block]
-        for instr in block.instrs:
-            new = clone_instr(instr, vmap)
-            new.block = clone
-            clone.instrs.append(new)
-            vmap.values[instr] = new
-    for clone in new_fn.blocks:
-        for instr in clone.instrs:
-            for idx, op in enumerate(instr.operands):
-                if isinstance(op, ir.Instr) and op in vmap.values:
-                    new_op = vmap.values[op]
-                    if new_op is not op:
-                        instr.operands[idx] = new_op
-                        if isinstance(instr, ir.Phi):
-                            instr.incoming[idx] = (new_op, instr.incoming[idx][1])
-                elif isinstance(op, ir.Param) and op in param_map:
-                    instr.operands[idx] = param_map[op]
-                    if isinstance(instr, ir.Phi):
-                        instr.incoming[idx] = (param_map[op], instr.incoming[idx][1])
-            if isinstance(instr, ir.Phi):
-                instr.incoming = [(v, vmap.block(b)) for v, b in instr.incoming]
-            elif isinstance(instr, ir.Br):
-                instr.target = vmap.block(instr.target)
-            elif isinstance(instr, ir.CondBr):
-                instr.then = vmap.block(instr.then)
-                instr.other = vmap.block(instr.other)
-            if isinstance(instr, (ir.LoadParam, ir.StoreParam)) and instr.param in param_map:
-                instr.param = param_map[instr.param]
-            if isinstance(instr, ir.Memcpy):
-                for region in (instr.dst, instr.src):
-                    if region.kind == "param" and region.param in param_map:
-                        region.param = param_map[region.param]
+    clones = clone_region(new_fn, fn.blocks, ValueMap())
+    substitute_params(clones, dict(zip(fn.params, new_fn.params)))
     new_fn._label_counter = fn._label_counter
     return new_fn
+
+
+def substitute_params(blocks: Iterable[ir.Block], params: Dict[ir.Param, ir.Value]) -> None:
+    """Replaces each parameter *params* maps, in *blocks*' operands and as
+    the buffer of their param-addressed memory operations (which must
+    stay a parameter)."""
+
+    def value(v: ir.Value) -> ir.Value:
+        return params.get(v, v) if isinstance(v, ir.Param) else v
+
+    def buffer(param: ir.Param) -> ir.Param:
+        bound = params.get(param, param)
+        if not isinstance(bound, ir.Param):
+            raise ConformanceError(
+                "cannot inline a helper that indexes a non-parameter pointer argument"
+            )
+        return bound
+
+    for block in blocks:
+        for instr in block.instrs:
+            instr.operands = [value(op) for op in instr.operands]
+            if isinstance(instr, ir.Phi):
+                instr.incoming = [(value(v), b) for v, b in instr.incoming]
+            if isinstance(instr, (ir.LoadParam, ir.StoreParam)):
+                instr.param = buffer(instr.param)
+            if isinstance(instr, ir.Memcpy):
+                for region in (instr.dst, instr.src):
+                    if region.kind == "param":
+                        region.param = buffer(region.param)
 
 
 def clone_region(
     fn: ir.Function,
     blocks: Iterable[ir.Block],
     vmap: ValueMap,
-    suffix: str,
+    suffix: str = "",
 ) -> List[ir.Block]:
-    """Clone *blocks* into *fn*. ``vmap`` may be pre-seeded (e.g. to map
+    """Clone *blocks* into *fn*, labelled ``label.suffix`` (with no
+    suffix, as they are). ``vmap`` may be pre-seeded (e.g. to map
     header phis to concrete values); it is extended with all clones.
 
     Branch targets and phi incomings pointing inside the region are
@@ -174,7 +104,7 @@ def clone_region(
     originals = list(blocks)
     clones: List[ir.Block] = []
     for block in originals:
-        clone = ir.Block(f"{block.label}.{suffix}")
+        clone = ir.Block(f"{block.label}.{suffix}" if suffix else block.label)
         vmap.blocks[block] = clone
         clones.append(clone)
         fn.blocks.append(clone)
@@ -190,20 +120,7 @@ def clone_region(
     # their use site (possible with phis/back edges) need remapping.
     for clone in clones:
         for instr in clone.instrs:
-            for idx, op in enumerate(instr.operands):
-                if isinstance(op, ir.Instr) and op in vmap.values:
-                    new_op = vmap.values[op]
-                    if new_op is not op:
-                        instr.operands[idx] = new_op
-                        if isinstance(instr, ir.Phi):
-                            instr.incoming[idx] = (new_op, instr.incoming[idx][1])
+            instr.operands = [vmap.value(op) for op in instr.operands]
             if isinstance(instr, ir.Phi):
-                instr.incoming = [
-                    (v, vmap.block(b)) for v, b in instr.incoming
-                ]
-            elif isinstance(instr, ir.Br):
-                instr.target = vmap.block(instr.target)
-            elif isinstance(instr, ir.CondBr):
-                instr.then = vmap.block(instr.then)
-                instr.other = vmap.block(instr.other)
+                instr.incoming = [(vmap.value(v), b) for v, b in instr.incoming]
     return clones

@@ -31,7 +31,7 @@ def _fold_once(fn: ir.Function) -> int:
     replacements: Dict[ir.Instr, ir.Value] = {}
     for block in fn.blocks:
         for instr in list(block.instrs):  # _materialize may insert mid-walk
-            folded = _try_fold(instr)
+            folded = try_fold(instr)
             if folded is not None:
                 replacements[instr] = folded
     if not replacements:
@@ -59,7 +59,9 @@ def _const(value: ir.Value) -> Optional[int]:
     return None
 
 
-def _try_fold(instr: ir.Instr) -> Optional[ir.Value]:
+def try_fold(instr: ir.Instr) -> Optional[ir.Value]:
+    """What *instr* folds to, if anything (loop unrolling folds its
+    control slice with it too)."""
     if isinstance(instr, ir.BinOp):
         return _fold_binop(instr)
     if isinstance(instr, ir.UnOp):

@@ -9,11 +9,11 @@ result with a phi over the returned values.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.errors import ConformanceError
 from repro.nir import ir
-from repro.nir.passes.clone import ValueMap, clone_region
+from repro.nir.passes.clone import ValueMap, clone_region, substitute_params
 
 _MAX_INLINE_DEPTH = 32
 
@@ -66,13 +66,10 @@ def _inline_one(fn: ir.Function, call: ir.CallFn, depth: int) -> None:
                 (v, cont if b is block else b) for v, b in phi.incoming
             ]
 
-    # Seed the value map: callee params -> call arguments.
+    # Callee params -> call arguments.
     vmap = ValueMap()
-    param_map: Dict[ir.Param, ir.Value] = {}
-    for param, arg in zip(callee.params, call.operands):
-        param_map[param] = arg
     clones = clone_region(fn, callee.blocks, vmap, suffix=f"inl{call.id}")
-    _substitute_params(clones, param_map)
+    substitute_params(clones, dict(zip(callee.params, call.operands)))
 
     # Entry edge.
     br = ir.Br(vmap.block(callee.entry))
@@ -108,34 +105,3 @@ def _inline_one(fn: ir.Function, call: ir.CallFn, depth: int) -> None:
         for b in fn.blocks:
             for instr in b.instrs:
                 instr.replace_operand(call, result)
-
-
-def _substitute_params(blocks: List[ir.Block], param_map: Dict[ir.Param, ir.Value]) -> None:
-    for block in blocks:
-        for instr in block.instrs:
-            for idx, op in enumerate(instr.operands):
-                if isinstance(op, ir.Param) and op in param_map:
-                    new = param_map[op]
-                    instr.operands[idx] = new
-                    if isinstance(instr, ir.Phi):
-                        instr.incoming[idx] = (new, instr.incoming[idx][1])
-            # Param-addressed memory ops need their .param field rebound.
-            if isinstance(instr, (ir.LoadParam, ir.StoreParam)):
-                bound = param_map.get(instr.param)
-                if isinstance(bound, ir.Param):
-                    instr.param = bound
-                elif bound is not None:
-                    raise ConformanceError(
-                        "cannot inline a helper that indexes a non-parameter "
-                        "pointer argument"
-                    )
-            if isinstance(instr, ir.Memcpy):
-                for region in (instr.dst, instr.src):
-                    if region.kind == "param" and region.param in param_map:
-                        bound = param_map[region.param]
-                        if isinstance(bound, ir.Param):
-                            region.param = bound
-                        else:
-                            raise ConformanceError(
-                                "cannot inline memcpy over non-parameter pointer"
-                            )

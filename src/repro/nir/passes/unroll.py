@@ -22,11 +22,9 @@ from repro.errors import ConformanceError
 from repro.nir import ir
 from repro.nir.cfg import natural_loops
 from repro.nir.passes.clone import ValueMap, clone_region
-from repro.nir.passes.constfold import fold_constants
+from repro.nir.passes.constfold import fold_constants, try_fold
 from repro.nir.passes.dce import eliminate_dead_code
 from repro.nir.passes.simplify_cfg import simplify_cfg
-from repro.ncl.types import is_signed, scalar_bits
-from repro.util import intops
 
 DEFAULT_MAX_TRIPS = 4096
 
@@ -315,41 +313,16 @@ def _value_in_env(value: ir.Value, env: Dict[int, int]) -> Optional[int]:
 
 
 def _abstract_eval(instr: ir.Instr, env: Dict[int, int]) -> Optional[int]:
-    """Evaluate a pure arithmetic instruction over the abstract env."""
-    if isinstance(instr, ir.BinOp):
-        a = _value_in_env(instr.lhs, env)
-        b = _value_in_env(instr.rhs, env)
-        if a is None or b is None:
-            return None
-        from repro.nir.passes.constfold import _fold_const_pair
-
-        folded = _fold_const_pair(instr.op, a, b, instr)
-        return folded.value if isinstance(folded, ir.Const) else None
-    if isinstance(instr, ir.UnOp):
-        a = _value_in_env(instr.operands[0], env)
-        if a is None:
-            return None
-        if instr.op == "neg":
-            raw = -a
-        elif instr.op == "not":
-            raw = ~a
-        else:
-            return int(not a)
-        if instr.ty.is_scalar:
-            return intops.wrap(raw, scalar_bits(instr.ty), is_signed(instr.ty))
-        return raw
-    if isinstance(instr, ir.Cast):
-        a = _value_in_env(instr.operands[0], env)
-        if a is None:
-            return None
-        if instr.kind == "bool":
-            return int(a != 0)
-        if instr.ty.is_scalar:
-            return intops.wrap(a, scalar_bits(instr.ty), is_signed(instr.ty))
-        return a
-    if isinstance(instr, ir.Select):
-        cond = _value_in_env(instr.operands[0], env)
-        if cond is None:
-            return None
-        return _value_in_env(instr.operands[1 if cond else 2], env)
-    return None
+    """Fold a pure instruction as constant folding does, its operands
+    read from the abstract env (a select needs only its condition)."""
+    if not isinstance(instr, (ir.BinOp, ir.UnOp, ir.Cast, ir.Select)):
+        return None
+    values = [_value_in_env(op, env) for op in instr.operands]
+    if None in values[: 1 if isinstance(instr, ir.Select) else None]:
+        return None
+    probe = object.__new__(type(instr))  # instr over the known values, no new id
+    probe.__dict__.update(instr.__dict__, operands=[
+        op if v is None else ir.Const(op.ty, v) for op, v in zip(instr.operands, values)
+    ])
+    folded = try_fold(probe)
+    return None if folded is None else _value_in_env(folded, env)

@@ -10,18 +10,23 @@ packet is generated here, once, when the switch is built:
   literal comparisons, and at each ``accept`` the slot list built in one
   display from what that path extracted;
 * :func:`lower_program` -- one function per action (primitives as
-  straight-line statements over ``S[17]`` and the register lists,
-  destination masks and register widths as literals from
-  :mod:`repro.util.intops`' emitters), one per table that builds its key
-  tuple, and one ``control`` function (``IfNode`` -> ``if``, ``Do`` -> a
-  direct call, ``Apply`` -> ``pipe.apply_table``);
+  straight-line statements over ``S[17]`` and the register lists, masks
+  and register sizes as literals from :mod:`repro.util.intops`'
+  emitters), one per table that builds its key tuple, and one ``control``
+  function (``IfNode`` -> ``if``, ``Do`` -> a direct call, ``Apply`` ->
+  ``pipe.apply_table``);
 * :func:`lower_deparser` -- per valid header one pack straight out of its
   slot range.
 
 Table *entries* stay data, looked up per packet. A header field is read
 as ``(+S[k])``, which is what raises when nothing was extracted into it
 (:class:`repro.pisa.phv.Absent`); metadata is always there and is read
-bare.
+bare. Every slot and register holds a value within its own width (the
+parser, ``Phv.write``, ``RegisterState`` and the generated stores all
+keep it so), so an expression has a known width -- a field's, a
+constant's, one more than the wider operand of ``+`` -- and a mask is
+emitted only where that width can exceed the destination's; a literal
+register index within the array is not range-checked.
 
 The semantics are those of the reference ``tests/pisa_oracle.py`` (a
 dict PHV, a parse loop, a walker). Three liberties: an action's
@@ -35,7 +40,7 @@ expansion cannot hold.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import PisaError
 from repro.p4 import model as p4
@@ -65,15 +70,24 @@ def _short(instance: str, need_bytes: int, have_bytes: int):
     )
 
 
-def _read_src(layout: PhvLayout, ref: str) -> str:
-    """Source of the value of field *ref*."""
+def _read_src(layout: PhvLayout, ref: str) -> Tuple[str, int]:
+    """Source of the value of field *ref*, and its width."""
     if ref.startswith("valid."):
         slot = layout.valid.get(ref.split(".", 1)[1])
-        return "0" if slot is None else f"S[{slot}]"
+        return ("0" if slot is None else f"S[{slot}]"), 1
     slot = layout.slots.get(ref)
     if slot is None:
         raise PisaError(f"read of unknown field {ref!r}")
-    return f"S[{slot}]" if slot < layout.n_meta else f"(+S[{slot}])"
+    src = f"S[{slot}]" if slot < layout.n_meta else f"(+S[{slot}])"
+    return src, layout.masks[slot].bit_length()
+
+
+def _wrapped(src: str, bits: int, width: Optional[int]) -> Tuple[str, int]:
+    """*src* as an operand, wrapped to *bits* unless its known *width*
+    fits, and the width after."""
+    if width is not None and intops.fits(width, bits, False):
+        return f"({src})", width
+    return intops.wrap_src(src, bits, False), bits
 
 
 def _wire_layout(program: p4.P4Program, instance: str) -> FieldLayout:
@@ -255,7 +269,7 @@ class _ProgramSource:
         for action in program.actions.values():
             self._action(action)
         for table in program.tables.values():
-            key = "".join(f"{_read_src(layout, ref)}, " for ref, _ in table.keys)
+            key = "".join(f"{_read_src(layout, ref)[0]}, " for ref, _ in table.keys)
             w(f"def {self.keys[table.name]}(S): return ({key})  # table {table.name}")
         with w.block("def control(pipe, phv):"):
             w(f"# {program.name}")
@@ -263,48 +277,68 @@ class _ProgramSource:
             self._nodes(program.control)
         self.source = "\n".join(w.lines) + "\n"
 
-    def expr(self, e: p4.PExpr, params: Sequence[str]) -> str:
-        """Source of *e*, an int-valued operand."""
-        kind, wrap = type(e), intops.wrap_src
+    def expr(self, e: p4.PExpr, params: Sequence[str]) -> Tuple[str, int]:
+        """Source of *e*, an int-valued operand, and its known width *w*:
+        the value lies in ``[0, 2**w)``. A slot or a register holds a
+        value within its width, whoever wrote it."""
+        kind = type(e)
         if kind is p4.PConst:
-            return str(intops.wrap_unsigned(e.value, e.bits))
+            value = intops.wrap_unsigned(e.value, e.bits)
+            return str(value), value.bit_length()
         if kind is p4.PField:
             return _read_src(self.layout, e.ref)
         if kind is p4.PParam:
             if e.name not in params:
                 raise PisaError(f"unbound action parameter {e.name!r}")
-            return wrap(f"args[{params.index(e.name)}]", e.bits, False)
+            return _wrapped(f"args[{params.index(e.name)}]", e.bits, None)
         if kind is p4.PBin:
-            a, b, op = self.expr(e.lhs, params), self.expr(e.rhs, params), e.op
+            (a, wa), (b, wb), op = self.expr(e.lhs, params), self.expr(e.rhs, params), e.op
             if op in _COMPARES:
                 if op[0] == "s":
-                    a, b = wrap(a, e.bits, True), wrap(b, e.bits, True)
-                return f"(+({a} {intops.COMPARE_SRC[op[-2:]]} {b}))"
+                    a = intops.wrap_src(a, e.bits, True, wa)
+                    b = intops.wrap_src(b, e.bits, True, wb)
+                return f"+({a} {intops.COMPARE_SRC[op[-2:]]} {b})", 1
             if op not in _ARITH:
                 raise PisaError(f"unknown ALU op {op!r}")
-            return wrap(intops.arith_src(op, a, b, e.bits), e.bits, False)
+            if op == "and":
+                width = min(wa, wb)
+            elif op in ("or", "xor", "add"):
+                width = max(wa, wb) + (op == "add")
+            elif op == "shl" and b.isdigit():
+                width = wa + intops.shift_amount(int(b), e.bits)
+            else:
+                width = None
+            return _wrapped(intops.arith_src(op, a, b, e.bits), e.bits, width)
         if kind is p4.PMux:
-            a, b = self.expr(e.a, params), self.expr(e.b, params)
-            return wrap(f"{a} if {self.expr(e.cond, params)} else {b}", e.bits, False)
+            (a, wa), (b, wb) = self.expr(e.a, params), self.expr(e.b, params)
+            cond, _ = self.expr(e.cond, params)
+            return _wrapped(f"{a} if {cond} else {b}", e.bits, max(wa, wb))
         if kind is p4.PUn:
-            a = self.expr(e.operand, params)
+            a, _ = self.expr(e.operand, params)
             if e.op == "lnot":
-                return f"(+({a} == 0))"
+                return f"+({a} == 0)", 1
             if e.op not in ("neg", "not"):
                 raise PisaError(f"unknown unary ALU op {e.op!r}")
-            return wrap(("-" if e.op == "neg" else "~") + a, e.bits, False)
+            return _wrapped(("-" if e.op == "neg" else "~") + a, e.bits, None)
         raise PisaError(f"cannot evaluate {e!r}")
 
-    def element(self, name: str, index: p4.PExpr, params: Sequence[str], value: str = "") -> str:
-        """Source of ``name[i]``, after emitting the index (as ``i``), then
-        *value* (as ``x``), then the bounds check -- the walker's order."""
+    def element(
+        self, name: str, index: p4.PExpr, params: Sequence[str], value: str = ""
+    ) -> Tuple[str, str]:
+        """``(source of name[i], source of the value)``. A literal index
+        within the array is subscripted as it is; any other is emitted (as
+        ``i``), then *value* (as ``x``), then the bounds check -- the
+        walker's order."""
         size = self.program.registers[name].size
-        self.w(f"i = {self.expr(index, params)}")
+        i, _ = self.expr(index, params)
+        if i.isdigit() and int(i) < size:
+            return f"{self.registers[name]}[{i}]", value
+        self.w(f"i = {i}")
         if value:
             self.w(f"x = {value}")
         message = f"register {name}: index %d out of range [0, {size})"
         self.w(f"if not 0 <= i < {size}: fail({message!r} % i)")
-        return f"{self.registers[name]}[i]"
+        return f"{self.registers[name]}[i]", "x"
 
     def _action(self, action: p4.Action) -> None:
         name, w = action.name, self.w
@@ -323,20 +357,24 @@ class _ProgramSource:
         w("")
 
     def _primitive(self, prim, params: Sequence[str]) -> None:
-        """One primitive; every store masks to its destination's width."""
-        kind, program, wrap = type(prim), self.program, intops.wrap_src
+        """One primitive; a store masks to its destination's width where
+        the value's known width does not fit it."""
+        kind, program = type(prim), self.program
         if kind in (p4.PRegRead, p4.PRegWrite) and prim.reg not in program.registers:
             raise PisaError(f"unknown register array {prim.reg!r}")
         if kind is p4.PRegWrite:
-            value = wrap(self.expr(prim.expr, params), program.registers[prim.reg].bits, False)
-            self.w(f"{self.element(prim.reg, prim.index, params, value)} = x  # {prim!r}")
+            value, width = self.expr(prim.expr, params)
+            value = intops.wrap_src(value, program.registers[prim.reg].bits, False, width)
+            target, value = self.element(prim.reg, prim.index, params, value)
+            self.w(f"{target} = {value}  # {prim!r}")
         elif kind in (p4.PRegRead, p4.PAssign):
-            bits = program.field_bits(prim.dst)
-            value = (
-                self.expr(prim.expr, params) if kind is p4.PAssign
-                else self.element(prim.reg, prim.index, params)
-            )
-            self.w(f"S[{self.layout.slots[prim.dst]}] = {wrap(value, bits, False)}  # {prim!r}")
+            if kind is p4.PAssign:
+                value, width = self.expr(prim.expr, params)
+            else:
+                value = self.element(prim.reg, prim.index, params)[0]
+                width = program.registers[prim.reg].bits
+            value = intops.wrap_src(value, program.field_bits(prim.dst), False, width)
+            self.w(f"S[{self.layout.slots[prim.dst]}] = {value}  # {prim!r}")
         else:
             raise PisaError(f"unknown primitive {prim!r}")
 
@@ -352,7 +390,7 @@ class _ProgramSource:
                 w(f"if obs is not None: obs.action({node.action!r})")
                 w(f"{self.actions[node.action]}(S)")
             elif kind is p4.IfNode:
-                with w.block(f"if {self.expr(node.cond, ())}:  # {node.cond!r}"):
+                with w.block(f"if {self.expr(node.cond, ())[0]}:  # {node.cond!r}"):
                     self._nodes(node.then_nodes)
                     if not node.then_nodes:
                         w("pass")

@@ -1,19 +1,2 @@
-"""Shared low-level helpers (fixed-width integer semantics, hashing)."""
-
-from repro.util.intops import (
-    mask,
-    sign_extend,
-    to_unsigned,
-    wrap,
-    wrap_signed,
-    wrap_unsigned,
-)
-
-__all__ = [
-    "mask",
-    "sign_extend",
-    "to_unsigned",
-    "wrap",
-    "wrap_signed",
-    "wrap_unsigned",
-]
+"""Shared low-level helpers: fixed-width integer semantics (``intops``),
+bit-level packing (``bits``) and generated-source plumbing (``pysrc``)."""

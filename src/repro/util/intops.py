@@ -92,7 +92,8 @@ def bit_length_fits(value: int, bits: int, signed: bool) -> bool:
 # the width baked in as a literal, so that a width rule is still spelled
 # in this file only. Arguments are the source of int-valued expressions
 # (parenthesised where precedence could bite); wrap_src and
-# shift_amount_src return a parenthesised expression.
+# shift_amount_src return a parenthesised expression, a name or a literal
+# (wrap_src returns its argument as it is where a known width fits).
 # ``tests/test_intops.py`` eval()s every emitter against its runtime twin.
 
 #: Python spelling of the comparison suffixes (``ult`` -> ``lt`` -> ``<``).
@@ -100,9 +101,21 @@ COMPARE_SRC = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": "
 _INFIX_SRC = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|", "xor": "^"}
 
 
-def wrap_src(expr: str, bits: int, signed: bool) -> str:
-    """Source of ``wrap(expr, bits, signed)``."""
-    if not (expr.isidentifier() or expr.isdigit()):
+def fits(width: int, bits: int, signed: bool) -> bool:
+    """True if ``wrap(v, bits, signed)`` is *v* for every v in ``[0, 2**width)``."""
+    return width < bits if signed else width <= bits
+
+
+def wrap_src(expr: str, bits: int, signed: bool, width: int | None = None) -> str:
+    """Source of ``wrap(expr, bits, signed)``: *expr* itself where the
+    caller knows its value lies in ``[0, 2**width)`` and that
+    :func:`fits`; a literal wrapped here."""
+    if width is not None and fits(width, bits, signed):
+        return expr
+    if expr.isdigit():
+        value = wrap(int(expr), bits, signed)
+        return str(value) if value >= 0 else f"({value})"
+    if not expr.isidentifier():
         expr = f"({expr})"
     if signed:
         half = 1 << (bits - 1)

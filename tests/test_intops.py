@@ -149,6 +149,18 @@ class TestSourceEmitters:
         else:
             assert eval(src, {"x": value}) == intops.to_unsigned(value, bits)
 
+    @given(st.integers(0, 66), _bits, st.booleans(), st.data())
+    def test_wrap_src_of_a_value_of_known_width(self, width, bits, signed, data):
+        """Left unwrapped exactly where that changes no value in range."""
+        src = intops.wrap_src("x", bits, signed, width)
+        assert (src == "x") == intops.fits(width, bits, signed)
+        value = data.draw(st.integers(0, 2**width - 1))
+        assert eval(src, {"x": value}) == intops.wrap(value, bits, signed)
+        if src == "x":
+            assert all(intops.wrap(v, bits, signed) == v for v in (0, 2**width - 1))
+        else:
+            assert intops.wrap(2**width - 1, bits, signed) != 2**width - 1
+
     @given(_values, _values, _bits, st.booleans())
     def test_wrap_src_of_a_compound_expression(self, a, b, bits, signed):
         for expr in ("a + b", "a | b", "-a", "a if b else 7", "a < b"):

@@ -15,7 +15,7 @@ import random
 import traceback
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import PisaError
@@ -225,7 +225,8 @@ def _run_action(side, prims, control, fields, valid, arg, register_seed):
 _valid_sets = st.sets(st.sampled_from(["h", "g"]))
 
 
-@given(
+#: one random action body, control condition, PHV, argument and registers
+_ACTIONS = dict(
     prims=st.lists(_prims, max_size=5),
     cond=_exprs.filter(lambda e: not _mentions_param(e)),
     fields=st.fixed_dictionaries({n: st.integers(0, 2**64) for n in _FIELDS}),
@@ -233,6 +234,9 @@ _valid_sets = st.sets(st.sampled_from(["h", "g"]))
     arg=st.integers(-(2**64), 2**65),
     register_seed=st.integers(0, 7),
 )
+
+
+@given(**_ACTIONS)
 @settings(max_examples=250, deadline=None)
 def test_random_actions_agree_with_oracle(prims, cond, fields, valid, arg, register_seed):
     """A read of a field nothing was extracted into raises the same error
@@ -398,6 +402,80 @@ def test_parse_graph_corner_cases_agree_with_oracle():
     p.parser[2] = ParseState("again", [], "valid.c", [(0, "more")])
     with pytest.raises(PisaError, match="parse graph expands past 1024 states"):
         PisaSwitch(p)
+
+
+# ---------------------------------------------------------------------------
+# The width invariant the P4 lowering drops masks by: every slot and every
+# register holds a value within its own width, whoever wrote it
+# ---------------------------------------------------------------------------
+
+
+def _out_of_width(program, fields, registers):
+    """The fields (a name -> value dict) and register cells that hold a
+    value outside ``[0, 2**bits)``."""
+    bad = [ref for ref, v in fields.items() if not 0 <= v < 1 << program.field_bits(ref)]
+    for name, values in registers.items():
+        bits = program.registers[name].bits
+        bad += [(name, k) for k, v in enumerate(values) if not 0 <= v < 1 << bits]
+    return bad
+
+
+@given(**_ACTIONS)
+@settings(max_examples=250, deadline=None)
+def test_every_action_leaves_slots_and_registers_in_width(
+    prims, cond, fields, valid, arg, register_seed
+):
+    """After the random action alone, and after it and the control block,
+    trap or not."""
+    for control in ([], [IfNode(cond, [Do("alt")])]):
+        seen = _run_action(SIDES[0], prims, control, fields, valid, arg, register_seed)
+        assert not _out_of_width(_program(), seen["fields"], seen["registers"]), seen
+
+
+def test_every_writer_keeps_slots_and_registers_in_width():
+    """The parser, ``Phv.write``, ``RegisterState`` (initial values and
+    writes), ``reset_registers``, ``ctrl_register_write`` and the two
+    constants ``process()`` writes."""
+    from repro.p4.model import FWD_PASS, META_FWD, META_FWD_LABEL, NO_LABEL
+
+    program = _compile(CASES["fig5-kvs"], 2)
+    p4_program = program.switch_programs["s1"]
+    sw = PisaSwitch(p4_program)
+    for frame in _windows(program, CASES["fig5-kvs"], random.Random(3), count=20):
+        phv = sw.parser.parse(frame)
+        assert not _out_of_width(p4_program, phv.as_dict(), {})
+        assert not _out_of_width(p4_program, sw.process(frame).phv.as_dict(), {})
+    assert FWD_PASS >> p4_program.field_bits(META_FWD) == 0
+    assert NO_LABEL >> p4_program.field_bits(META_FWD_LABEL) == 0
+
+    p = _program()
+    p.registers["r"].initial = [-1, 2**40, 5]
+    phv = Phv(p)
+    for k, ref in enumerate(phv.layout.slots):
+        phv.write(ref, (-1, 2**70 + 3, -(2**64))[k % 3])
+    assert not _out_of_width(p, phv.as_dict(), {})
+    sw = PisaSwitch(p)
+    assert not _out_of_width(p, {}, sw.registers.arrays)
+    sw.ctrl_register_write("r", -7, 3)
+    sw.registers.write("wide", 2, 2**64 + 9)
+    assert sw.registers.arrays == {"r": [2**32 - 1, 0, 5, 2**32 - 7], "wide": [0, 0, 9]}
+    sw.reset_registers()
+    assert sw.registers.arrays == {"r": [2**32 - 1, 0, 5, 0], "wide": [0, 0, 0]}
+
+
+def test_a_width_rule_that_lets_everything_fit_is_caught(monkeypatch):
+    """The seeded mutation: with every known width taken to fit, the
+    masks that change a value go too, and the oracle suites see it."""
+    from repro.util import intops
+
+    monkeypatch.setattr(intops, "fits", lambda width, bits, signed: True)
+    inner = test_random_actions_agree_with_oracle.hypothesis.inner_test
+    unshrunk = settings(max_examples=250, deadline=None, database=None, phases=[Phase.generate])
+    with pytest.raises(AssertionError):
+        given(**_ACTIONS)(unshrunk(lambda **case: inner(**case)))()
+    for name in ("fig4_allreduce", "stats"):  # the cases whose sums wrap
+        with pytest.raises(AssertionError):
+            test_shipped_switches_agree_with_oracle(name, 2)
 
 
 # ---------------------------------------------------------------------------
